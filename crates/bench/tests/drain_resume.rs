@@ -13,8 +13,14 @@ extern "C" {
 }
 const SIGTERM: i32 = 15;
 
+/// The server, with its results directory (metrics dump, default cache and
+/// checkpoint directories) in this test process's temp dir, so a test run
+/// never writes into the source tree.
 fn server() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_campaign_server"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign_server"));
+    let out = std::env::temp_dir().join(format!("wlan_drain_out_{}", std::process::id()));
+    cmd.env("WLAN_REPRO_OUT", out);
+    cmd
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {

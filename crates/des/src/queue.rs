@@ -294,8 +294,40 @@ impl<E> EventQueue<E> {
     /// the cancellation token is the index itself).
     #[inline]
     pub fn arm_timer(&mut self, tier: TierId, index: usize, gen: u64, time: SimTime) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seqs(1);
+        self.arm_timer_at_seq(tier, index, gen, time, seq);
+    }
+
+    /// Reserve `count` consecutive sequence numbers from the shared counter
+    /// and return the first. Nothing is scheduled; the range is the model's
+    /// to hand out through [`arm_timer_at_seq`](Self::arm_timer_at_seq).
+    ///
+    /// This lets a model defer timer arms without changing the pop order: a
+    /// loop that would arm timers for indices in ascending order can instead
+    /// reserve one range up front and later arm index `i` at `base + i`. No
+    /// other entry ever falls inside the range, so every such timer sorts
+    /// against every other entry exactly where the eager arm would have.
+    #[inline]
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let base = self.next_seq;
+        self.next_seq += count;
+        base
+    }
+
+    /// Arm `index`'s timer like [`arm_timer`](Self::arm_timer), but with a
+    /// sequence number the caller took from a range returned by
+    /// [`reserve_seqs`](Self::reserve_seqs) instead of a fresh one. Each
+    /// reserved number may be used by at most one pending entry.
+    #[inline]
+    pub fn arm_timer_at_seq(
+        &mut self,
+        tier: TierId,
+        index: usize,
+        gen: u64,
+        time: SimTime,
+        seq: u64,
+    ) {
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.counters.timer_arms += 1;
         let tier = &mut self.tiers[tier.0];
         tier.counters.arms += 1;
@@ -601,6 +633,31 @@ mod tests {
             q.pop().unwrap(),
             (SimTime::from_micros(9), 0, Ev::Timer { index: 2, gen: 2 })
         );
+    }
+
+    #[test]
+    fn reserved_seqs_sort_where_eager_arms_would() {
+        // Eager: schedule, arm 4 then 1 in a loop, schedule. Deferred: the
+        // same, with the loop's range reserved first and filled later.
+        let t = SimTime::from_micros(5);
+        let (mut eager, timers, _) = two_tier_queue();
+        eager.schedule(t, 7, Ev::Tick);
+        eager.arm_timer(timers, 1, 0, t);
+        eager.arm_timer(timers, 4, 0, t);
+        eager.schedule(t, 8, Ev::Tick);
+        let (mut deferred, timers, _) = two_tier_queue();
+        deferred.schedule(t, 7, Ev::Tick);
+        let base = deferred.reserve_seqs(6);
+        deferred.schedule(t, 8, Ev::Tick);
+        deferred.arm_timer_at_seq(timers, 4, 0, t, base + 4);
+        deferred.arm_timer_at_seq(timers, 1, 0, t, base + 1);
+        loop {
+            let (a, b) = (eager.pop(), deferred.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
     }
 
     #[test]

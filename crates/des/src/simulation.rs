@@ -211,6 +211,27 @@ impl<E> SimulationContext<'_, E> {
         self.queue.arm_timer(tier, index, gen, time);
     }
 
+    /// Reserve `count` consecutive sequence numbers and return the first
+    /// (see [`EventQueue::reserve_seqs`]).
+    #[inline]
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        self.queue.reserve_seqs(count)
+    }
+
+    /// Arm indexed timer `index` in `tier` with a sequence number taken
+    /// from a reserved range (see [`EventQueue::arm_timer_at_seq`]).
+    #[inline]
+    pub fn arm_timer_at_seq(
+        &mut self,
+        tier: TierId,
+        index: usize,
+        gen: u64,
+        time: SimTime,
+        seq: u64,
+    ) {
+        self.queue.arm_timer_at_seq(tier, index, gen, time, seq);
+    }
+
     /// Physically cancel indexed timer `index` in `tier`; the index is the
     /// cancellation token, and a cancelled timer never fires. No-op if not
     /// armed.

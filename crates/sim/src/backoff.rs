@@ -24,6 +24,7 @@ use crate::idlesense::IdleSensePolicy;
 use crate::phy::PhyParams;
 use rand::Rng;
 use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 
 /// Station-side contention resolution: decides how many idle slots to wait
@@ -155,6 +156,31 @@ impl Policy {
     pub fn custom(policy: Box<dyn BackoffPolicy>) -> Self {
         Policy::Custom(policy)
     }
+
+    /// [`next_backoff`](BackoffPolicy::next_backoff) from a station's own
+    /// stream: the same draw, with the p-persistent one (made for every
+    /// contending station at every resume) calling the generator directly
+    /// instead of through `dyn RngCore`.
+    #[inline]
+    pub(crate) fn draw_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        match self {
+            Policy::PPersistent(p) => geometric_slots(p.p, p.ln_q, rng),
+            other => other.next_backoff(rng),
+        }
+    }
+
+    /// Whether [`draw_backoff`](Self::draw_backoff) would return zero, with
+    /// the same effect on the policy and the stream. For a caller that will
+    /// redraw before the value is read, only a zero-slot draw matters: it
+    /// arms a timer at once. The p-persistent case skips the `ln` for
+    /// samples clear of the zero threshold (see [`geometric_is_zero`]).
+    #[inline]
+    pub(crate) fn draws_zero(&mut self, rng: &mut ChaCha8Rng) -> bool {
+        match self {
+            Policy::PPersistent(p) => geometric_is_zero(p.p, p.ln_q, rng),
+            other => other.next_backoff(rng) == 0,
+        }
+    }
 }
 
 /// Forward every [`BackoffPolicy`] method to the concrete variant. The match
@@ -274,7 +300,7 @@ fn uniform_cw(cw: u32, rng: &mut dyn RngCore) -> u64 {
 /// `ln_q` must be `(1.0 - p).ln()`; [`PPersistent`] caches it so the hot path
 /// pays one `ln` per draw instead of two. It is a divisor (not a reciprocal
 /// factor) so the result stays bit-identical to computing it inline.
-fn geometric_slots(p: f64, ln_q: f64, rng: &mut dyn RngCore) -> u64 {
+fn geometric_slots<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
     debug_assert!(p >= 1.0 || p <= 0.0 || ln_q == (1.0 - p).ln());
     if p >= 1.0 {
@@ -284,13 +310,42 @@ fn geometric_slots(p: f64, ln_q: f64, rng: &mut dyn RngCore) -> u64 {
         // "Never transmit": represent as an effectively infinite backoff.
         return u64::MAX / 2;
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    geometric_from_uniform(rng.gen_range(f64::MIN_POSITIVE..1.0), ln_q)
+}
+
+/// The geometric draw of [`geometric_slots`] for the uniform sample `u`.
+fn geometric_from_uniform(u: f64, ln_q: f64) -> u64 {
     let k = (u.ln() / ln_q).floor();
     if k.is_finite() && k >= 0.0 {
         k as u64
     } else {
         0
     }
+}
+
+/// Whether [`geometric_slots`] would draw zero slots, consuming exactly the
+/// generator words it would. The draw is zero iff `ln(u) / ln_q < 1`, i.e.
+/// iff `u > 1 - p`; the `ln` is evaluated only for a sample within a
+/// relative 1e-9 of that threshold, far wider than the rounding of `ln`
+/// and of the division, so the answer always equals the full draw's.
+fn geometric_is_zero<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> bool {
+    if p >= 1.0 {
+        return true;
+    }
+    if p <= 0.0 {
+        return false;
+    }
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let q = 1.0 - p;
+    if ln_q < 0.0 {
+        if u > q * (1.0 + 1e-9) {
+            return true;
+        }
+        if u < q * (1.0 - 1e-9) {
+            return false;
+        }
+    }
+    geometric_from_uniform(u, ln_q) == 0
 }
 
 // ---------------------------------------------------------------------------
@@ -744,6 +799,40 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn zero_test_agrees_with_the_full_geometric_draw() {
+        // Probabilities across the range, including ones whose `1 - p`
+        // rounds to 1 (ln_q == 0) and the 0 / 1 edges that draw nothing.
+        for p in [
+            0.0f64,
+            1e-17,
+            1e-9,
+            0.001,
+            0.08,
+            0.5,
+            0.999,
+            1.0 - 1e-12,
+            1.0,
+        ] {
+            let ln_q = (1.0 - p).ln();
+            let (mut full, mut lazy) = (rng(), rng());
+            for _ in 0..20_000 {
+                let zero = geometric_is_zero(p, ln_q, &mut lazy);
+                assert_eq!(geometric_slots(p, ln_q, &mut full) == 0, zero, "p = {p}");
+            }
+            assert_eq!(
+                full.next_u64(),
+                lazy.next_u64(),
+                "p = {p}: streams diverged"
+            );
+        }
+        // Samples straddling the threshold take the exact branch.
+        let ln_q = 0.75f64.ln();
+        for u in [0.75 * (1.0 - 1e-12), 0.75, 0.75 * (1.0 + 1e-12)] {
+            assert_eq!(geometric_from_uniform(u, ln_q) == 0, u > 0.75, "u = {u}");
+        }
     }
 
     #[test]

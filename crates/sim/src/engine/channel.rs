@@ -202,11 +202,7 @@ impl Channel {
         // `Stations::busy_end` elides those arms entirely (see its doc comment).
         {
             let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            for &other in world.topology.neighbors(source) {
-                mac.stations
-                    .busy_end(&world.phy, ctx, tier, now, other, ack_follows);
-            }
+            mac.medium_idle(world, ctx, now, source, true, ack_follows);
 
             // The transmitter itself starts listening for the ACK.
             if mac.stations.is_active(source) {
@@ -240,6 +236,7 @@ impl Channel {
                     );
                 }
             }
+            mac.settle(&world.phy, ctx);
         }
 
         let ap = peers.get_mut(self.ap);
@@ -286,19 +283,9 @@ impl Channel {
 
         // Every active station senses the AP.
         let tx_source = self.txs.get(tx).source;
-        {
-            let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            let StationMac {
-                stations, active, ..
-            } = &mut *mac;
-            for &node in active.iter() {
-                if node != tx_source {
-                    // Stations on the active list are active by construction.
-                    stations.hot[node].busy_start(&world.phy, ctx, tier, now, node, false);
-                }
-            }
-        }
+        peers
+            .get_mut(self.mac)
+            .medium_busy(world, ctx, now, tx_source, false);
         peers
             .get_mut(self.ap)
             .channel_busy_start(&world.phy, &mut world.stats, now, false);
@@ -323,27 +310,18 @@ impl Channel {
 
         let delivered = {
             let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            {
-                let StationMac {
-                    stations, active, ..
-                } = &mut *mac;
-                for &node in active.iter() {
-                    if node != ended.source {
-                        stations.busy_end(&world.phy, ctx, tier, now, node, false);
-                    }
-                }
+            mac.medium_idle(world, ctx, now, ended.source, false, false);
 
-                // Every station overhears the control payload carried by the ACK
-                // (`active` is exactly the active set, in ascending id order).
-                if !payload.is_none() {
-                    for &node in active.iter() {
-                        stations.policy[node].on_control(&payload);
-                    }
+            // Every station overhears the control payload carried by the ACK
+            // (`active` is exactly the active set, in ascending id order).
+            if !payload.is_none() {
+                for &node in &mac.active {
+                    mac.stations.policy[node].on_control(&payload);
                 }
             }
 
             // Deliver the ACK to its addressee.
+            mac.detach(&world.phy, dest);
             if mac.stations.hot[dest].phase == Phase::AwaitingAck {
                 let payload_bits = ended.payload_bits;
                 world.stats.nodes[dest].successes += 1;
@@ -373,6 +351,7 @@ impl Channel {
                 .get_mut(self.mac)
                 .begin_contention(&world.phy, ctx, dest, has_frame);
         }
+        peers.get_mut(self.mac).settle(&world.phy, ctx);
 
         peers
             .get_mut(self.ap)

@@ -6,8 +6,9 @@
 //! mechanism's state and the handlers for the events addressed to it:
 //!
 //! * [`station::StationMac`] — per-station DCF state (hot/cold SoA layout),
-//!   the sorted active-station list, and the backoff timer tier; handles
-//!   `TxStart` and `AckTimeout`.
+//!   the sorted active-station list, the backoff timer tier, and — in a
+//!   fully connected cell — the shared medium view of [`clique::Clique`];
+//!   handles `TxStart` and `AckTimeout`.
 //! * [`channel::Channel`] — the in-flight transmission slab, interference
 //!   bookkeeping, and the engine's private frame-error RNG stream; handles
 //!   `TxEnd`, `AckStart`, `AckEnd`.
@@ -33,13 +34,19 @@
 //!
 //! ## Hot path
 //!
-//! Five structural choices keep the per-event cost low (see the "Hot path"
+//! Six structural choices keep the per-event cost low (see the "Hot path"
 //! section of `docs/ARCHITECTURE.md`):
 //!
-//! * **O(degree) sensing** — transmission start/end notifies only the
-//!   transmitter's precomputed sensing neighbours ([`Topology::neighbors`]),
-//!   in ascending id order, instead of scanning all N stations; ACK events
-//!   walk the sorted active-station list (every station senses the AP).
+//! * **Sensing by the sensing graph** — the build picks one of two paths
+//!   from the topology. With any hidden pair, a transmission start or end
+//!   notifies the transmitter's precomputed sensing neighbours
+//!   ([`Topology::neighbors`]) in ascending id order and ACK events walk
+//!   the sorted active-station list: O(degree) per transition. In a
+//!   clique the medium view is kept once per cell and backoff countdowns
+//!   are targets on a shared idle-slot epoch, so a transition costs O(k)
+//!   for the k stations on the air, plus one eager loop per resume for
+//!   the policies that redraw or observe ([`clique`]). Both paths produce
+//!   the identical event order and RNG draws.
 //! * **Static dispatch** — stations own a [`Policy`] enum inline and the AP a
 //!   [`Controller`] enum, so the common policies dispatch without vtables.
 //! * **Transmission slab** — in-flight transmissions live in a generational
@@ -50,15 +57,18 @@
 //!   calendar queue with O(1) amortized operations, backoff and arrival
 //!   timers in indexed timer tiers; all tiers share one `(time, seq)`
 //!   counter so pops follow the exact historical single-heap order
-//!   ([`wlan_des::EventQueue`]).
+//!   ([`wlan_des::EventQueue`]). The clique path arms only its earliest
+//!   backoff timer there, numbered from ranges reserved per walk.
 //! * **Hot/cold station state** — the per-station fields touched on every
 //!   medium transition are packed into one 56-byte record per station
 //!   ([`station::Stations`]), separate from the fat policy/RNG arrays, so
-//!   the sensing loops stream one sub-cache-line record per neighbour.
+//!   the per-station sensing loops stream one sub-cache-line record per
+//!   neighbour.
 
 mod apctl;
 mod arrivals;
 mod channel;
+mod clique;
 mod event;
 mod snapshot;
 mod station;
@@ -79,6 +89,7 @@ use crate::traffic::{ArrivalProcess, ArrivalSampler, TrafficSpec};
 use apctl::ApControl;
 use arrivals::{FiniteSource, StationTraffic, TrafficSources};
 use channel::Channel;
+use clique::Clique;
 use event::Event;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -157,6 +168,10 @@ pub struct SimulatorBuilder {
     capture: Option<CaptureModel>,
     traffic: TrafficSpec,
     arrival_overrides: Vec<Option<ArrivalProcess>>,
+    /// Test hook: build the per-station sensing path even for a clique, so
+    /// the two paths can be compared on the same scenario.
+    #[cfg(test)]
+    per_station: bool,
 }
 
 impl SimulatorBuilder {
@@ -177,7 +192,17 @@ impl SimulatorBuilder {
             capture: None,
             traffic: TrafficSpec::default(),
             arrival_overrides: (0..n).map(|_| None).collect(),
+            #[cfg(test)]
+            per_station: false,
         }
+    }
+
+    /// Force the per-station sensing path (tests compare it with the clique
+    /// path on the same scenario).
+    #[cfg(test)]
+    pub(crate) fn per_station_sensing(mut self) -> Self {
+        self.per_station = true;
+        self
     }
 
     /// Master RNG seed; every station derives an independent stream from it.
@@ -320,6 +345,12 @@ impl SimulatorBuilder {
             stations.push(policy, rng, self.weights[i]);
         }
         let engine_rng = ChaCha8Rng::seed_from_u64(master.gen());
+        // The sensing path is a property of the sensing graph: a clique
+        // shares one medium view, anything else walks neighbour lists.
+        let is_clique = self.topology.is_fully_connected();
+        #[cfg(test)]
+        let is_clique = is_clique && !self.per_station;
+        let clique = is_clique.then(|| Box::new(Clique::new(&stations)));
         // Traffic RNG streams are derived from the master strictly *after*
         // every pre-existing draw (station contention streams, engine
         // stream), and only when some station actually has a finite-load
@@ -382,6 +413,7 @@ impl SimulatorBuilder {
             stations,
             active: Vec::with_capacity(n),
             tier: backoff_tier,
+            clique,
             channel: Handle::from_raw(CHANNEL_ID),
             ap: Handle::from_raw(AP_ID),
             traffic: Handle::from_raw(TRAFFIC_ID),
@@ -418,9 +450,7 @@ impl SimulatorBuilder {
             arrival_tier,
         };
         let active = self.initially_active.unwrap_or(n);
-        for i in 0..active {
-            simulator.activate_station(i);
-        }
+        simulator.activate_stations(0..active);
         simulator.sim.access(|world, _, ctx| {
             ctx.schedule(
                 SimTime::ZERO + world.throughput_bin,
@@ -483,6 +513,16 @@ impl Simulator {
     /// Number of transmission-slab slots currently allocated (live + free).
     pub fn tx_slab_capacity(&self) -> usize {
         self.sim.component(self.channel).txs.capacity()
+    }
+
+    /// Number of data frames on the air right now.
+    pub fn frames_on_air(&self) -> usize {
+        self.sim.component(self.channel).active_tx.len()
+    }
+
+    /// Whether the AP's ACK is on the air right now.
+    pub fn ack_on_air(&self) -> bool {
+        self.sim.component(self.channel).ap_transmitting
     }
 
     /// Immutable access to the collected statistics.
@@ -571,48 +611,60 @@ impl Simulator {
 
     /// Bring an inactive station into the network (it starts contending immediately).
     pub fn activate_station(&mut self, node: NodeId) {
+        self.activate_stations(node..node + 1);
+    }
+
+    /// Activate `nodes` in order, as consecutive `activate_station` calls
+    /// would, re-arming the kernel's backoff timer once at the end.
+    fn activate_stations(&mut self, nodes: std::ops::Range<NodeId>) {
         let (mac_h, channel_h, traffic_h) = (self.mac, self.channel, self.traffic);
         self.sim.access(|world, peers, ctx| {
             let now = ctx.now();
-            {
-                let mac = peers.get_mut(mac_h);
-                if mac.stations.is_active(node) {
-                    return;
+            for node in nodes {
+                {
+                    let mac = peers.get_mut(mac_h);
+                    if mac.stations.is_active(node) {
+                        continue;
+                    }
+                    let h = &mut mac.stations.hot[node];
+                    h.phase = Phase::Contending;
+                    h.sensed_busy = 0;
+                    h.idle_since = now;
+                    h.clear_countdown();
+                    if let Err(pos) = mac.active.binary_search(&node) {
+                        mac.active.insert(pos, node);
+                    }
+                    if let Some(clique) = mac.clique.as_deref_mut() {
+                        clique.adopt(node);
+                    }
                 }
-                let h = &mut mac.stations.hot[node];
-                h.phase = Phase::Contending;
-                h.sensed_busy = 0;
-                h.idle_since = now;
-                h.clear_countdown();
-                if let Err(pos) = mac.active.binary_search(&node) {
-                    mac.active.insert(pos, node);
-                }
+                // Recompute what the station currently senses.
+                let sensed = {
+                    let channel = peers.get(channel_h);
+                    channel
+                        .active_tx
+                        .iter()
+                        .filter(|&&id| {
+                            let src = channel.txs.get(id).source;
+                            src != node && world.topology.senses(node, src)
+                        })
+                        .count() as u32
+                        + if channel.ap_transmitting { 1 } else { 0 }
+                };
+                peers.get_mut(mac_h).stations.hot[node].sensed_busy = sensed;
+                // Start (or restart) the station's arrival process. Frames
+                // queued while the station was inactive are preserved;
+                // generation resumes from now.
+                let has_frame = {
+                    let traffic = peers.get_mut(traffic_h);
+                    traffic.start_arrivals(ctx, now, node);
+                    traffic.has_frame(node)
+                };
+                peers
+                    .get_mut(mac_h)
+                    .contend(&world.phy, ctx, node, has_frame);
             }
-            // Recompute what the station currently senses.
-            let sensed = {
-                let channel = peers.get(channel_h);
-                channel
-                    .active_tx
-                    .iter()
-                    .filter(|&&id| {
-                        let src = channel.txs.get(id).source;
-                        src != node && world.topology.senses(node, src)
-                    })
-                    .count() as u32
-                    + if channel.ap_transmitting { 1 } else { 0 }
-            };
-            peers.get_mut(mac_h).stations.hot[node].sensed_busy = sensed;
-            // Start (or restart) the station's arrival process. Frames queued
-            // while the station was inactive are preserved; generation resumes
-            // from now.
-            let has_frame = {
-                let traffic = peers.get_mut(traffic_h);
-                traffic.start_arrivals(ctx, now, node);
-                traffic.has_frame(node)
-            };
-            peers
-                .get_mut(mac_h)
-                .begin_contention(&world.phy, ctx, node, has_frame);
+            peers.get_mut(mac_h).settle(&world.phy, ctx);
         });
     }
 
@@ -623,21 +675,28 @@ impl Simulator {
     pub fn deactivate_station(&mut self, node: NodeId) {
         let mac_h = self.mac;
         let (backoff_tier, arrival_tier) = (self.backoff_tier, self.arrival_tier);
-        self.sim.access(|_, peers, ctx| {
+        self.sim.access(|world, peers, ctx| {
             let mac = peers.get_mut(mac_h);
             if !mac.stations.is_active(node) {
                 return;
             }
+            // Its fields stay as they are while inactive, so the clique path
+            // writes them out first.
+            mac.detach(&world.phy, node);
             let h = &mut mac.stations.hot[node];
             h.phase = Phase::Inactive;
             h.clear_countdown();
             h.timer_gen += 1;
             h.ack_gen += 1;
-            ctx.cancel_timer(backoff_tier, node);
+            match mac.clique.as_deref_mut() {
+                None => ctx.cancel_timer(backoff_tier, node),
+                Some(clique) => clique.forget(node),
+            }
             ctx.cancel_timer(arrival_tier, node);
             if let Ok(pos) = mac.active.binary_search(&node) {
                 mac.active.remove(pos);
             }
+            mac.settle(&world.phy, ctx);
         });
     }
 

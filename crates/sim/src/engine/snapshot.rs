@@ -25,7 +25,7 @@ const CHECKPOINT_MAGIC: &[u8] = b"WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 2;
 
 impl Simulator {
     /// Serialize the complete mutable simulation state into a byte
@@ -89,6 +89,13 @@ impl Simulator {
             w.put_usize(node);
         }
         mac.stations.save(&mut w);
+        match mac.clique.as_deref() {
+            None => w.put_bool(false),
+            Some(clique) => {
+                w.put_bool(true);
+                clique.save(&mut w);
+            }
+        }
         self.sim.component(self.channel).save(&mut w);
         self.sim.component(self.ap).save(&mut w);
         self.sim.component(self.traffic).save(&mut w);
@@ -180,6 +187,16 @@ impl Simulator {
             let mac = self.sim.component_mut(self.mac);
             mac.active = active;
             mac.stations.load(&mut r)?;
+            match (r.get_bool()?, mac.clique.as_deref_mut()) {
+                (false, None) => {}
+                (true, Some(clique)) => clique.load(&mut r)?,
+                (clique, _) => {
+                    return Err(SnapshotError::custom(format!(
+                        "checkpoint of the {} sensing path does not match the scenario",
+                        if clique { "clique" } else { "per-station" }
+                    )))
+                }
+            }
         }
         {
             let channel_h = self.channel;

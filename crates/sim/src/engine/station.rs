@@ -2,10 +2,13 @@
 //! hot/cold struct-of-arrays layout, plus the component handlers for the two
 //! station-addressed events (`TxStart`, `AckTimeout`).
 //!
-//! Every transmission start/end walks the transmitter's sensing neighbours
-//! and touches, per neighbour, only a handful of small fields: the busy
-//! counter, the countdown (freeze/resume) state, the generation counters and
-//! two flag bits. The old layout stored one big struct per station,
+//! On the per-station sensing path every transmission start/end walks the
+//! transmitter's sensing neighbours and touches, per neighbour, only a
+//! handful of small fields: the busy counter, the countdown (freeze/resume)
+//! state, the generation counters and two flag bits. (On the clique path,
+//! [`Clique`], only the few detached stations run these rules per event;
+//! the rest follow the cell's shared view.) The old layout stored one big
+//! struct per station,
 //! interleaving those few bytes with the two *large* cold fields — the
 //! [`Policy`] enum and the per-station ChaCha RNG (hundreds of bytes
 //! together) — so each neighbour update pulled cache lines that were mostly
@@ -25,12 +28,15 @@
 //!
 //! Backoff timers live in the kernel's indexed timer tier owned by this
 //! component ([`StationMac::tier`]): at most one pending `TxStart` per
-//! station, armed through [`Ctx::arm_timer`] and physically cancelled on
-//! every carrier-sense freeze.
+//! station. The sensing rules arm and cancel them through
+//! [`BackoffTimers`]: directly in the tier on the per-station path (one
+//! physical cancel per carrier-sense freeze), or as virtual timers of which
+//! the clique path arms only the earliest.
 
 use super::apctl::ApControl;
 use super::arrivals::TrafficSources;
 use super::channel::{Channel, Transmission};
+use super::clique::Clique;
 use super::event::Event;
 use super::{Ctx, EnginePeers, World, CHANNEL_ID};
 use crate::backoff::{BackoffPolicy, Policy};
@@ -77,6 +83,32 @@ const FLAG_BUSY_HAS_DATA: u8 = 1 << 1;
 /// policy answers it constantly, and custom policies are documented to do the
 /// same.
 const FLAG_REDRAW_ON_RESUME: u8 = 1 << 2;
+
+/// Where the station-level sensing code arms and cancels backoff timers.
+///
+/// The per-station path hands it the kernel's backoff tier directly
+/// ([`TierId`] implements this trait); the clique path hands it a view of its
+/// virtual timer set (`clique::VirtualTimers`), which arms only the earliest
+/// entry in the kernel. Both see the identical sequence of calls, so the
+/// sensing rules are written once.
+pub(crate) trait BackoffTimers {
+    /// Cancel `node`'s armed timer, if any.
+    fn cancel(&mut self, ctx: &mut Ctx<'_>, node: NodeId);
+    /// Arm `node`'s timer (its previous one is already cancelled).
+    fn arm(&mut self, ctx: &mut Ctx<'_>, node: NodeId, gen: u64, fire: SimTime);
+}
+
+impl BackoffTimers for TierId {
+    #[inline]
+    fn cancel(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
+        ctx.cancel_timer(*self, node);
+    }
+
+    #[inline]
+    fn arm(&mut self, ctx: &mut Ctx<'_>, node: NodeId, gen: u64, fire: SimTime) {
+        ctx.arm_timer(*self, node, gen, fire);
+    }
+}
 
 /// The per-station fields touched on every medium transition, packed into
 /// one sub-cache-line record.
@@ -170,7 +202,7 @@ impl HotState {
         &mut self,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
-        tier: TierId,
+        timers: &mut impl BackoffTimers,
         now: SimTime,
         node: NodeId,
         is_data: bool,
@@ -211,7 +243,7 @@ impl HotState {
                     self.remaining_slots -= elapsed;
                     self.clear_countdown();
                     self.timer_gen += 1;
-                    ctx.cancel_timer(tier, node);
+                    timers.cancel(ctx, node);
                 }
             }
         }
@@ -225,7 +257,7 @@ impl HotState {
         &mut self,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
-        tier: TierId,
+        timers: &mut impl BackoffTimers,
         now: SimTime,
         node: NodeId,
         ack_follows: bool,
@@ -247,8 +279,8 @@ impl HotState {
             // engine invalidated that event with the `timer_gen` bump
             // above and pushed a replacement; with physical cancellation
             // the replacement is explicit.
-            ctx.cancel_timer(tier, node);
-            ctx.arm_timer(tier, node, gen, fire);
+            timers.cancel(ctx, node);
+            timers.arm(ctx, node, gen, fire);
         }
     }
 
@@ -417,7 +449,7 @@ impl Stations {
         &mut self,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
-        tier: TierId,
+        timers: &mut impl BackoffTimers,
         now: SimTime,
         node: NodeId,
         ack_follows: bool,
@@ -438,7 +470,7 @@ impl Stations {
         let redraw = contending && h.redraw_on_resume();
         if !(needs_obs || redraw) {
             if contending {
-                h.resume_countdown(phy, ctx, tier, now, node, ack_follows);
+                h.resume_countdown(phy, ctx, timers, now, node, ack_follows);
             }
             return;
         }
@@ -454,11 +486,51 @@ impl Stations {
             // Memoryless (p-persistent) policies attempt independently in
             // every idle slot; resuming the frozen counter would bias the
             // first post-busy slot (see `BackoffPolicy::redraw_on_resume`).
-            let rng: &mut dyn RngCore = &mut self.rng[node];
-            self.hot[node].remaining_slots = self.policy[node].next_backoff(rng);
+            self.hot[node].remaining_slots = self.policy[node].draw_backoff(&mut self.rng[node]);
         }
         if contending {
-            self.hot[node].resume_countdown(phy, ctx, tier, now, node, ack_follows);
+            self.hot[node].resume_countdown(phy, ctx, timers, now, node, ack_follows);
+        }
+    }
+    /// Enter the contention phase: draw a fresh backoff and, if the medium is
+    /// idle, arm the transmission timer. Under finite load a station with an
+    /// empty queue parks in `QueueEmpty` instead — no backoff is drawn and
+    /// no timer armed until the next frame arrival restarts contention.
+    pub(crate) fn begin_contention(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        timers: &mut impl BackoffTimers,
+        node: NodeId,
+        has_frame: bool,
+    ) {
+        let now = ctx.now();
+        let difs = phy.difs;
+        if !self.is_active(node) {
+            return;
+        }
+        if !has_frame {
+            let h = &mut self.hot[node];
+            h.phase = Phase::QueueEmpty;
+            h.clear_countdown();
+            return;
+        }
+        let drawn = self.policy[node].draw_backoff(&mut self.rng[node]);
+        let h = &mut self.hot[node];
+        h.phase = Phase::Contending;
+        h.remaining_slots = drawn;
+        h.clear_countdown();
+        if h.sensed_busy == 0 {
+            let start = if h.idle_since + difs > now {
+                h.idle_since + difs
+            } else {
+                now
+            };
+            h.set_countdown(start);
+            h.timer_gen += 1;
+            let gen = h.timer_gen;
+            let fire = start + phy.slot * h.remaining_slots;
+            timers.arm(ctx, node, gen, fire);
         }
     }
 }
@@ -474,16 +546,17 @@ pub(crate) struct StationMac {
     pub(crate) active: Vec<NodeId>,
     /// The backoff timer tier this component owns.
     pub(crate) tier: TierId,
+    /// The shared medium view and lazy countdowns of a fully connected cell
+    /// (`None` when some pair of stations is hidden: every transition then
+    /// walks the transmitter's sensing neighbours).
+    pub(crate) clique: Option<Box<Clique>>,
     pub(crate) channel: Handle<Channel>,
     pub(crate) ap: Handle<ApControl>,
     pub(crate) traffic: Handle<TrafficSources>,
 }
 
 impl StationMac {
-    /// Enter the contention phase: draw a fresh backoff and, if the medium is
-    /// idle, arm the transmission timer. Under finite load a station with an
-    /// empty queue parks in `QueueEmpty` instead — no backoff is drawn and
-    /// no timer armed until the next frame arrival restarts contention.
+    /// Enter the contention phase (see [`Stations::begin_contention`]).
     ///
     /// `has_frame` is the caller-supplied answer to "does `node` have a frame
     /// to send?" (always true without a traffic layer; queried from the
@@ -496,35 +569,136 @@ impl StationMac {
         node: NodeId,
         has_frame: bool,
     ) {
-        let now = ctx.now();
-        let difs = phy.difs;
-        if !self.stations.is_active(node) {
-            return;
+        self.contend(phy, ctx, node, has_frame);
+        self.settle(phy, ctx);
+    }
+
+    /// [`begin_contention`](Self::begin_contention) without the final
+    /// [`settle`](Self::settle), for callers that start several stations.
+    pub(crate) fn contend(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        node: NodeId,
+        has_frame: bool,
+    ) {
+        match self.clique.as_deref_mut() {
+            None => {
+                let mut tier = self.tier;
+                self.stations
+                    .begin_contention(phy, ctx, &mut tier, node, has_frame)
+            }
+            Some(clique) => {
+                clique.detach(&mut self.stations, phy, node);
+                self.stations.begin_contention(
+                    phy,
+                    ctx,
+                    &mut clique.individual_timers(),
+                    node,
+                    has_frame,
+                );
+            }
         }
-        if !has_frame {
-            let h = &mut self.stations.hot[node];
-            h.phase = Phase::QueueEmpty;
-            h.clear_countdown();
-            return;
+    }
+
+    /// A transmission `source` does not sense goes on the air: `source`'s
+    /// data frame (`is_data`; its sensing neighbours sense it) or the AP's
+    /// ACK to `source` (every active station senses the AP). Sensors are
+    /// notified in ascending id order on the per-station path.
+    pub(crate) fn medium_busy(
+        &mut self,
+        world: &World,
+        ctx: &mut Ctx<'_>,
+        now: SimTime,
+        source: NodeId,
+        is_data: bool,
+    ) {
+        let StationMac {
+            stations,
+            active,
+            tier,
+            clique,
+            ..
+        } = self;
+        match clique.as_deref_mut() {
+            Some(clique) => {
+                clique.busy_start(stations, &world.phy, ctx, now, source, is_data);
+                if is_data {
+                    clique.went_on_air(stations, source);
+                }
+                clique.settle(stations, &world.phy, ctx, *tier);
+            }
+            None => {
+                let sensors = if is_data {
+                    world.topology.neighbors(source)
+                } else {
+                    active
+                };
+                for &node in sensors {
+                    let h = &mut stations.hot[node];
+                    if node != source && h.is_active() {
+                        h.busy_start(&world.phy, ctx, tier, now, node, is_data);
+                    }
+                }
+            }
         }
-        let st = &mut self.stations;
-        let rng: &mut dyn RngCore = &mut st.rng[node];
-        let drawn = st.policy[node].next_backoff(rng);
-        let h = &mut st.hot[node];
-        h.phase = Phase::Contending;
-        h.remaining_slots = drawn;
-        h.clear_countdown();
-        if h.sensed_busy == 0 {
-            let start = if h.idle_since + difs > now {
-                h.idle_since + difs
-            } else {
-                now
-            };
-            h.set_countdown(start);
-            h.timer_gen += 1;
-            let gen = h.timer_gen;
-            let fire = start + phy.slot * h.remaining_slots;
-            ctx.arm_timer(self.tier, node, gen, fire);
+    }
+
+    /// The transmission of [`medium_busy`](Self::medium_busy) leaves the
+    /// air. `ack_follows` is the event-elision flag of
+    /// [`Stations::busy_end`]. On the clique path the caller finishes with
+    /// [`settle`](Self::settle) once it has updated `source` itself.
+    pub(crate) fn medium_idle(
+        &mut self,
+        world: &World,
+        ctx: &mut Ctx<'_>,
+        now: SimTime,
+        source: NodeId,
+        is_data: bool,
+        ack_follows: bool,
+    ) {
+        let StationMac {
+            stations,
+            active,
+            tier,
+            clique,
+            ..
+        } = self;
+        match clique.as_deref_mut() {
+            Some(clique) => {
+                clique.busy_end(stations, &world.phy, ctx, active, now, source, ack_follows)
+            }
+            None => {
+                let sensors = if is_data {
+                    world.topology.neighbors(source)
+                } else {
+                    active
+                };
+                for &node in sensors {
+                    if node != source {
+                        stations.busy_end(&world.phy, ctx, tier, now, node, ack_follows);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Make `node`'s per-station record authoritative before code outside
+    /// the sensing layer reads or writes its medium fields (no-op on the
+    /// per-station path, where it always is).
+    #[inline]
+    pub(crate) fn detach(&mut self, phy: &PhyParams, node: NodeId) {
+        if let Some(clique) = self.clique.as_deref_mut() {
+            clique.detach(&mut self.stations, phy, node);
+        }
+    }
+
+    /// Re-arm the kernel's backoff timer after a clique-path handler (no-op
+    /// on the per-station path).
+    #[inline]
+    pub(crate) fn settle(&mut self, phy: &PhyParams, ctx: &mut Ctx<'_>) {
+        if let Some(clique) = self.clique.as_deref_mut() {
+            clique.settle(&mut self.stations, phy, ctx, self.tier);
         }
     }
 
@@ -538,6 +712,9 @@ impl StationMac {
         node: NodeId,
         gen: u64,
     ) {
+        if let Some(clique) = self.clique.as_deref_mut() {
+            clique.fired(&mut self.stations, &world.phy, node);
+        }
         {
             let h = &self.stations.hot[node];
             // A timer is valid iff it is the most recently scheduled one and the
@@ -548,6 +725,7 @@ impl StationMac {
             // Timers that were frozen strictly before their expiry are invalidated by
             // bumping `timer_gen` in `busy_start`.
             if h.phase != Phase::Contending || h.timer_gen != gen || h.countdown().is_none() {
+                self.settle(&world.phy, ctx);
                 return; // stale timer
             }
         }
@@ -597,13 +775,7 @@ impl StationMac {
 
         // Stations within sensing range of the transmitter see the medium go busy
         // (ascending id order — the RNG-stream-stability rule).
-        let tier = self.tier;
-        for &other in world.topology.neighbors(node) {
-            let h = &mut self.stations.hot[other];
-            if h.is_active() {
-                h.busy_start(&world.phy, ctx, tier, now, other, true);
-            }
-        }
+        self.medium_busy(world, ctx, now, node, true);
         peers
             .get_mut(self.ap)
             .channel_busy_start(&world.phy, &mut world.stats, now, true);

@@ -729,3 +729,260 @@ fn resume_rejects_checkpoints_from_a_different_policy() {
     let err = other.resume(&ckpt).unwrap_err();
     assert!(err.to_string().contains("policy"), "{err}");
 }
+
+// ---------------------------------------------------------------------------
+// Clique sensing path vs per-station sensing path
+// ---------------------------------------------------------------------------
+
+mod clique_equivalence {
+    //! The clique path must be an exact stand-in for the per-station path:
+    //! the same scenario built both ways (the per-station one forced through
+    //! the builder's test hook) must process the same events and produce
+    //! byte-identical statistics, including across mid-run activations and
+    //! deactivations with frames on the air.
+    use super::*;
+    use crate::backoff::RandomReset;
+    use crate::idlesense::{IdleSenseConfig, IdleSensePolicy};
+    use proptest::prelude::*;
+
+    fn policy(kind: u8, phy: &PhyParams) -> Policy {
+        match kind % 5 {
+            0 => ExponentialBackoff::new(phy).into(),
+            1 => PPersistent::new(0.08).into(),
+            2 => RandomReset::new(phy, 1, 0.6).into(),
+            3 => FixedWindow::new(6).into(),
+            _ => IdleSensePolicy::new(IdleSenseConfig::for_phy(phy)).into(),
+        }
+    }
+
+    #[derive(Debug)]
+    struct Case {
+        n: usize,
+        kind: u8,
+        mixed: bool,
+        sir: Option<f64>,
+        fer: f64,
+        poisson: bool,
+        /// Place the stations in a 10 m disc (still a clique: at most 20 m
+        /// apart) instead of on the 8 m ring, so capture sees unequal powers.
+        disc: bool,
+        seed: u64,
+    }
+
+    fn build(case: &Case, per_station: bool) -> Simulator {
+        let phy = PhyParams::table1();
+        let capture = case.sir.map(|sir_threshold| CaptureModel {
+            sir_threshold,
+            ..CaptureModel::default_indoor()
+        });
+        let topology = if case.disc {
+            let mut rng = ChaCha8Rng::seed_from_u64(case.seed);
+            Topology::uniform_disc(case.n, 10.0, &mut rng)
+        } else {
+            Topology::fully_connected(case.n)
+        };
+        let mut builder = SimulatorBuilder::new(phy, topology)
+            .seed(case.seed)
+            .with_stations(|i, phy| {
+                let kind = if case.mixed {
+                    case.kind + i as u8
+                } else {
+                    case.kind
+                };
+                policy(kind, phy)
+            })
+            .capture_model(capture)
+            .frame_error_rate(case.fer);
+        if case.poisson {
+            builder = builder.traffic(TrafficSpec::poisson(900.0).with_queue_frames(4));
+        }
+        if per_station {
+            builder = builder.per_station_sensing();
+        }
+        let sim = builder.build();
+        assert_eq!(
+            sim.sim.component(sim.mac).clique.is_some(),
+            !per_station,
+            "a fully connected cell builds the clique path unless forced off"
+        );
+        sim
+    }
+
+    fn fingerprint(sim: &Simulator) -> (SimTime, u64, usize, String) {
+        (
+            sim.now(),
+            sim.events_processed(),
+            sim.active_stations(),
+            serde_json::to_string(&sim.stats()).unwrap(),
+        )
+    }
+
+    /// Drive both builds through the same steps, comparing after each one.
+    /// A step either runs for a while (microseconds to milliseconds, so it
+    /// ends inside busy periods and ACKs as often as between them) or
+    /// toggles one station's membership.
+    fn check(case: &Case, steps: &[(u8, u16)]) {
+        let mut clique = build(case, false);
+        let mut reference = build(case, true);
+        // A station is reactivated only once its own last frame has surely
+        // finished (airtime + SIFS + ACK < 200 µs): reactivating it while
+        // that frame is still in flight leaves its new backoff timer armed
+        // into the frame's ACK, which arms it a second time on both paths.
+        let mut deactivated_at = vec![SimTime::ZERO; case.n];
+        let settled = SimDuration::from_micros(200);
+        for (i, &(op, arg)) in steps.iter().enumerate() {
+            let node = arg as usize % case.n;
+            let toggle = op % 4 == 2
+                && (clique.sim.component(clique.mac).stations.is_active(node)
+                    || clique.now() >= deactivated_at[node] + settled);
+            if toggle && clique.sim.component(clique.mac).stations.is_active(node) {
+                deactivated_at[node] = clique.now();
+            }
+            for sim in [&mut clique, &mut reference] {
+                match op % 4 {
+                    0 => sim.run_for(SimDuration::from_micros(u64::from(arg) % 97 + 1)),
+                    1 => sim.run_for(SimDuration::from_micros(u64::from(arg) * 7)),
+                    2 if !toggle => {}
+                    2 if sim.sim.component(sim.mac).stations.is_active(node) => {
+                        sim.deactivate_station(node)
+                    }
+                    2 => sim.activate_station(node),
+                    _ => sim.run_for(SimDuration::from_millis(u64::from(arg) % 5)),
+                }
+            }
+            prop_assert_eq!(
+                fingerprint(&clique),
+                fingerprint(&reference),
+                "{:?} diverged after step {} of {:?}",
+                case,
+                i,
+                steps
+            );
+        }
+        clique.run_for(SimDuration::from_millis(20));
+        reference.run_for(SimDuration::from_millis(20));
+        prop_assert_eq!(fingerprint(&clique), fingerprint(&reference), "{:?}", case);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn clique_path_matches_per_station_path(
+            n_idx in 0usize..4,
+            kind in 0u8..5,
+            mixed in any::<bool>(),
+            sir_idx in 0usize..4,
+            lossy in any::<bool>(),
+            poisson in any::<bool>(),
+            disc in any::<bool>(),
+            seed in 1u64..10_000,
+            steps in proptest::collection::vec((0u8..4, 0u16..2000), 1..40),
+        ) {
+            let case = Case {
+                n: [1, 2, 3, 64][n_idx],
+                kind,
+                mixed,
+                sir: [None, Some(0.5), Some(1.0), Some(2.0)][sir_idx],
+                fer: if lossy { 0.2 } else { 0.0 },
+                poisson,
+                disc,
+                seed,
+            };
+            check(&case, &steps);
+        }
+    }
+
+    /// A case the random search found to separate a mis-numbered walk
+    /// (detached stations arming with colliding sequence numbers): stations
+    /// with small fixed windows under Poisson load tie on expiry instants.
+    #[test]
+    fn clique_path_matches_on_same_instant_expiries() {
+        let case = Case {
+            n: 64,
+            kind: 3,
+            mixed: false,
+            sir: Some(1.0),
+            fer: 0.0,
+            poisson: true,
+            disc: false,
+            seed: 6998,
+        };
+        let steps = [
+            (2, 1683),
+            (1, 1561),
+            (3, 1766),
+            (3, 1976),
+            (0, 1264),
+            (1, 1797),
+            (2, 1884),
+            (3, 643),
+            (3, 510),
+            (1, 943),
+        ];
+        check(&case, &steps);
+    }
+
+    #[test]
+    fn clique_path_arms_far_fewer_kernel_timers() {
+        let case = Case {
+            n: 64,
+            kind: 0,
+            mixed: false,
+            sir: None,
+            fer: 0.0,
+            poisson: false,
+            disc: false,
+            seed: 5,
+        };
+        let arms = |per_station| {
+            let mut sim = build(&case, per_station);
+            sim.enable_metrics();
+            sim.run_for(SimDuration::from_millis(200));
+            let report = sim.metrics_report().unwrap();
+            (report.kernel.tiers[0].arms, sim.events_processed())
+        };
+        let (clique_arms, clique_events) = arms(false);
+        let (station_arms, station_events) = arms(true);
+        assert_eq!(clique_events, station_events);
+        assert!(
+            clique_arms * 10 < station_arms,
+            "clique path armed {clique_arms} backoff timers, per-station path {station_arms}"
+        );
+    }
+
+    #[test]
+    fn hidden_pairs_keep_the_per_station_path() {
+        let mut topo = Topology::fully_connected(4);
+        topo.set_senses(0, 3, false);
+        let sim = quick_sim(4, topo, 0.05, 1);
+        assert!(sim.sim.component(sim.mac).clique.is_none());
+    }
+
+    #[test]
+    fn clique_checkpoints_resume_bit_identically_mid_busy_period() {
+        let case = Case {
+            n: 64,
+            kind: 1,
+            mixed: true,
+            sir: Some(1.0),
+            fer: 0.1,
+            poisson: true,
+            disc: true,
+            seed: 41,
+        };
+        // A chain of checkpoint -> fresh simulator steps 1.2-1.7 ms apart:
+        // most land inside a busy period or an ACK.
+        let mut straight = build(&case, false);
+        let mut chained = build(&case, false);
+        let mut at = SimTime::ZERO;
+        for step in 0..40u64 {
+            at += SimDuration::from_micros(1_237 + 13 * step);
+            chained.run_until(at);
+            let mut fresh = build(&case, false);
+            fresh.resume(&chained.checkpoint()).unwrap();
+            chained = fresh;
+        }
+        assert_runs_identical(&mut straight, &mut chained, SimTime::from_millis(120));
+    }
+}

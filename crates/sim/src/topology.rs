@@ -41,6 +41,16 @@ impl Position {
 /// Identifier of a station. Stations are numbered `0..n`.
 pub type NodeId = usize;
 
+/// `n` points spaced evenly on a circle of `radius` around the origin.
+fn ring_positions(n: usize, radius: f64) -> Vec<Position> {
+    (0..n)
+        .map(|i| {
+            let theta = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
+            Position::new(radius * theta.cos(), radius * theta.sin())
+        })
+        .collect()
+}
+
 /// Default transmission (decode) range in metres.
 pub const DEFAULT_TX_RANGE: f64 = 16.0;
 /// Default carrier-sensing range in metres.
@@ -87,6 +97,16 @@ impl Topology {
                 sense[i][j] = i == j || positions[i].distance(&positions[j]) <= sensing_range;
             }
         }
+        Self::with_sense(positions, ap, tx_range, sensing_range, sense)
+    }
+
+    fn with_sense(
+        positions: Vec<Position>,
+        ap: Position,
+        tx_range: f64,
+        sensing_range: f64,
+        sense: Vec<Vec<bool>>,
+    ) -> Self {
         let mut topo = Topology {
             positions,
             ap,
@@ -103,14 +123,13 @@ impl Topology {
     /// every other station regardless of geometry. Stations are placed on a ring
     /// of radius 8 m for reporting purposes.
     pub fn fully_connected(n: usize) -> Self {
-        let mut topo = Self::ring(n, 8.0);
-        for row in topo.sense.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = true;
-            }
-        }
-        topo.rebuild_neighbors();
-        topo
+        Self::with_sense(
+            ring_positions(n, 8.0),
+            Position::ORIGIN,
+            DEFAULT_TX_RANGE,
+            DEFAULT_SENSING_RANGE,
+            vec![vec![true; n]; n],
+        )
     }
 
     /// Stations placed uniformly on a ring of the given radius centred on the AP.
@@ -119,14 +138,8 @@ impl Topology {
     /// 16 m < 24 m, so the network is fully connected (the paper's no-hidden-node
     /// configuration).
     pub fn ring(n: usize, radius: f64) -> Self {
-        let positions = (0..n)
-            .map(|i| {
-                let theta = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
-                Position::new(radius * theta.cos(), radius * theta.sin())
-            })
-            .collect();
         Self::from_positions(
-            positions,
+            ring_positions(n, radius),
             Position::ORIGIN,
             DEFAULT_TX_RANGE,
             DEFAULT_SENSING_RANGE,
@@ -296,12 +309,18 @@ impl Topology {
 
     /// Number of hidden pairs.
     pub fn num_hidden_pairs(&self) -> usize {
-        self.hidden_pairs().len()
+        self.sense
+            .iter()
+            .enumerate()
+            .map(|(i, row)| row[i + 1..].iter().filter(|&&senses| !senses).count())
+            .sum()
     }
 
-    /// Whether every station senses every other station.
+    /// Whether every station senses every other station: every adjacency
+    /// list holds the other N - 1 stations (O(N), no pair walk).
     pub fn is_fully_connected(&self) -> bool {
-        self.num_hidden_pairs() == 0
+        let n = self.num_nodes();
+        self.neighbors.iter().all(|list| list.len() + 1 == n)
     }
 
     /// Distance of station `i` from the AP.
@@ -408,6 +427,16 @@ mod tests {
         for (i, j) in t.hidden_pairs() {
             assert!(!t.senses(i, j));
             assert!(!t.sensors_of(j).contains(&i));
+        }
+        for seed in 0..20 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let t = Topology::uniform_disc(12, 14.0, &mut rng);
+            assert_eq!(t.num_hidden_pairs(), t.hidden_pairs().len(), "seed {seed}");
+            assert_eq!(
+                t.is_fully_connected(),
+                t.hidden_pairs().is_empty(),
+                "seed {seed}"
+            );
         }
     }
 

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use wlan_sa::core::{Protocol, Scenario, ScenarioResult, TopologySpec};
-use wlan_sa::sim::{SimDuration, SimTime, TrafficSpec};
+use wlan_sa::sim::{SimDuration, SimTime, Simulator, TrafficSpec};
 
 fn protocol(idx: usize) -> Protocol {
     match idx % 6 {
@@ -150,4 +150,48 @@ fn chained_checkpoints_inside_busy_periods_are_byte_identical() {
         json(&s.collect(&sim)),
         "a chain of {snapshots} checkpoint/restore steps diverged from the straight run"
     );
+}
+
+/// Fully connected N = 200 runs on the clique sensing path with many
+/// stations on the air at once. Each run is checkpointed first with at
+/// least three frames on the air (a k-way collision), then while the AP's
+/// ACK is on the air; each snapshot resumes into a fresh simulator, and the
+/// run must end byte-identical to the straight one. 802.11 keeps frozen
+/// counters across the freeze; static p-persistent redraws on every resume.
+#[test]
+fn clique_checkpoints_mid_collision_and_mid_ack_are_byte_identical() {
+    let protocols = [
+        Protocol::Standard80211,
+        Protocol::StaticPPersistent { p: 0.01 },
+    ];
+    for protocol in protocols {
+        let s = Scenario::new(protocol, TopologySpec::FullyConnected, 200)
+            .durations(SimDuration::from_millis(20), SimDuration::from_millis(60))
+            .update_period(SimDuration::from_millis(20))
+            .seed(5);
+        let straight = json(&s.run());
+        let end = s.end_time();
+        let mut sim = s.build_simulator();
+        for what in ["three frames", "an ACK"] {
+            let found = |sim: &Simulator| match what {
+                "an ACK" => sim.ack_on_air(),
+                _ => sim.frames_on_air() >= 3,
+            };
+            while !found(&sim) {
+                assert!(sim.now() < end, "{protocol:?}: never {what} on the air");
+                let next = sim.now() + SimDuration::from_micros(1);
+                s.advance_until(&mut sim, next);
+            }
+            let snapshot = sim.checkpoint();
+            sim = s.build_simulator();
+            sim.resume(&snapshot)
+                .expect("a snapshot the engine just wrote must resume");
+        }
+        s.advance_until(&mut sim, end);
+        assert_eq!(
+            straight,
+            json(&s.collect(&sim)),
+            "{protocol:?}: resuming mid-collision and mid-ACK diverged"
+        );
+    }
 }

@@ -67,6 +67,30 @@ fn cases() -> Vec<(&'static str, Scenario)> {
             .update_period(SimDuration::from_millis(50))
             .traffic(TrafficSpec::poisson(250.0).with_queue_frames(16)),
     ));
+    // Fully connected N = 300: dozens of stations on air in one busy
+    // period (wTOP and TORA start far above the optimal attempt rate), so
+    // k-way collisions, zero-slot countdowns left armed through an ACK and
+    // same-instant ties are all exercised at scale. The N = 8 cases above
+    // never put more than a few stations on air.
+    let large: Vec<(&'static str, Protocol)> = vec![
+        ("standard80211", Protocol::Standard80211),
+        ("idlesense", Protocol::IdleSense),
+        ("wtop", Protocol::WTopCsma),
+        ("tora", Protocol::ToraCsma),
+        (
+            "static_ppersistent",
+            Protocol::StaticPPersistent { p: 0.01 },
+        ),
+    ];
+    for (pname, proto) in large {
+        cases.push((
+            Box::leak(format!("{pname}_fully_connected_n300").into_boxed_str()) as &'static str,
+            Scenario::new(proto, TopologySpec::FullyConnected, 300)
+                .seed(11)
+                .durations(SimDuration::from_millis(40), SimDuration::from_millis(80))
+                .update_period(SimDuration::from_millis(20)),
+        ));
+    }
     cases
 }
 
