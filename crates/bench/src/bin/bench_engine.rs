@@ -142,12 +142,6 @@ struct HistoryEntry {
     /// the grid includes it.
     n1000_cell_events_per_sec: Option<f64>,
     cell_count: usize,
-    /// Result-cache lookups served from disk during this process (nonzero
-    /// only when a global cache is installed, e.g. via `WLAN_CACHE_DIR`; the
-    /// timed cells themselves always run the engine directly).
-    cache_hits: u64,
-    /// Result-cache lookups that fell through to the engine.
-    cache_misses: u64,
     /// The cache-key engine fingerprint this build bakes in — ties every
     /// history line to the engine behaviour revision it measured.
     engine_fingerprint: String,
@@ -464,10 +458,6 @@ fn cell_key(c: &Cell) -> String {
 }
 
 fn main() {
-    // Honour WLAN_CACHE_DIR so the history line can report cache traffic; the
-    // timed grid itself always drives simulators directly (never cached — a
-    // perf benchmark served from disk would measure nothing).
-    wlan_core::cache::install_from_env();
     let args: Vec<String> = std::env::args().collect();
     let mode = if args.iter().any(|a| a == "--full") {
         Mode::Full
@@ -611,9 +601,6 @@ fn main() {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let cache_stats = wlan_core::cache::installed()
-        .map(|c| c.stats())
-        .unwrap_or_default();
     let entry = HistoryEntry {
         date: utc_date(unix_time),
         unix_time,
@@ -624,8 +611,6 @@ fn main() {
         key_cell_events_per_sec: key_cell_eps,
         n1000_cell_events_per_sec: n1000_cell_eps,
         cell_count: report.cells.len(),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
         engine_fingerprint: wlan_core::ENGINE_FINGERPRINT.to_string(),
         git_commit: git_short_sha(),
     };

@@ -14,9 +14,9 @@
 //! The server is built to run unattended for days:
 //!
 //! * **Panic isolation** — every job runs under `catch_unwind`; a panicking
-//!   job is retried (deterministic backoff, `WLAN_JOB_RETRIES` budget) and,
-//!   if it keeps panicking, emitted as an error line instead of tearing the
-//!   pool down.
+//!   job is retried (the campaign pool's deterministic backoff,
+//!   `WLAN_JOB_RETRIES` budget) and, if it keeps panicking, emitted as an
+//!   error line instead of tearing the pool down.
 //! * **Wall-clock timeout** — `job_timeout_secs` (spec key, or the
 //!   `WLAN_JOB_TIMEOUT_SECS` environment variable): a job exceeding it is
 //!   snapshotted and **requeued**, so a pathological cell cannot pin a
@@ -31,6 +31,11 @@
 //! * **Fault injection** — `WLAN_FAULT_PLAN` (see `wlan_core::fault`)
 //!   deterministically trips cache/checkpoint/panic/stall sites for chaos
 //!   testing.
+//!
+//! All of this runs on one `wlan_core::RunContext` built from the `WLAN_*`
+//! knobs (`wlan_bench::harness::Knobs`, the parser the experiment binaries
+//! share), the flags and the spec. A malformed knob value or flag exits
+//! nonzero before any job runs.
 //!
 //! ## Job spec
 //!
@@ -76,7 +81,9 @@
 //!
 //! * `--resume` — load `<key>.ckpt` snapshots left by an interrupted run.
 //! * `--no-cache` — bypass the result cache (jobs still checkpoint).
-//! * `--threads N` — override the spec's worker count.
+//! * `--threads N` — override the spec's worker count (a positive integer).
+//!
+//! Any other argument is an error.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::{Deserialize, Serialize, Value};
@@ -84,10 +91,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use wlan_core::fault::{self, FaultSite};
-use wlan_core::{job_key, max_job_attempts, ResultCache, Scenario, ScenarioResult};
+use wlan_bench::harness::{open_cache, threads_flag, Knobs};
+use wlan_core::campaign::{panic_message, retry_backoff};
+use wlan_core::{job_key, FaultPlan, FaultSite, RunContext, Scenario, ScenarioResult};
 use wlan_sim::{SimDuration, Simulator};
 
 /// Set by the SIGTERM/SIGINT handler: workers stop claiming, in-flight jobs
@@ -168,11 +176,7 @@ enum Disposition {
 struct CheckpointPolicy {
     dir: PathBuf,
     every: Option<SimDuration>,
-}
-
-/// Supervision limits shared by all workers.
-struct Limits {
-    attempts: u32,
+    /// Wall-clock budget of one claim: past it the job snapshots and requeues.
     timeout: Option<Duration>,
 }
 
@@ -191,16 +195,6 @@ fn as_f64(v: &Value) -> Option<f64> {
         Value::U64(x) => Some(x as f64),
         Value::I64(x) => Some(x as f64),
         _ => None,
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -247,10 +241,10 @@ fn parse_job(value: &Value) -> Result<Scenario, String> {
 /// counts this job's snapshot writes and keys the `checkpoint_write` fault
 /// site; a failed write — real or injected — is a warning, never an abort:
 /// the job keeps running and simply has a staler resume point.
-fn write_snapshot(sim: &Simulator, path: &Path, key: &str, ordinal: &mut u32) {
+fn write_snapshot(sim: &Simulator, path: &Path, key: &str, faults: &FaultPlan, ordinal: &mut u32) {
     let attempt = *ordinal;
     *ordinal += 1;
-    if fault::trips(FaultSite::CheckpointWrite, key, attempt) {
+    if faults.should_fault(FaultSite::CheckpointWrite, key, attempt) {
         eprintln!(
             "campaign_server: cannot write snapshot {}: injected fault: checkpoint_write",
             path.display()
@@ -274,17 +268,12 @@ fn write_snapshot(sim: &Simulator, path: &Path, key: &str, ordinal: &mut u32) {
 /// resumes or requeues it took (the `advance_until` contract).
 fn advance_job(
     job: &Job,
-    cache: Option<&ResultCache>,
+    ctx: &RunContext,
     ckpt: &CheckpointPolicy,
     item: &WorkItem,
-    limits: &Limits,
 ) -> Disposition {
     let scenario = &job.scenario;
-    let telemetry = wlan_core::metrics_enabled();
-    let mut sim = scenario.build_simulator();
-    if telemetry {
-        sim.enable_metrics();
-    }
+    let mut sim = ctx.build(scenario);
     let mut resumed = false;
     let path = ckpt.dir.join(format!("{}.ckpt", job.key));
     if item.resume {
@@ -298,10 +287,7 @@ fn advance_job(
                     "campaign_server: discarding unusable snapshot {}",
                     path.display()
                 );
-                sim = scenario.build_simulator();
-                if telemetry {
-                    sim.enable_metrics();
-                }
+                sim = ctx.build(scenario);
             }
         }
     }
@@ -318,33 +304,26 @@ fn advance_job(
             break;
         }
         if DRAINING.load(Ordering::SeqCst) {
-            write_snapshot(&sim, &path, &job.key, &mut writes);
+            write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
             return Disposition::Drained;
         }
-        if let Some(timeout) = limits.timeout {
+        if let Some(timeout) = ckpt.timeout {
             // The slice above made simulated-time progress, so requeueing
             // still terminates: every claim moves the job forward.
             if claimed.elapsed() >= timeout {
-                write_snapshot(&sim, &path, &job.key, &mut writes);
+                write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
                 return Disposition::Requeue;
             }
         }
         if ckpt.every.is_some() {
-            write_snapshot(&sim, &path, &job.key, &mut writes);
+            write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
         }
     }
     let wall = claimed.elapsed();
     let events = sim.events_processed() - events_at_claim;
-    wlan_core::metrics::global().record_job(events, wall);
-    if let Some(report) = sim.metrics_report() {
-        wlan_core::metrics::global().record_engine_report(&report);
-    }
-    let result = scenario.collect(&sim);
-    if let Some(cache) = cache {
-        if let Err(e) = cache.store(&job.key, &result) {
-            cache.note_degraded(&job.key, &e);
-        }
-    }
+    ctx.metrics.record_job(events, wall);
+    let result = ctx.collect(scenario, &sim);
+    ctx.store(&job.key, &result);
     let _ = std::fs::remove_file(&path);
     Disposition::Done(Box::new(Outcome {
         result,
@@ -357,57 +336,50 @@ fn advance_job(
 
 /// Run one claim of one job under supervision: cache short-circuit, injected
 /// worker stall, and panic isolation with a bounded retry budget.
-fn run_job(
-    job: &Job,
-    cache: Option<&ResultCache>,
-    ckpt: &CheckpointPolicy,
-    item: &WorkItem,
-    limits: &Limits,
-) -> Disposition {
-    let plan = fault::active();
-    if let Some(plan) = plan.as_deref() {
-        if plan.should_fault(FaultSite::WorkerStall, &job.key, item.claims) {
-            std::thread::sleep(plan.stall());
-        }
+fn run_job(job: &Job, ctx: &RunContext, ckpt: &CheckpointPolicy, item: &WorkItem) -> Disposition {
+    if ctx
+        .faults
+        .should_fault(FaultSite::WorkerStall, &job.key, item.claims)
+    {
+        std::thread::sleep(ctx.faults.stall());
     }
-    if let Some(cache) = cache {
-        if let Some(result) = cache.lookup(&job.key) {
-            return Disposition::Done(Box::new(Outcome {
-                result,
-                cached: true,
-                resumed: false,
-                events: 0,
-                wall: Duration::ZERO,
-            }));
-        }
+    if let Some(result) = ctx.lookup(&job.key) {
+        return Disposition::Done(Box::new(Outcome {
+            result,
+            cached: true,
+            resumed: false,
+            events: 0,
+            wall: Duration::ZERO,
+        }));
     }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plan) = plan.as_deref() {
-            if plan.should_fault(FaultSite::JobPanic, &job.key, item.panics) {
-                panic!(
-                    "injected fault: job_panic (job {}, attempt {})",
-                    item.index, item.panics
-                );
-            }
+        if ctx
+            .faults
+            .should_fault(FaultSite::JobPanic, &job.key, item.panics)
+        {
+            panic!(
+                "injected fault: job_panic (job {}, attempt {})",
+                item.index, item.panics
+            );
         }
-        advance_job(job, cache, ckpt, item, limits)
+        advance_job(job, ctx, ckpt, item)
     }));
     match outcome {
         Ok(disposition) => disposition,
         Err(payload) => {
             let message = panic_message(payload);
-            if item.panics + 1 < limits.attempts {
+            if item.panics + 1 < ctx.attempts {
                 eprintln!(
                     "campaign_server: job {} panicked (attempt {}/{}): {message} — retrying",
                     item.index,
                     item.panics + 1,
-                    limits.attempts
+                    ctx.attempts
                 );
                 Disposition::Retry
             } else {
                 Disposition::Failed(format!(
                     "job panicked on all {} attempts: {message}",
-                    limits.attempts
+                    ctx.attempts
                 ))
             }
         }
@@ -480,18 +452,23 @@ fn emit_status(
 
 fn main() {
     install_signal_handlers();
-    if fault::install_from_env().is_some() {
+    let knobs = Knobs::from_env().unwrap_or_else(|e| fail(e));
+    let (mut resume, mut no_cache, mut threads_override) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--resume" => resume = true,
+            "--no-cache" => no_cache = true,
+            "--threads" => {
+                threads_override =
+                    Some(threads_flag(args.next().as_deref()).unwrap_or_else(|e| fail(e)))
+            }
+            other => fail(format!("unknown flag `{other}`")),
+        }
+    }
+    if !knobs.faults.is_empty() {
         eprintln!("campaign_server: WLAN_FAULT_PLAN active — injecting deterministic faults");
     }
-    let args: Vec<String> = std::env::args().collect();
-    let resume = args.iter().any(|a| a == "--resume");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let threads_flag = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1);
 
     let mut text = String::new();
     if let Err(e) = std::io::stdin().read_to_string(&mut text) {
@@ -509,36 +486,29 @@ fn main() {
         Some(_) => fail("`jobs` must be an array"),
         None => fail("job spec is missing `jobs`"),
     };
-    let threads = threads_flag
-        .or_else(|| match opt(spec, "threads") {
+    let threads = threads_override
+        .or(match opt(spec, "threads") {
             Some(Value::U64(t)) => Some(*t as usize),
             _ => None,
         })
         .filter(|&t| t >= 1)
-        .unwrap_or_else(wlan_core::default_threads);
-    let string_key = |key: &str| match opt(spec, key) {
-        Some(Value::Str(s)) => Some(s.clone()),
+        .unwrap_or(knobs.threads);
+    let path_key = |key: &str| match opt(spec, key) {
+        Some(Value::Str(s)) => Some(PathBuf::from(s)),
         _ => None,
     };
-    let results_dir = std::env::var("WLAN_REPRO_OUT").unwrap_or_else(|_| "results".to_string());
-    let cache_dir = string_key("cache_dir")
-        .or_else(|| std::env::var("WLAN_CACHE_DIR").ok())
-        .unwrap_or_else(|| format!("{results_dir}/.cache"));
+    let results_dir = &knobs.out_dir;
+    let cache_dir = path_key("cache_dir").unwrap_or_else(|| knobs.cache_dir.clone());
     let checkpoint_dir =
-        string_key("checkpoint_dir").unwrap_or_else(|| format!("{results_dir}/.checkpoints"));
+        path_key("checkpoint_dir").unwrap_or_else(|| results_dir.join(".checkpoints"));
     let every = opt(spec, "checkpoint_sim_secs")
         .and_then(as_f64)
         .filter(|&s| s > 0.0)
         .map(SimDuration::from_secs_f64);
-    let timeout = opt(spec, "job_timeout_secs")
-        .and_then(as_f64)
-        .or_else(|| {
-            std::env::var("WLAN_JOB_TIMEOUT_SECS")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-        })
-        .filter(|&s| s > 0.0)
-        .map(Duration::from_secs_f64);
+    let timeout = match opt(spec, "job_timeout_secs").and_then(as_f64) {
+        Some(secs) => (secs > 0.0).then(|| Duration::from_secs_f64(secs)),
+        None => knobs.job_timeout,
+    };
 
     // A job that fails to parse or validate occupies an error slot; the
     // healthy jobs run regardless.
@@ -557,29 +527,19 @@ fn main() {
     let cache = if no_cache {
         None
     } else {
-        match ResultCache::open(&cache_dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!(
-                    "campaign_server: warning: cannot open cache directory {cache_dir} ({e}) — \
-                     running compute-only"
-                );
-                None
-            }
-        }
+        open_cache(&cache_dir)
     };
+    let ctx = knobs.context(threads, cache);
     if let Err(e) = std::fs::create_dir_all(&checkpoint_dir) {
         eprintln!(
-            "campaign_server: warning: cannot create checkpoint directory {checkpoint_dir} ({e}) \
-             — snapshots will fail"
+            "campaign_server: warning: cannot create checkpoint directory {} ({e}) \
+             — snapshots will fail",
+            checkpoint_dir.display()
         );
     }
     let ckpt = CheckpointPolicy {
-        dir: PathBuf::from(&checkpoint_dir),
+        dir: checkpoint_dir,
         every,
-    };
-    let limits = Limits {
-        attempts: max_job_attempts(),
         timeout,
     };
     let parse_errors = jobs.iter().filter(|j| j.is_err()).count();
@@ -588,18 +548,18 @@ fn main() {
         jobs.len(),
         if jobs.len() == 1 { "" } else { "s" },
         parse_errors,
-        threads,
-        if threads == 1 { "" } else { "s" },
-        match &cache {
+        ctx.threads,
+        if ctx.threads == 1 { "" } else { "s" },
+        match &ctx.cache {
             Some(c) => format!("in {}", c.dir().display()),
             None => "disabled".to_string(),
         },
-        checkpoint_dir,
+        ckpt.dir.display(),
         match every {
             Some(d) => format!(" every {} sim-s", d.as_secs_f64()),
             None => " (final state only; no periodic snapshots)".to_string(),
         },
-        match limits.timeout {
+        match timeout {
             Some(t) => format!(", job timeout {:.1}s", t.as_secs_f64()),
             None => String::new(),
         },
@@ -629,122 +589,89 @@ fn main() {
     }
     let mut completed = 0u64;
     let mut errors = 0u64;
-    let cache_ref = cache.as_ref();
     let campaign_started = Instant::now();
     let claimed_jobs = AtomicU64::new(0);
-    // Heartbeat stop signal: flipped (and notified) after the pool drains so
-    // the beat thread exits promptly instead of sleeping out its period.
-    let heartbeat_stop = (Mutex::new(false), Condvar::new());
-    std::thread::scope(|scope| {
-        let beat = wlan_core::metrics::heartbeat_period().map(|period| {
-            let stop = &heartbeat_stop;
-            let claimed = &claimed_jobs;
-            scope.spawn(move || {
-                let mut guard = stop.0.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    let (next_guard, _timeout) = stop
-                        .1
-                        .wait_timeout(guard, period)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard = next_guard;
-                    if *guard {
-                        break;
+    let claimed = || claimed_jobs.load(Ordering::Relaxed);
+    ctx.with_heartbeat(claimed, || {
+        std::thread::scope(|scope| {
+            for _ in 0..ctx.threads.min(runnable.max(1)) {
+                let tx = tx.clone();
+                let jobs = &jobs;
+                let queue = &queue;
+                let ckpt = &ckpt;
+                let ctx = &ctx;
+                let claimed_jobs = &claimed_jobs;
+                scope.spawn(move || loop {
+                    if DRAINING.load(Ordering::SeqCst) {
+                        break; // stop claiming; unclaimed items count as drained
                     }
-                    let line = wlan_core::metrics::global().snapshot().heartbeat_line(
-                        wlan_core::metrics::unix_secs(),
-                        claimed.load(Ordering::Relaxed),
-                    );
-                    wlan_core::metrics::emit_heartbeat(&line);
-                }
-            })
-        });
-        for _ in 0..threads.min(runnable.max(1)) {
-            let tx = tx.clone();
-            let jobs = &jobs;
-            let queue = &queue;
-            let ckpt = &ckpt;
-            let limits = &limits;
-            let claimed_jobs = &claimed_jobs;
-            scope.spawn(move || loop {
-                if DRAINING.load(Ordering::SeqCst) {
-                    break; // stop claiming; unclaimed items count as drained
-                }
-                let item = queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .pop_front();
-                let Some(mut item) = item else { break };
-                claimed_jobs.fetch_add(1, Ordering::Relaxed);
-                let Ok(job) = &jobs[item.index] else {
-                    unreachable!("only parsed jobs are queued");
-                };
-                match run_job(job, cache_ref, ckpt, &item, limits) {
-                    Disposition::Done(outcome) => {
-                        let _ = tx.send((item.index, Status::Done(outcome)));
-                    }
-                    Disposition::Failed(error) => {
-                        let _ = tx.send((item.index, Status::Failed(error)));
-                    }
-                    Disposition::Drained => {
-                        let _ = tx.send((item.index, Status::Drained));
-                    }
-                    Disposition::Retry => {
-                        // Deterministic bounded backoff (wall-clock only; a
-                        // retry is a pure re-execution of the job).
-                        std::thread::sleep(Duration::from_millis(
-                            (1u64 << item.panics.min(6)).min(50),
-                        ));
-                        item.panics += 1;
-                        item.resume = true;
-                        queue
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push_back(item);
-                    }
-                    Disposition::Requeue => {
-                        eprintln!(
-                            "campaign_server: job {} hit its wall-clock timeout — snapshotted \
+                    let item = queue
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .pop_front();
+                    let Some(mut item) = item else { break };
+                    claimed_jobs.fetch_add(1, Ordering::Relaxed);
+                    let Ok(job) = &jobs[item.index] else {
+                        unreachable!("only parsed jobs are queued");
+                    };
+                    match run_job(job, ctx, ckpt, &item) {
+                        Disposition::Done(outcome) => {
+                            let _ = tx.send((item.index, Status::Done(outcome)));
+                        }
+                        Disposition::Failed(error) => {
+                            let _ = tx.send((item.index, Status::Failed(error)));
+                        }
+                        Disposition::Drained => {
+                            let _ = tx.send((item.index, Status::Drained));
+                        }
+                        Disposition::Retry => {
+                            // The pool's deterministic bounded backoff (wall-clock
+                            // only; a retry is a pure re-execution of the job).
+                            item.panics += 1;
+                            std::thread::sleep(retry_backoff(item.panics));
+                            item.resume = true;
+                            queue
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push_back(item);
+                        }
+                        Disposition::Requeue => {
+                            eprintln!(
+                                "campaign_server: job {} hit its wall-clock timeout — snapshotted \
                              and requeued (claim {})",
-                            item.index,
-                            item.claims + 1
-                        );
-                        item.claims += 1;
-                        item.resume = true;
-                        queue
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push_back(item);
+                                item.index,
+                                item.claims + 1
+                            );
+                            item.claims += 1;
+                            item.resume = true;
+                            queue
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push_back(item);
+                        }
                     }
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: BTreeMap<usize, Status> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, status) in rx {
-            pending.insert(i, status);
-            while let Some(status) = pending.remove(&emit_next) {
-                emit_status(emit_next, status, &jobs, &mut completed, &mut errors);
-                emit_next += 1;
+                });
             }
-        }
-        // A drain leaves gaps (unclaimed jobs send nothing): flush whatever
-        // finished out of order, still ascending by index.
-        for (i, status) in pending {
-            emit_status(i, status, &jobs, &mut completed, &mut errors);
-        }
-        *heartbeat_stop
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
-        heartbeat_stop.1.notify_all();
-        if let Some(beat) = beat {
-            let _ = beat.join();
-        }
+            drop(tx);
+            let mut pending: BTreeMap<usize, Status> = BTreeMap::new();
+            let mut emit_next = 0usize;
+            for (i, status) in rx {
+                pending.insert(i, status);
+                while let Some(status) = pending.remove(&emit_next) {
+                    emit_status(emit_next, status, &jobs, &mut completed, &mut errors);
+                    emit_next += 1;
+                }
+            }
+            // A drain leaves gaps (unclaimed jobs send nothing): flush whatever
+            // finished out of order, still ascending by index.
+            for (i, status) in pending {
+                emit_status(i, status, &jobs, &mut completed, &mut errors);
+            }
+        })
     });
 
     let drained = jobs.len() as u64 - completed - errors;
-    let stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+    let stats = ctx.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
     let summary = Value::Map(vec![
         ("jobs".to_string(), Value::U64(jobs.len() as u64)),
         ("completed".to_string(), Value::U64(completed)),
@@ -764,19 +691,25 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // Final process-wide metrics dump — one coherent JSON document a service
-    // supervisor can scrape after the run (cache traffic, retries, per-kind
-    // event totals when WLAN_METRICS=1).
-    let metrics_path = format!("{results_dir}/metrics.json");
-    let dump = std::fs::create_dir_all(&results_dir).and_then(|()| {
-        let snapshot = wlan_core::metrics::global().snapshot();
+    // Final metrics dump — one coherent JSON document a service supervisor
+    // can scrape after the run (cache traffic, retries, per-kind event totals
+    // when WLAN_METRICS=1).
+    let metrics_path = results_dir.join("metrics.json");
+    let dump = std::fs::create_dir_all(results_dir).and_then(|()| {
+        let snapshot = ctx.metrics.snapshot(ctx.cache.as_ref());
         let text = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         std::fs::write(&metrics_path, text + "\n")
     });
     match dump {
-        Ok(()) => eprintln!("campaign_server: metrics written to {metrics_path}"),
-        Err(e) => eprintln!("campaign_server: warning: cannot write {metrics_path}: {e}"),
+        Ok(()) => eprintln!(
+            "campaign_server: metrics written to {}",
+            metrics_path.display()
+        ),
+        Err(e) => eprintln!(
+            "campaign_server: warning: cannot write {}: {e}",
+            metrics_path.display()
+        ),
     }
     if drained > 0 {
         eprintln!(

@@ -40,7 +40,7 @@ fn main() {
             })
             .collect();
         let t = Instant::now();
-        let results = cfg.run_scenarios(&scenarios);
+        let results = cfg.ctx.run(&scenarios);
         let wall = t.elapsed().as_secs_f64();
         for r in &results {
             println!(
@@ -52,6 +52,6 @@ fn main() {
                 r.collision_fraction,
             );
         }
-        println!("  ({wall:.1}s wall on {} threads)", cfg.threads);
+        println!("  ({wall:.1}s wall on {} threads)", cfg.ctx.threads);
     }
 }

@@ -13,28 +13,27 @@
 
 use std::time::Instant;
 use wlan_bench::experiments as ex;
-use wlan_bench::harness::{out_dir, RunConfig};
+use wlan_bench::harness::RunConfig;
 use wlan_core::CacheStats;
 
 fn main() {
     let cfg = RunConfig::from_env();
-    let cache = cfg.install_cache();
-    let faults = cfg.install_faults();
+    let cache = cfg.ctx.cache.as_ref();
     println!(
         "Reproducing all experiments in {} mode on {} thread{} (results in {}, cache {})\n",
         if cfg.quick { "QUICK" } else { "FULL" },
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
-        out_dir().display(),
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
+        cfg.out_dir.display(),
         match cache {
             Some(c) => format!("in {}", c.dir().display()),
             None => "disabled".to_string(),
         },
     );
-    if let Some(plan) = &faults {
+    if !cfg.ctx.faults.is_empty() {
         println!(
             "CHAOS MODE: fault plan seed {} active — results below are a robustness run\n",
-            plan.seed()
+            cfg.ctx.faults.seed()
         );
     }
     type Experiment = fn(&RunConfig) -> String;
@@ -79,7 +78,7 @@ fn main() {
     }
     let total_secs = total.elapsed().as_secs_f64();
     let text = summaries.join("\n") + "\n";
-    std::fs::write(out_dir().join("summary.txt"), &text).expect("write summary");
+    std::fs::write(cfg.out_path("summary.txt"), &text).expect("write summary");
 
     // Per-figure wall-clock table (the source of the README runtime table),
     // with per-figure cache effectiveness. Not every experiment routes through
@@ -99,7 +98,7 @@ fn main() {
         "total     {total_secs:>6.1}         {:>9}  {:>10}\n",
         final_stats.hits, final_stats.misses
     ));
-    std::fs::write(out_dir().join("timings.txt"), &table).expect("write timings");
+    std::fs::write(cfg.out_path("timings.txt"), &table).expect("write timings");
 
     println!(
         "== All experiments done in {total_secs:.1}s ({} cache hit{}, {} miss{}) ==\n{text}\nPer-figure wall-clock ({} mode, {} thread{}):\n{table}",
@@ -108,7 +107,7 @@ fn main() {
         final_stats.misses,
         if final_stats.misses == 1 { "" } else { "es" },
         if cfg.quick { "quick" } else { "full" },
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
     );
 }

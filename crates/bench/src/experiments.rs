@@ -3,7 +3,7 @@
 //! `results/*.dat` + `results/*.json`, and returns a short human-readable
 //! summary line that `repro_all` collects into `results/summary.txt`.
 
-use crate::harness::{save_curves, save_report, throughput_vs_n, write_dat, write_json, RunConfig};
+use crate::harness::{throughput_vs_n, RunConfig};
 use serde::Serialize;
 use wlan_analytic::{BackoffChain, SlotModel};
 use wlan_core::{run_dynamic, MembershipSchedule, Protocol, Scenario, TopologySpec};
@@ -50,7 +50,7 @@ fn static_sweep(
                 .seed(seed)
         })
         .collect();
-    let results = cfg.run_scenarios(&scenarios);
+    let results = cfg.ctx.run(&scenarios);
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for ((x, _), r) in protocols.iter().zip(&results) {
@@ -58,7 +58,7 @@ fn static_sweep(
         rows.push(vec![*x, r.throughput_mbps]);
         series.push((*x, r.throughput_mbps));
     }
-    write_dat(
+    cfg.write_dat(
         &format!("{stem}.dat"),
         "control_variable throughput_mbps",
         &rows,
@@ -80,16 +80,16 @@ pub fn fig01(cfg: &RunConfig) -> String {
         &TopologySpec::Ring { radius: 8.0 },
         "fig01/fully",
     );
-    save_curves("fig01_fully_connected", &fully);
-    save_report("fig01_fully_connected", &fully_report);
+    cfg.save_curves("fig01_fully_connected", &fully);
+    cfg.save_report("fig01_fully_connected", &fully_report);
     let (hidden, hidden_report) = throughput_vs_n(
         cfg,
         &protos,
         &TopologySpec::UniformDisc { radius: 16.0 },
         "fig01/hidden",
     );
-    save_curves("fig01_hidden", &hidden);
-    save_report("fig01_hidden", &hidden_report);
+    cfg.save_curves("fig01_hidden", &hidden);
+    cfg.save_report("fig01_hidden", &hidden_report);
 
     let idle_fc = fully[0].points.last().unwrap().1;
     let idle_hidden = hidden[0].points.last().unwrap().1;
@@ -134,7 +134,7 @@ pub fn fig02(cfg: &RunConfig) -> String {
                 ]
             })
             .collect();
-        write_dat(
+        cfg.write_dat(
             &format!("fig02_analytic_n{n}.dat"),
             "p throughput_mbps",
             &rows,
@@ -168,8 +168,8 @@ pub fn fig03(cfg: &RunConfig) -> String {
     ];
     let (curves, report) =
         throughput_vs_n(cfg, &protos, &TopologySpec::Ring { radius: 8.0 }, "fig03");
-    save_curves("fig03_fully_connected", &curves);
-    save_report("fig03_fully_connected", &report);
+    cfg.save_curves("fig03_fully_connected", &curves);
+    cfg.save_report("fig03_fully_connected", &report);
     let at_60: Vec<String> = curves
         .iter()
         .map(|c| format!("{} {:.1}", c.protocol, c.points.last().unwrap().1))
@@ -257,8 +257,8 @@ fn hidden_comparison(cfg: &RunConfig, radius: f64, stem: &str, fig: &str) -> Str
     ];
     let (curves, report) =
         throughput_vs_n(cfg, &protos, &TopologySpec::UniformDisc { radius }, stem);
-    save_curves(stem, &curves);
-    save_report(stem, &report);
+    cfg.save_curves(stem, &curves);
+    cfg.save_report(stem, &report);
     let at_40: Vec<String> = curves
         .iter()
         .map(|c| {
@@ -309,7 +309,7 @@ fn dynamic_run(
         .iter()
         .map(|(t, mbps, n)| vec![*t, *mbps, *n as f64])
         .collect();
-    write_dat(
+    cfg.write_dat(
         &format!("{stem}_throughput.dat"),
         "time_s throughput_mbps active_nodes",
         &rows,
@@ -319,12 +319,12 @@ fn dynamic_run(
         .iter()
         .map(|(t, v)| vec![*t, *v, -v.max(1e-9).ln()])
         .collect();
-    write_dat(
+    cfg.write_dat(
         &format!("{stem}_control.dat"),
         "time_s control_variable minus_log",
         &rows,
     );
-    write_json(&format!("{stem}.json"), &result);
+    cfg.write_json(&format!("{stem}.json"), &result);
 
     // Mean throughput over the second half of each membership phase (in steady state).
     let phases = [
@@ -402,7 +402,7 @@ pub fn fig10_11(cfg: &RunConfig) -> String {
 
 /// Fig. 12: the fixed point of the RandomReset chain — τ_c(0; p0) vs c for
 /// several p0, together with c = 1 - (1 - τ)^(N-1), for N = 10, m = 5, CWmin = 2.
-pub fn fig12(_cfg: &RunConfig) -> String {
+pub fn fig12(cfg: &RunConfig) -> String {
     println!("Figure 12: RandomReset fixed-point curves (analytic)");
     let chain = BackoffChain::new(2, 5);
     let n = 10;
@@ -412,7 +412,7 @@ pub fn fig12(_cfg: &RunConfig) -> String {
             .iter()
             .map(|&c| vec![c, chain.tau_given_collision_random_reset(c, 0, p0)])
             .collect();
-        write_dat(
+        cfg.write_dat(
             &format!("fig12_tau_p0_{:02}.dat", (p0 * 10.0) as u32),
             "c tau",
             &rows,
@@ -426,7 +426,7 @@ pub fn fig12(_cfg: &RunConfig) -> String {
             vec![c, tau]
         })
         .collect();
-    write_dat("fig12_collision_curve.dat", "c tau", &rows);
+    cfg.write_dat("fig12_collision_curve.dat", "c tau", &rows);
 
     let tau_low = chain.random_reset_attempt_probability(n, 0, 0.0);
     let tau_high = chain.random_reset_attempt_probability(n, 0, 1.0);
@@ -461,7 +461,7 @@ pub fn fig13(cfg: &RunConfig) -> String {
             .iter()
             .map(|&p0| vec![p0, chain.random_reset_throughput(&model, n, 0, p0) / 1e6])
             .collect();
-        write_dat(
+        cfg.write_dat(
             &format!("fig13_analytic_n{n}.dat"),
             "p0 throughput_mbps",
             &rows,
@@ -485,7 +485,7 @@ pub fn fig13(cfg: &RunConfig) -> String {
 
 /// Table I: the simulation parameters (programmatically printed from the PHY
 /// defaults so they cannot drift from what the code uses).
-pub fn table1(_cfg: &RunConfig) -> String {
+pub fn table1(cfg: &RunConfig) -> String {
     println!("Table I: simulation parameters");
     let phy = PhyParams::table1();
     let rows = vec![
@@ -506,11 +506,7 @@ pub fn table1(_cfg: &RunConfig) -> String {
         println!("  {k:<16} {v}");
         text.push_str(&format!("{k}: {v}\n"));
     }
-    std::fs::write(
-        crate::harness::out_dir().join("table1_parameters.txt"),
-        text,
-    )
-    .unwrap();
+    std::fs::write(cfg.out_path("table1_parameters.txt"), text).unwrap();
     "Table I: parameters match the paper (54 Mbps, 8000-bit payload, CWmin 8, CWmax 1024)".into()
 }
 
@@ -545,12 +541,12 @@ pub fn table2(cfg: &RunConfig) -> String {
             r.normalized_mbps[i],
         ]);
     }
-    write_dat(
+    cfg.write_dat(
         "table2_weighted_fairness.dat",
         "node weight throughput_mbps normalized_mbps",
         &rows,
     );
-    write_json("table2_weighted_fairness.json", &r);
+    cfg.write_json("table2_weighted_fairness.json", &r);
     let min_norm = r
         .normalized_mbps
         .iter()
@@ -599,7 +595,7 @@ pub fn table3(cfg: &RunConfig) -> String {
             })
         })
         .collect();
-    let results = cfg.run_scenarios(&scenarios);
+    let results = cfg.ctx.run(&scenarios);
     let mut rows = Vec::new();
     let mut lines = Vec::new();
     for (case_idx, (label, _, _)) in cases.iter().enumerate() {
@@ -625,7 +621,7 @@ pub fn table3(cfg: &RunConfig) -> String {
             ));
         }
     }
-    write_dat(
+    cfg.write_dat(
         "table3_idle_slots.dat",
         "case protocol(0=idlesense,1=wtop) idle_slots throughput_mbps",
         &rows,
@@ -740,11 +736,11 @@ pub fn fig_finite_load(cfg: &RunConfig) -> String {
     println!(
         "  running {} jobs on {} thread{} (capacity S* = {:.2} Mbps)...",
         scenarios.len(),
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
         capacity_bps / 1e6
     );
-    let results = cfg.run_scenarios(&scenarios);
+    let results = cfg.ctx.run(&scenarios);
 
     let mut curves = Vec::new();
     let mut knees = Vec::new();
@@ -812,7 +808,7 @@ pub fn fig_finite_load(cfg: &RunConfig) -> String {
                 ]
             })
             .collect();
-        write_dat(
+        cfg.write_dat(
             &format!("{stem}.dat"),
             "load_frac offered_mbps throughput_mbps mean_delay_ms p50_ms p95_ms p99_ms \
              jitter_ms drop_frac queue_high_water",
@@ -823,7 +819,7 @@ pub fn fig_finite_load(cfg: &RunConfig) -> String {
             points,
         });
     }
-    write_json("fig_finite_load.json", &curves);
+    cfg.write_json("fig_finite_load.json", &curves);
     format!(
         "Finite load (N=20 FC, S*={:.1} Mbps, 100-frame queues): {}",
         capacity_bps / 1e6,
@@ -911,15 +907,14 @@ pub fn fig_scaling(cfg: &RunConfig) -> String {
             .warmups(adaptive_warm, static_warm)
             .measure(measure)
             .update_period(update_period)
-            .throughput_bin(update_period)
-            .threads(cfg.threads);
+            .throughput_bin(update_period);
         println!(
             "  [{label}] running {} jobs on {} thread{}...",
             campaign.jobs().len(),
-            cfg.threads,
-            if cfg.threads == 1 { "" } else { "s" }
+            cfg.ctx.threads,
+            if cfg.ctx.threads == 1 { "" } else { "s" }
         );
-        let outcome = campaign.run();
+        let outcome = campaign.run(&cfg.ctx);
         let mut curves = Vec::new();
         for (proto, cells) in protocols
             .iter()
@@ -943,8 +938,8 @@ pub fn fig_scaling(cfg: &RunConfig) -> String {
             });
         }
         let stem = format!("fig_scaling_{label}");
-        save_curves(&stem, &curves);
-        save_report(&stem, &outcome.report());
+        cfg.save_curves(&stem, &curves);
+        cfg.save_report(&stem, &outcome.report());
         if *label == "fully_connected" {
             for c in &curves {
                 if c.protocol == "wTOP-CSMA" || c.protocol == "Standard 802.11" {

@@ -1,110 +1,218 @@
-//! Shared infrastructure for the per-figure experiment binaries: run
-//! configuration, result output (`results/*.dat` gnuplot-style series and
-//! `results/*.json` dumps), and the throughput-versus-N campaign that several
-//! figures share.
+//! Shared infrastructure for the experiment binaries: the one parser of the
+//! `WLAN_*` environment knobs (shared with `campaign_server`), run
+//! configuration, result output (`*.dat` gnuplot-style series and `*.json`
+//! dumps), and the throughput-versus-N campaign that several figures share.
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use wlan_core::campaign::DEFAULT_JOB_RETRIES;
 use wlan_core::{
-    default_threads, Campaign, CampaignReport, Protocol, ResultCache, Scenario, TopologySpec,
+    Campaign, CampaignReport, FaultPlan, Protocol, ResultCache, RunContext, TopologySpec,
 };
 use wlan_sim::SimDuration;
+
+/// Every `WLAN_*` environment knob, parsed once.
+///
+/// [`Knobs::parse`] is the only reader of these variables in the workspace;
+/// it receives the variable lookup as a function (the binaries pass the
+/// process environment, tests a map). A malformed value is an error that
+/// names the variable.
+#[derive(Debug, Clone)]
+pub struct Knobs {
+    /// `WLAN_THREADS`: worker threads, a positive integer (default: every
+    /// available core).
+    pub threads: usize,
+    /// `WLAN_JOB_RETRIES`: attempts per job, 1 + the retries (default
+    /// `1 + DEFAULT_JOB_RETRIES`).
+    pub attempts: u32,
+    /// `WLAN_HEARTBEAT_SECS`: heartbeat period in whole seconds; unset or
+    /// `0` is off.
+    pub heartbeat: Option<Duration>,
+    /// `WLAN_JOB_TIMEOUT_SECS`: `campaign_server`'s per-job wall-clock
+    /// timeout; unset or `0` is none.
+    pub job_timeout: Option<Duration>,
+    /// `WLAN_FAULT_PLAN`: injected faults (unset: none).
+    pub faults: FaultPlan,
+    /// `WLAN_METRICS`: `1` or `true` turns the telemetry layer on.
+    pub telemetry: bool,
+    /// `WLAN_CACHE_DIR`: the result-cache directory (default `.cache/` in
+    /// the output directory).
+    pub cache_dir: PathBuf,
+    /// `WLAN_NO_CACHE`: any value but `0` disables the result cache.
+    pub no_cache: bool,
+    /// `WLAN_REPRO_QUICK`: any value but `0` means quick mode (the default).
+    pub quick: bool,
+    /// `WLAN_REPRO_OUT`: the output directory (default `results`).
+    pub out_dir: PathBuf,
+}
+
+impl Knobs {
+    /// Parse the knobs from the process environment.
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(|name| std::env::var(name).ok())
+    }
+
+    /// Parse the knobs, looking each variable up through `var`.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let retries = knob(&var, "WLAN_JOB_RETRIES", count::<u32>)?;
+        let timeout = knob(&var, "WLAN_JOB_TIMEOUT_SECS", |v| {
+            v.parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s >= 0.0)
+                .ok_or_else(|| "expected a non-negative number of seconds".to_string())
+        })?;
+        let out_dir = PathBuf::from(var("WLAN_REPRO_OUT").unwrap_or_else(|| "results".to_string()));
+        Ok(Knobs {
+            threads: knob(&var, "WLAN_THREADS", positive)?.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            }),
+            attempts: retries.unwrap_or(DEFAULT_JOB_RETRIES).saturating_add(1),
+            heartbeat: knob(&var, "WLAN_HEARTBEAT_SECS", count::<u64>)?
+                .filter(|&secs| secs > 0)
+                .map(Duration::from_secs),
+            job_timeout: timeout
+                .filter(|&secs| secs > 0.0)
+                .map(Duration::from_secs_f64),
+            faults: knob(&var, "WLAN_FAULT_PLAN", FaultPlan::from_spec)?.unwrap_or_default(),
+            telemetry: var("WLAN_METRICS")
+                .is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
+            cache_dir: var("WLAN_CACHE_DIR").map_or_else(|| out_dir.join(".cache"), PathBuf::from),
+            no_cache: var("WLAN_NO_CACHE").is_some_and(|v| v != "0"),
+            quick: var("WLAN_REPRO_QUICK").is_none_or(|v| v != "0"),
+            out_dir,
+        })
+    }
+
+    /// A run context on `threads` workers with `cache`, carrying these
+    /// knobs' attempt budget, fault plan, telemetry flag and heartbeat.
+    pub fn context(&self, threads: usize, cache: Option<ResultCache>) -> RunContext {
+        RunContext {
+            attempts: self.attempts,
+            cache,
+            faults: self.faults.clone(),
+            telemetry: self.telemetry,
+            heartbeat: self.heartbeat,
+            ..RunContext::new(threads)
+        }
+    }
+}
+
+/// Knob `name` parsed by `parse` (`None` when unset); a parse failure names
+/// the variable and its value.
+fn knob<T>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    var(name)
+        .map(|v| parse(v.trim()).map_err(|e| format!("{name}={v:?}: {e}")))
+        .transpose()
+}
+
+fn count<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| "expected a non-negative integer".to_string())
+}
+
+fn positive(value: &str) -> Result<usize, String> {
+    count(value)
+        .ok()
+        .filter(|&t| t >= 1)
+        .ok_or_else(|| "expected a positive integer".to_string())
+}
+
+/// The value of a `--threads` flag: a positive integer.
+pub fn threads_flag(value: Option<&str>) -> Result<usize, String> {
+    let value = value.ok_or("--threads needs a value")?;
+    positive(value).map_err(|e| format!("--threads {value:?}: {e}"))
+}
+
+/// Open the result cache at `dir`. An unusable directory is an I/O failure,
+/// not a configuration error: it warns and returns `None`, and the run
+/// continues compute-only.
+pub fn open_cache(dir: &Path) -> Option<ResultCache> {
+    ResultCache::open(dir)
+        .map_err(|e| {
+            eprintln!(
+                "warning: cannot open result cache {} ({e}) — running compute-only",
+                dir.display()
+            )
+        })
+        .ok()
+}
 
 /// Global run configuration for the experiment harness.
 ///
 /// `from_env` / `from_args` are the **single source** of the `--quick` /
-/// `--full` / `--threads` / `--no-cache` command line and the
-/// `WLAN_REPRO_QUICK` / `WLAN_THREADS` / `WLAN_NO_CACHE` environment
-/// variables; binaries must consume this struct rather than re-parsing
-/// either.
-#[derive(Debug, Clone, Copy)]
+/// `--full` / `--threads N` / `--no-cache` command line and, through
+/// [`Knobs`], of the `WLAN_*` environment variables; binaries must consume
+/// this struct rather than re-parsing either.
+#[derive(Debug)]
 pub struct RunConfig {
     /// Quick mode: fewer seeds, fewer sweep points and shorter runs. Intended for
     /// CI and for smoke-testing the harness; the full mode reproduces the paper's
     /// averaging (20 iterations) more closely.
     pub quick: bool,
-    /// Worker threads for campaign execution. Results are bit-identical for
-    /// every value; more threads only finish sooner.
-    pub threads: usize,
-    /// Disable the content-addressed result cache (`--no-cache` /
-    /// `WLAN_NO_CACHE=1`): every job goes to the engine, nothing is stored.
-    pub no_cache: bool,
+    /// The directory every output file goes to.
+    pub out_dir: PathBuf,
+    /// How campaign jobs run: worker threads, the result cache (absent with
+    /// `--no-cache`), attempt budget, fault plan, telemetry and heartbeat.
+    /// Results are bit-identical for every worker count.
+    pub ctx: RunContext,
 }
 
 impl RunConfig {
     /// Read the configuration from the process command line and environment.
     /// Quick mode is the default so that `repro_all` finishes in minutes; pass
-    /// `--full` for the heavyweight version.
+    /// `--full` for the heavyweight version. A bad flag or knob value is
+    /// reported on stderr and exits with status 2 before anything runs.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args)
+        let cfg = Knobs::from_env().and_then(|knobs| Self::from_args(&args, &knobs));
+        let cfg = cfg.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
+        if !cfg.ctx.faults.is_empty() {
+            eprintln!(
+                "harness: WLAN_FAULT_PLAN active (seed {}) — injecting deterministic faults",
+                cfg.ctx.faults.seed()
+            );
+        }
+        cfg
     }
 
-    /// Parse an explicit argument list (`--quick`, `--full`, `--threads N`),
-    /// falling back to `WLAN_REPRO_QUICK` / `WLAN_THREADS` for anything the
-    /// arguments leave unset.
-    pub fn from_args(args: &[String]) -> Self {
-        let quick = if args.iter().any(|a| a == "--full") {
-            false
-        } else if args.iter().any(|a| a == "--quick") {
-            true
-        } else {
-            std::env::var("WLAN_REPRO_QUICK")
-                .map(|v| v != "0")
-                .unwrap_or(true)
-        };
-        let threads = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(default_threads);
-        let no_cache = args.iter().any(|a| a == "--no-cache")
-            || std::env::var("WLAN_NO_CACHE")
-                .map(|v| v != "0")
-                .unwrap_or(false);
-        RunConfig {
-            quick,
-            threads,
-            no_cache,
-        }
-    }
-
-    /// Install the process-global result cache unless `--no-cache` was given.
-    ///
-    /// The cache directory is `WLAN_CACHE_DIR` when set, else `.cache/` inside
-    /// [`out_dir`]. Returns the installed cache so callers can report hit/miss
-    /// statistics; an unopenable directory degrades to uncached execution with
-    /// a warning rather than aborting the run.
-    pub fn install_cache(&self) -> Option<&'static ResultCache> {
-        if self.no_cache {
-            return None;
-        }
-        if let Some(cache) = wlan_core::cache::install_from_env() {
-            return Some(cache);
-        }
-        let dir = out_dir().join(".cache");
-        match ResultCache::open(&dir) {
-            Ok(cache) => Some(wlan_core::cache::install(cache)),
-            Err(e) => {
-                eprintln!("warning: cannot open result cache {}: {e}", dir.display());
-                None
+    /// Parse an explicit argument list (`--quick`, `--full`, `--threads N`,
+    /// `--no-cache`; anything else is an error) over `knobs`, and open the
+    /// result cache unless it is disabled.
+    pub fn from_args(args: &[String], knobs: &Knobs) -> Result<Self, String> {
+        let (mut quick, mut full) = (knobs.quick, false);
+        let mut threads = knobs.threads;
+        let mut no_cache = knobs.no_cache;
+        let mut rest = args.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--full" => full = true,
+                "--no-cache" => no_cache = true,
+                "--threads" => threads = threads_flag(rest.next().map(String::as_str))?,
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
-    }
-
-    /// Install the deterministic fault plan from `WLAN_FAULT_PLAN`, if set
-    /// (chaos experiments on the repro binaries; a no-op otherwise). Reports
-    /// the active plan on stderr so a chaos run is visible in the logs.
-    pub fn install_faults(&self) -> Option<std::sync::Arc<wlan_core::FaultPlan>> {
-        let plan = wlan_core::fault::install_from_env()?;
-        eprintln!(
-            "harness: WLAN_FAULT_PLAN active (seed {}) — injecting deterministic faults",
-            plan.seed()
-        );
-        Some(plan)
+        let cache = if no_cache {
+            None
+        } else {
+            open_cache(&knobs.cache_dir)
+        };
+        Ok(RunConfig {
+            // --full wins over --quick, mirroring the historical behaviour.
+            quick: quick && !full,
+            out_dir: knobs.out_dir.clone(),
+            ctx: knobs.context(threads, cache),
+        })
     }
 
     /// Seeds to average over.
@@ -149,51 +257,70 @@ impl RunConfig {
         }
     }
 
-    /// A [`Campaign`] pre-configured with this run's durations and thread count;
-    /// callers add the protocol/topology/N/seed grid.
+    /// A [`Campaign`] pre-configured with this run's durations; callers add
+    /// the protocol/topology/N/seed grid and run it on [`ctx`](Self::ctx).
     pub fn campaign(&self) -> Campaign {
         Campaign::new()
             .warmups(self.adaptive_warmup(), self.static_warmup())
             .measure(self.measure())
-            .threads(self.threads)
     }
 
-    /// Run one scenario list on this run's thread pool, preserving input order.
-    pub fn run_scenarios(&self, scenarios: &[Scenario]) -> Vec<wlan_core::ScenarioResult> {
-        wlan_core::run_scenarios(scenarios, self.threads)
+    /// The path of output file `name`, creating the output directory.
+    pub fn out_path(&self, name: &str) -> PathBuf {
+        fs::create_dir_all(&self.out_dir).expect("cannot create results directory");
+        self.out_dir.join(name)
     }
-}
 
-/// Directory into which all experiment outputs are written.
-pub fn out_dir() -> PathBuf {
-    let dir = std::env::var("WLAN_REPRO_OUT").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    fs::create_dir_all(&path).expect("cannot create results directory");
-    path
-}
-
-/// Write a whitespace-separated data file (one comment header line, then rows).
-pub fn write_dat(name: &str, header: &str, rows: &[Vec<f64>]) {
-    let mut text = format!("# {header}\n");
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|v| format!("{v:.6}")).collect();
-        text.push_str(&cells.join(" "));
-        text.push('\n');
+    /// Write a whitespace-separated data file (one comment header line, then rows).
+    pub fn write_dat(&self, name: &str, header: &str, rows: &[Vec<f64>]) {
+        let mut text = format!("# {header}\n");
+        for row in rows {
+            let cells: Vec<String> = row.iter().map(|v| format!("{v:.6}")).collect();
+            text.push_str(&cells.join(" "));
+            text.push('\n');
+        }
+        let path = self.out_path(name);
+        fs::write(&path, text).expect("cannot write data file");
+        println!("  wrote {}", path.display());
     }
-    let path = out_dir().join(name);
-    fs::write(&path, text).expect("cannot write data file");
-    println!("  wrote {}", path.display());
-}
 
-/// Write a JSON dump of any serialisable result.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = out_dir().join(name);
-    fs::write(
-        &path,
-        serde_json::to_string_pretty(value).expect("serialise"),
-    )
-    .expect("cannot write json file");
-    println!("  wrote {}", path.display());
+    /// Write a JSON dump of any serialisable result.
+    pub fn write_json<T: Serialize>(&self, name: &str, value: &T) {
+        let path = self.out_path(name);
+        fs::write(
+            &path,
+            serde_json::to_string_pretty(value).expect("serialise"),
+        )
+        .expect("cannot write json file");
+        println!("  wrote {}", path.display());
+    }
+
+    /// Write a set of throughput curves as one .dat file per protocol plus a
+    /// JSON dump.
+    pub fn save_curves(&self, stem: &str, curves: &[ThroughputCurve]) {
+        for curve in curves {
+            let fname = format!(
+                "{stem}_{}.dat",
+                curve
+                    .protocol
+                    .to_lowercase()
+                    .replace([' ', '.', '(', ')'], "_")
+            );
+            let rows: Vec<Vec<f64>> = curve
+                .points
+                .iter()
+                .map(|(n, mean, min, max)| vec![*n as f64, *mean, *min, *max])
+                .collect();
+            self.write_dat(&fname, "n mean_mbps min_mbps max_mbps", &rows);
+        }
+        self.write_json(&format!("{stem}.json"), &curves);
+    }
+
+    /// Write a campaign's per-cell mean/stddev/CI95 statistics as
+    /// `{stem}_cells.json` next to the curves.
+    pub fn save_report(&self, stem: &str, report: &CampaignReport) {
+        self.write_json(&format!("{stem}_cells.json"), report);
+    }
 }
 
 /// One protocol's mean throughput as a function of the number of stations.
@@ -209,7 +336,7 @@ pub struct ThroughputCurve {
 ///
 /// Returns the per-protocol curves (in `protocols` order) plus the campaign's
 /// per-cell statistics report; both are deterministic regardless of
-/// `cfg.threads`.
+/// `cfg.ctx.threads`.
 pub fn throughput_vs_n(
     cfg: &RunConfig,
     protocols: &[Protocol],
@@ -228,10 +355,10 @@ pub fn throughput_vs_n(
     println!(
         "  [{label}] running {} jobs on {} thread{}...",
         campaign.jobs().len(),
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" }
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" }
     );
-    let outcome = campaign.run();
+    let outcome = campaign.run(&cfg.ctx);
     // Cells arrive in grid order: protocol-major, node counts within protocol.
     let per_proto = cfg.node_counts().len();
     let mut curves = Vec::new();
@@ -257,48 +384,28 @@ pub fn throughput_vs_n(
     (curves, outcome.report())
 }
 
-/// Write a set of throughput curves as one .dat file per protocol plus a JSON dump.
-pub fn save_curves(stem: &str, curves: &[ThroughputCurve]) {
-    for curve in curves {
-        let fname = format!(
-            "{stem}_{}.dat",
-            curve
-                .protocol
-                .to_lowercase()
-                .replace([' ', '.', '(', ')'], "_")
-        );
-        let rows: Vec<Vec<f64>> = curve
-            .points
-            .iter()
-            .map(|(n, mean, min, max)| vec![*n as f64, *mean, *min, *max])
-            .collect();
-        write_dat(&fname, "n mean_mbps min_mbps max_mbps", &rows);
-    }
-    write_json(&format!("{stem}.json"), &curves);
-}
-
-/// Write a campaign's per-cell mean/stddev/CI95 statistics as
-/// `{stem}_cells.json` next to the curves.
-pub fn save_report(stem: &str, report: &CampaignReport) {
-    write_json(&format!("{stem}_cells.json"), report);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parse the knobs from `vars`, a map of variable names to values.
+    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+        Knobs::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    fn config(args: &[&str], vars: &[(&str, &str)]) -> Result<RunConfig, String> {
+        let args: Vec<String> = args.iter().map(|x| x.to_string()).collect();
+        RunConfig::from_args(&args, &knobs(vars)?)
+    }
+
     #[test]
     fn quick_config_is_smaller_than_full() {
-        let quick = RunConfig {
-            quick: true,
-            threads: 1,
-            no_cache: true,
-        };
-        let full = RunConfig {
-            quick: false,
-            threads: 1,
-            no_cache: true,
-        };
+        let quick = config(&["bin", "--no-cache"], &[]).unwrap();
+        let full = config(&["bin", "--full", "--no-cache"], &[]).unwrap();
         assert!(quick.seeds().len() < full.seeds().len());
         assert!(quick.node_counts().len() <= full.node_counts().len());
         assert!(quick.measure() < full.measure());
@@ -307,36 +414,95 @@ mod tests {
 
     #[test]
     fn args_parsing_is_the_single_source() {
-        let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let cfg = RunConfig::from_args(&to_args(&["bin", "--full", "--threads", "3"]));
+        let no_cache = [("WLAN_NO_CACHE", "1")];
+        let cfg = config(&["bin", "--full", "--threads", "3"], &no_cache).unwrap();
         assert!(!cfg.quick);
-        assert_eq!(cfg.threads, 3);
-        let cfg = RunConfig::from_args(&to_args(&["bin", "--quick"]));
+        assert_eq!(cfg.ctx.threads, 3);
+        let cfg = config(&["bin", "--quick"], &no_cache).unwrap();
         assert!(cfg.quick);
-        assert!(cfg.threads >= 1);
+        assert!(cfg.ctx.threads >= 1);
         // --full wins over --quick, mirroring the historical behaviour.
-        let cfg = RunConfig::from_args(&to_args(&["bin", "--quick", "--full"]));
+        let cfg = config(&["bin", "--quick", "--full"], &no_cache).unwrap();
         assert!(!cfg.quick);
-        // Malformed --threads falls back to the default.
-        let cfg = RunConfig::from_args(&to_args(&["bin", "--threads", "zero"]));
-        assert!(cfg.threads >= 1);
-        // --no-cache is recognised; absent, the cache stays enabled (unless
-        // the WLAN_NO_CACHE environment override is exported).
-        let cfg = RunConfig::from_args(&to_args(&["bin", "--no-cache"]));
-        assert!(cfg.no_cache);
+        // A malformed, zero or missing --threads and an unknown flag are errors.
+        for bad in [
+            &["bin", "--threads", "zero"][..],
+            &["bin", "--threads", "0"],
+            &["bin", "--threads"],
+        ] {
+            let err = config(bad, &no_cache).unwrap_err();
+            assert!(err.contains("--threads"), "{err}");
+        }
+        let err = config(&["bin", "--fast"], &no_cache).unwrap_err();
+        assert!(err.contains("--fast"), "{err}");
+        // The cache opens in the output directory unless --no-cache says no.
+        let out = std::env::temp_dir().join(format!("wlan_args_test_{}", std::process::id()));
+        let vars = [("WLAN_REPRO_OUT", out.to_str().unwrap())];
+        let cached = config(&["bin"], &vars).unwrap();
+        assert_eq!(cached.ctx.cache.as_ref().unwrap().dir(), out.join(".cache"));
+        let uncached = config(&["bin", "--no-cache"], &vars).unwrap();
+        assert!(uncached.ctx.cache.is_none());
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn thread_count_parsing_honours_env_value() {
+        assert_eq!(knobs(&[("WLAN_THREADS", "3")]).unwrap().threads, 3);
+        assert!(knobs(&[]).unwrap().threads >= 1, "default: every core");
+        for bad in ["0", "not a number", ""] {
+            let err = knobs(&[("WLAN_THREADS", bad)]).unwrap_err();
+            assert!(err.starts_with("WLAN_THREADS="), "{err}");
+        }
+        let cfg = config(&["bin", "--no-cache"], &[("WLAN_THREADS", "5")]).unwrap();
+        assert_eq!(cfg.ctx.threads, 5, "the knob reaches the context");
+    }
+
+    #[test]
+    fn attempt_budget_parsing_honours_env_value() {
+        assert_eq!(knobs(&[]).unwrap().attempts, 1 + DEFAULT_JOB_RETRIES);
+        let attempts = |v| knobs(&[("WLAN_JOB_RETRIES", v)]).map(|k| k.attempts);
+        assert_eq!(attempts("0"), Ok(1), "0 retries = 1 attempt");
+        assert_eq!(attempts("5"), Ok(6));
+        assert!(attempts("nope")
+            .unwrap_err()
+            .starts_with("WLAN_JOB_RETRIES="));
+        assert!(attempts("-1").is_err());
+    }
+
+    #[test]
+    fn every_malformed_knob_is_an_error_naming_it() {
+        for (name, bad) in [
+            ("WLAN_HEARTBEAT_SECS", "soon"),
+            ("WLAN_JOB_TIMEOUT_SECS", "-3"),
+            ("WLAN_JOB_TIMEOUT_SECS", "NaN"),
+            ("WLAN_FAULT_PLAN", "teleport=1"),
+        ] {
+            let err = knobs(&[(name, bad)]).unwrap_err();
+            assert!(err.starts_with(&format!("{name}=")), "{err}");
+        }
+        let k = knobs(&[
+            ("WLAN_HEARTBEAT_SECS", "0"),
+            ("WLAN_JOB_TIMEOUT_SECS", "1.5"),
+            ("WLAN_FAULT_PLAN", "seed=7;job_panic=1x2"),
+            ("WLAN_METRICS", "TRUE"),
+        ])
+        .unwrap();
+        assert_eq!(k.heartbeat, None, "0 turns heartbeats off");
+        assert_eq!(k.job_timeout, Some(Duration::from_millis(1500)));
+        assert_eq!(k.faults.seed(), 7);
+        assert!(k.telemetry);
+        let ctx = k.context(2, None);
+        assert!(ctx.telemetry && ctx.faults == k.faults && ctx.threads == 2);
     }
 
     #[test]
     fn dat_files_are_written() {
-        std::env::set_var(
-            "WLAN_REPRO_OUT",
-            std::env::temp_dir().join("wlan_repro_test"),
-        );
-        write_dat("unit_test.dat", "a b", &[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let path = out_dir().join("unit_test.dat");
-        let text = std::fs::read_to_string(path).unwrap();
+        let out = std::env::temp_dir().join("wlan_repro_test");
+        let vars = [("WLAN_REPRO_OUT", out.to_str().unwrap())];
+        let cfg = config(&["bin", "--no-cache"], &vars).unwrap();
+        cfg.write_dat("unit_test.dat", "a b", &[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let text = std::fs::read_to_string(out.join("unit_test.dat")).unwrap();
         assert!(text.starts_with("# a b\n"));
         assert!(text.contains("3.000000 4.000000"));
-        std::env::remove_var("WLAN_REPRO_OUT");
     }
 }

@@ -3,8 +3,9 @@
 //! The experiment harness that regenerates every figure and table of the
 //! paper's evaluation, plus criterion performance benches and ablations.
 //!
-//! * [`harness`] — run configuration (quick vs full), output files, shared
-//!   throughput-vs-N sweeps.
+//! * [`harness`] — the `WLAN_*` knob parser, run configuration (quick vs
+//!   full, the campaign run context), output files, shared throughput-vs-N
+//!   sweeps.
 //! * [`experiments`] — one function per figure/table (`fig01` … `fig13`,
 //!   `table1` … `table3`).
 //!

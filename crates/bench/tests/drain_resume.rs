@@ -291,3 +291,32 @@ fn unusable_cache_dir_degrades_to_compute_only() {
     let _ = std::fs::remove_file(&blocker);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
+
+/// An unknown flag is a configuration error: the server exits nonzero
+/// before any job runs and prints no job line.
+#[test]
+fn unknown_flag_exits_nonzero_before_any_job() {
+    let (cache, ckpt) = (temp_dir("bogus_cache"), temp_dir("bogus_ckpt"));
+    let mut child = server()
+        .arg("--bogus")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn campaign_server");
+    // The server may exit before it reads the spec, so the write may fail.
+    let _ = child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(spec(&cache, &ckpt, "").as_bytes());
+    let output = child.wait_with_output().expect("collect server output");
+    assert!(
+        !output.status.success(),
+        "an unknown flag must fail the run"
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.is_empty(), "no job may run: {stdout}");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--bogus"));
+    assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
+}

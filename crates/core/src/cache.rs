@@ -34,12 +34,11 @@
 //!
 //! ## Wiring
 //!
-//! [`crate::run_scenarios`] consults the process-global cache — set
-//! explicitly with [`install`], or from the `WLAN_CACHE_DIR` environment
-//! variable with [`install_from_env`]. Nothing is cached unless one of those
-//! ran: library users and tests are unaffected by default. For explicit
-//! control (and for tests) use [`crate::run_scenarios_cached`] with a local
-//! [`ResultCache`].
+//! A cache is a plain handle; nothing in this module is process-wide. A
+//! [`crate::RunContext`] whose `cache` field holds one serves its jobs'
+//! hits from disk and stores the misses it computes; a context without one
+//! (the default) caches nothing. The binaries open the handle from
+//! `WLAN_CACHE_DIR` or their output directory.
 //!
 //! ## Degradation
 //!
@@ -47,16 +46,15 @@
 //! miss (the job recomputes), and the first failed store flips the handle
 //! into *degraded* mode — one warning on stderr, then compute-only
 //! operation from the caller's side. The deterministic fault injector
-//! ([`crate::fault`]) can trip the `cache_read` / `cache_write` sites to
+//! ([`crate::fault`]) trips the `cache_read` / `cache_write` sites in front
+//! of [`crate::RunContext::lookup`] / [`crate::RunContext::store`] to
 //! exercise exactly these paths.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::fault::{self, FaultSite};
 use crate::scenario::{Scenario, ScenarioResult};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Engine code-version fingerprint folded into every cache key.
 ///
@@ -122,25 +120,20 @@ impl ResultCache {
     /// truncated or hand-edited file — counts as a miss and leaves the entry
     /// to be overwritten by the recompute's [`store`](Self::store).
     pub fn lookup(&self, key: &str) -> Option<ScenarioResult> {
-        // An injected cache_read fault models a read I/O error, which — like
-        // every other read failure — is simply a miss.
-        if fault::trips(FaultSite::CacheRead, key, 0) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            crate::metrics::global().record_cache_miss();
-            return None;
-        }
-        match self.read_verified(key) {
-            Some(result) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::global().record_cache_hit();
-                Some(result)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::global().record_cache_miss();
-                None
-            }
-        }
+        let result = self.read_verified(key);
+        let counter = if result.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result
+    }
+
+    /// Count a lookup that failed before reaching the disk (an injected
+    /// `cache_read` fault): a miss like any other.
+    pub(crate) fn note_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     fn read_verified(&self, key: &str) -> Option<ScenarioResult> {
@@ -168,11 +161,6 @@ impl ResultCache {
     /// Store `result` under `key` (atomic temp-file + rename; an existing
     /// entry — e.g. a corrupt one that just missed — is replaced).
     pub fn store(&self, key: &str, result: &ScenarioResult) -> std::io::Result<()> {
-        if fault::trips(FaultSite::CacheWrite, key, 0) {
-            return Err(std::io::Error::other(format!(
-                "injected fault: cache_write (key {key})"
-            )));
-        }
         let result_value = result.to_value();
         let entry = Value::Map(vec![
             ("key".to_string(), Value::Str(key.to_string())),
@@ -196,10 +184,9 @@ impl ResultCache {
     /// Record a failed [`store`](Self::store): the first failure per handle
     /// logs one warning on stderr (read-only directory, disk full, injected
     /// `cache_write` fault — all look the same here); later failures are
-    /// counted silently. Campaigns call this instead of aborting, so a broken
-    /// cache degrades to compute-only.
-    pub fn note_degraded(&self, key: &str, err: &std::io::Error) {
-        crate::metrics::global().record_cache_degraded();
+    /// counted silently. [`crate::RunContext::store`] calls this instead of
+    /// aborting, so a broken cache degrades to compute-only.
+    pub(crate) fn note_degraded(&self, key: &str, err: &std::io::Error) {
         if self.store_failures.fetch_add(1, Ordering::Relaxed) == 0 {
             crate::metrics::warn(&format!(
                 "result cache at {} is unwritable ({err}) — \
@@ -214,7 +201,7 @@ impl ResultCache {
         self.store_failures.load(Ordering::Relaxed) > 0
     }
 
-    /// Number of failed stores recorded via [`note_degraded`](Self::note_degraded).
+    /// Number of failed stores recorded on this handle.
     pub fn store_failures(&self) -> u64 {
         self.store_failures.load(Ordering::Relaxed)
     }
@@ -300,52 +287,12 @@ fn canonical(value: &Value, out: &mut String) {
     }
 }
 
-static GLOBAL: OnceLock<ResultCache> = OnceLock::new();
-
-/// Install `cache` as the process-global cache consulted by
-/// [`crate::run_scenarios`]. First install wins — a later call leaves the
-/// existing global in place and returns it.
-pub fn install(cache: ResultCache) -> &'static ResultCache {
-    let _ = GLOBAL.set(cache);
-    match GLOBAL.get() {
-        Some(cache) => cache,
-        // `set` either succeeded or found the cell already populated; a
-        // populated OnceLock can never read back empty.
-        None => unreachable!("global cache was just installed"),
-    }
-}
-
-/// The process-global cache, if one was installed.
-pub fn installed() -> Option<&'static ResultCache> {
-    GLOBAL.get()
-}
-
-/// Install the global cache from the `WLAN_CACHE_DIR` environment variable
-/// (no-op returning `None` when unset; an already installed global wins as
-/// in [`install`]). An unopenable directory logs one warning and returns
-/// `None` — the campaign runs compute-only instead of aborting.
-pub fn install_from_env() -> Option<&'static ResultCache> {
-    if let Some(cache) = installed() {
-        return Some(cache);
-    }
-    let dir = std::env::var("WLAN_CACHE_DIR").ok()?;
-    match ResultCache::open(&dir) {
-        Ok(cache) => Some(install(cache)),
-        Err(e) => {
-            crate::metrics::warn(&format!(
-                "WLAN_CACHE_DIR={dir} is unusable ({e}) — running without cache"
-            ));
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, FaultSite};
     use crate::protocol::Protocol;
     use crate::scenario::TopologySpec;
 
@@ -402,7 +349,7 @@ mod tests {
 
     #[test]
     fn open_on_a_regular_file_path_is_an_error() {
-        let path = std::env::temp_dir().join(format!("wlan_cache_file_{}", std::process::id()));
+        let path = crate::scratch_path("wlan_cache_file");
         std::fs::write(&path, "not a directory").unwrap();
         assert!(ResultCache::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
@@ -410,42 +357,39 @@ mod tests {
 
     #[test]
     fn injected_write_fault_fails_store_and_read_fault_forces_miss() {
-        let dir = std::env::temp_dir().join(format!("wlan_cache_fault_{}", std::process::id()));
+        let dir = crate::scratch_path("wlan_cache_fault");
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
+        let mut ctx = crate::RunContext::new(1);
+        ctx.cache = Some(ResultCache::open(&dir).unwrap());
         let s = scenario();
         let result = s.run();
         let key = job_key(&s);
 
-        {
-            let _guard = crate::fault::scoped(
-                FaultPlan::builder(3)
-                    .site(FaultSite::CacheWrite, 1.0, None)
-                    .build(),
-            );
-            let err = cache
-                .store(&key, &result)
-                .expect_err("write fault must trip");
-            assert!(err.to_string().contains("injected fault"));
-            assert!(!cache.degraded(), "store() itself never flips degradation");
-            cache.note_degraded(&key, &err);
-            cache.note_degraded(&key, &err);
-            assert!(cache.degraded());
-            assert_eq!(cache.store_failures(), 2, "counted, warned once");
-        }
+        ctx.faults = FaultPlan::builder(3)
+            .site(FaultSite::CacheWrite, 1.0, None)
+            .build();
+        ctx.store(&key, &result);
+        ctx.store(&key, &result);
+        let cache = ctx.cache.as_ref().unwrap();
+        assert!(
+            cache.degraded(),
+            "an injected write fault degrades the handle"
+        );
+        assert_eq!(cache.store_failures(), 2, "counted, warned once");
+        assert!(cache.lookup(&key).is_none(), "nothing was written");
 
         // Fault cleared: the store lands and a read fault then hides it.
-        cache.store(&key, &result).unwrap();
-        assert!(cache.lookup(&key).is_some());
-        {
-            let _guard = crate::fault::scoped(
-                FaultPlan::builder(3)
-                    .site(FaultSite::CacheRead, 1.0, None)
-                    .build(),
-            );
-            assert!(cache.lookup(&key).is_none(), "read fault is a miss");
-        }
-        assert!(cache.lookup(&key).is_some(), "entry intact after the fault");
+        ctx.faults = FaultPlan::default();
+        ctx.store(&key, &result);
+        assert!(ctx.lookup(&key).is_some());
+        ctx.faults = FaultPlan::builder(3)
+            .site(FaultSite::CacheRead, 1.0, None)
+            .build();
+        let misses = ctx.cache.as_ref().unwrap().stats().misses;
+        assert!(ctx.lookup(&key).is_none(), "read fault is a miss");
+        assert_eq!(ctx.cache.as_ref().unwrap().stats().misses, misses + 1);
+        ctx.faults = FaultPlan::default();
+        assert!(ctx.lookup(&key).is_some(), "entry intact after the fault");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,22 +10,32 @@
 //! module guarantees by pre-expanding the grid into an indexed job list and
 //! writing each worker's result into the slot of the job it claimed.
 //!
+//! ## Run context
+//!
+//! Everything a run depends on besides its scenarios is one explicit
+//! [`RunContext`] value: the worker count and attempt budget, an optional
+//! [`ResultCache`], a [`FaultPlan`], a [`MetricsRegistry`], and the
+//! telemetry and heartbeat settings. The library keeps no process-global run
+//! state and reads no environment variable, so two contexts running at the
+//! same time — two tests, say — never see each other's cache, faults or
+//! counters. The binaries build their context from the `WLAN_*` knobs.
+//!
 //! ## Supervision
 //!
 //! Every job runs under [`std::panic::catch_unwind`]: a panicking job (a
 //! real bug, or an injected [`crate::fault`] fault) is retried up to
-//! [`max_job_attempts`] times with a deterministic backoff, and a job that
-//! exhausts its attempts is **quarantined** into a structured
+//! [`RunContext::attempts`] times with a deterministic backoff, and a job
+//! that exhausts its attempts is **quarantined** into a structured
 //! [`JobError`] slot instead of tearing down the whole pool. Retries never
 //! perturb anything: each job owns all of its randomness, so a retry is a
 //! pure re-execution, and results are collected by slot index, so the
 //! output order — and the output bytes of every healthy job — are identical
-//! to a fault-free serial run. [`run_scenarios_checked`] exposes the per-job
-//! `Result`s; [`run_scenarios`] keeps the historical infallible signature
-//! (it panics, after the pool has fully drained, if any job was quarantined).
+//! to a fault-free serial run. [`RunContext::run_checked`] exposes the
+//! per-job `Result`s; [`RunContext::run`] keeps the infallible signature (it
+//! panics, after the pool has fully drained, if any job was quarantined).
 //!
 //! ```
-//! use wlan_core::{Campaign, Protocol, TopologySpec};
+//! use wlan_core::{Campaign, Protocol, RunContext, TopologySpec};
 //! use wlan_sim::SimDuration;
 //!
 //! let outcome = Campaign::new()
@@ -35,24 +45,24 @@
 //!     .seeds(&[1, 2])
 //!     .warmups(SimDuration::from_millis(100), SimDuration::from_millis(100))
 //!     .measure(SimDuration::from_millis(200))
-//!     .threads(2)
-//!     .run();
+//!     .run(&RunContext::new(2));
 //! assert_eq!(outcome.cells.len(), 4); // 2 protocols × 1 topology × 2 N
 //! assert!(outcome.report().cells[0].mean_mbps > 0.0);
 //! ```
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::cache::ResultCache;
+use crate::cache::{job_key, ResultCache};
 use crate::error::{CampaignError, JobError};
-use crate::fault::{self, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
+use crate::metrics::MetricsRegistry;
 use crate::protocol::Protocol;
 use crate::scenario::{Scenario, ScenarioResult, TopologySpec};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
-use wlan_sim::{SimDuration, TrafficSpec};
+use std::time::{Duration, Instant};
+use wlan_sim::{SimDuration, Simulator, TrafficSpec};
 
 // The campaign executor moves scenarios and results across threads; these
 // compile-time assertions are the "is everything Send?" audit the pool relies
@@ -66,52 +76,19 @@ const _: () = {
     assert_send::<JobError>();
 };
 
-/// Number of worker threads to use when none is requested explicitly: the
-/// `WLAN_THREADS` environment variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if even that is unavailable).
-pub fn default_threads() -> usize {
-    threads_from(std::env::var("WLAN_THREADS").ok().as_deref())
-}
-
-/// [`default_threads`] with the `WLAN_THREADS` value passed in (testable
-/// without mutating the process environment).
-fn threads_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// Retries granted to a panicking job beyond its first attempt, when the
-/// `WLAN_JOB_RETRIES` environment variable does not override it.
+/// Retries granted to a panicking job beyond its first attempt by
+/// [`RunContext::new`] (the binaries' `WLAN_JOB_RETRIES` overrides it).
 pub const DEFAULT_JOB_RETRIES: u32 = 2;
-
-/// Total attempts the supervised pool gives each job: 1 initial run plus
-/// `WLAN_JOB_RETRIES` retries (default [`DEFAULT_JOB_RETRIES`]). A job that
-/// panics on every attempt is quarantined as [`JobError::Panicked`].
-pub fn max_job_attempts() -> u32 {
-    attempts_from(std::env::var("WLAN_JOB_RETRIES").ok().as_deref())
-}
-
-/// [`max_job_attempts`] with the `WLAN_JOB_RETRIES` value passed in.
-fn attempts_from(var: Option<&str>) -> u32 {
-    1 + var
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(DEFAULT_JOB_RETRIES)
-}
 
 /// Deterministic backoff before retry `attempt` (1-based): doubling from
 /// 1 ms, capped at 50 ms. Purely a wall-clock pause — it cannot influence
 /// results, which depend only on the scenario's own seed.
-fn retry_backoff(attempt: u32) -> Duration {
+pub fn retry_backoff(attempt: u32) -> Duration {
     Duration::from_millis((1u64 << attempt.min(6)).min(50))
 }
 
 /// Extract a printable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -121,286 +98,305 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one job under supervision: pre-flight validation, panic isolation,
-/// bounded deterministic retries, and fault injection at the `job_panic` /
-/// `worker_stall` sites of the active [`crate::fault::FaultPlan`] (scoped by
-/// the job's content-addressed cache key, so the schedule is independent of
-/// thread scheduling).
-fn run_one_supervised(scenario: &Scenario, attempts: u32) -> Result<ScenarioResult, JobError> {
-    let metrics = crate::metrics::global();
-    if let Err(e) = scenario.validate() {
-        metrics.record_job_failure();
-        return Err(JobError::InvalidScenario(e));
-    }
-    let plan = fault::active();
-    let scope = plan
-        .as_ref()
-        .filter(|p| {
-            p.site(FaultSite::JobPanic).is_some() || p.site(FaultSite::WorkerStall).is_some()
-        })
-        .map(|_| crate::cache::job_key(scenario));
-    let mut last_panic = String::new();
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            metrics.record_retry();
-            std::thread::sleep(retry_backoff(attempt));
+/// Everything a campaign run depends on besides its scenarios.
+///
+/// The caller owns one value per run; the pool, [`Campaign::run`] and
+/// `campaign_server` read their settings from it and count into its
+/// registry. No field can change a result's bytes, except that `telemetry`
+/// adds the optional controller-telemetry section.
+#[derive(Debug)]
+pub struct RunContext {
+    /// Worker threads (`0` counts as 1). Results are bit-identical for
+    /// every value.
+    pub threads: usize,
+    /// Attempts per job: 1 initial run plus retries (`0` counts as 1). A job
+    /// that panics on every attempt is quarantined as [`JobError::Panicked`].
+    pub attempts: u32,
+    /// The result cache: hits are served from disk and computed misses
+    /// stored. `None` caches nothing.
+    pub cache: Option<ResultCache>,
+    /// Injected faults; the empty plan injects none.
+    pub faults: FaultPlan,
+    /// The counters every run on this context adds to.
+    pub metrics: MetricsRegistry,
+    /// Kernel dispatch counters on every job (folded into `metrics`) and the
+    /// controller-telemetry section on every result.
+    pub telemetry: bool,
+    /// Period of the heartbeat line on stderr while a run is in flight;
+    /// `None` is off.
+    pub heartbeat: Option<Duration>,
+}
+
+impl RunContext {
+    /// A context on `threads` workers with `1 + DEFAULT_JOB_RETRIES`
+    /// attempts per job and nothing else: no cache, no faults, no
+    /// telemetry, no heartbeat.
+    pub fn new(threads: usize) -> Self {
+        RunContext {
+            threads,
+            attempts: 1 + DEFAULT_JOB_RETRIES,
+            cache: None,
+            faults: FaultPlan::default(),
+            metrics: MetricsRegistry::default(),
+            telemetry: false,
+            heartbeat: None,
         }
-        if let (Some(plan), Some(scope)) = (plan.as_deref(), scope.as_deref()) {
-            if plan.should_fault(FaultSite::WorkerStall, scope, attempt) {
-                std::thread::sleep(plan.stall());
+    }
+
+    /// Run every scenario and return the results **in input order**,
+    /// bit-identical to running them serially.
+    ///
+    /// Panics — after every job has been given its full retry budget and
+    /// every healthy result collected — if any job was quarantined; use
+    /// [`run_checked`](Self::run_checked) to handle failures as values.
+    pub fn run(&self, scenarios: &[Scenario]) -> Vec<ScenarioResult> {
+        let mut out = Vec::with_capacity(scenarios.len());
+        let mut failures = Vec::new();
+        for (i, result) in self.run_checked(scenarios).into_iter().enumerate() {
+            match result {
+                Ok(r) => out.push(r),
+                Err(e) => failures.push((i, e)),
             }
         }
-        let started = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let (Some(plan), Some(scope)) = (plan.as_deref(), scope.as_deref()) {
-                if plan.should_fault(FaultSite::JobPanic, scope, attempt) {
-                    panic!("injected fault: job_panic (scope {scope}, attempt {attempt})");
+        if !failures.is_empty() {
+            panic!("campaign failed: {}", CampaignError { failures });
+        }
+        out
+    }
+
+    /// One `Result` per scenario, in input order. A quarantined job occupies
+    /// its own error slot; every other job's result is bit-identical to a
+    /// run in which the failure never happened.
+    ///
+    /// With a cache, hits are served from disk and only the misses run on the
+    /// pool (in their original relative order); healthy fresh results are
+    /// stored. The results are bit-identical either way, because the cache
+    /// stores exactly what the engine produced.
+    pub fn run_checked(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
+        if self.cache.is_none() {
+            return self.run_pool(scenarios);
+        }
+        let keys: Vec<String> = scenarios.iter().map(job_key).collect();
+        let mut out: Vec<Option<Result<ScenarioResult, JobError>>> =
+            keys.iter().map(|k| self.lookup(k).map(Ok)).collect();
+        let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+        if !missing.is_empty() {
+            let jobs: Vec<Scenario> = missing.iter().map(|&i| scenarios[i].clone()).collect();
+            for (&i, result) in missing.iter().zip(self.run_pool(&jobs)) {
+                if let Ok(result) = &result {
+                    self.store(&keys[i], result);
                 }
+                out[i] = Some(result);
             }
-            scenario.run_counted()
-        }));
-        match outcome {
-            Ok((result, events)) => {
-                metrics.record_job(events, started.elapsed());
-                return Ok(result);
-            }
-            Err(payload) => last_panic = panic_message(payload),
+        }
+        out.into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| unreachable!("every slot is a hit or a computed miss"))
+            })
+            .collect()
+    }
+
+    /// The cached result for `key` (`None` without a cache). An injected
+    /// `cache_read` fault models a read I/O error, which — like every other
+    /// read failure — is a miss, counted on the handle.
+    pub fn lookup(&self, key: &str) -> Option<ScenarioResult> {
+        let cache = self.cache.as_ref()?;
+        if self.faults.should_fault(FaultSite::CacheRead, key, 0) {
+            cache.note_miss();
+            return None;
+        }
+        cache.lookup(key)
+    }
+
+    /// Store `result` under `key` in the cache, if there is one. A failed
+    /// store — read-only directory, disk full, or an injected `cache_write`
+    /// fault — only loses the entry: the handle degrades (one warning, later
+    /// failures counted silently) and the run continues compute-only.
+    pub fn store(&self, key: &str, result: &ScenarioResult) {
+        let Some(cache) = &self.cache else {
+            return;
+        };
+        let stored = if self.faults.should_fault(FaultSite::CacheWrite, key, 0) {
+            Err(std::io::Error::other(format!(
+                "injected fault: cache_write (key {key})"
+            )))
+        } else {
+            cache.store(key, result)
+        };
+        if let Err(e) = stored {
+            cache.note_degraded(key, &e);
         }
     }
-    metrics.record_quarantine();
-    metrics.record_job_failure();
-    Err(JobError::Panicked {
-        attempts: attempts.max(1),
-        message: last_panic,
-    })
-}
 
-/// Run a list of independent scenarios on `threads` workers and return the
-/// results **in input order**, bit-identical to running them serially.
-///
-/// The pool is deliberately simple: workers claim the next unclaimed job via
-/// an atomic counter (dynamic load balancing, like a work-stealing deque with
-/// a single shared queue) and write the result into that job's dedicated
-/// slot. Scheduling order therefore never influences output order, and each
-/// job's determinism comes from the scenario owning all of its randomness.
-///
-/// When a process-global [`ResultCache`] is installed
-/// ([`crate::cache::install`] / [`crate::cache::install_from_env`]), jobs
-/// whose key is already cached are served from disk and only the misses run
-/// on the pool — the results are bit-identical either way, because the cache
-/// stores exactly what the engine produced. No global installed (the
-/// default) means no caching and no behaviour change.
-///
-/// Panics — after every job has been given its full retry budget and every
-/// healthy result collected — if any job was quarantined; use
-/// [`try_run_scenarios`] or [`run_scenarios_checked`] to handle failures as
-/// values.
-pub fn run_scenarios(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
-    match try_run_scenarios(scenarios, threads) {
-        Ok(results) => results,
-        Err(e) => panic!("campaign failed: {e}"),
-    }
-}
-
-/// [`run_scenarios`], but a quarantined job is an `Err` value instead of a
-/// panic: all healthy results are returned and the failures listed by input
-/// index.
-pub fn try_run_scenarios(
-    scenarios: &[Scenario],
-    threads: usize,
-) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let checked = match crate::cache::installed() {
-        Some(cache) => run_scenarios_cached_checked(scenarios, threads, cache),
-        None => run_scenarios_checked(scenarios, threads),
-    };
-    collect_checked(checked)
-}
-
-/// Fold per-job results into all-or-error form (healthy results in input
-/// order, or the ascending-index failure list).
-fn collect_checked(
-    checked: Vec<Result<ScenarioResult, JobError>>,
-) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let mut out = Vec::with_capacity(checked.len());
-    let mut failures = Vec::new();
-    for (i, result) in checked.into_iter().enumerate() {
-        match result {
-            Ok(r) => out.push(r),
-            Err(e) => failures.push((i, e)),
+    /// Build `scenario`'s simulator, with the kernel's dispatch counters on
+    /// when `telemetry` is.
+    pub fn build(&self, scenario: &Scenario) -> Simulator {
+        let mut sim = scenario.build_simulator();
+        if self.telemetry {
+            sim.enable_metrics();
         }
+        sim
     }
-    if failures.is_empty() {
-        Ok(out)
-    } else {
-        Err(CampaignError { failures })
-    }
-}
 
-/// Run `body` with a heartbeat thread alongside it when `WLAN_HEARTBEAT_SECS`
-/// is set: one JSON line on stderr per period —
-/// `{"heartbeat":<unix_secs>,"claimed":N,"done":N,"errors":N}` — where
-/// `claimed` reads the pool's job-claim counter. Off by default (unset or
-/// `0`), in which case `body` runs with zero added machinery. The heartbeat
-/// thread only reads atomics and the metrics registry; it cannot influence
-/// job scheduling or results.
-fn with_heartbeat<R>(claimed: &AtomicUsize, total: usize, body: impl FnOnce() -> R) -> R {
-    let Some(period) = crate::metrics::heartbeat_period() else {
-        return body();
-    };
-    let stop = Mutex::new(false);
-    let stopped = Condvar::new();
-    std::thread::scope(|scope| {
-        let beat = scope.spawn(|| {
-            let mut guard = stop.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                let (next_guard, _timeout) = stopped
-                    .wait_timeout(guard, period)
-                    .unwrap_or_else(PoisonError::into_inner);
-                guard = next_guard;
-                if *guard {
-                    break;
-                }
-                let line = crate::metrics::global().snapshot().heartbeat_line(
-                    crate::metrics::unix_secs(),
-                    claimed.load(Ordering::Relaxed).min(total) as u64,
-                );
-                crate::metrics::emit_heartbeat(&line);
-            }
-        });
-        let result = body();
-        *stop.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        stopped.notify_all();
-        let _ = beat.join();
-        result
-    })
-}
-
-/// The supervised thread-pool executor: one `Result` per input scenario, in
-/// input order. A quarantined job occupies its own error slot; every other
-/// job's result is bit-identical to a run in which the failure never
-/// happened. Does not consult the result cache — see
-/// [`run_scenarios_cached_checked`].
-pub fn run_scenarios_checked(
-    scenarios: &[Scenario],
-    threads: usize,
-) -> Vec<Result<ScenarioResult, JobError>> {
-    let n = scenarios.len();
-    let attempts = max_job_attempts();
-    let next = AtomicUsize::new(0);
-    if threads <= 1 || n <= 1 {
-        return with_heartbeat(&next, n, || {
-            scenarios
-                .iter()
-                .map(|s| {
-                    next.fetch_add(1, Ordering::Relaxed);
-                    run_one_supervised(s, attempts)
-                })
-                .collect()
-        });
+    /// Summarise a simulator that [`build`](Self::build) made and the caller
+    /// ran to the scenario's end, folding its kernel report (if telemetry is
+    /// on) into `metrics`.
+    pub fn collect(&self, scenario: &Scenario, sim: &Simulator) -> ScenarioResult {
+        if let Some(report) = sim.metrics_report() {
+            self.metrics.record_engine_report(&report);
+        }
+        scenario.collect_with_telemetry(sim, self.telemetry)
     }
-    type Slot = Mutex<Option<Result<ScenarioResult, JobError>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    with_heartbeat(&next, n, || {
+
+    /// Run `body` with a heartbeat thread alongside it when `heartbeat` is
+    /// set: one JSON line on stderr per period —
+    /// `{"heartbeat":<unix_secs>,"claimed":N,"done":N,"errors":N}` — where
+    /// `claimed` is read from the caller's job-claim counter. Off, `body`
+    /// runs with zero added machinery. The heartbeat thread only reads the
+    /// counter and the registry; it cannot influence job scheduling or
+    /// results.
+    pub fn with_heartbeat<R>(
+        &self,
+        claimed: impl Fn() -> u64 + Sync,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        let Some(period) = self.heartbeat else {
+            return body();
+        };
+        let stop = Mutex::new(false);
+        let stopped = Condvar::new();
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+            let beat = scope.spawn(|| {
+                let mut guard = stop.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    let (next_guard, _timeout) = stopped
+                        .wait_timeout(guard, period)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    guard = next_guard;
+                    if *guard {
                         break;
                     }
-                    // run_one_supervised never unwinds (panics are caught and
-                    // converted), so a worker can never poison a slot or tear
-                    // down the scope.
-                    let result = run_one_supervised(&scenarios[i], attempts);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        })
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Some(result) => result,
-                // Every index below `n` is claimed exactly once and the
-                // claiming worker always stores before looping.
-                None => unreachable!("campaign pool left an unfilled result slot"),
-            }
-        })
-        .collect()
-}
-
-/// [`run_scenarios_checked`] against an explicit [`ResultCache`]: serve
-/// cached jobs from disk, run only the misses on the supervised pool (in
-/// their original relative order), store the healthy fresh results, and
-/// return everything in input order.
-///
-/// Cache degradation is graceful by design: a failed read is a miss (the job
-/// recomputes), and a failed store — read-only directory, disk full, or an
-/// injected `cache_write` fault — logs **one** warning per cache handle and
-/// the campaign continues compute-only. A broken cache can never abort a
-/// campaign or change its results.
-pub fn run_scenarios_cached_checked(
-    scenarios: &[Scenario],
-    threads: usize,
-    cache: &ResultCache,
-) -> Vec<Result<ScenarioResult, JobError>> {
-    let keys: Vec<String> = scenarios.iter().map(crate::cache::job_key).collect();
-    let mut out: Vec<Option<Result<ScenarioResult, JobError>>> =
-        keys.iter().map(|k| cache.lookup(k).map(Ok)).collect();
-    let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-    if !missing.is_empty() {
-        let jobs: Vec<Scenario> = missing.iter().map(|&i| scenarios[i].clone()).collect();
-        let fresh = run_scenarios_checked(&jobs, threads);
-        for (&i, result) in missing.iter().zip(fresh) {
-            if let Ok(result) = &result {
-                // A failed store only loses the cache entry, never the result.
-                if let Err(e) = cache.store(&keys[i], result) {
-                    cache.note_degraded(&keys[i], &e);
+                    let line = self
+                        .metrics
+                        .snapshot(None)
+                        .heartbeat_line(crate::metrics::unix_secs(), claimed());
+                    crate::metrics::emit_heartbeat(&line);
                 }
-            }
-            out[i] = Some(result);
+            });
+            let result = body();
+            *stop.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            stopped.notify_all();
+            let _ = beat.join();
+            result
+        })
+    }
+
+    /// The supervised thread pool, without the cache.
+    ///
+    /// The pool is deliberately simple: workers claim the next unclaimed job
+    /// via an atomic counter (dynamic load balancing, like a work-stealing
+    /// deque with a single shared queue) and write the result into that
+    /// job's dedicated slot. Scheduling order therefore never influences
+    /// output order, and each job's determinism comes from the scenario
+    /// owning all of its randomness.
+    fn run_pool(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
+        let n = scenarios.len();
+        let next = AtomicUsize::new(0);
+        let claimed = || next.load(Ordering::Relaxed).min(n) as u64;
+        if self.threads <= 1 || n <= 1 {
+            return self.with_heartbeat(claimed, || {
+                scenarios
+                    .iter()
+                    .map(|s| {
+                        next.fetch_add(1, Ordering::Relaxed);
+                        self.run_one(s)
+                    })
+                    .collect()
+            });
         }
+        type Slot = Mutex<Option<Result<ScenarioResult, JobError>>>;
+        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.with_heartbeat(claimed, || {
+            std::thread::scope(|scope| {
+                for _ in 0..self.threads.min(n) {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // run_one never unwinds (panics are caught and
+                        // converted), so a worker can never poison a slot or
+                        // tear down the scope.
+                        let result = self.run_one(&scenarios[i]);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                    });
+                }
+            })
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    Some(result) => result,
+                    // Every index below `n` is claimed exactly once and the
+                    // claiming worker always stores before looping.
+                    None => unreachable!("campaign pool left an unfilled result slot"),
+                }
+            })
+            .collect()
     }
-    out.into_iter()
-        .map(|slot| match slot {
-            Some(result) => result,
-            None => unreachable!("every slot is a hit or a computed miss"),
-        })
-        .collect()
-}
 
-/// [`run_scenarios`] against an explicit [`ResultCache`] (panics if any job
-/// was quarantined, like [`run_scenarios`]).
-pub fn run_scenarios_cached(
-    scenarios: &[Scenario],
-    threads: usize,
-    cache: &ResultCache,
-) -> Vec<ScenarioResult> {
-    match collect_checked(run_scenarios_cached_checked(scenarios, threads, cache)) {
-        Ok(results) => results,
-        Err(e) => panic!("campaign failed: {e}"),
+    /// Run one job under supervision: pre-flight validation, panic
+    /// isolation, bounded deterministic retries, and the `job_panic` /
+    /// `worker_stall` fault sites of the context's plan (scoped by the job's
+    /// content-addressed cache key, so the schedule is independent of thread
+    /// scheduling).
+    fn run_one(&self, scenario: &Scenario) -> Result<ScenarioResult, JobError> {
+        if let Err(e) = scenario.validate() {
+            self.metrics.record_job_failure();
+            return Err(JobError::InvalidScenario(e));
+        }
+        let faults = &self.faults;
+        let scope = (!faults.is_empty()).then(|| job_key(scenario));
+        let trips = |site, attempt| {
+            scope
+                .as_deref()
+                .filter(|scope| faults.should_fault(site, scope, attempt))
+        };
+        let attempts = self.attempts.max(1);
+        let mut last_panic = String::new();
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                self.metrics.record_retry();
+                std::thread::sleep(retry_backoff(attempt));
+            }
+            if trips(FaultSite::WorkerStall, attempt).is_some() {
+                std::thread::sleep(faults.stall());
+            }
+            let started = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(scope) = trips(FaultSite::JobPanic, attempt) {
+                    panic!("injected fault: job_panic (scope {scope}, attempt {attempt})");
+                }
+                let mut sim = self.build(scenario);
+                scenario.advance_until(&mut sim, scenario.end_time());
+                (self.collect(scenario, &sim), sim.events_processed())
+            }));
+            match outcome {
+                Ok((result, events)) => {
+                    self.metrics.record_job(events, started.elapsed());
+                    return Ok(result);
+                }
+                Err(payload) => last_panic = panic_message(payload),
+            }
+        }
+        self.metrics.record_quarantine();
+        self.metrics.record_job_failure();
+        Err(JobError::Panicked {
+            attempts,
+            message: last_panic,
+        })
     }
-}
-
-/// Run the same scenario over several seeds on the shared pool (with
-/// [`default_threads`] workers) and return the per-seed results in seed order.
-pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Vec<ScenarioResult> {
-    run_seeds_parallel(base, seeds, default_threads())
-}
-
-/// [`run_seeds`] with an explicit worker count. `threads == 1` is the serial
-/// reference; any other count produces bit-identical results.
-pub fn run_seeds_parallel(base: &Scenario, seeds: &[u64], threads: usize) -> Vec<ScenarioResult> {
-    let scenarios: Vec<Scenario> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut s = base.clone();
-            s.seed = seed;
-            s
-        })
-        .collect();
-    run_scenarios(&scenarios, threads)
 }
 
 /// Declarative description of a grid of experiments: every combination of
@@ -418,7 +414,6 @@ pub struct Campaign {
     update_period: Option<SimDuration>,
     throughput_bin: Option<SimDuration>,
     traffic: Option<TrafficSpec>,
-    threads: Option<usize>,
 }
 
 impl Default for Campaign {
@@ -429,7 +424,7 @@ impl Default for Campaign {
 
 impl Campaign {
     /// An empty campaign with the paper's default durations (10 s warm-up for
-    /// every protocol class, 10 s measurement) and automatic thread count.
+    /// every protocol class, 10 s measurement).
     pub fn new() -> Self {
         Campaign {
             protocols: Vec::new(),
@@ -442,7 +437,6 @@ impl Campaign {
             update_period: None,
             throughput_bin: None,
             traffic: None,
-            threads: None,
         }
     }
 
@@ -509,12 +503,6 @@ impl Campaign {
         self
     }
 
-    /// Worker-thread count; defaults to [`default_threads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Expand the grid into concrete scenarios, in the deterministic job order
     /// (protocol-major, then topology, then N, then seed) that `run` collects in.
     pub fn jobs(&self) -> Vec<Scenario> {
@@ -548,14 +536,14 @@ impl Campaign {
         jobs
     }
 
-    /// Execute every job on the pool and fold the per-seed results into cells.
+    /// Execute every job under `ctx` and fold the per-seed results into
+    /// cells (panicking, like [`RunContext::run`], if any job was
+    /// quarantined).
     ///
     /// The outcome is independent of the thread count: jobs are collected in
     /// grid order and every aggregation below iterates in that order.
-    pub fn run(&self) -> CampaignOutcome {
-        let threads = self.threads.unwrap_or_else(default_threads);
-        let jobs = self.jobs();
-        let results = run_scenarios(&jobs, threads);
+    pub fn run(&self, ctx: &RunContext) -> CampaignOutcome {
+        let results = ctx.run(&self.jobs());
         let mut cells = Vec::new();
         let mut it = results.into_iter();
         for proto in &self.protocols {
@@ -573,7 +561,7 @@ impl Campaign {
                 }
             }
         }
-        CampaignOutcome { threads, cells }
+        CampaignOutcome { cells }
     }
 }
 
@@ -631,14 +619,10 @@ impl CampaignCell {
     }
 }
 
-/// Everything a finished campaign produced: the raw per-cell results plus the
-/// thread count it ran on. Derive the serialisable summary with
-/// [`CampaignOutcome::report`].
+/// Everything a finished campaign produced: the raw per-cell results. Derive
+/// the serialisable summary with [`CampaignOutcome::report`].
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
-    /// Worker threads the campaign ran on (reporting only — the results are
-    /// identical for every value).
-    pub threads: usize,
     /// One cell per protocol × topology × N combination, in grid order.
     pub cells: Vec<CampaignCell>,
 }
@@ -757,7 +741,7 @@ mod tests {
             .iter()
             .all(|j| j.traffic.is_saturated()));
         // A finite-load campaign's results all carry traffic summaries.
-        let outcome = campaign.threads(2).run();
+        let outcome = campaign.run(&RunContext::new(2));
         for cell in &outcome.cells {
             for r in &cell.results {
                 let t = r.traffic.as_ref().expect("finite-load result");
@@ -771,8 +755,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let serial = tiny_campaign().threads(1).run();
-        let parallel = tiny_campaign().threads(4).run();
+        let serial = tiny_campaign().run(&RunContext::new(1));
+        let parallel = tiny_campaign().run(&RunContext::new(4));
         assert_eq!(serial.cells.len(), parallel.cells.len());
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.n, b.n);
@@ -799,9 +783,9 @@ mod tests {
         )
         .durations(SimDuration::from_millis(100), SimDuration::from_millis(300))
         .seed(0);
-        let seeds = [1u64, 2, 3, 4, 5];
-        let serial = run_seeds_parallel(&base, &seeds, 1);
-        let parallel = run_seeds_parallel(&base, &seeds, 4);
+        let jobs: Vec<Scenario> = (1..=5u64).map(|seed| base.clone().seed(seed)).collect();
+        let serial = RunContext::new(1).run(&jobs);
+        let parallel = RunContext::new(4).run(&jobs);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.throughput_mbps.to_bits(), b.throughput_mbps.to_bits());
@@ -819,7 +803,7 @@ mod tests {
             4,
         )
         .durations(SimDuration::from_millis(50), SimDuration::from_millis(100));
-        let results = run_scenarios_checked(&[good.clone(), bad, good.clone()], 2);
+        let results = RunContext::new(2).run_checked(&[good.clone(), bad, good.clone()]);
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
@@ -832,18 +816,23 @@ mod tests {
         ));
         assert!(results[2].is_ok());
         // The healthy slots are bit-identical to a run without the bad job.
-        let clean = run_scenarios_checked(&[good.clone(), good], 1);
+        let clean = RunContext::new(1).run_checked(&[good.clone(), good]);
         let ok = |r: &Result<ScenarioResult, JobError>| {
             serde_json::to_string(r.as_ref().unwrap()).unwrap()
         };
         assert_eq!(ok(&results[0]), ok(&clean[0]));
         assert_eq!(ok(&results[2]), ok(&clean[1]));
-        // try_run_scenarios folds the same failure into a CampaignError.
+        // run folds the same failure into a CampaignError panic.
         let mut bad2 = Scenario::new(Protocol::Standard80211, TopologySpec::FullyConnected, 4);
         bad2.n = 0;
-        let err = try_run_scenarios(&[bad2], 1).expect_err("zero stations must fail");
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].0, 0);
+        let payload = std::panic::catch_unwind(|| RunContext::new(1).run(&[bad2]))
+            .expect_err("zero stations must fail");
+        let message = panic_message(payload);
+        assert!(
+            message.contains("1 campaign job(s) quarantined"),
+            "{message}"
+        );
+        assert!(message.contains("[job 0: invalid scenario"), "{message}");
     }
 
     #[test]
@@ -859,16 +848,17 @@ mod tests {
                 .seed(seed)
             })
             .collect();
-        let clean: Vec<String> = run_scenarios_checked(&jobs, 1)
+        let clean: Vec<String> = RunContext::new(1)
+            .run_checked(&jobs)
             .into_iter()
             .map(|r| serde_json::to_string(&r.unwrap()).unwrap())
             .collect();
         // Every attempt below the retry budget trips; the final one succeeds.
-        let plan = FaultPlan::builder(11)
-            .site(FaultSite::JobPanic, 1.0, Some(max_job_attempts() - 1))
+        let mut ctx = RunContext::new(2);
+        ctx.faults = FaultPlan::builder(11)
+            .site(FaultSite::JobPanic, 1.0, Some(ctx.attempts - 1))
             .build();
-        let _guard = crate::fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 2);
+        let faulted = ctx.run_checked(&jobs);
         for (r, expect) in faulted.into_iter().zip(&clean) {
             let r = r.expect("transient faults must be retried through");
             assert_eq!(&serde_json::to_string(&r).unwrap(), expect);
@@ -888,24 +878,26 @@ mod tests {
                 .seed(seed)
             })
             .collect();
-        let clean: Vec<String> = run_scenarios_checked(&jobs, 1)
+        let clean: Vec<String> = RunContext::new(1)
+            .run_checked(&jobs)
             .into_iter()
             .map(|r| serde_json::to_string(&r.unwrap()).unwrap())
             .collect();
         // Rate 0.5, unbounded: some jobs fault on every attempt (quarantined),
         // some recover. The plan itself predicts which, so assert exactness.
-        let plan = FaultPlan::builder(5)
+        let mut ctx = RunContext::new(2);
+        ctx.faults = FaultPlan::builder(5)
             .site(FaultSite::JobPanic, 0.5, None)
             .build();
-        let attempts = max_job_attempts();
+        let attempts = ctx.attempts;
         let expect_fail: Vec<bool> = jobs
             .iter()
             .map(|j| {
-                plan.faults_every_attempt(FaultSite::JobPanic, &crate::cache::job_key(j), attempts)
+                ctx.faults
+                    .faults_every_attempt(FaultSite::JobPanic, &job_key(j), attempts)
             })
             .collect();
-        let _guard = crate::fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 2);
+        let faulted = ctx.run_checked(&jobs);
         for ((r, &fail), expect) in faulted.into_iter().zip(&expect_fail).zip(&clean) {
             match r {
                 Ok(result) => {
@@ -923,7 +915,7 @@ mod tests {
 
     #[test]
     fn cell_stats_match_manual_aggregation() {
-        let outcome = tiny_campaign().threads(2).run();
+        let outcome = tiny_campaign().run(&RunContext::new(2));
         let cell = &outcome.cells[0];
         let stats = cell.stats();
         let xs = cell.throughputs_mbps();
@@ -952,10 +944,11 @@ mod tests {
 
     #[test]
     fn cached_runner_serves_second_pass_from_disk_bit_identically() {
-        let dir =
-            std::env::temp_dir().join(format!("wlan_campaign_cache_test_{}", std::process::id()));
+        let dir = crate::scratch_path("wlan_campaign_cache_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
+        let mut ctx = RunContext::new(2);
+        ctx.cache = Some(ResultCache::open(&dir).unwrap());
+        let stats = || ctx.cache.as_ref().unwrap().stats();
         let base = Scenario::new(
             Protocol::StaticPPersistent { p: 0.04 },
             TopologySpec::FullyConnected,
@@ -964,11 +957,11 @@ mod tests {
         .durations(SimDuration::from_millis(50), SimDuration::from_millis(200));
         let jobs: Vec<Scenario> = (1..=3u64).map(|seed| base.clone().seed(seed)).collect();
 
-        let cold = run_scenarios_cached(&jobs, 2, &cache);
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().hits, 0);
-        let warm = run_scenarios_cached(&jobs, 2, &cache);
-        assert_eq!(cache.stats().hits, 3, "warm pass must run zero jobs");
+        let cold = ctx.run(&jobs);
+        assert_eq!(stats().misses, 3);
+        assert_eq!(stats().hits, 0);
+        let warm = ctx.run(&jobs);
+        assert_eq!(stats().hits, 3, "warm pass must run zero jobs");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&warm).unwrap(),
@@ -979,37 +972,25 @@ mod tests {
         let key = crate::cache::job_key(&jobs[0]);
         let entry = dir.join(format!("{key}.json"));
         std::fs::write(&entry, "{\"truncated\": tru").unwrap();
-        let healed = run_scenarios_cached(&jobs, 1, &cache);
-        assert_eq!(cache.stats().misses, 4, "corrupt entry counts as a miss");
+        let healed = ctx.run(&jobs);
+        assert_eq!(stats().misses, 4, "corrupt entry counts as a miss");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&healed).unwrap()
         );
-        let again = run_scenarios_cached(&jobs, 1, &cache);
-        assert_eq!(cache.stats().hits, 3 + 2 + 3, "healed entry hits again");
+        let again = ctx.run(&jobs);
+        assert_eq!(stats().hits, 3 + 2 + 3, "healed entry hits again");
+        let snap = ctx.metrics.snapshot(ctx.cache.as_ref());
+        assert_eq!(
+            (snap.cache_hits, snap.cache_misses),
+            (8, 4),
+            "read from the handle"
+        );
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&again).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn thread_count_parsing_honours_env_value() {
-        assert_eq!(threads_from(Some("3")), 3);
-        assert!(threads_from(Some("0")) >= 1); // invalid -> fallback
-        assert!(threads_from(Some("not a number")) >= 1);
-        assert!(threads_from(None) >= 1);
-        assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn attempt_budget_parsing_honours_env_value() {
-        assert_eq!(attempts_from(None), 1 + DEFAULT_JOB_RETRIES);
-        assert_eq!(attempts_from(Some("0")), 1, "0 retries = 1 attempt");
-        assert_eq!(attempts_from(Some("5")), 6);
-        assert_eq!(attempts_from(Some("nope")), 1 + DEFAULT_JOB_RETRIES);
-        assert!(max_job_attempts() >= 1);
     }
 
     #[test]
@@ -1023,7 +1004,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = tiny_campaign().threads(2).run().report();
+        let report = tiny_campaign().run(&RunContext::new(2)).report();
         let json = serde_json::to_string(&report).unwrap();
         let back: CampaignReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.cells.len(), report.cells.len());

@@ -72,7 +72,7 @@ impl std::error::Error for ScenarioError {}
 /// Why one campaign job produced no result.
 ///
 /// Returned (per job, in input order) by
-/// [`crate::campaign::run_scenarios_checked`]; a `JobError` in one slot
+/// [`crate::RunContext::run_checked`]; a `JobError` in one slot
 /// never disturbs the other slots.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {

@@ -19,19 +19,20 @@
 //!
 //! | site | scope | effect when tripped |
 //! |---|---|---|
-//! | `cache_read` | cache key | [`crate::ResultCache::lookup`] misses |
-//! | `cache_write` | cache key | [`crate::ResultCache::store`] returns an I/O error |
+//! | `cache_read` | cache key | [`crate::RunContext::lookup`] misses |
+//! | `cache_write` | cache key | [`crate::RunContext::store`] fails and degrades the cache |
 //! | `checkpoint_write` | job key | `campaign_server` snapshot write fails |
 //! | `job_panic` | job key | the job panics before running the engine |
 //! | `worker_stall` | job key | the claiming worker sleeps for [`FaultPlan::stall`] |
 //!
 //! ## Activation
 //!
-//! Nothing in this module does anything unless a plan is active: the check
-//! at every site is one relaxed atomic load when no plan was ever installed
-//! (the common case — production and every ordinary test run). Activate a
-//! plan with [`install`], from the `WLAN_FAULT_PLAN` environment variable
-//! via [`install_from_env`], or temporarily with [`scoped`] (tests).
+//! A plan is a plain value on the caller's [`crate::RunContext`]; nothing in
+//! this module is process-wide. The empty plan ([`FaultPlan::default`])
+//! injects nothing, and its check at every site is one array lookup. The
+//! binaries parse a plan from the `WLAN_FAULT_PLAN` environment variable;
+//! tests build one with [`FaultPlan::builder`] and give it to their own
+//! context, so concurrently running tests never see each other's faults.
 //!
 //! ## `WLAN_FAULT_PLAN` grammar
 //!
@@ -49,8 +50,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// A named point in the campaign stack where a [`FaultPlan`] may inject a
@@ -262,6 +261,13 @@ impl FaultPlan {
     }
 }
 
+/// The empty plan: no site is enabled, so nothing ever trips.
+impl Default for FaultPlan {
+    fn default() -> Self {
+        FaultPlan::builder(0).build()
+    }
+}
+
 /// Fluent builder for a [`FaultPlan`], the programmatic twin of the
 /// `WLAN_FAULT_PLAN` grammar.
 #[derive(Debug, Clone)]
@@ -289,85 +295,6 @@ impl FaultPlanBuilder {
     /// Finish the plan.
     pub fn build(self) -> FaultPlan {
         self.plan
-    }
-}
-
-/// Fast-path flag: false until the first [`install`], so the per-site check
-/// in production is a single relaxed load.
-static ANY_INSTALLED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-/// Serialises [`scoped`] users (tests) so two scoped plans never overlap.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Install `plan` as the process-active fault plan (replacing any previous
-/// one) and return it. Campaign code consults the active plan at every
-/// fault site; no plan (the default) means no injected faults.
-pub fn install(plan: FaultPlan) -> Arc<FaultPlan> {
-    let plan = Arc::new(plan);
-    *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&plan));
-    ANY_INSTALLED.store(true, Ordering::Release);
-    plan
-}
-
-/// Remove the active fault plan, returning the campaign stack to fault-free
-/// operation.
-pub fn clear() {
-    *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// The active fault plan, if one is installed.
-pub fn active() -> Option<Arc<FaultPlan>> {
-    if !ANY_INSTALLED.load(Ordering::Acquire) {
-        return None;
-    }
-    ACTIVE
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
-
-/// Convenience: does the active plan (if any) trip `site` for
-/// `(scope, attempt)`?
-pub fn trips(site: FaultSite, scope: &str, attempt: u32) -> bool {
-    match active() {
-        Some(plan) => plan.should_fault(site, scope, attempt),
-        None => false,
-    }
-}
-
-/// Install the plan described by the `WLAN_FAULT_PLAN` environment variable,
-/// if set. A malformed value is reported on stderr and ignored (an unparsable
-/// chaos experiment must not fail open into production faults).
-pub fn install_from_env() -> Option<Arc<FaultPlan>> {
-    let spec = std::env::var("WLAN_FAULT_PLAN").ok()?;
-    match FaultPlan::from_spec(&spec) {
-        Ok(plan) => Some(install(plan)),
-        Err(e) => {
-            crate::metrics::warn(&format!("ignoring malformed WLAN_FAULT_PLAN: {e}"));
-            None
-        }
-    }
-}
-
-/// RAII guard that holds a fault plan active for its lifetime (and holds the
-/// scope lock, so concurrently running tests cannot interleave plans).
-/// Dropping the guard clears the plan.
-pub struct ScopedPlan {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-/// Activate `plan` for the lifetime of the returned guard — the test-side
-/// entry point. Serialised process-wide: a second `scoped` call blocks until
-/// the first guard drops.
-pub fn scoped(plan: FaultPlan) -> ScopedPlan {
-    let lock = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    install(plan);
-    ScopedPlan { _lock: lock }
-}
-
-impl Drop for ScopedPlan {
-    fn drop(&mut self) {
-        clear();
     }
 }
 
@@ -461,20 +388,6 @@ mod tests {
         assert!(FaultPlan::from_spec("job_panic=2.0").is_err(), "rate > 1");
         assert!(FaultPlan::from_spec("job_panic=1xtwo").is_err());
         assert!(FaultPlan::from_spec("seed=minus").is_err());
-    }
-
-    #[test]
-    fn scoped_plan_installs_and_clears() {
-        {
-            let _guard = scoped(
-                FaultPlan::builder(4)
-                    .site(FaultSite::CacheRead, 1.0, None)
-                    .build(),
-            );
-            assert!(trips(FaultSite::CacheRead, "any", 0));
-        }
-        assert!(!trips(FaultSite::CacheRead, "any", 0));
-        assert!(active().is_none());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   metrics), the API used by the examples, integration tests and benches.
 //! * [`campaign`] — the parallel campaign runner: expands a scenario grid into
 //!   jobs, executes them on a thread pool, and aggregates per-cell statistics
-//!   deterministically (parallel output is bit-identical to serial).
+//!   deterministically (parallel output is bit-identical to serial). Every
+//!   run takes an explicit [`RunContext`] (workers, attempt budget, cache,
+//!   fault plan, metrics); the crate keeps no process-global run state and
+//!   reads no environment variable.
 //! * [`cache`] — the content-addressed result cache: jobs keyed by a stable
 //!   hash of `(canonical scenario, engine fingerprint)`, so reruns compute
 //!   only the delta and serve everything else from disk, bit-identically.
@@ -63,15 +66,13 @@ pub mod wtop;
 
 pub use cache::{job_key, CacheStats, ResultCache, ENGINE_FINGERPRINT};
 pub use campaign::{
-    default_threads, max_job_attempts, run_scenarios, run_scenarios_cached,
-    run_scenarios_cached_checked, run_scenarios_checked, run_seeds, run_seeds_parallel,
-    try_run_scenarios, Campaign, CampaignCell, CampaignOutcome, CampaignReport, CellStats,
+    Campaign, CampaignCell, CampaignOutcome, CampaignReport, CellStats, RunContext,
 };
 pub use dynamics::{run_dynamic, DynamicResult, MembershipChange, MembershipSchedule};
 pub use error::{CampaignError, JobError, ScenarioError};
 pub use fault::{FaultPlan, FaultPlanBuilder, FaultSite};
 pub use idlesense::{IdleSenseConfig, IdleSensePolicy};
-pub use metrics::{metrics_enabled, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use protocol::Protocol;
 pub use scenario::{
     mean_throughput, ControllerTelemetry, SaEpochRecord, Scenario, ScenarioResult, TopologySpec,
@@ -80,3 +81,12 @@ pub use scenario::{
 pub use tora::{ToraConfig, ToraController};
 pub use wlan_sim::{ArrivalProcess, TrafficSpec};
 pub use wtop::{WtopConfig, WtopController};
+
+/// A per-process scratch path for tests that touch the filesystem, inside
+/// the workspace's build directory (created, along with its parents).
+#[cfg(test)]
+fn scratch_path(tag: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp");
+    let _ = std::fs::create_dir_all(&dir);
+    dir.join(format!("{tag}_{}", std::process::id()))
+}

@@ -1,56 +1,33 @@
-//! Process-wide campaign observability: the metrics registry, the `WLAN_METRICS`
-//! / `WLAN_HEARTBEAT_SECS` knobs, and the library's log layer.
+//! Campaign observability: the metrics registry a [`crate::RunContext`]
+//! carries, and the library's log layer.
 //!
-//! The registry unifies counters that previously lived in per-call return
-//! values (cache hit/miss/degraded statistics, retry and quarantine tallies)
-//! with per-job execution metrics (wall-clock, engine events processed), so a
-//! service-mode process can dump one coherent `metrics.json` at exit and emit
-//! periodic heartbeat lines while a campaign drains.
+//! The registry unifies retry and quarantine tallies with per-job execution
+//! metrics (wall-clock, engine events processed); its snapshot adds the
+//! context's cache counters, so a service-mode process can dump one coherent
+//! `metrics.json` at exit and emit periodic heartbeat lines while a campaign
+//! drains.
 //!
 //! Cost model (mirrors the kernel's `wlan_des::metrics` contract):
 //!
 //! * Counter bumps are single relaxed atomic adds on paths that already do
 //!   I/O or run whole simulations — unmeasurable against the work they count.
 //! * The engine-report aggregation (per-event-kind totals) only runs when
-//!   [`metrics_enabled`] — i.e. `WLAN_METRICS=1` — because producing kernel
-//!   reports requires the dispatch registry to have been enabled on the
-//!   simulator in the first place.
+//!   the context's `telemetry` is on — `WLAN_METRICS=1` in the binaries —
+//!   because producing kernel reports requires the dispatch registry to
+//!   have been enabled on the simulator in the first place.
 //! * Nothing here draws RNG or touches simulation state: results are
 //!   byte-identical whatever the verbosity.
 //!
-//! Heartbeats (`WLAN_HEARTBEAT_SECS=n`, default off) are JSON lines on
-//! stderr, one every `n` seconds while a supervised campaign runs:
+//! Heartbeats (the context's `heartbeat` period, `WLAN_HEARTBEAT_SECS=n` in
+//! the binaries, default off) are JSON lines on stderr, one every period
+//! while a supervised campaign runs:
 //! `{"heartbeat":<unix_secs>,"claimed":N,"done":N,"errors":N}`.
 
+use crate::cache::ResultCache;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
-
-/// Whether `WLAN_METRICS` telemetry is enabled for this process
-/// (`WLAN_METRICS=1` or `true`; read once and cached).
-pub fn metrics_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("WLAN_METRICS")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}
-
-/// Heartbeat cadence from `WLAN_HEARTBEAT_SECS`: `None` when unset, `0`, or
-/// malformed (heartbeats off — the default, so tests stay silent).
-pub fn heartbeat_period() -> Option<Duration> {
-    static PERIOD: OnceLock<Option<u64>> = OnceLock::new();
-    PERIOD
-        .get_or_init(|| {
-            std::env::var("WLAN_HEARTBEAT_SECS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&secs| secs > 0)
-        })
-        .map(Duration::from_secs)
-}
 
 /// The library's log layer: every diagnostic a library crate emits goes
 /// through here (the binaries print their own reports directly). One line on
@@ -83,7 +60,7 @@ pub fn unix_secs() -> u64 {
 }
 
 /// Aggregated per-event-kind engine telemetry, folded from the kernel
-/// reports of every instrumented job this process ran.
+/// reports of every instrumented job run on the registry's context.
 #[derive(Debug, Default)]
 struct EngineAccum {
     /// Total events dispatched, by event kind (sorted at snapshot time).
@@ -94,14 +71,11 @@ struct EngineAccum {
     reports: u64,
 }
 
-/// The process-wide campaign metrics registry. All counters are monotonic
+/// A run context's campaign metrics registry. All counters are monotonic
 /// relaxed atomics; cross-thread ordering does not matter for tallies that
 /// are only read at snapshot time.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_degraded: AtomicU64,
     retries: AtomicU64,
     quarantined: AtomicU64,
     jobs_completed: AtomicU64,
@@ -111,28 +85,7 @@ pub struct MetricsRegistry {
     engine: Mutex<EngineAccum>,
 }
 
-/// The process-wide registry.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::default)
-}
-
 impl MetricsRegistry {
-    /// A result was served from the cache.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A result had to be computed (absent or unusable cache entry).
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A cache I/O failure was absorbed (the run continued uncached).
-    pub fn record_cache_degraded(&self) {
-        self.cache_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A failed job attempt was retried.
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
@@ -157,8 +110,8 @@ impl MetricsRegistry {
         self.jobs_failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fold one instrumented simulator's telemetry report into the
-    /// process-wide engine aggregate.
+    /// Fold one instrumented simulator's telemetry report into the engine
+    /// aggregate.
     pub fn record_engine_report(&self, report: &wlan_sim::EngineMetrics) {
         let mut engine = self.engine.lock().expect("engine metrics poisoned");
         engine.reports += 1;
@@ -177,9 +130,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Point-in-time copy of every counter (the serialisable form dumped to
-    /// `results/metrics.json` and embedded in heartbeat summaries).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Point-in-time copy of every counter, with the cache fields read from
+    /// `cache`'s own counters (zero without one): the serialisable form
+    /// dumped to `results/metrics.json` and embedded in heartbeat summaries.
+    pub fn snapshot(&self, cache: Option<&ResultCache>) -> MetricsSnapshot {
+        let stats = cache.map(ResultCache::stats).unwrap_or_default();
         let busy_nanos = self.busy_nanos.load(Ordering::Relaxed);
         let events = self.events_processed.load(Ordering::Relaxed);
         let busy_secs = busy_nanos as f64 / 1e9;
@@ -187,9 +142,9 @@ impl MetricsRegistry {
         let mut by_kind = engine.by_kind.clone();
         by_kind.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_degraded: self.cache_degraded.load(Ordering::Relaxed),
+            cache_hits: stats.hits,
+            cache_misses: stats.misses,
+            cache_degraded: cache.map_or(0, ResultCache::store_failures),
             retries: self.retries.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
@@ -233,7 +188,7 @@ pub struct MetricsSnapshot {
     /// `events_processed / busy_secs` — the fleet-wide engine rate.
     pub events_per_busy_sec: f64,
     /// Instrumented jobs that contributed a kernel telemetry report
-    /// (requires `WLAN_METRICS=1`).
+    /// (requires the context's `telemetry`).
     pub engine_reports: u64,
     /// Largest transmission-slab high-water mark seen in any job.
     pub max_tx_slab_high_water: u64,
@@ -263,19 +218,16 @@ mod tests {
     #[test]
     fn registry_counts_and_snapshots() {
         let reg = MetricsRegistry::default();
-        reg.record_cache_hit();
-        reg.record_cache_miss();
-        reg.record_cache_miss();
-        reg.record_cache_degraded();
         reg.record_retry();
         reg.record_quarantine();
         reg.record_job(1000, Duration::from_millis(500));
         reg.record_job(3000, Duration::from_millis(500));
         reg.record_job_failure();
-        let snap = reg.snapshot();
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 2);
-        assert_eq!(snap.cache_degraded, 1);
+        let snap = reg.snapshot(None);
+        assert_eq!(
+            (snap.cache_hits, snap.cache_misses, snap.cache_degraded),
+            (0, 0, 0)
+        );
         assert_eq!(snap.retries, 1);
         assert_eq!(snap.quarantined, 1);
         assert_eq!(snap.jobs_completed, 2);
@@ -307,7 +259,7 @@ mod tests {
         let report = sim.metrics_report().expect("metrics enabled");
         reg.record_engine_report(&report);
         reg.record_engine_report(&report);
-        let snap = reg.snapshot();
+        let snap = reg.snapshot(None);
         assert_eq!(snap.engine_reports, 2);
         assert!(snap.max_tx_slab_high_water >= 1);
         let total: u64 = snap.events_by_kind.iter().map(|(_, c)| c).sum();

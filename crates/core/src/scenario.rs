@@ -232,32 +232,14 @@ impl Scenario {
 
     /// Run the scenario: warm up, reset measurements, measure, and summarise.
     ///
-    /// With `WLAN_METRICS=1` the simulator runs with the kernel dispatch
-    /// registry enabled, the result carries the controller's SA telemetry
-    /// section, and the kernel report is folded into the process-wide
-    /// [`metrics`](crate::metrics) registry. Telemetry is purely
-    /// observational: every statistic of the result is byte-identical either
-    /// way (only the extra `controller_telemetry` key is added).
+    /// A pure function of the scenario: telemetry is off, so the result has
+    /// no `controller_telemetry` section. A [`crate::RunContext`] with
+    /// `telemetry` on adds it (and folds the kernel report into its
+    /// registry); every statistic is byte-identical either way.
     pub fn run(&self) -> ScenarioResult {
-        self.run_counted().0
-    }
-
-    /// [`run`](Self::run), additionally returning the number of kernel events
-    /// the job processed (always counted — the scheduler tallies it whether or
-    /// not telemetry is on). The campaign executor uses the count to attribute
-    /// events/sec to each job without touching the result's serialised form.
-    pub fn run_counted(&self) -> (ScenarioResult, u64) {
-        let telemetry = crate::metrics::metrics_enabled();
         let mut sim = self.build_simulator();
-        if telemetry {
-            sim.enable_metrics();
-        }
         self.advance_until(&mut sim, self.end_time());
-        if let Some(report) = sim.metrics_report() {
-            crate::metrics::global().record_engine_report(&report);
-        }
-        let events = sim.events_processed();
-        (self.collect_with_telemetry(&sim, telemetry), events)
+        self.collect(&sim)
     }
 
     /// The simulated time at which this scenario's run completes
@@ -294,13 +276,12 @@ impl Scenario {
 
     /// Summarise a simulator this scenario built and ran (through
     /// [`run`](Self::run), or through [`advance_until`](Self::advance_until)
-    /// with or without checkpoint/resume cycles) into a [`ScenarioResult`].
-    /// The controller-telemetry section follows the process-wide
-    /// `WLAN_METRICS` knob; use
-    /// [`collect_with_telemetry`](Self::collect_with_telemetry) to control it
-    /// explicitly.
+    /// with or without checkpoint/resume cycles) into a [`ScenarioResult`],
+    /// without the controller-telemetry section; use
+    /// [`collect_with_telemetry`](Self::collect_with_telemetry) to ask for
+    /// it.
     pub fn collect(&self, sim: &Simulator) -> ScenarioResult {
-        self.collect_with_telemetry(sim, crate::metrics::metrics_enabled())
+        self.collect_with_telemetry(sim, false)
     }
 
     /// [`collect`](Self::collect) with the controller-telemetry section
@@ -497,7 +478,7 @@ pub struct ScenarioResult {
     /// the serialised form entirely).
     pub traffic: Option<TrafficSummary>,
     /// Controller SA-iterate telemetry; populated only when telemetry is
-    /// requested (`WLAN_METRICS=1` or
+    /// requested (a [`crate::RunContext`] with `telemetry` on, or
     /// [`Scenario::collect_with_telemetry`]) *and* the protocol has an
     /// adaptive controller. Omitted from the serialised form when `None`, so
     /// default runs serialise exactly as before the telemetry layer existed.
@@ -691,7 +672,7 @@ mod tests {
     #[test]
     fn controller_telemetry_is_optional_and_purely_observational() {
         let scenario = short(Protocol::WTopCsma, TopologySpec::FullyConnected, 6);
-        // Default path: no telemetry section (WLAN_METRICS unset under test).
+        // Default path: no telemetry section, whatever the environment.
         let baseline = scenario.run();
         assert!(baseline.controller_telemetry.is_none(), "off by default");
 
@@ -840,7 +821,8 @@ mod tests {
             TopologySpec::FullyConnected,
             5,
         );
-        let results = crate::campaign::run_seeds(&base, &[1, 2, 3]);
+        let jobs: Vec<Scenario> = (1..=3).map(|seed| base.clone().seed(seed)).collect();
+        let results = crate::RunContext::new(2).run(&jobs);
         assert_eq!(results.len(), 3);
         let mean = mean_throughput(&results);
         assert!(mean > 0.0);

@@ -7,7 +7,7 @@
 //! ```
 
 use wlan_sa::analytic;
-use wlan_sa::core::{mean_throughput, run_seeds, Protocol, Scenario, TopologySpec};
+use wlan_sa::core::{mean_throughput, Protocol, RunContext, Scenario, TopologySpec};
 use wlan_sa::sim::SimDuration;
 
 fn main() {
@@ -32,12 +32,12 @@ fn main() {
 
     // wTOP-CSMA: the AP tunes the attempt probability from throughput
     // measurements only, with no knowledge of N.
-    // Averaged over three seeds on the deterministic parallel campaign pool
-    // (thread count from WLAN_THREADS, default: all cores; the results are
-    // bit-identical for any value).
+    // Averaged over three seeds on the deterministic parallel campaign pool,
+    // one worker per seed (the results are bit-identical for any count).
     let base = Scenario::new(Protocol::WTopCsma, TopologySpec::FullyConnected, n)
         .durations(SimDuration::from_secs(60), SimDuration::from_secs(10));
-    let results = run_seeds(&base, &[1, 2, 3]);
+    let jobs: Vec<Scenario> = [1, 2, 3].map(|seed| base.clone().seed(seed)).to_vec();
+    let results = RunContext::new(jobs.len()).run(&jobs);
     let wtop = &results[0];
     let mean = mean_throughput(&results);
     let p_end = wtop.control_trace.last().map(|x| x.1).unwrap_or(f64::NAN);

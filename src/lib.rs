@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use wlan_sa::analytic;
-//! use wlan_sa::core::{run_seeds_parallel, Protocol, Scenario, TopologySpec};
+//! use wlan_sa::core::{Protocol, RunContext, Scenario, TopologySpec};
 //! use wlan_sa::sim::SimDuration;
 //!
 //! let n = 10;
@@ -42,20 +42,21 @@
 //!
 //! // wTOP-CSMA: the AP tunes the attempt probability from throughput
 //! // measurements only, with no knowledge of N — here averaged over two
-//! // seeds on the deterministic parallel campaign pool.
+//! // seeds on the deterministic parallel campaign pool (two workers, no
+//! // cache, no faults: everything a run depends on is in its context).
 //! let wtop = Scenario::new(Protocol::WTopCsma, TopologySpec::FullyConnected, n)
 //!     .durations(SimDuration::from_millis(500), SimDuration::from_millis(500))
-//!     .update_period(SimDuration::from_millis(50))
-//!     .seed(1);
-//! let results = run_seeds_parallel(&wtop, &[1, 2], 2);
+//!     .update_period(SimDuration::from_millis(50));
+//! let jobs: Vec<Scenario> = [1, 2].map(|seed| wtop.clone().seed(seed)).to_vec();
+//! let results = RunContext::new(2).run(&jobs);
 //! assert_eq!(results.len(), 2);
 //! assert!(results.iter().all(|r| r.throughput_mbps > 0.0));
 //! assert!(!results[0].control_trace.is_empty(), "the AP records its control variable");
 //! ```
 //!
 //! Grid experiments (protocol × topology × N × seed) go through
-//! [`core::Campaign`], which executes on a thread pool and is bit-identical
-//! for every thread count.
+//! [`core::Campaign`], which executes under a [`core::RunContext`] and is
+//! bit-identical for every thread count.
 //!
 //! ## Finite load
 //!

@@ -3,10 +3,9 @@
 //! single warning (the first failed store; later failures are counted
 //! silently via [`ResultCache::store_failures`]).
 
-use wlan_sa::core::fault::{self, FaultPlan, FaultSite};
+use std::path::PathBuf;
 use wlan_sa::core::{
-    run_scenarios_cached_checked, run_scenarios_checked, Protocol, ResultCache, Scenario,
-    ScenarioResult, TopologySpec,
+    FaultPlan, FaultSite, Protocol, ResultCache, RunContext, Scenario, ScenarioResult, TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
@@ -28,17 +27,29 @@ fn bytes(results: &[ScenarioResult]) -> String {
     serde_json::to_string(&results.to_vec()).expect("serialise results")
 }
 
-fn unwrap_all(
-    results: Vec<Result<ScenarioResult, wlan_sa::core::JobError>>,
-) -> Vec<ScenarioResult> {
-    results
+/// [`jobs`] run under `ctx`; every job must succeed whatever the cache does.
+fn run(ctx: &RunContext) -> Vec<ScenarioResult> {
+    ctx.run_checked(&jobs())
         .into_iter()
         .map(|r| r.expect("cache degradation must never fail a job"))
         .collect()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wlan_degradation_{tag}_{}", std::process::id()))
+}
+
+/// A two-worker context of its own with a fresh cache under `temp_dir(tag)`.
+fn cached(tag: &str) -> (RunContext, PathBuf) {
+    let dir = temp_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ctx = RunContext::new(2);
+    ctx.cache = Some(ResultCache::open(&dir).expect("open temp cache"));
+    (ctx, dir)
+}
+
+fn cache(ctx: &RunContext) -> &ResultCache {
+    ctx.cache.as_ref().expect("the context has a cache")
 }
 
 /// A cache directory that vanishes mid-campaign (the closest a root-run test
@@ -46,28 +57,29 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// store fails, the campaign degrades to compute-only, bytes unchanged.
 #[test]
 fn vanished_cache_dir_degrades_to_compute_only() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
-    let dir = temp_dir("vanished");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
+    let reference = run(&RunContext::new(1));
+    let (ctx, dir) = cached("vanished");
     std::fs::remove_dir_all(&dir).expect("pull the directory out from under the cache");
 
-    let results = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
+    let results = run(&ctx);
     assert_eq!(
         bytes(&results),
         bytes(&reference),
         "results must not change"
     );
-    assert!(cache.degraded(), "failed stores must flip degraded mode");
+    assert!(
+        cache(&ctx).degraded(),
+        "failed stores must flip degraded mode"
+    );
     assert_eq!(
-        cache.store_failures(),
+        cache(&ctx).store_failures(),
         3,
         "every store failed (one warning, the rest counted silently)"
     );
     // The degraded cache keeps working compute-only on a second pass.
-    let again = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let again = run(&ctx);
     assert_eq!(bytes(&again), bytes(&reference));
-    assert_eq!(cache.store_failures(), 6);
+    assert_eq!(cache(&ctx).store_failures(), 6);
 }
 
 /// An unopenable cache path (a regular file where the directory should be —
@@ -84,31 +96,26 @@ fn cache_open_on_file_path_fails_cleanly() {
 
 /// An injected permanent write fault behaves exactly like the unwritable
 /// directory: compute-only, single-warning degradation, identical bytes —
-/// and clearing the fault heals the cache in place.
+/// and clearing the fault on the context heals the cache in place.
 #[test]
 fn injected_write_fault_degrades_then_heals() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
-    let dir = temp_dir("writefault");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
-    {
-        let _guard = fault::scoped(
-            FaultPlan::builder(21)
-                .site(FaultSite::CacheWrite, 1.0, None)
-                .build(),
-        );
-        let results = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
-        assert_eq!(bytes(&results), bytes(&reference));
-        assert!(cache.degraded());
-        assert_eq!(cache.store_failures(), 3);
-        assert_eq!(cache.stats().hits, 0, "nothing was ever stored");
-    }
+    let reference = run(&RunContext::new(1));
+    let (mut ctx, dir) = cached("writefault");
+    ctx.faults = FaultPlan::builder(21)
+        .site(FaultSite::CacheWrite, 1.0, None)
+        .build();
+    let results = run(&ctx);
+    assert_eq!(bytes(&results), bytes(&reference));
+    assert!(cache(&ctx).degraded());
+    assert_eq!(cache(&ctx).store_failures(), 3);
+    assert_eq!(cache(&ctx).stats().hits, 0, "nothing was ever stored");
     // Fault cleared: stores land again and the next pass is served from disk.
-    let healed = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    ctx.faults = FaultPlan::default();
+    let healed = run(&ctx);
     assert_eq!(bytes(&healed), bytes(&reference));
-    let warm = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let warm = run(&ctx);
     assert_eq!(bytes(&warm), bytes(&reference));
-    assert_eq!(cache.stats().hits, 3, "healed cache serves from disk");
+    assert_eq!(cache(&ctx).stats().hits, 3, "healed cache serves from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -117,24 +124,23 @@ fn injected_write_fault_degrades_then_heals() {
 /// fault restores hits.
 #[test]
 fn injected_read_fault_forces_recompute_not_corruption() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
-    let dir = temp_dir("readfault");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
-    let cold = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
+    let reference = run(&RunContext::new(1));
+    let (mut ctx, dir) = cached("readfault");
+    let cold = run(&ctx);
     assert_eq!(bytes(&cold), bytes(&reference));
-    {
-        let _guard = fault::scoped(
-            FaultPlan::builder(22)
-                .site(FaultSite::CacheRead, 1.0, None)
-                .build(),
-        );
-        let blinded = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
-        assert_eq!(bytes(&blinded), bytes(&reference));
-        assert_eq!(cache.stats().hits, 0, "a read fault can never hit");
-    }
-    let warm = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    ctx.faults = FaultPlan::builder(22)
+        .site(FaultSite::CacheRead, 1.0, None)
+        .build();
+    let blinded = run(&ctx);
+    assert_eq!(bytes(&blinded), bytes(&reference));
+    assert_eq!(cache(&ctx).stats().hits, 0, "a read fault can never hit");
+    ctx.faults = FaultPlan::default();
+    let warm = run(&ctx);
     assert_eq!(bytes(&warm), bytes(&reference));
-    assert_eq!(cache.stats().hits, 3, "entries survived the read faults");
+    assert_eq!(
+        cache(&ctx).stats().hits,
+        3,
+        "entries survived the read faults"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! results for another, which is the worst failure mode a cache can have.
 
 use wlan_sa::core::cache::job_key_with_fingerprint;
-use wlan_sa::core::{job_key, run_scenarios_cached, Protocol, ResultCache, Scenario, TopologySpec};
+use wlan_sa::core::{job_key, Protocol, ResultCache, RunContext, Scenario, TopologySpec};
 use wlan_sa::sim::{CaptureModel, SimDuration, TrafficSpec};
 
 fn base() -> Scenario {
@@ -143,15 +143,17 @@ fn corrupted_and_truncated_entries_are_recomputed() {
     ];
     let key = job_key(&jobs[0]);
 
-    let cache = ResultCache::open(&dir).expect("open cache");
-    let cold = run_scenarios_cached(&jobs, 1, &cache);
+    let mut ctx = RunContext::new(1);
+    ctx.cache = Some(ResultCache::open(&dir).expect("open cache"));
+    let stats = || ctx.cache.as_ref().expect("cache").stats();
+    let cold = ctx.run(&jobs);
     let reference = serde_json::to_string(&cold).unwrap();
-    assert_eq!(cache.stats().misses, 1);
+    assert_eq!(stats().misses, 1);
 
     let entry = dir.join(format!("{key}.json"));
     for corruption in ["", "{\"key\": tru", "{}"] {
         std::fs::write(&entry, corruption).unwrap();
-        let healed = run_scenarios_cached(&jobs, 1, &cache);
+        let healed = ctx.run(&jobs);
         assert_eq!(
             serde_json::to_string(&healed).unwrap(),
             reference,
@@ -159,8 +161,8 @@ fn corrupted_and_truncated_entries_are_recomputed() {
         );
     }
     // After the last heal the entry verifies again: a further pass is a hit.
-    let before = cache.stats().hits;
-    run_scenarios_cached(&jobs, 1, &cache);
-    assert_eq!(cache.stats().hits, before + 1);
+    let before = stats().hits;
+    ctx.run(&jobs);
+    assert_eq!(stats().hits, before + 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,33 +14,29 @@
 //!   compute-only and the results stay byte-identical to uncached runs.
 
 use proptest::prelude::*;
-use wlan_sa::core::fault::{self, FaultPlan, FaultSite};
 use wlan_sa::core::{
-    job_key, max_job_attempts, run_scenarios_cached_checked, run_scenarios_checked, JobError,
-    Protocol, ResultCache, Scenario, ScenarioResult, TopologySpec,
+    job_key, FaultPlan, FaultSite, JobError, Protocol, ResultCache, RunContext, Scenario,
+    ScenarioResult, TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
 /// Silence the default panic hook for injected panics (the supervised pool
-/// catches them, but the hook still runs and would spam the test log); real
-/// panics keep the full default report.
+/// catches them, but the hook still runs and would spam the test log). Only
+/// payloads that start with the injection sites' own tag are silenced: any
+/// other panic — including a failing assertion that merely quotes an
+/// injected error — keeps the full default report.
 fn quiet_injected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
+            let payload = info.payload();
+            let message = payload
                 .downcast_ref::<&str>()
-                .map(|s| s.contains("injected fault"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("injected fault"))
-                })
-                .unwrap_or(false);
-            if !injected {
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !message.is_some_and(|m| m.starts_with("injected fault")) {
                 default(info);
             }
         }));
@@ -70,11 +66,53 @@ fn bytes(r: &ScenarioResult) -> String {
     serde_json::to_string(r).expect("serialise result")
 }
 
+/// A context of its own on `threads` workers, injecting `faults`.
+fn context(threads: usize, faults: FaultPlan) -> RunContext {
+    RunContext {
+        faults,
+        ..RunContext::new(threads)
+    }
+}
+
 fn baseline(jobs: &[Scenario]) -> Vec<String> {
-    run_scenarios_checked(jobs, 1)
+    RunContext::new(1)
+        .run_checked(jobs)
         .into_iter()
         .map(|r| bytes(&r.expect("fault-free jobs succeed")))
         .collect()
+}
+
+/// Which jobs `ctx`'s plan faults on every attempt, i.e. quarantines.
+fn predicted(ctx: &RunContext, jobs: &[Scenario]) -> Vec<bool> {
+    jobs.iter()
+        .map(|j| {
+            ctx.faults
+                .faults_every_attempt(FaultSite::JobPanic, &job_key(j), ctx.attempts)
+        })
+        .collect()
+}
+
+/// Run `jobs` under `ctx` and check the plan's own prediction: exactly the
+/// predicted jobs are quarantined, with structured injected errors after the
+/// full attempt budget, and every other job's bytes equal `clean`.
+fn assert_predicted_quarantine(ctx: &RunContext, jobs: &[Scenario], clean: &[String]) {
+    let faulted = ctx.run_checked(jobs);
+    for ((r, fail), expect) in faulted.into_iter().zip(predicted(ctx, jobs)).zip(clean) {
+        match r {
+            Ok(result) => {
+                assert!(!fail, "plan predicted quarantine but the job succeeded");
+                assert_eq!(&bytes(&result), expect);
+            }
+            Err(e) => {
+                assert!(fail, "plan predicted success but got: {e}");
+                assert!(e.is_injected(), "unexpected real failure: {e}");
+                assert!(
+                    matches!(e, JobError::Panicked { attempts, .. } if attempts == ctx.attempts),
+                    "quarantine must record the full attempt budget"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -87,13 +125,13 @@ proptest! {
         quiet_injected_panics();
         let jobs = grid(case);
         let clean = baseline(&jobs);
-        let plan = FaultPlan::builder(plan_seed)
-            .site(FaultSite::JobPanic, 1.0, Some(max_job_attempts() - 1))
+        let mut ctx = RunContext::new(3);
+        ctx.faults = FaultPlan::builder(plan_seed)
+            .site(FaultSite::JobPanic, 1.0, Some(ctx.attempts - 1))
             .site(FaultSite::WorkerStall, 0.5, None)
             .stall_millis(1)
             .build();
-        let _guard = fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 3);
+        let faulted = ctx.run_checked(&jobs);
         for (r, expect) in faulted.into_iter().zip(&clean) {
             let r = r.expect("transient faults must be retried through");
             prop_assert_eq!(&bytes(&r), expect);
@@ -110,33 +148,10 @@ proptest! {
     ) {
         quiet_injected_panics();
         let jobs = grid(case);
-        let clean = baseline(&jobs);
-        let attempts = max_job_attempts();
         let plan = FaultPlan::builder(plan_seed)
             .site(FaultSite::JobPanic, rate, None)
             .build();
-        let predicted: Vec<bool> = jobs
-            .iter()
-            .map(|j| plan.faults_every_attempt(FaultSite::JobPanic, &job_key(j), attempts))
-            .collect();
-        let _guard = fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 3);
-        for ((r, &fail), expect) in faulted.into_iter().zip(&predicted).zip(&clean) {
-            match r {
-                Ok(result) => {
-                    prop_assert!(!fail, "plan predicted quarantine but the job succeeded");
-                    prop_assert_eq!(&bytes(&result), expect);
-                }
-                Err(e) => {
-                    prop_assert!(fail, "plan predicted success but got: {}", e);
-                    prop_assert!(e.is_injected(), "unexpected real failure: {}", e);
-                    prop_assert!(
-                        matches!(e, JobError::Panicked { attempts: a, .. } if a == attempts),
-                        "quarantine must record the full attempt budget"
-                    );
-                }
-            }
-        }
+        assert_predicted_quarantine(&context(3, plan), &jobs, &baseline(&jobs));
     }
 
     /// Cache read/write faults never fail a job: lookups degrade to misses,
@@ -152,28 +167,60 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open temp cache");
-        {
-            let plan = FaultPlan::builder(plan_seed)
-                .site(FaultSite::CacheRead, 0.5, None)
-                .site(FaultSite::CacheWrite, 0.5, None)
-                .build();
-            let _guard = fault::scoped(plan);
-            // Two passes: the second mixes hits (stores that survived) with
-            // recomputes (reads that fault); bytes must never change.
-            for _ in 0..2 {
-                let results = run_scenarios_cached_checked(&jobs, 2, &cache);
-                for (r, expect) in results.into_iter().zip(&clean) {
-                    let r = r.expect("cache faults must never quarantine a job");
-                    prop_assert_eq!(&bytes(&r), expect);
-                }
+        let plan = FaultPlan::builder(plan_seed)
+            .site(FaultSite::CacheRead, 0.5, None)
+            .site(FaultSite::CacheWrite, 0.5, None)
+            .build();
+        let mut ctx = context(2, plan);
+        ctx.cache = Some(ResultCache::open(&dir).expect("open temp cache"));
+        // Two passes: the second mixes hits (stores that survived) with
+        // recomputes (reads that fault); bytes must never change.
+        for _ in 0..2 {
+            let results = ctx.run_checked(&jobs);
+            for (r, expect) in results.into_iter().zip(&clean) {
+                let r = r.expect("cache faults must never quarantine a job");
+                prop_assert_eq!(&bytes(&r), expect);
             }
         }
         // Fault-free warm pass over whatever the cache retained: still identical.
-        let warm = run_scenarios_cached_checked(&jobs, 2, &cache);
+        ctx.faults = FaultPlan::default();
+        let warm = ctx.run_checked(&jobs);
         for (r, expect) in warm.into_iter().zip(&clean) {
             prop_assert_eq!(&bytes(&r.expect("warm pass succeeds")), expect);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Contexts running at the same time never see each other's faults: the
+/// grid runs on three threads at once, each under its own context — two
+/// permanent `job_panic` plans with different seeds and one fault-free
+/// context. Each faulted context quarantines exactly what its own plan
+/// predicts, and the fault-free one returns the fault-free bytes.
+#[test]
+fn concurrent_contexts_stay_isolated() {
+    quiet_injected_panics();
+    let jobs = grid(3);
+    let clean = baseline(&jobs);
+    let plan = |seed| {
+        FaultPlan::builder(seed)
+            .site(FaultSite::JobPanic, 0.8, None)
+            .build()
+    };
+    let contexts = [context(2, plan(1)), context(2, plan(2)), RunContext::new(2)];
+    assert_ne!(
+        predicted(&contexts[0], &jobs),
+        predicted(&contexts[1], &jobs),
+        "the two plans must quarantine different jobs"
+    );
+    // The barrier starts the three runs together, so their pools overlap.
+    let start = std::sync::Barrier::new(contexts.len());
+    std::thread::scope(|scope| {
+        for ctx in &contexts {
+            scope.spawn(|| {
+                start.wait();
+                assert_predicted_quarantine(ctx, &jobs, &clean);
+            });
+        }
+    });
 }

@@ -6,8 +6,7 @@
 //! on, scaled down to test size.
 
 use wlan_sa::core::{
-    run_scenarios_cached, run_seeds_parallel, Campaign, Protocol, ResultCache, Scenario,
-    ScenarioResult, TopologySpec,
+    Campaign, Protocol, ResultCache, RunContext, Scenario, ScenarioResult, TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
@@ -31,8 +30,8 @@ fn campaign() -> Campaign {
 /// byte-for-byte between a 1-thread and an 8-thread run of the same campaign.
 #[test]
 fn campaign_results_are_identical_across_thread_counts() {
-    let serial = campaign().threads(1).run();
-    let parallel = campaign().threads(8).run();
+    let serial = campaign().run(&RunContext::new(1));
+    let parallel = campaign().run(&RunContext::new(8));
     assert_eq!(serial.cells.len(), 12, "3 protocols × 2 topologies × 2 N");
     let raw_serial: Vec<&ScenarioResult> =
         serial.cells.iter().flat_map(|c| c.results.iter()).collect();
@@ -52,8 +51,8 @@ fn campaign_results_are_identical_across_thread_counts() {
 /// The aggregated report (mean/stddev/CI per cell) must also be byte-identical.
 #[test]
 fn campaign_reports_are_identical_across_thread_counts() {
-    let a = serde_json::to_string(&campaign().threads(1).run().report()).unwrap();
-    let b = serde_json::to_string(&campaign().threads(8).run().report()).unwrap();
+    let a = serde_json::to_string(&campaign().run(&RunContext::new(1)).report()).unwrap();
+    let b = serde_json::to_string(&campaign().run(&RunContext::new(8)).report()).unwrap();
     assert_eq!(a, b);
 }
 
@@ -70,23 +69,26 @@ fn warm_cache_second_pass_runs_zero_engine_jobs() {
     let jobs = campaign().jobs();
     assert!(!jobs.is_empty());
 
-    let cache = ResultCache::open(&dir).expect("open cache");
-    let cold = run_scenarios_cached(&jobs, 1, &cache);
+    let mut ctx = RunContext::new(1);
+    ctx.cache = Some(ResultCache::open(&dir).expect("open cache"));
+    let stats = |ctx: &RunContext| ctx.cache.as_ref().expect("cache").stats();
+    let cold = ctx.run(&jobs);
     assert_eq!(
-        cache.stats().misses,
+        stats(&ctx).misses,
         jobs.len() as u64,
         "the cold pass computes every job"
     );
-    assert_eq!(cache.stats().hits, 0);
+    assert_eq!(stats(&ctx).hits, 0);
 
-    let warm = run_scenarios_cached(&jobs, 8, &cache);
+    ctx.threads = 8;
+    let warm = ctx.run(&jobs);
     assert_eq!(
-        cache.stats().hits,
+        stats(&ctx).hits,
         jobs.len() as u64,
         "the warm pass must be served entirely from the cache"
     );
     assert_eq!(
-        cache.stats().misses,
+        stats(&ctx).misses,
         jobs.len() as u64,
         "the warm pass must not re-execute any engine job"
     );
@@ -99,17 +101,17 @@ fn warm_cache_second_pass_runs_zero_engine_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `run_seeds_parallel` is the narrow entry point `run_seeds` is rewired
-/// through; it must match the 1-thread reference for any worker count.
+/// One cell replicated over seeds must match the 1-thread reference for any
+/// worker count.
 #[test]
 fn run_seeds_is_thread_count_invariant() {
     let base = Scenario::new(Protocol::ToraCsma, TopologySpec::FullyConnected, 6)
         .durations(SimDuration::from_millis(200), SimDuration::from_millis(300))
         .update_period(SimDuration::from_millis(50));
-    let seeds: Vec<u64> = (1..=6).collect();
-    let reference = run_seeds_parallel(&base, &seeds, 1);
+    let jobs: Vec<Scenario> = (1..=6).map(|seed| base.clone().seed(seed)).collect();
+    let reference = RunContext::new(1).run(&jobs);
     for threads in [2, 3, 8] {
-        let parallel = run_seeds_parallel(&base, &seeds, threads);
+        let parallel = RunContext::new(threads).run(&jobs);
         let a = serde_json::to_string(&reference).unwrap();
         let b = serde_json::to_string(&parallel).unwrap();
         assert_eq!(a, b, "{threads} threads diverged from the serial reference");
