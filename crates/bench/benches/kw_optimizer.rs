@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use stochastic_approx::{KieferWolfowitz, RobbinsMonro, Spsa};
+use stochastic_approx::KieferWolfowitz;
 
 fn bench_kw(c: &mut Criterion) {
     let mut group = c.benchmark_group("stochastic_approx");
@@ -24,25 +24,6 @@ fn bench_kw(c: &mut Criterion) {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut kw = KieferWolfowitz::new(0.8, (0.0, 1.0));
             kw.maximize(|x| -(x - 0.2f64).powi(2) + rng.gen_range(-0.01..0.01), 200)
-        });
-    });
-
-    group.bench_function("robbins_monro_run_1000_iters", |b| {
-        b.iter(|| {
-            let mut rm = RobbinsMonro::new(0.9, (0.0, 1.0), 0.5, 1.0, true);
-            rm.solve(|x| x - 0.3, 1000)
-        });
-    });
-
-    group.bench_function("spsa_2d_run_200_iters", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let mut spsa = Spsa::new(vec![0.5, 0.5], vec![(0.0, 1.0), (0.0, 1.0)]);
-            spsa.maximize(
-                |x| -(x[0] - 0.3).powi(2) - (x[1] - 0.6).powi(2),
-                200,
-                &mut rng,
-            )
         });
     });
 

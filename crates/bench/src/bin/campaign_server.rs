@@ -59,8 +59,12 @@
 //! the corresponding [`Scenario`] default (same names and encodings as the
 //! scenario's own JSON serialisation — durations are nanosecond integers;
 //! unknown keys are rejected). All top-level keys except `jobs` are
-//! optional. A job that fails to parse or validate yields a per-job error
-//! line; it never aborts the other jobs.
+//! optional: `threads` is a positive integer, `checkpoint_sim_secs` a
+//! positive number, `job_timeout_secs` a non-negative number (0: no
+//! timeout), and the two directories are strings. A top-level value outside
+//! that, or an unknown top-level key, exits 1 before any job runs. A job
+//! that fails to parse or validate yields a per-job error line; it never
+//! aborts the other jobs.
 //!
 //! ## Output protocol
 //!
@@ -195,6 +199,58 @@ fn as_f64(v: &Value) -> Option<f64> {
         Value::U64(x) => Some(x as f64),
         Value::I64(x) => Some(x as f64),
         _ => None,
+    }
+}
+
+/// The top-level spec keys besides `jobs`. A value of the wrong type or
+/// range is an error naming its key, and so is any other key.
+#[derive(Default)]
+struct SpecOptions {
+    threads: Option<usize>,
+    checkpoint_every: Option<SimDuration>,
+    /// `Some(None)` when `job_timeout_secs` is 0: no timeout, whatever the
+    /// environment says.
+    job_timeout: Option<Option<Duration>>,
+    cache_dir: Option<PathBuf>,
+    checkpoint_dir: Option<PathBuf>,
+}
+
+impl SpecOptions {
+    fn parse(spec: &[(String, Value)]) -> Result<Self, String> {
+        let mut options = SpecOptions::default();
+        for (key, value) in spec {
+            let bad = |expected: &str| format!("`{key}` must be {expected}, got {value:?}");
+            let secs = as_f64(value).filter(|s| s.is_finite());
+            let path = || match value {
+                Value::Str(s) => Ok(Some(PathBuf::from(s))),
+                _ => Err(bad("a string")),
+            };
+            match key.as_str() {
+                "jobs" => {}
+                "threads" => match value {
+                    Value::U64(t) if *t >= 1 => options.threads = Some(*t as usize),
+                    _ => return Err(bad("a positive integer")),
+                },
+                "checkpoint_sim_secs" => match secs {
+                    Some(s) if s > 0.0 => {
+                        options.checkpoint_every = Some(SimDuration::from_secs_f64(s))
+                    }
+                    _ => return Err(bad("a positive number of seconds")),
+                },
+                "job_timeout_secs" => {
+                    let s = secs.filter(|&s| s >= 0.0);
+                    let d = s.and_then(|s| Duration::try_from_secs_f64(s).ok());
+                    let (Some(s), Some(d)) = (s, d) else {
+                        return Err(bad("a non-negative number of seconds (0: no timeout)"));
+                    };
+                    options.job_timeout = Some((s > 0.0).then_some(d));
+                }
+                "cache_dir" => options.cache_dir = path()?,
+                "checkpoint_dir" => options.checkpoint_dir = path()?,
+                other => return Err(format!("unknown top-level key `{other}`")),
+            }
+        }
+        Ok(options)
     }
 }
 
@@ -486,29 +542,17 @@ fn main() {
         Some(_) => fail("`jobs` must be an array"),
         None => fail("job spec is missing `jobs`"),
     };
+    let options = SpecOptions::parse(spec).unwrap_or_else(|e| fail(e));
     let threads = threads_override
-        .or(match opt(spec, "threads") {
-            Some(Value::U64(t)) => Some(*t as usize),
-            _ => None,
-        })
-        .filter(|&t| t >= 1)
+        .or(options.threads)
         .unwrap_or(knobs.threads);
-    let path_key = |key: &str| match opt(spec, key) {
-        Some(Value::Str(s)) => Some(PathBuf::from(s)),
-        _ => None,
-    };
     let results_dir = &knobs.out_dir;
-    let cache_dir = path_key("cache_dir").unwrap_or_else(|| knobs.cache_dir.clone());
-    let checkpoint_dir =
-        path_key("checkpoint_dir").unwrap_or_else(|| results_dir.join(".checkpoints"));
-    let every = opt(spec, "checkpoint_sim_secs")
-        .and_then(as_f64)
-        .filter(|&s| s > 0.0)
-        .map(SimDuration::from_secs_f64);
-    let timeout = match opt(spec, "job_timeout_secs").and_then(as_f64) {
-        Some(secs) => (secs > 0.0).then(|| Duration::from_secs_f64(secs)),
-        None => knobs.job_timeout,
-    };
+    let cache_dir = options.cache_dir.unwrap_or_else(|| knobs.cache_dir.clone());
+    let checkpoint_dir = options
+        .checkpoint_dir
+        .unwrap_or_else(|| results_dir.join(".checkpoints"));
+    let every = options.checkpoint_every;
+    let timeout = options.job_timeout.unwrap_or(knobs.job_timeout);
 
     // A job that fails to parse or validate occupies an error slot; the
     // healthy jobs run regardless.

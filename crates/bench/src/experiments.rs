@@ -838,7 +838,7 @@ pub fn fig_finite_load(cfg: &RunConfig) -> String {
 /// The paper evaluates up to N = 60; this campaign probes the regime its
 /// Theorem 1 argument actually speaks to — `p* ≈ 1/N` with N in the
 /// thousands — and doubles as the workload that motivates the engine's
-/// calendar-queue/SoA hot path. Writes one set of per-protocol curves
+/// clique-path/SoA hot path. Writes one set of per-protocol curves
 /// (`fig_scaling_{topology}_*.dat`), a JSON dump, and a per-cell
 /// mean/stddev/CI95 report (`fig_scaling_{topology}_cells.json`) per
 /// topology.

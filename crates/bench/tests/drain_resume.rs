@@ -292,13 +292,11 @@ fn unusable_cache_dir_degrades_to_compute_only() {
     let _ = std::fs::remove_dir_all(&ckpt);
 }
 
-/// An unknown flag is a configuration error: the server exits nonzero
-/// before any job runs and prints no job line.
-#[test]
-fn unknown_flag_exits_nonzero_before_any_job() {
-    let (cache, ckpt) = (temp_dir("bogus_cache"), temp_dir("bogus_ckpt"));
+/// Run the server on `input` with `args`, expecting a configuration error:
+/// exit status 1, no job line on stdout. Returns stderr.
+fn rejected_run(args: &[&str], input: &str) -> String {
     let mut child = server()
-        .arg("--bogus")
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -309,14 +307,59 @@ fn unknown_flag_exits_nonzero_before_any_job() {
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(spec(&cache, &ckpt, "").as_bytes());
+        .write_all(input.as_bytes());
     let output = child.wait_with_output().expect("collect server output");
-    assert!(
-        !output.status.success(),
-        "an unknown flag must fail the run"
-    );
     let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(1), "must fail the run: {input}");
     assert!(stdout.is_empty(), "no job may run: {stdout}");
-    assert!(String::from_utf8_lossy(&output.stderr).contains("--bogus"));
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// An unknown flag is a configuration error: the server exits nonzero
+/// before any job runs and prints no job line.
+#[test]
+fn unknown_flag_exits_nonzero_before_any_job() {
+    let (cache, ckpt) = (temp_dir("bogus_cache"), temp_dir("bogus_ckpt"));
+    let stderr = rejected_run(&["--bogus"], &spec(&cache, &ckpt, ""));
+    assert!(stderr.contains("--bogus"));
     assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
+}
+
+/// A top-level spec value of the wrong type or range, or an unknown
+/// top-level key, is a configuration error naming the key: the server
+/// exits 1 before any job runs.
+#[test]
+fn bad_top_level_spec_values_exit_nonzero_before_any_job() {
+    let (cache, ckpt) = (temp_dir("badspec_cache"), temp_dir("badspec_ckpt"));
+    let cases = [
+        ("threads", "0"),
+        ("threads", "-2"),
+        ("threads", "1.5"),
+        ("threads", "\"4\""),
+        ("checkpoint_sim_secs", "0"),
+        ("checkpoint_sim_secs", "-0.5"),
+        ("checkpoint_sim_secs", "1e999"),
+        ("checkpoint_sim_secs", "\"30\""),
+        ("job_timeout_secs", "-1"),
+        ("job_timeout_secs", "1e999"),
+        ("job_timeout_secs", "null"),
+        ("cache_dir", "7"),
+        ("checkpoint_dir", "[\"ckpt\"]"),
+        ("chekpoint_sim_secs", "30"),
+    ];
+    for (key, value) in cases {
+        let mut entries = vec![format!("{key:?}:{value}")];
+        for (dir_key, dir) in [("cache_dir", &cache), ("checkpoint_dir", &ckpt)] {
+            if dir_key != key {
+                entries.push(format!("{dir_key:?}:{:?}", dir.display().to_string()));
+            }
+        }
+        let input = format!(
+            "{{{},\"jobs\":[{{\"protocol\":\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":4}}]}}",
+            entries.join(",")
+        );
+        let stderr = rejected_run(&[], &input);
+        assert!(stderr.contains(&format!("`{key}`")), "{input}: {stderr}");
+        assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
+    }
 }

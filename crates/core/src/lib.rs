@@ -10,7 +10,8 @@
 //!   measurements; stations apply a per-weight mapping for weighted fairness.
 //! * [`tora`] — **TORA-CSMA** (Algorithm 2): the AP tunes the RandomReset(j; p0)
 //!   exponential-backoff policy, walking the reset stage when `p0` saturates.
-//! * [`idlesense`] — the IdleSense baseline (Heusse et al. 2005).
+//! * [`IdleSensePolicy`] — the IdleSense baseline (Heusse et al. 2005),
+//!   re-exported from `wlan_sim::idlesense`.
 //! * [`protocol`] — the catalogue of schemes compared in the evaluation and
 //!   factories to instantiate them.
 //! * [`scenario`] — the experiment runner (protocol × topology × N × seed →
@@ -56,7 +57,6 @@ pub mod campaign;
 pub mod dynamics;
 pub mod error;
 pub mod fault;
-pub mod idlesense;
 pub mod metrics;
 pub mod protocol;
 pub mod scenario;
@@ -71,7 +71,6 @@ pub use campaign::{
 pub use dynamics::{run_dynamic, DynamicResult, MembershipChange, MembershipSchedule};
 pub use error::{CampaignError, JobError, ScenarioError};
 pub use fault::{FaultPlan, FaultPlanBuilder, FaultSite};
-pub use idlesense::{IdleSenseConfig, IdleSensePolicy};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use protocol::Protocol;
 pub use scenario::{
@@ -79,6 +78,7 @@ pub use scenario::{
     TrafficSummary,
 };
 pub use tora::{ToraConfig, ToraController};
+pub use wlan_sim::idlesense::{IdleSenseConfig, IdleSensePolicy};
 pub use wlan_sim::{ArrivalProcess, TrafficSpec};
 pub use wtop::{WtopConfig, WtopController};
 

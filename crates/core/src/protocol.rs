@@ -1,11 +1,11 @@
 //! The catalogue of MAC schemes compared in the paper, and factories that
 //! instantiate each one (station policies + AP controller) for the simulator.
 
-use crate::idlesense::IdleSensePolicy;
 use crate::tora::{ToraConfig, ToraController};
 use crate::wtop::{WtopConfig, WtopController};
 use serde::{Deserialize, Serialize};
 use wlan_sim::backoff::{ExponentialBackoff, PPersistent, RandomReset};
+use wlan_sim::idlesense::IdleSensePolicy;
 use wlan_sim::{Controller, NullController, PhyParams, Policy, SimDuration};
 
 /// Every channel-access scheme exercised in the paper's evaluation.

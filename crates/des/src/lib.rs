@@ -6,7 +6,7 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer-nanosecond time, no float drift
 //!   ([`time`]).
-//! * A multi-tier event queue ([`queue`]): a calendar queue for general
+//! * A multi-tier event queue ([`queue`]): a binary heap for general
 //!   events plus indexed timer tiers with O(1) arm and physical cancel, all
 //!   merged by one `(time, seq)` total order so pop order is deterministic
 //!   and FIFO on ties.
@@ -88,11 +88,11 @@
 //! The kernel carries a zero-cost-when-off telemetry layer ([`metrics`]):
 //! per-component/per-event-kind dispatch counters
 //! ([`Simulation::enable_metrics`] → [`Simulation::metrics_report`]),
-//! always-available scheduler and queue tallies
-//! ([`EventQueue::counters`], [`CalendarQueue::stats`]), derived RNG draw
-//! accounting, and a sampled wall-clock self-profiler
-//! ([`Simulation::set_profiler`]). No telemetry path draws RNG or perturbs
-//! the `(time, seq)` order, so traces stay byte-identical at any verbosity.
+//! always-available queue tallies ([`EventQueue::counters`],
+//! [`EventQueue::scheduler_stats`]), derived RNG draw accounting, and a
+//! sampled wall-clock self-profiler ([`Simulation::set_profiler`]). No
+//! telemetry path draws RNG or perturbs the `(time, seq)` order, so traces
+//! stay byte-identical at any verbosity.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -101,18 +101,16 @@
 pub mod metrics;
 pub mod queue;
 pub mod rng;
-pub mod sched;
 pub mod simulation;
 pub mod slab;
 pub mod snapshot;
 pub mod time;
 
 pub use metrics::{
-    CalendarStats, ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, TierCounters,
+    ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, SchedulerStats, TierCounters,
 };
 pub use queue::{EventQueue, QueueSnapshot, TierId};
 pub use rng::StreamMaster;
-pub use sched::{BinaryHeapScheduler, CalendarQueue, Scheduler};
 pub use simulation::{AsAny, Component, ComponentId, Handle, Peers, Simulation, SimulationContext};
 pub use slab::{Slab, SlabSnapshot, SlotId, SlotSnapshot};
 pub use snapshot::{SnapshotError, StateReader, StateWriter};

@@ -1,4 +1,4 @@
-//! Kernel observability: dispatch counters, scheduler internals, RNG draw
+//! Kernel observability: dispatch counters, queue tallies, RNG draw
 //! accounting, and a sampled self-profiler.
 //!
 //! # The zero-cost-when-off contract
@@ -7,12 +7,12 @@
 //! (essentially) nothing when nobody asked for it. The kernel keeps that
 //! contract in two ways, by instrumentation class:
 //!
-//! * **Structural tallies** (queue push/pop/cancel counts, calendar-queue
-//!   resize/long-jump/migration counts, slab high-water, RNG stream
-//!   positions) are *free introspection*: either a single integer add on an
-//!   operation that already does a binary-search insert or a bucket scan
-//!   (immeasurable next to the memory traffic it rides on), or derived on
-//!   demand from state the kernel keeps anyway. These are always available.
+//! * **Structural tallies** (queue push/pop/cancel counts, general-heap
+//!   growths, slab high-water, RNG stream positions) are *free
+//!   introspection*: either a single integer add or compare on an operation
+//!   that already sifts a heap or touches a timer set (immeasurable next to
+//!   the memory traffic it rides on), or derived on demand from state the
+//!   kernel keeps anyway. These are always available.
 //! * **Classified work** (per-component/per-event-kind dispatch counters via
 //!   [`Metrics`], per-event wall-clock timing via [`Profiler`]) costs real
 //!   cycles per event, so it hides behind an `Option` on
@@ -93,37 +93,14 @@ pub struct TierCounters {
     pub armed: u64,
 }
 
-/// A point-in-time view of the calendar queue's structure plus its lifetime
-/// adaptation counters (all maintained on cold paths only — migrations,
-/// resizes, width retunes and long-jump fallbacks happen at most once per
-/// occupancy regime change or sparse-queue streak, never per ordinary
-/// push/pop).
+/// The general tier's pending count plus the growths of its heap's backing
+/// storage (one compare per schedule; restore starts a fresh count).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CalendarStats {
-    /// Whether the bucketed tier (vs the small sorted-vector tier) is active.
-    pub bucketed: bool,
-    /// Current bucket count (1 when the small tier is active).
-    pub buckets: u64,
-    /// log2 of the current bucket width in nanoseconds.
-    pub width_shift: u32,
-    /// Entries currently pending.
+pub struct SchedulerStats {
+    /// General events pending right now.
     pub len: u64,
-    /// Entries in the fullest bucket right now (equals `len` on the small
-    /// tier).
-    pub max_bucket_occupancy: u64,
-    /// Small-tier → bucketed migrations.
-    pub migrations_to_buckets: u64,
-    /// Bucketed → small-tier migrations.
-    pub migrations_to_small: u64,
-    /// Bucket-array doublings/halvings.
+    /// Growths of the general heap's backing storage.
     pub resizes: u64,
-    /// Width re-estimations that actually changed the width (long-jump
-    /// streak response).
-    pub width_retunes: u64,
-    /// Pops that fell through a full cursor rotation to the long-jump scan.
-    pub long_jumps: u64,
-    /// Longest consecutive long-jump streak observed.
-    pub max_long_jump_streak: u32,
 }
 
 /// Per-component, per-event-kind dispatch counters: the enable-gated half of
@@ -230,8 +207,8 @@ pub struct MetricsReport {
     pub dispatch: Vec<ComponentDispatch>,
     /// Event-queue operation tallies.
     pub queue: QueueCounters,
-    /// Calendar-queue structure and adaptation counters.
-    pub scheduler: CalendarStats,
+    /// General-tier size and heap growths.
+    pub scheduler: SchedulerStats,
     /// Per-tier timer tallies, in tier registration order.
     pub tiers: Vec<TierCounters>,
     /// Keystream words consumed per component RNG stream (`None` where no

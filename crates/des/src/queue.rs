@@ -4,23 +4,26 @@
 //! increasing sequence number), which makes every run exactly reproducible
 //! for a given seed.
 //!
-//! The queue is **multi-tier**. General events live in a [`CalendarQueue`]
-//! (see [`crate::sched`]) with O(1) amortized enqueue/dequeue. On top of
-//! that, a model can register any number of *indexed timer tiers*
-//! ([`EventQueue::add_tier`]) for event classes with the shape "at most one
-//! pending per index, cancelled by naming the index" — backoff timers and
-//! per-source arrival clocks in a MAC model, retry timers in a protocol
-//! stack. Such timers dominate event volume in sensing-heavy workloads:
-//! keeping them in the shared scheduler means every cancelled timer lingers
-//! as a stale entry that still has to be pushed, sifted and popped. A tier's
-//! indexed `TimerSet` instead gives O(1) arm and *physical* cancel (plus an
-//! O(indices) cached-minimum recomputation amortised over bursts).
+//! The queue is **multi-tier**. General events live in a binary heap
+//! (`std::collections::BinaryHeap`, O(log n) push and pop) ordered by
+//! reversed `(time, seq)`. On top of that, a model can register any number
+//! of *indexed timer tiers* ([`EventQueue::add_tier`]) for event classes
+//! with the shape "at most one pending per index, cancelled by naming the
+//! index" — backoff timers and per-source arrival clocks in a MAC model,
+//! retry timers in a protocol stack. Such timers dominate event volume in
+//! sensing-heavy workloads: keeping them in the shared heap means every
+//! cancelled timer lingers as a stale entry that still has to be pushed,
+//! sifted and popped. A tier's indexed `TimerSet` instead gives O(1) arm and
+//! *physical* cancel (plus an O(indices) cached-minimum recomputation
+//! amortised over bursts).
 //!
 //! All tiers draw sequence numbers from one shared counter, so the merged pop
 //! order is exactly the `(time, seq)` total order a single-queue
 //! implementation would produce — which is what lets a model split its event
-//! classes across tiers without perturbing a golden trace. An unused tier
-//! costs one empty-peek per pop and nothing else.
+//! classes across tiers without perturbing a golden trace. Sequence numbers
+//! are unique, so the pop order is a pure function of the pending
+//! `(time, seq)` multiset, whatever the heap's internal layout. An unused
+//! tier costs one empty-peek per pop and nothing else.
 //!
 //! A timer tier is declared with an owning component and a constructor
 //! function `fn(index, gen) -> E`: when an armed timer fires, the queue
@@ -30,8 +33,10 @@
 //! same-instant rule in MAC-style models), while `cancel_timer` removes a
 //! timer physically.
 
-use crate::metrics::{CalendarStats, QueueCounters, TierCounters};
-use crate::sched::{CalendarQueue, Scheduler};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use crate::metrics::{QueueCounters, SchedulerStats, TierCounters};
 use crate::simulation::ComponentId;
 use crate::time::SimTime;
 
@@ -44,6 +49,35 @@ impl TierId {
     /// A placeholder id for tests that overwrite it before use.
     pub(crate) fn default_for_test() -> Self {
         TierId(0)
+    }
+}
+
+/// One general event, ordered by reversed `(time, seq)`: `BinaryHeap` is a
+/// max-heap, so the earliest entry is the greatest and pops first.
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    target: ComponentId,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> Ord for Entry<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+impl<E> PartialOrd for Entry<E> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -230,12 +264,14 @@ impl<E> std::fmt::Debug for TimerTier<E> {
     }
 }
 
-/// A deterministic time-ordered event queue: a [`CalendarQueue`] for general
+/// A deterministic time-ordered event queue: a binary heap for general
 /// events plus any number of [`TierId`]-addressed timer tiers, merged at pop
 /// time by the shared `(time, seq)` total order.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    general: CalendarQueue<(ComponentId, E)>,
+    general: BinaryHeap<Entry<E>>,
+    /// Growths of the general heap's backing storage.
+    resizes: u64,
     tiers: Vec<TimerTier<E>>,
     next_seq: u64,
     counters: QueueCounters,
@@ -251,7 +287,8 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with no timer tiers.
     pub fn new() -> Self {
         EventQueue {
-            general: CalendarQueue::new(),
+            general: BinaryHeap::new(),
+            resizes: 0,
             tiers: Vec::new(),
             next_seq: 0,
             counters: QueueCounters::default(),
@@ -283,7 +320,15 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.counters.schedules += 1;
-        self.general.schedule(time, seq, (target, event));
+        if self.general.len() == self.general.capacity() {
+            self.resizes += 1;
+        }
+        self.general.push(Entry {
+            time,
+            seq,
+            target,
+            event,
+        });
     }
 
     /// Arm `index`'s timer in `tier` to fire at `time`, synthesizing
@@ -358,8 +403,8 @@ impl<E> EventQueue<E> {
     fn peek_key(&mut self) -> Option<(SimTime, u64, Source)> {
         let mut best: Option<(SimTime, u64, Source)> = self
             .general
-            .peek_key()
-            .map(|(t, s)| (t, s, Source::General));
+            .peek()
+            .map(|e| (e.time, e.seq, Source::General));
         for (i, tier) in self.tiers.iter_mut().enumerate() {
             if let Some(t) = tier.set.peek() {
                 if best.is_none_or(|(bt, bs, _)| (t.time, t.seq) < (bt, bs)) {
@@ -389,11 +434,9 @@ impl<E> EventQueue<E> {
                 Some((timer.time, tier.owner, (tier.make)(timer.index, timer.gen)))
             }
             (_, _, Source::General) => {
-                let popped = self.general.pop();
-                if popped.is_some() {
-                    self.counters.general_pops += 1;
-                }
-                popped.map(|(t, _, (target, ev))| (t, target, ev))
+                let e = self.general.pop().expect("peeked event vanished");
+                self.counters.general_pops += 1;
+                Some((e.time, e.target, e.event))
             }
         }
     }
@@ -414,9 +457,8 @@ impl<E> EventQueue<E> {
     ///
     /// Pop order is a pure function of the `(time, seq)` entry multiset, so
     /// [`restore`](Self::restore)-ing a snapshot into a queue with the same
-    /// tier layout reproduces the identical pop sequence; no scheduler- or
-    /// tier-internal bookkeeping (calendar cursor, cached minima) needs to
-    /// round-trip.
+    /// tier layout reproduces the identical pop sequence; no heap layout or
+    /// tier-internal bookkeeping (cached minima) needs to round-trip.
     pub fn snapshot(&self) -> QueueSnapshot<E>
     where
         E: Clone,
@@ -424,9 +466,8 @@ impl<E> EventQueue<E> {
         QueueSnapshot {
             general: self
                 .general
-                .entries()
-                .into_iter()
-                .map(|(time, seq, (target, event))| (time, seq, target, event))
+                .iter()
+                .map(|e| (e.time, e.seq, e.target, e.event.clone()))
                 .collect(),
             tiers: self
                 .tiers
@@ -449,7 +490,7 @@ impl<E> EventQueue<E> {
     /// registration order) as the one the snapshot was taken from — tiers
     /// carry owner and payload-constructor functions that a snapshot cannot,
     /// so restore targets a structurally identical queue built by the same
-    /// code path.
+    /// code path. The general heap's growth count restarts at zero.
     ///
     /// # Panics
     ///
@@ -460,10 +501,17 @@ impl<E> EventQueue<E> {
             self.tiers.len(),
             "queue snapshot tier count mismatch"
         );
-        self.general = CalendarQueue::new();
-        for (time, seq, target, event) in snapshot.general {
-            self.general.schedule(time, seq, (target, event));
-        }
+        self.general = snapshot
+            .general
+            .into_iter()
+            .map(|(time, seq, target, event)| Entry {
+                time,
+                seq,
+                target,
+                event,
+            })
+            .collect();
+        self.resizes = 0;
         for (tier, timers) in self.tiers.iter_mut().zip(snapshot.tiers) {
             tier.set.clear();
             for (time, seq, index, gen) in timers {
@@ -507,10 +555,12 @@ impl<E> EventQueue<E> {
             .collect()
     }
 
-    /// Structure and adaptation counters of the general tier's calendar
-    /// queue.
-    pub fn scheduler_stats(&self) -> CalendarStats {
-        self.general.stats()
+    /// The general heap's pending count and growth tally.
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        SchedulerStats {
+            len: self.general.len() as u64,
+            resizes: self.resizes,
+        }
     }
 }
 
@@ -767,8 +817,8 @@ mod tests {
     }
 
     mod properties {
-        //! Property tests of the full multi-tier queue (calendar-queue
-        //! general tier + indexed timer sets) against a naive sorted-vector
+        //! Property tests of the full multi-tier queue (binary-heap general
+        //! tier + indexed timer sets) against a naive sorted-vector
         //! model, over arbitrary interleavings of general pushes, timer
         //! arms, timer cancels (including cancel-and-rearm patterns) and
         //! pops.
@@ -943,6 +993,10 @@ mod tests {
                         c.pushes(),
                         c.pops() + c.timer_cancels + q.len() as u64,
                         "queue tallies must reconcile after every op"
+                    );
+                    prop_assert_eq!(
+                        q.scheduler_stats().len,
+                        c.schedules - c.general_pops
                     );
                     let t = &q.tier_counters()[0];
                     prop_assert_eq!(t.arms, t.fires + t.cancels + t.armed);

@@ -8,11 +8,7 @@
 //! * [`kiefer_wolfowitz`] — the two-sided finite-difference maximiser of eq. (5),
 //!   the core of both of the paper's algorithms;
 //! * [`gain`] — power-law gain sequences (`a_k = 1/k`, `b_k = 1/k^(1/3)` in the
-//!   paper) with symbolic verification of the convergence conditions;
-//! * [`robbins_monro`] — the root-finding form of stochastic approximation
-//!   (useful for set-point tracking baselines such as IdleSense);
-//! * [`spsa`] — simultaneous-perturbation SA, a multi-dimensional extension
-//!   provided for future-work experiments.
+//!   paper) with symbolic verification of the convergence conditions.
 //!
 //! The crate is deliberately independent of the WLAN domain: the optimisers know
 //! nothing about throughput or attempt probabilities, only about probe points
@@ -25,10 +21,6 @@
 
 pub mod gain;
 pub mod kiefer_wolfowitz;
-pub mod robbins_monro;
-pub mod spsa;
 
 pub use gain::PowerLawGains;
 pub use kiefer_wolfowitz::{KieferWolfowitz, KwStep, ProbeSide};
-pub use robbins_monro::RobbinsMonro;
-pub use spsa::Spsa;

@@ -7,10 +7,10 @@
 //! [`ApAlgorithm`]; protocol implementations live in the `wlan-core` crate.
 
 use crate::control::ControlPayload;
-use crate::time::SimTime;
 use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimTime;
 
 /// One completed controller measurement segment, as reported through
 /// [`ApAlgorithm::telemetry`]: the stochastic-approximation iterate and the

@@ -103,9 +103,9 @@ pub trait BackoffPolicy: Send {
     /// Build-time configuration (window bounds, weights, retry limits) is
     /// reconstructed from the scenario, so only state that evolves during the
     /// run belongs here. The default writes nothing — correct for stateless
-    /// policies; a `Custom` policy with mutable state must override both
-    /// this and [`load_state`](Self::load_state) symmetrically or resumed
-    /// runs will diverge.
+    /// policies; a policy with mutable state must override both this and
+    /// [`load_state`](Self::load_state) symmetrically or resumed runs will
+    /// diverge.
     fn save_state(&self, writer: &mut StateWriter) {
         let _ = writer;
     }
@@ -125,8 +125,7 @@ pub trait BackoffPolicy: Send {
 /// call (and a pointer chase to a separate allocation) on every backoff draw,
 /// outcome notification and control update. This enum stores the concrete
 /// policy inline in the station state and dispatches with a jump table the
-/// optimiser can see through, while [`Policy::Custom`] keeps the trait-object
-/// escape hatch for policies defined outside this crate.
+/// optimiser can see through.
 ///
 /// Construct it with `From`/`Into` from any concrete policy — the
 /// [`SimulatorBuilder`](crate::SimulatorBuilder) accepts `impl Into<Policy>`:
@@ -147,16 +146,9 @@ pub enum Policy {
     FixedWindow(FixedWindow),
     /// The IdleSense adaptive contention window ([`IdleSensePolicy`]).
     IdleSense(IdleSensePolicy),
-    /// Escape hatch: any other [`BackoffPolicy`], dispatched virtually.
-    Custom(Box<dyn BackoffPolicy>),
 }
 
 impl Policy {
-    /// Wrap an out-of-crate policy in the virtual-dispatch escape hatch.
-    pub fn custom(policy: Box<dyn BackoffPolicy>) -> Self {
-        Policy::Custom(policy)
-    }
-
     /// [`next_backoff`](BackoffPolicy::next_backoff) from a station's own
     /// stream: the same draw, with the p-persistent one (made for every
     /// contending station at every resume) calling the generator directly
@@ -184,8 +176,8 @@ impl Policy {
 }
 
 /// Forward every [`BackoffPolicy`] method to the concrete variant. The match
-/// is resolved per call site; for the closed variants the callee is a direct
-/// (inlinable) call rather than a vtable lookup.
+/// is resolved per call site; the callee is a direct (inlinable) call rather
+/// than a vtable lookup.
 macro_rules! dispatch {
     ($self:ident, $p:pat => $body:expr) => {
         match $self {
@@ -194,7 +186,6 @@ macro_rules! dispatch {
             Policy::RandomReset($p) => $body,
             Policy::FixedWindow($p) => $body,
             Policy::IdleSense($p) => $body,
-            Policy::Custom($p) => $body,
         }
     };
 }
@@ -276,12 +267,6 @@ impl From<FixedWindow> for Policy {
 impl From<IdleSensePolicy> for Policy {
     fn from(p: IdleSensePolicy) -> Self {
         Policy::IdleSense(p)
-    }
-}
-
-impl From<Box<dyn BackoffPolicy>> for Policy {
-    fn from(p: Box<dyn BackoffPolicy>) -> Self {
-        Policy::Custom(p)
     }
 }
 
@@ -1113,13 +1098,6 @@ mod tests {
         assert_eq!(fw.attempt_probability(), Some(2.0 / 17.0));
         let is: Policy = IdleSensePolicy::for_phy(&phy).into();
         assert_eq!(is.name(), "idle-sense");
-
-        // The escape hatch still dispatches virtually.
-        let custom = Policy::custom(Box::new(FixedWindow::new(8)));
-        assert_eq!(custom.name(), "fixed-window");
-        let boxed: Box<dyn BackoffPolicy> = Box::new(PPersistent::new(0.1));
-        let via_box: Policy = boxed.into();
-        assert!(matches!(via_box, Policy::Custom(_)));
     }
 
     #[test]

@@ -19,9 +19,9 @@ use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
-use crate::time::SimTime;
 use crate::topology::NodeId;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle};
 
 /// A pending ACK the AP is about to transmit / is transmitting.

@@ -12,12 +12,12 @@ use super::event::Event;
 use super::station::{Phase, StationMac};
 use super::{Ctx, EnginePeers, World};
 use crate::stats::SimStats;
-use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 use crate::traffic::ArrivalSampler;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::{SimDuration, SimTime};
 use wlan_des::{Component, Handle, TierId};
 
 /// Runtime traffic state of one finite-load station: its arrival sampler,

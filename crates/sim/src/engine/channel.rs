@@ -19,10 +19,10 @@ use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
-use crate::time::SimTime;
 use crate::topology::NodeId;
 use rand::{Rng, RngCore};
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle, Slab, SlabSnapshot, SlotId, SlotSnapshot};
 
 /// An in-flight data transmission (slab-resident from `TxStart` until the end

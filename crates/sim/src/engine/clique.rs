@@ -64,11 +64,11 @@ use super::Ctx;
 use crate::backoff::BackoffPolicy;
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
-use crate::time::SimTime;
 use crate::topology::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimTime;
 use wlan_des::TierId;
 
 /// `target` value of a station without a synced countdown.

@@ -1,6 +1,6 @@
 //! The WLAN engine's event vocabulary.
 //!
-//! The queue machinery itself — `(time, seq)` total order, calendar-queue
+//! The queue machinery itself — `(time, seq)` total order, binary-heap
 //! general tier, indexed timer tiers with physical cancellation — lives in
 //! the generic `wlan-des` kernel ([`wlan_des::queue`]); this module only
 //! defines the event payloads the WLAN components exchange and the timer-
@@ -11,7 +11,7 @@
 //! stale event aliasing a recycled slot.
 //!
 //! Two event kinds live in indexed timer tiers rather than the general
-//! calendar queue (see the kernel's queue docs for why): backoff timers
+//! heap (see the kernel's queue docs for why): backoff timers
 //! (`TxStart` — at most one pending per station, cancelled by naming the
 //! station on every carrier-sense freeze) and frame arrivals
 //! (`FrameArrival` — at most one pending per station, cancelled on

@@ -53,10 +53,10 @@
 //!   free-list slab ([`wlan_des::Slab`]) and are reclaimed as soon as their
 //!   lifecycle ends, so memory is O(concurrent transmissions), not O(run
 //!   length).
-//! * **Calendar-queue scheduler** — general events live in a bucketed
-//!   calendar queue with O(1) amortized operations, backoff and arrival
-//!   timers in indexed timer tiers; all tiers share one `(time, seq)`
-//!   counter so pops follow the exact historical single-heap order
+//! * **Two-tier scheduler** — general events live in a binary heap,
+//!   backoff and arrival timers in indexed timer tiers with O(1) arm and
+//!   physical cancel; all tiers share one `(time, seq)` counter so pops
+//!   follow the exact historical single-heap order
 //!   ([`wlan_des::EventQueue`]). The clique path arms only its earliest
 //!   backoff timer there, numbered from ranges reserved per walk.
 //! * **Hot/cold station state** — the per-station fields touched on every
@@ -83,7 +83,6 @@ use crate::backoff::{BackoffPolicy, Policy};
 use crate::capture::CaptureModel;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
-use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
 use crate::traffic::{ArrivalProcess, ArrivalSampler, TrafficSpec};
 use apctl::ApControl;
@@ -95,6 +94,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use station::{Phase, StationMac, Stations};
 use std::collections::VecDeque;
+use wlan_des::time::{SimDuration, SimTime};
 use wlan_des::{ComponentId, Handle, Simulation, TierId};
 
 /// The context type handed to the WLAN components (kernel context
@@ -212,9 +212,7 @@ impl SimulatorBuilder {
     }
 
     /// Install the same policy constructor on every station. The factory may
-    /// return any concrete policy convertible into [`Policy`] (or a
-    /// `Box<dyn BackoffPolicy>`, which lands in the `Policy::Custom` escape
-    /// hatch and dispatches virtually).
+    /// return any concrete policy convertible into [`Policy`].
     pub fn with_stations<F, P>(mut self, mut factory: F) -> Self
     where
         F: FnMut(NodeId, &PhyParams) -> P,

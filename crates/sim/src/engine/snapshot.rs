@@ -2,8 +2,8 @@
 //! [`Simulator::checkpoint`] and [`Simulator::resume`].
 //!
 //! The checkpoint captures everything that evolves during a run — the kernel
-//! clock and `(time, seq)` counter, every pending event (general calendar
-//! queue and both timer tiers), the statistics and throughput-binning state,
+//! clock and `(time, seq)` counter, every pending event (general heap and
+//! both timer tiers), the statistics and throughput-binning state,
 //! per-station MAC/policy/RNG state, the transmission slab, the AP
 //! controller, traffic sources, and the channel's frame-error RNG stream.
 //! Build-time configuration (PHY, topology, policy parameters) is *not*
@@ -33,14 +33,14 @@ impl Simulator {
     ///
     /// The checkpoint captures everything that evolves during a run — the
     /// kernel clock and `(time, seq)` counter, every pending event (general
-    /// calendar queue and both timer tiers), the statistics and
-    /// throughput-binning state, per-station MAC/policy/RNG state, the
-    /// transmission slab (with generations and free-list structure), the
-    /// AP controller, traffic sources, and the channel's frame-error RNG
-    /// stream. Build-time configuration (PHY, topology, policies' parameters)
-    /// is *not* captured: [`resume`](Self::resume) must be called on a
-    /// simulator freshly built from the identical scenario, and the resumed
-    /// run is then bit-identical to one that never checkpointed.
+    /// heap and both timer tiers), the statistics and throughput-binning
+    /// state, per-station MAC/policy/RNG state, the transmission slab (with
+    /// generations and free-list structure), the AP controller, traffic
+    /// sources, and the channel's frame-error RNG stream. Build-time
+    /// configuration (PHY, topology, policies' parameters) is *not*
+    /// captured: [`resume`](Self::resume) must be called on a simulator
+    /// freshly built from the identical scenario, and the resumed run is
+    /// then bit-identical to one that never checkpointed.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_bytes(CHECKPOINT_MAGIC);

@@ -42,11 +42,11 @@ use super::{Ctx, EnginePeers, World, CHANNEL_ID};
 use crate::backoff::{BackoffPolicy, Policy};
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
-use crate::time::SimTime;
 use crate::topology::NodeId;
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle, TierId};
 
 /// What a station is currently doing.

@@ -22,19 +22,18 @@
 //!   ([`backoff::BackoffPolicy`]): standard exponential backoff, p-persistent
 //!   CSMA, the paper's RandomReset(j; p0) scheme, IdleSense, or a fixed
 //!   window. The engine stores policies in the closed [`backoff::Policy`]
-//!   enum and dispatches them statically (with a `Custom` trait-object escape
-//!   hatch for policies defined elsewhere);
+//!   enum and dispatches them statically;
 //! * the AP may run a controller ([`ap::ApAlgorithm`], stored as an
 //!   [`ap::Controller`]) that observes successful receptions and piggy-backs
 //!   control variables on every ACK — the hook used by wTOP-CSMA and
 //!   TORA-CSMA (implemented in the `wlan-core` crate).
 //!
 //! The engine is single-threaded and fully deterministic for a given seed.
-//! Every simulator (and everything inside it — custom policies and AP
-//! controllers are `Send` trait objects, the RNG is an owned `ChaCha8Rng`,
-//! and there is no `Rc` or thread-bound interior mutability anywhere) is
-//! `Send`, so the campaign layer in `wlan-core` can run many independent
-//! simulations on a thread pool with bit-identical results.
+//! Every simulator (and everything inside it — custom AP controllers are
+//! `Send` trait objects, the RNG is an owned `ChaCha8Rng`, and there is no
+//! `Rc` or thread-bound interior mutability anywhere) is `Send`, so the
+//! campaign layer in `wlan-core` can run many independent simulations on a
+//! thread pool with bit-identical results.
 //!
 //! ## Quick example
 //!
@@ -64,7 +63,6 @@ mod engine;
 pub mod idlesense;
 pub mod phy;
 pub mod stats;
-pub mod time;
 pub mod topology;
 pub mod traffic;
 
@@ -97,6 +95,6 @@ pub use control::{BusyOutcome, ChannelObservation, ControlPayload};
 pub use engine::{EngineMetrics, Simulator, SimulatorBuilder, COMPONENT_NAMES, TIER_NAMES};
 pub use phy::PhyParams;
 pub use stats::{DelayHistogram, NodeStats, SimStats, ThroughputSample, TrafficStats};
-pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Position, Topology};
 pub use traffic::{ArrivalProcess, ArrivalSampler, TrafficSpec};
+pub use wlan_des::time::{SimDuration, SimTime};

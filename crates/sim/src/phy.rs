@@ -13,8 +13,8 @@
 //! Tc = (LH + EP)/R + DIFS                        (collision slot)
 //! ```
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use wlan_des::time::SimDuration;
 
 /// Length of a MAC data header in bits (24-byte MAC header + 4-byte FCS + 6-byte LLC/SNAP).
 pub const DEFAULT_MAC_HEADER_BITS: u64 = 34 * 8;

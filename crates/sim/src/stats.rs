@@ -10,9 +10,9 @@
 //! additionally record per-frame delay, jitter, queue high-water marks and
 //! drop counters in [`TrafficStats`].
 
-use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
+use wlan_des::time::{SimDuration, SimTime};
 
 /// Per-station counters.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

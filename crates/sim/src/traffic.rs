@@ -33,10 +33,10 @@
 //! (`queued_at_start + arrivals == delivered + drops + queued_now`) an exact
 //! invariant, not an approximation.
 
-use crate::time::SimDuration;
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::time::SimDuration;
 
 /// A per-station frame arrival process.
 ///
