@@ -1,6 +1,6 @@
-//! Ablation benches (harness = false) for the design choices called out in
-//! DESIGN.md. Unlike the criterion benches these do not measure wall-clock time;
-//! they measure *achieved throughput* as the knob of interest is varied:
+//! Ablation benches (harness = false) for the controller tuning choices. They
+//! do not measure wall-clock time; they measure *achieved throughput* as the
+//! knob of interest is varied:
 //!
 //! * `UPDATE_PERIOD` of wTOP-CSMA (the paper recommends ≈500 successful
 //!   transmissions per segment);
@@ -15,11 +15,11 @@ use wlan_sim::{PhyParams, SimDuration, SimulatorBuilder, Topology};
 
 fn run_wtop(n: usize, cfg: WtopConfig, warm_secs: u64) -> f64 {
     let phy = PhyParams::table1();
-    let controller = WtopController::new(cfg);
+    let controller = Box::new(WtopController::new(cfg));
     let mut sim = SimulatorBuilder::new(phy, Topology::fully_connected(n))
         .seed(7)
         .with_stations(|_, _| WtopController::station_policy(1.0))
-        .ap_algorithm(wlan_sim::Controller::custom(Box::new(controller)))
+        .ap_algorithm(controller)
         .build();
     sim.run_for(SimDuration::from_secs(warm_secs));
     sim.reset_measurements();
@@ -29,11 +29,11 @@ fn run_wtop(n: usize, cfg: WtopConfig, warm_secs: u64) -> f64 {
 
 fn run_tora(n: usize, cfg: ToraConfig, warm_secs: u64) -> f64 {
     let phy = PhyParams::table1();
-    let controller = ToraController::new(cfg);
+    let controller = Box::new(ToraController::new(cfg));
     let mut sim = SimulatorBuilder::new(phy.clone(), Topology::fully_connected(n))
         .seed(7)
         .with_stations(|_, phy| ToraController::station_policy(phy))
-        .ap_algorithm(wlan_sim::Controller::custom(Box::new(controller)))
+        .ap_algorithm(controller)
         .build();
     sim.run_for(SimDuration::from_secs(warm_secs));
     sim.reset_measurements();

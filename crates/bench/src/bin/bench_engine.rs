@@ -19,11 +19,6 @@
 //! * `--full`: the extended grid with 10 sim-seconds per cell at N ≤ 100
 //!   (large-N cells stay at 2 s; events/sec is a rate and converges quickly).
 //!
-//! Cells present in the committed pre-refactor baseline
-//! (`crates/bench/data/bench_engine_baseline.json`, measured at commit
-//! 3d65cce) also report `speedup_vs_pre_refactor`: the wall-time ratio on
-//! the identical simulated workload.
-//!
 //! Usage:
 //!
 //! ```text
@@ -61,12 +56,6 @@ use std::time::Instant;
 use wlan_core::{Protocol, Scenario, TopologySpec};
 use wlan_sim::{SimDuration, TrafficSpec};
 
-/// The committed pre-refactor measurements (see module docs).
-const BASELINE_JSON: &str = include_str!("../../data/bench_engine_baseline.json");
-
-/// Sim-seconds measured per cell by the pre-refactor baseline probe.
-const BASELINE_SIM_SECONDS: f64 = 2.0;
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {
     Quick,
@@ -84,11 +73,6 @@ impl Mode {
     }
 }
 
-#[derive(Debug, Deserialize)]
-struct Baseline {
-    wall_s: std::collections::BTreeMap<String, f64>,
-}
-
 #[derive(Debug, Serialize, Deserialize)]
 struct Cell {
     protocol: String,
@@ -100,27 +84,17 @@ struct Cell {
     events_per_sec: f64,
     /// Simulated seconds per wall second.
     sim_rate: f64,
-    /// Pre-refactor wall seconds, scaled to this run's `sim_seconds`
-    /// (`null` when the baseline file has no entry for the cell).
-    baseline_wall_s: Option<f64>,
-    /// Wall-time ratio vs the pre-refactor engine on the identical workload.
-    speedup_vs_pre_refactor: Option<f64>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Report {
     mode: String,
-    baseline_source: String,
     /// Machine-speed calibration: millions of iterations/sec of a fixed
     /// xorshift64 loop, measured in-process. `--check` divides events/sec by
     /// this before comparing, cancelling raw machine speed to first order.
     calibration_mops: f64,
     cells: Vec<Cell>,
     geomean_events_per_sec: f64,
-    /// Geometric mean of per-cell speedups vs the pre-refactor engine.
-    geomean_speedup: f64,
-    /// The headline cell: Standard 802.11, fully connected, N = 50.
-    key_cell_speedup: f64,
 }
 
 /// One dated line of `BENCH_history.jsonl`.
@@ -488,7 +462,6 @@ fn main() {
         arg_value("--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
     let overhead_check = args.iter().any(|a| a == "--overhead-check");
 
-    let baseline: Baseline = serde_json::from_str(BASELINE_JSON).expect("parse embedded baseline");
     let mut grid = cells_for(mode);
     if let Some(filter) = &only {
         grid.retain(|(proto, tname, _, n, _, _)| {
@@ -519,12 +492,6 @@ fn main() {
         let wall = start.elapsed().as_secs_f64();
         let events = sim.events_processed() - events_before;
 
-        let key = format!("{}:{tname}:{n}", proto.label());
-        let baseline_wall = baseline
-            .wall_s
-            .get(&key)
-            .map(|w| w * sim_secs as f64 / BASELINE_SIM_SECONDS);
-        let speedup = baseline_wall.map(|b| b / wall);
         let cell = Cell {
             protocol: proto.label().to_string(),
             topology: tname.to_string(),
@@ -534,24 +501,20 @@ fn main() {
             events,
             events_per_sec: events as f64 / wall,
             sim_rate: sim_secs as f64 / wall,
-            baseline_wall_s: baseline_wall,
-            speedup_vs_pre_refactor: speedup,
         };
         println!(
-            "  {:<22} {:<16} n={:<5} {:>8.1} ms  {:>6.2} Mev/s  x{:<6.2} sim-rate {:>6.0}",
+            "  {:<22} {:<16} n={:<5} {:>8.1} ms  {:>6.2} Mev/s  sim-rate {:>6.0}",
             cell.protocol,
             cell.topology,
             cell.n,
             cell.wall_s * 1e3,
             cell.events_per_sec / 1e6,
-            speedup.unwrap_or(f64::NAN),
             cell.sim_rate
         );
         cells.push(cell);
     }
 
     let geomean_eps = geomean(cells.iter().map(|c| c.events_per_sec));
-    let geomean_speedup = geomean(cells.iter().filter_map(|c| c.speedup_vs_pre_refactor));
     let key_cell_eps = cells
         .iter()
         .find(|c| c.protocol == "Standard 802.11" && c.topology == "fully_connected" && c.n == 50)
@@ -560,29 +523,14 @@ fn main() {
         .iter()
         .find(|c| c.protocol == "Standard 802.11" && c.topology == "fully_connected" && c.n == 1000)
         .map(|c| c.events_per_sec);
-    let key_cell_speedup = cells
-        .iter()
-        .find(|c| c.protocol == "Standard 802.11" && c.topology == "fully_connected" && c.n == 50)
-        .and_then(|c| c.speedup_vs_pre_refactor)
-        .unwrap_or(0.0);
 
     let report = Report {
         mode: mode.label().to_string(),
-        baseline_source:
-            "crates/bench/data/bench_engine_baseline.json (pre-refactor engine, commit 3d65cce)"
-                .to_string(),
         calibration_mops: calibration,
         cells,
         geomean_events_per_sec: geomean_eps,
-        geomean_speedup,
-        key_cell_speedup,
     };
-    println!(
-        "\n  geomean events/sec: {:.2}M   geomean speedup: x{:.2}   key cell (802.11 FC N=50): x{:.2}",
-        geomean_eps / 1e6,
-        geomean_speedup,
-        key_cell_speedup
-    );
+    println!("\n  geomean events/sec: {:.2}M", geomean_eps / 1e6);
     if only.is_none() || out_explicit {
         std::fs::write(
             &out_path,

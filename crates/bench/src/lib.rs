@@ -1,7 +1,8 @@
 //! # wlan-bench
 //!
 //! The experiment harness that regenerates every figure and table of the
-//! paper's evaluation, plus criterion performance benches and ablations.
+//! paper's evaluation, plus the engine benchmark and the controller
+//! ablations.
 //!
 //! * [`harness`] — the `WLAN_*` knob parser, run configuration (quick vs
 //!   full, the campaign run context), output files, shared throughput-vs-N

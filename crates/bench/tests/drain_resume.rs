@@ -1,7 +1,8 @@
 //! End-to-end supervision tests of the `campaign_server` binary: graceful
-//! SIGTERM drain → `--resume` completion with byte-identical results,
-//! wall-clock timeout requeue, per-job error lines for invalid specs, and
-//! compute-only degradation when the cache directory is unusable.
+//! SIGTERM drain → `--resume` completion with byte-identical results, a
+//! corrupt snapshot discarded on resume, wall-clock timeout requeue, per-job
+//! error lines for invalid specs, and compute-only degradation when the
+//! cache directory is unusable.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -55,6 +56,7 @@ struct Run {
     lines: Vec<Value>,
     summary: Value,
     status: std::process::ExitStatus,
+    stderr: String,
 }
 
 /// Spawn the server on `input`, optionally SIGTERM it after `term_after_ms`,
@@ -96,6 +98,7 @@ fn run_server(
         lines,
         summary,
         status: output.status,
+        stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
     }
 }
 
@@ -184,6 +187,63 @@ fn sigterm_drain_then_resume_is_byte_identical() {
         "drain + resume must be byte-identical to straight-through"
     );
 
+    for d in [cache, ckpt, ref_cache, ref_ckpt] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+/// A snapshot corrupted between the interrupted run and `--resume` is
+/// discarded, never resumed: the server says so, exits 0, and recomputes the
+/// job byte-identically to a clean run.
+#[test]
+fn corrupt_snapshot_is_discarded_on_resume() {
+    let cache = temp_dir("corrupt_cache");
+    let ckpt = temp_dir("corrupt_ckpt");
+    let input = spec(&cache, &ckpt, "");
+
+    // The first claim stalls past the SIGTERM, then runs one slice and
+    // snapshots it as the drain stops the job.
+    let pass1 = run_server(
+        &input,
+        &[],
+        &[("WLAN_FAULT_PLAN", "seed=1;worker_stall=1;stall_ms=1000")],
+        Some(300),
+    );
+    assert!(pass1.status.success(), "drain must exit 0");
+    let mut corrupted = 0;
+    for entry in std::fs::read_dir(&ckpt).expect("checkpoint dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "ckpt") {
+            let mut bytes = std::fs::read(&path).expect("read snapshot");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 1;
+            std::fs::write(&path, bytes).expect("corrupt snapshot");
+            corrupted += 1;
+        }
+    }
+    assert!(corrupted >= 1, "the drained job left no snapshot");
+
+    let pass2 = run_server(&input, &["--resume"], &[], None);
+    assert!(
+        pass2.status.success(),
+        "a corrupt snapshot must not fail the run"
+    );
+    assert_eq!(
+        pass2.stderr.matches("discarding unusable snapshot").count(),
+        corrupted,
+        "stderr: {}",
+        pass2.stderr
+    );
+    assert_eq!(get_u64(&pass2.summary, "completed"), 3);
+
+    let ref_cache = temp_dir("corrupt_ref_cache");
+    let ref_ckpt = temp_dir("corrupt_ref_ckpt");
+    let reference = run_server(&spec(&ref_cache, &ref_ckpt, ""), &[], &[], None);
+    assert_eq!(
+        results_by_job(&pass2.lines),
+        results_by_job(&reference.lines),
+        "a discarded snapshot must leave the result byte-identical"
+    );
     for d in [cache, ckpt, ref_cache, ref_ckpt] {
         let _ = std::fs::remove_dir_all(&d);
     }

@@ -6,7 +6,7 @@ use crate::wtop::{WtopConfig, WtopController};
 use serde::{Deserialize, Serialize};
 use wlan_sim::backoff::{ExponentialBackoff, PPersistent, RandomReset};
 use wlan_sim::idlesense::IdleSensePolicy;
-use wlan_sim::{Controller, NullController, PhyParams, Policy, SimDuration};
+use wlan_sim::{ApAlgorithm, NullController, PhyParams, Policy, SimDuration};
 
 /// Every channel-access scheme exercised in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,23 +74,25 @@ impl Protocol {
     }
 
     /// Build the AP-side controller, using `update_period` for the adaptive
-    /// stochastic-approximation schemes. The stochastic-approximation
-    /// controllers live in this crate and plug into the simulator through
-    /// [`Controller::custom`]; every other scheme gets the statically
-    /// dispatched [`NullController`].
-    pub fn ap_algorithm(&self, phy: &PhyParams, update_period: SimDuration) -> Controller {
+    /// stochastic-approximation schemes (which live in this crate); every
+    /// other scheme gets the no-op [`NullController`].
+    pub fn ap_algorithm(
+        &self,
+        phy: &PhyParams,
+        update_period: SimDuration,
+    ) -> Box<dyn ApAlgorithm> {
         match self {
             Protocol::WTopCsma => {
                 let mut cfg = WtopConfig::for_phy(phy);
                 cfg.update_period = update_period;
-                Controller::custom(Box::new(WtopController::new(cfg)))
+                Box::new(WtopController::new(cfg))
             }
             Protocol::ToraCsma => {
                 let mut cfg = ToraConfig::for_phy(phy);
                 cfg.update_period = update_period;
-                Controller::custom(Box::new(ToraController::new(cfg)))
+                Box::new(ToraController::new(cfg))
             }
-            _ => NullController::new().into(),
+            _ => Box::new(NullController::new()),
         }
     }
 }
@@ -98,7 +100,7 @@ impl Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlan_sim::{ApAlgorithm, BackoffPolicy};
+    use wlan_sim::BackoffPolicy;
 
     #[test]
     fn labels_are_distinct() {

@@ -13,10 +13,8 @@
 //! The pair `(p0, 2^j CWmin)` is piggy-backed on every ACK.
 
 use crate::trace::BoundedTrace;
-use serde::{Deserialize, Serialize};
 use stochastic_approx::{KieferWolfowitz, PowerLawGains};
 use wlan_sim::backoff::RandomReset;
-use wlan_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_sim::{
     ApAlgorithm, ControlEpoch, ControlPayload, PhyParams, Policy, SimDuration, SimTime,
 };
@@ -87,6 +85,13 @@ pub struct ToraController {
     /// Per-segment SA telemetry ([`ControlEpoch`]), bounded like `p0_trace`.
     sa_epochs: BoundedTrace<ControlEpoch>,
 }
+
+// The configuration (update period, scale, thresholds, caps) is rebuilt from
+// the scenario; the iterate, the stage, the open segment and the traces are
+// checkpointed.
+wlan_sim::state!(struct ToraController {
+    kw, stage, bits_received, segment_start, advertised_p0, p0_trace, stage_trace, sa_epochs
+});
 
 impl ToraController {
     /// Create a controller from a configuration.
@@ -240,58 +245,12 @@ impl ApAlgorithm for ToraController {
     fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
         self.sa_epochs.as_slice()
     }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_value(&self.kw.to_value());
-        writer.put_u8(self.stage);
-        writer.put_u64(self.bits_received);
-        match self.segment_start {
-            None => writer.put_bool(false),
-            Some(t) => {
-                writer.put_bool(true);
-                writer.put_time(t);
-            }
-        }
-        writer.put_f64(self.advertised_p0);
-        self.p0_trace.save_state(writer);
-        writer.put_usize(self.stage_trace.len());
-        for &(t, stage) in &self.stage_trace {
-            writer.put_time(t);
-            writer.put_u8(stage);
-        }
-        self.sa_epochs
-            .save_state_with(writer, crate::trace::put_epoch);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.kw =
-            KieferWolfowitz::from_value(&reader.get_value()?).map_err(SnapshotError::custom)?;
-        self.stage = reader.get_u8()?;
-        self.bits_received = reader.get_u64()?;
-        self.segment_start = if reader.get_bool()? {
-            Some(reader.get_time()?)
-        } else {
-            None
-        };
-        self.advertised_p0 = reader.get_f64()?;
-        self.p0_trace.load_state(reader)?;
-        let n = reader.get_usize()?;
-        self.stage_trace.clear();
-        self.stage_trace.reserve(n.min(self.trace_cap));
-        for _ in 0..n {
-            let t = reader.get_time()?;
-            let stage = reader.get_u8()?;
-            self.stage_trace.push((t, stage));
-        }
-        self.sa_epochs
-            .load_state_with(reader, crate::trace::get_epoch)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlan_sim::snapshot::{State, StateReader, StateWriter};
     use wlan_sim::BackoffPolicy;
 
     fn controller() -> ToraController {
@@ -443,11 +402,11 @@ mod tests {
         c.on_success(SimTime::from_millis(ms + 17), 0, 98_765);
 
         let mut w = StateWriter::new();
-        ApAlgorithm::save_state(&c, &mut w);
+        c.save(&mut w);
         let bytes = w.finish();
         let mut twin = controller();
-        let mut r = StateReader::new(&bytes);
-        ApAlgorithm::load_state(&mut twin, &mut r).unwrap();
+        let mut r = StateReader::new(&bytes).unwrap();
+        twin.load(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(c.estimate_p0().to_bits(), twin.estimate_p0().to_bits());

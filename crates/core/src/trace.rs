@@ -15,7 +15,7 @@
 //! would erase a transition — those bound memory by discarding the oldest
 //! half instead.
 
-use wlan_sim::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_sim::snapshot::State;
 use wlan_sim::SimTime;
 
 /// A `(time, value)` series bounded by stride-doubling decimation.
@@ -28,6 +28,9 @@ pub(crate) struct BoundedTrace<T> {
     /// Samples seen since the last recorded one.
     skip: u32,
 }
+
+// The cap is configuration, rebuilt from the scenario.
+wlan_sim::state!(impl[T: State + Default] struct BoundedTrace<T> { entries, stride, skip });
 
 impl<T: Copy> BoundedTrace<T> {
     /// Create a trace bounded to `cap` entries (`cap >= 2`). Pre-reserves
@@ -63,94 +66,6 @@ impl<T: Copy> BoundedTrace<T> {
     pub(crate) fn as_slice(&self) -> &[(SimTime, T)] {
         &self.entries
     }
-}
-
-impl<T: Copy> BoundedTrace<T> {
-    /// Append the trace's mutable state (entries + stride gate) to a
-    /// checkpoint, encoding each value with `put`. The cap is configuration,
-    /// rebuilt from the scenario.
-    pub(crate) fn save_state_with(
-        &self,
-        writer: &mut StateWriter,
-        mut put: impl FnMut(&mut StateWriter, &T),
-    ) {
-        writer.put_usize(self.entries.len());
-        for (t, v) in &self.entries {
-            writer.put_time(*t);
-            put(writer, v);
-        }
-        writer.put_u32(self.stride);
-        writer.put_u32(self.skip);
-    }
-
-    /// Restore state written by [`save_state_with`](Self::save_state_with),
-    /// decoding each value with `get`.
-    pub(crate) fn load_state_with(
-        &mut self,
-        reader: &mut StateReader<'_>,
-        mut get: impl FnMut(&mut StateReader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
-        let n = reader.get_usize()?;
-        self.entries.clear();
-        self.entries.reserve(n.min(self.cap));
-        for _ in 0..n {
-            let t = reader.get_time()?;
-            let v = get(reader)?;
-            self.entries.push((t, v));
-        }
-        self.stride = reader.get_u32()?;
-        self.skip = reader.get_u32()?;
-        Ok(())
-    }
-}
-
-impl BoundedTrace<f64> {
-    /// [`save_state_with`](Self::save_state_with) specialised to `f64`.
-    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
-        self.save_state_with(writer, |w, v| w.put_f64(*v));
-    }
-
-    /// [`load_state_with`](Self::load_state_with) specialised to `f64`.
-    pub(crate) fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.load_state_with(reader, |r| r.get_f64())
-    }
-}
-
-/// Checkpoint codec for a [`ControlEpoch`] (the per-update-epoch controller
-/// telemetry record): field-by-field, `delta` as a presence flag + value.
-pub(crate) fn put_epoch(writer: &mut StateWriter, e: &wlan_sim::ControlEpoch) {
-    writer.put_u64(e.iteration);
-    writer.put_f64(e.estimate);
-    writer.put_f64(e.probe);
-    writer.put_f64(e.gain);
-    writer.put_f64(e.perturbation);
-    writer.put_f64(e.window_mean);
-    match e.delta {
-        None => writer.put_bool(false),
-        Some(d) => {
-            writer.put_bool(true);
-            writer.put_f64(d);
-        }
-    }
-}
-
-/// Decode a [`ControlEpoch`] written by [`put_epoch`].
-pub(crate) fn get_epoch(
-    reader: &mut StateReader<'_>,
-) -> Result<wlan_sim::ControlEpoch, SnapshotError> {
-    Ok(wlan_sim::ControlEpoch {
-        iteration: reader.get_u64()?,
-        estimate: reader.get_f64()?,
-        probe: reader.get_f64()?,
-        gain: reader.get_f64()?,
-        perturbation: reader.get_f64()?,
-        window_mean: reader.get_f64()?,
-        delta: if reader.get_bool()? {
-            Some(reader.get_f64()?)
-        } else {
-            None
-        },
-    })
 }
 
 /// Keep every second entry of a trace (the later of each pair, plus the final

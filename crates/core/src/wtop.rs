@@ -15,10 +15,8 @@
 //! hidden terminals make the throughput function unknown.
 
 use crate::trace::BoundedTrace;
-use serde::{Deserialize, Serialize};
 use stochastic_approx::{KieferWolfowitz, PowerLawGains};
 use wlan_sim::backoff::PPersistent;
-use wlan_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_sim::{
     ApAlgorithm, ControlEpoch, ControlPayload, PhyParams, Policy, SimDuration, SimTime,
 };
@@ -121,6 +119,14 @@ pub struct WtopController {
     /// estimate traces and recorded by the same push sequence.
     sa_epochs: BoundedTrace<ControlEpoch>,
 }
+
+// The configuration (update period, scale, clamps, gains) is rebuilt from
+// the scenario; the iterate, the open segment's accumulator and the traces
+// are checkpointed.
+wlan_sim::state!(struct WtopController {
+    kw, last_plus_measurement, bits_received, segment_start, advertised_p, probe_trace,
+    estimate_trace, sa_epochs
+});
 
 impl WtopController {
     /// Create a controller from a configuration.
@@ -293,62 +299,12 @@ impl ApAlgorithm for WtopController {
     fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
         self.sa_epochs.as_slice()
     }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        // The Kiefer–Wolfowitz iterate carries its whole mutable state and
-        // derives the serde traits, so it rides the Value codec; the
-        // remaining fields are the measurement accumulator of the open
-        // segment plus the bounded traces. Configuration (update period,
-        // scale, clamps, gains) is rebuilt from the scenario.
-        writer.put_value(&self.kw.to_value());
-        match self.last_plus_measurement {
-            None => writer.put_bool(false),
-            Some(y) => {
-                writer.put_bool(true);
-                writer.put_f64(y);
-            }
-        }
-        writer.put_u64(self.bits_received);
-        match self.segment_start {
-            None => writer.put_bool(false),
-            Some(t) => {
-                writer.put_bool(true);
-                writer.put_time(t);
-            }
-        }
-        writer.put_f64(self.advertised_p);
-        self.probe_trace.save_state(writer);
-        self.estimate_trace.save_state(writer);
-        self.sa_epochs
-            .save_state_with(writer, crate::trace::put_epoch);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.kw =
-            KieferWolfowitz::from_value(&reader.get_value()?).map_err(SnapshotError::custom)?;
-        self.last_plus_measurement = if reader.get_bool()? {
-            Some(reader.get_f64()?)
-        } else {
-            None
-        };
-        self.bits_received = reader.get_u64()?;
-        self.segment_start = if reader.get_bool()? {
-            Some(reader.get_time()?)
-        } else {
-            None
-        };
-        self.advertised_p = reader.get_f64()?;
-        self.probe_trace.load_state(reader)?;
-        self.estimate_trace.load_state(reader)?;
-        self.sa_epochs
-            .load_state_with(reader, crate::trace::get_epoch)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlan_sim::snapshot::{State, StateReader, StateWriter};
     use wlan_sim::BackoffPolicy;
 
     fn controller() -> WtopController {
@@ -474,11 +430,11 @@ mod tests {
         c.on_success(SimTime::from_millis(cursor + 40), 0, 123_456);
 
         let mut w = StateWriter::new();
-        ApAlgorithm::save_state(&c, &mut w);
+        c.save(&mut w);
         let bytes = w.finish();
         let mut twin = controller();
-        let mut r = StateReader::new(&bytes);
-        ApAlgorithm::load_state(&mut twin, &mut r).unwrap();
+        let mut r = StateReader::new(&bytes).unwrap();
+        twin.load(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(c.estimate().to_bits(), twin.estimate().to_bits());

@@ -19,10 +19,13 @@
 //!   seen by existing ones.
 //! * A generational [`Slab`] ([`slab`]) for entities whose lifecycle spans
 //!   events, keeping memory bounded by concurrency instead of run length.
-//! * A checkpoint codec ([`snapshot`]): [`StateWriter`]/[`StateReader`]
-//!   serialize mutable kernel and model state — clock, `(time, seq)`
-//!   counter, pending events, RNG stream positions — so a resumed run is
-//!   bit-identical to a straight-through run.
+//! * A checkpoint codec ([`snapshot`]): one positional [`State`] trait,
+//!   implemented by the [`state!`] macro from a type's list of mutable
+//!   fields, saves the kernel (clock, `(time, seq)` counter, pending events,
+//!   RNG stream positions) and model state into a checksummed
+//!   [`StateWriter`] blob and loads it back in place, so a resumed run is
+//!   bit-identical to a straight-through run and a corrupt snapshot is an
+//!   error.
 //!
 //! # A minimal custom component
 //!
@@ -109,9 +112,9 @@ pub mod time;
 pub use metrics::{
     ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, SchedulerStats, TierCounters,
 };
-pub use queue::{EventQueue, QueueSnapshot, TierId};
+pub use queue::{EventQueue, TierId};
 pub use rng::StreamMaster;
 pub use simulation::{AsAny, Component, ComponentId, Handle, Peers, Simulation, SimulationContext};
-pub use slab::{Slab, SlabSnapshot, SlotId, SlotSnapshot};
-pub use snapshot::{SnapshotError, StateReader, StateWriter};
+pub use slab::{Slab, SlotId};
+pub use snapshot::{SnapshotError, State, StateReader, StateWriter};
 pub use time::{SimDuration, SimTime};

@@ -30,13 +30,11 @@
 //!
 //! # RNG draw accounting
 //!
-//! Per-stream draw counts are *derived*, not counted: a ChaCha8 stream's
-//! exact position is a pure function of its block counter and buffer index
-//! (already captured by the checkpoint layer), so
-//! [`rng_word_position`] reports words consumed without wrapping the
+//! Per-stream draw counts are *derived*, not counted: a ChaCha8 stream
+//! knows its keystream position (the checkpoint layer saves it), so
+//! `ChaCha8Rng::get_word_pos` reports words consumed without wrapping the
 //! generator or touching the draw path.
 
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use crate::simulation::ComponentId;
@@ -46,9 +44,9 @@ use crate::simulation::ComponentId;
 /// pending, was popped, or was physically cancelled —
 /// `pushes() == pops() + timer_cancels + len()`.
 ///
-/// [`EventQueue::restore`](crate::EventQueue::restore) resets the tallies,
-/// counting the restored entries as the pushes of a fresh history, so the
-/// identity holds across checkpoint round-trips too.
+/// Loading a checkpoint into a queue resets the tallies, counting the
+/// restored entries as the pushes of a fresh history, so the identity holds
+/// across checkpoint round-trips too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueueCounters {
     /// General-tier events scheduled.
@@ -217,18 +215,6 @@ pub struct MetricsReport {
     pub rng_words: Vec<Option<u64>>,
 }
 
-/// Keystream words a ChaCha8 stream has consumed since seeding.
-///
-/// Derived purely from the generator's block counter and buffer index; the
-/// generator is not advanced, cloned, or otherwise touched.
-pub fn rng_word_position(rng: &ChaCha8Rng) -> u64 {
-    let (state, _, index) = rng.state();
-    let counter = (state[12] as u64) | ((state[13] as u64) << 32);
-    let block_words = ChaCha8Rng::STATE_WORDS as u64;
-    let buffered = (ChaCha8Rng::BUFFER_WORDS - index.min(ChaCha8Rng::BUFFER_WORDS)) as u64;
-    (counter * block_words).saturating_sub(buffered)
-}
-
 /// One wall-clock timing sample emitted by the profiler.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileSample {
@@ -297,24 +283,6 @@ impl<E> Profiler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngCore, SeedableRng};
-
-    #[test]
-    fn rng_word_position_tracks_draws_exactly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        assert_eq!(rng_word_position(&rng), 0, "fresh stream at position 0");
-        let mut drawn_words = 0u64;
-        for i in 0..300u64 {
-            if i % 3 == 0 {
-                let _ = rng.next_u32();
-                drawn_words += 1;
-            } else {
-                let _ = rng.next_u64();
-                drawn_words += 2;
-            }
-            assert_eq!(rng_word_position(&rng), drawn_words);
-        }
-    }
 
     #[test]
     fn metrics_interns_kinds_and_counts_per_component() {

@@ -38,6 +38,7 @@ use std::collections::BinaryHeap;
 
 use crate::metrics::{QueueCounters, SchedulerStats, TierCounters};
 use crate::simulation::ComponentId;
+use crate::snapshot::{SnapshotError, State};
 use crate::time::SimTime;
 
 /// Identifier of a timer tier, returned by [`EventQueue::add_tier`].
@@ -54,13 +55,15 @@ impl TierId {
 
 /// One general event, ordered by reversed `(time, seq)`: `BinaryHeap` is a
 /// max-heap, so the earliest entry is the greatest and pops first.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     target: ComponentId,
     event: E,
 }
+
+crate::state!(impl[E: State + Default] struct Entry<E> { time, seq, target, event });
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -82,7 +85,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 
 /// One armed timer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Timer {
     time: SimTime,
     seq: u64,
@@ -91,6 +94,8 @@ struct Timer {
     /// belt-and-braces validity check for the handler).
     gen: u64,
 }
+
+crate::state!(struct Timer { time, seq, index, gen });
 
 /// Sentinel for "index has no armed timer" in the position map.
 const NOT_ARMED: u32 = u32::MAX;
@@ -123,6 +128,9 @@ struct TimerSet {
     pos: Vec<u32>,
     min: MinState,
 }
+
+// The position map and the cached minimum are derived from the armed timers.
+crate::state!(struct TimerSet { armed } then Self::reindex);
 
 impl TimerSet {
     fn with_capacity(n: usize) -> Self {
@@ -235,14 +243,27 @@ impl TimerSet {
         self.armed.len()
     }
 
-    /// Drop every armed timer, resetting the position map and cached
-    /// minimum (checkpoint restore repopulates via [`TimerSet::arm`]).
-    fn clear(&mut self) {
-        self.armed.clear();
-        for p in &mut self.pos {
-            *p = NOT_ARMED;
+    /// Rebuild the position map and the cached minimum from freshly loaded
+    /// timers, rejecting an index outside the set's range or armed twice.
+    fn reindex(&mut self) -> Result<(), SnapshotError> {
+        self.pos.fill(NOT_ARMED);
+        for (i, timer) in self.armed.iter().enumerate() {
+            match self.pos.get_mut(timer.index) {
+                Some(pos) if *pos == NOT_ARMED => *pos = i as u32,
+                _ => {
+                    return Err(SnapshotError::custom(format!(
+                        "timer index {} out of range or armed twice",
+                        timer.index
+                    )))
+                }
+            }
         }
-        self.min = MinState::Empty;
+        self.min = if self.armed.is_empty() {
+            MinState::Empty
+        } else {
+            MinState::Dirty
+        };
+        Ok(())
     }
 }
 
@@ -253,6 +274,20 @@ struct TimerTier<E> {
     owner: ComponentId,
     make: fn(usize, u64) -> E,
     counters: TierCounters,
+}
+
+crate::state!(impl[E] struct TimerTier<E> { set } then Self::restart_counters);
+
+impl<E> TimerTier<E> {
+    /// A loaded tier's history restarts at its contents: every armed timer
+    /// counts as one arm, keeping the reconciliation identity intact.
+    fn restart_counters(&mut self) -> Result<(), SnapshotError> {
+        self.counters = TierCounters {
+            arms: self.set.len() as u64,
+            ..TierCounters::default()
+        };
+        Ok(())
+    }
 }
 
 impl<E> std::fmt::Debug for TimerTier<E> {
@@ -267,15 +302,28 @@ impl<E> std::fmt::Debug for TimerTier<E> {
 /// A deterministic time-ordered event queue: a binary heap for general
 /// events plus any number of [`TierId`]-addressed timer tiers, merged at pop
 /// time by the shared `(time, seq)` total order.
+///
+/// Its checkpoint state is every pending entry — general events and armed
+/// timers, each with its original `(time, seq)` key — plus the shared
+/// sequence counter. Pop order is a pure function of the `(time, seq)` entry
+/// multiset, so loading into a queue with the same tier layout (count and
+/// registration order; tiers carry owner and payload-constructor functions a
+/// checkpoint cannot) reproduces the identical pop sequence, and no heap
+/// layout or cached minimum needs to round-trip. Loading replaces every
+/// pending entry, including the setup events of a freshly built model.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     general: BinaryHeap<Entry<E>>,
     /// Growths of the general heap's backing storage.
     resizes: u64,
-    tiers: Vec<TimerTier<E>>,
+    tiers: Box<[TimerTier<E>]>,
     next_seq: u64,
     counters: QueueCounters,
 }
+
+crate::state!(impl[E: State + Default] struct EventQueue<E> {
+    general, tiers, next_seq
+} then Self::restart_counters);
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -289,7 +337,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             general: BinaryHeap::new(),
             resizes: 0,
-            tiers: Vec::new(),
+            tiers: Box::default(),
             next_seq: 0,
             counters: QueueCounters::default(),
         }
@@ -305,12 +353,14 @@ impl<E> EventQueue<E> {
         capacity: usize,
         make: fn(usize, u64) -> E,
     ) -> TierId {
-        self.tiers.push(TimerTier {
+        let mut tiers = std::mem::take(&mut self.tiers).into_vec();
+        tiers.push(TimerTier {
             set: TimerSet::with_capacity(capacity),
             owner,
             make,
             counters: TierCounters::default(),
         });
+        self.tiers = tiers.into_boxed_slice();
         TierId(self.tiers.len() - 1)
     }
 
@@ -451,90 +501,22 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Capture every pending entry — general events and armed timers, each
-    /// with its original `(time, seq)` key — plus the shared sequence
-    /// counter.
-    ///
-    /// Pop order is a pure function of the `(time, seq)` entry multiset, so
-    /// [`restore`](Self::restore)-ing a snapshot into a queue with the same
-    /// tier layout reproduces the identical pop sequence; no heap layout or
-    /// tier-internal bookkeeping (cached minima) needs to round-trip.
-    pub fn snapshot(&self) -> QueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        QueueSnapshot {
-            general: self
-                .general
-                .iter()
-                .map(|e| (e.time, e.seq, e.target, e.event.clone()))
-                .collect(),
-            tiers: self
-                .tiers
-                .iter()
-                .map(|tier| {
-                    tier.set
-                        .armed
-                        .iter()
-                        .map(|t| (t.time, t.seq, t.index, t.gen))
-                        .collect()
-                })
-                .collect(),
-            next_seq: self.next_seq,
-        }
+    /// The components the pending general events are addressed to.
+    pub(crate) fn targets(&self) -> impl Iterator<Item = ComponentId> + '_ {
+        self.general.iter().map(|e| e.target)
     }
 
-    /// Replace *all* pending events with the contents of `snapshot`,
-    /// preserving each entry's original sequence number, and restore the
-    /// shared counter. The queue must have the same tier layout (count and
-    /// registration order) as the one the snapshot was taken from — tiers
-    /// carry owner and payload-constructor functions that a snapshot cannot,
-    /// so restore targets a structurally identical queue built by the same
-    /// code path. The general heap's growth count restarts at zero.
-    ///
-    /// # Panics
-    ///
-    /// If the snapshot's tier count differs from this queue's.
-    pub fn restore(&mut self, snapshot: QueueSnapshot<E>) {
-        assert_eq!(
-            snapshot.tiers.len(),
-            self.tiers.len(),
-            "queue snapshot tier count mismatch"
-        );
-        self.general = snapshot
-            .general
-            .into_iter()
-            .map(|(time, seq, target, event)| Entry {
-                time,
-                seq,
-                target,
-                event,
-            })
-            .collect();
+    /// A loaded queue's history restarts at its contents: every pending
+    /// entry counts as one push, and the heap's growth count restarts at
+    /// zero.
+    fn restart_counters(&mut self) -> Result<(), SnapshotError> {
         self.resizes = 0;
-        for (tier, timers) in self.tiers.iter_mut().zip(snapshot.tiers) {
-            tier.set.clear();
-            for (time, seq, index, gen) in timers {
-                tier.set.arm(Timer {
-                    time,
-                    seq,
-                    index,
-                    gen,
-                });
-            }
-            // Reset the tier's tallies to the fresh history implied by the
-            // restored contents, keeping the reconciliation identity intact.
-            tier.counters = TierCounters {
-                arms: tier.set.len() as u64,
-                ..TierCounters::default()
-            };
-        }
         self.counters = QueueCounters {
             schedules: self.general.len() as u64,
             timer_arms: self.tiers.iter().map(|t| t.set.len() as u64).sum(),
             ..QueueCounters::default()
         };
-        self.next_seq = snapshot.next_seq;
+        Ok(())
     }
 
     /// Lifetime operation tallies (see [`QueueCounters`] for the
@@ -564,23 +546,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The pending-event state of an [`EventQueue`], produced by
-/// [`EventQueue::snapshot`] and consumed by [`EventQueue::restore`].
-///
-/// Entries carry their original sequence numbers, which is what makes a
-/// restored queue pop the identical `(time, seq)` total order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueSnapshot<E> {
-    /// General-tier entries: `(time, seq, target component, event)`, in no
-    /// particular order.
-    pub general: Vec<(SimTime, u64, ComponentId, E)>,
-    /// Armed timers per registered tier, in tier registration order:
-    /// `(time, seq, timer index, arming generation)`.
-    pub tiers: Vec<Vec<(SimTime, u64, usize, u64)>>,
-    /// The shared sequence counter at snapshot time.
-    pub next_seq: u64,
-}
-
 /// Which tier holds the earliest pending event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
@@ -591,13 +556,30 @@ enum Source {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{StateReader, StateWriter};
 
     /// A miniature event vocabulary standing in for a real model's enum.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     enum Ev {
+        #[default]
         Tick,
-        Timer { index: usize, gen: u64 },
-        Arrival { index: usize },
+        Timer {
+            index: usize,
+            gen: u64,
+        },
+        Arrival {
+            index: usize,
+        },
+    }
+
+    crate::state!(enum Ev { Tick, Timer { index, gen }, Arrival { index } });
+
+    /// Checkpoint `q` and load the bytes into `into`.
+    fn transfer(q: &EventQueue<Ev>, into: &mut EventQueue<Ev>) -> Result<(), SnapshotError> {
+        let mut w = StateWriter::new();
+        q.save(&mut w);
+        let bytes = w.finish();
+        into.load(&mut StateReader::new(&bytes)?)
     }
 
     fn make_timer(index: usize, gen: u64) -> Ev {
@@ -729,14 +711,13 @@ mod tests {
         q.arm_timer(timers, 3, 7, SimTime::from_micros(10)); // ties with above
         q.arm_timer(arrivals, 1, 0, SimTime::from_micros(15));
         q.pop(); // consume the earliest so the snapshot is mid-flight
-        let snap = q.snapshot();
 
         // Restore into a fresh queue polluted with unrelated events: restore
         // must replace everything, not merge.
         let (mut restored, _, _) = two_tier_queue();
         restored.schedule(SimTime::from_micros(1), 9, Ev::Tick);
         restored.arm_timer(timers, 2, 2, SimTime::from_micros(2));
-        restored.restore(snap);
+        transfer(&q, &mut restored).unwrap();
         assert_eq!(restored.len(), q.len());
 
         // Identical pops, and identical seq continuation: an event scheduled
@@ -754,13 +735,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tier count mismatch")]
     fn restore_rejects_mismatched_tier_layout() {
         let (q, _, _) = two_tier_queue();
-        let snap = q.snapshot();
         let mut other: EventQueue<Ev> = EventQueue::new();
         other.add_tier(0, 8, make_timer);
-        other.restore(snap);
+        let err = transfer(&q, &mut other).unwrap_err();
+        assert!(
+            err.to_string().contains("2 entries where 1 were built"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_timer_indices_beyond_the_built_tier() {
+        let (mut q, timers, _) = two_tier_queue();
+        q.arm_timer(timers, 50, 0, SimTime::from_micros(1)); // grown past 8
+        let (mut other, _, _) = two_tier_queue();
+        let err = transfer(&q, &mut other).unwrap_err();
+        assert!(err.to_string().contains("timer index 50"), "{err}");
     }
 
     #[test]
@@ -1047,10 +1039,9 @@ mod tests {
                         }
                     }
                 }
-                let snap = q.snapshot();
                 let mut restored: EventQueue<Ev> = EventQueue::new();
                 restored.add_tier(0, INDICES, make_timer);
-                restored.restore(snap);
+                transfer(&q, &mut restored).unwrap();
                 prop_assert_eq!(restored.len(), q.len());
                 // Restore resets the tallies to a fresh history in which the
                 // restored entries count as the pushes.

@@ -25,10 +25,9 @@ use std::marker::PhantomData;
 
 use rand_chacha::ChaCha8Rng;
 
-use crate::metrics::{
-    rng_word_position, ComponentDispatch, Metrics, MetricsReport, ProfileSample, Profiler,
-};
+use crate::metrics::{ComponentDispatch, Metrics, MetricsReport, ProfileSample, Profiler};
 use crate::queue::{EventQueue, TierId};
+use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a component in the registry, in registration order.
@@ -253,11 +252,33 @@ impl<E> SimulationContext<'_, E> {
     }
 }
 
+/// The RNG streams attached to components, indexed by component id. Which
+/// components have one is fixed when the model is built, so a checkpoint
+/// carries only the attached streams' positions.
+#[derive(Default)]
+struct Streams(Vec<Option<Box<ChaCha8Rng>>>);
+
+impl State for Streams {
+    fn save(&self, w: &mut StateWriter) {
+        self.0.iter().flatten().for_each(|rng| rng.save(w));
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.0.iter_mut().flatten().try_for_each(|rng| rng.load(r))
+    }
+}
+
 /// A discrete-event simulation: world + component registry + clock + queue.
+///
+/// Its checkpoint state is the kernel's own: the clock, the dispatch
+/// counter, every pending event and the attached RNG streams. The world and
+/// the components belong to the model, which checkpoints their mutable
+/// state beside this block and loads it all into a simulation freshly built
+/// from the same scenario.
 pub struct Simulation<W, E> {
     world: W,
     components: Vec<Box<dyn Component<W, E>>>,
-    rngs: Vec<Option<Box<ChaCha8Rng>>>,
+    rngs: Streams,
     queue: EventQueue<E>,
     now: SimTime,
     events_processed: u64,
@@ -269,13 +290,17 @@ pub struct Simulation<W, E> {
     profiler: Option<Profiler<E>>,
 }
 
+crate::state!(impl[W: 'static, E: State + Default + 'static] struct Simulation<W, E> {
+    now, events_processed, queue, rngs
+} then Self::check_targets);
+
 impl<W: 'static, E: 'static> Simulation<W, E> {
     /// Create a simulation at time zero around `world`.
     pub fn new(world: W) -> Self {
         Simulation {
             world,
             components: Vec::new(),
-            rngs: Vec::new(),
+            rngs: Streams::default(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events_processed: 0,
@@ -288,14 +313,14 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     pub fn add_component<C: Component<W, E> + 'static>(&mut self, component: C) -> Handle<C> {
         let id = self.components.len();
         self.components.push(Box::new(component));
-        self.rngs.push(None);
+        self.rngs.0.push(None);
         Handle::from_raw(id)
     }
 
     /// Attach a private RNG stream to a component. The stream is handed to
     /// the component through [`SimulationContext::rng`] on every dispatch.
     pub fn set_component_rng(&mut self, id: ComponentId, rng: ChaCha8Rng) {
-        self.rngs[id] = Some(Box::new(rng));
+        self.rngs.0[id] = Some(Box::new(rng));
     }
 
     /// Register an indexed timer tier owned by component `owner`
@@ -319,34 +344,21 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         self.events_processed
     }
 
-    /// Shared access to the RNG stream attached to component `id`, if any —
-    /// the checkpoint path reads each stream's exact position through this.
+    /// Shared access to the RNG stream attached to component `id`, if any.
     pub fn component_rng(&self, id: ComponentId) -> Option<&ChaCha8Rng> {
-        self.rngs.get(id).and_then(|r| r.as_deref())
+        self.rngs.0.get(id).and_then(|r| r.as_deref())
     }
 
-    /// Capture the pending-event state (see [`EventQueue::snapshot`]).
-    pub fn queue_snapshot(&self) -> crate::queue::QueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        self.queue.snapshot()
-    }
-
-    /// Restore kernel state from a checkpoint: the clock, the dispatch
-    /// counter, and the *entire* pending-event queue (every event already in
-    /// the queue — including initial-setup events of a freshly built
-    /// simulation — is replaced; see [`EventQueue::restore`]). The queue
-    /// must have the same tier layout as the snapshot's source.
-    pub fn restore_kernel_state(
-        &mut self,
-        now: SimTime,
-        events_processed: u64,
-        queue: crate::queue::QueueSnapshot<E>,
-    ) {
-        self.now = now;
-        self.events_processed = events_processed;
-        self.queue.restore(queue);
+    /// Reject loaded events addressed to no registered component, which
+    /// would panic at dispatch.
+    fn check_targets(&mut self) -> Result<(), SnapshotError> {
+        match self.queue.targets().find(|&t| t >= self.components.len()) {
+            Some(target) => Err(SnapshotError::custom(format!(
+                "pending event addressed to component {target} of {}",
+                self.components.len()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Shared access to the world.
@@ -421,8 +433,9 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
             tiers: self.queue.tier_counters(),
             rng_words: self
                 .rngs
+                .0
                 .iter()
-                .map(|r| r.as_deref().map(rng_word_position))
+                .map(|r| r.as_deref().map(|rng| rng.get_word_pos() as u64))
                 .collect(),
         })
     }
@@ -568,7 +581,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         let mut ctx = SimulationContext {
             queue: &mut self.queue,
             now: self.now,
-            rng: self.rngs[target].as_deref_mut(),
+            rng: self.rngs.0[target].as_deref_mut(),
         };
         component.handle(&mut self.world, &mut peers, &mut ctx, event);
     }
@@ -773,10 +786,8 @@ mod tests {
         );
         assert_eq!(full.events_processed(), plain.events_processed());
         assert_eq!(full.now(), plain.now());
-        let plain_pos =
-            crate::metrics::rng_word_position(plain.component_rng(plain_log.id()).unwrap());
-        let full_pos =
-            crate::metrics::rng_word_position(full.component_rng(full_log.id()).unwrap());
+        let plain_pos = plain.component_rng(plain_log.id()).unwrap().get_word_pos();
+        let full_pos = full.component_rng(full_log.id()).unwrap().get_word_pos();
         assert_eq!(
             full_pos, plain_pos,
             "telemetry must not draw from any RNG stream"

@@ -13,13 +13,17 @@
 //! which turns any lifecycle bug in an event handler into an immediate failure
 //! instead of a corrupted statistic.
 
+use crate::snapshot::{SnapshotError, State};
+
 /// Generational identifier of a slab entry, suitable for embedding in event
 /// payloads (it is `Copy` and 8 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SlotId {
     index: u32,
     generation: u32,
 }
+
+crate::state!(struct SlotId { index, generation });
 
 impl SlotId {
     /// Construct an id directly from its parts. Real ids come from
@@ -47,11 +51,30 @@ enum Slot<T> {
     Vacant { generation: u32, next_free: u32 },
 }
 
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot::Vacant {
+            generation: 0,
+            next_free: NONE,
+        }
+    }
+}
+
+crate::state!(impl[T: State + Default] enum Slot<T> {
+    Occupied { generation, value },
+    Vacant { generation, next_free },
+});
+
 /// Sentinel for "no next free slot".
 const NONE: u32 = u32::MAX;
 
 /// A generational free-list slab: O(1) insert/remove through an intrusive
 /// free list, with a high-water mark for memory-boundedness regression tests.
+///
+/// Its checkpoint state is every slot with its generation, the free-list
+/// links and the counters, so ids issued before a checkpoint (e.g. embedded
+/// in pending events) stay valid in the restored slab and future inserts
+/// reuse slots in the identical order.
 #[derive(Debug)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
@@ -59,6 +82,10 @@ pub struct Slab<T> {
     len: usize,
     high_water: usize,
 }
+
+crate::state!(impl[T: State + Default] struct Slab<T> {
+    slots, free_head, len, high_water
+} then Self::check_free_list);
 
 impl<T> Default for Slab<T> {
     fn default() -> Self {
@@ -166,102 +193,37 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Capture the complete structural state — every slot with its
-    /// generation, the free-list links and the counters — so that ids issued
-    /// before the snapshot (e.g. embedded in pending events) remain valid
-    /// against a [`Slab::restore`]d slab, and future inserts reuse slots in
-    /// the identical order.
-    pub fn snapshot(&self) -> SlabSnapshot<T>
-    where
-        T: Clone,
-    {
-        SlabSnapshot {
-            slots: self
-                .slots
-                .iter()
-                .map(|slot| match slot {
-                    Slot::Occupied { generation, value } => SlotSnapshot::Occupied {
-                        generation: *generation,
-                        value: value.clone(),
-                    },
-                    Slot::Vacant {
-                        generation,
-                        next_free,
-                    } => SlotSnapshot::Vacant {
-                        generation: *generation,
-                        next_free: *next_free,
-                    },
-                })
-                .collect(),
-            free_head: self.free_head,
-            len: self.len,
-            high_water: self.high_water,
+    /// Validate a loaded slab: the free list must link every vacant slot
+    /// exactly once and the counters must agree with the slots, or a later
+    /// insert would panic or alias a live entry.
+    fn check_free_list(&mut self) -> Result<(), SnapshotError> {
+        let vacant = self
+            .slots
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Vacant { .. }))
+            .count();
+        let mut linked = 0;
+        let mut next = self.free_head;
+        while next != NONE {
+            match self.slots.get(next as usize) {
+                Some(Slot::Vacant { next_free, .. }) if linked < vacant => {
+                    linked += 1;
+                    next = *next_free;
+                }
+                _ => return Err(SnapshotError::custom("slab free list is corrupt")),
+            }
         }
-    }
-
-    /// Rebuild a slab from a [`Slab::snapshot`].
-    pub fn restore(snapshot: SlabSnapshot<T>) -> Self {
-        Slab {
-            slots: snapshot
-                .slots
-                .into_iter()
-                .map(|slot| match slot {
-                    SlotSnapshot::Occupied { generation, value } => {
-                        Slot::Occupied { generation, value }
-                    }
-                    SlotSnapshot::Vacant {
-                        generation,
-                        next_free,
-                    } => Slot::Vacant {
-                        generation,
-                        next_free,
-                    },
-                })
-                .collect(),
-            free_head: snapshot.free_head,
-            len: snapshot.len,
-            high_water: snapshot.high_water,
+        if linked != vacant || self.len + vacant != self.slots.len() || self.high_water < self.len {
+            return Err(SnapshotError::custom("slab counters are corrupt"));
         }
+        Ok(())
     }
-}
-
-/// One slot of a [`SlabSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SlotSnapshot<T> {
-    /// A live entry and its generation.
-    Occupied {
-        /// The slot's current generation.
-        generation: u32,
-        /// The stored value.
-        value: T,
-    },
-    /// A vacated slot: its next-issue generation and intrusive free-list
-    /// link (`u32::MAX` terminates the list).
-    Vacant {
-        /// The generation the slot will be reoccupied at.
-        generation: u32,
-        /// Index of the next free slot, or `u32::MAX`.
-        next_free: u32,
-    },
-}
-
-/// The complete structural state of a [`Slab`], produced by
-/// [`Slab::snapshot`] and consumed by [`Slab::restore`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlabSnapshot<T> {
-    /// Every slot in index order (live and vacant).
-    pub slots: Vec<SlotSnapshot<T>>,
-    /// Head of the intrusive free list (`u32::MAX` = empty).
-    pub free_head: u32,
-    /// Live-entry count.
-    pub len: usize,
-    /// Largest number of entries ever live at once.
-    pub high_water: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{StateReader, StateWriter};
 
     #[test]
     fn insert_get_remove_round_trip() {
@@ -336,6 +298,16 @@ mod tests {
         let _ = slab.get(forged);
     }
 
+    fn checkpoint(slab: &Slab<u32>) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        slab.save(&mut w);
+        w.finish()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<Slab<u32>, SnapshotError> {
+        StateReader::new(bytes)?.read()
+    }
+
     #[test]
     fn snapshot_restore_preserves_ids_free_list_and_insert_order() {
         let mut slab: Slab<u32> = Slab::new();
@@ -345,7 +317,7 @@ mod tests {
         slab.remove(b);
         slab.remove(a); // free list now LIFO: a, then b
 
-        let mut restored = Slab::restore(slab.snapshot());
+        let mut restored = restore(&checkpoint(&slab)).unwrap();
         // Pre-snapshot ids stay valid...
         assert_eq!(*restored.get(c), 30);
         assert_eq!(restored.len(), slab.len());
@@ -356,6 +328,23 @@ mod tests {
             let x = slab.insert(7);
             let y = restored.insert(7);
             assert_eq!(x, y);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_corrupt_free_list() {
+        let mut slab: Slab<u32> = Slab::new();
+        let a = slab.insert(1);
+        slab.insert(2);
+        slab.remove(a);
+        // A free list pointing at the live slot, or at itself.
+        for free_head in [1, 0] {
+            let mut bad: Slab<u32> = restore(&checkpoint(&slab)).unwrap();
+            bad.free_head = free_head;
+            if let Slot::Vacant { next_free, .. } = &mut bad.slots[0] {
+                *next_free = 0;
+            }
+            assert!(restore(&checkpoint(&bad)).is_err());
         }
     }
 

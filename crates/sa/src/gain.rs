@@ -12,10 +12,8 @@
 //! `a_k = a0 / k^α`, `b_k = b0 / k^γ` and can verify the convergence conditions
 //! symbolically for the power-law family.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-law gain sequences `a_k = a0 / k^alpha`, `b_k = b0 / k^gamma`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawGains {
     /// Numerator of the step-size sequence.
     pub a0: f64,

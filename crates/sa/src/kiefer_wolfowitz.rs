@@ -20,10 +20,9 @@
 //! pair forms a full iteration.
 
 use crate::gain::PowerLawGains;
-use serde::{Deserialize, Serialize};
 
 /// Which half of the two-sided finite difference is being measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeSide {
     /// Measuring at `x_k + b_k`.
     Plus,
@@ -31,8 +30,15 @@ pub enum ProbeSide {
     Minus,
 }
 
+wlan_des::state!(
+    enum ProbeSide {
+        Plus,
+        Minus,
+    }
+);
+
 /// Outcome of feeding one measurement into the optimiser.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KwStep {
     /// The first (plus-side) measurement of the iteration was stored; the caller
     /// should now measure at the minus-side probe.
@@ -47,7 +53,7 @@ pub enum KwStep {
 }
 
 /// Kiefer–Wolfowitz maximiser over a scalar control variable confined to a box.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KieferWolfowitz {
     gains: PowerLawGains,
     /// Iteration counter `k`. The paper starts it at 2 so the very first
@@ -63,6 +69,10 @@ pub struct KieferWolfowitz {
     /// History of `(k, estimate)` after every completed iteration.
     trace: Vec<(u64, f64)>,
 }
+
+// The gains and bounds are configuration; a checkpoint restores the
+// iterate into an optimiser built with the same ones.
+wlan_des::state!(struct KieferWolfowitz { k, estimate, side, y_plus, trace });
 
 impl KieferWolfowitz {
     /// Create an optimiser starting from `initial`, with the paper's gains and

@@ -13,7 +13,10 @@
 //! The crate is deliberately independent of the WLAN domain: the optimisers know
 //! nothing about throughput or attempt probabilities, only about probe points
 //! and noisy measurements, which is exactly the model-independence the paper
-//! argues is the key to surviving hidden-terminal topologies.
+//! argues is the key to surviving hidden-terminal topologies. Its one
+//! dependency is the generic `wlan-des` kernel, whose checkpoint
+//! [`State`](wlan_des::snapshot::State) trait the iterate implements so a
+//! controller built on it can be snapshotted mid-run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

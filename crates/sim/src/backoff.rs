@@ -25,7 +25,7 @@ use crate::phy::PhyParams;
 use rand::Rng;
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 
 /// Station-side contention resolution: decides how many idle slots to wait
 /// before each transmission attempt and how to react to successes, failures,
@@ -97,25 +97,6 @@ pub trait BackoffPolicy: Send {
 
     /// Short human-readable policy name.
     fn name(&self) -> &'static str;
-
-    /// Append the policy's *mutable* state to a checkpoint.
-    ///
-    /// Build-time configuration (window bounds, weights, retry limits) is
-    /// reconstructed from the scenario, so only state that evolves during the
-    /// run belongs here. The default writes nothing — correct for stateless
-    /// policies; a policy with mutable state must override both this and
-    /// [`load_state`](Self::load_state) symmetrically or resumed runs will
-    /// diverge.
-    fn save_state(&self, writer: &mut StateWriter) {
-        let _ = writer;
-    }
-
-    /// Restore state written by [`save_state`](Self::save_state) into a
-    /// freshly built policy.
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let _ = reader;
-        Ok(())
-    }
 }
 
 /// The closed set of station policies, dispatched statically on the
@@ -171,6 +152,16 @@ impl Policy {
         match self {
             Policy::PPersistent(p) => geometric_is_zero(p.p, p.ln_q, rng),
             other => other.next_backoff(rng) == 0,
+        }
+    }
+
+    fn variant(&self) -> u8 {
+        match self {
+            Policy::Dcf(_) => 0,
+            Policy::PPersistent(_) => 1,
+            Policy::RandomReset(_) => 2,
+            Policy::FixedWindow(_) => 3,
+            Policy::IdleSense(_) => 4,
         }
     }
 }
@@ -230,13 +221,25 @@ impl BackoffPolicy for Policy {
     fn name(&self) -> &'static str {
         dispatch!(self, p => p.name())
     }
+}
 
-    fn save_state(&self, writer: &mut StateWriter) {
-        dispatch!(self, p => p.save_state(writer))
+/// A policy's variant is fixed when the scenario is built: the checkpoint
+/// writes it only to reject a snapshot of a different policy.
+impl State for Policy {
+    fn save(&self, w: &mut StateWriter) {
+        self.variant().save(w);
+        dispatch!(self, p => p.save(w))
     }
 
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        dispatch!(self, p => p.load_state(reader))
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let variant: u8 = r.read()?;
+        if variant != self.variant() {
+            return Err(SnapshotError::custom(format!(
+                "checkpoint policy variant {variant} does not match the built {} policy",
+                self.name()
+            )));
+        }
+        dispatch!(self, p => p.load(r))
     }
 }
 
@@ -356,6 +359,8 @@ pub struct ExponentialBackoff {
     dropped_frames: u64,
 }
 
+wlan_des::state!(struct ExponentialBackoff { stage, retries, dropped_frames });
+
 /// The default long-retry limit of IEEE 802.11 (dot11LongRetryLimit is 4, the
 /// short limit is 7; ns-3 uses 7 for data frames in basic access mode).
 pub const DEFAULT_RETRY_LIMIT: u32 = 7;
@@ -446,19 +451,6 @@ impl BackoffPolicy for ExponentialBackoff {
     fn name(&self) -> &'static str {
         "802.11-DCF"
     }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_u8(self.stage);
-        writer.put_u32(self.retries);
-        writer.put_u64(self.dropped_frames);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.stage = reader.get_u8()?;
-        self.retries = reader.get_u32()?;
-        self.dropped_frames = reader.get_u64()?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -484,6 +476,8 @@ pub struct PPersistent {
     /// set invalidates it).
     last_control_p: Option<f64>,
 }
+
+wlan_des::state!(struct PPersistent { p, ln_q, last_control_p });
 
 impl PPersistent {
     /// Create a p-persistent policy with attempt probability `p` and weight 1.
@@ -572,29 +566,6 @@ impl BackoffPolicy for PPersistent {
     fn name(&self) -> &'static str {
         "p-persistent"
     }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_f64(self.p);
-        writer.put_f64(self.ln_q);
-        match self.last_control_p {
-            None => writer.put_bool(false),
-            Some(p) => {
-                writer.put_bool(true);
-                writer.put_f64(p);
-            }
-        }
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.p = reader.get_f64()?;
-        self.ln_q = reader.get_f64()?;
-        self.last_control_p = if reader.get_bool()? {
-            Some(reader.get_f64()?)
-        } else {
-            None
-        };
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -615,6 +586,8 @@ pub struct RandomReset {
     reset_stage: u8,
     p0: f64,
 }
+
+wlan_des::state!(struct RandomReset { stage, reset_stage, p0 });
 
 impl RandomReset {
     /// Create a RandomReset policy from the PHY parameters.
@@ -700,19 +673,6 @@ impl BackoffPolicy for RandomReset {
     fn name(&self) -> &'static str {
         "random-reset"
     }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_u8(self.stage);
-        writer.put_u8(self.reset_stage);
-        writer.put_f64(self.p0);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.stage = reader.get_u8()?;
-        self.reset_stage = reader.get_u8()?;
-        self.p0 = reader.get_f64()?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -726,6 +686,8 @@ impl BackoffPolicy for RandomReset {
 pub struct FixedWindow {
     cw: u32,
 }
+
+wlan_des::state!(struct FixedWindow { cw });
 
 impl FixedWindow {
     /// Create a fixed-window policy.
@@ -764,15 +726,6 @@ impl BackoffPolicy for FixedWindow {
 
     fn name(&self) -> &'static str {
         "fixed-window"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_u32(self.cw);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.cw = reader.get_u32()?;
-        Ok(())
     }
 }
 
@@ -855,10 +808,10 @@ mod tests {
             });
 
             let mut writer = StateWriter::new();
-            original.save_state(&mut writer);
+            original.save(&mut writer);
             let bytes = writer.finish();
-            let mut reader = StateReader::new(&bytes);
-            twin.load_state(&mut reader).unwrap();
+            let mut reader = StateReader::new(&bytes).unwrap();
+            twin.load(&mut reader).unwrap();
             reader.expect_end().unwrap();
 
             let mut ra = rng();

@@ -7,7 +7,6 @@
 //! station overhears every ACK and can apply the update.
 
 use serde::{Deserialize, Serialize};
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 
 /// The control information the AP embeds in an ACK frame.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -34,38 +33,9 @@ impl ControlPayload {
     pub fn is_none(&self) -> bool {
         matches!(self, ControlPayload::None)
     }
-
-    /// Append the payload to a checkpoint.
-    pub fn save_state(&self, writer: &mut StateWriter) {
-        match self {
-            ControlPayload::None => writer.put_u8(0),
-            ControlPayload::AttemptProbability(p) => {
-                writer.put_u8(1);
-                writer.put_f64(*p);
-            }
-            ControlPayload::RandomReset { p0, stage } => {
-                writer.put_u8(2);
-                writer.put_f64(*p0);
-                writer.put_u8(*stage);
-            }
-        }
-    }
-
-    /// Decode a payload written by [`save_state`](Self::save_state).
-    pub fn load_state(reader: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        match reader.get_u8()? {
-            0 => Ok(ControlPayload::None),
-            1 => Ok(ControlPayload::AttemptProbability(reader.get_f64()?)),
-            2 => Ok(ControlPayload::RandomReset {
-                p0: reader.get_f64()?,
-                stage: reader.get_u8()?,
-            }),
-            tag => Err(SnapshotError::custom(format!(
-                "unknown ControlPayload tag {tag}"
-            ))),
-        }
-    }
 }
+
+wlan_des::state!(enum ControlPayload { None, AttemptProbability(p), RandomReset { p0, stage } });
 
 /// What a station observed at the end of a busy period on the channel,
 /// as perceived through its own carrier sensing.

@@ -14,22 +14,26 @@ use super::arrivals::TrafficSources;
 use super::event::Event;
 use super::station::StationMac;
 use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
-use crate::ap::{ApAlgorithm, Controller};
+use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
 use crate::topology::NodeId;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle};
 
 /// A pending ACK the AP is about to transmit / is transmitting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PendingAck {
     pub(crate) dest: NodeId,
     pub(crate) payload: ControlPayload,
+    /// The `ack_gen` the addressee awaits this ACK with (see
+    /// `Transmission::ack_gen`).
+    pub(crate) ack_gen: u64,
 }
+
+wlan_des::state!(struct PendingAck { dest, payload, ack_gen });
 
 /// The AP/controller component. Owns the control algorithm and the channel
 /// observables it consumes; receives only `StatsTick` (the beacon), but its
@@ -37,7 +41,7 @@ pub(crate) struct PendingAck {
 /// components on every medium transition the AP perceives.
 pub(crate) struct ApControl {
     /// The control algorithm running at the AP.
-    pub(crate) controller: Controller,
+    pub(crate) controller: Box<dyn ApAlgorithm>,
     /// The ACK the AP has committed to transmit (set at TxEnd on success,
     /// consumed at AckEnd). With a sub-unity SIR capture threshold a second
     /// overlapping success can overwrite it — the displaced sender's ACK is
@@ -59,9 +63,13 @@ pub(crate) struct ApControl {
     pub(crate) traffic: Handle<TrafficSources>,
 }
 
+wlan_des::state!(struct ApControl {
+    controller, pending_ack, busy_count, idle_since, busy_start, busy_has_data, busy_has_success
+});
+
 impl ApControl {
     pub(crate) fn new(
-        controller: Controller,
+        controller: Box<dyn ApAlgorithm>,
         mac: Handle<StationMac>,
         traffic: Handle<TrafficSources>,
     ) -> Self {
@@ -76,52 +84,6 @@ impl ApControl {
             mac,
             traffic,
         }
-    }
-
-    /// Append all mutable AP state — the controller (validated by name), the
-    /// pending-ACK latch and the busy-period bookkeeping — to a checkpoint.
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        writer.put_str(self.controller.name());
-        self.controller.save_state(writer);
-        match &self.pending_ack {
-            None => writer.put_bool(false),
-            Some(ack) => {
-                writer.put_bool(true);
-                writer.put_usize(ack.dest);
-                ack.payload.save_state(writer);
-            }
-        }
-        writer.put_u32(self.busy_count);
-        writer.put_time(self.idle_since);
-        writer.put_time(self.busy_start);
-        writer.put_bool(self.busy_has_data);
-        writer.put_bool(self.busy_has_success);
-    }
-
-    /// Restore state written by [`save`](Self::save) into a freshly built AP.
-    pub(crate) fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let name = reader.get_str()?;
-        if name != self.controller.name() {
-            return Err(SnapshotError::custom(format!(
-                "checkpoint controller {name:?} does not match built controller {:?}",
-                self.controller.name()
-            )));
-        }
-        self.controller.load_state(reader)?;
-        self.pending_ack = if reader.get_bool()? {
-            Some(PendingAck {
-                dest: reader.get_usize()?,
-                payload: ControlPayload::load_state(reader)?,
-            })
-        } else {
-            None
-        };
-        self.busy_count = reader.get_u32()?;
-        self.idle_since = reader.get_time()?;
-        self.busy_start = reader.get_time()?;
-        self.busy_has_data = reader.get_bool()?;
-        self.busy_has_success = reader.get_bool()?;
-        Ok(())
     }
 
     /// The AP's perceived medium goes busy (or busier): idle-slot accounting

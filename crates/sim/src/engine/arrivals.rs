@@ -16,7 +16,7 @@ use crate::topology::NodeId;
 use crate::traffic::ArrivalSampler;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use wlan_des::time::{SimDuration, SimTime};
 use wlan_des::{Component, Handle, TierId};
 
@@ -37,6 +37,8 @@ pub(crate) struct FiniteSource {
     pub(crate) last_delay: Option<SimDuration>,
 }
 
+wlan_des::state!(struct FiniteSource { sampler, rng, queue, last_delay });
+
 /// Per-station traffic state: the saturated degenerate case carries nothing.
 #[derive(Debug)]
 pub(crate) enum StationTraffic {
@@ -46,6 +48,30 @@ pub(crate) enum StationTraffic {
     /// RNG + queue block is ~half a KB, and mixed cells may be mostly
     /// saturated).
     Finite(Box<FiniteSource>),
+}
+
+/// Which stations have a finite source is fixed by the scenario: the
+/// checkpoint writes it only to reject a snapshot of different traffic.
+impl State for StationTraffic {
+    fn save(&self, w: &mut StateWriter) {
+        match self {
+            StationTraffic::Saturated => false.save(w),
+            StationTraffic::Finite(src) => {
+                true.save(w);
+                src.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        match (r.read::<bool>()?, self) {
+            (false, StationTraffic::Saturated) => Ok(()),
+            (true, StationTraffic::Finite(src)) => src.load(r),
+            _ => Err(SnapshotError::custom(
+                "checkpoint traffic source does not match the scenario",
+            )),
+        }
+    }
 }
 
 impl StationTraffic {
@@ -70,88 +96,15 @@ impl StationTraffic {
 /// layer at all" — every station saturated, the paper's model — and every
 /// query takes that degenerate fast path.
 pub(crate) struct TrafficSources {
-    pub(crate) stations: Vec<StationTraffic>,
+    pub(crate) stations: Box<[StationTraffic]>,
     /// The arrival timer tier this component owns.
     pub(crate) tier: TierId,
     pub(crate) mac: Handle<StationMac>,
 }
 
-impl FiniteSource {
-    fn save(&self, writer: &mut StateWriter) {
-        self.sampler.save_state(writer);
-        writer.put_rng(&self.rng);
-        writer.put_usize(self.queue.len());
-        for &arrived in &self.queue {
-            writer.put_time(arrived);
-        }
-        match self.last_delay {
-            None => writer.put_bool(false),
-            Some(d) => {
-                writer.put_bool(true);
-                writer.put_duration(d);
-            }
-        }
-    }
-
-    fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.sampler.load_state(reader)?;
-        self.rng = reader.get_rng()?;
-        let queued = reader.get_usize()?;
-        self.queue.clear();
-        for _ in 0..queued {
-            self.queue.push_back(reader.get_time()?);
-        }
-        self.last_delay = if reader.get_bool()? {
-            Some(reader.get_duration()?)
-        } else {
-            None
-        };
-        Ok(())
-    }
-}
+wlan_des::state!(struct TrafficSources { stations });
 
 impl TrafficSources {
-    /// Append all mutable traffic state to a checkpoint. Saturated stations
-    /// carry nothing; finite sources write their sampler phase, RNG stream
-    /// position, queued-frame timestamps and jitter accumulator.
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        writer.put_usize(self.stations.len());
-        for station in &self.stations {
-            match station {
-                StationTraffic::Saturated => writer.put_u8(0),
-                StationTraffic::Finite(src) => {
-                    writer.put_u8(1);
-                    src.save(writer);
-                }
-            }
-        }
-    }
-
-    /// Restore state written by [`save`](Self::save) into freshly built
-    /// sources (same scenario, so counts and variants match).
-    pub(crate) fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = reader.get_usize()?;
-        if n != self.stations.len() {
-            return Err(SnapshotError::custom(format!(
-                "checkpoint has {n} traffic stations, scenario built {}",
-                self.stations.len()
-            )));
-        }
-        for (node, station) in self.stations.iter_mut().enumerate() {
-            let tag = reader.get_u8()?;
-            match (tag, station) {
-                (0, StationTraffic::Saturated) => {}
-                (1, StationTraffic::Finite(src)) => src.load(reader)?,
-                (tag, _) => {
-                    return Err(SnapshotError::custom(format!(
-                        "station {node}: checkpoint traffic variant {tag} does not match scenario"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Whether `node` currently has a frame to send. Saturated stations (and
     /// every station of a simulator without a traffic layer) always do.
     pub(crate) fn has_frame(&self, node: NodeId) -> bool {

@@ -15,19 +15,17 @@ use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
 use super::station::{Phase, StationMac};
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
-use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
 use crate::topology::NodeId;
 use rand::{Rng, RngCore};
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_des::time::SimTime;
-use wlan_des::{Component, Handle, Slab, SlabSnapshot, SlotId, SlotSnapshot};
+use wlan_des::{Component, Handle, Slab};
 
 /// An in-flight data transmission (slab-resident from `TxStart` until the end
 /// of its lifecycle: `TxEnd` when no ACK follows, `AckEnd` otherwise).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Transmission {
     pub(crate) source: NodeId,
     /// When the transmission started (feeds per-station airtime accounting).
@@ -40,29 +38,19 @@ pub(crate) struct Transmission {
     /// Hard loss: the AP was transmitting (an ACK) during part of this frame, so it
     /// cannot be decoded regardless of signal strength.
     pub(crate) collided: bool,
+    /// The source's `ack_gen` when the frame started, advanced with it when
+    /// the frame ends and the source awaits the ACK. A deactivation bumps
+    /// `ack_gen`, so a mismatch marks a frame its source abandoned: the
+    /// frame's lifecycle events then leave the station alone, even if it
+    /// was reactivated meanwhile and is contending again.
+    pub(crate) ack_gen: u64,
 }
 
+wlan_des::state!(struct Transmission {
+    source, start, payload_bits, rx_power, interference, collided, ack_gen
+});
+
 impl Transmission {
-    fn save(&self, writer: &mut StateWriter) {
-        writer.put_usize(self.source);
-        writer.put_time(self.start);
-        writer.put_u64(self.payload_bits);
-        writer.put_f64(self.rx_power);
-        writer.put_f64(self.interference);
-        writer.put_bool(self.collided);
-    }
-
-    fn load(reader: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Transmission {
-            source: reader.get_usize()?,
-            start: reader.get_time()?,
-            payload_bits: reader.get_u64()?,
-            rx_power: reader.get_f64()?,
-            interference: reader.get_f64()?,
-            collided: reader.get_bool()?,
-        })
-    }
-
     fn decodable(&self, capture: Option<&CaptureModel>) -> bool {
         if self.collided {
             return false;
@@ -89,81 +77,11 @@ pub(crate) struct Channel {
     pub(crate) traffic: Handle<TrafficSources>,
 }
 
+// The whole slab (every slot with its generation and the free-list links)
+// is checkpointed, so the `TxId`s embedded in pending events stay valid.
+wlan_des::state!(struct Channel { txs, active_tx, ap_transmitting });
+
 impl Channel {
-    /// Append all mutable channel state to a checkpoint: the complete
-    /// transmission slab (every slot with its generation and the free-list
-    /// links, so [`TxId`]s embedded in pending events stay valid), the
-    /// active-transmission list and the AP-transmitting flag.
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        let snap = self.txs.snapshot();
-        writer.put_usize(snap.slots.len());
-        for slot in &snap.slots {
-            match slot {
-                SlotSnapshot::Occupied { generation, value } => {
-                    writer.put_u8(1);
-                    writer.put_u32(*generation);
-                    value.save(writer);
-                }
-                SlotSnapshot::Vacant {
-                    generation,
-                    next_free,
-                } => {
-                    writer.put_u8(0);
-                    writer.put_u32(*generation);
-                    writer.put_u32(*next_free);
-                }
-            }
-        }
-        writer.put_u32(snap.free_head);
-        writer.put_usize(snap.len);
-        writer.put_usize(snap.high_water);
-        writer.put_usize(self.active_tx.len());
-        for tx in &self.active_tx {
-            writer.put_u32(tx.index());
-            writer.put_u32(tx.generation());
-        }
-        writer.put_bool(self.ap_transmitting);
-    }
-
-    /// Restore state written by [`save`](Self::save).
-    pub(crate) fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let slot_count = reader.get_usize()?;
-        let mut slots = Vec::with_capacity(slot_count);
-        for _ in 0..slot_count {
-            slots.push(match reader.get_u8()? {
-                1 => SlotSnapshot::Occupied {
-                    generation: reader.get_u32()?,
-                    value: Transmission::load(reader)?,
-                },
-                0 => SlotSnapshot::Vacant {
-                    generation: reader.get_u32()?,
-                    next_free: reader.get_u32()?,
-                },
-                tag => {
-                    return Err(SnapshotError::custom(format!(
-                        "unknown slab slot tag {tag}"
-                    )))
-                }
-            });
-        }
-        let snap = SlabSnapshot {
-            slots,
-            free_head: reader.get_u32()?,
-            len: reader.get_usize()?,
-            high_water: reader.get_usize()?,
-        };
-        self.txs = Slab::restore(snap);
-        let active = reader.get_usize()?;
-        self.active_tx.clear();
-        for _ in 0..active {
-            let index = reader.get_u32()?;
-            let generation = reader.get_u32()?;
-            self.active_tx.push(SlotId::from_parts(index, generation));
-        }
-        self.ap_transmitting = reader.get_bool()?;
-        Ok(())
-    }
-
     fn handle_tx_end(
         &mut self,
         world: &mut World,
@@ -173,13 +91,14 @@ impl Channel {
     ) {
         let now = ctx.now();
         self.active_tx.retain(|&id| id != tx);
-        let (source, decodable, payload_bits, started) = {
+        let (source, decodable, payload_bits, started, mut ack_gen) = {
             let t = self.txs.get(tx);
             (
                 t.source,
                 t.decodable(world.capture.as_ref()),
                 t.payload_bits,
                 t.start,
+                t.ack_gen,
             )
         };
         world.stats.nodes[source].airtime += now.duration_since(started);
@@ -204,8 +123,9 @@ impl Channel {
             let mac = peers.get_mut(self.mac);
             mac.medium_idle(world, ctx, now, source, true, ack_follows);
 
-            // The transmitter itself starts listening for the ACK.
-            if mac.stations.is_active(source) {
+            // The transmitter itself starts listening for the ACK, unless it
+            // abandoned the frame.
+            if mac.stations.hot[source].ack_gen == ack_gen {
                 let timeout = world.phy.ack_timeout();
                 let h = &mut mac.stations.hot[source];
                 h.phase = Phase::AwaitingAck;
@@ -214,6 +134,7 @@ impl Channel {
                 }
                 h.ack_gen += 1;
                 let gen = h.ack_gen;
+                ack_gen = gen;
                 // On the success path the timeout (usually) could never take
                 // effect: the AckEnd (at now + SIFS + ACK airtime) either
                 // delivers the ACK and bumps `ack_gen`, or the station left
@@ -248,7 +169,9 @@ impl Channel {
             ap.pending_ack = Some(PendingAck {
                 dest: source,
                 payload: ControlPayload::None,
+                ack_gen,
             });
+            self.txs.get_mut(tx).ack_gen = ack_gen;
             ctx.schedule(now + world.phy.sifs, CHANNEL_ID, Event::AckStart { tx });
         } else {
             // No ACK will reference this transmission again: reclaim it now.
@@ -303,9 +226,9 @@ impl Channel {
         // The ACK closes this transmission's lifecycle: reclaim the slab entry.
         let ended = self.txs.remove(tx);
         let ack = peers.get_mut(self.ap).pending_ack.take();
-        let (dest, payload) = match ack {
-            Some(a) => (a.dest, a.payload),
-            None => (ended.source, ControlPayload::None),
+        let (dest, payload, ack_gen) = match ack {
+            Some(a) => (a.dest, a.payload, a.ack_gen),
+            None => (ended.source, ControlPayload::None, ended.ack_gen),
         };
 
         let delivered = {
@@ -320,9 +243,10 @@ impl Channel {
                 }
             }
 
-            // Deliver the ACK to its addressee.
+            // Deliver the ACK to its addressee, if it still awaits this one.
             mac.detach(&world.phy, dest);
-            if mac.stations.hot[dest].phase == Phase::AwaitingAck {
+            let h = &mac.stations.hot[dest];
+            if h.phase == Phase::AwaitingAck && h.ack_gen == ack_gen {
                 let payload_bits = ended.payload_bits;
                 world.stats.nodes[dest].successes += 1;
                 world.stats.nodes[dest].payload_bits_delivered += payload_bits;

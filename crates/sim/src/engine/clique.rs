@@ -67,7 +67,7 @@ use crate::phy::PhyParams;
 use crate::topology::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
+use wlan_des::snapshot::SnapshotError;
 use wlan_des::time::SimTime;
 use wlan_des::TierId;
 
@@ -76,7 +76,7 @@ const NO_TARGET: u64 = u64::MAX;
 
 /// One virtual backoff timer: the key and payload the per-station path
 /// would have armed in the kernel tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Armed {
     time: SimTime,
     seq: u64,
@@ -84,44 +84,53 @@ pub(crate) struct Armed {
     gen: u64,
 }
 
+wlan_des::state!(struct Armed { time, seq, node, gen });
+
 impl Armed {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
-    }
-
-    fn save(&self, writer: &mut StateWriter) {
-        writer.put_time(self.time);
-        writer.put_u64(self.seq);
-        writer.put_usize(self.node);
-        writer.put_u64(self.gen);
-    }
-
-    fn load(reader: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Armed {
-            time: reader.get_time()?,
-            seq: reader.get_u64()?,
-            node: reader.get_usize()?,
-            gen: reader.get_u64()?,
-        })
     }
 }
 
 /// The explicit virtual timers of detached stations: at most one per
 /// station, with a lazily pruned min-heap over their keys.
 struct ExplicitTimers {
-    timer: Vec<Option<Armed>>,
+    timer: Box<[Option<Armed>]>,
     heap: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
     len: usize,
 }
 
+// The heap and the count are derived from the timers.
+wlan_des::state!(struct ExplicitTimers { timer } then Self::reindex);
+
 impl ExplicitTimers {
     fn new(n: usize) -> Self {
         ExplicitTimers {
-            timer: vec![None; n],
+            timer: vec![None; n].into(),
             heap: BinaryHeap::with_capacity(n),
             len: 0,
         }
+    }
+
+    /// Recount loaded timers and rebuild the heap over their keys,
+    /// rejecting a timer filed under another station.
+    fn reindex(&mut self) -> Result<(), SnapshotError> {
+        self.heap.clear();
+        self.len = 0;
+        for (node, armed) in self.timer.iter().enumerate() {
+            if let Some(armed) = armed {
+                if armed.node != node {
+                    return Err(SnapshotError::custom(format!(
+                        "virtual timer of station {} filed under {node}",
+                        armed.node
+                    )));
+                }
+                self.len += 1;
+                self.heap.push(Reverse((armed.time, armed.seq, node)));
+            }
+        }
+        Ok(())
     }
 
     fn insert(&mut self, armed: Armed) {
@@ -162,17 +171,20 @@ impl ExplicitTimers {
 /// resume that redraws every target writes them in bulk and rebuilds the
 /// blocks once, on the next query.
 struct Targets {
-    target: Vec<u64>,
+    target: Box<[u64]>,
     block_min: Vec<(u64, NodeId)>,
     dirty: bool,
 }
+
+// Loaded targets rebuild the block minima on the next query.
+wlan_des::state!(struct Targets { target } then Self::mark_dirty);
 
 const BLOCK: usize = 64;
 
 impl Targets {
     fn new(n: usize) -> Self {
         Targets {
-            target: vec![NO_TARGET; n],
+            target: vec![NO_TARGET; n].into(),
             block_min: vec![(NO_TARGET, 0); n.div_ceil(BLOCK)],
             dirty: false,
         }
@@ -215,6 +227,11 @@ impl Targets {
     fn set_bulk(&mut self, node: NodeId, target: u64) {
         self.target[node] = target;
         self.dirty = true;
+    }
+
+    fn mark_dirty(&mut self) -> Result<(), SnapshotError> {
+        self.dirty = true;
+        Ok(())
     }
 
     fn rebuild(&mut self) {
@@ -330,7 +347,7 @@ pub(crate) struct Clique {
     /// its record was last brought up to date: a data frame started since
     /// then sets its busy-has-data bit.
     data_starts: u64,
-    data_mark: Vec<u64>,
+    data_mark: Box<[u64]>,
     /// Explicit virtual timers of detached stations.
     timers: ExplicitTimers,
     /// The virtual timer currently armed in the kernel's backoff tier.
@@ -343,6 +360,14 @@ pub(crate) struct Clique {
     observers: bool,
     redraws: bool,
 }
+
+// The per-station records are checkpointed by `Stations` as they are; the
+// membership flags and the touched list are derived from the station lists,
+// and the policy capabilities are fixed at build time.
+wlan_des::state!(struct Clique {
+    busy, idle_since, busy_has_data, pending_idle_slots, epoch, walk, elided, targets, due,
+    due_anchor, due_epoch, due_walk, detached, on_air, data_starts, data_mark, timers, real
+} then Self::rebuild);
 
 impl Clique {
     /// The view of an idle cell at time zero with every station inactive.
@@ -371,7 +396,7 @@ impl Clique {
             on_air: Vec::new(),
             is_on_air: vec![false; n],
             data_starts: 0,
-            data_mark: vec![0; n],
+            data_mark: vec![0; n].into(),
             timers: ExplicitTimers::new(n),
             real: None,
             observer: stations.hot.iter().map(|h| h.wants_obs()).collect(),
@@ -800,117 +825,29 @@ impl Clique {
         }
     }
 
-    /// Append the cell view, the synced targets, the detached set and the
-    /// virtual timers to a checkpoint (the per-station records are written
-    /// by `Stations::save` as they are).
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        writer.put_u32(self.busy);
-        writer.put_time(self.idle_since);
-        writer.put_bool(self.busy_has_data);
-        writer.put_u64(self.pending_idle_slots);
-        writer.put_u64(self.epoch);
-        writer.put_u64(self.walk);
-        writer.put_bool(self.elided);
-        writer.put_usize(self.targets.target.len());
-        for &t in &self.targets.target {
-            writer.put_u64(t);
-        }
-        writer.put_time(self.due_anchor);
-        writer.put_u64(self.due_epoch);
-        writer.put_u64(self.due_walk);
-        writer.put_u64(self.data_starts);
-        writer.put_usize(self.on_air.len());
-        for &node in &self.on_air {
-            writer.put_usize(node);
-            writer.put_u64(self.data_mark[node]);
-        }
-        for nodes in [&self.due, &self.detached] {
-            writer.put_usize(nodes.len());
-            for &node in nodes {
-                writer.put_usize(node);
-            }
-        }
-        writer.put_usize(self.timers.len);
-        for armed in self.timers.timer.iter().flatten() {
-            armed.save(writer);
-        }
-        match &self.real {
-            None => writer.put_bool(false),
-            Some(a) => {
-                writer.put_bool(true);
-                a.save(writer);
-            }
-        }
-    }
-
-    /// Restore state written by [`save`](Self::save) into a freshly built
-    /// clique of the same size.
-    pub(crate) fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.busy = reader.get_u32()?;
-        self.idle_since = reader.get_time()?;
-        self.busy_has_data = reader.get_bool()?;
-        self.pending_idle_slots = reader.get_u64()?;
-        self.epoch = reader.get_u64()?;
-        self.walk = reader.get_u64()?;
-        self.elided = reader.get_bool()?;
-        let n = reader.get_usize()?;
-        if n != self.targets.target.len() {
+    /// Rebuild the membership flags from loaded station lists, rejecting a
+    /// station the cell does not have.
+    fn rebuild(&mut self) -> Result<(), SnapshotError> {
+        let n = self.is_due.len();
+        let listed = self.due.iter().chain(&self.detached).chain(&self.on_air);
+        if let Some(node) = listed.copied().find(|&node| node >= n) {
             return Err(SnapshotError::custom(format!(
-                "checkpoint clique has {n} stations, scenario built {}",
-                self.targets.target.len()
+                "clique station {node} out of range"
             )));
         }
-        for node in 0..n {
-            self.targets.set_bulk(node, reader.get_u64()?);
-        }
-        self.due_anchor = reader.get_time()?;
-        self.due_epoch = reader.get_u64()?;
-        self.due_walk = reader.get_u64()?;
-        let in_range = |node: NodeId| {
-            if node < n {
-                Ok(node)
-            } else {
-                Err(SnapshotError::custom(format!(
-                    "clique station {node} out of range"
-                )))
-            }
-        };
-        let station = |reader: &mut StateReader<'_>| in_range(reader.get_usize()?);
-        self.data_starts = reader.get_u64()?;
-        self.on_air.clear();
-        self.is_on_air.fill(false);
-        self.is_detached.fill(false);
-        for _ in 0..reader.get_usize()? {
-            let node = station(reader)?;
-            self.data_mark[node] = reader.get_u64()?;
-            self.on_air.push(node);
-            self.is_on_air[node] = true;
-            self.is_detached[node] = true;
-        }
-        self.due.clear();
         self.is_due.fill(false);
-        for _ in 0..reader.get_usize()? {
-            let node = station(reader)?;
-            self.due.push(node);
+        self.is_detached.fill(false);
+        self.is_on_air.fill(false);
+        for &node in &self.due {
             self.is_due[node] = true;
         }
-        self.detached.clear();
-        for _ in 0..reader.get_usize()? {
-            let node = station(reader)?;
-            self.insert_detached(node);
+        for &node in self.detached.iter().chain(&self.on_air) {
+            self.is_detached[node] = true;
+        }
+        for &node in &self.on_air {
+            self.is_on_air[node] = true;
         }
         self.touched.clear();
-        self.timers = ExplicitTimers::new(n);
-        for _ in 0..reader.get_usize()? {
-            let armed = Armed::load(reader)?;
-            in_range(armed.node)?;
-            self.timers.insert(armed);
-        }
-        self.real = if reader.get_bool()? {
-            Some(Armed::load(reader)?)
-        } else {
-            None
-        };
         Ok(())
     }
 }

@@ -19,14 +19,12 @@
 //! order is untouched.
 
 use crate::topology::NodeId;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
-use wlan_des::SlotId;
 
 /// Generational id of a slab-resident in-flight transmission.
 pub(crate) type TxId = wlan_des::SlotId;
 
 /// Kinds of events processed by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Event {
     /// A station's backoff counter is due to reach zero and the station transmits.
     /// `gen` lazily invalidates timers that were frozen by carrier sensing.
@@ -45,8 +43,21 @@ pub(crate) enum Event {
     /// generation counter is needed.
     FrameArrival { station: NodeId },
     /// Periodic statistics sampling tick.
+    #[default]
     StatsTick,
 }
+
+// Pending general-queue events are checkpointed; timer-tier entries are
+// rebuilt through their tier constructors instead.
+wlan_des::state!(enum Event {
+    TxStart { station, gen },
+    TxEnd { tx },
+    AckStart { tx },
+    AckEnd { tx },
+    AckTimeout { station, gen },
+    FrameArrival { station },
+    StatsTick,
+});
 
 impl Event {
     /// Stable telemetry label of this event's kind, used as the dispatch-
@@ -64,80 +75,6 @@ impl Event {
             Event::StatsTick => "stats_tick",
         }
     }
-
-    /// Append the event to a checkpoint (used for the pending events of the
-    /// kernel's general queue; timer-tier entries are reconstructed through
-    /// their tier constructors instead).
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        match *self {
-            Event::TxStart { station, gen } => {
-                writer.put_u8(0);
-                writer.put_usize(station);
-                writer.put_u64(gen);
-            }
-            Event::TxEnd { tx } => {
-                writer.put_u8(1);
-                put_tx(writer, tx);
-            }
-            Event::AckStart { tx } => {
-                writer.put_u8(2);
-                put_tx(writer, tx);
-            }
-            Event::AckEnd { tx } => {
-                writer.put_u8(3);
-                put_tx(writer, tx);
-            }
-            Event::AckTimeout { station, gen } => {
-                writer.put_u8(4);
-                writer.put_usize(station);
-                writer.put_u64(gen);
-            }
-            Event::FrameArrival { station } => {
-                writer.put_u8(5);
-                writer.put_usize(station);
-            }
-            Event::StatsTick => writer.put_u8(6),
-        }
-    }
-
-    /// Decode an event written by [`save`](Self::save).
-    pub(crate) fn load(reader: &mut StateReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match reader.get_u8()? {
-            0 => Event::TxStart {
-                station: reader.get_usize()?,
-                gen: reader.get_u64()?,
-            },
-            1 => Event::TxEnd {
-                tx: get_tx(reader)?,
-            },
-            2 => Event::AckStart {
-                tx: get_tx(reader)?,
-            },
-            3 => Event::AckEnd {
-                tx: get_tx(reader)?,
-            },
-            4 => Event::AckTimeout {
-                station: reader.get_usize()?,
-                gen: reader.get_u64()?,
-            },
-            5 => Event::FrameArrival {
-                station: reader.get_usize()?,
-            },
-            6 => Event::StatsTick,
-            tag => return Err(SnapshotError::custom(format!("unknown Event tag {tag}"))),
-        })
-    }
-}
-
-fn put_tx(writer: &mut StateWriter, tx: TxId) {
-    writer.put_u32(tx.index());
-    writer.put_u32(tx.generation());
-}
-
-fn get_tx(reader: &mut StateReader<'_>) -> Result<TxId, SnapshotError> {
-    let index = reader.get_u32()?;
-    let generation = reader.get_u32()?;
-    Ok(SlotId::from_parts(index, generation))
 }
 
 /// Timer-tier constructor for the backoff tier: a fired timer at `station`

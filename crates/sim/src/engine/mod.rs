@@ -47,8 +47,9 @@
 //!   for the k stations on the air, plus one eager loop per resume for
 //!   the policies that redraw or observe ([`clique`]). Both paths produce
 //!   the identical event order and RNG draws.
-//! * **Static dispatch** — stations own a [`Policy`] enum inline and the AP a
-//!   [`Controller`] enum, so the common policies dispatch without vtables.
+//! * **Static dispatch** — stations own a [`Policy`] enum inline, so the
+//!   per-station policy calls dispatch without vtables; the AP's controller
+//!   is a `Box<dyn ApAlgorithm>`, called once per frame or beacon.
 //! * **Transmission slab** — in-flight transmissions live in a generational
 //!   free-list slab ([`wlan_des::Slab`]) and are reclaimed as soon as their
 //!   lifecycle ends, so memory is O(concurrent transmissions), not O(run
@@ -78,7 +79,7 @@ mod tests;
 
 pub use telemetry::{EngineMetrics, COMPONENT_NAMES, TIER_NAMES};
 
-use crate::ap::{ApAlgorithm, Controller, NullController};
+use crate::ap::{ApAlgorithm, NullController};
 use crate::backoff::{BackoffPolicy, Policy};
 use crate::capture::CaptureModel;
 use crate::phy::PhyParams;
@@ -139,6 +140,12 @@ pub(crate) struct World {
     pub(crate) stride_ticks: u32,
 }
 
+// The scenario half (PHY, topology, capture, bin width, series cap) is
+// rebuilt from the scenario; the measurement half is checkpointed.
+wlan_des::state!(struct World {
+    stats, measure_start, bin_start, bin_bits, series_stride, stride_ticks
+});
+
 /// Builder for [`Simulator`].
 ///
 /// ```
@@ -160,7 +167,7 @@ pub struct SimulatorBuilder {
     seed: u64,
     weights: Vec<f64>,
     policies: Vec<Option<Policy>>,
-    ap: Controller,
+    ap: Box<dyn ApAlgorithm>,
     throughput_bin: SimDuration,
     throughput_series_cap: usize,
     frame_error_rate: f64,
@@ -184,7 +191,7 @@ impl SimulatorBuilder {
             seed: 0,
             weights: vec![1.0; n],
             policies: (0..n).map(|_| None).collect(),
-            ap: Controller::Null(NullController::new()),
+            ap: Box::new(NullController::new()),
             throughput_bin: SimDuration::from_secs(1),
             throughput_series_cap: 4096,
             frame_error_rate: 0.0,
@@ -238,10 +245,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Install the AP-side controller (any concrete controller convertible
-    /// into [`Controller`], or a `Box<dyn ApAlgorithm>` for the escape hatch).
-    pub fn ap_algorithm(mut self, ap: impl Into<Controller>) -> Self {
-        self.ap = ap.into();
+    /// Install the AP-side controller (the default is a [`NullController`]).
+    pub fn ap_algorithm(mut self, ap: Box<dyn ApAlgorithm>) -> Self {
+        self.ap = ap;
         self
     }
 
@@ -336,12 +342,12 @@ impl SimulatorBuilder {
         }
         let n = self.topology.num_nodes();
         let mut master = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut stations = Stations::with_capacity(n);
+        let (mut policies, mut rngs) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (i, policy) in self.policies.into_iter().enumerate() {
-            let policy = policy.unwrap_or_else(|| panic!("station {i} has no backoff policy"));
-            let rng = ChaCha8Rng::seed_from_u64(master.gen());
-            stations.push(policy, rng, self.weights[i]);
+            policies.push(policy.unwrap_or_else(|| panic!("station {i} has no backoff policy")));
+            rngs.push(ChaCha8Rng::seed_from_u64(master.gen()));
         }
+        let stations = Stations::new(policies, rngs, self.weights);
         let engine_rng = ChaCha8Rng::seed_from_u64(master.gen());
         // The sensing path is a property of the sensing graph: a clique
         // shares one medium view, anything else walks neighbour lists.
@@ -429,7 +435,7 @@ impl SimulatorBuilder {
         let ap = sim.add_component(ApControl::new(self.ap, mac, Handle::from_raw(TRAFFIC_ID)));
         debug_assert_eq!(ap.id(), AP_ID);
         let traffic = sim.add_component(TrafficSources {
-            stations: traffic_stations,
+            stations: traffic_stations.into(),
             tier: arrival_tier,
             mac,
         });
@@ -533,7 +539,7 @@ impl Simulator {
 
     /// The AP-side controller (for reading its trace after a run).
     pub fn ap_algorithm(&self) -> &dyn ApAlgorithm {
-        &self.sim.component(self.ap).controller
+        &*self.sim.component(self.ap).controller
     }
 
     /// The attempt probability currently reported by a station's policy, if any.
@@ -667,9 +673,10 @@ impl Simulator {
     }
 
     /// Remove a station from the network. Any in-flight transmission it has is
-    /// abandoned (no success or failure is recorded for it), its pending
-    /// frame arrival is cancelled (an inactive station generates no traffic),
-    /// and any queued frames stay queued until it is reactivated.
+    /// abandoned (no success or failure is recorded for it, even if the
+    /// station is reactivated before the frame's lifecycle closes), its
+    /// pending frame arrival is cancelled (an inactive station generates no
+    /// traffic), and any queued frames stay queued until it is reactivated.
     pub fn deactivate_station(&mut self, node: NodeId) {
         let mac_h = self.mac;
         let (backoff_tier, arrival_tier) = (self.backoff_tier, self.arrival_tier);

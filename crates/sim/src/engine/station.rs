@@ -45,7 +45,6 @@ use crate::phy::PhyParams;
 use crate::topology::NodeId;
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle, TierId};
 
@@ -67,6 +66,16 @@ pub(crate) enum Phase {
     /// The station finished its data frame and is waiting for the ACK.
     AwaitingAck,
 }
+
+wlan_des::state!(
+    enum Phase {
+        Inactive,
+        QueueEmpty,
+        Contending,
+        Transmitting,
+        AwaitingAck,
+    }
+);
 
 /// Sentinel for "no countdown anchored" in [`HotState::countdown_start`]
 /// (`Option<SimTime>` would cost 8 more bytes per station; the sentinel value
@@ -139,7 +148,37 @@ pub(crate) struct HotState {
     pub pending_idle_slots: u64,
 }
 
+// The flags byte and the countdown sentinel are checkpointed as they are:
+// both are plain state here, even though the flag capabilities are derived
+// from the policy at build time.
+wlan_des::state!(struct HotState {
+    phase, flags, sensed_busy, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
+    pending_idle_slots
+});
+
 impl HotState {
+    /// The record of an inactive station running `policy`.
+    fn new(policy: &Policy) -> Self {
+        let mut flags = 0u8;
+        if policy.wants_observations() {
+            flags |= FLAG_WANTS_OBS;
+        }
+        if policy.redraw_on_resume() {
+            flags |= FLAG_REDRAW_ON_RESUME;
+        }
+        HotState {
+            phase: Phase::Inactive,
+            flags,
+            sensed_busy: 0,
+            remaining_slots: 0,
+            idle_since: SimTime::ZERO,
+            countdown_start: COUNTDOWN_NONE,
+            timer_gen: 0,
+            ack_gen: 0,
+            pending_idle_slots: 0,
+        }
+    }
+
     /// The station's countdown anchor, if one is armed.
     #[inline]
     pub(crate) fn countdown(&self) -> Option<SimTime> {
@@ -283,138 +322,37 @@ impl HotState {
             timers.arm(ctx, node, gen, fire);
         }
     }
-
-    /// Append this record to a checkpoint. The flags byte and the countdown
-    /// sentinel are written raw — both are plain state here, even though the
-    /// flag capabilities are derived from the policy at build time.
-    fn save(&self, writer: &mut StateWriter) {
-        writer.put_u8(match self.phase {
-            Phase::Inactive => 0,
-            Phase::QueueEmpty => 1,
-            Phase::Contending => 2,
-            Phase::Transmitting => 3,
-            Phase::AwaitingAck => 4,
-        });
-        writer.put_u8(self.flags);
-        writer.put_u32(self.sensed_busy);
-        writer.put_u64(self.remaining_slots);
-        writer.put_time(self.idle_since);
-        writer.put_time(self.countdown_start);
-        writer.put_u64(self.timer_gen);
-        writer.put_u64(self.ack_gen);
-        writer.put_u64(self.pending_idle_slots);
-    }
-
-    /// Restore a record written by [`save`](Self::save).
-    fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.phase = match reader.get_u8()? {
-            0 => Phase::Inactive,
-            1 => Phase::QueueEmpty,
-            2 => Phase::Contending,
-            3 => Phase::Transmitting,
-            4 => Phase::AwaitingAck,
-            tag => return Err(SnapshotError::custom(format!("unknown Phase tag {tag}"))),
-        };
-        self.flags = reader.get_u8()?;
-        self.sensed_busy = reader.get_u32()?;
-        self.remaining_slots = reader.get_u64()?;
-        self.idle_since = reader.get_time()?;
-        self.countdown_start = reader.get_time()?;
-        self.timer_gen = reader.get_u64()?;
-        self.ack_gen = reader.get_u64()?;
-        self.pending_idle_slots = reader.get_u64()?;
-        Ok(())
-    }
 }
 
 /// MAC state for all stations: the hot records in one packed array, the cold
 /// per-station data (policy, RNG stream, reporting weight) in parallel
-/// arrays, all indexed by [`NodeId`]. Stations are only ever appended at
-/// build time, so the arrays stay index-aligned by construction.
+/// arrays, all indexed by [`NodeId`] and sized once, at build time.
 pub(crate) struct Stations {
-    pub hot: Vec<HotState>,
-    pub policy: Vec<Policy>,
-    pub rng: Vec<ChaCha8Rng>,
+    pub hot: Box<[HotState]>,
+    pub policy: Box<[Policy]>,
+    pub rng: Box<[ChaCha8Rng]>,
     pub weight: Vec<f64>,
 }
 
-impl Stations {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Stations {
-            hot: Vec::with_capacity(n),
-            policy: Vec::with_capacity(n),
-            rng: Vec::with_capacity(n),
-            weight: Vec::with_capacity(n),
-        }
-    }
+// Each station's policy state carries its variant, so a resume against a
+// scenario that built different policies fails loudly; the weights are
+// configuration.
+wlan_des::state!(struct Stations { hot, policy, rng });
 
-    /// Append one station (build time only).
-    pub(crate) fn push(&mut self, policy: Policy, rng: ChaCha8Rng, weight: f64) {
-        let mut flags = 0u8;
-        if policy.wants_observations() {
-            flags |= FLAG_WANTS_OBS;
+impl Stations {
+    /// The inactive stations running `policy`, drawing from `rng`.
+    pub(crate) fn new(policy: Vec<Policy>, rng: Vec<ChaCha8Rng>, weight: Vec<f64>) -> Self {
+        Stations {
+            hot: policy.iter().map(HotState::new).collect(),
+            policy: policy.into(),
+            rng: rng.into(),
+            weight,
         }
-        if policy.redraw_on_resume() {
-            flags |= FLAG_REDRAW_ON_RESUME;
-        }
-        self.hot.push(HotState {
-            phase: Phase::Inactive,
-            flags,
-            sensed_busy: 0,
-            remaining_slots: 0,
-            idle_since: SimTime::ZERO,
-            countdown_start: COUNTDOWN_NONE,
-            timer_gen: 0,
-            ack_gen: 0,
-            pending_idle_slots: 0,
-        });
-        self.policy.push(policy);
-        self.rng.push(rng);
-        self.weight.push(weight);
     }
 
     /// Number of stations.
     pub(crate) fn len(&self) -> usize {
         self.hot.len()
-    }
-
-    /// Append all mutable per-station state — hot record, policy state and
-    /// RNG stream position — to a checkpoint. The policy's name string is
-    /// written alongside its state so a resume against a scenario that built
-    /// different policies fails loudly instead of misinterpreting bytes.
-    pub(crate) fn save(&self, writer: &mut StateWriter) {
-        writer.put_usize(self.len());
-        for node in 0..self.len() {
-            self.hot[node].save(writer);
-            writer.put_str(self.policy[node].name());
-            self.policy[node].save_state(writer);
-            writer.put_rng(&self.rng[node]);
-        }
-    }
-
-    /// Restore state written by [`save`](Self::save) into freshly built
-    /// stations (same scenario, so counts, weights and policy types match).
-    pub(crate) fn load(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = reader.get_usize()?;
-        if n != self.len() {
-            return Err(SnapshotError::custom(format!(
-                "checkpoint has {n} stations, scenario built {}",
-                self.len()
-            )));
-        }
-        for node in 0..n {
-            self.hot[node].load(reader)?;
-            let name = reader.get_str()?;
-            if name != self.policy[node].name() {
-                return Err(SnapshotError::custom(format!(
-                    "station {node}: checkpoint policy {name:?} does not match built policy {:?}",
-                    self.policy[node].name()
-                )));
-            }
-            self.policy[node].load_state(reader)?;
-            self.rng[node] = reader.get_rng()?;
-        }
-        Ok(())
     }
 
     /// Whether the station is participating in the network.
@@ -554,6 +492,10 @@ pub(crate) struct StationMac {
     pub(crate) ap: Handle<ApControl>,
     pub(crate) traffic: Handle<TrafficSources>,
 }
+
+// The clique's presence is fixed by the topology; the engine checkpoints it
+// after this component when the scenario built one.
+wlan_des::state!(struct StationMac { active, stations });
 
 impl StationMac {
     /// Enter the contention phase (see [`Stations::begin_contention`]).
@@ -758,6 +700,7 @@ impl StationMac {
                 rx_power,
                 interference,
                 collided,
+                ack_gen: self.stations.hot[node].ack_gen,
             });
             channel.active_tx.push(tx);
             tx

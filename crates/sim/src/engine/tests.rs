@@ -162,6 +162,57 @@ fn activate_and_deactivate_stations() {
     );
 }
 
+/// Deactivate and reactivate every station 20 µs before the first frame
+/// ends, so each transmitter is reactivated while its own frame is still on
+/// the air, then run on. The reactivated transmitter contends again at once
+/// (it does not sense its own frame), so the frame's `TxEnd` and ACK must
+/// leave it alone; otherwise its new backoff timer is armed a second time
+/// when the ACK or the timeout ends the frame ("double arm").
+fn reactivate_mid_frame(topology: Topology, per_station: bool) -> Simulator {
+    let build = || {
+        let builder = SimulatorBuilder::new(PhyParams::table1(), topology.clone())
+            .seed(1)
+            .with_stations(|_, phy| ExponentialBackoff::new(phy));
+        if per_station {
+            builder.per_station_sensing().build()
+        } else {
+            builder.build()
+        }
+    };
+    let mut probe = build();
+    while probe.frames_on_air() == 0 {
+        probe.run_for(SimDuration::from_micros(1));
+    }
+    let first_end = probe.now() + probe.phy().data_airtime();
+    let mut sim = build();
+    sim.run_until(first_end - SimDuration::from_micros(20));
+    assert!(sim.frames_on_air() > 0);
+    for node in 0..3 {
+        sim.deactivate_station(node);
+        sim.activate_station(node);
+    }
+    sim.run_for(SimDuration::from_millis(50));
+    assert_eq!(sim.active_stations(), 3);
+    assert!(sim.stats().total_successes() > 0);
+    sim
+}
+
+#[test]
+fn reactivating_a_station_mid_frame_leaves_that_frame_to_its_fate() {
+    // The per-station sensing path (the 20 m disc has a hidden pair) and the
+    // clique path (an 8 m ring), each against the other path's rules.
+    let disc = Topology::uniform_disc(3, 20.0, &mut ChaCha8Rng::seed_from_u64(9));
+    assert!(!disc.is_fully_connected());
+    reactivate_mid_frame(disc, false);
+    let clique = reactivate_mid_frame(Topology::ring(3, 8.0), false);
+    let reference = reactivate_mid_frame(Topology::ring(3, 8.0), true);
+    assert_eq!(clique.events_processed(), reference.events_processed());
+    assert_eq!(
+        serde_json::to_string(&clique.stats()).unwrap(),
+        serde_json::to_string(&reference.stats()).unwrap()
+    );
+}
+
 #[test]
 fn throughput_series_is_recorded() {
     let topo = Topology::fully_connected(4);
@@ -730,6 +781,51 @@ fn resume_rejects_checkpoints_from_a_different_policy() {
     assert!(err.to_string().contains("policy"), "{err}");
 }
 
+fn dcf_cell(n: usize) -> Simulator {
+    SimulatorBuilder::new(PhyParams::table1(), Topology::fully_connected(n))
+        .seed(1)
+        .with_stations(|_, phy| ExponentialBackoff::new(phy))
+        .build()
+}
+
+#[test]
+fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
+    let mut source = dcf_cell(10);
+    source.run_until(SimTime::from_millis(60));
+    let ckpt = source.checkpoint();
+    dcf_cell(10).resume(&ckpt).unwrap();
+    for byte in 0..ckpt.len() {
+        for bit in 0..8 {
+            let mut flipped = ckpt.clone();
+            flipped[byte] ^= 1 << bit;
+            assert!(
+                dcf_cell(10).resume(&flipped).is_err(),
+                "flip of bit {bit} in byte {byte} of {} resumed",
+                ckpt.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn resume_names_the_version_of_an_older_checkpoint() {
+    // A format-v2 header: the length-prefixed magic, then the version.
+    let mut v2 = 8u64.to_le_bytes().to_vec();
+    v2.extend_from_slice(b"WLANCKPT");
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&[0; 64]);
+    let err = dcf_cell(4).resume(&v2).unwrap_err().to_string();
+    assert!(err.contains("v2") && err.contains("v3"), "{err}");
+}
+
+#[test]
+fn n1000_checkpoint_stays_under_300_kb() {
+    let mut sim = dcf_cell(1000);
+    sim.run_until(SimTime::from_millis(100));
+    let size = sim.checkpoint().len();
+    assert!(size < 300_000, "N = 1000 checkpoint is {size} B");
+}
+
 // ---------------------------------------------------------------------------
 // Clique sensing path vs per-station sensing path
 // ---------------------------------------------------------------------------
@@ -820,29 +916,17 @@ mod clique_equivalence {
     /// Drive both builds through the same steps, comparing after each one.
     /// A step either runs for a while (microseconds to milliseconds, so it
     /// ends inside busy periods and ACKs as often as between them) or
-    /// toggles one station's membership.
+    /// toggles one station's membership, including while that station's own
+    /// frame is on the air.
     fn check(case: &Case, steps: &[(u8, u16)]) {
         let mut clique = build(case, false);
         let mut reference = build(case, true);
-        // A station is reactivated only once its own last frame has surely
-        // finished (airtime + SIFS + ACK < 200 µs): reactivating it while
-        // that frame is still in flight leaves its new backoff timer armed
-        // into the frame's ACK, which arms it a second time on both paths.
-        let mut deactivated_at = vec![SimTime::ZERO; case.n];
-        let settled = SimDuration::from_micros(200);
         for (i, &(op, arg)) in steps.iter().enumerate() {
             let node = arg as usize % case.n;
-            let toggle = op % 4 == 2
-                && (clique.sim.component(clique.mac).stations.is_active(node)
-                    || clique.now() >= deactivated_at[node] + settled);
-            if toggle && clique.sim.component(clique.mac).stations.is_active(node) {
-                deactivated_at[node] = clique.now();
-            }
             for sim in [&mut clique, &mut reference] {
                 match op % 4 {
                     0 => sim.run_for(SimDuration::from_micros(u64::from(arg) % 97 + 1)),
                     1 => sim.run_for(SimDuration::from_micros(u64::from(arg) * 7)),
-                    2 if !toggle => {}
                     2 if sim.sim.component(sim.mac).stations.is_active(node) => {
                         sim.deactivate_station(node)
                     }

@@ -19,7 +19,6 @@ use crate::control::{ChannelObservation, ControlPayload};
 use crate::phy::PhyParams;
 use rand::Rng;
 use rand::RngCore;
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 
 /// Configuration of the IdleSense station policy.
 #[derive(Debug, Clone)]
@@ -76,6 +75,8 @@ pub struct IdleSensePolicy {
     idle_slot_sum: u64,
     observed_transmissions: u32,
 }
+
+wlan_des::state!(struct IdleSensePolicy { cw, idle_slot_sum, observed_transmissions });
 
 impl IdleSensePolicy {
     /// Create a policy with the given configuration.
@@ -156,19 +157,6 @@ impl BackoffPolicy for IdleSensePolicy {
 
     fn name(&self) -> &'static str {
         "idle-sense"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_f64(self.cw);
-        writer.put_u64(self.idle_slot_sum);
-        writer.put_u32(self.observed_transmissions);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.cw = reader.get_f64()?;
-        self.idle_slot_sum = reader.get_u64()?;
-        self.observed_transmissions = reader.get_u32()?;
-        Ok(())
     }
 }
 

@@ -23,10 +23,10 @@
 //!   CSMA, the paper's RandomReset(j; p0) scheme, IdleSense, or a fixed
 //!   window. The engine stores policies in the closed [`backoff::Policy`]
 //!   enum and dispatches them statically;
-//! * the AP may run a controller ([`ap::ApAlgorithm`], stored as an
-//!   [`ap::Controller`]) that observes successful receptions and piggy-backs
-//!   control variables on every ACK — the hook used by wTOP-CSMA and
-//!   TORA-CSMA (implemented in the `wlan-core` crate).
+//! * the AP may run a controller ([`ap::ApAlgorithm`], held as a
+//!   `Box<dyn ApAlgorithm>`) that observes successful receptions and
+//!   piggy-backs control variables on every ACK — the hook used by wTOP-CSMA
+//!   and TORA-CSMA (implemented in the `wlan-core` crate).
 //!
 //! The engine is single-threaded and fully deterministic for a given seed.
 //! Every simulator (and everything inside it — custom AP controllers are
@@ -77,18 +77,19 @@ const _: () = {
     assert_send::<phy::PhyParams>();
 };
 
-/// The checkpoint codec (re-exported from the `wlan-des` kernel): the byte
-/// writer/reader pair used by [`Simulator::checkpoint`] /
-/// [`Simulator::resume`] and by the `save_state`/`load_state` hooks on
-/// [`BackoffPolicy`] and [`ApAlgorithm`].
-pub use wlan_des::snapshot;
+/// The checkpoint codec (re-exported from the `wlan-des` kernel): the
+/// positional [`State`](snapshot::State) trait behind
+/// [`Simulator::checkpoint`] / [`Simulator::resume`], which every
+/// [`ApAlgorithm`] implements, and the [`state!`] macro that implements it
+/// from a type's list of mutable fields.
+pub use wlan_des::{snapshot, state};
 
 /// Kernel telemetry types (re-exported from `wlan-des`): the report returned
 /// by [`Simulator::metrics_report`] and the samples handed to a
 /// [`Simulator::set_profiler`] sink.
 pub use wlan_des::{MetricsReport, ProfileSample};
 
-pub use ap::{ApAlgorithm, ControlEpoch, Controller, NullController};
+pub use ap::{ApAlgorithm, ControlEpoch, NullController};
 pub use backoff::{BackoffPolicy, Policy};
 pub use capture::CaptureModel;
 pub use control::{BusyOutcome, ChannelObservation, ControlPayload};

@@ -33,6 +33,10 @@ pub struct NodeStats {
     pub traffic: TrafficStats,
 }
 
+wlan_des::state!(struct NodeStats {
+    attempts, successes, failures, payload_bits_delivered, airtime, traffic
+});
+
 /// Number of exact low buckets in [`DelayHistogram`] (delays below 16 ns are
 /// counted exactly; everything above lands in log-linear buckets).
 const HIST_LINEAR: usize = 16;
@@ -54,6 +58,8 @@ pub struct DelayHistogram {
     /// Total number of recorded delays.
     total: u64,
 }
+
+wlan_des::state!(struct DelayHistogram { counts, total });
 
 impl DelayHistogram {
     /// Bucket index for a delay of `ns` nanoseconds.
@@ -163,6 +169,11 @@ pub struct TrafficStats {
     pub delay_hist: DelayHistogram,
 }
 
+wlan_des::state!(struct TrafficStats {
+    arrivals, drops, delivered, queued_at_start, queue_high_water, delay_total, delay_sq_s2,
+    delay_max, jitter_total, jitter_pairs, delay_hist
+});
+
 impl TrafficStats {
     /// Record one delivered frame. `prev_delay` is the delay of this
     /// station's previous delivery, if any (feeds the jitter accumulator).
@@ -236,7 +247,7 @@ impl NodeStats {
 }
 
 /// A sample of the system throughput over one reporting interval.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ThroughputSample {
     /// End of the interval.
     pub time: SimTime,
@@ -251,6 +262,8 @@ pub struct ThroughputSample {
     /// counted.
     pub active_nodes: usize,
 }
+
+wlan_des::state!(struct ThroughputSample { time, bps, active_nodes });
 
 /// Aggregate statistics of a simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -272,6 +285,11 @@ pub struct SimStats {
     /// Per-interval system throughput samples.
     pub throughput_series: Vec<ThroughputSample>,
 }
+
+wlan_des::state!(struct SimStats {
+    nodes, measured_time, busy_periods, successful_busy_periods, collided_busy_periods,
+    idle_slots, busy_time, throughput_series
+});
 
 impl SimStats {
     /// Create an empty statistics block for `n` stations.

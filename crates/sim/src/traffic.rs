@@ -35,7 +35,6 @@
 
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
-use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_des::time::SimDuration;
 
 /// A per-station frame arrival process.
@@ -189,6 +188,17 @@ enum Burst {
     Off { remaining: SimDuration },
 }
 
+/// The value a checkpoint's burst phase is decoded into.
+impl Default for Burst {
+    fn default() -> Self {
+        Burst::On {
+            remaining: SimDuration::ZERO,
+        }
+    }
+}
+
+wlan_des::state!(enum Burst { On { remaining }, Off { remaining } });
+
 /// Samples inter-arrival delays for one station's [`ArrivalProcess`].
 ///
 /// All randomness comes from the RNG the caller passes in — the engine hands
@@ -200,6 +210,9 @@ pub struct ArrivalSampler {
     burst: Option<Burst>,
     started: bool,
 }
+
+// The arrival process itself is build-time configuration.
+wlan_des::state!(struct ArrivalSampler { started, burst });
 
 /// Draw an exponential duration with the given mean.
 fn exp_duration(mean: f64, rng: &mut dyn RngCore) -> SimDuration {
@@ -220,40 +233,6 @@ impl ArrivalSampler {
             burst: None,
             started: false,
         })
-    }
-
-    /// Append the sampler's mutable state (the started flag and the MMPP
-    /// phase) to a checkpoint. The arrival process itself is build-time
-    /// configuration and is reconstructed from the scenario.
-    pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_bool(self.started);
-        match self.burst {
-            None => writer.put_u8(0),
-            Some(Burst::On { remaining }) => {
-                writer.put_u8(1);
-                writer.put_duration(remaining);
-            }
-            Some(Burst::Off { remaining }) => {
-                writer.put_u8(2);
-                writer.put_duration(remaining);
-            }
-        }
-    }
-
-    /// Restore state written by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.started = reader.get_bool()?;
-        self.burst = match reader.get_u8()? {
-            0 => None,
-            1 => Some(Burst::On {
-                remaining: reader.get_duration()?,
-            }),
-            2 => Some(Burst::Off {
-                remaining: reader.get_duration()?,
-            }),
-            tag => return Err(SnapshotError::custom(format!("unknown Burst tag {tag}"))),
-        };
-        Ok(())
     }
 
     /// Delay until the next frame arrival.

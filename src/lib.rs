@@ -12,7 +12,7 @@
 //! | [`analytic`] (`wlan-analytic`) | Bianchi / p-persistent / RandomReset closed-form models |
 //! | [`sa`] (`stochastic-approx`) | the Kiefer–Wolfowitz optimiser and its gain sequences |
 //! | [`core`] (`wlan-core`) | wTOP-CSMA, TORA-CSMA, IdleSense, the scenario + campaign runners |
-//! | `wlan-bench` | one binary per paper figure/table plus criterion benches |
+//! | `wlan-bench` | one binary per paper figure/table, the campaign server and the benchmarks |
 //!
 //! ## Quickstart
 //!
