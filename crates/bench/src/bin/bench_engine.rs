@@ -11,9 +11,9 @@
 //!
 //! Grids:
 //!
-//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus one
-//!   large-N smoke cell (Standard 802.11, fully connected, N = 500) — the CI
-//!   perf gate.
+//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus two
+//!   large-N smoke cells (Standard 802.11 at N = 500, fully connected and on
+//!   the 20 m disc) — the CI perf gate.
 //! * `--extended`: N ∈ {5, 20, 50, 100, 200, 500, 1000, 2000} — the scaling
 //!   grid the committed `BENCH_engine.json` is generated from.
 //! * `--full`: the extended grid with 10 sim-seconds per cell at N ≤ 100
@@ -293,8 +293,8 @@ fn overhead_ratio() -> f64 {
 
 /// The cell grid for a mode: `(protocol, topology label, topology, n,
 /// sim-seconds, traffic)`, topology-major then N then protocol (the
-/// historical order). Smoke cells are appended at the end: the N = 500
-/// large-N cell in Quick mode only (the extended grids already reach
+/// historical order). Smoke cells are appended at the end: the two N = 500
+/// large-N cells in Quick mode only (the extended grids already reach
 /// N = 2000), the finite-load cell in every mode.
 #[allow(clippy::type_complexity)]
 fn cells_for(
@@ -347,17 +347,20 @@ fn cells_for(
         }
     }
     if mode == Mode::Quick {
-        // The CI perf gate's large-N smoke cell: plain 802.11, fully
-        // connected, N = 500 — cheap enough for every PR, big enough that an
-        // O(N) regression in the per-busy-period loops is unmissable.
-        cells.push((
-            Protocol::Standard80211,
-            "fully_connected",
-            TopologySpec::FullyConnected,
-            500,
-            2,
-            TrafficSpec::saturated(),
-        ));
+        // The CI perf gate's large-N smoke cells: plain 802.11 at N = 500 —
+        // cheap enough for every PR, big enough that an O(N) regression in
+        // the per-busy-period loops is unmissable. The fully connected cell
+        // times the clique sensing path, the 20 m disc the per-station path.
+        for (tname, topo) in &topologies {
+            cells.push((
+                Protocol::Standard80211,
+                *tname,
+                topo.clone(),
+                500,
+                2,
+                TrafficSpec::saturated(),
+            ));
+        }
     }
     // The finite-load smoke cell (every mode, so the committed extended
     // report gates it too): Poisson offered load at ~75% of capacity over

@@ -12,14 +12,14 @@
 
 use super::arrivals::TrafficSources;
 use super::event::Event;
-use super::station::StationMac;
+use super::station::{StationMac, Stations};
 use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
 use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
-use crate::topology::NodeId;
+use crate::topology::{ones, NodeId};
 use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle};
 
@@ -151,16 +151,15 @@ impl ApControl {
                 let bps = world.bin_bits as f64 / elapsed.as_secs_f64();
                 // Active *and backlogged* stations. Saturated runs take the
                 // historical fast path: every active station is permanently
-                // backlogged, so the count is just the active-list length.
+                // backlogged, so the count is just the size of the active set.
                 let active_nodes = {
                     let mac = peers.get(self.mac);
                     let traffic = peers.get(self.traffic);
                     if traffic.stations.is_empty() {
-                        mac.active.len()
+                        mac.stations.active_count()
                     } else {
-                        mac.active
-                            .iter()
-                            .filter(|&&node| traffic.stations[node].has_frame())
+                        ones(&mac.stations.active)
+                            .filter(|&node| traffic.stations[node].has_frame())
                             .count()
                     }
                 };
@@ -184,12 +183,9 @@ impl ApControl {
         self.controller.on_beacon(now);
         let payload = self.controller.control_payload(now);
         if !payload.is_none() {
-            let mac = peers.get_mut(self.mac);
-            let StationMac {
-                stations, active, ..
-            } = &mut *mac;
-            for &node in active.iter() {
-                stations.policy[node].on_control(&payload);
+            let Stations { active, policy, .. } = &mut peers.get_mut(self.mac).stations;
+            for node in ones(active) {
+                policy[node].on_control(&payload);
             }
         }
 

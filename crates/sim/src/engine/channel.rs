@@ -13,12 +13,12 @@
 use super::apctl::{ApControl, PendingAck};
 use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
-use super::station::{Phase, StationMac};
+use super::station::{Phase, StationMac, Stations};
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
 use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
-use crate::topology::NodeId;
+use crate::topology::{ones, NodeId};
 use rand::{Rng, RngCore};
 use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle, Slab};
@@ -70,8 +70,12 @@ pub(crate) struct Channel {
     /// Slab ids of transmissions currently on the air (small — bounded by the
     /// number of simultaneously transmitting stations).
     pub(crate) active_tx: Vec<TxId>,
-    /// Whether the AP itself is transmitting (an ACK).
-    pub(crate) ap_transmitting: bool,
+    /// The source of the data frame each ACK on the air answers: every
+    /// active station but that source senses the ACK. Empty while the AP is
+    /// silent and one entry while it ACKs, except when a capture model
+    /// decodes two frames that end at the same instant and both are ACKed
+    /// at once.
+    pub(crate) acks: Vec<NodeId>,
     pub(crate) mac: Handle<StationMac>,
     pub(crate) ap: Handle<ApControl>,
     pub(crate) traffic: Handle<TrafficSources>,
@@ -79,7 +83,7 @@ pub(crate) struct Channel {
 
 // The whole slab (every slot with its generation and the free-list links)
 // is checkpointed, so the `TxId`s embedded in pending events stay valid.
-wlan_des::state!(struct Channel { txs, active_tx, ap_transmitting });
+wlan_des::state!(struct Channel { txs, active_tx, acks });
 
 impl Channel {
     fn handle_tx_end(
@@ -127,9 +131,10 @@ impl Channel {
             // abandoned the frame.
             if mac.stations.hot[source].ack_gen == ack_gen {
                 let timeout = world.phy.ack_timeout();
+                let idle = !mac.stations.sensed.is_busy(source);
                 let h = &mut mac.stations.hot[source];
                 h.phase = Phase::AwaitingAck;
-                if h.sensed_busy == 0 {
+                if idle {
                     h.idle_since = now;
                 }
                 h.ack_gen += 1;
@@ -193,7 +198,8 @@ impl Channel {
         for &id in &self.active_tx {
             self.txs.get_mut(id).collided = true;
         }
-        self.ap_transmitting = true;
+        let tx_source = self.txs.get(tx).source;
+        self.acks.push(tx_source);
         {
             let ap = peers.get_mut(self.ap);
             let payload = ap.controller.control_payload(now);
@@ -204,8 +210,7 @@ impl Channel {
         let end = now + world.phy.ack_airtime();
         ctx.schedule(end, CHANNEL_ID, Event::AckEnd { tx });
 
-        // Every active station senses the AP.
-        let tx_source = self.txs.get(tx).source;
+        // Every active station but the addressee senses the AP.
         peers
             .get_mut(self.mac)
             .medium_busy(world, ctx, now, tx_source, false);
@@ -222,9 +227,11 @@ impl Channel {
         tx: TxId,
     ) {
         let now = ctx.now();
-        self.ap_transmitting = false;
         // The ACK closes this transmission's lifecycle: reclaim the slab entry.
         let ended = self.txs.remove(tx);
+        if let Some(i) = self.acks.iter().position(|&s| s == ended.source) {
+            self.acks.swap_remove(i);
+        }
         let ack = peers.get_mut(self.ap).pending_ack.take();
         let (dest, payload, ack_gen) = match ack {
             Some(a) => (a.dest, a.payload, a.ack_gen),
@@ -235,11 +242,12 @@ impl Channel {
             let mac = peers.get_mut(self.mac);
             mac.medium_idle(world, ctx, now, ended.source, false, false);
 
-            // Every station overhears the control payload carried by the ACK
-            // (`active` is exactly the active set, in ascending id order).
+            // Every station overhears the control payload carried by the ACK,
+            // in ascending id order.
             if !payload.is_none() {
-                for &node in &mac.active {
-                    mac.stations.policy[node].on_control(&payload);
+                let Stations { active, policy, .. } = &mut mac.stations;
+                for node in ones(active) {
+                    policy[node].on_control(&payload);
                 }
             }
 
@@ -255,9 +263,8 @@ impl Channel {
                 st.hot[dest].ack_gen += 1; // cancel the pending timeout
                 let rng: &mut dyn RngCore = &mut st.rng[dest];
                 st.policy[dest].on_success(rng);
-                let h = &mut st.hot[dest];
-                if h.sensed_busy == 0 {
-                    h.idle_since = now;
+                if !st.sensed.is_busy(dest) {
+                    st.hot[dest].idle_since = now;
                 }
                 true
             } else {

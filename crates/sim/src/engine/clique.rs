@@ -14,11 +14,13 @@
 //!   idle slots that elapsed, a resume moves the anchor. Countdowns that
 //!   expire at the very instant the medium goes busy keep their timers (the
 //!   same-instant rule) and stay synced as *due* countdowns. The
-//!   per-station record ([`HotState`](super::station::HotState)) of a
-//!   synced station is stale and is never read.
+//!   per-station record ([`HotState`](super::station::HotState)) and busy
+//!   count of a synced station are stale and are never read.
 //! * **detached** — the per-station record is authoritative and the station
-//!   goes through exactly the per-station rules (`HotState::busy_start`,
-//!   `Stations::busy_end`, `Stations::begin_contention`). Stations on the
+//!   goes through exactly the per-station rules, one station at a time
+//!   (`Stations::busy_start`, `Stations::busy_end`,
+//!   `Stations::begin_contention`), on the same bit-sliced busy counts the
+//!   per-station path updates in bulk. Stations on the
 //!   air, the addressee of the ACK on the air, countdowns started off the
 //!   cell's slot grid and a few transients are detached. Stations on the
 //!   air follow the cell at an offset of one (they sense everything but
@@ -64,7 +66,7 @@ use super::Ctx;
 use crate::backoff::BackoffPolicy;
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
-use crate::topology::NodeId;
+use crate::topology::{ones, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wlan_des::snapshot::SnapshotError;
@@ -439,10 +441,9 @@ impl Clique {
     /// `node` just started transmitting: if its record follows the cell at
     /// an offset of one, move it to the lazily updated on-air set.
     pub(crate) fn went_on_air(&mut self, st: &Stations, node: NodeId) {
-        let h = &st.hot[node];
         if !self.is_detached[node]
-            || h.phase != Phase::Transmitting
-            || h.sensed_busy + 1 != self.busy
+            || st.hot[node].phase != Phase::Transmitting
+            || st.sensed.count(node) + 1 != self.busy
         {
             return;
         }
@@ -457,10 +458,9 @@ impl Clique {
     /// Bring on-air station `node`'s record up to date with a busy count of
     /// `sensed`.
     fn catch_up(&mut self, st: &mut Stations, node: NodeId, sensed: u32) {
-        let h = &mut st.hot[node];
-        h.sensed_busy = sensed;
+        st.sensed.set(node, sensed);
         if self.data_mark[node] != self.data_starts {
-            h.set_busy_has_data(true);
+            st.sensed.set_has_data(node, true);
             self.data_mark[node] = self.data_starts;
         }
     }
@@ -530,10 +530,10 @@ impl Clique {
             }
             self.targets.set(node, NO_TARGET);
         }
+        st.sensed.set(node, self.busy);
+        st.sensed.set_has_data(node, self.busy_has_data);
         let h = &mut st.hot[node];
-        h.sensed_busy = self.busy;
         h.idle_since = self.idle_since;
-        h.set_busy_has_data(self.busy_has_data);
         if h.wants_obs() {
             h.pending_idle_slots = self.pending_idle_slots;
         }
@@ -608,30 +608,27 @@ impl Clique {
         };
         for &node in &self.detached {
             if node != source {
-                st.hot[node].busy_start(phy, ctx, &mut timers, now, node, is_data);
+                st.busy_start(phy, ctx, &mut timers, now, node, is_data);
             }
         }
         if before == 1 {
             // On-air stations sensed nothing until now.
             for i in 0..self.on_air.len() {
                 let node = self.on_air[i];
-                st.hot[node].sensed_busy = 0;
-                st.hot[node].busy_start(phy, ctx, &mut timers, now, node, is_data);
+                st.sensed.set(node, 0);
+                st.busy_start(phy, ctx, &mut timers, now, node, is_data);
                 self.data_mark[node] = self.data_starts;
             }
         }
     }
 
     /// The medium loses a transmission (`source`'s frame, or the ACK to
-    /// `source`). `active` is the sorted active list; `ack_follows` is the
-    /// per-station path's elision flag.
-    #[allow(clippy::too_many_arguments)]
+    /// `source`). `ack_follows` is the per-station path's elision flag.
     pub(crate) fn busy_end(
         &mut self,
         st: &mut Stations,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
-        active: &[NodeId],
         now: SimTime,
         source: NodeId,
         ack_follows: bool,
@@ -664,6 +661,11 @@ impl Clique {
         if self.busy > 0 {
             return;
         }
+        // Nothing is on the air, so every active station's count is zero.
+        // Clearing them all drops the stale counts of synced stations too,
+        // which would otherwise keep the bit planes as deep as the busiest
+        // period so far.
+        st.sensed.clear();
         // Busy -> idle for every synced station: their countdowns resume
         // from the new anchor with the walk's sequence numbers. A due
         // countdown that never fired kept its slots through the freeze.
@@ -687,12 +689,18 @@ impl Clique {
             own_transmission: false,
             outcome: BusyOutcome::Unknown,
         };
-        for &node in active {
+        let Stations {
+            active,
+            policy,
+            rng,
+            ..
+        } = st;
+        for node in ones(active) {
             if self.is_detached[node] {
                 continue;
             }
             if observe && self.observer[node] {
-                st.policy[node].on_observation(&obs);
+                policy[node].on_observation(&obs);
             }
             if self.redrawer[node] && self.targets.get(node) != NO_TARGET {
                 // Memoryless policies redraw instead of resuming (see
@@ -702,9 +710,9 @@ impl Clique {
                     // next resume redraws it before anything reads it: only
                     // a zero-slot draw, armed at once and due at the freeze,
                     // is observable. Any other draw stands in as one slot.
-                    u64::from(!st.policy[node].draws_zero(&mut st.rng[node]))
+                    u64::from(!policy[node].draws_zero(&mut rng[node]))
                 } else {
-                    st.policy[node].draw_backoff(&mut st.rng[node])
+                    policy[node].draw_backoff(&mut rng[node])
                 };
                 self.targets.set_bulk(node, self.epoch + drawn);
             }
@@ -717,8 +725,8 @@ impl Clique {
         let h = &st.hot[node];
         if h.phase == Phase::Transmitting
             || !h.is_active()
-            || h.sensed_busy != self.busy
-            || h.busy_has_data() != self.busy_has_data
+            || st.sensed.count(node) != self.busy
+            || st.sensed.has_data(node) != self.busy_has_data
             || (h.wants_obs() && h.pending_idle_slots != self.pending_idle_slots)
             || (self.busy == 0 && h.idle_since != self.idle_since)
         {

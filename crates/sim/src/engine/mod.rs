@@ -38,15 +38,18 @@
 //! section of `docs/ARCHITECTURE.md`):
 //!
 //! * **Sensing by the sensing graph** — the build picks one of two paths
-//!   from the topology. With any hidden pair, a transmission start or end
-//!   notifies the transmitter's precomputed sensing neighbours
-//!   ([`Topology::neighbors`]) in ascending id order and ACK events walk
-//!   the sorted active-station list: O(degree) per transition. In a
-//!   clique the medium view is kept once per cell and backoff countdowns
-//!   are targets on a shared idle-slot epoch, so a transition costs O(k)
-//!   for the k stations on the air, plus one eager loop per resume for
-//!   the policies that redraw or observe ([`clique`]). Both paths produce
-//!   the identical event order and RNG draws.
+//!   from the topology, and both keep every station's busy count in the
+//!   same bit-sliced counters ([`busy`]). With any hidden pair, a
+//!   transmission start or end adds or subtracts the transmitter's
+//!   sensing row ([`Topology::sensing_row`]), an ACK the active set minus
+//!   its addressee: O(⌈N/64⌉ · log k) word operations for k transmissions
+//!   on the air. Only the stations whose count crosses zero run the
+//!   freeze or resume rules, in ascending id order. In a clique the
+//!   medium view is kept once per cell and backoff countdowns are targets
+//!   on a shared idle-slot epoch, so a transition costs O(k), plus one
+//!   eager loop per resume for the policies that redraw or observe
+//!   ([`clique`]). Both paths produce the identical event order and RNG
+//!   draws.
 //! * **Static dispatch** — stations own a [`Policy`] enum inline, so the
 //!   per-station policy calls dispatch without vtables; the AP's controller
 //!   is a `Box<dyn ApAlgorithm>`, called once per frame or beacon.
@@ -60,14 +63,14 @@
 //!   follow the exact historical single-heap order
 //!   ([`wlan_des::EventQueue`]). The clique path arms only its earliest
 //!   backoff timer there, numbered from ranges reserved per walk.
-//! * **Hot/cold station state** — the per-station fields touched on every
-//!   medium transition are packed into one 56-byte record per station
-//!   ([`station::Stations`]), separate from the fat policy/RNG arrays, so
-//!   the per-station sensing loops stream one sub-cache-line record per
-//!   neighbour.
+//! * **Hot/cold station state** — the per-station fields the sensing
+//!   rules read and write are packed into one 56-byte record per station
+//!   ([`station::Stations`]), separate from the fat policy/RNG arrays and
+//!   from the busy-count bit planes.
 
 mod apctl;
 mod arrivals;
+mod busy;
 mod channel;
 mod clique;
 mod event;
@@ -93,7 +96,7 @@ use clique::Clique;
 use event::Event;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use station::{Phase, StationMac, Stations};
+use station::{StationMac, Stations};
 use std::collections::VecDeque;
 use wlan_des::time::{SimDuration, SimTime};
 use wlan_des::{ComponentId, Handle, Simulation, TierId};
@@ -350,7 +353,7 @@ impl SimulatorBuilder {
         let stations = Stations::new(policies, rngs, self.weights);
         let engine_rng = ChaCha8Rng::seed_from_u64(master.gen());
         // The sensing path is a property of the sensing graph: a clique
-        // shares one medium view, anything else walks neighbour lists.
+        // shares one medium view, anything else adds sensing rows.
         let is_clique = self.topology.is_fully_connected();
         #[cfg(test)]
         let is_clique = is_clique && !self.per_station;
@@ -415,7 +418,6 @@ impl SimulatorBuilder {
         let arrival_tier = sim.add_timer_tier(TRAFFIC_ID, n, event::make_frame_arrival);
         let mac = sim.add_component(StationMac {
             stations,
-            active: Vec::with_capacity(n),
             tier: backoff_tier,
             clique,
             channel: Handle::from_raw(CHANNEL_ID),
@@ -426,7 +428,7 @@ impl SimulatorBuilder {
         let channel = sim.add_component(Channel {
             txs: wlan_des::Slab::new(),
             active_tx: Vec::new(),
-            ap_transmitting: false,
+            acks: Vec::new(),
             mac,
             ap: Handle::from_raw(AP_ID),
             traffic: Handle::from_raw(TRAFFIC_ID),
@@ -496,7 +498,7 @@ impl Simulator {
 
     /// Number of stations currently active.
     pub fn active_stations(&self) -> usize {
-        self.sim.component(self.mac).active.len()
+        self.sim.component(self.mac).stations.active_count()
     }
 
     /// Total number of events the engine has processed so far (all event
@@ -526,7 +528,7 @@ impl Simulator {
 
     /// Whether the AP's ACK is on the air right now.
     pub fn ack_on_air(&self) -> bool {
-        self.sim.component(self.channel).ap_transmitting
+        !self.sim.component(self.channel).acks.is_empty()
     }
 
     /// Immutable access to the collected statistics.
@@ -625,37 +627,26 @@ impl Simulator {
         self.sim.access(|world, peers, ctx| {
             let now = ctx.now();
             for node in nodes {
-                {
-                    let mac = peers.get_mut(mac_h);
-                    if mac.stations.is_active(node) {
-                        continue;
-                    }
-                    let h = &mut mac.stations.hot[node];
-                    h.phase = Phase::Contending;
-                    h.sensed_busy = 0;
-                    h.idle_since = now;
-                    h.clear_countdown();
-                    if let Err(pos) = mac.active.binary_search(&node) {
-                        mac.active.insert(pos, node);
-                    }
-                    if let Some(clique) = mac.clique.as_deref_mut() {
-                        clique.adopt(node);
-                    }
+                let mac = peers.get_mut(mac_h);
+                if mac.stations.is_active(node) {
+                    continue;
                 }
-                // Recompute what the station currently senses.
+                mac.stations.activate(node, now);
+                if let Some(clique) = mac.clique.as_deref_mut() {
+                    clique.adopt(node);
+                }
+                // Recount what the station senses: the frames on the air
+                // from stations in range, and the ACKs addressed to others.
                 let sensed = {
                     let channel = peers.get(channel_h);
-                    channel
-                        .active_tx
-                        .iter()
-                        .filter(|&&id| {
-                            let src = channel.txs.get(id).source;
-                            src != node && world.topology.senses(node, src)
-                        })
-                        .count() as u32
-                        + if channel.ap_transmitting { 1 } else { 0 }
+                    let frames = channel.active_tx.iter().filter(|&&id| {
+                        let src = channel.txs.get(id).source;
+                        src != node && world.topology.senses(node, src)
+                    });
+                    let acks = channel.acks.iter().filter(|&&src| src != node);
+                    (frames.count() + acks.count()) as u32
                 };
-                peers.get_mut(mac_h).stations.hot[node].sensed_busy = sensed;
+                peers.get_mut(mac_h).stations.sensed.set(node, sensed);
                 // Start (or restart) the station's arrival process. Frames
                 // queued while the station was inactive are preserved;
                 // generation resumes from now.
@@ -688,19 +679,12 @@ impl Simulator {
             // Its fields stay as they are while inactive, so the clique path
             // writes them out first.
             mac.detach(&world.phy, node);
-            let h = &mut mac.stations.hot[node];
-            h.phase = Phase::Inactive;
-            h.clear_countdown();
-            h.timer_gen += 1;
-            h.ack_gen += 1;
+            mac.stations.deactivate(node);
             match mac.clique.as_deref_mut() {
                 None => ctx.cancel_timer(backoff_tier, node),
                 Some(clique) => clique.forget(node),
             }
             ctx.cancel_timer(arrival_tier, node);
-            if let Ok(pos) = mac.active.binary_search(&node) {
-                mac.active.remove(pos);
-            }
             mac.settle(&world.phy, ctx);
         });
     }

@@ -1,30 +1,26 @@
-//! The station-MAC component: per-station DCF state in a cache-conscious
-//! hot/cold struct-of-arrays layout, plus the component handlers for the two
+//! The station-MAC component: per-station DCF state in a hot/cold
+//! struct-of-arrays layout, plus the component handlers for the two
 //! station-addressed events (`TxStart`, `AckTimeout`).
 //!
-//! On the per-station sensing path every transmission start/end walks the
-//! transmitter's sensing neighbours and touches, per neighbour, only a
-//! handful of small fields: the busy counter, the countdown (freeze/resume)
-//! state, the generation counters and two flag bits. (On the clique path,
-//! [`Clique`], only the few detached stations run these rules per event;
-//! the rest follow the cell's shared view.) The old layout stored one big
-//! struct per station,
-//! interleaving those few bytes with the two *large* cold fields — the
-//! [`Policy`] enum and the per-station ChaCha RNG (hundreds of bytes
-//! together) — so each neighbour update pulled cache lines that were mostly
-//! dead weight, and at N = 1000+ the sensing loops streamed hundreds of
-//! kilobytes per busy period.
+//! Carrier sensing is word-parallel. Every station's count of the
+//! transmissions it senses lives in [`BusyCounts`], 64 stations to a word,
+//! beside the active-station bitset. On the per-station sensing path a data
+//! frame's start or end adds or subtracts the transmitter's sensing row
+//! ([`Topology::sensing_row`](crate::topology::Topology::sensing_row)), and
+//! an ACK's the active set minus the ACK's addressee: O(⌈N/64⌉ · log k)
+//! word operations for k transmissions on the air. Only the stations whose
+//! count crosses zero see their medium change, so only they run the
+//! freeze ([`HotState::freeze`]) or resume ([`Stations::resume`]) rule,
+//! visited by set-bit iteration in ascending id order — the order the
+//! determinism contract requires. On the clique path ([`Clique`]) the few
+//! detached stations update the same counters one station at a time
+//! ([`Stations::busy_start`], [`Stations::busy_end`]); the rest follow the
+//! cell's shared view.
 //!
-//! [`Stations`] splits the state into parallel arrays: one packed
-//! [`HotState`] record (56 bytes — under a cache line) per station for
-//! everything the medium-transition loops touch, and separate `policy` /
-//! `rng` / `weight` arrays for the cold data referenced only on actual
-//! backoff draws and outcome notifications. The hot loops therefore perform
-//! exactly one indexed access per neighbour (like the old layout) while
-//! streaming ~7× fewer bytes. Keeping the hot record packed — rather than
-//! one array per field — also keeps the per-access cost flat at small N,
-//! where a field-per-array layout pays eight bounds-checked pointer chases
-//! for state that fits in L1 anyway.
+//! The rules read and write one packed [`HotState`] record per station
+//! (countdown, generations, idle bookkeeping), kept apart from the large
+//! cold fields — the [`Policy`] enum and the per-station ChaCha RNG, which
+//! only backoff draws and outcome notifications touch.
 //!
 //! Backoff timers live in the kernel's indexed timer tier owned by this
 //! component ([`StationMac::tier`]): at most one pending `TxStart` per
@@ -35,6 +31,7 @@
 
 use super::apctl::ApControl;
 use super::arrivals::TrafficSources;
+use super::busy::BusyCounts;
 use super::channel::{Channel, Transmission};
 use super::clique::Clique;
 use super::event::Event;
@@ -55,7 +52,7 @@ pub(crate) enum Phase {
     Inactive,
     /// The station is active but its frame queue is empty (finite-load
     /// traffic only — saturated stations never enter this state). It keeps
-    /// sensing the medium (`sensed_busy` / `idle_since` bookkeeping
+    /// sensing the medium (busy-count / `idle_since` bookkeeping
     /// continues, and IdleSense-style observation policies keep observing)
     /// but neither contends nor draws backoff until a frame arrives.
     QueueEmpty,
@@ -85,13 +82,11 @@ const COUNTDOWN_NONE: SimTime = SimTime::from_nanos(u64::MAX);
 /// Flag bit: the station's policy consumes channel observations (cached
 /// [`BackoffPolicy::wants_observations`] — see that method's docs).
 const FLAG_WANTS_OBS: u8 = 1 << 0;
-/// Flag bit: the busy period currently being sensed contains a data frame.
-const FLAG_BUSY_HAS_DATA: u8 = 1 << 1;
 /// Flag bit: cached [`BackoffPolicy::redraw_on_resume`]. Like
 /// `wants_observations`, this is sampled once at build time: every built-in
 /// policy answers it constantly, and custom policies are documented to do the
 /// same.
-const FLAG_REDRAW_ON_RESUME: u8 = 1 << 2;
+const FLAG_REDRAW_ON_RESUME: u8 = 1 << 1;
 
 /// Where the station-level sensing code arms and cancels backoff timers.
 ///
@@ -119,21 +114,18 @@ impl BackoffTimers for TierId {
     }
 }
 
-/// The per-station fields touched on every medium transition, packed into
+/// The per-station fields the sensing rules read and write, packed into
 /// one sub-cache-line record.
 #[derive(Debug, Clone)]
 pub(crate) struct HotState {
     /// The per-station state machine.
     pub phase: Phase,
-    /// Cached policy capabilities plus the busy-has-data bit.
+    /// Cached policy capabilities.
     flags: u8,
-    /// Number of in-flight transmissions this station currently senses
-    /// (other stations within sensing range, plus the AP).
-    pub sensed_busy: u32,
     /// Backoff slots still to be counted down.
     pub remaining_slots: u64,
     /// When this station's perceived medium last became idle. Only
-    /// meaningful while `sensed_busy == 0`.
+    /// meaningful while its busy count is zero.
     pub idle_since: SimTime,
     /// When the current backoff countdown (re)starts: `idle_since + DIFS`,
     /// possibly in the future. [`COUNTDOWN_NONE`] while the medium is sensed
@@ -152,7 +144,7 @@ pub(crate) struct HotState {
 // both are plain state here, even though the flag capabilities are derived
 // from the policy at build time.
 wlan_des::state!(struct HotState {
-    phase, flags, sensed_busy, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
+    phase, flags, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
     pending_idle_slots
 });
 
@@ -169,7 +161,6 @@ impl HotState {
         HotState {
             phase: Phase::Inactive,
             flags,
-            sensed_busy: 0,
             remaining_slots: 0,
             idle_since: SimTime::ZERO,
             countdown_start: COUNTDOWN_NONE,
@@ -217,49 +208,24 @@ impl HotState {
         self.flags & FLAG_REDRAW_ON_RESUME != 0
     }
 
+    /// The medium this station senses went from idle to busy: account the
+    /// idle slots before it and freeze the countdown, cancelling the armed
+    /// backoff timer (if any). Reads and writes only this hot record (never
+    /// the policy).
     #[inline]
-    pub(crate) fn busy_has_data(&self) -> bool {
-        self.flags & FLAG_BUSY_HAS_DATA != 0
-    }
-
-    #[inline]
-    pub(crate) fn set_busy_has_data(&mut self, value: bool) {
-        if value {
-            self.flags |= FLAG_BUSY_HAS_DATA;
-        } else {
-            self.flags &= !FLAG_BUSY_HAS_DATA;
-        }
-    }
-
-    /// A transmission this station can sense has started: freeze the
-    /// countdown and cancel the armed backoff timer (if any). This is the
-    /// inner loop of every `TxStart`/`AckStart`; it reads and writes only
-    /// this hot record (never the policy), so callers index the hot array
-    /// exactly once per neighbour.
-    #[inline]
-    pub(crate) fn busy_start(
+    pub(crate) fn freeze(
         &mut self,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
         timers: &mut impl BackoffTimers,
         now: SimTime,
         node: NodeId,
-        is_data: bool,
     ) {
         let slot = phy.slot;
-        let difs = phy.difs;
-        self.sensed_busy += 1;
-        if self.sensed_busy > 1 {
-            if is_data {
-                self.flags |= FLAG_BUSY_HAS_DATA;
-            }
-            return;
-        }
-        // Medium transition idle -> busy. Idle-slot accounting feeds only
-        // `on_observation`; skip the division for policies that ignore it.
-        self.set_busy_has_data(is_data);
+        // Idle-slot accounting feeds only `on_observation`; skip the
+        // division for policies that ignore it.
         if self.wants_obs() {
-            let idle_start = self.idle_since + difs;
+            let idle_start = self.idle_since + phy.difs;
             self.pending_idle_slots = if now > idle_start {
                 now.duration_since(idle_start).div_duration(slot)
             } else {
@@ -289,8 +255,8 @@ impl HotState {
     }
 
     /// Arm the countdown after a busy period ended (`remaining_slots` is
-    /// already final): the resume half of `busy_end`, shared between its
-    /// hot-only and policy-touching paths.
+    /// already final): the last step of [`Stations::resume`], shared
+    /// between its hot-only and policy-touching paths.
     #[inline]
     fn resume_countdown(
         &mut self,
@@ -324,30 +290,64 @@ impl HotState {
     }
 }
 
+/// Word `w` of the `active` stations that sense a transmission of `source`:
+/// those in its sensing `row` (every station for an ACK, `row == None`),
+/// never `source` itself.
+#[inline]
+fn sensor_mask(active: &[u64], row: Option<&[u64]>, source: NodeId, w: usize) -> u64 {
+    let mut mask = active[w] & row.map_or(!0, |row| row[w]);
+    if w == source / 64 {
+        mask &= !(1 << (source % 64));
+    }
+    mask
+}
+
 /// MAC state for all stations: the hot records in one packed array, the cold
 /// per-station data (policy, RNG stream, reporting weight) in parallel
-/// arrays, all indexed by [`NodeId`] and sized once, at build time.
+/// arrays, and the busy counts and active set as station bitsets, all
+/// indexed by [`NodeId`] and sized once, at build time.
 pub(crate) struct Stations {
     pub hot: Box<[HotState]>,
     pub policy: Box<[Policy]>,
     pub rng: Box<[ChaCha8Rng]>,
     pub weight: Vec<f64>,
+    /// How many transmissions each station senses (the AP's ACK included),
+    /// with the busy and busy-has-data bits. Exact for active stations; an
+    /// inactive station's count is recounted when it is activated.
+    pub sensed: BusyCounts,
+    /// The active stations: bit `i % 64` of word `i / 64` is set iff
+    /// station `i` is not [`Phase::Inactive`].
+    pub active: Box<[u64]>,
 }
 
 // Each station's policy state carries its variant, so a resume against a
 // scenario that built different policies fails loudly; the weights are
-// configuration.
-wlan_des::state!(struct Stations { hot, policy, rng });
+// configuration, and the active set is derived from the phases.
+wlan_des::state!(struct Stations { hot, policy, rng, sensed } then Self::reindex);
 
 impl Stations {
     /// The inactive stations running `policy`, drawing from `rng`.
     pub(crate) fn new(policy: Vec<Policy>, rng: Vec<ChaCha8Rng>, weight: Vec<f64>) -> Self {
+        let n = policy.len();
         Stations {
             hot: policy.iter().map(HotState::new).collect(),
             policy: policy.into(),
             rng: rng.into(),
             weight,
+            sensed: BusyCounts::new(n),
+            active: vec![0; n.div_ceil(64)].into(),
         }
+    }
+
+    /// Derive the active set from loaded phases.
+    fn reindex(&mut self) -> Result<(), wlan_des::snapshot::SnapshotError> {
+        self.active.fill(0);
+        for (node, h) in self.hot.iter().enumerate() {
+            if h.is_active() {
+                self.active[node / 64] |= 1 << (node % 64);
+            }
+        }
+        Ok(())
     }
 
     /// Number of stations.
@@ -361,27 +361,103 @@ impl Stations {
         self.hot[node].is_active()
     }
 
-    /// A transmission station `node` was sensing has ended: deliver the
-    /// channel observation and, if the station is contending, resume (or
-    /// redraw) its countdown and schedule the next `TxStart`. Inactive
-    /// stations return immediately (they do not track the medium; activation
-    /// recomputes `sensed_busy` from scratch).
-    ///
-    /// `ack_follows` is the hot-path event-elision flag: when the caller knows
-    /// the AP will start an ACK at `now + SIFS`, every station resumed here is
-    /// guaranteed to be re-frozen before a countdown of one or more slots can
-    /// expire (the earliest expiry is `now + DIFS + slot > now + SIFS`), so the
-    /// `TxStart` it would schedule is dead on arrival. In that case the
-    /// countdown is armed (`countdown_start` set, backoff redrawn exactly as
-    /// usual — the RNG stream must not change) but the timer arm is skipped.
-    /// A zero-slot countdown still schedules: its expiry at `now + DIFS` is
-    /// covered by the same-instant rule in `busy_start` (`elapsed >=
-    /// remaining_slots` leaves the timer valid), so that event genuinely fires.
-    ///
-    /// Structured so the common case — a policy that neither consumes
-    /// observations nor redraws on resume, i.e. plain 802.11 — runs entirely
-    /// on one borrow of the hot record; only observation/redraw policies take
-    /// the slower path that touches the cold `policy`/`rng` arrays.
+    /// Number of active stations.
+    pub(crate) fn active_count(&self) -> usize {
+        self.active.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bring inactive `node` into the network, contending on a medium that
+    /// it senses as going idle now (the caller sets its busy count).
+    pub(crate) fn activate(&mut self, node: NodeId, now: SimTime) {
+        self.active[node / 64] |= 1 << (node % 64);
+        let h = &mut self.hot[node];
+        h.phase = Phase::Contending;
+        h.idle_since = now;
+        h.clear_countdown();
+    }
+
+    /// Take active `node` out of the network, invalidating its pending
+    /// backoff timer and ACK timeout.
+    pub(crate) fn deactivate(&mut self, node: NodeId) {
+        self.active[node / 64] &= !(1 << (node % 64));
+        let h = &mut self.hot[node];
+        h.phase = Phase::Inactive;
+        h.clear_countdown();
+        h.timer_gen += 1;
+        h.ack_gen += 1;
+    }
+
+    /// Visit, in ascending id order, the stations whose busy count crossed
+    /// zero in the last bulk update.
+    #[inline]
+    fn visit_crossed(&mut self, mut visit: impl FnMut(&mut Self, NodeId)) {
+        for w in 0..self.sensed.words() {
+            let mut crossed = self.sensed.crossed(w);
+            while crossed != 0 {
+                visit(self, w * 64 + crossed.trailing_zeros() as usize);
+                crossed &= crossed - 1;
+            }
+        }
+    }
+
+    /// A transmission by `source` went on the air: every active station in
+    /// `row` (see [`sensor_mask`]) senses one more, and those whose
+    /// medium was idle [`freeze`](HotState::freeze), in ascending id order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sense_start(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        timers: &mut impl BackoffTimers,
+        now: SimTime,
+        row: Option<&[u64]>,
+        source: NodeId,
+        is_data: bool,
+    ) {
+        let active = &self.active;
+        self.sensed
+            .add(|w| sensor_mask(active, row, source, w), is_data);
+        self.visit_crossed(|st, node| st.hot[node].freeze(phy, ctx, timers, now, node));
+    }
+
+    /// The transmission of [`sense_start`](Self::sense_start) left the air:
+    /// its sensors sense one fewer, and those whose medium went idle
+    /// [`resume`](Self::resume), in ascending id order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sense_end(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        timers: &mut impl BackoffTimers,
+        now: SimTime,
+        row: Option<&[u64]>,
+        source: NodeId,
+        ack_follows: bool,
+    ) {
+        let active = &self.active;
+        self.sensed.sub(|w| sensor_mask(active, row, source, w));
+        self.visit_crossed(|st, node| st.resume(phy, ctx, timers, now, node, ack_follows));
+    }
+
+    /// One more transmission for active station `node` to sense (the
+    /// clique path's detached stations): it freezes if its medium was idle.
+    #[inline]
+    pub(crate) fn busy_start(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        timers: &mut impl BackoffTimers,
+        now: SimTime,
+        node: NodeId,
+        is_data: bool,
+    ) {
+        if self.sensed.inc(node, is_data) {
+            self.hot[node].freeze(phy, ctx, timers, now, node);
+        }
+    }
+
+    /// One transmission fewer for `node` to sense: it resumes if its medium
+    /// went idle. Inactive stations return at once (activation recounts).
     #[inline]
     pub(crate) fn busy_end(
         &mut self,
@@ -392,19 +468,45 @@ impl Stations {
         node: NodeId,
         ack_follows: bool,
     ) {
+        if self.hot[node].is_active() && self.sensed.dec(node) {
+            self.resume(phy, ctx, timers, now, node, ack_follows);
+        }
+    }
+
+    /// The medium station `node` senses went from busy to idle: deliver the
+    /// channel observation and, if the station is contending, resume (or
+    /// redraw) its countdown and schedule the next `TxStart`.
+    ///
+    /// `ack_follows` is the hot-path event-elision flag: when the caller knows
+    /// the AP will start an ACK at `now + SIFS`, every station resumed here is
+    /// guaranteed to be re-frozen before a countdown of one or more slots can
+    /// expire (the earliest expiry is `now + DIFS + slot > now + SIFS`), so the
+    /// `TxStart` it would schedule is dead on arrival. In that case the
+    /// countdown is armed (`countdown_start` set, backoff redrawn exactly as
+    /// usual — the RNG stream must not change) but the timer arm is skipped.
+    /// A zero-slot countdown still schedules: its expiry at `now + DIFS` is
+    /// covered by the same-instant rule in [`HotState::freeze`] (`elapsed >=
+    /// remaining_slots` leaves the timer valid), so that event genuinely fires.
+    ///
+    /// Structured so the common case — a policy that neither consumes
+    /// observations nor redraws on resume, i.e. plain 802.11 — runs entirely
+    /// on one borrow of the hot record; only observation/redraw policies take
+    /// the slower path that touches the cold `policy`/`rng` arrays.
+    #[inline]
+    pub(crate) fn resume(
+        &mut self,
+        phy: &PhyParams,
+        ctx: &mut Ctx<'_>,
+        timers: &mut impl BackoffTimers,
+        now: SimTime,
+        node: NodeId,
+        ack_follows: bool,
+    ) {
+        let has_data = self.sensed.has_data(node);
         let h = &mut self.hot[node];
-        if !h.is_active() {
-            return;
-        }
-        debug_assert!(h.sensed_busy > 0);
-        h.sensed_busy = h.sensed_busy.saturating_sub(1);
-        if h.sensed_busy > 0 {
-            return;
-        }
-        // Medium transition busy -> idle.
         h.idle_since = now;
         let contending = h.phase == Phase::Contending;
-        let needs_obs = h.busy_has_data() && h.wants_obs();
+        let needs_obs = has_data && h.wants_obs();
         let redraw = contending && h.redraw_on_resume();
         if !(needs_obs || redraw) {
             if contending {
@@ -430,6 +532,7 @@ impl Stations {
             self.hot[node].resume_countdown(phy, ctx, timers, now, node, ack_follows);
         }
     }
+
     /// Enter the contention phase: draw a fresh backoff and, if the medium is
     /// idle, arm the transmission timer. Under finite load a station with an
     /// empty queue parks in `QueueEmpty` instead — no backoff is drawn and
@@ -454,11 +557,12 @@ impl Stations {
             return;
         }
         let drawn = self.policy[node].draw_backoff(&mut self.rng[node]);
+        let idle = !self.sensed.is_busy(node);
         let h = &mut self.hot[node];
         h.phase = Phase::Contending;
         h.remaining_slots = drawn;
         h.clear_countdown();
-        if h.sensed_busy == 0 {
+        if idle {
             let start = if h.idle_since + difs > now {
                 h.idle_since + difs
             } else {
@@ -473,20 +577,16 @@ impl Stations {
     }
 }
 
-/// The station-MAC component: all per-station DCF state plus the sorted
-/// active-station list. Owns the backoff timer tier; receives `TxStart`
-/// (from that tier) and `AckTimeout` (from the general tier).
+/// The station-MAC component: all per-station DCF state. Owns the backoff
+/// timer tier; receives `TxStart` (from that tier) and `AckTimeout` (from
+/// the general tier).
 pub(crate) struct StationMac {
     pub(crate) stations: Stations,
-    /// Ids of active stations, **sorted ascending**. ACK events notify exactly
-    /// this set (every station senses the AP); keeping it sorted preserves the
-    /// engine's ascending-id notification order.
-    pub(crate) active: Vec<NodeId>,
     /// The backoff timer tier this component owns.
     pub(crate) tier: TierId,
     /// The shared medium view and lazy countdowns of a fully connected cell
     /// (`None` when some pair of stations is hidden: every transition then
-    /// walks the transmitter's sensing neighbours).
+    /// adds or subtracts its sensing row from every station's count).
     pub(crate) clique: Option<Box<Clique>>,
     pub(crate) channel: Handle<Channel>,
     pub(crate) ap: Handle<ApControl>,
@@ -495,7 +595,7 @@ pub(crate) struct StationMac {
 
 // The clique's presence is fixed by the topology; the engine checkpoints it
 // after this component when the scenario built one.
-wlan_des::state!(struct StationMac { active, stations });
+wlan_des::state!(struct StationMac { stations });
 
 impl StationMac {
     /// Enter the contention phase (see [`Stations::begin_contention`]).
@@ -545,8 +645,7 @@ impl StationMac {
 
     /// A transmission `source` does not sense goes on the air: `source`'s
     /// data frame (`is_data`; its sensing neighbours sense it) or the AP's
-    /// ACK to `source` (every active station senses the AP). Sensors are
-    /// notified in ascending id order on the per-station path.
+    /// ACK to `source` (every other active station senses the AP).
     pub(crate) fn medium_busy(
         &mut self,
         world: &World,
@@ -557,7 +656,6 @@ impl StationMac {
     ) {
         let StationMac {
             stations,
-            active,
             tier,
             clique,
             ..
@@ -571,24 +669,15 @@ impl StationMac {
                 clique.settle(stations, &world.phy, ctx, *tier);
             }
             None => {
-                let sensors = if is_data {
-                    world.topology.neighbors(source)
-                } else {
-                    active
-                };
-                for &node in sensors {
-                    let h = &mut stations.hot[node];
-                    if node != source && h.is_active() {
-                        h.busy_start(&world.phy, ctx, tier, now, node, is_data);
-                    }
-                }
+                let row = is_data.then(|| world.topology.sensing_row(source));
+                stations.sense_start(&world.phy, ctx, tier, now, row, source, is_data);
             }
         }
     }
 
     /// The transmission of [`medium_busy`](Self::medium_busy) leaves the
     /// air. `ack_follows` is the event-elision flag of
-    /// [`Stations::busy_end`]. On the clique path the caller finishes with
+    /// [`Stations::resume`]. On the clique path the caller finishes with
     /// [`settle`](Self::settle) once it has updated `source` itself.
     pub(crate) fn medium_idle(
         &mut self,
@@ -601,26 +690,15 @@ impl StationMac {
     ) {
         let StationMac {
             stations,
-            active,
             tier,
             clique,
             ..
         } = self;
         match clique.as_deref_mut() {
-            Some(clique) => {
-                clique.busy_end(stations, &world.phy, ctx, active, now, source, ack_follows)
-            }
+            Some(clique) => clique.busy_end(stations, &world.phy, ctx, now, source, ack_follows),
             None => {
-                let sensors = if is_data {
-                    world.topology.neighbors(source)
-                } else {
-                    active
-                };
-                for &node in sensors {
-                    if node != source {
-                        stations.busy_end(&world.phy, ctx, tier, now, node, ack_follows);
-                    }
-                }
+                let row = is_data.then(|| world.topology.sensing_row(source));
+                stations.sense_end(&world.phy, ctx, tier, now, row, source, ack_follows);
             }
         }
     }
@@ -660,12 +738,12 @@ impl StationMac {
         {
             let h = &self.stations.hot[node];
             // A timer is valid iff it is the most recently scheduled one and the
-            // station is still counting down. Note that `sensed_busy` may be non-zero
+            // station is still counting down. Note that its busy count may be non-zero
             // here: if another station started transmitting at exactly this instant,
             // this station's counter still legitimately reached zero in the same slot
             // and both transmit (that is precisely how same-slot collisions happen).
             // Timers that were frozen strictly before their expiry are invalidated by
-            // bumping `timer_gen` in `busy_start`.
+            // bumping `timer_gen` in `HotState::freeze`.
             if h.phase != Phase::Contending || h.timer_gen != gen || h.countdown().is_none() {
                 self.settle(&world.phy, ctx);
                 return; // stale timer
@@ -686,7 +764,7 @@ impl StationMac {
         };
         let tx = {
             let channel = peers.get_mut(self.channel);
-            let collided = channel.ap_transmitting;
+            let collided = !channel.acks.is_empty();
             let mut interference = 0.0;
             for &id in &channel.active_tx {
                 let other = channel.txs.get_mut(id);
@@ -776,8 +854,8 @@ mod tests {
 
     #[test]
     fn hot_state_fits_one_cache_line() {
-        // The whole point of the hot/cold split: the sensing loops must touch
-        // at most one cache line per neighbour.
+        // The whole point of the hot/cold split: the sensing rules must
+        // touch at most one cache line per station they visit.
         assert!(
             std::mem::size_of::<HotState>() <= 56,
             "HotState is {} bytes (documented budget: 56, hard ceiling: one 64-byte line)",

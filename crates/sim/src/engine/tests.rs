@@ -213,6 +213,60 @@ fn reactivating_a_station_mid_frame_leaves_that_frame_to_its_fate() {
     );
 }
 
+/// Deactivate and reactivate every station while an ACK is on the air, then
+/// run for 200 ms. The ACK's addressee does not sense the ACK and `AckEnd`
+/// leaves its count alone, so the activation recount must leave that ACK
+/// out too; counting it left the addressee's count stuck above zero, and the
+/// station never transmitted again.
+fn reactivate_mid_ack(topology: Topology, per_station: bool) -> Simulator {
+    let n = topology.num_nodes();
+    let mut builder = SimulatorBuilder::new(PhyParams::table1(), topology)
+        .seed(1)
+        .with_stations(|_, phy| ExponentialBackoff::new(phy));
+    if per_station {
+        builder = builder.per_station_sensing();
+    }
+    let mut sim = builder.build();
+    while !sim.ack_on_air() {
+        sim.run_for(SimDuration::from_micros(1));
+    }
+    for node in 0..n {
+        sim.deactivate_station(node);
+        sim.activate_station(node);
+    }
+    sim.run_for(SimDuration::from_millis(200));
+    sim
+}
+
+#[test]
+fn reactivating_every_station_mid_ack_keeps_the_addressee_contending() {
+    let disc = Topology::uniform_disc(3, 20.0, &mut ChaCha8Rng::seed_from_u64(9));
+    assert!(!disc.is_fully_connected());
+    let attempts = |sim: &Simulator| -> Vec<u64> {
+        sim.stats().nodes.iter().map(|node| node.attempts).collect()
+    };
+    let per_station = reactivate_mid_ack(disc, false);
+    assert!(
+        attempts(&per_station).iter().all(|&a| a > 10),
+        "20 m disc: {:?}",
+        attempts(&per_station)
+    );
+    for n in [3, 10] {
+        let clique = reactivate_mid_ack(Topology::ring(n, 8.0), false);
+        let reference = reactivate_mid_ack(Topology::ring(n, 8.0), true);
+        assert!(
+            attempts(&clique).iter().all(|&a| a > 10),
+            "ring of {n}: {:?}",
+            attempts(&clique)
+        );
+        assert_eq!(clique.events_processed(), reference.events_processed());
+        assert_eq!(
+            serde_json::to_string(&clique.stats()).unwrap(),
+            serde_json::to_string(&reference.stats()).unwrap()
+        );
+    }
+}
+
 #[test]
 fn throughput_series_is_recorded() {
     let topo = Topology::fully_connected(4);
@@ -809,13 +863,13 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
 
 #[test]
 fn resume_names_the_version_of_an_older_checkpoint() {
-    // A format-v2 header: the length-prefixed magic, then the version.
-    let mut v2 = 8u64.to_le_bytes().to_vec();
-    v2.extend_from_slice(b"WLANCKPT");
-    v2.extend_from_slice(&2u32.to_le_bytes());
-    v2.extend_from_slice(&[0; 64]);
-    let err = dcf_cell(4).resume(&v2).unwrap_err().to_string();
-    assert!(err.contains("v2") && err.contains("v3"), "{err}");
+    // A format-v3 header: the length-prefixed magic, then the version.
+    let mut v3 = 8u64.to_le_bytes().to_vec();
+    v3.extend_from_slice(b"WLANCKPT");
+    v3.extend_from_slice(&3u32.to_le_bytes());
+    v3.extend_from_slice(&[0; 64]);
+    let err = dcf_cell(4).resume(&v3).unwrap_err().to_string();
+    assert!(err.contains("v3") && err.contains("v4"), "{err}");
 }
 
 #[test]
@@ -953,7 +1007,7 @@ mod clique_equivalence {
 
         #[test]
         fn clique_path_matches_per_station_path(
-            n_idx in 0usize..4,
+            n_idx in 0usize..6,
             kind in 0u8..5,
             mixed in any::<bool>(),
             sir_idx in 0usize..4,
@@ -964,7 +1018,7 @@ mod clique_equivalence {
             steps in proptest::collection::vec((0u8..4, 0u16..2000), 1..40),
         ) {
             let case = Case {
-                n: [1, 2, 3, 64][n_idx],
+                n: [1, 2, 3, 64, 65, 130][n_idx],
                 kind,
                 mixed,
                 sir: [None, Some(0.5), Some(1.0), Some(2.0)][sir_idx],

@@ -10,6 +10,12 @@
 //! (from the ns-3 `-70 dBm` energy-detection configuration). Fully connected
 //! networks place stations on a ring of radius 8 m around the AP; hidden-node
 //! networks place them uniformly at random in a disc of radius 16 m or 20 m.
+//!
+//! [`Topology`] stores the sensing relation as one bit row per station,
+//! `ceil(N / 64)` 64-bit words: 128 KB at N = 1000. The simulator adds a
+//! transmitter's row to every station's busy count in one word-parallel
+//! pass ([`Topology::sensing_row`]) and then visits only the stations whose
+//! medium went from idle to busy or back.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -63,16 +69,28 @@ pub struct Topology {
     ap: Position,
     tx_range: f64,
     sensing_range: f64,
-    /// `sense[i][j]` is true iff station `i` can sense station `j`'s transmissions.
-    sense: Vec<Vec<bool>>,
-    /// Precomputed sensing adjacency: `neighbors[i]` lists every `j != i` with
-    /// `sense[j][i]`, **in ascending id order**. The simulator's hot path walks
-    /// these lists instead of scanning all stations, and the ascending order is
-    /// load-bearing: notifying sensors in id order preserves the engine's event
-    /// scheduling (and therefore RNG draw) order exactly (see the determinism
-    /// contract in `docs/ARCHITECTURE.md`). Kept in sync by `rebuild_neighbors`
-    /// after every mutation of `sense`.
-    neighbors: Vec<Vec<NodeId>>,
+    /// 64-bit words per sensing row: `ceil(n / 64)`.
+    words: usize,
+    /// The sensing relation, one bit row per station: bit `j % 64` of word
+    /// `rows[i * words + j / 64]` is set iff stations `i != j` sense each
+    /// other. A station's own bit is clear (it never senses its own frame),
+    /// and so are the padding bits past `n`.
+    rows: Vec<u64>,
+}
+
+/// The ids of the set bits of a station bitset (station `i` is bit `i % 64`
+/// of word `i / 64`), in ascending order.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let node = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                node
+            })
+        })
+    })
 }
 
 impl Topology {
@@ -90,45 +108,51 @@ impl Topology {
             tx_range > 0.0 && sensing_range > 0.0,
             "ranges must be positive"
         );
-        let n = positions.len();
-        let mut sense = vec![vec![false; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                sense[i][j] = i == j || positions[i].distance(&positions[j]) <= sensing_range;
-            }
-        }
-        Self::with_sense(positions, ap, tx_range, sensing_range, sense)
+        Self::with_relation(positions, ap, tx_range, sensing_range, |a, b| {
+            a.distance(b) <= sensing_range
+        })
     }
 
-    fn with_sense(
+    /// The stations at `positions`, each pair sensing each other iff
+    /// `senses` says so for their positions (asked once per pair, `i < j`).
+    fn with_relation(
         positions: Vec<Position>,
         ap: Position,
         tx_range: f64,
         sensing_range: f64,
-        sense: Vec<Vec<bool>>,
+        senses: impl Fn(&Position, &Position) -> bool,
     ) -> Self {
-        let mut topo = Topology {
+        let n = positions.len();
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
+        for i in 0..n {
+            for j in i + 1..n {
+                if senses(&positions[i], &positions[j]) {
+                    rows[i * words + j / 64] |= 1 << (j % 64);
+                    rows[j * words + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        Topology {
             positions,
             ap,
             tx_range,
             sensing_range,
-            sense,
-            neighbors: Vec::new(),
-        };
-        topo.rebuild_neighbors();
-        topo
+            words,
+            rows,
+        }
     }
 
     /// An idealised fully connected network of `n` stations: every station senses
     /// every other station regardless of geometry. Stations are placed on a ring
     /// of radius 8 m for reporting purposes.
     pub fn fully_connected(n: usize) -> Self {
-        Self::with_sense(
+        Self::with_relation(
             ring_positions(n, 8.0),
             Position::ORIGIN,
             DEFAULT_TX_RANGE,
             DEFAULT_SENSING_RANGE,
-            vec![vec![true; n]; n],
+            |_, _| true,
         )
     }
 
@@ -269,28 +293,35 @@ impl Topology {
 
     /// Whether station `i` can sense station `j`'s transmissions.
     pub fn senses(&self, i: NodeId, j: NodeId) -> bool {
-        self.sense[i][j]
+        i == j || self.sensing_row(j)[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The stations that can sense station `src` (excluding `src` itself) as
+    /// a bit row: station `i` is bit `i % 64` of word `i / 64`, and the
+    /// padding bits past the last station are clear. The simulator adds and
+    /// subtracts this row from the stations' busy counts on every
+    /// transmission start and end.
+    pub fn sensing_row(&self, src: NodeId) -> &[u64] {
+        &self.rows[src * self.words..][..self.words]
     }
 
     /// The stations that can sense station `src` (excluding `src` itself), in
-    /// ascending id order. This is the precomputed adjacency list the simulator
-    /// walks on every transmission start/end, so looking it up is O(1) and
-    /// iterating it is O(degree) instead of O(N).
-    pub fn neighbors(&self, src: NodeId) -> &[NodeId] {
-        &self.neighbors[src]
+    /// ascending id order.
+    pub fn neighbors(&self, src: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        ones(self.sensing_row(src))
     }
 
     /// The set of stations that can sense station `src` (excluding `src` itself).
     pub fn sensors_of(&self, src: NodeId) -> Vec<NodeId> {
-        self.neighbors[src].clone()
+        self.neighbors(src).collect()
     }
 
-    /// Recompute the per-node adjacency lists from the `sense` matrix.
-    fn rebuild_neighbors(&mut self) {
-        let n = self.num_nodes();
-        self.neighbors = (0..n)
-            .map(|src| (0..n).filter(|&i| i != src && self.sense[i][src]).collect())
-            .collect();
+    /// Number of stations that can sense station `src` (excluding `src`).
+    fn degree(&self, src: NodeId) -> usize {
+        self.sensing_row(src)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// All unordered pairs of stations hidden from each other.
@@ -299,7 +330,7 @@ impl Topology {
         let mut pairs = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if !self.sense[i][j] {
+                if !self.senses(i, j) {
                     pairs.push((i, j));
                 }
             }
@@ -309,18 +340,16 @@ impl Topology {
 
     /// Number of hidden pairs.
     pub fn num_hidden_pairs(&self) -> usize {
-        self.sense
-            .iter()
-            .enumerate()
-            .map(|(i, row)| row[i + 1..].iter().filter(|&&senses| !senses).count())
-            .sum()
+        let n = self.num_nodes();
+        let sensing: usize = (0..n).map(|i| self.degree(i)).sum();
+        (n * n.saturating_sub(1) - sensing) / 2
     }
 
-    /// Whether every station senses every other station: every adjacency
-    /// list holds the other N - 1 stations (O(N), no pair walk).
+    /// Whether every station senses every other station (O(N²/64), no pair
+    /// walk).
     pub fn is_fully_connected(&self) -> bool {
         let n = self.num_nodes();
-        self.neighbors.iter().all(|list| list.len() + 1 == n)
+        (0..n).all(|i| self.degree(i) + 1 == n)
     }
 
     /// Distance of station `i` from the AP.
@@ -342,9 +371,14 @@ impl Topology {
     /// shadowing by an obstacle between two otherwise-close stations.
     pub fn set_senses(&mut self, i: NodeId, j: NodeId, value: bool) {
         assert_ne!(i, j, "a station always senses itself");
-        self.sense[i][j] = value;
-        self.sense[j][i] = value;
-        self.rebuild_neighbors();
+        for (a, b) in [(i, j), (j, i)] {
+            let word = &mut self.rows[a * self.words + b / 64];
+            if value {
+                *word |= 1 << (b % 64);
+            } else {
+                *word &= !(1 << (b % 64));
+            }
+        }
     }
 }
 
@@ -442,25 +476,56 @@ mod tests {
 
     #[test]
     fn neighbors_match_sense_matrix_in_ascending_order() {
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let t = Topology::uniform_disc(30, 20.0, &mut rng);
-        for src in 0..30 {
-            let expected: Vec<NodeId> = (0..30).filter(|&i| i != src && t.senses(i, src)).collect();
-            assert_eq!(t.neighbors(src), &expected[..], "src={src}");
-            // Ascending order is load-bearing for the determinism contract.
-            assert!(t.neighbors(src).windows(2).all(|w| w[0] < w[1]));
+        // 30 stations fit one word per row; 130 take three, the last one
+        // partly filled.
+        for (n, seed) in [(30, 23), (130, 24)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let t = Topology::uniform_disc(n, 20.0, &mut rng);
+            let pos = t.positions();
+            for src in 0..n {
+                let expected: Vec<NodeId> = (0..n)
+                    .filter(|&i| i != src && pos[i].distance(&pos[src]) <= DEFAULT_SENSING_RANGE)
+                    .collect();
+                assert_eq!(t.sensors_of(src), expected, "n={n} src={src}");
+                // Ascending order is load-bearing for the determinism contract.
+                assert!(t
+                    .neighbors(src)
+                    .zip(t.neighbors(src).skip(1))
+                    .all(|(a, b)| a < b));
+                for i in 0..n {
+                    assert_eq!(t.senses(i, src), i == src || expected.contains(&i));
+                }
+                // The padding bits past the last station stay clear.
+                assert_eq!(t.sensing_row(src).len(), n.div_ceil(64));
+                assert!(ones(t.sensing_row(src)).all(|i| i < n));
+            }
+            assert!(!t.is_fully_connected());
+            assert_eq!(t.num_hidden_pairs(), t.hidden_pairs().len());
+        }
+    }
+
+    #[test]
+    fn fully_connected_rows_cover_every_other_station() {
+        for n in [1, 63, 64, 65, 130] {
+            let t = Topology::fully_connected(n);
+            assert!(t.is_fully_connected(), "n={n}");
+            assert_eq!(t.num_hidden_pairs(), 0, "n={n}");
+            for src in 0..n {
+                let expected: Vec<NodeId> = (0..n).filter(|&i| i != src).collect();
+                assert_eq!(t.sensors_of(src), expected, "n={n} src={src}");
+            }
         }
     }
 
     #[test]
     fn set_senses_rebuilds_adjacency() {
         let mut t = Topology::fully_connected(5);
-        assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+        assert_eq!(t.sensors_of(2), [0, 1, 3, 4]);
         t.set_senses(2, 4, false);
-        assert_eq!(t.neighbors(2), &[0, 1, 3]);
-        assert_eq!(t.neighbors(4), &[0, 1, 3]);
+        assert_eq!(t.sensors_of(2), [0, 1, 3]);
+        assert_eq!(t.sensors_of(4), [0, 1, 3]);
         t.set_senses(2, 4, true);
-        assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+        assert_eq!(t.sensors_of(2), [0, 1, 3, 4]);
     }
 
     #[test]

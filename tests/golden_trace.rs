@@ -82,14 +82,27 @@ fn cases() -> Vec<(&'static str, Scenario)> {
             Protocol::StaticPPersistent { p: 0.01 },
         ),
     ];
-    for (pname, proto) in large {
-        cases.push((
-            Box::leak(format!("{pname}_fully_connected_n300").into_boxed_str()) as &'static str,
-            Scenario::new(proto, TopologySpec::FullyConnected, 300)
-                .seed(11)
-                .durations(SimDuration::from_millis(40), SimDuration::from_millis(80))
-                .update_period(SimDuration::from_millis(20)),
-        ));
+    // The same five on the paper's 20 m disc at N = 300: the per-station
+    // sensing path with multi-word sensing rows (five 64-bit words per
+    // station) and busy counts well past 16, which the N = 8 disc cases
+    // above never reach.
+    let topologies = [
+        ("fully_connected_n300", TopologySpec::FullyConnected),
+        (
+            "hidden_disc20_n300",
+            TopologySpec::UniformDisc { radius: 20.0 },
+        ),
+    ];
+    for (tname, topo) in &topologies {
+        for (pname, proto) in &large {
+            cases.push((
+                Box::leak(format!("{pname}_{tname}").into_boxed_str()) as &'static str,
+                Scenario::new(*proto, topo.clone(), 300)
+                    .seed(11)
+                    .durations(SimDuration::from_millis(40), SimDuration::from_millis(80))
+                    .update_period(SimDuration::from_millis(20)),
+            ));
+        }
     }
     cases
 }
