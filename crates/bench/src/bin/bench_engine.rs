@@ -11,9 +11,10 @@
 //!
 //! Grids:
 //!
-//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus two
-//!   large-N smoke cells (Standard 802.11 at N = 500, fully connected and on
-//!   the 20 m disc) — the CI perf gate.
+//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus
+//!   three large-N smoke cells (Standard 802.11 at N = 500, fully connected
+//!   and on the 20 m disc, and wTOP-CSMA at N = 500 on the 20 m disc) — the
+//!   CI perf gate.
 //! * `--extended`: N ∈ {5, 20, 50, 100, 200, 500, 1000, 2000} — the scaling
 //!   grid the committed `BENCH_engine.json` is generated from.
 //! * `--full`: the extended grid with 10 sim-seconds per cell at N ≤ 100
@@ -23,9 +24,13 @@
 //!
 //! ```text
 //! bench_engine [--quick|--extended|--full] [--out PATH] [--check PATH]
-//!              [--history PATH] [--profile] [--profile-out PATH]
-//!              [--overhead-check]
+//!              [--history PATH] [--only SUBSTR] [--profile]
+//!              [--profile-out PATH] [--overhead-check]
 //! ```
+//!
+//! An unknown flag, or a value flag without its value, is an error: the
+//! binary exits with status 1 before any cell runs (a mistyped `--check`
+//! must not silently skip the gate).
 //!
 //! `--check PATH` loads a previously committed `BENCH_engine.json` and exits
 //! with status 2 if events/sec regressed by more than 30% on the cells the
@@ -293,7 +298,7 @@ fn overhead_ratio() -> f64 {
 
 /// The cell grid for a mode: `(protocol, topology label, topology, n,
 /// sim-seconds, traffic)`, topology-major then N then protocol (the
-/// historical order). Smoke cells are appended at the end: the two N = 500
+/// historical order). Smoke cells are appended at the end: the three N = 500
 /// large-N cells in Quick mode only (the extended grids already reach
 /// N = 2000), the finite-load cell in every mode.
 #[allow(clippy::type_complexity)]
@@ -351,15 +356,16 @@ fn cells_for(
         // cheap enough for every PR, big enough that an O(N) regression in
         // the per-busy-period loops is unmissable. The fully connected cell
         // times the clique sensing path, the 20 m disc the per-station path.
-        for (tname, topo) in &topologies {
-            cells.push((
-                Protocol::Standard80211,
-                *tname,
-                topo.clone(),
-                500,
-                2,
-                TrafficSpec::saturated(),
-            ));
+        // wTOP-CSMA on the disc times its start-up collapse there: many
+        // frames on the air at once keep the busy counts several bit planes
+        // deep, and the station walks re-arm backoff timers by the dozen.
+        let smoke = [
+            (Protocol::Standard80211, topologies[0].clone()),
+            (Protocol::Standard80211, topologies[1].clone()),
+            (Protocol::WTopCsma, topologies[1].clone()),
+        ];
+        for (proto, (tname, topo)) in smoke {
+            cells.push((proto, tname, topo, 500, 2, TrafficSpec::saturated()));
         }
     }
     // The finite-load smoke cell (every mode, so the committed extended
@@ -434,37 +440,58 @@ fn cell_key(c: &Cell) -> String {
     format!("{}:{}:{}", c.protocol, c.topology, c.n)
 }
 
+const USAGE: &str = "usage: bench_engine [--quick|--extended|--full] [--out PATH] [--check PATH] \
+                     [--history PATH] [--only SUBSTR] [--profile] [--profile-out PATH] \
+                     [--overhead-check]";
+
+/// Report a bad command line and exit 1, before anything has run.
+fn usage_error(message: String) -> ! {
+    eprintln!("bench_engine: {message}\n{USAGE}");
+    std::process::exit(1)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mode = if args.iter().any(|a| a == "--full") {
-        Mode::Full
-    } else if args.iter().any(|a| a == "--extended") {
-        Mode::Extended
-    } else {
-        Mode::Quick
-    };
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let history_path = arg_value("--history").unwrap_or_else(|| "BENCH_history.jsonl".to_string());
-    let check_path = arg_value("--check");
+    // Every flag must be known and every value flag must have a value (a
+    // following flag does not count). --full wins over --extended, which
+    // wins over --quick.
+    let mut mode = Mode::Quick;
+    let (mut out, mut history, mut check_path, mut only, mut profile_out) =
+        (None, None, None, None, None);
+    let (mut profile, mut overhead_check) = (false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || match args.next() {
+            Some(value) if !value.starts_with("--") => Some(value),
+            _ => usage_error(format!("`{flag}` needs a value")),
+        };
+        match flag.as_str() {
+            "--quick" => {}
+            "--extended" => {
+                if mode != Mode::Full {
+                    mode = Mode::Extended;
+                }
+            }
+            "--full" => mode = Mode::Full,
+            "--out" => out = value(),
+            "--history" => history = value(),
+            "--check" => check_path = value(),
+            "--only" => only = value(),
+            "--profile" => profile = true,
+            "--profile-out" => profile_out = value(),
+            "--overhead-check" => overhead_check = true,
+            other => usage_error(format!("unknown flag `{other}`")),
+        }
+    }
+    let out_explicit = out.is_some();
+    let out_path = out.unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let history_path = history.unwrap_or_else(|| "BENCH_history.jsonl".to_string());
+    let profile_out = profile_out.unwrap_or_else(|| "BENCH_profile.json".to_string());
     // Development aid: `--only SUBSTR` restricts the grid to matching cells
     // (substring of "protocol:topology:n") — handy under a profiler. A
     // filtered run never represents the grid, so unless `--out` names a file
     // explicitly it writes no report and never appends to the history (a
     // stray profiling run must not clobber the committed baseline or pollute
     // the perf trajectory).
-    let only = arg_value("--only");
-    let out_explicit = args.iter().any(|a| a == "--out");
-    let profile = args.iter().any(|a| a == "--profile");
-    let profile_out =
-        arg_value("--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
-    let overhead_check = args.iter().any(|a| a == "--overhead-check");
-
     let mut grid = cells_for(mode);
     if let Some(filter) = &only {
         grid.retain(|(proto, tname, _, n, _, _)| {

@@ -28,6 +28,17 @@
 //! verbosity is byte-identical to one with telemetry off. The golden-trace
 //! suite pins this.
 //!
+//! # Event-stream digest
+//!
+//! The enabled registry also folds every dispatched event's time, target
+//! component and kind label into one 64-bit digest
+//! ([`MetricsReport::event_digest`]). Sequence numbers stay out of it: a
+//! model may renumber them (reserved ranges, elided entries) without
+//! changing which events run, in which order, at which instants. Two runs
+//! with equal digests dispatched the same event stream; a reorder, a missing
+//! or an extra event, or a shifted timestamp changes it. A registry enabled
+//! after a checkpoint resume covers the events dispatched since.
+//!
 //! # RNG draw accounting
 //!
 //! Per-stream draw counts are *derived*, not counted: a ChaCha8 stream
@@ -38,6 +49,7 @@
 use serde::Serialize;
 
 use crate::simulation::ComponentId;
+use crate::time::SimTime;
 
 /// Lifetime operation tallies of an [`EventQueue`](crate::EventQueue),
 /// reconciling by construction: every entry ever pushed is either still
@@ -113,6 +125,10 @@ pub struct SchedulerStats {
 pub struct Metrics<E> {
     classify: fn(&E) -> &'static str,
     kinds: Vec<&'static str>,
+    /// A hash of each interned label, index-aligned with `kinds`.
+    kind_hashes: Vec<u64>,
+    /// The event-stream digest so far (see the module docs).
+    digest: u64,
     /// The last kind resolved, memoised by fat-pointer identity: classifiers
     /// return `&'static str` literals, so consecutive events of the same kind
     /// (the common case — the event stream runs in bursts) skip the intern
@@ -128,14 +144,17 @@ impl<E> Metrics<E> {
         Metrics {
             classify,
             kinds: Vec::new(),
+            kind_hashes: Vec::new(),
+            digest: DIGEST_SEED,
             last: None,
             counts: Vec::new(),
         }
     }
 
-    /// Count one dispatch of `event` to `target`.
+    /// Count one dispatch of `event` to `target` at `time`, and fold it
+    /// into the digest.
     #[inline]
-    pub(crate) fn record(&mut self, target: ComponentId, event: &E) {
+    pub(crate) fn record(&mut self, time: SimTime, target: ComponentId, event: &E) {
         let kind = (self.classify)(event);
         let k = match self.last {
             Some((memo, k)) if std::ptr::eq(memo, kind) => k,
@@ -153,6 +172,8 @@ impl<E> Metrics<E> {
             row.resize(k + 1, 0);
         }
         row[k] += 1;
+        let tag = self.kind_hashes[k] ^ (target as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.digest = fold(fold(self.digest, time.as_nanos()), tag);
     }
 
     /// Resolve `kind` to its interned index (pointer identity first — the
@@ -167,6 +188,8 @@ impl<E> Metrics<E> {
             Some(k) => k,
             None => {
                 self.kinds.push(kind);
+                self.kind_hashes
+                    .push(kind.bytes().fold(DIGEST_SEED, |h, b| fold(h, u64::from(b))));
                 self.kinds.len() - 1
             }
         }
@@ -179,6 +202,21 @@ impl<E> Metrics<E> {
     pub(crate) fn counts(&self) -> &[Vec<u64>] {
         &self.counts
     }
+
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
+/// The digest of an empty event stream.
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-style step: for a fixed `word` a bijection of `digest`, and for a
+/// fixed `digest` injective in `word`, so changing any one folded word
+/// always changes the result.
+#[inline]
+fn fold(digest: u64, word: u64) -> u64 {
+    (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// Dispatch counts for one component, in the report's shared kind order
@@ -203,6 +241,9 @@ pub struct MetricsReport {
     pub kinds: Vec<String>,
     /// Per-component dispatch counts (one row per registered component).
     pub dispatch: Vec<ComponentDispatch>,
+    /// Digest of the time, target component and kind of every dispatched
+    /// event, in dispatch order (see the module docs).
+    pub event_digest: u64,
     /// Event-queue operation tallies.
     pub queue: QueueCounters,
     /// General-tier size and heap growths.
@@ -293,13 +334,46 @@ mod tests {
             }
         }
         let mut m: Metrics<u8> = Metrics::new(classify);
-        m.record(1, &0);
-        m.record(1, &5);
-        m.record(1, &9);
-        m.record(0, &0);
+        let t = SimTime::from_micros(3);
+        m.record(t, 1, &0);
+        m.record(t, 1, &5);
+        m.record(t, 1, &9);
+        m.record(t, 0, &0);
         assert_eq!(m.kinds(), &["zero", "other"]);
         assert_eq!(m.counts()[1], vec![1, 2]);
         assert_eq!(m.counts()[0], vec![1]);
+    }
+
+    #[test]
+    fn digest_covers_time_target_kind_and_order_but_not_payload() {
+        fn classify(e: &u8) -> &'static str {
+            if e.is_multiple_of(2) {
+                "even"
+            } else {
+                "odd"
+            }
+        }
+        let digest = |events: &[(u64, ComponentId, u8)]| {
+            let mut m: Metrics<u8> = Metrics::new(classify);
+            for &(t, target, e) in events {
+                m.record(SimTime::from_nanos(t), target, &e);
+            }
+            m.digest()
+        };
+        let base = digest(&[(5, 0, 1), (5, 1, 2), (9, 0, 3)]);
+        assert_eq!(base, digest(&[(5, 0, 1), (5, 1, 2), (9, 0, 3)]));
+        // Same kinds, different payloads: same stream as far as the digest
+        // is concerned.
+        assert_eq!(base, digest(&[(5, 0, 3), (5, 1, 4), (9, 0, 1)]));
+        for changed in [
+            [(5, 0, 1), (5, 1, 2), (10, 0, 3)], // a timestamp
+            [(5, 0, 1), (5, 0, 2), (9, 0, 3)],  // a target
+            [(5, 0, 1), (5, 1, 3), (9, 0, 3)],  // a kind
+            [(5, 1, 2), (5, 0, 1), (9, 0, 3)],  // the order of a tie
+        ] {
+            assert_ne!(base, digest(&changed), "{changed:?}");
+        }
+        assert_ne!(base, digest(&[(5, 0, 1), (5, 1, 2)]));
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! reversed `(time, seq)`. On top of that, a model can register any number
 //! of *indexed timer tiers* ([`EventQueue::add_tier`]) for event classes
 //! with the shape "at most one pending per index, cancelled by naming the
-//! index" — backoff timers and per-source arrival clocks in a MAC model,
-//! retry timers in a protocol stack. Such timers dominate event volume in
-//! sensing-heavy workloads: keeping them in the shared heap means every
-//! cancelled timer lingers as a stale entry that still has to be pushed,
+//! index" — per-source arrival clocks in a MAC model, retry timers in a
+//! protocol stack. Keeping such timers in the shared heap would leave
+//! every cancelled one as a stale entry that still has to be pushed,
 //! sifted and popped. A tier's indexed `TimerSet` instead gives O(1) arm and
 //! *physical* cancel (plus an O(indices) cached-minimum recomputation
 //! amortised over bursts).
+//!
+//! A model whose timers churn far faster than they fire can keep them
+//! itself and arm only its earliest in a tier, with the sequence number the
+//! timer would have drawn ([`EventQueue::reserve_seqs`],
+//! [`EventQueue::arm_timer_at_seq`]). The WLAN engine does this with its
+//! backoff timers, almost all of which a carrier-sense freeze cancels
+//! before they fire: its backoff tier holds one timer, and its arrival tier
+//! is the only one with a timer per station.
 //!
 //! All tiers draw sequence numbers from one shared counter, so the merged pop
 //! order is exactly the `(time, seq)` total order a single-queue
@@ -115,12 +122,14 @@ enum MinState {
 /// An unordered set of at-most-one-timer-per-index with O(1) arm/cancel and
 /// a lazily recomputed cached minimum.
 ///
-/// Cancel-and-rearm churn dominates the intended workload (a busy period
-/// cancels and a busy end re-arms every frozen timer, while only one timer
-/// per round actually fires), so the set optimises for churn (push /
-/// swap-remove, no ordering maintained) and pays a linear scan only when the
-/// cached minimum is invalidated — at most once per extraction or
-/// min-cancellation, amortised over each burst of arms and cancels.
+/// The set optimises for arms and cancels (push / swap-remove, no ordering
+/// maintained) and pays a linear scan only when the cached minimum is
+/// invalidated — at most once per extraction or min-cancellation. A model
+/// whose cancel-and-rearm churn is far heavier than its fires (carrier-sense
+/// freezes and resumes) is better served keeping those timers itself and
+/// arming only the earliest here (see the module docs): the WLAN engine's
+/// backoff tier never holds more than one timer, and its arrival tier, one
+/// pending arrival per station, is the only tier with many.
 #[derive(Debug, Default)]
 struct TimerSet {
     armed: Vec<Timer>,

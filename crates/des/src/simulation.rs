@@ -428,6 +428,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
             events_processed: self.events_processed,
             kinds,
             dispatch,
+            event_digest: metrics.digest(),
             queue: self.queue.counters(),
             scheduler: self.queue.scheduler_stats(),
             tiers: self.queue.tier_counters(),
@@ -567,7 +568,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     #[inline]
     fn dispatch(&mut self, target: ComponentId, event: E) {
         if let Some(metrics) = self.metrics.as_deref_mut() {
-            metrics.record(target, &event);
+            metrics.record(self.now, target, &event);
         }
         let (before, rest) = self.components.split_at_mut(target);
         let (component, after) = rest

@@ -19,8 +19,10 @@
 //! station's count has one representation whichever path updates it.
 //!
 //! Only the planes some count reaches are in use (`depth`), and every
-//! operation costs one step per plane in use. A subtract drops an emptied
-//! top plane, and [`BusyCounts::clear`] zeroes every count at once.
+//! operation costs one step per plane in use: the add and subtract ripple
+//! through all of them with no data-dependent early exit. A subtract drops
+//! an emptied top plane, and [`BusyCounts::clear`] zeroes every count at
+//! once.
 
 use crate::topology::NodeId;
 use wlan_des::snapshot::SnapshotError;
@@ -140,14 +142,14 @@ impl BusyCounts {
     fn add_word(&mut self, w: usize, m: u64, is_data: bool) -> u64 {
         let crossed = m & !self.busy[w];
         let planes = &mut self.planes[w * self.stride..][..self.stride];
+        // Ripple through every plane in use: the carry dies out after a
+        // data-dependent number of planes, and a branch on it mispredicts
+        // more often than the remaining steps cost.
         let mut carry = m;
         for plane in &mut planes[..self.depth] {
             let next = *plane & carry;
             *plane ^= carry;
             carry = next;
-            if carry == 0 {
-                break;
-            }
         }
         if carry != 0 {
             // Every count was below 2^depth, so the carry lands in an empty
@@ -172,16 +174,16 @@ impl BusyCounts {
     fn sub_word(&mut self, w: usize, m: u64) -> u64 {
         debug_assert_eq!(m & !self.busy[w], 0, "busy count underflow");
         let planes = &mut self.planes[w * self.stride..][..self.depth];
+        // One branch-free pass over every plane in use borrows and collects
+        // the counts that are still nonzero.
         let mut borrow = m & self.busy[w];
+        let mut nonzero = 0;
         for plane in planes.iter_mut() {
             let next = !*plane & borrow;
             *plane ^= borrow;
+            nonzero |= *plane;
             borrow = next;
-            if borrow == 0 {
-                break;
-            }
         }
-        let nonzero = planes.iter().fold(0, |acc, &plane| acc | plane);
         let crossed = m & !nonzero;
         self.busy[w] &= !crossed;
         crossed

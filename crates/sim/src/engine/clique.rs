@@ -35,20 +35,15 @@
 //!
 //! ## Timers
 //!
-//! Every armed backoff timer of the per-station path exists here as a
-//! *virtual* timer with the same `(time, seq)` key: explicit entries for
-//! detached stations ([`Armed`]), and implicit ones for the synced stations a
-//! resume armed. Only the earliest is armed in the kernel's backoff tier, so
-//! a busy period costs O(1) timer operations instead of O(N).
-//!
-//! Sequence numbers keep the per-station tie order. A walk that resumes
-//! stations (`TxEnd`, `AckEnd`) reserves one range of N sequence numbers
-//! from the kernel and gives station `i` the number `base + i`: ascending id
-//! within the walk, after everything scheduled before it and before
-//! everything scheduled after it — exactly where the eager arms in ascending
-//! id order would have landed. A station arming on its own (a new backoff
-//! after an ACK, an ACK timeout, a frame arrival, activation) takes one fresh
-//! number, as before.
+//! Detached stations arm and cancel their backoff timers in the MAC's timer
+//! table ([`Timers`]), exactly as on the per-station path. A synced station's
+//! timer is *implicit*: its key follows from the cell's anchor, its target
+//! and the walk that resumed the cell, with the same `(time, seq)` the
+//! per-station path would have given it — station `i` resumed by a walk
+//! takes `base + i` from the walk's reserved range of N sequence numbers.
+//! [`Clique::settle`] reports the earliest implicit timer, and the MAC arms
+//! the earlier of it and the table's earliest in the kernel, so a busy
+//! period costs O(1) timer operations instead of O(N).
 //!
 //! ## RNG draws
 //!
@@ -61,111 +56,17 @@
 //! draw is zero ([`Policy::draws_zero`](crate::backoff::Policy::draws_zero)),
 //! which consumes the same stream words.
 
-use super::station::{BackoffTimers, Phase, Stations};
-use super::Ctx;
+use super::station::{Phase, Stations};
+use super::timers::{Armed, Timers};
 use crate::backoff::BackoffPolicy;
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
 use crate::topology::{ones, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use wlan_des::snapshot::SnapshotError;
 use wlan_des::time::SimTime;
-use wlan_des::TierId;
 
 /// `target` value of a station without a synced countdown.
 const NO_TARGET: u64 = u64::MAX;
-
-/// One virtual backoff timer: the key and payload the per-station path
-/// would have armed in the kernel tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Armed {
-    time: SimTime,
-    seq: u64,
-    node: NodeId,
-    gen: u64,
-}
-
-wlan_des::state!(struct Armed { time, seq, node, gen });
-
-impl Armed {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// The explicit virtual timers of detached stations: at most one per
-/// station, with a lazily pruned min-heap over their keys.
-struct ExplicitTimers {
-    timer: Box<[Option<Armed>]>,
-    heap: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
-    len: usize,
-}
-
-// The heap and the count are derived from the timers.
-wlan_des::state!(struct ExplicitTimers { timer } then Self::reindex);
-
-impl ExplicitTimers {
-    fn new(n: usize) -> Self {
-        ExplicitTimers {
-            timer: vec![None; n].into(),
-            heap: BinaryHeap::with_capacity(n),
-            len: 0,
-        }
-    }
-
-    /// Recount loaded timers and rebuild the heap over their keys,
-    /// rejecting a timer filed under another station.
-    fn reindex(&mut self) -> Result<(), SnapshotError> {
-        self.heap.clear();
-        self.len = 0;
-        for (node, armed) in self.timer.iter().enumerate() {
-            if let Some(armed) = armed {
-                if armed.node != node {
-                    return Err(SnapshotError::custom(format!(
-                        "virtual timer of station {} filed under {node}",
-                        armed.node
-                    )));
-                }
-                self.len += 1;
-                self.heap.push(Reverse((armed.time, armed.seq, node)));
-            }
-        }
-        Ok(())
-    }
-
-    fn insert(&mut self, armed: Armed) {
-        if self.timer[armed.node].replace(armed).is_none() {
-            self.len += 1;
-        }
-        self.heap.push(Reverse((armed.time, armed.seq, armed.node)));
-    }
-
-    fn remove(&mut self, node: NodeId) -> Option<Armed> {
-        let removed = self.timer[node].take();
-        if removed.is_some() {
-            self.len -= 1;
-            if self.len == 0 {
-                self.heap.clear();
-            }
-        }
-        removed
-    }
-
-    /// The earliest timer (heap entries of cancelled timers are dropped).
-    fn first(&mut self) -> Option<Armed> {
-        while let Some(&Reverse((time, seq, node))) = self.heap.peek() {
-            match self.timer[node] {
-                Some(armed) if armed.key() == (time, seq) => return Some(armed),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        None
-    }
-}
 
 /// The synced countdown targets in blocks of `BLOCK` stations, each with
 /// its cached earliest `(target, id)`: the earliest overall is a scan of
@@ -271,35 +172,6 @@ impl Targets {
     }
 }
 
-/// The timer sink detached stations arm into: explicit virtual timers,
-/// numbered from the walk's reserved range or, outside a walk, from a fresh
-/// sequence number each.
-pub(crate) struct VirtualTimers<'a> {
-    timers: &'a mut ExplicitTimers,
-    walk: Option<u64>,
-}
-
-impl BackoffTimers for VirtualTimers<'_> {
-    #[inline]
-    fn cancel(&mut self, _ctx: &mut Ctx<'_>, node: NodeId) {
-        self.timers.remove(node);
-    }
-
-    #[inline]
-    fn arm(&mut self, ctx: &mut Ctx<'_>, node: NodeId, gen: u64, fire: SimTime) {
-        let seq = match self.walk {
-            Some(base) => base + node as u64,
-            None => ctx.reserve_seqs(1),
-        };
-        self.timers.insert(Armed {
-            time: fire,
-            seq,
-            node,
-            gen,
-        });
-    }
-}
-
 /// The shared medium view of a fully connected cell (see the module docs).
 pub(crate) struct Clique {
     /// Transmissions on the air: data frames plus the AP's ACK.
@@ -350,10 +222,6 @@ pub(crate) struct Clique {
     /// then sets its busy-has-data bit.
     data_starts: u64,
     data_mark: Box<[u64]>,
-    /// Explicit virtual timers of detached stations.
-    timers: ExplicitTimers,
-    /// The virtual timer currently armed in the kernel's backoff tier.
-    real: Option<Armed>,
     /// Per station: whether its policy consumes observations / redraws on
     /// resume (both fixed at build time), and whether any does (the eager
     /// loops are skipped otherwise).
@@ -368,7 +236,7 @@ pub(crate) struct Clique {
 // and the policy capabilities are fixed at build time.
 wlan_des::state!(struct Clique {
     busy, idle_since, busy_has_data, pending_idle_slots, epoch, walk, elided, targets, due,
-    due_anchor, due_epoch, due_walk, detached, on_air, data_starts, data_mark, timers, real
+    due_anchor, due_epoch, due_walk, detached, on_air, data_starts, data_mark
 } then Self::rebuild);
 
 impl Clique {
@@ -399,20 +267,10 @@ impl Clique {
             is_on_air: vec![false; n],
             data_starts: 0,
             data_mark: vec![0; n].into(),
-            timers: ExplicitTimers::new(n),
-            real: None,
             observer: stations.hot.iter().map(|h| h.wants_obs()).collect(),
             redrawer: stations.hot.iter().map(|h| h.redraw_on_resume()).collect(),
             observers: stations.hot.iter().any(|h| h.wants_obs()),
             redraws: stations.hot.iter().any(|h| h.redraw_on_resume()),
-        }
-    }
-
-    /// The timer sink for a detached station arming outside a walk.
-    pub(crate) fn individual_timers(&mut self) -> VirtualTimers<'_> {
-        VirtualTimers {
-            timers: &mut self.timers,
-            walk: None,
         }
     }
 
@@ -429,11 +287,10 @@ impl Clique {
         self.insert_detached(node);
     }
 
-    /// A station was just deactivated: drop it and its virtual timer.
+    /// A station was just deactivated (and its timer cancelled): drop it.
     pub(crate) fn forget(&mut self, node: NodeId) {
         debug_assert_eq!(self.targets.get(node), NO_TARGET, "forget a synced station");
         debug_assert!(!self.is_on_air[node], "forget an on-air station");
-        self.timers.remove(node);
         self.is_detached[node] = false;
         self.detached.retain(|&d| d != node);
     }
@@ -476,9 +333,15 @@ impl Clique {
     }
 
     /// Make `node`'s per-station record authoritative: write the cell's view
-    /// (and its countdown and virtual timer) into it. No-op for detached and
-    /// inactive stations.
-    pub(crate) fn detach(&mut self, st: &mut Stations, phy: &PhyParams, node: NodeId) {
+    /// (and its countdown and implicit timer) into it and the timer table.
+    /// No-op for detached and inactive stations.
+    pub(crate) fn detach(
+        &mut self,
+        st: &mut Stations,
+        timers: &mut Timers,
+        phy: &PhyParams,
+        node: NodeId,
+    ) {
         if self.is_on_air[node] {
             self.catch_up(st, node, self.busy - 1);
             self.is_on_air[node] = false;
@@ -506,19 +369,15 @@ impl Clique {
                 h.remaining_slots = remaining;
                 h.set_countdown(anchor);
                 if !self.elided || remaining == 0 {
-                    self.timers.insert(Armed {
-                        time: anchor + phy.slot * remaining,
-                        seq: self.walk + node as u64,
-                        node,
-                        gen: h.timer_gen,
-                    });
+                    let time = anchor + phy.slot * remaining;
+                    timers.arm(node, h.timer_gen, time, self.walk + node as u64);
                 }
             } else if self.is_due[node] {
                 let timer = self.due_timer(st, phy, node);
                 let h = &mut st.hot[node];
                 h.remaining_slots = target - self.due_epoch;
                 h.set_countdown(self.due_anchor);
-                self.timers.insert(timer);
+                timers.arm(node, timer.gen, timer.time, timer.seq);
                 self.is_due[node] = false;
                 if let Some(i) = self.due.iter().rposition(|&d| d == node) {
                     self.due.remove(i);
@@ -540,33 +399,18 @@ impl Clique {
         self.insert_detached(node);
     }
 
-    /// `node`'s timer fired (it was the one armed in the kernel): consume it
-    /// and detach the station, which is about to transmit.
-    pub(crate) fn fired(&mut self, st: &mut Stations, phy: &PhyParams, node: NodeId) {
-        let fired = self.real.take();
-        debug_assert_eq!(
-            fired.map(|a| a.node),
-            Some(node),
-            "fired timer was not armed"
-        );
-        self.detach(st, phy, node);
-        if self.timers.timer[node] == fired {
-            self.timers.remove(node);
-        }
-    }
-
     /// The medium gains a transmission: `source`'s data frame, or the AP's
     /// ACK to `source` (which `source` does not sense).
     pub(crate) fn busy_start(
         &mut self,
         st: &mut Stations,
+        timers: &mut Timers,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
         now: SimTime,
         source: NodeId,
         is_data: bool,
     ) {
-        self.detach(st, phy, source);
+        self.detach(st, timers, phy, source);
         if self.busy == 0 {
             // Idle -> busy for every synced station: freeze all countdowns at
             // once by advancing the epoch. Countdowns expiring at this very
@@ -602,13 +446,9 @@ impl Clique {
         let before = self.busy;
         self.busy += 1;
         self.data_starts += u64::from(is_data);
-        let mut timers = VirtualTimers {
-            timers: &mut self.timers,
-            walk: None,
-        };
         for &node in &self.detached {
             if node != source {
-                st.busy_start(phy, ctx, &mut timers, now, node, is_data);
+                st.busy_start(phy, timers, now, node, is_data);
             }
         }
         if before == 1 {
@@ -616,25 +456,28 @@ impl Clique {
             for i in 0..self.on_air.len() {
                 let node = self.on_air[i];
                 st.sensed.set(node, 0);
-                st.busy_start(phy, ctx, &mut timers, now, node, is_data);
+                st.busy_start(phy, timers, now, node, is_data);
                 self.data_mark[node] = self.data_starts;
             }
         }
     }
 
     /// The medium loses a transmission (`source`'s frame, or the ACK to
-    /// `source`). `ack_follows` is the per-station path's elision flag.
+    /// `source`). `walk` is the first of the N sequence numbers the caller
+    /// reserved for the stations this resumes; `ack_follows` is the
+    /// per-station path's elision flag.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn busy_end(
         &mut self,
         st: &mut Stations,
+        timers: &mut Timers,
+        walk: u64,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
         now: SimTime,
         source: NodeId,
         ack_follows: bool,
     ) {
-        self.detach(st, phy, source);
-        let walk = ctx.reserve_seqs(st.len() as u64);
+        self.detach(st, timers, phy, source);
         self.busy -= 1;
         if self.busy == 1 {
             // On-air stations now sense nothing: the per-station rules
@@ -642,20 +485,12 @@ impl Clique {
             for i in 0..self.on_air.len() {
                 let node = self.on_air[i];
                 self.catch_up(st, node, 1);
-                let mut timers = VirtualTimers {
-                    timers: &mut self.timers,
-                    walk: Some(walk),
-                };
-                st.busy_end(phy, ctx, &mut timers, now, node, ack_follows);
+                st.busy_end(phy, timers, walk, now, node, ack_follows);
             }
         }
-        let mut timers = VirtualTimers {
-            timers: &mut self.timers,
-            walk: Some(walk),
-        };
         for &node in &self.detached {
             if node != source {
-                st.busy_end(phy, ctx, &mut timers, now, node, ack_follows);
+                st.busy_end(phy, timers, walk, now, node, ack_follows);
             }
         }
         if self.busy > 0 {
@@ -721,7 +556,13 @@ impl Clique {
 
     /// If detached `node`'s record equals what the cell would give it,
     /// the countdown target it would have as a synced station.
-    fn resync_target(&self, st: &Stations, phy: &PhyParams, node: NodeId) -> Option<u64> {
+    fn resync_target(
+        &self,
+        st: &Stations,
+        timers: &Timers,
+        phy: &PhyParams,
+        node: NodeId,
+    ) -> Option<u64> {
         let h = &st.hot[node];
         if h.phase == Phase::Transmitting
             || !h.is_active()
@@ -732,7 +573,7 @@ impl Clique {
         {
             return None;
         }
-        let timer = self.timers.timer[node];
+        let timer = timers.get(node);
         if h.phase != Phase::Contending || self.busy > 0 {
             // Synced countdowns are frozen while the medium is busy.
             let frozen = h.countdown().is_none() && timer.is_none();
@@ -755,31 +596,31 @@ impl Clique {
         (timer == implicit).then(|| self.epoch + remaining)
     }
 
-    /// Finish a handler: re-sync every detached station that can be, and
-    /// make the kernel's backoff tier hold exactly the earliest virtual
-    /// timer.
+    /// Finish a handler: re-sync every detached station that can be
+    /// (cancelling its timer in the table, which the implicit one replaces),
+    /// and return the earliest implicit timer of the synced stations.
     pub(crate) fn settle(
         &mut self,
         st: &mut Stations,
+        timers: &mut Timers,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        tier: TierId,
-    ) {
+    ) -> Option<Armed> {
         // Between transitions a walk moves a detached record in step with
         // the cell, so only the stations handled one by one can have come
         // to match it; a transition can match any of them. (A missed match
         // only keeps a station detached, which is always exact.)
-        let resynced = |clique: &mut Self, node: NodeId| match clique.resync_target(st, phy, node) {
-            Some(target) => {
-                clique.is_detached[node] = false;
-                clique.timers.remove(node);
-                if target != NO_TARGET {
-                    clique.targets.set(node, target);
+        let mut resynced =
+            |clique: &mut Self, node: NodeId| match clique.resync_target(st, timers, phy, node) {
+                Some(target) => {
+                    clique.is_detached[node] = false;
+                    timers.cancel(node);
+                    if target != NO_TARGET {
+                        clique.targets.set(node, target);
+                    }
+                    true
                 }
-                true
-            }
-            None => false,
-        };
+                None => false,
+            };
         if self.transition {
             let mut kept = 0;
             for i in 0..self.detached.len() {
@@ -804,8 +645,7 @@ impl Clique {
         self.touched.clear();
         self.transition = false;
 
-        let explicit = self.timers.first();
-        let implicit = if self.busy > 0 {
+        if self.busy > 0 {
             self.due.last().map(|&node| self.due_timer(st, phy, node))
         } else {
             self.targets.min().and_then(|(target, node)| {
@@ -817,19 +657,6 @@ impl Clique {
                     gen: st.hot[node].timer_gen,
                 })
             })
-        };
-        let best = match (explicit, implicit) {
-            (Some(a), Some(b)) => Some(if a.key() < b.key() { a } else { b }),
-            (a, b) => a.or(b),
-        };
-        if best != self.real {
-            if let Some(old) = self.real {
-                ctx.cancel_timer(tier, old.node);
-            }
-            if let Some(new) = best {
-                ctx.arm_timer_at_seq(tier, new.node, new.gen, new.time, new.seq);
-            }
-            self.real = best;
         }
     }
 

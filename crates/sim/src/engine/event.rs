@@ -11,12 +11,12 @@
 //! stale event aliasing a recycled slot.
 //!
 //! Two event kinds live in indexed timer tiers rather than the general
-//! heap (see the kernel's queue docs for why): backoff timers
-//! (`TxStart` — at most one pending per station, cancelled by naming the
-//! station on every carrier-sense freeze) and frame arrivals
-//! (`FrameArrival` — at most one pending per station, cancelled on
-//! deactivation). In saturated runs the arrival tier stays empty and the pop
-//! order is untouched.
+//! heap (see the kernel's queue docs for why): backoff timers (`TxStart`)
+//! and frame arrivals (`FrameArrival` — at most one pending per station,
+//! cancelled on deactivation). The MAC keeps every station's backoff timer
+//! in its own table and arms only the earliest in the backoff tier, so that
+//! tier holds at most one. In saturated runs the arrival tier stays empty
+//! and the pop order is untouched.
 
 use crate::topology::NodeId;
 

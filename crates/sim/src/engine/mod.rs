@@ -6,9 +6,10 @@
 //! mechanism's state and the handlers for the events addressed to it:
 //!
 //! * [`station::StationMac`] — per-station DCF state (hot/cold SoA layout),
-//!   the sorted active-station list, the backoff timer tier, and — in a
-//!   fully connected cell — the shared medium view of [`clique::Clique`];
-//!   handles `TxStart` and `AckTimeout`.
+//!   the active-station set, the backoff timer table and the kernel tier
+//!   its earliest timer is armed in, and — in a fully connected cell — the
+//!   shared medium view of [`clique::Clique`]; handles `TxStart` and
+//!   `AckTimeout`.
 //! * [`channel::Channel`] — the in-flight transmission slab, interference
 //!   bookkeeping, and the engine's private frame-error RNG stream; handles
 //!   `TxEnd`, `AckStart`, `AckEnd`.
@@ -61,8 +62,9 @@
 //!   backoff and arrival timers in indexed timer tiers with O(1) arm and
 //!   physical cancel; all tiers share one `(time, seq)` counter so pops
 //!   follow the exact historical single-heap order
-//!   ([`wlan_des::EventQueue`]). The clique path arms only its earliest
-//!   backoff timer there, numbered from ranges reserved per walk.
+//!   ([`wlan_des::EventQueue`]). On both sensing paths the MAC keeps its
+//!   backoff timers in its own table ([`timers`]) and arms only the
+//!   earliest in the kernel, numbered from ranges reserved per walk.
 //! * **Hot/cold station state** — the per-station fields the sensing
 //!   rules read and write are packed into one 56-byte record per station
 //!   ([`station::Stations`]), separate from the fat policy/RNG arrays and
@@ -79,6 +81,7 @@ mod station;
 mod telemetry;
 #[cfg(test)]
 mod tests;
+mod timers;
 
 pub use telemetry::{EngineMetrics, COMPONENT_NAMES, TIER_NAMES};
 
@@ -98,6 +101,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use station::{StationMac, Stations};
 use std::collections::VecDeque;
+use timers::Timers;
 use wlan_des::time::{SimDuration, SimTime};
 use wlan_des::{ComponentId, Handle, Simulation, TierId};
 
@@ -418,6 +422,7 @@ impl SimulatorBuilder {
         let arrival_tier = sim.add_timer_tier(TRAFFIC_ID, n, event::make_frame_arrival);
         let mac = sim.add_component(StationMac {
             stations,
+            timers: Timers::new(n),
             tier: backoff_tier,
             clique,
             channel: Handle::from_raw(CHANNEL_ID),
@@ -452,7 +457,6 @@ impl SimulatorBuilder {
             channel,
             ap,
             traffic,
-            backoff_tier,
             arrival_tier,
         };
         let active = self.initially_active.unwrap_or(n);
@@ -476,7 +480,6 @@ pub struct Simulator {
     channel: Handle<Channel>,
     ap: Handle<ApControl>,
     traffic: Handle<TrafficSources>,
-    backoff_tier: TierId,
     arrival_tier: TierId,
 }
 
@@ -669,8 +672,7 @@ impl Simulator {
     /// pending frame arrival is cancelled (an inactive station generates no
     /// traffic), and any queued frames stay queued until it is reactivated.
     pub fn deactivate_station(&mut self, node: NodeId) {
-        let mac_h = self.mac;
-        let (backoff_tier, arrival_tier) = (self.backoff_tier, self.arrival_tier);
+        let (mac_h, arrival_tier) = (self.mac, self.arrival_tier);
         self.sim.access(|world, peers, ctx| {
             let mac = peers.get_mut(mac_h);
             if !mac.stations.is_active(node) {
@@ -680,9 +682,9 @@ impl Simulator {
             // writes them out first.
             mac.detach(&world.phy, node);
             mac.stations.deactivate(node);
-            match mac.clique.as_deref_mut() {
-                None => ctx.cancel_timer(backoff_tier, node),
-                Some(clique) => clique.forget(node),
+            mac.timers.cancel(node);
+            if let Some(clique) = mac.clique.as_deref_mut() {
+                clique.forget(node);
             }
             ctx.cancel_timer(arrival_tier, node);
             mac.settle(&world.phy, ctx);

@@ -19,7 +19,7 @@ const MAGIC: [u8; 16] = *b"\x08\0\0\0\0\0\0\0WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 4;
+const CHECKPOINT_VERSION: u32 = 5;
 
 impl Simulator {
     /// The station count and sensing path the scenario built: a checkpoint
@@ -35,7 +35,8 @@ impl Simulator {
     /// The checkpoint captures everything that evolves during a run — the
     /// kernel clock and `(time, seq)` counter, every pending event (general
     /// heap and both timer tiers), the statistics and throughput-binning
-    /// state, per-station MAC/policy/RNG state, the clique's medium view,
+    /// state, per-station MAC/policy/RNG state, the armed backoff timers
+    /// (and the one the kernel holds), the clique's medium view,
     /// the transmission slab (with generations and free-list structure), the
     /// AP controller, traffic sources, and the channel's frame-error RNG
     /// stream. Build-time configuration (PHY, topology, policies'

@@ -22,12 +22,13 @@
 //! cold fields — the [`Policy`] enum and the per-station ChaCha RNG, which
 //! only backoff draws and outcome notifications touch.
 //!
-//! Backoff timers live in the kernel's indexed timer tier owned by this
-//! component ([`StationMac::tier`]): at most one pending `TxStart` per
-//! station. The sensing rules arm and cancel them through
-//! [`BackoffTimers`]: directly in the tier on the per-station path (one
-//! physical cancel per carrier-sense freeze), or as virtual timers of which
-//! the clique path arms only the earliest.
+//! Backoff timers live in this component's timer table
+//! ([`StationMac::timers`], see [`Timers`]) on both sensing paths: a freeze
+//! cancels a station's timer there and a resume re-arms it, numbered from
+//! the walk's reserved range. At the end of every handler
+//! [`StationMac::settle`] arms the earliest timer — of the table, or on a
+//! clique of the table and the cell's synced countdowns — in the kernel's
+//! backoff tier ([`StationMac::tier`]), which never holds more than one.
 
 use super::apctl::ApControl;
 use super::arrivals::TrafficSources;
@@ -35,6 +36,7 @@ use super::busy::BusyCounts;
 use super::channel::{Channel, Transmission};
 use super::clique::Clique;
 use super::event::Event;
+use super::timers::Timers;
 use super::{Ctx, EnginePeers, World, CHANNEL_ID};
 use crate::backoff::{BackoffPolicy, Policy};
 use crate::control::{BusyOutcome, ChannelObservation};
@@ -87,32 +89,6 @@ const FLAG_WANTS_OBS: u8 = 1 << 0;
 /// policy answers it constantly, and custom policies are documented to do the
 /// same.
 const FLAG_REDRAW_ON_RESUME: u8 = 1 << 1;
-
-/// Where the station-level sensing code arms and cancels backoff timers.
-///
-/// The per-station path hands it the kernel's backoff tier directly
-/// ([`TierId`] implements this trait); the clique path hands it a view of its
-/// virtual timer set (`clique::VirtualTimers`), which arms only the earliest
-/// entry in the kernel. Both see the identical sequence of calls, so the
-/// sensing rules are written once.
-pub(crate) trait BackoffTimers {
-    /// Cancel `node`'s armed timer, if any.
-    fn cancel(&mut self, ctx: &mut Ctx<'_>, node: NodeId);
-    /// Arm `node`'s timer (its previous one is already cancelled).
-    fn arm(&mut self, ctx: &mut Ctx<'_>, node: NodeId, gen: u64, fire: SimTime);
-}
-
-impl BackoffTimers for TierId {
-    #[inline]
-    fn cancel(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        ctx.cancel_timer(*self, node);
-    }
-
-    #[inline]
-    fn arm(&mut self, ctx: &mut Ctx<'_>, node: NodeId, gen: u64, fire: SimTime) {
-        ctx.arm_timer(*self, node, gen, fire);
-    }
-}
 
 /// The per-station fields the sensing rules read and write, packed into
 /// one sub-cache-line record.
@@ -216,8 +192,7 @@ impl HotState {
     pub(crate) fn freeze(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
         now: SimTime,
         node: NodeId,
     ) {
@@ -248,7 +223,7 @@ impl HotState {
                     self.remaining_slots -= elapsed;
                     self.clear_countdown();
                     self.timer_gen += 1;
-                    timers.cancel(ctx, node);
+                    timers.cancel(node);
                 }
             }
         }
@@ -256,13 +231,14 @@ impl HotState {
 
     /// Arm the countdown after a busy period ended (`remaining_slots` is
     /// already final): the last step of [`Stations::resume`], shared
-    /// between its hot-only and policy-touching paths.
+    /// between its hot-only and policy-touching paths. The timer takes
+    /// sequence number `walk + node` from the resume walk's reserved range.
     #[inline]
     fn resume_countdown(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
+        walk: u64,
         now: SimTime,
         node: NodeId,
         ack_follows: bool,
@@ -276,16 +252,12 @@ impl HotState {
             // scheduled event.
         } else {
             self.timer_gen += 1;
-            let gen = self.timer_gen;
             let fire = start + phy.slot * self.remaining_slots;
             // The station can still be armed here: a zero-slot timer left
             // valid by the same-instant rule whose busy period ended
-            // before it fired (e.g. an ACK shorter than DIFS). The old
-            // engine invalidated that event with the `timer_gen` bump
-            // above and pushed a replacement; with physical cancellation
-            // the replacement is explicit.
-            timers.cancel(ctx, node);
-            timers.arm(ctx, node, gen, fire);
+            // before it fired (e.g. an ACK shorter than DIFS). Arming
+            // replaces it, as the `timer_gen` bump above invalidates it.
+            timers.arm(node, self.timer_gen, fire, walk + node as u64);
         }
     }
 }
@@ -403,12 +375,10 @@ impl Stations {
     /// A transmission by `source` went on the air: every active station in
     /// `row` (see [`sensor_mask`]) senses one more, and those whose
     /// medium was idle [`freeze`](HotState::freeze), in ascending id order.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sense_start(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
         now: SimTime,
         row: Option<&[u64]>,
         source: NodeId,
@@ -417,18 +387,19 @@ impl Stations {
         let active = &self.active;
         self.sensed
             .add(|w| sensor_mask(active, row, source, w), is_data);
-        self.visit_crossed(|st, node| st.hot[node].freeze(phy, ctx, timers, now, node));
+        self.visit_crossed(|st, node| st.hot[node].freeze(phy, timers, now, node));
     }
 
     /// The transmission of [`sense_start`](Self::sense_start) left the air:
     /// its sensors sense one fewer, and those whose medium went idle
-    /// [`resume`](Self::resume), in ascending id order.
+    /// [`resume`](Self::resume), in ascending id order, arming from the
+    /// reserved range starting at `walk`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sense_end(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
+        walk: u64,
         now: SimTime,
         row: Option<&[u64]>,
         source: NodeId,
@@ -436,7 +407,7 @@ impl Stations {
     ) {
         let active = &self.active;
         self.sensed.sub(|w| sensor_mask(active, row, source, w));
-        self.visit_crossed(|st, node| st.resume(phy, ctx, timers, now, node, ack_follows));
+        self.visit_crossed(|st, node| st.resume(phy, timers, walk, now, node, ack_follows));
     }
 
     /// One more transmission for active station `node` to sense (the
@@ -445,37 +416,39 @@ impl Stations {
     pub(crate) fn busy_start(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
         now: SimTime,
         node: NodeId,
         is_data: bool,
     ) {
         if self.sensed.inc(node, is_data) {
-            self.hot[node].freeze(phy, ctx, timers, now, node);
+            self.hot[node].freeze(phy, timers, now, node);
         }
     }
 
     /// One transmission fewer for `node` to sense: it resumes if its medium
-    /// went idle. Inactive stations return at once (activation recounts).
+    /// went idle, arming from the walk's range. Inactive stations return at
+    /// once (activation recounts).
     #[inline]
     pub(crate) fn busy_end(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
+        walk: u64,
         now: SimTime,
         node: NodeId,
         ack_follows: bool,
     ) {
         if self.hot[node].is_active() && self.sensed.dec(node) {
-            self.resume(phy, ctx, timers, now, node, ack_follows);
+            self.resume(phy, timers, walk, now, node, ack_follows);
         }
     }
 
     /// The medium station `node` senses went from busy to idle: deliver the
     /// channel observation and, if the station is contending, resume (or
-    /// redraw) its countdown and schedule the next `TxStart`.
+    /// redraw) its countdown and arm its timer at `walk + node`. Resumes
+    /// happen only inside a walk that reserved N sequence numbers at
+    /// `walk` (see [`Timers`]).
     ///
     /// `ack_follows` is the hot-path event-elision flag: when the caller knows
     /// the AP will start an ACK at `now + SIFS`, every station resumed here is
@@ -496,8 +469,8 @@ impl Stations {
     pub(crate) fn resume(
         &mut self,
         phy: &PhyParams,
-        ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
+        walk: u64,
         now: SimTime,
         node: NodeId,
         ack_follows: bool,
@@ -510,7 +483,7 @@ impl Stations {
         let redraw = contending && h.redraw_on_resume();
         if !(needs_obs || redraw) {
             if contending {
-                h.resume_countdown(phy, ctx, timers, now, node, ack_follows);
+                h.resume_countdown(phy, timers, walk, now, node, ack_follows);
             }
             return;
         }
@@ -529,19 +502,20 @@ impl Stations {
             self.hot[node].remaining_slots = self.policy[node].draw_backoff(&mut self.rng[node]);
         }
         if contending {
-            self.hot[node].resume_countdown(phy, ctx, timers, now, node, ack_follows);
+            self.hot[node].resume_countdown(phy, timers, walk, now, node, ack_follows);
         }
     }
 
     /// Enter the contention phase: draw a fresh backoff and, if the medium is
-    /// idle, arm the transmission timer. Under finite load a station with an
-    /// empty queue parks in `QueueEmpty` instead — no backoff is drawn and
-    /// no timer armed until the next frame arrival restarts contention.
+    /// idle, arm the transmission timer with a fresh sequence number. Under
+    /// finite load a station with an empty queue parks in `QueueEmpty`
+    /// instead — no backoff is drawn and no timer armed until the next frame
+    /// arrival restarts contention.
     pub(crate) fn begin_contention(
         &mut self,
         phy: &PhyParams,
         ctx: &mut Ctx<'_>,
-        timers: &mut impl BackoffTimers,
+        timers: &mut Timers,
         node: NodeId,
         has_frame: bool,
     ) {
@@ -570,19 +544,21 @@ impl Stations {
             };
             h.set_countdown(start);
             h.timer_gen += 1;
-            let gen = h.timer_gen;
             let fire = start + phy.slot * h.remaining_slots;
-            timers.arm(ctx, node, gen, fire);
+            timers.arm(node, h.timer_gen, fire, ctx.reserve_seqs(1));
         }
     }
 }
 
 /// The station-MAC component: all per-station DCF state. Owns the backoff
-/// timer tier; receives `TxStart` (from that tier) and `AckTimeout` (from
-/// the general tier).
+/// timer table and the kernel tier its earliest timer is armed in; receives
+/// `TxStart` (from that tier) and `AckTimeout` (from the general tier).
 pub(crate) struct StationMac {
     pub(crate) stations: Stations,
-    /// The backoff timer tier this component owns.
+    /// Every station's backoff timer (see [`Timers`]).
+    pub(crate) timers: Timers,
+    /// The backoff timer tier this component owns: it holds the earliest
+    /// timer of `timers` (and of the clique's synced countdowns) only.
     pub(crate) tier: TierId,
     /// The shared medium view and lazy countdowns of a fully connected cell
     /// (`None` when some pair of stations is hidden: every transition then
@@ -595,7 +571,7 @@ pub(crate) struct StationMac {
 
 // The clique's presence is fixed by the topology; the engine checkpoints it
 // after this component when the scenario built one.
-wlan_des::state!(struct StationMac { stations });
+wlan_des::state!(struct StationMac { stations, timers });
 
 impl StationMac {
     /// Enter the contention phase (see [`Stations::begin_contention`]).
@@ -624,23 +600,9 @@ impl StationMac {
         node: NodeId,
         has_frame: bool,
     ) {
-        match self.clique.as_deref_mut() {
-            None => {
-                let mut tier = self.tier;
-                self.stations
-                    .begin_contention(phy, ctx, &mut tier, node, has_frame)
-            }
-            Some(clique) => {
-                clique.detach(&mut self.stations, phy, node);
-                self.stations.begin_contention(
-                    phy,
-                    ctx,
-                    &mut clique.individual_timers(),
-                    node,
-                    has_frame,
-                );
-            }
-        }
+        self.detach(phy, node);
+        self.stations
+            .begin_contention(phy, ctx, &mut self.timers, node, has_frame);
     }
 
     /// A transmission `source` does not sense goes on the air: `source`'s
@@ -656,28 +618,28 @@ impl StationMac {
     ) {
         let StationMac {
             stations,
-            tier,
+            timers,
             clique,
             ..
         } = self;
         match clique.as_deref_mut() {
             Some(clique) => {
-                clique.busy_start(stations, &world.phy, ctx, now, source, is_data);
+                clique.busy_start(stations, timers, &world.phy, now, source, is_data);
                 if is_data {
                     clique.went_on_air(stations, source);
                 }
-                clique.settle(stations, &world.phy, ctx, *tier);
             }
             None => {
                 let row = is_data.then(|| world.topology.sensing_row(source));
-                stations.sense_start(&world.phy, ctx, tier, now, row, source, is_data);
+                stations.sense_start(&world.phy, timers, now, row, source, is_data);
             }
         }
+        self.settle(&world.phy, ctx);
     }
 
     /// The transmission of [`medium_busy`](Self::medium_busy) leaves the
     /// air. `ack_follows` is the event-elision flag of
-    /// [`Stations::resume`]. On the clique path the caller finishes with
+    /// [`Stations::resume`]. The caller finishes with
     /// [`settle`](Self::settle) once it has updated `source` itself.
     pub(crate) fn medium_idle(
         &mut self,
@@ -690,15 +652,18 @@ impl StationMac {
     ) {
         let StationMac {
             stations,
-            tier,
+            timers,
             clique,
             ..
         } = self;
+        let walk = ctx.reserve_seqs(stations.len() as u64);
         match clique.as_deref_mut() {
-            Some(clique) => clique.busy_end(stations, &world.phy, ctx, now, source, ack_follows),
+            Some(clique) => {
+                clique.busy_end(stations, timers, walk, &world.phy, now, source, ack_follows)
+            }
             None => {
                 let row = is_data.then(|| world.topology.sensing_row(source));
-                stations.sense_end(&world.phy, ctx, tier, now, row, source, ack_follows);
+                stations.sense_end(&world.phy, timers, walk, now, row, source, ack_follows);
             }
         }
     }
@@ -709,17 +674,19 @@ impl StationMac {
     #[inline]
     pub(crate) fn detach(&mut self, phy: &PhyParams, node: NodeId) {
         if let Some(clique) = self.clique.as_deref_mut() {
-            clique.detach(&mut self.stations, phy, node);
+            clique.detach(&mut self.stations, &mut self.timers, phy, node);
         }
     }
 
-    /// Re-arm the kernel's backoff timer after a clique-path handler (no-op
-    /// on the per-station path).
+    /// Finish a handler: on a clique re-sync what can be, then arm the
+    /// earliest backoff timer in the kernel's tier.
     #[inline]
     pub(crate) fn settle(&mut self, phy: &PhyParams, ctx: &mut Ctx<'_>) {
-        if let Some(clique) = self.clique.as_deref_mut() {
-            clique.settle(&mut self.stations, phy, ctx, self.tier);
-        }
+        let implicit = match self.clique.as_deref_mut() {
+            Some(clique) => clique.settle(&mut self.stations, &mut self.timers, phy),
+            None => None,
+        };
+        self.timers.settle(ctx, self.tier, implicit);
     }
 
     /// A station's backoff timer fired: start transmitting (unless the timer
@@ -732,9 +699,10 @@ impl StationMac {
         node: NodeId,
         gen: u64,
     ) {
-        if let Some(clique) = self.clique.as_deref_mut() {
-            clique.fired(&mut self.stations, &world.phy, node);
-        }
+        // A synced station's timer was implicit: materialise it, then
+        // consume it.
+        self.detach(&world.phy, node);
+        self.timers.fired(node);
         {
             let h = &self.stations.hot[node];
             // A timer is valid iff it is the most recently scheduled one and the

@@ -863,13 +863,13 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
 
 #[test]
 fn resume_names_the_version_of_an_older_checkpoint() {
-    // A format-v3 header: the length-prefixed magic, then the version.
-    let mut v3 = 8u64.to_le_bytes().to_vec();
-    v3.extend_from_slice(b"WLANCKPT");
-    v3.extend_from_slice(&3u32.to_le_bytes());
-    v3.extend_from_slice(&[0; 64]);
-    let err = dcf_cell(4).resume(&v3).unwrap_err().to_string();
-    assert!(err.contains("v3") && err.contains("v4"), "{err}");
+    // A format-v4 header: the length-prefixed magic, then the version.
+    let mut v4 = 8u64.to_le_bytes().to_vec();
+    v4.extend_from_slice(b"WLANCKPT");
+    v4.extend_from_slice(&4u32.to_le_bytes());
+    v4.extend_from_slice(&[0; 64]);
+    let err = dcf_cell(4).resume(&v4).unwrap_err().to_string();
+    assert!(err.contains("v4") && err.contains("v5"), "{err}");
 }
 
 #[test]
@@ -1061,32 +1061,37 @@ mod clique_equivalence {
         check(&case, &steps);
     }
 
+    /// On either sensing path the kernel's backoff tier holds the earliest
+    /// backoff timer only, and the MAC's cancel-and-rearm churn stays out
+    /// of it: the tier arms about one timer per timer that fires.
     #[test]
-    fn clique_path_arms_far_fewer_kernel_timers() {
-        let case = Case {
-            n: 64,
-            kind: 0,
-            mixed: false,
-            sir: None,
-            fer: 0.0,
-            poisson: false,
-            disc: false,
-            seed: 5,
-        };
-        let arms = |per_station| {
-            let mut sim = build(&case, per_station);
+    fn the_backoff_tier_holds_only_the_earliest_timer() {
+        let disc = Topology::uniform_disc(64, 20.0, &mut ChaCha8Rng::seed_from_u64(5));
+        for (topology, clique) in [(disc, false), (Topology::fully_connected(64), true)] {
+            let mut sim = SimulatorBuilder::new(PhyParams::table1(), topology)
+                .seed(5)
+                .with_stations(|_, phy| ExponentialBackoff::new(phy))
+                .build();
+            assert_eq!(sim.sim.component(sim.mac).clique.is_some(), clique);
             sim.enable_metrics();
-            sim.run_for(SimDuration::from_millis(200));
-            let report = sim.metrics_report().unwrap();
-            (report.kernel.tiers[0].arms, sim.events_processed())
-        };
-        let (clique_arms, clique_events) = arms(false);
-        let (station_arms, station_events) = arms(true);
-        assert_eq!(clique_events, station_events);
-        assert!(
-            clique_arms * 10 < station_arms,
-            "clique path armed {clique_arms} backoff timers, per-station path {station_arms}"
-        );
+            for ms in 1..=200 {
+                sim.run_for(SimDuration::from_millis(1));
+                let tier = sim.metrics_report().unwrap().kernel.tiers[0];
+                assert!(
+                    tier.armed <= 1,
+                    "clique {clique}: {} backoff timers armed in the kernel at {ms} ms",
+                    tier.armed
+                );
+            }
+            let tier = sim.metrics_report().unwrap().kernel.tiers[0];
+            assert!(tier.fires > 1000, "clique {clique}: {} fires", tier.fires);
+            assert!(
+                tier.arms <= 2 * tier.fires,
+                "clique {clique}: the backoff tier armed {} timers for {} fires",
+                tier.arms,
+                tier.fires
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!
 //! and commit the diff under `tests/golden/` together with an explanation of
 //! why the trace legitimately changed.
+//!
+//! Beside the results, `tests/golden/event_digests.json` pins each case's
+//! event stream: the kernel's digest of the time, target component and kind
+//! of every dispatched event (sequence numbers excluded, so a change that
+//! only renumbers them keeps it). A result can survive a reordered or
+//! shifted event by luck; the digest cannot. The same regeneration command
+//! rewrites it.
 
 use wlan_sa::{Protocol, Scenario, SimDuration, TopologySpec, TrafficSpec};
 
@@ -113,11 +120,22 @@ fn golden_dir() -> std::path::PathBuf {
         .join("golden")
 }
 
+fn regenerating() -> bool {
+    std::env::var("WLAN_GOLDEN_REGEN")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+}
+
+/// The committed event-stream digests, by case name, as hex strings.
+type Digests = std::collections::BTreeMap<String, String>;
+
+fn digests_path() -> std::path::PathBuf {
+    golden_dir().join("event_digests.json")
+}
+
 #[test]
 fn scenario_results_match_pre_refactor_fixtures() {
-    let regen = std::env::var("WLAN_GOLDEN_REGEN")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let regen = regenerating();
     let dir = golden_dir();
     if regen {
         std::fs::create_dir_all(&dir).expect("create tests/golden");
@@ -156,13 +174,29 @@ fn scenario_results_match_pre_refactor_fixtures() {
 /// dispatch counters on *and* the wall-clock self-profiler sampling every
 /// single event — must serialise byte-for-byte to the same fixture as the
 /// uninstrumented run. Telemetry draws no RNG and schedules nothing, so the
-/// `(time, seq)` order and every statistic are untouched.
+/// `(time, seq)` order and every statistic are untouched. The same runs
+/// check each case's event-stream digest against `event_digests.json`.
 #[test]
 fn telemetry_at_max_verbosity_is_byte_identical_to_fixtures() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    let regen = regenerating();
     let dir = golden_dir();
+    let expected_digests: Digests = if regen {
+        Digests::new()
+    } else {
+        let path = digests_path();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing {} ({e}); run with WLAN_GOLDEN_REGEN=1",
+                path.display()
+            )
+        });
+        serde_json::from_str(&text).expect("parse event_digests.json")
+    };
+    let mut digests = Digests::new();
+    let mut digest_failures = Vec::new();
     let mut failures = Vec::new();
     for (name, scenario) in cases() {
         let samples = Arc::new(AtomicU64::new(0));
@@ -176,22 +210,29 @@ fn telemetry_at_max_verbosity_is_byte_identical_to_fixtures() {
             }),
         );
         scenario.advance_until(&mut sim, scenario.end_time());
-        let result = scenario.collect(&sim);
-        let json = serde_json::to_string_pretty(&result).expect("serialise ScenarioResult");
-        let path = dir.join(format!("{name}.json"));
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); run with WLAN_GOLDEN_REGEN=1",
-                path.display()
-            )
-        });
-        if json != expected {
-            failures.push(name);
+        let report = sim.metrics_report().expect("metrics were enabled");
+        let digest = format!("{:016x}", report.kernel.event_digest);
+        if !regen {
+            if expected_digests.get(name) != Some(&digest) {
+                digest_failures.push(name);
+            }
+            let result = scenario.collect(&sim);
+            let json = serde_json::to_string_pretty(&result).expect("serialise ScenarioResult");
+            let path = dir.join(format!("{name}.json"));
+            let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!(
+                    "missing fixture {} ({e}); run with WLAN_GOLDEN_REGEN=1",
+                    path.display()
+                )
+            });
+            if json != expected {
+                failures.push(name);
+            }
         }
+        digests.insert(name.to_string(), digest);
         // The instrumentation really was live: the dispatch registry saw
         // every event and the profiler (sampling every event, scheduler and
         // handler timed separately) streamed two samples per event.
-        let report = sim.metrics_report().expect("metrics were enabled");
         let processed = report.kernel.events_processed;
         assert!(processed > 0, "{name}: no events counted");
         let dispatched: u64 = report.kernel.dispatch.iter().map(|d| d.total).sum();
@@ -203,6 +244,23 @@ fn telemetry_at_max_verbosity_is_byte_identical_to_fixtures() {
         );
         assert!(report.tx_slab_high_water > 0, "{name}: slab untouched");
     }
+    if regen {
+        let json = serde_json::to_string_pretty(&digests).expect("serialise digests");
+        std::fs::write(digests_path(), json + "\n").expect("write event_digests.json");
+        eprintln!("regenerated {}", digests_path().display());
+        return;
+    }
+    assert_eq!(
+        digests.len(),
+        expected_digests.len(),
+        "event_digests.json names other cases than the suite runs"
+    );
+    assert!(
+        digest_failures.is_empty(),
+        "the dispatched event stream diverged from tests/golden/event_digests.json for: \
+         {digest_failures:?}\nSome event ran at another instant, in another order, at \
+         another component, or was added or dropped (sequence numbers are not hashed)."
+    );
     assert!(
         failures.is_empty(),
         "telemetry at max verbosity perturbed the trace for: {failures:?}\n\
