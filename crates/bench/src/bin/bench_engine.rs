@@ -12,9 +12,8 @@
 //! Grids:
 //!
 //! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus
-//!   three large-N smoke cells (Standard 802.11 at N = 500, fully connected
-//!   and on the 20 m disc, and wTOP-CSMA at N = 500 on the 20 m disc) — the
-//!   CI perf gate.
+//!   four large-N smoke cells (Standard 802.11 and wTOP-CSMA at N = 500,
+//!   each fully connected and on the 20 m disc) — the CI perf gate.
 //! * `--extended`: N ∈ {5, 20, 50, 100, 200, 500, 1000, 2000} — the scaling
 //!   grid the committed `BENCH_engine.json` is generated from.
 //! * `--full`: the extended grid with 10 sim-seconds per cell at N ≤ 100
@@ -298,7 +297,7 @@ fn overhead_ratio() -> f64 {
 
 /// The cell grid for a mode: `(protocol, topology label, topology, n,
 /// sim-seconds, traffic)`, topology-major then N then protocol (the
-/// historical order). Smoke cells are appended at the end: the three N = 500
+/// historical order). Smoke cells are appended at the end: the four N = 500
 /// large-N cells in Quick mode only (the extended grids already reach
 /// N = 2000), the finite-load cell in every mode.
 #[allow(clippy::type_complexity)]
@@ -359,9 +358,12 @@ fn cells_for(
         // wTOP-CSMA on the disc times its start-up collapse there: many
         // frames on the air at once keep the busy counts several bit planes
         // deep, and the station walks re-arm backoff timers by the dozen.
+        // Fully connected, wTOP-CSMA times the clique path's redraw loop,
+        // which draws every contending station's uniform at every resume.
         let smoke = [
             (Protocol::Standard80211, topologies[0].clone()),
             (Protocol::Standard80211, topologies[1].clone()),
+            (Protocol::WTopCsma, topologies[0].clone()),
             (Protocol::WTopCsma, topologies[1].clone()),
         ];
         for (proto, (tname, topo)) in smoke {

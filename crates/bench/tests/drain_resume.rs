@@ -321,6 +321,56 @@ fn invalid_jobs_emit_error_lines_not_panics() {
     }
 }
 
+/// Out-of-range protocol, topology and PHY parameters are invalid job
+/// lines, rejected before any worker starts (building them would panic on
+/// every retry, or place stations silently at a negative radius).
+#[test]
+fn bad_protocol_topology_and_phy_parameters_are_invalid_jobs() {
+    let cache = temp_dir("params_cache");
+    let ckpt = temp_dir("params_ckpt");
+    let jobs = [
+        r#"{"protocol":{"StaticPPersistent":{"p":1.5}},"topology":"FullyConnected","n":4}"#,
+        r#"{"protocol":{"StaticRandomReset":{"stage":9,"p0":2.0}},"topology":"FullyConnected","n":4}"#,
+        r#"{"protocol":"Standard80211","topology":{"Clustered":{"clusters":0,"spread":10.0,"cluster_radius":2.0}},"n":4}"#,
+        r#"{"protocol":"Standard80211","topology":{"Grid":{"side":-5.0}},"n":4}"#,
+        r#"{"protocol":"Standard80211","topology":{"UniformDisc":{"radius":-20.0}},"n":4}"#,
+        concat!(
+            r#"{"protocol":"Standard80211","topology":"FullyConnected","n":4,"phy":{"slot":0,"#,
+            r#""sifs":16000,"difs":34000,"bit_rate_bps":54000000,"ack_rate_bps":24000000,"#,
+            r#""payload_bits":8000,"mac_header_bits":272,"ack_bits":112,"phy_preamble":20000,"#,
+            r#""cw_min":8,"cw_max":1024}}"#
+        ),
+    ];
+    let input = format!(
+        "{{\"cache_dir\":{cache:?},\"checkpoint_dir\":{ckpt:?},\"jobs\":[{}]}}",
+        jobs.join(","),
+        cache = cache.display().to_string(),
+        ckpt = ckpt.display().to_string(),
+    );
+    let run = run_server(&input, &[], &[], None);
+    assert!(run.status.success(), "job errors are lines, not a crash");
+    assert!(
+        run.stderr.contains("6 jobs (6 invalid)"),
+        "the jobs are invalid before any worker starts: {}",
+        run.stderr
+    );
+    assert_eq!(get_u64(&run.summary, "errors"), 6);
+    assert_eq!(get_u64(&run.summary, "completed"), 0);
+    let expected = [
+        "protocol", "protocol", "topology", "topology", "topology", "PHY",
+    ];
+    for (i, expected) in expected.iter().enumerate() {
+        assert_eq!(get_u64(&run.lines[i], "job"), i as u64);
+        let Value::Str(e) = get(&run.lines[i], "error") else {
+            panic!("job {i} must carry an error string")
+        };
+        assert!(e.contains(&format!("invalid {expected}")), "job {i}: {e}");
+    }
+    for d in [cache, ckpt] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 /// An unusable cache directory (a regular file in its place) degrades the
 /// server to compute-only — a warning, not an abort.
 #[test]

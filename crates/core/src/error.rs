@@ -39,6 +39,16 @@ pub enum ScenarioError {
     /// The offered-load model is invalid (NaN/negative arrival rate, zero
     /// on/off sojourn, queue bound of 0 frames).
     InvalidTraffic(String),
+    /// A static scheme's parameter is out of range (an attempt or reset
+    /// probability outside [0, 1], a reset stage at or above `m`).
+    InvalidProtocol(String),
+    /// The layout is invalid (a negative or non-finite length, zero
+    /// clusters).
+    InvalidTopology(String),
+    /// The PHY parameters are inconsistent (see [`wlan_sim::PhyParams::validate`]).
+    InvalidPhy(String),
+    /// The throughput series' bin width is zero.
+    ZeroThroughputBin,
     /// Warm-up plus measurement time is zero: the run would end at t = 0
     /// with no measured interval at all.
     ZeroDuration,
@@ -57,6 +67,10 @@ impl fmt::Display for ScenarioError {
                 "weight of station {index} must be positive and finite, got {value}"
             ),
             ScenarioError::InvalidTraffic(msg) => write!(f, "invalid traffic spec: {msg}"),
+            ScenarioError::InvalidProtocol(msg) => write!(f, "invalid protocol: {msg}"),
+            ScenarioError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
+            ScenarioError::InvalidPhy(msg) => write!(f, "invalid PHY parameters: {msg}"),
+            ScenarioError::ZeroThroughputBin => write!(f, "throughput_bin must be positive"),
             ScenarioError::ZeroDuration => {
                 write!(
                     f,

@@ -55,6 +55,26 @@ impl Protocol {
         )
     }
 
+    /// Check a static scheme's parameters: what
+    /// [`station_policy`](Self::station_policy) would otherwise panic on.
+    pub fn validate(&self, phy: &PhyParams) -> Result<(), String> {
+        match *self {
+            Protocol::StaticPPersistent { p } if !(0.0..=1.0).contains(&p) => {
+                Err(format!("attempt probability p must lie in [0, 1], got {p}"))
+            }
+            Protocol::StaticRandomReset { stage, .. } if stage >= phy.max_backoff_stage() => {
+                Err(format!(
+                    "reset stage j must be below m = {}, got {stage}",
+                    phy.max_backoff_stage()
+                ))
+            }
+            Protocol::StaticRandomReset { p0, .. } if !(0.0..=1.0).contains(&p0) => {
+                Err(format!("reset probability p0 must lie in [0, 1], got {p0}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Build the station-side policy for station with the given weight.
     ///
     /// Every scheme of the paper maps to a closed [`Policy`] variant, so the

@@ -55,6 +55,38 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// Check what [`build`](Self::build) would otherwise panic on or place
+    /// silently: every length finite and non-negative, at least one cluster.
+    pub fn validate(&self) -> Result<(), String> {
+        let length = |name: &str, value: f64| {
+            if value.is_finite() && value >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ))
+            }
+        };
+        match *self {
+            TopologySpec::FullyConnected => Ok(()),
+            TopologySpec::Ring { radius } | TopologySpec::UniformDisc { radius } => {
+                length("radius", radius)
+            }
+            TopologySpec::Grid { side } => length("side", side),
+            TopologySpec::Clustered {
+                clusters,
+                spread,
+                cluster_radius,
+            } => {
+                if clusters == 0 {
+                    return Err("a clustered layout needs at least one cluster".into());
+                }
+                length("spread", spread)?;
+                length("cluster_radius", cluster_radius)
+            }
+        }
+    }
+
     /// Materialise the topology for `n` stations using `seed` for random placement.
     pub fn build(&self, n: usize, seed: u64) -> Topology {
         let placement_rng = || ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -207,6 +239,16 @@ impl Scenario {
         self.traffic
             .validate()
             .map_err(ScenarioError::InvalidTraffic)?;
+        self.protocol
+            .validate(&self.phy)
+            .map_err(ScenarioError::InvalidProtocol)?;
+        self.topology
+            .validate()
+            .map_err(ScenarioError::InvalidTopology)?;
+        self.phy.validate().map_err(ScenarioError::InvalidPhy)?;
+        if self.throughput_bin.is_zero() {
+            return Err(ScenarioError::ZeroThroughputBin);
+        }
         if self.warmup.is_zero() && self.measure.is_zero() {
             return Err(ScenarioError::ZeroDuration);
         }
@@ -942,6 +984,91 @@ mod tests {
         zero_duration.warmup = SimDuration::ZERO;
         zero_duration.measure = SimDuration::ZERO;
         assert_eq!(zero_duration.validate(), Err(ScenarioError::ZeroDuration));
+    }
+
+    #[test]
+    fn validate_rejects_bad_protocol_topology_phy_and_bin_parameters() {
+        use crate::error::ScenarioError;
+        let fc = TopologySpec::FullyConnected;
+        let m = PhyParams::table1().max_backoff_stage();
+        for protocol in [
+            Protocol::StaticPPersistent { p: 1.5 },
+            Protocol::StaticPPersistent { p: -0.1 },
+            Protocol::StaticPPersistent { p: f64::NAN },
+            Protocol::StaticRandomReset { stage: m, p0: 0.5 },
+            Protocol::StaticRandomReset { stage: 9, p0: 2.0 },
+            Protocol::StaticRandomReset {
+                stage: 1,
+                p0: f64::NAN,
+            },
+        ] {
+            let scenario = Scenario::new(protocol, fc.clone(), 4);
+            assert!(
+                matches!(scenario.validate(), Err(ScenarioError::InvalidProtocol(_))),
+                "{protocol:?}"
+            );
+        }
+        for topology in [
+            TopologySpec::UniformDisc { radius: -1.0 },
+            TopologySpec::UniformDisc {
+                radius: f64::INFINITY,
+            },
+            TopologySpec::Ring { radius: f64::NAN },
+            TopologySpec::Grid { side: -5.0 },
+            TopologySpec::Clustered {
+                clusters: 0,
+                spread: 10.0,
+                cluster_radius: 2.0,
+            },
+            TopologySpec::Clustered {
+                clusters: 2,
+                spread: -10.0,
+                cluster_radius: 2.0,
+            },
+        ] {
+            let scenario = Scenario::new(Protocol::Standard80211, topology.clone(), 4);
+            assert!(
+                matches!(scenario.validate(), Err(ScenarioError::InvalidTopology(_))),
+                "{topology:?}"
+            );
+        }
+        let mut zero_slot = Scenario::new(Protocol::Standard80211, fc.clone(), 4);
+        zero_slot.phy.slot = SimDuration::ZERO;
+        assert!(matches!(
+            zero_slot.validate(),
+            Err(ScenarioError::InvalidPhy(_))
+        ));
+        let mut zero_bin = Scenario::new(Protocol::Standard80211, fc.clone(), 4);
+        zero_bin.throughput_bin = SimDuration::ZERO;
+        assert_eq!(zero_bin.validate(), Err(ScenarioError::ZeroThroughputBin));
+        // The edges of each range are valid and build.
+        for (protocol, topology) in [
+            (Protocol::StaticPPersistent { p: 0.0 }, fc.clone()),
+            (Protocol::StaticPPersistent { p: 1.0 }, fc.clone()),
+            (
+                Protocol::StaticRandomReset {
+                    stage: m - 1,
+                    p0: 1.0,
+                },
+                TopologySpec::Grid { side: 0.0 },
+            ),
+            (
+                Protocol::Standard80211,
+                TopologySpec::Clustered {
+                    clusters: 1,
+                    spread: 0.0,
+                    cluster_radius: 0.0,
+                },
+            ),
+            (
+                Protocol::Standard80211,
+                TopologySpec::UniformDisc { radius: 0.0 },
+            ),
+        ] {
+            let scenario = Scenario::new(protocol, topology, 4);
+            assert_eq!(scenario.validate(), Ok(()), "{protocol:?}");
+            scenario.build_simulator();
+        }
     }
 
     #[test]

@@ -31,13 +31,17 @@
 //! # Event-stream digest
 //!
 //! The enabled registry also folds every dispatched event's time, target
-//! component and kind label into one 64-bit digest
-//! ([`MetricsReport::event_digest`]). Sequence numbers stay out of it: a
-//! model may renumber them (reserved ranges, elided entries) without
-//! changing which events run, in which order, at which instants. Two runs
-//! with equal digests dispatched the same event stream; a reorder, a missing
-//! or an extra event, or a shifted timestamp changes it. A registry enabled
-//! after a checkpoint resume covers the events dispatched since.
+//! component, kind label and payload identity (a model-chosen integer such
+//! as the entity the event concerns) into one 64-bit digest
+//! ([`MetricsReport::event_digest`]). The identity orders ties the other
+//! fields cannot: two same-instant events of one kind at one component,
+//! such as the ends of two colliding frames, swap without changing time,
+//! target or kind. Sequence numbers stay out of it: a model may renumber
+//! them (reserved ranges, elided entries) without changing which events
+//! run, in which order, at which instants. Two runs with equal digests
+//! dispatched the same event stream; a reorder, a missing or an extra
+//! event, or a shifted timestamp changes it. A registry enabled after a
+//! checkpoint resume covers the events dispatched since.
 //!
 //! # RNG draw accounting
 //!
@@ -124,6 +128,8 @@ pub struct SchedulerStats {
 #[derive(Debug)]
 pub struct Metrics<E> {
     classify: fn(&E) -> &'static str,
+    /// The payload identity folded into the digest.
+    identify: fn(&E) -> u64,
     kinds: Vec<&'static str>,
     /// A hash of each interned label, index-aligned with `kinds`.
     kind_hashes: Vec<u64>,
@@ -140,9 +146,10 @@ pub struct Metrics<E> {
 }
 
 impl<E> Metrics<E> {
-    pub(crate) fn new(classify: fn(&E) -> &'static str) -> Self {
+    pub(crate) fn new(classify: fn(&E) -> &'static str, identify: fn(&E) -> u64) -> Self {
         Metrics {
             classify,
+            identify,
             kinds: Vec::new(),
             kind_hashes: Vec::new(),
             digest: DIGEST_SEED,
@@ -173,7 +180,10 @@ impl<E> Metrics<E> {
         }
         row[k] += 1;
         let tag = self.kind_hashes[k] ^ (target as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.digest = fold(fold(self.digest, time.as_nanos()), tag);
+        self.digest = fold(
+            fold(fold(self.digest, time.as_nanos()), tag),
+            (self.identify)(event),
+        );
     }
 
     /// Resolve `kind` to its interned index (pointer identity first — the
@@ -241,8 +251,8 @@ pub struct MetricsReport {
     pub kinds: Vec<String>,
     /// Per-component dispatch counts (one row per registered component).
     pub dispatch: Vec<ComponentDispatch>,
-    /// Digest of the time, target component and kind of every dispatched
-    /// event, in dispatch order (see the module docs).
+    /// Digest of the time, target component, kind and payload identity of
+    /// every dispatched event, in dispatch order (see the module docs).
     pub event_digest: u64,
     /// Event-queue operation tallies.
     pub queue: QueueCounters,
@@ -333,7 +343,7 @@ mod tests {
                 _ => "other",
             }
         }
-        let mut m: Metrics<u8> = Metrics::new(classify);
+        let mut m: Metrics<u8> = Metrics::new(classify, |_| 0);
         let t = SimTime::from_micros(3);
         m.record(t, 1, &0);
         m.record(t, 1, &5);
@@ -345,7 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_covers_time_target_kind_and_order_but_not_payload() {
+    fn digest_covers_time_target_kind_identity_and_order() {
+        // The event is its own identity; its parity is its kind.
         fn classify(e: &u8) -> &'static str {
             if e.is_multiple_of(2) {
                 "even"
@@ -354,7 +365,7 @@ mod tests {
             }
         }
         let digest = |events: &[(u64, ComponentId, u8)]| {
-            let mut m: Metrics<u8> = Metrics::new(classify);
+            let mut m: Metrics<u8> = Metrics::new(classify, |&e| u64::from(e));
             for &(t, target, e) in events {
                 m.record(SimTime::from_nanos(t), target, &e);
             }
@@ -362,18 +373,23 @@ mod tests {
         };
         let base = digest(&[(5, 0, 1), (5, 1, 2), (9, 0, 3)]);
         assert_eq!(base, digest(&[(5, 0, 1), (5, 1, 2), (9, 0, 3)]));
-        // Same kinds, different payloads: same stream as far as the digest
-        // is concerned.
-        assert_eq!(base, digest(&[(5, 0, 3), (5, 1, 4), (9, 0, 1)]));
         for changed in [
             [(5, 0, 1), (5, 1, 2), (10, 0, 3)], // a timestamp
             [(5, 0, 1), (5, 0, 2), (9, 0, 3)],  // a target
             [(5, 0, 1), (5, 1, 3), (9, 0, 3)],  // a kind
+            [(5, 0, 1), (5, 1, 4), (9, 0, 3)],  // an identity
             [(5, 1, 2), (5, 0, 1), (9, 0, 3)],  // the order of a tie
         ] {
             assert_ne!(base, digest(&changed), "{changed:?}");
         }
         assert_ne!(base, digest(&[(5, 0, 1), (5, 1, 2)]));
+        // Two same-instant events of one kind at one component, such as
+        // the ends of two colliding frames, differ only in identity: the
+        // digest still orders them.
+        assert_ne!(
+            digest(&[(5, 0, 1), (5, 0, 3)]),
+            digest(&[(5, 0, 3), (5, 0, 1)])
+        );
     }
 
     #[test]

@@ -394,11 +394,13 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     ///
     /// `classify` maps an event to a `&'static str` kind label (typically a
     /// match over the model's event enum); the registry interns labels in
-    /// first-seen order. Recording draws no RNG, schedules nothing, and
-    /// consumes no sequence numbers, so results stay byte-identical — see
-    /// the [metrics module docs](crate::metrics) for the full cost contract.
-    pub fn enable_metrics(&mut self, classify: fn(&E) -> &'static str) {
-        self.metrics = Some(Box::new(Metrics::new(classify)));
+    /// first-seen order. `identify` maps it to the payload identity the
+    /// event digest folds in (say, the entity it concerns). Recording draws
+    /// no RNG, schedules nothing, and consumes no sequence numbers, so
+    /// results stay byte-identical — see the [metrics module
+    /// docs](crate::metrics) for the digest and the full cost contract.
+    pub fn enable_metrics(&mut self, classify: fn(&E) -> &'static str, identify: fn(&E) -> u64) {
+        self.metrics = Some(Box::new(Metrics::new(classify, identify)));
     }
 
     /// Whether the dispatch registry is enabled.
@@ -776,7 +778,7 @@ mod tests {
         // every RNG stream at the identical position.
         let (mut plain, plain_log) = rng_timer_sim();
         let (mut full, full_log) = rng_timer_sim();
-        full.enable_metrics(classify);
+        full.enable_metrics(classify, |_| 0);
         full.set_profiler(1, classify, Box::new(|_| {}));
         plain.run_for(SimDuration::from_millis(1));
         full.run_for(SimDuration::from_millis(1));

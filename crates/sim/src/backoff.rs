@@ -155,6 +155,18 @@ impl Policy {
         }
     }
 
+    /// `Some(ln_q)` when [`draw_backoff`](Self::draw_backoff) is
+    /// `geometric_from_uniform(geometric_uniform(rng), ln_q)` and nothing
+    /// else: a p-persistent policy with `0 < 1 - p < 1`. A caller may then
+    /// draw the uniform now and evaluate the geometric later, or never.
+    #[inline]
+    pub(crate) fn geometric_ln_q(&self) -> Option<f64> {
+        match self {
+            Policy::PPersistent(p) if p.p < 1.0 && p.ln_q < 0.0 => Some(p.ln_q),
+            _ => None,
+        }
+    }
+
     fn variant(&self) -> u8 {
         match self {
             Policy::Dcf(_) => 0,
@@ -282,6 +294,11 @@ fn uniform_cw(cw: u32, rng: &mut dyn RngCore) -> u64 {
     }
 }
 
+/// The backoff of a station that never transmits (`p = 0`, or a `p` so
+/// small that `1 - p` rounds to 1): far beyond any run. Fire times built
+/// from it saturate ([`PhyParams::backoff_end`]), so its timer never fires.
+pub(crate) const NEVER: u64 = u64::MAX / 2;
+
 /// Draw a geometric number of idle slots so that the station transmits in each
 /// slot with probability `p` (support `{0, 1, 2, ...}`, `P(K = k) = (1-p)^k p`).
 ///
@@ -294,16 +311,26 @@ fn geometric_slots<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> u64 {
     if p >= 1.0 {
         return 0;
     }
-    if p <= 0.0 {
-        // "Never transmit": represent as an effectively infinite backoff.
-        return u64::MAX / 2;
+    if 1.0 - p >= 1.0 {
+        // "Never transmit": `ln_q` is 0 and every ratio would be -inf.
+        return NEVER;
     }
-    geometric_from_uniform(rng.gen_range(f64::MIN_POSITIVE..1.0), ln_q)
+    geometric_from_uniform(geometric_uniform(rng), ln_q)
 }
 
-/// The geometric draw of [`geometric_slots`] for the uniform sample `u`.
-fn geometric_from_uniform(u: f64, ln_q: f64) -> u64 {
-    let k = (u.ln() / ln_q).floor();
+/// The uniform sample behind one geometric draw.
+#[inline]
+pub(crate) fn geometric_uniform<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    rng.gen_range(f64::MIN_POSITIVE..1.0)
+}
+
+/// The geometric draw of [`geometric_slots`] for the uniform sample `u`:
+/// `floor(ln u / ln_q)`. The ratio is truncated, which equals the floor on
+/// every value the `k >= 0` test admits; `f64::floor` is a library call on
+/// baseline x86-64.
+#[inline]
+pub(crate) fn geometric_from_uniform(u: f64, ln_q: f64) -> u64 {
+    let k = u.ln() / ln_q;
     if k.is_finite() && k >= 0.0 {
         k as u64
     } else {
@@ -320,18 +347,16 @@ fn geometric_is_zero<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> boo
     if p >= 1.0 {
         return true;
     }
-    if p <= 0.0 {
+    if 1.0 - p >= 1.0 {
         return false;
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u = geometric_uniform(rng);
     let q = 1.0 - p;
-    if ln_q < 0.0 {
-        if u > q * (1.0 + 1e-9) {
-            return true;
-        }
-        if u < q * (1.0 - 1e-9) {
-            return false;
-        }
+    if u > q * (1.0 + 1e-9) {
+        return true;
+    }
+    if u < q * (1.0 - 1e-9) {
+        return false;
     }
     geometric_from_uniform(u, ln_q) == 0
 }
@@ -770,6 +795,61 @@ mod tests {
         let ln_q = 0.75f64.ln();
         for u in [0.75 * (1.0 - 1e-12), 0.75, 0.75 * (1.0 + 1e-12)] {
             assert_eq!(geometric_from_uniform(u, ln_q) == 0, u > 0.75, "u = {u}");
+        }
+    }
+
+    #[test]
+    fn truncation_equals_floor_on_edge_inputs() {
+        // The draw as it was written before truncation replaced the floor.
+        fn floored(u: f64, ln_q: f64) -> u64 {
+            let k = (u.ln() / ln_q).floor();
+            if k.is_finite() && k >= 0.0 {
+                k as u64
+            } else {
+                0
+            }
+        }
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let ln_qs = [
+            0.5f64.ln(),
+            0.92f64.ln(),
+            0.999f64.ln(),
+            (1.0 - 1e-12f64).ln(),
+            (1.0 - f64::EPSILON).ln(),
+            f64::EPSILON.ln(),
+            // Non-finite and zero divisors: ratios of -inf, +inf and NaN.
+            0.0,
+            -0.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut us = vec![
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-9,
+            0.25,
+            0.5,
+            0.92,
+            below_one,
+            1.0,
+        ];
+        us.extend([0.5f64, 0.92, 0.999].iter().flat_map(|q| {
+            // The thresholds q^k and their neighbours.
+            (1..40).flat_map(move |k| {
+                let edge = q.powi(k);
+                [edge, edge.next_down(), edge.next_up()]
+            })
+        }));
+        let mut r = rng();
+        us.extend((0..10_000).map(|_| geometric_uniform(&mut r)));
+        for &ln_q in &ln_qs {
+            for &u in &us {
+                assert_eq!(
+                    geometric_from_uniform(u, ln_q),
+                    floored(u, ln_q),
+                    "u = {u:e}, ln_q = {ln_q:e}"
+                );
+            }
         }
     }
 

@@ -48,54 +48,158 @@
 //! ## RNG draws
 //!
 //! Resumes still draw p-persistent backoffs (redraw-on-resume) and call
-//! IdleSense `on_observation` for every synced station, in one eager loop per
-//! medium transition in ascending id order, so every station's ChaCha8
+//! IdleSense `on_observation` for every synced station, in one loop per
+//! medium transition in ascending id order over the word mask of active,
+//! synced stations that redraw or observe, so every station's ChaCha8
 //! stream and policy state evolve exactly as on the per-station path. When
 //! an ACK follows the resume, the ACK freezes every countdown before it can
 //! expire and the next resume redraws it, so the loop only asks whether each
 //! draw is zero ([`Policy::draws_zero`](crate::backoff::Policy::draws_zero)),
 //! which consumes the same stream words.
+//!
+//! Otherwise each redraw draws only its uniform: the countdowns of one
+//! `ln q` class are kept *lazily* ([`Targets`]). Before the next resume the
+//! cell reads only the earliest target or two, and with equal `q` the
+//! earliest belongs to the largest uniform, so a resume evaluates that one
+//! geometric, plus the few others its guard band cannot rule out, and bounds
+//! the rest. The next resume overwrites the leftovers unread.
 
 use super::station::{Phase, Stations};
 use super::timers::{Armed, Timers};
-use crate::backoff::BackoffPolicy;
+use crate::backoff::{geometric_from_uniform, geometric_uniform, BackoffPolicy};
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
-use crate::topology::{ones, NodeId};
-use wlan_des::snapshot::SnapshotError;
+use crate::topology::NodeId;
+use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use wlan_des::time::SimTime;
 
 /// `target` value of a station without a synced countdown.
 const NO_TARGET: u64 = u64::MAX;
+/// `target` value of a lazy countdown (see [`Targets`]).
+const LAZY: u64 = u64::MAX - 1;
+
+/// Whether `node`'s bit is set in a station bitset (64 stations to a word).
+#[inline]
+fn bit(set: &[u64], node: NodeId) -> bool {
+    set[node / 64] >> (node % 64) & 1 != 0
+}
+
+/// Set or clear `node`'s bit in a station bitset.
+#[inline]
+fn put(set: &mut [u64], node: NodeId, on: bool) {
+    let mask = 1 << (node % 64);
+    if on {
+        set[node / 64] |= mask;
+    } else {
+        set[node / 64] &= !mask;
+    }
+}
+
+/// The station bitset of `n` stations holding those `pick` selects.
+fn bitset(n: usize, pick: impl Fn(NodeId) -> bool) -> Box<[u64]> {
+    let mut set = vec![0; n.div_ceil(64)].into_boxed_slice();
+    (0..n)
+        .filter(|&node| pick(node))
+        .for_each(|node| put(&mut set, node, true));
+    set
+}
 
 /// The synced countdown targets in blocks of `BLOCK` stations, each with
 /// its cached earliest `(target, id)`: the earliest overall is a scan of
 /// the block minima, one station's change rescans at most its block, and a
-/// resume that redraws every target writes them in bulk and rebuilds the
-/// blocks once, on the next query.
+/// resume that redraws every target rebuilds the blocks once, as it
+/// finishes.
+///
+/// A p-persistent countdown a resume redrew may be *lazy* (`LAZY`): the
+/// resume drew its uniform `u` from the station's stream, and its target is
+/// `epoch + floor(ln u / ln q)` with the `ln q` and epoch of that resume
+/// (one `ln q` class per resume; stored, because the `on_control` broadcast
+/// may change `q` before the target is read). For equal `q` the smallest
+/// geometric belongs to the largest uniform `u*`; a sample below
+/// `q^(k*+1)` draws more than `k*` slots. So [`resumed`](Self::resumed)
+/// evaluates `k*` and every sample within a relative 1e-9 of that
+/// threshold exactly (the guard band of `draws_zero`, far wider than the
+/// rounding of the `ln`, the division and the one `exp`) and bounds the
+/// rest below by `epoch + k* + 1`. The block minima hold that bound for a
+/// lazy target. Every read is exact: [`get`](Self::get) evaluates a lazy
+/// target, [`collect_until`](Self::collect_until) and [`min`](Self::min)
+/// evaluate the ones their answer depends on, and a checkpoint saves exact
+/// targets.
 struct Targets {
     target: Box<[u64]>,
     block_min: Vec<(u64, NodeId)>,
     dirty: bool,
+    /// Per station: the uniform of its lazy countdown (empty in a cell
+    /// without redrawers).
+    uniform: Box<[f64]>,
+    /// The `ln q` and the epoch of the resume that drew the lazy targets,
+    /// and the lower bound it gave them.
+    lazy_ln_q: f64,
+    lazy_epoch: u64,
+    bound: u64,
+    /// While a resume redraws: its lazy class's `ln q` and largest uniform.
+    class: Option<(f64, f64)>,
 }
 
-// Loaded targets rebuild the block minima on the next query.
-wlan_des::state!(struct Targets { target } then Self::mark_dirty);
+/// Only exact targets are checkpointed; loaded targets rebuild the block
+/// minima on the next query.
+impl State for Targets {
+    fn save(&self, w: &mut StateWriter) {
+        let exact: Vec<u64> = (0..self.target.len()).map(|node| self.get(node)).collect();
+        exact.save(w);
+    }
+
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.target.load(r)?;
+        if self.target.contains(&LAZY) {
+            return Err(SnapshotError::custom(
+                "clique countdown target out of range",
+            ));
+        }
+        self.dirty = true;
+        Ok(())
+    }
+}
 
 const BLOCK: usize = 64;
 
 impl Targets {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, redraws: bool) -> Self {
         Targets {
             target: vec![NO_TARGET; n].into(),
             block_min: vec![(NO_TARGET, 0); n.div_ceil(BLOCK)],
             dirty: false,
+            uniform: vec![0.0; if redraws { n } else { 0 }].into(),
+            lazy_ln_q: 0.0,
+            lazy_epoch: 0,
+            bound: 0,
+            class: None,
         }
     }
 
+    /// Whether `node` has a synced countdown (without evaluating it).
+    #[inline]
+    fn has(&self, node: NodeId) -> bool {
+        self.target[node] != NO_TARGET
+    }
+
+    /// `node`'s exact target.
     #[inline]
     fn get(&self, node: NodeId) -> u64 {
-        self.target[node]
+        match self.target[node] {
+            LAZY => self.lazy_epoch + geometric_from_uniform(self.uniform[node], self.lazy_ln_q),
+            target => target,
+        }
+    }
+
+    /// What the block minima hold for a stored target: a lazy one's bound.
+    #[inline]
+    fn key(&self, target: u64) -> u64 {
+        if target == LAZY {
+            self.bound
+        } else {
+            target
+        }
     }
 
     fn scan_block(&mut self, block: usize) {
@@ -103,6 +207,7 @@ impl Targets {
         let slice = &self.target[first..(first + BLOCK).min(self.target.len())];
         let mut best = (NO_TARGET, first);
         for (i, &t) in slice.iter().enumerate() {
+            let t = self.key(t);
             if t < best.0 {
                 best = (t, first + i);
             }
@@ -132,9 +237,57 @@ impl Targets {
         self.dirty = true;
     }
 
-    fn mark_dirty(&mut self) -> Result<(), SnapshotError> {
-        self.dirty = true;
-        Ok(())
+    /// Redraw `node`'s geometric countdown at a resume at `epoch` from the
+    /// uniform `u` (a bulk update, finished by [`resumed`](Self::resumed)):
+    /// lazily if `ln_q` is the resume's lazy class (the first one
+    /// redrawn), exactly otherwise.
+    #[inline]
+    fn redraw(&mut self, node: NodeId, epoch: u64, ln_q: f64, u: f64) {
+        let u_max = match self.class {
+            None => u,
+            Some((class, u_max)) if class == ln_q => u_max.max(u),
+            Some(_) => {
+                self.set_bulk(node, epoch + geometric_from_uniform(u, ln_q));
+                return;
+            }
+        };
+        self.class = Some((ln_q, u_max));
+        self.target[node] = LAZY;
+        self.uniform[node] = u;
+    }
+
+    /// Finish a resume at `epoch` that redrew targets in bulk: evaluate the
+    /// lazy class's `k*` and its guard band, bound the other lazy targets,
+    /// and rebuild every block.
+    fn resumed(&mut self, epoch: u64) {
+        let lazy = self.class.take();
+        let mut band = f64::INFINITY;
+        if let Some((ln_q, u_max)) = lazy {
+            let k = geometric_from_uniform(u_max, ln_q);
+            self.lazy_ln_q = ln_q;
+            self.lazy_epoch = epoch;
+            self.bound = epoch + k + 1;
+            band = (ln_q * (k + 1) as f64).exp() * (1.0 - 1e-9);
+        }
+        debug_assert!(
+            lazy.is_some() || !self.target.contains(&LAZY),
+            "a lazy target outlived its resume"
+        );
+        for block in 0..self.block_min.len() {
+            let first = block * BLOCK;
+            let mut best = (NO_TARGET, first);
+            for node in first..(first + BLOCK).min(self.target.len()) {
+                if self.target[node] == LAZY && self.uniform[node] >= band {
+                    self.target[node] = self.get(node);
+                }
+                let t = self.key(self.target[node]);
+                if t < best.0 {
+                    best = (t, node);
+                }
+            }
+            self.block_min[block] = best;
+        }
+        self.dirty = false;
     }
 
     fn rebuild(&mut self) {
@@ -149,24 +302,46 @@ impl Targets {
     /// The earliest `(target, id)`, lowest id first among equals.
     fn min(&mut self) -> Option<(u64, NodeId)> {
         self.rebuild();
-        let min = self.block_min.iter().copied().min()?;
+        let mut min = self.block_min.iter().copied().min()?;
+        if self.target[min.1] == LAZY {
+            // A lazy target reached the front (the ones evaluated at the
+            // resume were detached): which is earliest needs them all.
+            for node in 0..self.target.len() {
+                self.target[node] = self.get(node);
+            }
+            self.dirty = true;
+            self.rebuild();
+            min = self.block_min.iter().copied().min()?;
+        }
         (min.0 != NO_TARGET).then_some(min)
     }
 
-    /// Append every station whose target is at most `limit` to `out`.
+    /// Append every station whose target is at most `limit` to `out`,
+    /// evaluating the lazy targets whose bound does not rule them out.
     fn collect_until(&mut self, limit: u64, out: &mut Vec<NodeId>) {
         self.rebuild();
-        for (block, &(min, _)) in self.block_min.iter().enumerate() {
-            if min <= limit {
-                let first = block * BLOCK;
-                let slice = &self.target[first..(first + BLOCK).min(self.target.len())];
-                out.extend(
-                    slice
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &t)| t <= limit)
-                        .map(|(i, _)| first + i),
-                );
+        for block in 0..self.block_min.len() {
+            if self.block_min[block].0 > limit {
+                continue;
+            }
+            let first = block * BLOCK;
+            let mut evaluated = false;
+            for node in first..(first + BLOCK).min(self.target.len()) {
+                let mut t = self.target[node];
+                if t == LAZY {
+                    if self.bound > limit {
+                        continue;
+                    }
+                    t = self.get(node);
+                    self.target[node] = t;
+                    evaluated = true;
+                }
+                if t <= limit {
+                    out.push(node);
+                }
+            }
+            if evaluated {
+                self.scan_block(block);
             }
         }
     }
@@ -202,9 +377,10 @@ pub(crate) struct Clique {
     due_anchor: SimTime,
     due_epoch: u64,
     due_walk: u64,
-    /// Detached stations, ascending.
+    /// Detached stations, ascending, and as a bitset (which also holds the
+    /// on-air ones).
     detached: Vec<NodeId>,
-    is_detached: Vec<bool>,
+    is_detached: Box<[u64]>,
     /// Detached stations the current handler touched one by one, and
     /// whether the whole detached set moved with the cell (a transition
     /// between idle and busy): the candidates `settle` tries to re-sync.
@@ -222,11 +398,11 @@ pub(crate) struct Clique {
     /// then sets its busy-has-data bit.
     data_starts: u64,
     data_mark: Box<[u64]>,
-    /// Per station: whether its policy consumes observations / redraws on
-    /// resume (both fixed at build time), and whether any does (the eager
-    /// loops are skipped otherwise).
-    observer: Vec<bool>,
-    redrawer: Vec<bool>,
+    /// The stations whose policy consumes observations / redraws on resume
+    /// (both fixed at build time), and whether any does (the resume loop is
+    /// skipped otherwise).
+    observer: Box<[u64]>,
+    redrawer: Box<[u64]>,
     observers: bool,
     redraws: bool,
 }
@@ -243,6 +419,8 @@ impl Clique {
     /// The view of an idle cell at time zero with every station inactive.
     pub(crate) fn new(stations: &Stations) -> Self {
         let n = stations.len();
+        let hot = &stations.hot;
+        let redraws = hot.iter().any(|h| h.redraw_on_resume());
         Clique {
             busy: 0,
             idle_since: SimTime::ZERO,
@@ -251,7 +429,7 @@ impl Clique {
             epoch: 0,
             walk: 0,
             elided: false,
-            targets: Targets::new(n),
+            targets: Targets::new(n, redraws),
             due: Vec::new(),
             is_due: vec![false; n],
             due_anchor: SimTime::ZERO,
@@ -260,22 +438,22 @@ impl Clique {
             // Every station starts detached (activation writes its record),
             // so size these for all of them at once.
             detached: Vec::with_capacity(n),
-            is_detached: vec![false; n],
+            is_detached: vec![0; n.div_ceil(64)].into(),
             touched: Vec::with_capacity(2 * n),
             transition: false,
             on_air: Vec::new(),
             is_on_air: vec![false; n],
             data_starts: 0,
             data_mark: vec![0; n].into(),
-            observer: stations.hot.iter().map(|h| h.wants_obs()).collect(),
-            redrawer: stations.hot.iter().map(|h| h.redraw_on_resume()).collect(),
-            observers: stations.hot.iter().any(|h| h.wants_obs()),
-            redraws: stations.hot.iter().any(|h| h.redraw_on_resume()),
+            observer: bitset(n, |node| hot[node].wants_obs()),
+            redrawer: bitset(n, |node| hot[node].redraw_on_resume()),
+            observers: hot.iter().any(|h| h.wants_obs()),
+            redraws,
         }
     }
 
     fn insert_detached(&mut self, node: NodeId) {
-        self.is_detached[node] = true;
+        put(&mut self.is_detached, node, true);
         self.touched.push(node);
         if let Err(pos) = self.detached.binary_search(&node) {
             self.detached.insert(pos, node);
@@ -291,14 +469,14 @@ impl Clique {
     pub(crate) fn forget(&mut self, node: NodeId) {
         debug_assert_eq!(self.targets.get(node), NO_TARGET, "forget a synced station");
         debug_assert!(!self.is_on_air[node], "forget an on-air station");
-        self.is_detached[node] = false;
+        put(&mut self.is_detached, node, false);
         self.detached.retain(|&d| d != node);
     }
 
     /// `node` just started transmitting: if its record follows the cell at
     /// an offset of one, move it to the lazily updated on-air set.
     pub(crate) fn went_on_air(&mut self, st: &Stations, node: NodeId) {
-        if !self.is_detached[node]
+        if !bit(&self.is_detached, node)
             || st.hot[node].phase != Phase::Transmitting
             || st.sensed.count(node) + 1 != self.busy
         {
@@ -325,7 +503,7 @@ impl Clique {
     /// The implicit timer of due station `node`.
     fn due_timer(&self, st: &Stations, phy: &PhyParams, node: NodeId) -> Armed {
         Armed {
-            time: self.due_anchor + phy.slot * (self.targets.get(node) - self.due_epoch),
+            time: phy.backoff_end(self.due_anchor, self.targets.get(node) - self.due_epoch),
             seq: self.due_walk + node as u64,
             node,
             gen: st.hot[node].timer_gen,
@@ -351,7 +529,7 @@ impl Clique {
             self.insert_detached(node);
             return;
         }
-        if self.is_detached[node] {
+        if bit(&self.is_detached, node) {
             // The caller is about to change this record: re-check it.
             self.touched.push(node);
             return;
@@ -369,7 +547,7 @@ impl Clique {
                 h.remaining_slots = remaining;
                 h.set_countdown(anchor);
                 if !self.elided || remaining == 0 {
-                    let time = anchor + phy.slot * remaining;
+                    let time = phy.backoff_end(anchor, remaining);
                     timers.arm(node, h.timer_gen, time, self.walk + node as u64);
                 }
             } else if self.is_due[node] {
@@ -530,27 +708,40 @@ impl Clique {
             rng,
             ..
         } = st;
-        for node in ones(active) {
-            if self.is_detached[node] {
-                continue;
-            }
-            if observe && self.observer[node] {
-                policy[node].on_observation(&obs);
-            }
-            if self.redrawer[node] && self.targets.get(node) != NO_TARGET {
+        for w in 0..active.len() {
+            let observing = if observe { self.observer[w] } else { 0 };
+            let mut bits = active[w] & !self.is_detached[w] & (self.redrawer[w] | observing);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let node = w * 64 + b as usize;
+                if observing >> b & 1 != 0 {
+                    policy[node].on_observation(&obs);
+                }
+                if self.redrawer[w] >> b & 1 == 0 || !self.targets.has(node) {
+                    continue;
+                }
                 // Memoryless policies redraw instead of resuming (see
                 // `BackoffPolicy::redraw_on_resume`).
+                let (policy, rng) = (&mut policy[node], &mut rng[node]);
                 let drawn = if ack_follows {
                     // The ACK freezes this countdown SIFS from now, and the
                     // next resume redraws it before anything reads it: only
                     // a zero-slot draw, armed at once and due at the freeze,
                     // is observable. Any other draw stands in as one slot.
-                    u64::from(!policy[node].draws_zero(&mut rng[node]))
+                    u64::from(!policy.draws_zero(rng))
+                } else if let Some(ln_q) = policy.geometric_ln_q() {
+                    let u = geometric_uniform(rng);
+                    self.targets.redraw(node, self.epoch, ln_q, u);
+                    continue;
                 } else {
-                    policy[node].draw_backoff(&mut rng[node])
+                    policy.draw_backoff(rng)
                 };
                 self.targets.set_bulk(node, self.epoch + drawn);
             }
+        }
+        if self.redraws {
+            self.targets.resumed(self.epoch);
         }
     }
 
@@ -588,7 +779,7 @@ impl Clique {
         }
         let remaining = h.remaining_slots;
         let implicit = (!self.elided || remaining == 0).then(|| Armed {
-            time: anchor + phy.slot * remaining,
+            time: phy.backoff_end(anchor, remaining),
             seq: self.walk + node as u64,
             node,
             gen: h.timer_gen,
@@ -612,7 +803,7 @@ impl Clique {
         let mut resynced =
             |clique: &mut Self, node: NodeId| match clique.resync_target(st, timers, phy, node) {
                 Some(target) => {
-                    clique.is_detached[node] = false;
+                    put(&mut clique.is_detached, node, false);
                     timers.cancel(node);
                     if target != NO_TARGET {
                         clique.targets.set(node, target);
@@ -635,11 +826,12 @@ impl Clique {
             let mut any = false;
             for i in 0..self.touched.len() {
                 let node = self.touched[i];
-                any |= self.is_detached[node] && !self.is_on_air[node] && resynced(self, node);
+                any |=
+                    bit(&self.is_detached, node) && !self.is_on_air[node] && resynced(self, node);
             }
             if any {
                 let is_detached = &self.is_detached;
-                self.detached.retain(|&node| is_detached[node]);
+                self.detached.retain(|&node| bit(is_detached, node));
             }
         }
         self.touched.clear();
@@ -651,7 +843,7 @@ impl Clique {
             self.targets.min().and_then(|(target, node)| {
                 let remaining = target - self.epoch;
                 (!self.elided || remaining == 0).then(|| Armed {
-                    time: self.idle_since + phy.difs + phy.slot * remaining,
+                    time: phy.backoff_end(self.idle_since + phy.difs, remaining),
                     seq: self.walk + node as u64,
                     node,
                     gen: st.hot[node].timer_gen,
@@ -671,18 +863,219 @@ impl Clique {
             )));
         }
         self.is_due.fill(false);
-        self.is_detached.fill(false);
+        self.is_detached.fill(0);
         self.is_on_air.fill(false);
         for &node in &self.due {
             self.is_due[node] = true;
         }
         for &node in self.detached.iter().chain(&self.on_air) {
-            self.is_detached[node] = true;
+            put(&mut self.is_detached, node, true);
         }
         for &node in &self.on_air {
             self.is_on_air[node] = true;
         }
         self.touched.clear();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The attempt probabilities of the `ln q` classes, near 0 and 1 among
+    /// them; a station of class `None` does not redraw.
+    const P: [Option<f64>; 6] = [
+        Some(0.08),
+        Some(1e-12),
+        Some(0.5),
+        Some(1.0 - 1e-12),
+        Some(0.001),
+        None,
+    ];
+
+    /// A uniform for a station with `ln q`: a fresh sample, or one within
+    /// a few guard bands of `q^k`, where the resume's earliest geometric
+    /// `k*` places its threshold (`k` near `k*` + 1).
+    fn uniform(rng: &mut ChaCha8Rng, ln_q: f64, k: u64) -> f64 {
+        if rng.gen_bool(0.5) {
+            return geometric_uniform(rng);
+        }
+        let k = k + rng.gen_range(0..3);
+        let rel = [-3e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 3e-9][rng.gen_range(0..7)];
+        ((ln_q * k as f64).exp() * (1.0 + rel)).clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0)
+    }
+
+    /// The targets in `targets`, and the exact ones an eager model holds,
+    /// must agree on every read.
+    fn agree(targets: &mut Targets, model: &[u64]) {
+        for (node, &exact) in model.iter().enumerate() {
+            assert_eq!(targets.get(node), exact, "station {node}");
+            assert_eq!(targets.has(node), exact != NO_TARGET, "station {node}");
+        }
+    }
+
+    fn save(targets: &Targets) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        targets.save(&mut w);
+        w.finish()
+    }
+
+    /// Drive lazy `Targets` and an eager model through resumes and the
+    /// reads between them: `detach` (`get`, then clear), re-syncs,
+    /// `collect_until`, `min` and checkpoints.
+    fn check(n: usize, classes: &[usize], seed: u64, steps: &[(u8, u16)]) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let class = |node: NodeId| P[classes[node % classes.len()]];
+        let mut targets = Targets::new(n, true);
+        let mut model = vec![NO_TARGET; n];
+        let mut epoch = 0u64;
+        for &(op, arg) in steps {
+            let node = arg as usize % n;
+            match op % 7 {
+                // A resume: every station with a countdown that redraws
+                // draws again, lazily or (after an ACK) as a zero test.
+                // Most redrawers contend, as in a saturated cell.
+                0 | 1 => {
+                    for (node, target) in model.iter_mut().enumerate() {
+                        if class(node).is_some() && *target == NO_TARGET && rng.gen_bool(0.75) {
+                            *target = epoch;
+                            targets.set(node, epoch);
+                        }
+                    }
+                    let first =
+                        (0..n).find_map(|node| class(node).filter(|_| model[node] != NO_TARGET));
+                    let k = first.map_or(0, |p| {
+                        geometric_from_uniform(geometric_uniform(&mut rng), (1.0 - p).ln())
+                    });
+                    for (node, target) in model.iter_mut().enumerate() {
+                        let Some(p) = class(node) else { continue };
+                        if *target == NO_TARGET {
+                            continue;
+                        }
+                        let ln_q = (1.0 - p).ln();
+                        let u = uniform(&mut rng, ln_q, k);
+                        let exact = epoch + geometric_from_uniform(u, ln_q);
+                        if op % 7 == 0 {
+                            targets.redraw(node, epoch, ln_q, u);
+                            *target = exact;
+                        } else {
+                            *target = epoch + u64::from(exact != epoch);
+                            targets.set_bulk(node, *target);
+                        }
+                    }
+                    targets.resumed(epoch);
+                }
+                // A detach reads the exact target, then clears it; half of
+                // them detach the earliest station, as its timer firing does.
+                2 => {
+                    let earliest = (0..n).min_by_key(|&i| (model[i], i)).unwrap();
+                    let node = if arg % 2 == 1 { earliest } else { node };
+                    assert_eq!(targets.get(node), model[node]);
+                    targets.set(node, NO_TARGET);
+                    model[node] = NO_TARGET;
+                }
+                // A re-sync (or a non-redrawer's countdown) sets one.
+                3 => {
+                    let target = epoch + u64::from(arg) % 40;
+                    targets.set(node, target);
+                    model[node] = target;
+                }
+                // A freeze collects the countdowns due by the frozen epoch,
+                // mostly within a few slots, where the lazy bound lies.
+                4 => {
+                    let span = if arg % 3 == 0 { 64 } else { 4 };
+                    let limit = epoch + u64::from(arg / 3) % span;
+                    let mut due = Vec::new();
+                    targets.collect_until(limit, &mut due);
+                    let expected: Vec<NodeId> = (0..n).filter(|&i| model[i] <= limit).collect();
+                    assert_eq!(due, expected, "collect_until({limit})");
+                    epoch = limit;
+                }
+                5 => {
+                    let expected = (0..n)
+                        .map(|i| (model[i], i))
+                        .min()
+                        .filter(|&(t, _)| t != NO_TARGET);
+                    assert_eq!(targets.min(), expected);
+                }
+                // A checkpoint saves exact targets, and resumes from them.
+                _ => {
+                    let mut eager = Targets::new(n, false);
+                    eager.target.copy_from_slice(&model);
+                    let bytes = save(&targets);
+                    assert_eq!(bytes, save(&eager), "checkpoint bytes");
+                    if arg % 2 == 0 {
+                        let mut loaded = Targets::new(n, true);
+                        let mut r = StateReader::new(&bytes).unwrap();
+                        loaded.load(&mut r).unwrap();
+                        r.expect_end().unwrap();
+                        targets = loaded;
+                    }
+                }
+            }
+            agree(&mut targets, &model);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lazy_targets_read_exactly_like_eager_ones(
+            n_idx in 0usize..4,
+            classes in proptest::collection::vec(0usize..6, 1..4),
+            seed in any::<u64>(),
+            steps in proptest::collection::vec((0u8..7, 0u16..1000), 1..60),
+        ) {
+            check([1, 5, 64, 130][n_idx], &classes, seed, &steps);
+        }
+    }
+
+    /// What makes the lazy path pay: a resume evaluates only the earliest
+    /// targets, reading the earliest and freezing at it evaluate nothing
+    /// more, and the next resume overwrites the rest unread.
+    #[test]
+    fn a_resume_evaluates_only_the_earliest_countdowns() {
+        // About the attempt probability wTOP settles at for N = 1000.
+        let (n, ln_q) = (1000, 0.998f64.ln());
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut targets = Targets::new(n, true);
+        (0..n).for_each(|node| targets.set(node, 0));
+        let lazy = |targets: &Targets| targets.target.iter().filter(|&&t| t == LAZY).count();
+        for epoch in [0, 30] {
+            for node in 0..n {
+                assert!(targets.has(node));
+                targets.redraw(node, epoch, ln_q, geometric_uniform(&mut rng));
+            }
+            targets.resumed(epoch);
+            let evaluated = n - lazy(&targets);
+            assert!(
+                (1..=10).contains(&evaluated),
+                "{evaluated} evaluated at the resume"
+            );
+            let (first, _) = targets.min().unwrap();
+            let mut due = Vec::new();
+            targets.collect_until(first, &mut due);
+            assert!(!due.is_empty());
+            assert_eq!(
+                n - lazy(&targets),
+                evaluated,
+                "reads evaluated lazy targets"
+            );
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_holding_a_lazy_marker_is_rejected() {
+        let mut w = StateWriter::new();
+        vec![0, LAZY, NO_TARGET].save(&mut w);
+        let bytes = w.finish();
+        let mut targets = Targets::new(3, true);
+        let mut r = StateReader::new(&bytes).unwrap();
+        assert!(targets.load(&mut r).is_err());
     }
 }

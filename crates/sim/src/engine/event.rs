@@ -75,6 +75,22 @@ impl Event {
             Event::StatsTick => "stats_tick",
         }
     }
+
+    /// The payload identity the kernel's event digest folds in beside the
+    /// kind: the station of a station-addressed event, the transmission of
+    /// a transmission-scoped one. It orders same-instant events of one
+    /// kind, such as the `TxEnd`s of one collision.
+    pub(crate) fn identity(&self) -> u64 {
+        match *self {
+            Event::TxStart { station, .. }
+            | Event::AckTimeout { station, .. }
+            | Event::FrameArrival { station } => station as u64,
+            Event::TxEnd { tx } | Event::AckStart { tx } | Event::AckEnd { tx } => {
+                u64::from(tx.index()) << 32 | u64::from(tx.generation())
+            }
+            Event::StatsTick => 0,
+        }
+    }
 }
 
 /// Timer-tier constructor for the backoff tier: a fired timer at `station`

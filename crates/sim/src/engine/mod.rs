@@ -48,9 +48,10 @@
 //!   freeze or resume rules, in ascending id order. In a clique the
 //!   medium view is kept once per cell and backoff countdowns are targets
 //!   on a shared idle-slot epoch, so a transition costs O(k), plus one
-//!   eager loop per resume for the policies that redraw or observe
-//!   ([`clique`]). Both paths produce the identical event order and RNG
-//!   draws.
+//!   loop per resume for the policies that redraw or observe, which draws
+//!   p-persistent uniforms and leaves their geometric draws lazy until
+//!   read ([`clique`]). Both paths produce the identical event order and
+//!   RNG draws.
 //! * **Static dispatch** — stations own a [`Policy`] enum inline, so the
 //!   per-station policy calls dispatch without vtables; the AP's controller
 //!   is a `Box<dyn ApAlgorithm>`, called once per frame or beacon.

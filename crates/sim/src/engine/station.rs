@@ -252,7 +252,7 @@ impl HotState {
             // scheduled event.
         } else {
             self.timer_gen += 1;
-            let fire = start + phy.slot * self.remaining_slots;
+            let fire = phy.backoff_end(start, self.remaining_slots);
             // The station can still be armed here: a zero-slot timer left
             // valid by the same-instant rule whose busy period ended
             // before it fired (e.g. an ACK shorter than DIFS). Arming
@@ -544,7 +544,7 @@ impl Stations {
             };
             h.set_countdown(start);
             h.timer_gen += 1;
-            let fire = start + phy.slot * h.remaining_slots;
+            let fire = phy.backoff_end(start, h.remaining_slots);
             timers.arm(node, h.timer_gen, fire, ctx.reserve_seqs(1));
         }
     }

@@ -54,7 +54,7 @@ impl Simulator {
     /// instrumented run is byte-identical to an uninstrumented one. When
     /// never called, the dispatch path pays one never-taken branch per event.
     pub fn enable_metrics(&mut self) {
-        self.sim.enable_metrics(classify_event);
+        self.sim.enable_metrics(classify_event, Event::identity);
     }
 
     /// Whether [`enable_metrics`](Self::enable_metrics) has been called.

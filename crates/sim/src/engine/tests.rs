@@ -49,6 +49,44 @@ fn two_fully_connected_stations_share_and_rarely_collide() {
     assert!((t0 - t1).abs() / (t0 + t1) < 0.15, "t0={t0} t1={t1}");
 }
 
+/// A station whose attempt probability is 0, or so small that `1 - p`
+/// rounds to 1 (1e-17) or that a draw's fire time overflows (2e-16), never
+/// transmits, on either sensing path. Such countdowns used to fire at once
+/// in release builds (the fire time wrapped, or every draw was 0 slots) and
+/// to panic on the overflow in debug builds.
+#[test]
+fn never_transmitting_stations_make_no_attempt() {
+    for p in [0.0, 1e-17, 2e-16] {
+        let disc = Topology::uniform_disc(5, 20.0, &mut ChaCha8Rng::seed_from_u64(2));
+        let cells = [
+            (Topology::fully_connected(5), false),
+            (Topology::fully_connected(5), true),
+            (disc, true),
+        ];
+        for (topology, per_station) in cells {
+            let mut builder = SimulatorBuilder::new(PhyParams::table1(), topology)
+                .seed(9)
+                .with_stations(move |i, _| PPersistent::new(if i < 3 { p } else { 0.05 }));
+            if per_station {
+                builder = builder.per_station_sensing();
+            }
+            let mut sim = builder.build();
+            sim.run_for(SimDuration::from_millis(300));
+            let stats = sim.stats();
+            let attempts: Vec<u64> = stats.nodes.iter().map(|s| s.attempts).collect();
+            assert_eq!(
+                attempts[..3],
+                [0, 0, 0],
+                "p = {p}, per-station {per_station}"
+            );
+            assert!(
+                attempts[3..].iter().all(|&a| a > 100),
+                "p = {p}, per-station {per_station}: {attempts:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn hidden_pair_collides_heavily() {
     // Two stations that cannot sense each other but both reach the AP.
@@ -895,13 +933,21 @@ mod clique_equivalence {
     use crate::idlesense::{IdleSenseConfig, IdleSensePolicy};
     use proptest::prelude::*;
 
-    fn policy(kind: u8, phy: &PhyParams) -> Policy {
-        match kind % 5 {
+    fn policy(kind: u8, node: NodeId, phy: &PhyParams) -> Policy {
+        match kind % 6 {
             0 => ExponentialBackoff::new(phy).into(),
             1 => PPersistent::new(0.08).into(),
             2 => RandomReset::new(phy, 1, 0.6).into(),
             3 => FixedWindow::new(6).into(),
-            _ => IdleSensePolicy::new(IdleSenseConfig::for_phy(phy)).into(),
+            4 => IdleSensePolicy::new(IdleSenseConfig::for_phy(phy)).into(),
+            // Weighted static p-persistent: Lemma 1 gives each weight its
+            // own attempt probability, so a resume redraws several `ln q`
+            // classes.
+            _ => {
+                let weight = [1.0, 2.0, 0.5][node % 3];
+                PPersistent::with_weight(PPersistent::weighted_probability(0.08, weight), weight)
+                    .into()
+            }
         }
     }
 
@@ -939,7 +985,7 @@ mod clique_equivalence {
                 } else {
                     case.kind
                 };
-                policy(kind, phy)
+                policy(kind, i, phy)
             })
             .capture_model(capture)
             .frame_error_rate(case.fer);
@@ -1008,7 +1054,7 @@ mod clique_equivalence {
         #[test]
         fn clique_path_matches_per_station_path(
             n_idx in 0usize..6,
-            kind in 0u8..5,
+            kind in 0u8..6,
             mixed in any::<bool>(),
             sir_idx in 0usize..4,
             lossy in any::<bool>(),

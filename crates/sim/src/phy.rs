@@ -14,7 +14,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use wlan_des::time::SimDuration;
+use wlan_des::time::{SimDuration, SimTime};
 
 /// Length of a MAC data header in bits (24-byte MAC header + 4-byte FCS + 6-byte LLC/SNAP).
 pub const DEFAULT_MAC_HEADER_BITS: u64 = 34 * 8;
@@ -111,6 +111,16 @@ impl PhyParams {
     pub fn cw_at_stage(&self, stage: u8) -> u32 {
         let shifted = (self.cw_min as u64) << stage.min(31);
         shifted.min(self.cw_max as u64) as u32
+    }
+
+    /// When a backoff countdown of `slots` idle slots anchored at `start`
+    /// expires. Saturating: a countdown that never ends
+    /// ([`NEVER`](crate::backoff::NEVER)), or one too long to express, lies
+    /// beyond any run instead of wrapping into the past.
+    #[inline]
+    pub(crate) fn backoff_end(&self, start: SimTime, slots: u64) -> SimTime {
+        let wait = self.slot.as_nanos().saturating_mul(slots);
+        SimTime::from_nanos(start.as_nanos().saturating_add(wait))
     }
 
     /// Airtime of a transmission carrying `bits` of MAC payload + header at the data rate.

@@ -17,11 +17,11 @@
 //! why the trace legitimately changed.
 //!
 //! Beside the results, `tests/golden/event_digests.json` pins each case's
-//! event stream: the kernel's digest of the time, target component and kind
-//! of every dispatched event (sequence numbers excluded, so a change that
-//! only renumbers them keeps it). A result can survive a reordered or
-//! shifted event by luck; the digest cannot. The same regeneration command
-//! rewrites it.
+//! event stream: the kernel's digest of the time, target component, kind and
+//! payload identity (station or transmission) of every dispatched event
+//! (sequence numbers excluded, so a change that only renumbers them keeps
+//! it). A result can survive a reordered or shifted event by luck; the
+//! digest cannot. The same regeneration command rewrites it.
 
 use wlan_sa::{Protocol, Scenario, SimDuration, TopologySpec, TrafficSpec};
 
