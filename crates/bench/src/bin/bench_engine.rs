@@ -372,7 +372,7 @@ fn cells_for(
     }
     // The finite-load smoke cell (every mode, so the committed extended
     // report gates it too): Poisson offered load at ~75% of capacity over
-    // N = 200 stations exercises the arrival tier, the queue path and the
+    // N = 200 stations exercises the arrival timers, the queue path and the
     // QueueEmpty transitions the saturated grid never touches. 15 fps ×
     // 200 stations × 8000 bits = 24 Mbps offered.
     cells.push((

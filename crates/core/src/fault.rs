@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the campaign service path.
 //!
 //! A [`FaultPlan`] decides — as a **pure function** of `(plan seed, site,
-//! scope, attempt)` — whether a named fault site trips. The decision reuses
-//! the engine's RNG stream machinery (a dedicated ChaCha8 stream per
-//! `(site, scope)` pair, the attempt index selecting the draw, exactly like
-//! `wlan_des::StreamMaster` identifies streams by derivation order), so an
+//! scope, attempt)` — whether a named fault site trips. The decision draws
+//! from a dedicated ChaCha8 stream per `(site, scope)` pair, the attempt
+//! index selecting the draw, the way the engine identifies each station's
+//! stream by its derivation order from the run seed, so an
 //! injected fault schedule is perfectly reproducible: it does not depend on
 //! thread scheduling, wall-clock time or how many other sites tripped, and
 //! it never perturbs any simulation RNG stream, because the plan owns its
@@ -226,8 +226,8 @@ impl FaultPlan {
             return false;
         }
         // One dedicated stream per (site, scope), the attempt index selecting
-        // the draw — the StreamMaster rule (streams identified by derivation
-        // order) applied to a random-access key space via an FNV-1a mix.
+        // the draw: streams identified by derivation order, as the engine's
+        // are, applied to a random-access key space via an FNV-1a mix.
         let mut rng = ChaCha8Rng::seed_from_u64(self.scope_seed(site, scope));
         let mut draw = 0.0f64;
         for _ in 0..=attempt {

@@ -6,17 +6,14 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer-nanosecond time, no float drift
 //!   ([`time`]).
-//! * A multi-tier event queue ([`queue`]): a binary heap for general
-//!   events plus indexed timer tiers with O(1) arm and physical cancel, all
-//!   merged by one `(time, seq)` total order so pop order is deterministic
-//!   and FIFO on ties.
+//! * An event queue ([`queue`]): a binary heap for general events plus
+//!   alarms, each holding at most one event that its owner sets, replaces
+//!   or clears in O(1), all merged by one `(time, seq)` total order so pop
+//!   order is deterministic and FIFO on ties.
 //! * A component registry and event loop ([`simulation`]): models are
 //!   decomposed into [`Component`]s that receive their own events and call
 //!   peers synchronously through split-borrowed [`Peers`] — no `Rc`/
 //!   `RefCell`, so a whole [`Simulation`] is [`Send`].
-//! * Named RNG stream derivation ([`rng`]): [`StreamMaster`] derives
-//!   numbered ChaCha8 streams so adding a consumer never shifts the draws
-//!   seen by existing ones.
 //! * A generational [`Slab`] ([`slab`]) for entities whose lifecycle spans
 //!   events, keeping memory bounded by concurrency instead of run length.
 //! * A checkpoint codec ([`snapshot`]): one positional [`State`] trait,
@@ -81,10 +78,10 @@
 //! ```
 //!
 //! Real models hang richer machinery off the same skeleton: typed
-//! [`Handle`]s for synchronous peer calls, timer tiers
-//! ([`Simulation::add_timer_tier`]) for cancellable per-index timers, and
-//! per-component RNG streams ([`Simulation::set_component_rng`]) derived
-//! from a [`StreamMaster`].
+//! [`Handle`]s for synchronous peer calls, alarms
+//! ([`Simulation::add_alarm`]) that hold the earliest of the timers a model
+//! keeps itself, and per-component RNG streams
+//! ([`Simulation::set_component_rng`]) the model derives from its seed.
 //!
 //! # Observability
 //!
@@ -103,17 +100,13 @@
 
 pub mod metrics;
 pub mod queue;
-pub mod rng;
 pub mod simulation;
 pub mod slab;
 pub mod snapshot;
 pub mod time;
 
-pub use metrics::{
-    ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, SchedulerStats, TierCounters,
-};
-pub use queue::{EventQueue, TierId};
-pub use rng::StreamMaster;
+pub use metrics::{ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, SchedulerStats};
+pub use queue::{AlarmId, EventQueue};
 pub use simulation::{AsAny, Component, ComponentId, Handle, Peers, Simulation, SimulationContext};
 pub use slab::{Slab, SlotId};
 pub use snapshot::{SnapshotError, State, StateReader, StateWriter};

@@ -10,7 +10,7 @@
 //! * **Structural tallies** (queue push/pop/cancel counts, general-heap
 //!   growths, slab high-water, RNG stream positions) are *free
 //!   introspection*: either a single integer add or compare on an operation
-//!   that already sifts a heap or touches a timer set (immeasurable next to
+//!   that already sifts a heap or writes an alarm (immeasurable next to
 //!   the memory traffic it rides on), or derived on demand from state the
 //!   kernel keeps anyway. These are always available.
 //! * **Classified work** (per-component/per-event-kind dispatch counters via
@@ -57,7 +57,7 @@ use crate::time::SimTime;
 
 /// Lifetime operation tallies of an [`EventQueue`](crate::EventQueue),
 /// reconciling by construction: every entry ever pushed is either still
-/// pending, was popped, or was physically cancelled —
+/// pending, was popped, or was cleared or replaced in its alarm —
 /// `pushes() == pops() + timer_cancels + len()`.
 ///
 /// Loading a checkpoint into a queue resets the tallies, counting the
@@ -67,44 +67,27 @@ use crate::time::SimTime;
 pub struct QueueCounters {
     /// General-tier events scheduled.
     pub schedules: u64,
-    /// Timers armed across all tiers.
+    /// Events set in an alarm (every alarm counts as one timer).
     pub timer_arms: u64,
-    /// Timers physically cancelled while armed (no-op cancels excluded).
+    /// Alarm events cleared or replaced before they fired (clearing an
+    /// empty alarm excluded).
     pub timer_cancels: u64,
     /// General-tier events popped.
     pub general_pops: u64,
-    /// Armed timers that fired (popped through a tier).
+    /// Alarm events popped.
     pub timer_fires: u64,
 }
 
 impl QueueCounters {
-    /// Total entries ever admitted: schedules plus timer arms.
+    /// Total entries ever admitted: schedules plus alarm sets.
     pub fn pushes(&self) -> u64 {
         self.schedules + self.timer_arms
     }
 
-    /// Total entries ever popped: general pops plus timer fires.
+    /// Total entries ever popped: general pops plus alarm fires.
     pub fn pops(&self) -> u64 {
         self.general_pops + self.timer_fires
     }
-}
-
-/// Lifetime tallies of one indexed timer tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct TierCounters {
-    /// Timers armed.
-    pub arms: u64,
-    /// Armed timers physically removed by cancellation.
-    pub cancels: u64,
-    /// Cancel calls that found nothing armed (the freeze/resume pattern
-    /// cancels defensively, so a high no-op share is normal, and a *stale
-    /// elision* — a generation-bumped timer the owner ignores on fire — never
-    /// reaches the tier at all).
-    pub noop_cancels: u64,
-    /// Armed timers that fired.
-    pub fires: u64,
-    /// Timers armed right now.
-    pub armed: u64,
 }
 
 /// The general tier's pending count plus the growths of its heap's backing
@@ -258,8 +241,6 @@ pub struct MetricsReport {
     pub queue: QueueCounters,
     /// General-tier size and heap growths.
     pub scheduler: SchedulerStats,
-    /// Per-tier timer tallies, in tier registration order.
-    pub tiers: Vec<TierCounters>,
     /// Keystream words consumed per component RNG stream (`None` where no
     /// stream is attached). Derived from stream positions — see the module
     /// docs.

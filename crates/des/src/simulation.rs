@@ -2,8 +2,8 @@
 //!
 //! A [`Simulation`] owns four things: a user-defined *world* (shared state
 //! every component can read and write), a registry of boxed [`Component`]s,
-//! an optional per-component RNG stream, and the multi-tier
-//! [`EventQueue`]. The event loop pops events in
+//! an optional per-component RNG stream, and the [`EventQueue`] with its
+//! alarms. The event loop pops events in
 //! `(time, seq)` order and dispatches each to the component it is addressed
 //! to, handing the handler:
 //!
@@ -12,7 +12,7 @@
 //!   (split-borrowed around the running component, so cross-component calls
 //!   need no interior mutability and the registry stays [`Send`]),
 //! * [`SimulationContext`] — the clock, the queue (schedule general events,
-//!   arm/cancel indexed timers), and the component's own RNG stream.
+//!   set and clear alarms), and the component's own RNG stream.
 //!
 //! Components are plain structs; there is no message-passing runtime. A
 //! handler that wants to poke a peer calls a method on it directly through
@@ -26,7 +26,7 @@ use std::marker::PhantomData;
 use rand_chacha::ChaCha8Rng;
 
 use crate::metrics::{ComponentDispatch, Metrics, MetricsReport, ProfileSample, Profiler};
-use crate::queue::{EventQueue, TierId};
+use crate::queue::{AlarmId, EventQueue};
 use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use crate::time::{SimDuration, SimTime};
 
@@ -203,13 +203,6 @@ impl<E> SimulationContext<'_, E> {
         self.queue.schedule(time, target, event);
     }
 
-    /// Arm indexed timer `index` in `tier` to fire at `time` with arming
-    /// generation `gen` (see [`EventQueue::arm_timer`]).
-    #[inline]
-    pub fn arm_timer(&mut self, tier: TierId, index: usize, gen: u64, time: SimTime) {
-        self.queue.arm_timer(tier, index, gen, time);
-    }
-
     /// Reserve `count` consecutive sequence numbers and return the first
     /// (see [`EventQueue::reserve_seqs`]).
     #[inline]
@@ -217,26 +210,30 @@ impl<E> SimulationContext<'_, E> {
         self.queue.reserve_seqs(count)
     }
 
-    /// Arm indexed timer `index` in `tier` with a sequence number taken
-    /// from a reserved range (see [`EventQueue::arm_timer_at_seq`]).
+    /// Make `alarm` hold `event` for `target` at `(time, seq)`, replacing
+    /// the event it holds (see [`EventQueue::set_alarm`]).
     #[inline]
-    pub fn arm_timer_at_seq(
+    pub fn set_alarm(
         &mut self,
-        tier: TierId,
-        index: usize,
-        gen: u64,
+        alarm: AlarmId,
         time: SimTime,
         seq: u64,
+        target: ComponentId,
+        event: E,
     ) {
-        self.queue.arm_timer_at_seq(tier, index, gen, time, seq);
+        self.queue.set_alarm(alarm, time, seq, target, event);
     }
 
-    /// Physically cancel indexed timer `index` in `tier`; the index is the
-    /// cancellation token, and a cancelled timer never fires. No-op if not
-    /// armed.
+    /// Empty `alarm`; the event it held, if any, never fires.
     #[inline]
-    pub fn cancel_timer(&mut self, tier: TierId, index: usize) {
-        self.queue.cancel_timer(tier, index);
+    pub fn clear_alarm(&mut self, alarm: AlarmId) {
+        self.queue.clear_alarm(alarm);
+    }
+
+    /// The event `alarm` holds, with its `(time, seq)` key.
+    #[inline]
+    pub fn alarm(&self, alarm: AlarmId) -> Option<(SimTime, u64, &E)> {
+        self.queue.alarm(alarm)
     }
 
     /// This component's private RNG stream.
@@ -323,15 +320,9 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         self.rngs.0[id] = Some(Box::new(rng));
     }
 
-    /// Register an indexed timer tier owned by component `owner`
-    /// (see [`EventQueue::add_tier`]).
-    pub fn add_timer_tier(
-        &mut self,
-        owner: ComponentId,
-        capacity: usize,
-        make: fn(usize, u64) -> E,
-    ) -> TierId {
-        self.queue.add_tier(owner, capacity, make)
+    /// Register an empty alarm (see [`EventQueue::add_alarm`]).
+    pub fn add_alarm(&mut self) -> AlarmId {
+        self.queue.add_alarm()
     }
 
     /// The current simulation time.
@@ -349,10 +340,21 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         self.rngs.0.get(id).and_then(|r| r.as_deref())
     }
 
+    /// Every pending event (general and alarm) with the component it is
+    /// addressed to, in no particular order.
+    pub fn pending_events(&self) -> impl Iterator<Item = (ComponentId, &E)> + '_ {
+        self.queue.pending()
+    }
+
     /// Reject loaded events addressed to no registered component, which
     /// would panic at dispatch.
     fn check_targets(&mut self) -> Result<(), SnapshotError> {
-        match self.queue.targets().find(|&t| t >= self.components.len()) {
+        match self
+            .queue
+            .pending()
+            .map(|(target, _)| target)
+            .find(|&t| t >= self.components.len())
+        {
             Some(target) => Err(SnapshotError::custom(format!(
                 "pending event addressed to component {target} of {}",
                 self.components.len()
@@ -409,7 +411,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     }
 
     /// Assemble the kernel's full telemetry report, or `None` when the
-    /// registry was never enabled. Queue, scheduler, tier, and RNG sections
+    /// registry was never enabled. Queue, scheduler and RNG sections
     /// are derived from state the kernel keeps anyway; only the dispatch
     /// rows depend on the registry having been on.
     pub fn metrics_report(&self) -> Option<MetricsReport> {
@@ -433,7 +435,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
             event_digest: metrics.digest(),
             queue: self.queue.counters(),
             scheduler: self.queue.scheduler_stats(),
-            tiers: self.queue.tier_counters(),
             rng_words: self
                 .rngs
                 .0
@@ -684,10 +685,23 @@ mod tests {
         );
     }
 
-    /// Logs every timer fire along with a draw from its RNG stream.
+    /// Logs every timer fire along with a draw from its RNG stream. Timer
+    /// `index` lives in alarm `alarms[index]`.
     struct TimerLog {
-        tier: TierId,
+        alarms: [AlarmId; 2],
         fired: Vec<(usize, u64, u64)>,
+    }
+
+    /// Set timer `index` of the `TimerLog` (component 0) to fire at `time`.
+    fn arm(
+        ctx: &mut SimulationContext<'_, Ev>,
+        alarms: &[AlarmId; 2],
+        index: usize,
+        gen: u64,
+        time: SimTime,
+    ) {
+        let seq = ctx.reserve_seqs(1);
+        ctx.set_alarm(alarms[index], time, seq, 0, Ev::Timer { index, gen });
     }
 
     impl Component<World, Ev> for TimerLog {
@@ -705,36 +719,23 @@ mod tests {
             self.fired.push((index, gen, draw));
             if gen < 3 {
                 // Re-arm: fires again one slot later with a bumped gen.
-                ctx.arm_timer(
-                    self.tier,
-                    index,
-                    gen + 1,
-                    ctx.now() + SimDuration::from_micros(9),
-                );
+                let next = ctx.now() + SimDuration::from_micros(9);
+                arm(ctx, &self.alarms, index, gen + 1, next);
             }
         }
     }
 
+    /// Alarm events reach the component they name, which draws from its
+    /// own RNG stream and sets its alarms again.
     #[test]
     fn timer_tiers_route_to_owner_with_rng_stream() {
-        let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-        let log = sim.add_component(TimerLog {
-            tier: TierId::default_for_test(),
-            fired: Vec::new(),
-        });
-        let tier = sim.add_timer_tier(log.id(), 4, |index, gen| Ev::Timer { index, gen });
-        sim.component_mut(log).tier = tier;
-        sim.set_component_rng(log.id(), rand_chacha::ChaCha8Rng::seed_from_u64(1));
-        sim.access(|_, _, ctx| {
-            ctx.arm_timer(tier, 2, 1, SimTime::from_micros(9));
-            ctx.arm_timer(tier, 0, 1, SimTime::from_micros(9)); // ties FIFO
-        });
+        let (mut sim, log) = rng_timer_sim();
         sim.run_for(SimDuration::from_millis(1));
         let fired = &sim.component(log).fired;
         let order: Vec<(usize, u64)> = fired.iter().map(|&(i, g, _)| (i, g)).collect();
         assert_eq!(
             order,
-            vec![(2, 1), (0, 1), (2, 2), (0, 2), (2, 3), (0, 3)],
+            vec![(1, 1), (0, 1), (1, 2), (0, 2), (1, 3), (0, 3)],
             "FIFO ties and re-arms in deterministic order"
         );
         // The RNG stream is the one we attached, drawn in dispatch order.
@@ -744,21 +745,20 @@ mod tests {
         }
     }
 
-    /// Build the timer-tier + RNG simulation used by the telemetry-purity
-    /// tests: two interleaved self-re-arming timers drawing from a private
-    /// ChaCha8 stream on every fire.
+    /// Build the alarm + RNG simulation used by the routing and
+    /// telemetry-purity tests: two interleaved self-re-arming timers drawing
+    /// from a private ChaCha8 stream on every fire, armed in FIFO-tied order.
     fn rng_timer_sim() -> (Simulation<World, Ev>, Handle<TimerLog>) {
         let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
+        let alarms = [sim.add_alarm(), sim.add_alarm()];
         let log = sim.add_component(TimerLog {
-            tier: TierId::default_for_test(),
+            alarms,
             fired: Vec::new(),
         });
-        let tier = sim.add_timer_tier(log.id(), 4, |index, gen| Ev::Timer { index, gen });
-        sim.component_mut(log).tier = tier;
         sim.set_component_rng(log.id(), rand_chacha::ChaCha8Rng::seed_from_u64(1));
         sim.access(|_, _, ctx| {
-            ctx.arm_timer(tier, 2, 1, SimTime::from_micros(9));
-            ctx.arm_timer(tier, 0, 1, SimTime::from_micros(9));
+            arm(ctx, &alarms, 1, 1, SimTime::from_micros(9));
+            arm(ctx, &alarms, 0, 1, SimTime::from_micros(9)); // ties FIFO
         });
         (sim, log)
     }
@@ -805,7 +805,7 @@ mod tests {
         assert_eq!(report.dispatch[0].by_kind, vec![6]);
         let c = report.queue;
         assert_eq!(c.pushes(), c.pops() + c.timer_cancels);
-        assert_eq!(report.tiers[0].fires, 6);
+        assert_eq!(c.timer_fires, 6);
     }
 
     #[test]

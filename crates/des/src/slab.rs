@@ -177,6 +177,15 @@ impl<T> Slab<T> {
         }
     }
 
+    /// Whether `id` names a live entry (not a stale, vacant or out-of-range
+    /// slot).
+    pub fn contains(&self, id: SlotId) -> bool {
+        matches!(
+            self.slots.get(id.index as usize),
+            Some(Slot::Occupied { generation, .. }) if *generation == id.generation
+        )
+    }
+
     /// Look up a live entry. Panics on a stale or vacant id.
     pub fn get(&self, id: SlotId) -> &T {
         match &self.slots[id.index as usize] {

@@ -1,19 +1,20 @@
-//! Kernel cancellation semantics, driven through the public
-//! `SimulationContext` API (one layer above the queue proptests).
+//! Kernel alarm semantics, driven through the public `SimulationContext`
+//! API (one layer above the queue proptests).
 //!
 //! Two properties, checked against a naive model over arbitrary
-//! interleavings of arm / cancel / run:
+//! interleavings of set / clear / run on one-event alarms:
 //!
-//! 1. **A cancelled token never fires.** `cancel_timer(tier, index)` is the
-//!    cancellation; every arm carries a globally unique generation, so a
-//!    generation whose timer was cancelled (or displaced by a re-arm) must
-//!    never appear in the fired log.
-//! 2. **Cancel-then-rearm interleavings match a naive model** — the fired
-//!    log (times, indices, generations, order) equals what a flat
-//!    one-slot-per-index model predicts, including FIFO tie-breaks.
+//! 1. **A cancelled token never fires.** `clear_alarm(alarm)` is the
+//!    cancellation, and setting a held alarm replaces its event; every set
+//!    carries a globally unique generation, so a generation whose event was
+//!    cleared (or displaced by a later set) must never appear in the fired
+//!    log.
+//! 2. **Clear-then-set interleavings match a naive model** — the fired log
+//!    (times, alarm indices, generations, order) equals what a flat
+//!    one-slot-per-alarm model predicts, including FIFO tie-breaks.
 
 use proptest::prelude::*;
-use wlan_des::{Component, Peers, SimDuration, SimTime, Simulation, SimulationContext, TierId};
+use wlan_des::{AlarmId, Component, Peers, SimDuration, SimTime, Simulation, SimulationContext};
 
 /// Fired-timer log: `(fire time, index, arming generation)`.
 type World = Vec<(SimTime, usize, u64)>;
@@ -38,11 +39,11 @@ impl Component<World, Ev> for Recorder {
     }
 }
 
-/// The naive model: one optional `(time, seq, gen)` slot per index, fired by
-/// scanning for the `(time, seq)` minimum.
+/// The naive model: one optional `(time, seq, gen)` slot per alarm, fired
+/// by scanning for the `(time, seq)` minimum.
 struct Model {
     slots: Vec<Option<(SimTime, u64, u64)>>,
-    /// Mirror of the kernel's sequence counter. Only `arm_timer` consumes
+    /// Mirror of the kernel's sequence counter. Only `arm` consumes
     /// sequence numbers in this test, so counting arms reproduces it.
     next_seq: u64,
     fired: World,
@@ -85,29 +86,42 @@ impl Model {
     }
 }
 
-fn setup(indices: usize) -> (Simulation<World, Ev>, TierId) {
+/// A simulation whose one component records every fire, with `indices`
+/// alarms.
+fn setup(indices: usize) -> (Simulation<World, Ev>, Vec<AlarmId>) {
     let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-    let recorder = sim.add_component(Recorder);
-    let tier = sim.add_timer_tier(recorder.id(), indices, |index, gen| Ev::Timer {
-        index,
-        gen,
-    });
-    (sim, tier)
+    sim.add_component(Recorder);
+    let alarms = (0..indices).map(|_| sim.add_alarm()).collect();
+    (sim, alarms)
+}
+
+/// Set alarm `index` to fire at `time` with generation `gen`, taking a fresh
+/// sequence number.
+fn arm(
+    ctx: &mut SimulationContext<'_, Ev>,
+    alarms: &[AlarmId],
+    index: usize,
+    gen: u64,
+    time: SimTime,
+) {
+    let seq = ctx.reserve_seqs(1);
+    ctx.set_alarm(alarms[index], time, seq, 0, Ev::Timer { index, gen });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary arm / cancel / advance interleavings through the
+    /// Arbitrary set / clear / advance interleavings through the
     /// `SimulationContext` API produce exactly the model's fired log, and no
-    /// cancelled generation ever fires.
+    /// cleared or replaced generation ever fires. Times fall on 40 slots of
+    /// 9 µs plus 0–2 ns, so alarms often tie and fire in sequence order.
     #[test]
     fn cancelled_tokens_never_fire_and_rearm_matches_model(
         ops in proptest::collection::vec(
-            (0u64..3, 0u64..6, 0u64..40, 0u64..9_000), 1..300),
+            (0u64..3, 0u64..6, 0u64..40, 0u64..3), 1..300),
     ) {
         const INDICES: usize = 6;
-        let (mut sim, tier) = setup(INDICES);
+        let (mut sim, alarms) = setup(INDICES);
         let mut model = Model::new(INDICES);
         let mut gen = 0u64;
         let mut cancelled: Vec<u64> = Vec::new();
@@ -119,25 +133,21 @@ proptest! {
                 + SimDuration::from_micros(9) * slots
                 + SimDuration::from_nanos(jitter_ns);
             match op {
-                // Arm (cancel-then-rearm when the index is already armed).
+                // Set (replacing the event of a held alarm).
                 0 => {
                     gen += 1;
                     if let Some(old) = live[index].replace(gen) {
                         cancelled.push(old);
                     }
-                    sim.access(|_, _, ctx| {
-                        ctx.cancel_timer(tier, index);
-                        ctx.arm_timer(tier, index, gen, time);
-                    });
-                    model.cancel(index);
+                    sim.access(|_, _, ctx| arm(ctx, &alarms, index, gen, time));
                     model.arm(index, gen, time);
                 }
-                // Cancel.
+                // Clear.
                 1 => {
                     if let Some(old) = live[index].take() {
                         cancelled.push(old);
                     }
-                    sim.access(|_, _, ctx| ctx.cancel_timer(tier, index));
+                    sim.access(|_, _, ctx| ctx.clear_alarm(alarms[index]));
                     model.cancel(index);
                 }
                 // Advance the clock, firing due timers.
@@ -173,18 +183,18 @@ proptest! {
     }
 }
 
-/// Directed (non-property) check of the core guarantee: cancel is physical,
-/// so a cancelled timer is gone even when its fire time has already passed
-/// by the next run.
+/// Directed (non-property) check of the core guarantee: a clear is
+/// physical, so a cleared event is gone even when its fire time has already
+/// passed by the next run.
 #[test]
 fn cancel_after_due_time_still_suppresses_fire() {
-    let (mut sim, tier) = setup(2);
+    let (mut sim, alarms) = setup(2);
     sim.access(|_, _, ctx| {
-        ctx.arm_timer(tier, 0, 1, SimTime::from_micros(10));
-        ctx.arm_timer(tier, 1, 2, SimTime::from_micros(20));
+        arm(ctx, &alarms, 0, 1, SimTime::from_micros(10));
+        arm(ctx, &alarms, 1, 2, SimTime::from_micros(20));
     });
-    // Cancel index 0 before running past both deadlines.
-    sim.access(|_, _, ctx| ctx.cancel_timer(tier, 0));
+    // Clear alarm 0 before running past both deadlines.
+    sim.access(|_, _, ctx| ctx.clear_alarm(alarms[0]));
     sim.run_until(SimTime::from_millis(1));
     assert_eq!(*sim.world(), vec![(SimTime::from_micros(20), 1, 2)]);
 }

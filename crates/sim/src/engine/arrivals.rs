@@ -2,15 +2,19 @@
 //! sampler, dedicated traffic RNG stream, bounded FIFO frame queue) and the
 //! `FrameArrival` event they generate.
 //!
-//! Arrival timers live in this component's indexed timer tier — at most one
-//! pending arrival per station, physically cancelled on deactivation. In
-//! saturated runs the component holds an empty station vector, its tier stays
-//! empty, and nothing here ever executes: the saturated hot path pays
-//! nothing for the traffic subsystem's existence.
+//! Arrival timers live in this component's timer table ([`Timers`], the
+//! same table the MAC keeps its backoff timers in) — at most one pending
+//! arrival per station, cancelled on deactivation — and the table's earliest
+//! is set in the kernel's arrival alarm. Each arrival takes its sequence
+//! number from the kernel when it is drawn. In saturated runs the component
+//! holds an empty station vector and an empty table, its alarm stays empty,
+//! and nothing here ever executes: the saturated hot path pays nothing for
+//! the traffic subsystem's existence.
 
 use super::event::Event;
 use super::station::{Phase, StationMac};
-use super::{Ctx, EnginePeers, World};
+use super::timers::Timers;
+use super::{Ctx, EnginePeers, World, TRAFFIC_ID};
 use crate::stats::SimStats;
 use crate::topology::NodeId;
 use crate::traffic::ArrivalSampler;
@@ -18,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use wlan_des::time::{SimDuration, SimTime};
-use wlan_des::{Component, Handle, TierId};
+use wlan_des::{AlarmId, Component, Handle};
 
 /// Runtime traffic state of one finite-load station: its arrival sampler,
 /// the dedicated traffic RNG stream, and the bounded FIFO frame queue.
@@ -97,12 +101,15 @@ impl StationTraffic {
 /// query takes that degenerate fast path.
 pub(crate) struct TrafficSources {
     pub(crate) stations: Box<[StationTraffic]>,
-    /// The arrival timer tier this component owns.
-    pub(crate) tier: TierId,
+    /// Every finite-load station's next arrival (empty without a traffic
+    /// layer).
+    pub(crate) timers: Timers,
+    /// The arrival alarm: it holds the earliest timer of `timers`.
+    pub(crate) alarm: AlarmId,
     pub(crate) mac: Handle<StationMac>,
 }
 
-wlan_des::state!(struct TrafficSources { stations });
+wlan_des::state!(struct TrafficSources { stations, timers });
 
 impl TrafficSources {
     /// Whether `node` currently has a frame to send. Saturated stations (and
@@ -116,12 +123,30 @@ impl TrafficSources {
 
     /// Draw `node`'s next inter-arrival delay and arm its arrival timer
     /// (no-op for saturated stations). Called on activation; arrivals then
-    /// self-perpetuate through `handle_frame_arrival`.
+    /// self-perpetuate through `handle_frame_arrival`. The caller
+    /// [`settle`](Self::settle)s.
     pub(crate) fn start_arrivals(&mut self, ctx: &mut Ctx<'_>, now: SimTime, node: NodeId) {
         if let Some(StationTraffic::Finite(src)) = self.stations.get_mut(node) {
             let delay = src.sampler.next_delay(&mut src.rng);
-            ctx.arm_timer(self.tier, node, 0, now + delay);
+            self.timers.arm(node, 0, now + delay, ctx.reserve_seqs(1));
         }
+    }
+
+    /// Cancel `node`'s pending arrival (an inactive station generates no
+    /// traffic) and settle.
+    pub(crate) fn stop_arrivals(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
+        if !self.stations.is_empty() {
+            self.timers.cancel(node);
+            self.settle(ctx);
+        }
+    }
+
+    /// Set the arrival alarm to the earliest pending arrival.
+    pub(crate) fn settle(&mut self, ctx: &mut Ctx<'_>) {
+        self.timers
+            .settle(ctx, self.alarm, TRAFFIC_ID, None, |t| Event::FrameArrival {
+                station: t.node,
+            });
     }
 
     /// A frame addressed from `node` was delivered (its ACK arrived): pop it
@@ -163,14 +188,12 @@ impl TrafficSources {
     ) {
         let now = ctx.now();
         let mut enqueued = false;
-        {
-            let Some(StationTraffic::Finite(src)) = self.stations.get_mut(node) else {
-                return;
-            };
+        if let Some(StationTraffic::Finite(src)) = self.stations.get_mut(node) {
             // Schedule the next arrival first: the arrival stream is a
-            // property of the source alone, independent of queue state.
+            // property of the source alone, independent of queue state. It
+            // replaces the timer that fired.
             let delay = src.sampler.next_delay(&mut src.rng);
-            ctx.arm_timer(self.tier, node, 0, now + delay);
+            self.timers.arm(node, 0, now + delay, ctx.reserve_seqs(1));
             let ts = &mut world.stats.nodes[node].traffic;
             ts.arrivals += 1;
             if src.queue.len() >= src.cap {
@@ -183,6 +206,7 @@ impl TrafficSources {
                 enqueued = true;
             }
         }
+        self.settle(ctx);
         if enqueued {
             let mac = peers.get_mut(self.mac);
             if mac.stations.hot[node].phase == Phase::QueueEmpty {

@@ -1,22 +1,21 @@
 //! The WLAN engine's event vocabulary.
 //!
 //! The queue machinery itself — `(time, seq)` total order, binary-heap
-//! general tier, indexed timer tiers with physical cancellation — lives in
-//! the generic `wlan-des` kernel ([`wlan_des::queue`]); this module only
-//! defines the event payloads the WLAN components exchange and the timer-
-//! tier constructors that synthesize them.
+//! general tier, one-event alarms — lives in the generic `wlan-des` kernel
+//! ([`wlan_des::queue`]); this module only defines the event payloads the
+//! WLAN components exchange.
 //!
 //! Transmission-scoped events carry the generational [`TxId`] of their slab
 //! entry, so the channel can reclaim entries eagerly without ever risking a
 //! stale event aliasing a recycled slot.
 //!
-//! Two event kinds live in indexed timer tiers rather than the general
-//! heap (see the kernel's queue docs for why): backoff timers (`TxStart`)
-//! and frame arrivals (`FrameArrival` — at most one pending per station,
-//! cancelled on deactivation). The MAC keeps every station's backoff timer
-//! in its own table and arms only the earliest in the backoff tier, so that
-//! tier holds at most one. In saturated runs the arrival tier stays empty
-//! and the pop order is untouched.
+//! Two event kinds are timers the engine keeps in its own tables
+//! ([`Timers`](super::timers::Timers)) rather than in the general heap (see
+//! the kernel's queue docs for why): backoff timers (`TxStart`) and frame
+//! arrivals (`FrameArrival` — at most one pending per station, cancelled on
+//! deactivation). Each table's earliest timer is the one pending event of
+//! its kernel alarm. In saturated runs the arrival alarm stays empty and the
+//! pop order is untouched.
 
 use crate::topology::NodeId;
 
@@ -39,16 +38,15 @@ pub(crate) enum Event {
     AckTimeout { station: NodeId, gen: u64 },
     /// A station's arrival process generates the next frame (finite-load
     /// traffic only; never scheduled in saturated runs). At most one is
-    /// pending per station, so deactivation cancels it physically — no
-    /// generation counter is needed.
+    /// pending per station, so deactivation cancels it in the arrival
+    /// table — no generation counter is needed.
     FrameArrival { station: NodeId },
     /// Periodic statistics sampling tick.
     #[default]
     StatsTick,
 }
 
-// Pending general-queue events are checkpointed; timer-tier entries are
-// rebuilt through their tier constructors instead.
+// Pending events are checkpointed with the kernel, general and alarm alike.
 wlan_des::state!(enum Event {
     TxStart { station, gen },
     TxEnd { tx },
@@ -91,16 +89,4 @@ impl Event {
             Event::StatsTick => 0,
         }
     }
-}
-
-/// Timer-tier constructor for the backoff tier: a fired timer at `station`
-/// with arming generation `gen` becomes that station's `TxStart`.
-pub(crate) fn make_tx_start(station: usize, gen: u64) -> Event {
-    Event::TxStart { station, gen }
-}
-
-/// Timer-tier constructor for the arrival tier (the generation is unused —
-/// arrivals are cancelled physically, never lazily).
-pub(crate) fn make_frame_arrival(station: usize, _gen: u64) -> Event {
-    Event::FrameArrival { station }
 }

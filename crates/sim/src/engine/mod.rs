@@ -6,8 +6,8 @@
 //! mechanism's state and the handlers for the events addressed to it:
 //!
 //! * [`station::StationMac`] — per-station DCF state (hot/cold SoA layout),
-//!   the active-station set, the backoff timer table and the kernel tier
-//!   its earliest timer is armed in, and — in a fully connected cell — the
+//!   the active-station set, the backoff timer table and the kernel alarm
+//!   its earliest timer is set in, and — in a fully connected cell — the
 //!   shared medium view of [`clique::Clique`]; handles `TxStart` and
 //!   `AckTimeout`.
 //! * [`channel::Channel`] — the in-flight transmission slab, interference
@@ -16,8 +16,9 @@
 //! * [`apctl::ApControl`] — the AP-side controller, the pending-ACK latch,
 //!   and the AP's busy-period/idle-slot observables; handles `StatsTick`.
 //! * [`arrivals::TrafficSources`] — finite-load arrival samplers and frame
-//!   queues, plus the arrival timer tier; handles `FrameArrival`. Saturated
-//!   builds register it empty and it never executes.
+//!   queues, plus the arrival timer table and its alarm; handles
+//!   `FrameArrival`. Saturated builds register it empty and it never
+//!   executes.
 //!
 //! Cross-component calls go through the kernel's split-borrowed
 //! [`Peers`](wlan_des::Peers) view — synchronous direct method calls, no
@@ -59,13 +60,13 @@
 //!   free-list slab ([`wlan_des::Slab`]) and are reclaimed as soon as their
 //!   lifecycle ends, so memory is O(concurrent transmissions), not O(run
 //!   length).
-//! * **Two-tier scheduler** — general events live in a binary heap,
-//!   backoff and arrival timers in indexed timer tiers with O(1) arm and
-//!   physical cancel; all tiers share one `(time, seq)` counter so pops
+//! * **One timer table, one alarm each** — general events live in a binary
+//!   heap; backoff and arrival timers live in the engine's own timer tables
+//!   ([`timers`]), and each table's earliest timer is the one event of a
+//!   kernel alarm. Heap and alarms share one `(time, seq)` counter, so pops
 //!   follow the exact historical single-heap order
-//!   ([`wlan_des::EventQueue`]). On both sensing paths the MAC keeps its
-//!   backoff timers in its own table ([`timers`]) and arms only the
-//!   earliest in the kernel, numbered from ranges reserved per walk.
+//!   ([`wlan_des::EventQueue`]). Backoff timers are numbered from ranges
+//!   reserved per resume walk on both sensing paths.
 //! * **Hot/cold station state** — the per-station fields the sensing
 //!   rules read and write are packed into one 56-byte record per station
 //!   ([`station::Stations`]), separate from the fat policy/RNG arrays and
@@ -84,7 +85,7 @@ mod telemetry;
 mod tests;
 mod timers;
 
-pub use telemetry::{EngineMetrics, COMPONENT_NAMES, TIER_NAMES};
+pub use telemetry::{EngineMetrics, COMPONENT_NAMES};
 
 use crate::ap::{ApAlgorithm, NullController};
 use crate::backoff::{BackoffPolicy, Policy};
@@ -104,7 +105,7 @@ use station::{StationMac, Stations};
 use std::collections::VecDeque;
 use timers::Timers;
 use wlan_des::time::{SimDuration, SimTime};
-use wlan_des::{ComponentId, Handle, Simulation, TierId};
+use wlan_des::{ComponentId, Handle, Simulation};
 
 /// The context type handed to the WLAN components (kernel context
 /// specialised to the engine's event vocabulary).
@@ -413,18 +414,17 @@ impl SimulatorBuilder {
             stride_ticks: 0,
         };
 
-        // Assemble the kernel: register the timer tiers first (their index
-        // order — backoff before arrivals — is the historical tie-break
-        // preference order of the multi-tier queue), then the components in
-        // the fixed *_ID registry order. Components are wired to each other
+        // Assemble the kernel: the two alarms (backoff, then arrivals: the
+        // order a checkpoint lists them in), then the components in the
+        // fixed *_ID registry order. Components are wired to each other
         // with `Handle::from_raw` because the registry is circular.
         let mut sim: Simulation<World, Event> = Simulation::new(world);
-        let backoff_tier = sim.add_timer_tier(MAC_ID, n, event::make_tx_start);
-        let arrival_tier = sim.add_timer_tier(TRAFFIC_ID, n, event::make_frame_arrival);
+        let backoff_alarm = sim.add_alarm();
+        let arrival_alarm = sim.add_alarm();
         let mac = sim.add_component(StationMac {
             stations,
             timers: Timers::new(n),
-            tier: backoff_tier,
+            alarm: backoff_alarm,
             clique,
             channel: Handle::from_raw(CHANNEL_ID),
             ap: Handle::from_raw(AP_ID),
@@ -442,9 +442,12 @@ impl SimulatorBuilder {
         debug_assert_eq!(channel.id(), CHANNEL_ID);
         let ap = sim.add_component(ApControl::new(self.ap, mac, Handle::from_raw(TRAFFIC_ID)));
         debug_assert_eq!(ap.id(), AP_ID);
+        // Saturated builds allocate no arrival table.
+        let arrival_timers = Timers::new(if traffic_stations.is_empty() { 0 } else { n });
         let traffic = sim.add_component(TrafficSources {
             stations: traffic_stations.into(),
-            tier: arrival_tier,
+            timers: arrival_timers,
+            alarm: arrival_alarm,
             mac,
         });
         debug_assert_eq!(traffic.id(), TRAFFIC_ID);
@@ -458,7 +461,6 @@ impl SimulatorBuilder {
             channel,
             ap,
             traffic,
-            arrival_tier,
         };
         let active = self.initially_active.unwrap_or(n);
         simulator.activate_stations(0..active);
@@ -481,7 +483,6 @@ pub struct Simulator {
     channel: Handle<Channel>,
     ap: Handle<ApControl>,
     traffic: Handle<TrafficSources>,
-    arrival_tier: TierId,
 }
 
 impl Simulator {
@@ -625,7 +626,7 @@ impl Simulator {
     }
 
     /// Activate `nodes` in order, as consecutive `activate_station` calls
-    /// would, re-arming the kernel's backoff timer once at the end.
+    /// would, settling the backoff and arrival alarms once at the end.
     fn activate_stations(&mut self, nodes: std::ops::Range<NodeId>) {
         let (mac_h, channel_h, traffic_h) = (self.mac, self.channel, self.traffic);
         self.sim.access(|world, peers, ctx| {
@@ -664,6 +665,7 @@ impl Simulator {
                     .contend(&world.phy, ctx, node, has_frame);
             }
             peers.get_mut(mac_h).settle(&world.phy, ctx);
+            peers.get_mut(traffic_h).settle(ctx);
         });
     }
 
@@ -673,7 +675,7 @@ impl Simulator {
     /// pending frame arrival is cancelled (an inactive station generates no
     /// traffic), and any queued frames stay queued until it is reactivated.
     pub fn deactivate_station(&mut self, node: NodeId) {
-        let (mac_h, arrival_tier) = (self.mac, self.arrival_tier);
+        let (mac_h, traffic_h) = (self.mac, self.traffic);
         self.sim.access(|world, peers, ctx| {
             let mac = peers.get_mut(mac_h);
             if !mac.stations.is_active(node) {
@@ -687,8 +689,8 @@ impl Simulator {
             if let Some(clique) = mac.clique.as_deref_mut() {
                 clique.forget(node);
             }
-            ctx.cancel_timer(arrival_tier, node);
             mac.settle(&world.phy, ctx);
+            peers.get_mut(traffic_h).stop_arrivals(ctx, node);
         });
     }
 

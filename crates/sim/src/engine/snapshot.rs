@@ -2,14 +2,16 @@
 //! [`Simulator::resume`].
 //!
 //! A checkpoint is a header, the scenario's shape, the kernel block (clock,
-//! dispatch counter, every pending event, the channel's RNG stream) and then
-//! each component's mutable state in a fixed order, all through the kernel's
-//! positional [`State`] codec and closed by its checksum. Build-time
-//! configuration (PHY, topology, policy parameters) is *not* captured: a
-//! checkpoint only resumes into a simulator freshly built from the identical
-//! scenario.
+//! dispatch counter, every pending event — general and in the two alarms —
+//! and the channel's RNG stream) and then each component's mutable state in
+//! a fixed order, all through the kernel's positional [`State`] codec and
+//! closed by its checksum. Build-time configuration (PHY, topology, policy
+//! parameters) is *not* captured: a checkpoint only resumes into a simulator
+//! freshly built from the identical scenario.
 
-use super::Simulator;
+use super::arrivals::StationTraffic;
+use super::event::Event;
+use super::{Simulator, AP_ID, CHANNEL_ID, MAC_ID, TRAFFIC_ID};
 use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 
 /// The first bytes of every engine checkpoint, in every format version: the
@@ -19,7 +21,7 @@ const MAGIC: [u8; 16] = *b"\x08\0\0\0\0\0\0\0WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 5;
+const CHECKPOINT_VERSION: u32 = 6;
 
 impl Simulator {
     /// The station count and sensing path the scenario built: a checkpoint
@@ -34,11 +36,11 @@ impl Simulator {
     ///
     /// The checkpoint captures everything that evolves during a run — the
     /// kernel clock and `(time, seq)` counter, every pending event (general
-    /// heap and both timer tiers), the statistics and throughput-binning
-    /// state, per-station MAC/policy/RNG state, the armed backoff timers
-    /// (and the one the kernel holds), the clique's medium view,
-    /// the transmission slab (with generations and free-list structure), the
-    /// AP controller, traffic sources, and the channel's frame-error RNG
+    /// heap and both alarms), the statistics and throughput-binning state,
+    /// per-station MAC/policy/RNG state, the armed backoff timers, the
+    /// clique's medium view, the transmission slab (with generations and
+    /// free-list structure), the AP controller, the traffic sources and
+    /// their armed arrival timers, and the channel's frame-error RNG
     /// stream. Build-time configuration (PHY, topology, policies'
     /// parameters) is *not* captured: [`resume`](Self::resume) must be
     /// called on a simulator freshly built from the identical scenario, and
@@ -67,7 +69,10 @@ impl Simulator {
     /// On success the simulator continues bit-identically to the run that
     /// produced the checkpoint. A checkpoint of another format version, a
     /// corrupt or truncated one (its checksum is verified before any state
-    /// is touched) and one of a differently shaped scenario are errors. On
+    /// is touched), one of a differently shaped scenario and one with a
+    /// pending event that could not be dispatched (addressed to the wrong
+    /// component, or naming a station or transmission the loaded state
+    /// does not have) are errors. On
     /// error the simulator may have been partially overwritten and must be
     /// discarded (rebuild and recompute — the campaign layer treats a failed
     /// resume as a cache miss).
@@ -104,6 +109,39 @@ impl Simulator {
         self.sim.component_mut(self.channel).load(&mut r)?;
         self.sim.component_mut(self.ap).load(&mut r)?;
         self.sim.component_mut(self.traffic).load(&mut r)?;
-        r.expect_end()
+        r.expect_end()?;
+        self.check_pending()
+    }
+
+    /// Reject a loaded pending event, general or alarm, that would panic
+    /// when dispatched: one addressed to a component that does not handle
+    /// its kind, one naming no station (or, for an arrival, no finite-load
+    /// source), or one naming a transmission the loaded slab does not hold.
+    fn check_pending(&self) -> Result<(), SnapshotError> {
+        let n = self.sim.component(self.mac).stations.len();
+        let txs = &self.sim.component(self.channel).txs;
+        let traffic = &self.sim.component(self.traffic).stations;
+        for (target, event) in self.sim.pending_events() {
+            let valid = match *event {
+                Event::TxStart { station, .. } | Event::AckTimeout { station, .. } => {
+                    target == MAC_ID && station < n
+                }
+                Event::TxEnd { tx } | Event::AckStart { tx } | Event::AckEnd { tx } => {
+                    target == CHANNEL_ID && txs.contains(tx)
+                }
+                Event::FrameArrival { station } => {
+                    target == TRAFFIC_ID
+                        && matches!(traffic.get(station), Some(StationTraffic::Finite(_)))
+                }
+                Event::StatsTick => target == AP_ID,
+            };
+            if !valid {
+                return Err(SnapshotError::custom(format!(
+                    "pending {event:?} for component {target} cannot be dispatched \
+                     in this scenario of {n} stations"
+                )));
+            }
+        }
+        Ok(())
     }
 }

@@ -26,9 +26,9 @@
 //! ([`StationMac::timers`], see [`Timers`]) on both sensing paths: a freeze
 //! cancels a station's timer there and a resume re-arms it, numbered from
 //! the walk's reserved range. At the end of every handler
-//! [`StationMac::settle`] arms the earliest timer — of the table, or on a
-//! clique of the table and the cell's synced countdowns — in the kernel's
-//! backoff tier ([`StationMac::tier`]), which never holds more than one.
+//! [`StationMac::settle`] sets the kernel's backoff alarm
+//! ([`StationMac::alarm`]) to the earliest timer — of the table, or on a
+//! clique of the table and the cell's synced countdowns.
 
 use super::apctl::ApControl;
 use super::arrivals::TrafficSources;
@@ -37,7 +37,7 @@ use super::channel::{Channel, Transmission};
 use super::clique::Clique;
 use super::event::Event;
 use super::timers::Timers;
-use super::{Ctx, EnginePeers, World, CHANNEL_ID};
+use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
 use crate::backoff::{BackoffPolicy, Policy};
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
@@ -45,7 +45,7 @@ use crate::topology::NodeId;
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use wlan_des::time::SimTime;
-use wlan_des::{Component, Handle, TierId};
+use wlan_des::{AlarmId, Component, Handle};
 
 /// What a station is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -551,15 +551,15 @@ impl Stations {
 }
 
 /// The station-MAC component: all per-station DCF state. Owns the backoff
-/// timer table and the kernel tier its earliest timer is armed in; receives
-/// `TxStart` (from that tier) and `AckTimeout` (from the general tier).
+/// timer table and the kernel alarm its earliest timer is set in; receives
+/// `TxStart` (from that alarm) and `AckTimeout` (from the general tier).
 pub(crate) struct StationMac {
     pub(crate) stations: Stations,
     /// Every station's backoff timer (see [`Timers`]).
     pub(crate) timers: Timers,
-    /// The backoff timer tier this component owns: it holds the earliest
-    /// timer of `timers` (and of the clique's synced countdowns) only.
-    pub(crate) tier: TierId,
+    /// The backoff alarm: it holds the earliest timer of `timers` and of
+    /// the clique's synced countdowns.
+    pub(crate) alarm: AlarmId,
     /// The shared medium view and lazy countdowns of a fully connected cell
     /// (`None` when some pair of stations is hidden: every transition then
     /// adds or subtracts its sensing row from every station's count).
@@ -678,15 +678,19 @@ impl StationMac {
         }
     }
 
-    /// Finish a handler: on a clique re-sync what can be, then arm the
-    /// earliest backoff timer in the kernel's tier.
+    /// Finish a handler: on a clique re-sync what can be, then set the
+    /// backoff alarm to the earliest backoff timer.
     #[inline]
     pub(crate) fn settle(&mut self, phy: &PhyParams, ctx: &mut Ctx<'_>) {
         let implicit = match self.clique.as_deref_mut() {
             Some(clique) => clique.settle(&mut self.stations, &mut self.timers, phy),
             None => None,
         };
-        self.timers.settle(ctx, self.tier, implicit);
+        self.timers
+            .settle(ctx, self.alarm, MAC_ID, implicit, |t| Event::TxStart {
+                station: t.node,
+                gen: t.gen,
+            });
     }
 
     /// A station's backoff timer fired: start transmitting (unless the timer
@@ -702,7 +706,7 @@ impl StationMac {
         // A synced station's timer was implicit: materialise it, then
         // consume it.
         self.detach(&world.phy, node);
-        self.timers.fired(node);
+        self.timers.fired(node, ctx.now(), gen);
         {
             let h = &self.stations.hot[node];
             // A timer is valid iff it is the most recently scheduled one and the

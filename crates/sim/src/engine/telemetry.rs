@@ -12,16 +12,11 @@ use super::{Event, Simulator};
 
 /// Display names of the engine's kernel components, index-aligned with the
 /// `*_ID` registry constants (and therefore with the `dispatch` rows of a
-/// kernel [`MetricsReport`]) and with the timer-tier registration order
-/// (backoff, then arrivals).
+/// kernel [`MetricsReport`]).
 pub const COMPONENT_NAMES: [&str; 4] = ["mac", "channel", "ap", "traffic"];
 
-/// Display names of the engine's timer tiers, index-aligned with the `tiers`
-/// rows of a kernel [`MetricsReport`].
-pub const TIER_NAMES: [&str; 2] = ["backoff", "arrival"];
-
 /// The engine's telemetry report: the kernel [`MetricsReport`] annotated
-/// with the WLAN component/tier names and the engine-level slab gauges.
+/// with the WLAN component names and the engine-level slab gauges.
 /// Produced by [`Simulator::metrics_report`]; entirely observational — a run
 /// with metrics enabled is event-order and RNG-stream identical to one
 /// without.
@@ -29,14 +24,12 @@ pub const TIER_NAMES: [&str; 2] = ["backoff", "arrival"];
 pub struct EngineMetrics {
     /// Component display names, index-aligned with `kernel.dispatch`.
     pub components: Vec<String>,
-    /// Timer-tier display names, index-aligned with `kernel.tiers`.
-    pub tiers: Vec<String>,
     /// Largest number of transmissions ever simultaneously resident in the
     /// transmission slab.
     pub tx_slab_high_water: usize,
     /// Transmission-slab slots currently allocated (live + free).
     pub tx_slab_capacity: usize,
-    /// The kernel-level report: dispatch counters, queue/scheduler/tier
+    /// The kernel-level report: dispatch counters, queue and scheduler
     /// tallies, RNG draw positions.
     pub kernel: MetricsReport,
 }
@@ -68,7 +61,6 @@ impl Simulator {
         let kernel = self.sim.metrics_report()?;
         Some(EngineMetrics {
             components: COMPONENT_NAMES.iter().map(|s| s.to_string()).collect(),
-            tiers: TIER_NAMES.iter().map(|s| s.to_string()).collect(),
             tx_slab_high_water: self.tx_slab_high_water(),
             tx_slab_capacity: self.tx_slab_capacity(),
             kernel,

@@ -699,27 +699,40 @@ fn finite_load_runs_are_deterministic() {
     assert_eq!(run(), run());
 }
 
+/// Deactivation cancels the station's pending arrival, also when it is the
+/// next arrival of the cell (with station 0 saturated, station 1's arrival
+/// is always the one the kernel holds).
 #[test]
 fn deactivation_pauses_arrivals_and_preserves_the_queue() {
-    let topo = Topology::fully_connected(2);
-    let phy = PhyParams::table1();
-    let mut sim = SimulatorBuilder::new(phy, topo)
-        .seed(8)
-        .with_stations(|_, _| PPersistent::new(0.05))
-        .traffic(TrafficSpec::poisson(5000.0).with_queue_frames(64))
-        .build();
-    sim.run_for(SimDuration::from_millis(100));
-    sim.deactivate_station(1);
-    let queued = sim.queued_frames(1);
-    let arrivals = sim.stats().nodes[1].traffic.arrivals;
-    sim.run_for(SimDuration::from_millis(200));
-    // No generation and no service while inactive.
-    assert_eq!(sim.queued_frames(1), queued);
-    assert_eq!(sim.stats().nodes[1].traffic.arrivals, arrivals);
-    sim.activate_station(1);
-    sim.run_for(SimDuration::from_millis(200));
-    assert!(sim.stats().nodes[1].traffic.arrivals > arrivals);
-    assert!(sim.stats().nodes[1].traffic.delivered > 0);
+    for station_0_saturated in [false, true] {
+        let topo = Topology::fully_connected(2);
+        let phy = PhyParams::table1();
+        let mut builder = SimulatorBuilder::new(phy, topo)
+            .seed(8)
+            .with_stations(|_, _| PPersistent::new(0.05))
+            .traffic(TrafficSpec::poisson(5000.0).with_queue_frames(64));
+        if station_0_saturated {
+            builder = builder.station_arrival(0, ArrivalProcess::Saturated);
+        }
+        let mut sim = builder.build();
+        sim.run_for(SimDuration::from_millis(100));
+        sim.deactivate_station(1);
+        let pending = sim
+            .sim
+            .pending_events()
+            .any(|(_, event)| *event == Event::FrameArrival { station: 1 });
+        assert!(!pending, "an inactive station's arrival is pending");
+        let queued = sim.queued_frames(1);
+        let arrivals = sim.stats().nodes[1].traffic.arrivals;
+        sim.run_for(SimDuration::from_millis(200));
+        // No generation and no service while inactive.
+        assert_eq!(sim.queued_frames(1), queued);
+        assert_eq!(sim.stats().nodes[1].traffic.arrivals, arrivals);
+        sim.activate_station(1);
+        sim.run_for(SimDuration::from_millis(200));
+        assert!(sim.stats().nodes[1].traffic.arrivals > arrivals);
+        assert!(sim.stats().nodes[1].traffic.delivered > 0);
+    }
 }
 
 #[test]
@@ -873,6 +886,44 @@ fn resume_rejects_checkpoints_from_a_different_policy() {
     assert!(err.to_string().contains("policy"), "{err}");
 }
 
+/// A checkpoint whose pending events name a station the cell does not have,
+/// a transmission its slab does not hold, an arrival without a finite-load
+/// source or a component that does not handle the event would panic when
+/// the event is dispatched: resume rejects it instead.
+#[test]
+fn resume_rejects_pending_events_that_name_no_station_or_a_vacant_slot() {
+    let vacant = wlan_des::SlotId::from_parts(1000, 0);
+    let stale = wlan_des::SlotId::from_parts(0, u32::MAX);
+    let bad = [
+        (
+            MAC_ID,
+            Event::AckTimeout {
+                station: 99,
+                gen: 0,
+            },
+        ),
+        (MAC_ID, Event::TxStart { station: 4, gen: 0 }),
+        (CHANNEL_ID, Event::TxEnd { tx: vacant }),
+        (CHANNEL_ID, Event::AckStart { tx: stale }),
+        (CHANNEL_ID, Event::AckEnd { tx: vacant }),
+        (TRAFFIC_ID, Event::FrameArrival { station: 0 }),
+        (MAC_ID, Event::StatsTick),
+    ];
+    for (target, event) in bad {
+        let mut source = dcf_cell(4);
+        source.run_until(SimTime::from_millis(10));
+        source.sim.access(|_, _, ctx| {
+            ctx.schedule(SimTime::from_millis(11), target, event);
+        });
+        let err = dcf_cell(4).resume(&source.checkpoint()).unwrap_err();
+        assert!(err.to_string().contains("pending"), "{event:?}: {err}");
+    }
+    // The events the engine itself leaves pending pass.
+    let mut source = dcf_cell(4);
+    source.run_until(SimTime::from_millis(10));
+    dcf_cell(4).resume(&source.checkpoint()).unwrap();
+}
+
 fn dcf_cell(n: usize) -> Simulator {
     SimulatorBuilder::new(PhyParams::table1(), Topology::fully_connected(n))
         .seed(1)
@@ -907,7 +958,7 @@ fn resume_names_the_version_of_an_older_checkpoint() {
     v4.extend_from_slice(&4u32.to_le_bytes());
     v4.extend_from_slice(&[0; 64]);
     let err = dcf_cell(4).resume(&v4).unwrap_err().to_string();
-    assert!(err.contains("v4") && err.contains("v5"), "{err}");
+    assert!(err.contains("v4") && err.contains("v6"), "{err}");
 }
 
 #[test]
@@ -1107,9 +1158,9 @@ mod clique_equivalence {
         check(&case, &steps);
     }
 
-    /// On either sensing path the kernel's backoff tier holds the earliest
-    /// backoff timer only, and the MAC's cancel-and-rearm churn stays out
-    /// of it: the tier arms about one timer per timer that fires.
+    /// On either sensing path the kernel's backoff alarm holds the earliest
+    /// backoff timer, and the MAC's cancel-and-rearm churn stays out of
+    /// it: the alarm is set about once per timer that fires.
     #[test]
     fn the_backoff_tier_holds_only_the_earliest_timer() {
         let disc = Topology::uniform_disc(64, 20.0, &mut ChaCha8Rng::seed_from_u64(5));
@@ -1119,23 +1170,44 @@ mod clique_equivalence {
                 .with_stations(|_, phy| ExponentialBackoff::new(phy))
                 .build();
             assert_eq!(sim.sim.component(sim.mac).clique.is_some(), clique);
+            let alarm = sim.sim.component(sim.mac).alarm;
             sim.enable_metrics();
             for ms in 1..=200 {
                 sim.run_for(SimDuration::from_millis(1));
-                let tier = sim.metrics_report().unwrap().kernel.tiers[0];
-                assert!(
-                    tier.armed <= 1,
-                    "clique {clique}: {} backoff timers armed in the kernel at {ms} ms",
-                    tier.armed
-                );
+                let held = sim
+                    .sim
+                    .access(|_, _, ctx| ctx.alarm(alarm).map(|(t, seq, &e)| (t, seq, e)));
+                let earliest = sim.sim.component_mut(sim.mac).timers.earliest();
+                if clique {
+                    // The cell's synced countdowns may be earlier still.
+                    if let Some(t) = earliest {
+                        assert!(
+                            held.is_some_and(|(time, seq, _)| (time, seq) <= (t.time, t.seq)),
+                            "clique: the alarm holds {held:?}, later than {t:?} at {ms} ms"
+                        );
+                    }
+                } else {
+                    let want = earliest.map(|t| {
+                        let event = Event::TxStart {
+                            station: t.node,
+                            gen: t.gen,
+                        };
+                        (t.time, t.seq, event)
+                    });
+                    assert_eq!(held, want, "per-station: the alarm at {ms} ms");
+                }
             }
-            let tier = sim.metrics_report().unwrap().kernel.tiers[0];
-            assert!(tier.fires > 1000, "clique {clique}: {} fires", tier.fires);
+            let queue = sim.metrics_report().unwrap().kernel.queue;
             assert!(
-                tier.arms <= 2 * tier.fires,
-                "clique {clique}: the backoff tier armed {} timers for {} fires",
-                tier.arms,
-                tier.fires
+                queue.timer_fires > 1000,
+                "clique {clique}: {} fires",
+                queue.timer_fires
+            );
+            assert!(
+                queue.timer_arms <= 2 * queue.timer_fires,
+                "clique {clique}: the backoff alarm was set {} times for {} fires",
+                queue.timer_arms,
+                queue.timer_fires
             );
         }
     }

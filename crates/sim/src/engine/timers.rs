@@ -1,19 +1,22 @@
-//! The MAC's backoff timers: one virtual timer per station, of which only
-//! the earliest is armed in the kernel.
+//! The engine's timer table: at most one timer per station, of which only
+//! the earliest is pending in the kernel, in one of its alarms.
 //!
-//! A carrier-sense freeze cancels a station's backoff timer and the resume
-//! that ends the busy period re-arms it, so on a busy medium nearly every
-//! timer is cancelled long before it fires. [`Timers`] keeps those timers
-//! here, as `(time, seq)` keys with their generations, and the sensing rules
-//! arm and cancel them in place. [`Timers::settle`] then keeps exactly one
-//! timer armed in the kernel's backoff tier: the earliest of the table or,
-//! on the clique path, the earliest of the table and the synced countdowns
-//! the cell keeps implicitly. The cancel-and-rearm churn never reaches the
-//! kernel; only a change of the earliest timer does.
+//! Two tables exist. The MAC's holds the backoff timers: a carrier-sense
+//! freeze cancels a station's backoff timer and the resume that ends the
+//! busy period re-arms it, so on a busy medium nearly every timer is
+//! cancelled long before it fires. The traffic layer's holds each
+//! finite-load station's next frame arrival, cancelled when the station is
+//! deactivated. [`Timers`] keeps the timers as `(time, seq)` keys with their
+//! generations, and its owner arms and cancels them in place.
+//! [`Timers::settle`] then makes the owner's alarm hold exactly the earliest
+//! of the table or, on the clique path's backoff table, the earliest of the
+//! table and the synced countdowns the cell keeps implicitly. The
+//! cancel-and-rearm churn never reaches the kernel; only a change of the
+//! earliest timer does.
 //!
 //! Every timer keeps the sequence number the kernel would have given it, so
-//! the pop order is the one a tier holding every timer would produce. A
-//! station arming on its own takes one fresh number from the kernel; a walk
+//! the pop order is the one a heap holding every timer would produce. A
+//! timer armed on its own takes one fresh number from the kernel; a walk
 //! that resumes stations reserves one range of N numbers up front and gives
 //! station `i` the number `base + i`, which sorts exactly where eager arms
 //! in ascending id order would have.
@@ -26,14 +29,15 @@
 //! of runners-up made the scans cheaper but every arm dearer, and the resume
 //! walks arm 3–110 timers per event: both were slower overall.
 
+use super::event::Event;
 use super::Ctx;
 use crate::topology::NodeId;
 use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use wlan_des::time::SimTime;
-use wlan_des::TierId;
+use wlan_des::{AlarmId, ComponentId};
 
-/// One backoff timer: the key and payload the kernel's backoff tier
-/// schedules when this timer is the earliest.
+/// One timer: the key and payload its table's alarm holds when this timer
+/// is the earliest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Armed {
     pub(crate) time: SimTime,
@@ -69,7 +73,7 @@ fn earlier(a: Option<Armed>, b: Option<Armed>) -> Option<Armed> {
 /// `best` while the earliest timer is unknown (or nothing is armed).
 const UNKNOWN: u32 = u32::MAX;
 
-/// The backoff timer table of all stations (see the module docs).
+/// A timer table of all stations (see the module docs).
 pub(crate) struct Timers {
     /// Per station: its timer's `(time, seq)` key, meaningful while armed.
     key: Box<[u128]>,
@@ -83,8 +87,6 @@ pub(crate) struct Timers {
     best: u32,
     /// Its key, while `best` is known.
     best_key: u128,
-    /// The timer armed in the kernel's backoff tier.
-    kernel: Option<Armed>,
 }
 
 impl Timers {
@@ -97,7 +99,6 @@ impl Timers {
             len: 0,
             best: UNKNOWN,
             best_key: 0,
-            kernel: None,
         }
     }
 
@@ -177,32 +178,43 @@ impl Timers {
         self.get(self.best as usize)
     }
 
-    /// Make the kernel's backoff tier hold exactly the earliest of this
-    /// table's timers and `implicit` (the clique path's earliest synced
-    /// countdown). The only place the tier is armed or cancelled.
-    pub(crate) fn settle(&mut self, ctx: &mut Ctx<'_>, tier: TierId, implicit: Option<Armed>) {
+    /// Make `alarm` hold exactly the earliest of this table's timers and
+    /// `implicit` (the clique path's earliest synced countdown), as the
+    /// event `fire` makes of it for `target`. The alarm is written only
+    /// when its timer changes, and only here. A sequence number names one
+    /// pending timer, so an alarm holding the earliest timer's `(time,
+    /// seq)` holds that timer.
+    #[inline]
+    pub(crate) fn settle(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        alarm: AlarmId,
+        target: ComponentId,
+        implicit: Option<Armed>,
+        fire: impl Fn(Armed) -> Event,
+    ) {
         let best = earlier(self.earliest(), implicit);
-        if best != self.kernel {
-            if let Some(old) = self.kernel {
-                ctx.cancel_timer(tier, old.node);
+        let held = ctx.alarm(alarm).map(|(time, seq, _)| key(time, seq));
+        if best.map(|t| t.key()) != held {
+            match best {
+                Some(t) => ctx.set_alarm(alarm, t.time, t.seq, target, fire(t)),
+                None => ctx.clear_alarm(alarm),
             }
-            if let Some(new) = best {
-                ctx.arm_timer_at_seq(tier, new.node, new.gen, new.time, new.seq);
-            }
-            self.kernel = best;
         }
+        debug_assert_eq!(
+            ctx.alarm(alarm).map(|(_, _, &event)| event),
+            best.map(fire),
+            "two timers share a sequence number"
+        );
     }
 
-    /// The kernel fired `node`'s timer: it is no longer armed there, and
-    /// the table's copy, if the table holds it, is consumed.
-    pub(crate) fn fired(&mut self, node: NodeId) {
-        let fired = self.kernel.take();
-        debug_assert_eq!(
-            fired.map(|a| a.node),
-            Some(node),
-            "fired timer was not armed"
-        );
-        if fired.is_some() && self.get(node) == fired {
+    /// The kernel fired `node`'s timer of generation `gen` at `now`: the
+    /// table's copy, if the table holds it, is consumed.
+    pub(crate) fn fired(&mut self, node: NodeId, now: SimTime, gen: u64) {
+        if self
+            .get(node)
+            .is_some_and(|t| (t.time, t.gen) == (now, gen))
+        {
             self.cancel(node);
         }
     }
@@ -213,12 +225,12 @@ impl Timers {
     }
 }
 
-/// Only the armed timers are checkpointed, with the one the kernel holds;
-/// the count and the cached earliest are rebuilt on load.
+/// Only the armed timers are checkpointed; the count and the cached
+/// earliest are rebuilt on load. The one the alarm holds is the kernel's to
+/// checkpoint.
 impl State for Timers {
     fn save(&self, w: &mut StateWriter) {
         self.iter().collect::<Vec<_>>().save(w);
-        self.kernel.save(w);
     }
 
     fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
@@ -229,20 +241,13 @@ impl State for Timers {
         for timer in armed {
             if timer.node >= self.key.len() || self.is_armed(timer.node) {
                 return Err(SnapshotError::custom(format!(
-                    "backoff timer of station {} out of range or armed twice",
+                    "timer of station {} out of range or armed twice",
                     timer.node
                 )));
             }
             self.arm(timer.node, timer.gen, timer.time, timer.seq);
         }
-        self.kernel = r.read()?;
-        match self.kernel {
-            Some(timer) if timer.node >= self.key.len() => Err(SnapshotError::custom(format!(
-                "kernel backoff timer of station {} out of range",
-                timer.node
-            ))),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -370,7 +375,6 @@ mod tests {
         let mut w = StateWriter::new();
         let twice = vec![Armed::default(), Armed::default()];
         twice.save(&mut w);
-        None::<Armed>.save(&mut w);
         let bytes = w.finish();
         let err = Timers::new(4)
             .load(&mut StateReader::new(&bytes).unwrap())

@@ -93,7 +93,7 @@ pub use ap::{ApAlgorithm, ControlEpoch, NullController};
 pub use backoff::{BackoffPolicy, Policy};
 pub use capture::CaptureModel;
 pub use control::{BusyOutcome, ChannelObservation, ControlPayload};
-pub use engine::{EngineMetrics, Simulator, SimulatorBuilder, COMPONENT_NAMES, TIER_NAMES};
+pub use engine::{EngineMetrics, Simulator, SimulatorBuilder, COMPONENT_NAMES};
 pub use phy::PhyParams;
 pub use stats::{DelayHistogram, NodeStats, SimStats, ThroughputSample, TrafficStats};
 pub use topology::{NodeId, Position, Topology};

@@ -11,6 +11,12 @@
 //! `reset_measurements` call is still pending at resume time) and inside
 //! busy periods (a saturated cell keeps the channel almost always busy, so a
 //! dense checkpoint chain necessarily snapshots mid-transmission).
+//!
+//! Equal results could still hide a reorder of events, so every test also
+//! compares the dispatched-event stream of each resumed segment: kernel
+//! metrics are enabled on the uninterrupted simulator at the checkpoint
+//! instant and on the resumed one right after `resume`, and both registries'
+//! event digests and dispatch counts must agree at the segment's end.
 
 use proptest::prelude::*;
 use wlan_sa::core::{Protocol, Scenario, ScenarioResult, TopologySpec};
@@ -46,20 +52,44 @@ fn scenario(proto_idx: usize, topo_idx: usize, n: usize, seed: u64, finite_load:
     s
 }
 
-/// Run `scenario` to `checkpoint_at`, snapshot, restore the snapshot into a
-/// **fresh** simulator (as a separate process would), and finish the run
-/// there.
-fn resumed_run(scenario: &Scenario, checkpoint_at: SimTime) -> ScenarioResult {
-    let mut first = scenario.build_simulator();
-    scenario.advance_until(&mut first, checkpoint_at);
-    let snapshot = first.checkpoint();
-    drop(first);
-    let mut second = scenario.build_simulator();
-    second
+/// Checkpoint `sim` and restore the snapshot into a **fresh** simulator (as
+/// a separate process would), with kernel metrics on from the resume.
+fn resumed(scenario: &Scenario, sim: &Simulator) -> Simulator {
+    let snapshot = sim.checkpoint();
+    let mut fresh = scenario.build_simulator();
+    fresh
         .resume(&snapshot)
         .expect("a snapshot the engine just wrote must resume");
-    scenario.advance_until(&mut second, scenario.end_time());
-    scenario.collect(&second)
+    fresh.enable_metrics();
+    fresh
+}
+
+/// The events `sim` dispatched since its kernel metrics were enabled: their
+/// digest and count, with the simulator's lifetime event count.
+fn stream(sim: &Simulator) -> (u64, u64, u64) {
+    let kernel = sim.metrics_report().expect("metrics enabled").kernel;
+    let dispatched = kernel.dispatch.iter().map(|d| d.total).sum();
+    (kernel.event_digest, dispatched, sim.events_processed())
+}
+
+/// Run `scenario` to `checkpoint_at`, then to its end: in the same simulator
+/// for the straight run, or, for the resumed one, in a fresh simulator that
+/// resumed a checkpoint taken there. Returns the result and the event stream
+/// dispatched after `checkpoint_at`.
+fn split_run(
+    scenario: &Scenario,
+    checkpoint_at: SimTime,
+    resume: bool,
+) -> (String, (u64, u64, u64)) {
+    let mut sim = scenario.build_simulator();
+    scenario.advance_until(&mut sim, checkpoint_at);
+    if resume {
+        sim = resumed(scenario, &sim);
+    } else {
+        sim.enable_metrics();
+    }
+    scenario.advance_until(&mut sim, scenario.end_time());
+    (json(&scenario.collect(&sim)), stream(&sim))
 }
 
 fn json(result: &ScenarioResult) -> String {
@@ -70,7 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random protocol × topology × traffic × seed × checkpoint instant:
-    /// the resumed run must serialise byte-identically to the straight run.
+    /// the resumed run must serialise byte-identically to the straight run
+    /// and dispatch the same events after the checkpoint.
     /// Checkpoint fractions below 25% land inside the warm-up, so the
     /// pending mid-run `reset_measurements` is part of the sampled space.
     #[test]
@@ -86,8 +117,8 @@ proptest! {
         let end = s.end_time();
         let checkpoint_at = SimTime::ZERO
             + SimDuration::from_secs_f64(end.as_secs_f64() * frac_permille as f64 / 1000.0);
-        let straight = json(&s.run());
-        let resumed = json(&resumed_run(&s, checkpoint_at));
+        let straight = split_run(&s, checkpoint_at, false);
+        let resumed = split_run(&s, checkpoint_at, true);
         prop_assert_eq!(
             straight,
             resumed,
@@ -112,8 +143,8 @@ fn checkpoint_during_warmup_preserves_the_pending_measurement_reset() {
         let s = scenario(proto_idx, 0, 5, 11, false);
         let mid_warmup = SimTime::ZERO + SimDuration::from_millis(15);
         assert_eq!(
-            json(&s.run()),
-            json(&resumed_run(&s, mid_warmup)),
+            split_run(&s, mid_warmup, false),
+            split_run(&s, mid_warmup, true),
             "{:?}: checkpoint during warm-up broke the measurement reset",
             protocol(proto_idx)
         );
@@ -124,29 +155,37 @@ fn checkpoint_during_warmup_preserves_the_pending_measurement_reset() {
 /// saturated run. With a snapshot every 1.3 ms of a cell whose channel is
 /// essentially always busy, many snapshots necessarily land inside a busy
 /// period (mid-transmission, pending ACK timers, half-elapsed backoffs); the
-/// final result must still match the uninterrupted run byte for byte.
+/// final result must still match the uninterrupted run byte for byte, and
+/// each segment must dispatch the events the uninterrupted run dispatches
+/// over the same interval.
 #[test]
 fn chained_checkpoints_inside_busy_periods_are_byte_identical() {
     let s = scenario(0, 0, 6, 7, false);
-    let straight = json(&s.run());
     let end = s.end_time();
     let step = SimDuration::from_micros(1300);
+    let mut straight = s.build_simulator();
     let mut sim = s.build_simulator();
     let mut snapshots = 0u32;
     while sim.now() < end {
         let next = (sim.now() + step).min(end);
+        s.advance_until(&mut straight, next);
         s.advance_until(&mut sim, next);
+        if snapshots > 0 {
+            assert_eq!(
+                stream(&straight),
+                stream(&sim),
+                "segment {snapshots} of the chain, ending at {next}"
+            );
+        }
         if sim.now() < end {
-            let snapshot = sim.checkpoint();
-            let mut fresh = s.build_simulator();
-            fresh.resume(&snapshot).expect("chain snapshot must resume");
-            sim = fresh;
+            sim = resumed(&s, &sim);
+            straight.enable_metrics();
             snapshots += 1;
         }
     }
     assert!(snapshots > 50, "the chain must actually checkpoint densely");
     assert_eq!(
-        straight,
+        json(&s.collect(&straight)),
         json(&s.collect(&sim)),
         "a chain of {snapshots} checkpoint/restore steps diverged from the straight run"
     );
@@ -156,8 +195,9 @@ fn chained_checkpoints_inside_busy_periods_are_byte_identical() {
 /// stations on the air at once. Each run is checkpointed first with at
 /// least three frames on the air (a k-way collision), then while the AP's
 /// ACK is on the air; each snapshot resumes into a fresh simulator, and the
-/// run must end byte-identical to the straight one. 802.11 keeps frozen
-/// counters across the freeze; static p-persistent redraws on every resume.
+/// run must end byte-identical to the straight one, each resumed segment
+/// dispatching the straight run's events. 802.11 keeps frozen counters
+/// across the freeze; static p-persistent redraws on every resume.
 #[test]
 fn clique_checkpoints_mid_collision_and_mid_ack_are_byte_identical() {
     let protocols = [
@@ -169,8 +209,8 @@ fn clique_checkpoints_mid_collision_and_mid_ack_are_byte_identical() {
             .durations(SimDuration::from_millis(20), SimDuration::from_millis(60))
             .update_period(SimDuration::from_millis(20))
             .seed(5);
-        let straight = json(&s.run());
         let end = s.end_time();
+        let mut straight = s.build_simulator();
         let mut sim = s.build_simulator();
         for what in ["three frames", "an ACK"] {
             let found = |sim: &Simulator| match what {
@@ -182,14 +222,26 @@ fn clique_checkpoints_mid_collision_and_mid_ack_are_byte_identical() {
                 let next = sim.now() + SimDuration::from_micros(1);
                 s.advance_until(&mut sim, next);
             }
-            let snapshot = sim.checkpoint();
-            sim = s.build_simulator();
-            sim.resume(&snapshot)
-                .expect("a snapshot the engine just wrote must resume");
+            s.advance_until(&mut straight, sim.now());
+            if sim.metrics_enabled() {
+                assert_eq!(
+                    stream(&straight),
+                    stream(&sim),
+                    "{protocol:?}: the segment before {what} on the air"
+                );
+            }
+            sim = resumed(&s, &sim);
+            straight.enable_metrics();
         }
+        s.advance_until(&mut straight, end);
         s.advance_until(&mut sim, end);
         assert_eq!(
-            straight,
+            stream(&straight),
+            stream(&sim),
+            "{protocol:?}: the segment after an ACK on the air"
+        );
+        assert_eq!(
+            json(&s.collect(&straight)),
             json(&s.collect(&sim)),
             "{protocol:?}: resuming mid-collision and mid-ACK diverged"
         );

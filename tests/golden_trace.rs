@@ -63,7 +63,7 @@ fn cases() -> Vec<(&'static str, Scenario)> {
     }
     // The finite-load fixture: Poisson offered load at roughly half the
     // 8-station capacity into small bounded queues. Pins the traffic
-    // subsystem — arrival tier, QueueEmpty lifecycle, delay accounting and
+    // subsystem — arrival timers, QueueEmpty lifecycle, delay accounting and
     // the serialised `traffic` summary — the same way the saturated grid
     // pins the engine hot path.
     cases.push((
