@@ -11,12 +11,17 @@
 //!
 //! ## Supervision
 //!
-//! The server is built to run unattended for days:
+//! The server is built to run unattended for days. Its jobs run on the
+//! campaign library's one supervised pool, `RunContext::supervise`, the
+//! pool the experiment binaries use too. Invalid jobs and cache hits are
+//! settled before any worker starts (each job's cache entry is read once),
+//! and one claim of a job advances it in slices, snapshotting between them:
 //!
-//! * **Panic isolation** — every job runs under `catch_unwind`; a panicking
-//!   job is retried (the campaign pool's deterministic backoff,
-//!   `WLAN_JOB_RETRIES` budget) and, if it keeps panicking, emitted as an
-//!   error line instead of tearing the pool down.
+//! * **Panic isolation** — every claim runs under `catch_unwind`; a
+//!   panicking job is retried (the pool's deterministic backoff,
+//!   `WLAN_JOB_RETRIES` budget) from its last snapshot and, if it keeps
+//!   panicking, quarantined as an error line instead of tearing the pool
+//!   down. `metrics.json` counts the retries, quarantines and failed jobs.
 //! * **Wall-clock timeout** — `job_timeout_secs` (spec key, or the
 //!   `WLAN_JOB_TIMEOUT_SECS` environment variable): a job exceeding it is
 //!   snapshotted and **requeued**, so a pathological cell cannot pin a
@@ -71,12 +76,14 @@
 //! One line per job, in input order:
 //!
 //! ```json
-//! {"job": 0, "key": "<32-hex>", "cached": false, "resumed": false, "result": {...}}
+//! {"job": 0, "key": "<32-hex>", "cached": false, "resumed": false,
+//!  "wall_secs": 0.8, "events_per_sec": 2.1e6, "result": {...}}
 //! {"job": 1, "error": "invalid scenario: ..."}
 //! ```
 //!
-//! followed by a summary line
-//! `{"jobs": N, "completed": X, "errors": E, "drained": D, "cache_hits": H, "cache_misses": M}`.
+//! each on one line with `result` last, followed by a summary line
+//! `{"jobs": N, "completed": X, "errors": E, "drained": D, "cache_hits": H,
+//! "cache_misses": M, "wall_secs": S}`.
 //! Drained jobs (in-flight or never claimed when a signal arrived) emit no
 //! per-job line — they are jobs a `--resume` rerun will finish. Diagnostics
 //! go to stderr.
@@ -91,19 +98,17 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, VecDeque};
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use wlan_bench::harness::{open_cache, threads_flag, Knobs};
-use wlan_core::campaign::{panic_message, retry_backoff};
-use wlan_core::{job_key, FaultPlan, FaultSite, RunContext, Scenario, ScenarioResult};
+use wlan_core::campaign::{Attempt, Slot};
+use wlan_core::{job_key, FaultPlan, FaultSite, JobError, RunContext, Scenario, ScenarioResult};
 use wlan_sim::{SimDuration, Simulator};
 
-/// Set by the SIGTERM/SIGINT handler: workers stop claiming, in-flight jobs
-/// snapshot at the next slice boundary and report [`Status::Drained`].
+/// Set by the SIGTERM/SIGINT handler: the pool stops claiming, and in-flight
+/// jobs snapshot at the next slice boundary and stay unsettled (drained).
 static DRAINING: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_sig: i32) {
@@ -143,45 +148,15 @@ struct Outcome {
     wall: Duration,
 }
 
-/// Terminal status of one job slot, sent to the in-order emitter.
-enum Status {
-    /// The job finished (fresh, cached, or resumed) — emits a result line.
-    Done(Box<Outcome>),
-    /// The job failed permanently — emits `{"job":i,"error":...}`.
-    Failed(String),
-    /// A drain interrupted the job after its snapshot was flushed — no line;
-    /// a `--resume` rerun finishes it.
-    Drained,
-}
-
-/// One entry of the work queue. `claims` counts timeout requeues (and keys
-/// the `worker_stall` fault site), `panics` counts panicking attempts (and
-/// keys `job_panic`), and `resume` says whether to look for a snapshot.
-struct WorkItem {
-    index: usize,
-    claims: u32,
-    panics: u32,
-    resume: bool,
-}
-
-/// What a worker should do with a claimed item.
-enum Disposition {
-    Done(Box<Outcome>),
-    /// Panicked with retry budget left: back off and requeue.
-    Retry,
-    /// Wall-clock timeout: snapshot written, requeue for another claim.
-    Requeue,
-    Drained,
-    Failed(String),
-}
-
-/// Checkpointing configuration shared by all workers (whether to *resume*
-/// from a snapshot is per-claim state, carried by [`WorkItem`]).
+/// Checkpointing configuration shared by all workers.
 struct CheckpointPolicy {
     dir: PathBuf,
     every: Option<SimDuration>,
     /// Wall-clock budget of one claim: past it the job snapshots and requeues.
     timeout: Option<Duration>,
+    /// `--resume`: a job's first claim looks for a snapshot too (every later
+    /// claim always does).
+    resume: bool,
 }
 
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -317,22 +292,25 @@ fn write_snapshot(sim: &Simulator, path: &Path, key: &str, faults: &FaultPlan, o
     }
 }
 
-/// Advance one job in slices, supervising between slices: a drain request
-/// snapshots and stops, a wall-clock timeout snapshots and requeues, and the
-/// periodic checkpoint cadence (if any) snapshots and continues. The result
-/// of a completed job is bit-identical however many slices, snapshots,
-/// resumes or requeues it took (the `advance_until` contract).
+/// One claim of one job: advance it in slices, supervising between slices.
+/// A drain request snapshots and requeues (the pool then claims nothing
+/// more, so the job stays unsettled), a wall-clock timeout snapshots and
+/// requeues, and the periodic checkpoint cadence (if any) snapshots and
+/// continues. The result of a completed job is bit-identical however many
+/// slices, snapshots, resumes or requeues it took (the `advance_until`
+/// contract).
 fn advance_job(
+    index: usize,
     job: &Job,
     ctx: &RunContext,
     ckpt: &CheckpointPolicy,
-    item: &WorkItem,
-) -> Disposition {
+    claim: u32,
+) -> Attempt<Outcome> {
     let scenario = &job.scenario;
     let mut sim = ctx.build(scenario);
     let mut resumed = false;
     let path = ckpt.dir.join(format!("{}.ckpt", job.key));
-    if item.resume {
+    if ckpt.resume || claim > 0 {
         if let Ok(bytes) = std::fs::read(&path) {
             if sim.resume(&bytes).is_ok() {
                 resumed = true;
@@ -361,14 +339,19 @@ fn advance_job(
         }
         if DRAINING.load(Ordering::SeqCst) {
             write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
-            return Disposition::Drained;
+            return Attempt::Requeue;
         }
         if let Some(timeout) = ckpt.timeout {
             // The slice above made simulated-time progress, so requeueing
             // still terminates: every claim moves the job forward.
             if claimed.elapsed() >= timeout {
                 write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
-                return Disposition::Requeue;
+                eprintln!(
+                    "campaign_server: job {index} hit its wall-clock timeout — snapshotted and \
+                     requeued (claim {})",
+                    claim + 1
+                );
+                return Attempt::Requeue;
             }
         }
         if ckpt.every.is_some() {
@@ -381,65 +364,13 @@ fn advance_job(
     let result = ctx.collect(scenario, &sim);
     ctx.store(&job.key, &result);
     let _ = std::fs::remove_file(&path);
-    Disposition::Done(Box::new(Outcome {
+    Attempt::Done(Outcome {
         result,
         cached: false,
         resumed,
         events,
         wall,
-    }))
-}
-
-/// Run one claim of one job under supervision: cache short-circuit, injected
-/// worker stall, and panic isolation with a bounded retry budget.
-fn run_job(job: &Job, ctx: &RunContext, ckpt: &CheckpointPolicy, item: &WorkItem) -> Disposition {
-    if ctx
-        .faults
-        .should_fault(FaultSite::WorkerStall, &job.key, item.claims)
-    {
-        std::thread::sleep(ctx.faults.stall());
-    }
-    if let Some(result) = ctx.lookup(&job.key) {
-        return Disposition::Done(Box::new(Outcome {
-            result,
-            cached: true,
-            resumed: false,
-            events: 0,
-            wall: Duration::ZERO,
-        }));
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if ctx
-            .faults
-            .should_fault(FaultSite::JobPanic, &job.key, item.panics)
-        {
-            panic!(
-                "injected fault: job_panic (job {}, attempt {})",
-                item.index, item.panics
-            );
-        }
-        advance_job(job, ctx, ckpt, item)
-    }));
-    match outcome {
-        Ok(disposition) => disposition,
-        Err(payload) => {
-            let message = panic_message(payload);
-            if item.panics + 1 < ctx.attempts {
-                eprintln!(
-                    "campaign_server: job {} panicked (attempt {}/{}): {message} — retrying",
-                    item.index,
-                    item.panics + 1,
-                    ctx.attempts
-                );
-                Disposition::Retry
-            } else {
-                Disposition::Failed(format!(
-                    "job panicked on all {} attempts: {message}",
-                    ctx.attempts
-                ))
-            }
-        }
-    }
+    })
 }
 
 /// Emit `{"job":i,"error":...}` on stdout (stderr fallback if even that line
@@ -457,52 +388,50 @@ fn emit_error_line(index: usize, error: &str) {
     }
 }
 
-/// Emit the line (or no line, for a drained slot) for one finished job,
-/// updating the summary counters.
-fn emit_status(
+/// Emit the line for one settled job, updating the summary counters.
+fn emit_outcome(
     index: usize,
-    status: Status,
-    jobs: &[Result<Job, String>],
+    outcome: Result<Outcome, JobError>,
+    jobs: &[Result<Job, JobError>],
     completed: &mut u64,
     errors: &mut u64,
 ) {
-    match status {
-        Status::Done(outcome) => {
-            let key = match &jobs[index] {
-                Ok(job) => job.key.clone(),
-                Err(_) => unreachable!("only parsed jobs produce results"),
-            };
-            let wall_secs = outcome.wall.as_secs_f64();
-            let events_per_sec = if wall_secs > 0.0 {
-                outcome.events as f64 / wall_secs
-            } else {
-                0.0
-            };
-            let line = Value::Map(vec![
-                ("job".to_string(), Value::U64(index as u64)),
-                ("key".to_string(), Value::Str(key)),
-                ("cached".to_string(), Value::Bool(outcome.cached)),
-                ("resumed".to_string(), Value::Bool(outcome.resumed)),
-                ("wall_secs".to_string(), Value::F64(wall_secs)),
-                ("events_per_sec".to_string(), Value::F64(events_per_sec)),
-                ("result".to_string(), outcome.result.to_value()),
-            ]);
-            match serde_json::to_string(&line) {
-                Ok(text) => {
-                    println!("{text}");
-                    *completed += 1;
-                }
-                Err(e) => {
-                    emit_error_line(index, &format!("cannot serialise result: {e}"));
-                    *errors += 1;
-                }
-            }
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(error) => {
+            emit_error_line(index, &error.to_string());
+            *errors += 1;
+            return;
         }
-        Status::Failed(error) => {
-            emit_error_line(index, &error);
+    };
+    let Ok(job) = &jobs[index] else {
+        unreachable!("only parsed jobs produce results");
+    };
+    let wall_secs = outcome.wall.as_secs_f64();
+    let events_per_sec = if wall_secs > 0.0 {
+        outcome.events as f64 / wall_secs
+    } else {
+        0.0
+    };
+    // `result` goes last: a reader can split the line on `,"result":`.
+    let line = Value::Map(vec![
+        ("job".to_string(), Value::U64(index as u64)),
+        ("key".to_string(), Value::Str(job.key.clone())),
+        ("cached".to_string(), Value::Bool(outcome.cached)),
+        ("resumed".to_string(), Value::Bool(outcome.resumed)),
+        ("wall_secs".to_string(), Value::F64(wall_secs)),
+        ("events_per_sec".to_string(), Value::F64(events_per_sec)),
+        ("result".to_string(), outcome.result.to_value()),
+    ]);
+    match serde_json::to_string(&line) {
+        Ok(text) => {
+            println!("{text}");
+            *completed += 1;
+        }
+        Err(e) => {
+            emit_error_line(index, &format!("cannot serialise result: {e}"));
             *errors += 1;
         }
-        Status::Drained => {}
     }
 }
 
@@ -556,13 +485,14 @@ fn main() {
 
     // A job that fails to parse or validate occupies an error slot; the
     // healthy jobs run regardless.
-    let jobs: Vec<Result<Job, String>> = jobs_value
+    let jobs: Vec<Result<Job, JobError>> = jobs_value
         .iter()
-        .map(|v| {
-            parse_job(v).map(|scenario| {
-                let key = job_key(&scenario);
-                Job { scenario, key }
-            })
+        .map(|v| match parse_job(v) {
+            Ok(scenario) => Ok(Job {
+                key: job_key(&scenario),
+                scenario,
+            }),
+            Err(e) => Err(JobError::InvalidSpec(e)),
         })
         .collect();
 
@@ -585,6 +515,7 @@ fn main() {
         dir: checkpoint_dir,
         every,
         timeout,
+        resume,
     };
     let parse_errors = jobs.iter().filter(|j| j.is_err()).count();
     eprintln!(
@@ -609,110 +540,34 @@ fn main() {
         },
     );
 
-    // Workers pop WorkItems from a requeue-capable deque; the main thread
-    // re-serialises the completions into input order so the stream is
-    // deterministic. Parse failures are injected as pre-finished slots.
-    let queue: Mutex<VecDeque<WorkItem>> = Mutex::new(
-        jobs.iter()
-            .enumerate()
-            .filter(|(_, j)| j.is_ok())
-            .map(|(index, _)| WorkItem {
-                index,
-                claims: 0,
-                panics: 0,
-                resume,
-            })
-            .collect(),
-    );
-    let runnable = jobs.len() - parse_errors;
-    let (tx, rx) = mpsc::channel::<(usize, Status)>();
-    for (i, job) in jobs.iter().enumerate() {
-        if let Err(e) = job {
-            let _ = tx.send((i, Status::Failed(e.clone())));
-        }
-    }
-    let mut completed = 0u64;
-    let mut errors = 0u64;
+    // Invalid jobs and cache hits are settled before any worker starts; the
+    // pool runs the rest and hands every outcome back in input order.
     let campaign_started = Instant::now();
-    let claimed_jobs = AtomicU64::new(0);
-    let claimed = || claimed_jobs.load(Ordering::Relaxed);
-    ctx.with_heartbeat(claimed, || {
-        std::thread::scope(|scope| {
-            for _ in 0..ctx.threads.min(runnable.max(1)) {
-                let tx = tx.clone();
-                let jobs = &jobs;
-                let queue = &queue;
-                let ckpt = &ckpt;
-                let ctx = &ctx;
-                let claimed_jobs = &claimed_jobs;
-                scope.spawn(move || loop {
-                    if DRAINING.load(Ordering::SeqCst) {
-                        break; // stop claiming; unclaimed items count as drained
-                    }
-                    let item = queue
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop_front();
-                    let Some(mut item) = item else { break };
-                    claimed_jobs.fetch_add(1, Ordering::Relaxed);
-                    let Ok(job) = &jobs[item.index] else {
-                        unreachable!("only parsed jobs are queued");
-                    };
-                    match run_job(job, ctx, ckpt, &item) {
-                        Disposition::Done(outcome) => {
-                            let _ = tx.send((item.index, Status::Done(outcome)));
-                        }
-                        Disposition::Failed(error) => {
-                            let _ = tx.send((item.index, Status::Failed(error)));
-                        }
-                        Disposition::Drained => {
-                            let _ = tx.send((item.index, Status::Drained));
-                        }
-                        Disposition::Retry => {
-                            // The pool's deterministic bounded backoff (wall-clock
-                            // only; a retry is a pure re-execution of the job).
-                            item.panics += 1;
-                            std::thread::sleep(retry_backoff(item.panics));
-                            item.resume = true;
-                            queue
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push_back(item);
-                        }
-                        Disposition::Requeue => {
-                            eprintln!(
-                                "campaign_server: job {} hit its wall-clock timeout — snapshotted \
-                             and requeued (claim {})",
-                                item.index,
-                                item.claims + 1
-                            );
-                            item.claims += 1;
-                            item.resume = true;
-                            queue
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push_back(item);
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut pending: BTreeMap<usize, Status> = BTreeMap::new();
-            let mut emit_next = 0usize;
-            for (i, status) in rx {
-                pending.insert(i, status);
-                while let Some(status) = pending.remove(&emit_next) {
-                    emit_status(emit_next, status, &jobs, &mut completed, &mut errors);
-                    emit_next += 1;
-                }
-            }
-            // A drain leaves gaps (unclaimed jobs send nothing): flush whatever
-            // finished out of order, still ascending by index.
-            for (i, status) in pending {
-                emit_status(i, status, &jobs, &mut completed, &mut errors);
-            }
-        })
+    let slots = jobs.iter().map(|job| match job {
+        Err(e) => Slot::Settled(Err(e.clone())),
+        Ok(job) => match ctx.lookup(&job.key) {
+            Some(result) => Slot::Settled(Ok(Outcome {
+                result,
+                cached: true,
+                resumed: false,
+                events: 0,
+                wall: Duration::ZERO,
+            })),
+            None => Slot::Run(job.key.clone()),
+        },
     });
+    let (mut completed, mut errors) = (0u64, 0u64);
+    ctx.supervise(
+        slots,
+        || DRAINING.load(Ordering::SeqCst),
+        |index, claim| {
+            let Ok(job) = &jobs[index] else {
+                unreachable!("only parsed jobs run");
+            };
+            advance_job(index, job, &ctx, &ckpt, claim)
+        },
+        |index, outcome| emit_outcome(index, outcome, &jobs, &mut completed, &mut errors),
+    );
 
     let drained = jobs.len() as u64 - completed - errors;
     let stats = ctx.cache.as_ref().map(|c| c.stats()).unwrap_or_default();

@@ -1,8 +1,9 @@
 //! End-to-end supervision tests of the `campaign_server` binary: graceful
 //! SIGTERM drain → `--resume` completion with byte-identical results, a
-//! corrupt snapshot discarded on resume, wall-clock timeout requeue, per-job
-//! error lines for invalid specs, and compute-only degradation when the
-//! cache directory is unusable.
+//! corrupt snapshot discarded on resume, wall-clock timeout requeue,
+//! injected panics retried or quarantined (and counted in `metrics.json`),
+//! per-job error lines for invalid specs, and compute-only degradation when
+//! the cache directory is unusable.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -56,6 +57,7 @@ struct Run {
     lines: Vec<Value>,
     summary: Value,
     status: std::process::ExitStatus,
+    stdout: String,
     stderr: String,
 }
 
@@ -98,6 +100,7 @@ fn run_server(
         lines,
         summary,
         status: output.status,
+        stdout,
         stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
     }
 }
@@ -275,6 +278,91 @@ fn job_timeout_requeues_until_completion() {
         "requeued jobs must produce identical bytes"
     );
     for d in [cache, ckpt, ref_cache, ref_ckpt] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+/// Run the server uncached on the three-job spec under
+/// `WLAN_FAULT_PLAN=plan` (three attempts per job), with a results
+/// directory of its own; returns the run and its `metrics.json`.
+fn faulted_run(plan: &str, tag: &str) -> (Run, Value) {
+    let out = temp_dir(tag);
+    let input = spec(&out.join("cache"), &out.join("ckpt"), "");
+    let out_text = out.display().to_string();
+    let envs = [
+        ("WLAN_FAULT_PLAN", plan),
+        ("WLAN_JOB_RETRIES", "2"),
+        ("WLAN_REPRO_OUT", out_text.as_str()),
+    ];
+    let run = run_server(&input, &["--no-cache"], &envs, None);
+    assert!(run.status.success(), "faults are lines, not a crash");
+    let metrics = std::fs::read_to_string(out.join("metrics.json")).expect("metrics.json");
+    let _ = std::fs::remove_dir_all(&out);
+    (
+        run,
+        serde_json::from_str(&metrics).expect("metrics.json is JSON"),
+    )
+}
+
+/// Injected panics through the server: a job that panics once is retried
+/// to byte-identical results, a job that panics on every attempt is one
+/// error line, and `metrics.json` counts both. Every result line ends with
+/// its `result` object: the benchmark's reader splits a line on
+/// `,"result":` and takes the rest as the result's bytes.
+#[test]
+fn injected_job_panics_are_retried_or_quarantined_and_counted() {
+    let (retried, metrics) = faulted_run("seed=1;job_panic=1x1", "retry_out");
+    assert_eq!(get_u64(&retried.summary, "completed"), 3);
+    assert_eq!(get_u64(&metrics, "retries"), 3, "one retry per job");
+    let reference = faulted_run("", "retry_ref_out").0;
+    assert_eq!(
+        results_by_job(&retried.lines),
+        results_by_job(&reference.lines)
+    );
+    for (raw, line) in retried.stdout.lines().zip(&retried.lines) {
+        let (_, tail) = raw.split_once(",\"result\":").expect("a result line");
+        let text = tail
+            .strip_suffix('}')
+            .expect("the line closes after `result`");
+        let result: Value = serde_json::from_str(text).expect("the tail is the result");
+        assert_eq!(&result, get(line, "result"));
+    }
+
+    let (quarantined, metrics) = faulted_run("seed=1;job_panic=1", "quarantine_out");
+    assert_eq!(get_u64(&quarantined.summary, "errors"), 3);
+    assert_eq!(quarantined.lines.len(), 3);
+    for (i, line) in quarantined.lines.iter().enumerate() {
+        let Value::Str(e) = get(line, "error") else {
+            panic!("job {i} must carry an error string")
+        };
+        let expected = "job panicked on all 3 attempts: injected fault: job_panic";
+        assert!(e.starts_with(expected), "job {i}: {e}");
+    }
+    assert_eq!(get_u64(&metrics, "quarantined"), 3);
+    assert_eq!(get_u64(&metrics, "jobs_failed"), 3);
+}
+
+/// A job requeued by its wall-clock timeout reads the cache once, not once
+/// per claim: five 0.2 sim-s slices under a 1 µs timeout are five claims.
+#[test]
+fn a_requeued_job_reads_the_cache_once() {
+    let (cache, ckpt) = (temp_dir("requeue_cache"), temp_dir("requeue_ckpt"));
+    let input = format!(
+        concat!(
+            "{{\"threads\":1,\"checkpoint_sim_secs\":0.2,\"job_timeout_secs\":1e-6,",
+            "\"cache_dir\":{:?},\"checkpoint_dir\":{:?},\"jobs\":[{{\"protocol\":",
+            "\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":50,\"seed\":4,",
+            "\"warmup\":200000000,\"measure\":800000000}}]}}"
+        ),
+        cache.display().to_string(),
+        ckpt.display().to_string(),
+    );
+    let run = run_server(&input, &[], &[], None);
+    assert_eq!(get_u64(&run.summary, "completed"), 1);
+    let requeues = run.stderr.matches("hit its wall-clock timeout").count();
+    assert_eq!(requeues, 4, "{}", run.stderr);
+    assert_eq!(get_u64(&run.summary, "cache_misses"), 1);
+    for d in [cache, ckpt] {
         let _ = std::fs::remove_dir_all(&d);
     }
 }

@@ -8,7 +8,7 @@
 //! simulator, so they parallelise perfectly. The only requirement for
 //! reproducibility is that aggregation happens in a fixed order — which this
 //! module guarantees by pre-expanding the grid into an indexed job list and
-//! writing each worker's result into the slot of the job it claimed.
+//! handing each job's outcome back at its input index.
 //!
 //! ## Run context
 //!
@@ -22,17 +22,21 @@
 //!
 //! ## Supervision
 //!
-//! Every job runs under [`std::panic::catch_unwind`]: a panicking job (a
-//! real bug, or an injected [`crate::fault`] fault) is retried up to
-//! [`RunContext::attempts`] times with a deterministic backoff, and a job
-//! that exhausts its attempts is **quarantined** into a structured
-//! [`JobError`] slot instead of tearing down the whole pool. Retries never
-//! perturb anything: each job owns all of its randomness, so a retry is a
-//! pure re-execution, and results are collected by slot index, so the
-//! output order — and the output bytes of every healthy job — are identical
-//! to a fault-free serial run. [`RunContext::run_checked`] exposes the
-//! per-job `Result`s; [`RunContext::run`] keeps the infallible signature (it
-//! panics, after the pool has fully drained, if any job was quarantined).
+//! There is one pool, [`RunContext::supervise`]: [`RunContext::run_checked`]
+//! runs each job on it as one whole-job attempt, and `campaign_server` as
+//! slices that snapshot and requeue. Workers claim jobs from a queue that
+//! takes requeued jobs back, and every attempt runs under
+//! [`std::panic::catch_unwind`]: a panicking job (a real bug, or an injected
+//! [`crate::fault`] fault) is retried up to [`RunContext::attempts`] times
+//! with a deterministic backoff, and a job that exhausts its attempts is
+//! **quarantined** into a structured [`JobError`] slot instead of tearing
+//! down the whole pool. Retries never perturb anything: each job owns all
+//! of its randomness, so a retry is a pure re-execution, and outcomes are
+//! handed back by input index, so the output order — and the output bytes
+//! of every healthy job — are identical to a fault-free serial run.
+//! [`RunContext::run_checked`] exposes the per-job `Result`s;
+//! [`RunContext::run`] keeps the infallible signature (it panics, after the
+//! pool has fully drained, if any job was quarantined).
 //!
 //! ```
 //! use wlan_core::{Campaign, Protocol, RunContext, TopologySpec};
@@ -58,9 +62,11 @@ use crate::metrics::MetricsRegistry;
 use crate::protocol::Protocol;
 use crate::scenario::{Scenario, ScenarioResult, TopologySpec};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wlan_sim::{SimDuration, Simulator, TrafficSpec};
 
@@ -83,12 +89,12 @@ pub const DEFAULT_JOB_RETRIES: u32 = 2;
 /// Deterministic backoff before retry `attempt` (1-based): doubling from
 /// 1 ms, capped at 50 ms. Purely a wall-clock pause — it cannot influence
 /// results, which depend only on the scenario's own seed.
-pub fn retry_backoff(attempt: u32) -> Duration {
+fn retry_backoff(attempt: u32) -> Duration {
     Duration::from_millis((1u64 << attempt.min(6)).min(50))
 }
 
 /// Extract a printable message from a caught panic payload.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -100,10 +106,10 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Everything a campaign run depends on besides its scenarios.
 ///
-/// The caller owns one value per run; the pool, [`Campaign::run`] and
-/// `campaign_server` read their settings from it and count into its
-/// registry. No field can change a result's bytes, except that `telemetry`
-/// adds the optional controller-telemetry section.
+/// The caller owns one value per run; the pool reads its settings from it
+/// and counts into its registry, whether [`Campaign::run`] or
+/// `campaign_server` runs it. No field can change a result's bytes, except
+/// that `telemetry` adds the optional controller-telemetry section.
 #[derive(Debug)]
 pub struct RunContext {
     /// Worker threads (`0` counts as 1). Results are bit-identical for
@@ -168,32 +174,48 @@ impl RunContext {
     /// its own error slot; every other job's result is bit-identical to a
     /// run in which the failure never happened.
     ///
-    /// With a cache, hits are served from disk and only the misses run on the
-    /// pool (in their original relative order); healthy fresh results are
-    /// stored. The results are bit-identical either way, because the cache
-    /// stores exactly what the engine produced.
+    /// Each job is one whole-job attempt on [`supervise`](Self::supervise).
+    /// An invalid scenario is settled as [`JobError::InvalidScenario`] before
+    /// any worker starts. With a cache, each job's entry is read once: hits
+    /// are settled from disk, and only the misses run (healthy fresh results
+    /// are stored). The results are bit-identical either way, because the
+    /// cache stores exactly what the engine produced.
     pub fn run_checked(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
-        if self.cache.is_none() {
-            return self.run_pool(scenarios);
-        }
-        let keys: Vec<String> = scenarios.iter().map(job_key).collect();
-        let mut out: Vec<Option<Result<ScenarioResult, JobError>>> =
-            keys.iter().map(|k| self.lookup(k).map(Ok)).collect();
-        let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-        if !missing.is_empty() {
-            let jobs: Vec<Scenario> = missing.iter().map(|&i| scenarios[i].clone()).collect();
-            for (&i, result) in missing.iter().zip(self.run_pool(&jobs)) {
-                if let Ok(result) = &result {
-                    self.store(&keys[i], result);
-                }
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| unreachable!("every slot is a hit or a computed miss"))
-            })
-            .collect()
+        // The key scopes the fault sites and names the cache entry; without
+        // either there is nothing to key.
+        let keyed = self.cache.is_some() || !self.faults.is_empty();
+        let keys: Vec<String> = scenarios
+            .iter()
+            .map(|s| if keyed { job_key(s) } else { String::new() })
+            .collect();
+        let slots = scenarios
+            .iter()
+            .zip(&keys)
+            .map(|(scenario, key)| match scenario.validate() {
+                Err(e) => Slot::Settled(Err(e.into())),
+                Ok(()) => match self.lookup(key) {
+                    Some(hit) => Slot::Settled(Ok(hit)),
+                    None => Slot::Run(key.clone()),
+                },
+            });
+        let mut out = Vec::with_capacity(scenarios.len());
+        self.supervise(
+            slots,
+            || false,
+            |index, _claim| {
+                let scenario = &scenarios[index];
+                let started = Instant::now();
+                let mut sim = self.build(scenario);
+                scenario.advance_until(&mut sim, scenario.end_time());
+                let result = self.collect(scenario, &sim);
+                self.metrics
+                    .record_job(sim.events_processed(), started.elapsed());
+                self.store(&keys[index], &result);
+                Attempt::Done(result)
+            },
+            |_, outcome| out.push(outcome),
+        );
+        out
     }
 
     /// The cached result for `key` (`None` without a cache). An injected
@@ -248,155 +270,191 @@ impl RunContext {
         scenario.collect_with_telemetry(sim, self.telemetry)
     }
 
-    /// Run `body` with a heartbeat thread alongside it when `heartbeat` is
-    /// set: one JSON line on stderr per period —
-    /// `{"heartbeat":<unix_secs>,"claimed":N,"done":N,"errors":N}` — where
-    /// `claimed` is read from the caller's job-claim counter. Off, `body`
-    /// runs with zero added machinery. The heartbeat thread only reads the
-    /// counter and the registry; it cannot influence job scheduling or
-    /// results.
-    pub fn with_heartbeat<R>(
-        &self,
-        claimed: impl Fn() -> u64 + Sync,
-        body: impl FnOnce() -> R,
-    ) -> R {
-        let Some(period) = self.heartbeat else {
-            return body();
-        };
-        let stop = Mutex::new(false);
-        let stopped = Condvar::new();
-        std::thread::scope(|scope| {
-            let beat = scope.spawn(|| {
-                let mut guard = stop.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    let (next_guard, _timeout) = stopped
-                        .wait_timeout(guard, period)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard = next_guard;
-                    if *guard {
-                        break;
-                    }
-                    let line = self
-                        .metrics
-                        .snapshot(None)
-                        .heartbeat_line(crate::metrics::unix_secs(), claimed());
-                    crate::metrics::emit_heartbeat(&line);
-                }
-            });
-            let result = body();
-            *stop.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            stopped.notify_all();
-            let _ = beat.join();
-            result
-        })
-    }
-
-    /// The supervised thread pool, without the cache.
+    /// The supervised pool every campaign job runs on.
     ///
-    /// The pool is deliberately simple: workers claim the next unclaimed job
-    /// via an atomic counter (dynamic load balancing, like a work-stealing
-    /// deque with a single shared queue) and write the result into that
-    /// job's dedicated slot. Scheduling order therefore never influences
-    /// output order, and each job's determinism comes from the scenario
-    /// owning all of its randomness.
-    fn run_pool(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
-        let n = scenarios.len();
-        let next = AtomicUsize::new(0);
-        let claimed = || next.load(Ordering::Relaxed).min(n) as u64;
-        if self.threads <= 1 || n <= 1 {
-            return self.with_heartbeat(claimed, || {
-                scenarios
-                    .iter()
-                    .map(|s| {
-                        next.fetch_add(1, Ordering::Relaxed);
-                        self.run_one(s)
-                    })
-                    .collect()
-            });
-        }
-        type Slot = Mutex<Option<Result<ScenarioResult, JobError>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.with_heartbeat(claimed, || {
-            std::thread::scope(|scope| {
-                for _ in 0..self.threads.min(n) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // run_one never unwinds (panics are caught and
-                        // converted), so a worker can never poison a slot or
-                        // tear down the scope.
-                        let result = self.run_one(&scenarios[i]);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+    /// `min(threads, jobs to run)` workers claim [`Slot::Run`] jobs from a
+    /// shared queue. A claim sleeps first if `worker_stall` trips (keyed by
+    /// the job's claim index), then calls `attempt(index, claim)` under
+    /// `catch_unwind`, after `job_panic` (keyed by how many attempts of the
+    /// job have panicked). A panicking job is retried: requeued after a
+    /// deterministic backoff, until it has panicked `attempts` times and is
+    /// quarantined as [`JobError::Panicked`]. [`Attempt::Requeue`] puts the
+    /// job at the back of the queue. Workers check `stop` before every
+    /// claim and claim nothing once it holds; a job not settled by then gets
+    /// no outcome.
+    ///
+    /// On the calling thread, `emit` receives every outcome, the
+    /// [`Slot::Settled`] ones included, in input order as soon as those
+    /// before it are in (settled slots ahead of every job to run go out as
+    /// `slots` yields them, so a warm run streams); after a stop, the
+    /// outcomes behind a gap follow in ascending order. Retries, quarantines
+    /// and error outcomes are counted into `metrics`. With `heartbeat` set,
+    /// a thread beside the workers prints one line per period (see
+    /// [`crate::metrics`]) with the claims so far; it only reads counters,
+    /// so it cannot influence scheduling or results.
+    pub fn supervise<T: Send>(
+        &self,
+        slots: impl IntoIterator<Item = Slot<T>>,
+        stop: impl Fn() -> bool + Sync,
+        attempt: impl Fn(usize, u32) -> Attempt<T> + Sync,
+        mut emit: impl FnMut(usize, Result<T, JobError>),
+    ) {
+        let (mut outcomes, mut queue, mut next) = (Vec::new(), VecDeque::new(), 0);
+        for (index, slot) in slots.into_iter().enumerate() {
+            let outcome = match slot {
+                Slot::Run(scope) => {
+                    queue.push_back(Ticket {
+                        index,
+                        scope,
+                        claims: 0,
+                        panics: 0,
                     });
+                    None
                 }
-            })
+                Slot::Settled(outcome) => {
+                    if outcome.is_err() {
+                        self.metrics.record_job_failure();
+                    }
+                    Some(outcome)
+                }
+            };
+            match outcome {
+                Some(outcome) if queue.is_empty() => {
+                    emit(index, outcome);
+                    next = index + 1;
+                    outcomes.push(None);
+                }
+                outcome => outcomes.push(outcome),
+            }
+        }
+        let workers = self.threads.max(1).min(queue.len());
+        let queue = Mutex::new(queue);
+        let claims = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let (queue, claims, stop, attempt) = (&queue, &claims, &stop, &attempt);
+            let (beat, beats) = mpsc::channel::<()>();
+            if let Some(period) = self.heartbeat {
+                scope.spawn(move || {
+                    // Runs until `beat` is dropped below.
+                    while beats.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
+                        let line = self.metrics.snapshot(None).heartbeat_line(
+                            crate::metrics::unix_secs(),
+                            claims.load(Ordering::Relaxed),
+                        );
+                        crate::metrics::emit_heartbeat(&line);
+                    }
+                });
+            }
+            let (tx, rx) = mpsc::channel();
+            for _ in 0..workers {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    let lock = || queue.lock().unwrap_or_else(PoisonError::into_inner);
+                    while !stop() {
+                        let Some(mut ticket) = lock().pop_front() else {
+                            break;
+                        };
+                        claims.fetch_add(1, Ordering::Relaxed);
+                        match self.claim(&mut ticket, attempt) {
+                            Some(outcome) => {
+                                let _ = tx.send((ticket.index, outcome));
+                            }
+                            None => lock().push_back(ticket),
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            loop {
+                while let Some(outcome) = outcomes.get_mut(next).and_then(Option::take) {
+                    emit(next, outcome);
+                    next += 1;
+                }
+                let Ok((index, outcome)) = rx.recv() else {
+                    break;
+                };
+                outcomes[index] = Some(outcome);
+            }
+            for (index, outcome) in outcomes.into_iter().enumerate().skip(next) {
+                if let Some(outcome) = outcome {
+                    emit(index, outcome);
+                }
+            }
+            drop(beat);
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    Some(result) => result,
-                    // Every index below `n` is claimed exactly once and the
-                    // claiming worker always stores before looping.
-                    None => unreachable!("campaign pool left an unfilled result slot"),
-                }
-            })
-            .collect()
     }
 
-    /// Run one job under supervision: pre-flight validation, panic
-    /// isolation, bounded deterministic retries, and the `job_panic` /
-    /// `worker_stall` fault sites of the context's plan (scoped by the job's
-    /// content-addressed cache key, so the schedule is independent of thread
-    /// scheduling).
-    fn run_one(&self, scenario: &Scenario) -> Result<ScenarioResult, JobError> {
-        if let Err(e) = scenario.validate() {
-            self.metrics.record_job_failure();
-            return Err(JobError::InvalidScenario(e));
+    /// One claim of `ticket` (see [`supervise`](Self::supervise)): its
+    /// outcome, or `None` when the job needs another claim.
+    fn claim<T>(
+        &self,
+        ticket: &mut Ticket,
+        attempt: &impl Fn(usize, u32) -> Attempt<T>,
+    ) -> Option<Result<T, JobError>> {
+        let (scope, claim, panics) = (&ticket.scope, ticket.claims, ticket.panics);
+        ticket.claims += 1;
+        if self
+            .faults
+            .should_fault(FaultSite::WorkerStall, scope, claim)
+        {
+            std::thread::sleep(self.faults.stall());
         }
-        let faults = &self.faults;
-        let scope = (!faults.is_empty()).then(|| job_key(scenario));
-        let trips = |site, attempt| {
-            scope
-                .as_deref()
-                .filter(|scope| faults.should_fault(site, scope, attempt))
-        };
-        let attempts = self.attempts.max(1);
-        let mut last_panic = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.metrics.record_retry();
-                std::thread::sleep(retry_backoff(attempt));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if self.faults.should_fault(FaultSite::JobPanic, scope, panics) {
+                panic!("injected fault: job_panic (scope {scope}, attempt {panics})");
             }
-            if trips(FaultSite::WorkerStall, attempt).is_some() {
-                std::thread::sleep(faults.stall());
-            }
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(scope) = trips(FaultSite::JobPanic, attempt) {
-                    panic!("injected fault: job_panic (scope {scope}, attempt {attempt})");
+            attempt(ticket.index, claim)
+        }));
+        match outcome {
+            Ok(Attempt::Done(outcome)) => Some(Ok(outcome)),
+            Ok(Attempt::Requeue) => None,
+            Err(payload) => {
+                ticket.panics += 1;
+                let attempts = self.attempts.max(1);
+                if ticket.panics < attempts {
+                    self.metrics.record_retry();
+                    std::thread::sleep(retry_backoff(ticket.panics));
+                    return None;
                 }
-                let mut sim = self.build(scenario);
-                scenario.advance_until(&mut sim, scenario.end_time());
-                (self.collect(scenario, &sim), sim.events_processed())
-            }));
-            match outcome {
-                Ok((result, events)) => {
-                    self.metrics.record_job(events, started.elapsed());
-                    return Ok(result);
-                }
-                Err(payload) => last_panic = panic_message(payload),
+                self.metrics.record_quarantine();
+                self.metrics.record_job_failure();
+                Some(Err(JobError::Panicked {
+                    attempts,
+                    message: panic_message(payload),
+                }))
             }
         }
-        self.metrics.record_quarantine();
-        self.metrics.record_job_failure();
-        Err(JobError::Panicked {
-            attempts,
-            message: last_panic,
-        })
     }
+}
+
+/// One job handed to [`RunContext::supervise`].
+#[derive(Debug)]
+pub enum Slot<T> {
+    /// Run the job. The string scopes its `worker_stall` and `job_panic`
+    /// fault sites: the job's cache key (unused when the plan is empty).
+    Run(String),
+    /// Already settled (an invalid job, a cache hit): handed back as is.
+    Settled(Result<T, JobError>),
+}
+
+/// What one attempt at a job asks of [`RunContext::supervise`].
+#[derive(Debug)]
+pub enum Attempt<T> {
+    /// The job is settled with this outcome.
+    Done(T),
+    /// Claim the job again: the attempt saved its progress and stopped
+    /// early (a wall-clock timeout, or a drain after which the pool's `stop`
+    /// holds and the job stays unsettled).
+    Requeue,
+}
+
+/// A queued job: its input index, fault scope, and how many claims and
+/// panicked attempts it has had.
+struct Ticket {
+    index: usize,
+    scope: String,
+    claims: u32,
+    panics: u32,
 }
 
 /// Declarative description of a grid of experiments: every combination of

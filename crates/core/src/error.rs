@@ -92,6 +92,9 @@ impl std::error::Error for ScenarioError {}
 pub enum JobError {
     /// The scenario failed pre-flight validation; the job never ran.
     InvalidScenario(ScenarioError),
+    /// A `campaign_server` job spec did not parse into a valid scenario
+    /// (the message says why); the job never ran.
+    InvalidSpec(String),
     /// Every attempt of the job panicked (a real bug, or an injected
     /// `job_panic` fault); the job is quarantined with the last panic
     /// message after `attempts` tries.
@@ -115,6 +118,7 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::InvalidScenario(e) => write!(f, "invalid scenario: {e}"),
+            JobError::InvalidSpec(message) => f.write_str(message),
             JobError::Panicked { attempts, message } => {
                 write!(f, "job panicked on all {attempts} attempts: {message}")
             }

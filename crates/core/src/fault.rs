@@ -22,8 +22,8 @@
 //! | `cache_read` | cache key | [`crate::RunContext::lookup`] misses |
 //! | `cache_write` | cache key | [`crate::RunContext::store`] fails and degrades the cache |
 //! | `checkpoint_write` | job key | `campaign_server` snapshot write fails |
-//! | `job_panic` | job key | the job panics before running the engine |
-//! | `worker_stall` | job key | the claiming worker sleeps for [`FaultPlan::stall`] |
+//! | `job_panic` | job key | the job panics before running the engine (attempt: its panics so far) |
+//! | `worker_stall` | job key | the claiming worker sleeps for [`FaultPlan::stall`] (attempt: the job's claim index) |
 //!
 //! ## Activation
 //!

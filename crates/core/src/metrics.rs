@@ -200,9 +200,9 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// One-line JSON heartbeat record:
     /// `{"heartbeat":<unix_secs>,"claimed":N,"done":N,"errors":N}`.
-    /// `claimed` counts jobs handed to workers (done + failed + retries in
-    /// flight are approximated by done+failed here; the supervised pool
-    /// passes its own live claim count when it has one).
+    /// `claimed` is the supervised pool's claim count so far, which counts
+    /// a retried or requeued job once per claim; `done` and `errors` are
+    /// the registry's completed and failed jobs.
     pub fn heartbeat_line(&self, unix_secs: u64, claimed: u64) -> String {
         format!(
             "{{\"heartbeat\":{unix_secs},\"claimed\":{claimed},\"done\":{},\"errors\":{}}}",

@@ -211,17 +211,12 @@ impl<E> EventQueue<E> {
         best
     }
 
-    /// Timestamp of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _, _)| t)
-    }
-
     /// Pop the earliest pending event, with the component it is addressed
-    /// to.
+    /// to, if it is due at or before `horizon`; a later one stays pending.
     #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, ComponentId, E)> {
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, ComponentId, E)> {
         let e = match self.peek_key()? {
+            (time, _, _) if time > horizon => return None,
             (_, _, Source::Alarm(i)) => {
                 self.counters.timer_fires += 1;
                 self.alarms[i].take().expect("peeked alarm vanished")
@@ -322,6 +317,13 @@ mod tests {
     fn arm(q: &mut EventQueue<Ev>, alarm: AlarmId, time: SimTime, target: usize, event: Ev) {
         let seq = q.reserve_seqs(1);
         q.set_alarm(alarm, time, seq, target, event);
+    }
+
+    impl EventQueue<Ev> {
+        /// Pop the earliest pending event, however late.
+        fn pop(&mut self) -> Option<(SimTime, ComponentId, Ev)> {
+            self.pop_until(SimTime::from_nanos(u64::MAX))
+        }
     }
 
     /// A queue with `n` alarms.
@@ -481,11 +483,30 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let (mut q, _) = queue_with_alarms(2);
-        q.schedule(SimTime::from_micros(1), 0, Ev::Tick);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
-        assert_eq!(q.len(), 1);
+    fn pop_until_pops_at_the_horizon_and_leaves_later_events() {
+        let (mut q, a) = queue_with_alarms(1);
+        q.schedule(SimTime::from_micros(2), 0, Ev::Tick);
+        arm(
+            &mut q,
+            a[0],
+            SimTime::from_micros(1),
+            1,
+            Ev::Arrival { index: 0 },
+        );
+        let just_before = SimTime::from_nanos(999);
+        assert_eq!(q.pop_until(just_before), None, "the alarm is later");
+        assert_eq!(q.len(), 2, "a bounded miss removes nothing");
+        let at = SimTime::from_micros(1);
+        assert_eq!(q.pop_until(at), Some((at, 1, Ev::Arrival { index: 0 })));
+        assert_eq!(q.pop_until(at), None, "the general event is later");
+        assert_eq!(q.pop_until(SimTime::from_micros(2)).map(|e| e.1), Some(0));
+        assert!(q.is_empty());
+        let c = q.counters();
+        assert_eq!(
+            (c.timer_fires, c.general_pops),
+            (1, 1),
+            "misses are not pops"
+        );
     }
 
     #[test]
@@ -563,7 +584,8 @@ mod tests {
                 }
             }
 
-            fn pop(&mut self) -> Popped {
+            /// Pop the minimum key if it is due by `horizon`.
+            fn pop(&mut self, horizon: SimTime) -> Popped {
                 let gmin = self
                     .general
                     .iter()
@@ -576,6 +598,10 @@ mod tests {
                     .enumerate()
                     .filter_map(|(i, slot)| slot.map(|(t, s, g)| ((t, s), i, g)))
                     .min();
+                let earliest = gmin.map(|(k, _)| k).into_iter().chain(amin.map(|a| a.0));
+                if earliest.min().is_none_or(|(t, _)| t > horizon) {
+                    return None;
+                }
                 match (gmin, amin) {
                     (None, None) => None,
                     (Some((gk, i)), a) if a.is_none_or(|(ak, _, _)| gk < ak) => {
@@ -595,7 +621,8 @@ mod tests {
         /// applied to the queue and the model; a pop returns what both
         /// popped. Times are dense (0..80 slots of 9 µs plus 0–2 ns of
         /// jitter), so equal times, ordered by sequence number alone, are
-        /// exercised constantly.
+        /// exercised constantly. A pop is bounded by a horizon drawn like a
+        /// time, so it often meets an event due exactly then.
         fn apply(
             q: &mut EventQueue<Ev>,
             alarms: &[AlarmId],
@@ -636,11 +663,11 @@ mod tests {
                     }
                 }
                 _ => {
-                    let got = q.pop();
+                    let got = q.pop_until(time);
                     if let Some((t, _, _)) = got {
                         *floor = t;
                     }
-                    return Some((got, model.and_then(Model::pop)));
+                    return Some((got, model.and_then(|m| m.pop(time))));
                 }
             }
             None
@@ -666,15 +693,12 @@ mod tests {
                         apply(&mut q, &alarms, Some(&mut model), op, &mut floor, &mut count)
                     {
                         prop_assert_eq!(got, want);
-                        if let Some((t, _, _)) = got {
-                            prop_assert!(q.peek_time().is_none_or(|p| p >= t));
-                        }
                     }
                 }
                 // Drain: the remaining sequences must match exactly.
                 loop {
                     let got = q.pop();
-                    prop_assert_eq!(got, model.pop());
+                    prop_assert_eq!(got, model.pop(SimTime::from_nanos(u64::MAX)));
                     if got.is_none() {
                         break;
                     }

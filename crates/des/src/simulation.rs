@@ -492,11 +492,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         if self.profiler.is_some() {
             return self.run_until_profiled(t_end);
         }
-        while let Some(t) = self.queue.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let (time, target, event) = self.queue.pop().expect("peeked event vanished");
+        while let Some((time, target, event)) = self.queue.pop_until(t_end) {
             debug_assert!(time >= self.now, "time must be monotone");
             self.now = time;
             self.events_processed += 1;
@@ -517,31 +513,18 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
                 .as_mut()
                 .expect("profiled loop without profiler");
             let classify = profiler.classify;
-            if !profiler.tick() {
-                let Some(t) = self.queue.peek_time() else {
-                    break;
-                };
-                if t > t_end {
-                    break;
-                }
-                let (time, target, event) = self.queue.pop().expect("peeked event vanished");
-                self.now = time;
-                self.events_processed += 1;
-                self.dispatch(target, event);
-                continue;
-            }
-            let pop_start = std::time::Instant::now();
-            let Some(t) = self.queue.peek_time() else {
+            let pop_start = profiler.tick().then(std::time::Instant::now);
+            let Some((time, target, event)) = self.queue.pop_until(t_end) else {
                 break;
             };
-            if t > t_end {
-                break;
-            }
-            let (time, target, event) = self.queue.pop().expect("peeked event vanished");
-            let pop_nanos = pop_start.elapsed().as_nanos() as u64;
-            let kind = classify(&event);
             self.now = time;
             self.events_processed += 1;
+            let Some(pop_start) = pop_start else {
+                self.dispatch(target, event);
+                continue;
+            };
+            let pop_nanos = pop_start.elapsed().as_nanos() as u64;
+            let kind = classify(&event);
             let handle_start = std::time::Instant::now();
             self.dispatch(target, event);
             let handle_nanos = handle_start.elapsed().as_nanos() as u64;

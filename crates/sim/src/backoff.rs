@@ -411,21 +411,6 @@ impl ExponentialBackoff {
         }
     }
 
-    /// Create with explicit window bounds (both must be powers of two) and no
-    /// retry limit.
-    pub fn with_windows(cw_min: u32, cw_max: u32) -> Self {
-        assert!(cw_min.is_power_of_two() && cw_max.is_power_of_two() && cw_max >= cw_min);
-        ExponentialBackoff {
-            cw_min,
-            cw_max,
-            stage: 0,
-            max_stage: ((cw_max / cw_min) as f64).log2().round() as u8,
-            retry_limit: None,
-            retries: 0,
-            dropped_frames: 0,
-        }
-    }
-
     /// Number of frames abandoned because the retry limit was reached.
     pub fn dropped_frames(&self) -> u64 {
         self.dropped_frames

@@ -240,12 +240,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Install a policy on a single station.
-    pub fn with_station_policy(mut self, node: NodeId, policy: impl Into<Policy>) -> Self {
-        self.policies[node] = Some(policy.into());
-        self
-    }
-
     /// Set per-station weights (used for weighted-fairness reporting).
     pub fn weights(mut self, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), self.topology.num_nodes());

@@ -276,11 +276,6 @@ impl Topology {
         &self.positions
     }
 
-    /// Position of the AP.
-    pub fn ap_position(&self) -> Position {
-        self.ap
-    }
-
     /// The configured transmission (decode) range in metres.
     pub fn tx_range(&self) -> f64 {
         self.tx_range
