@@ -48,8 +48,9 @@
 //! as JSON (`--profile-out`, default `BENCH_profile.json`).
 //!
 //! `--overhead-check` times a few representative cells with telemetry off and
-//! with the full dispatch registry on, interleaved, and exits with status 3
-//! if the enabled/disabled events-per-second ratio drops below 0.97 (the ~2%
+//! with the full dispatch registry on, in adjacent off/on pairs, and exits
+//! with status 3 if the geomean over cells of each cell's median per-pair
+//! enabled/disabled events-per-second ratio drops below 0.97 (the ~2%
 //! contract plus ~1% timing-noise allowance) — the CI gate on the "zero-cost
 //! when off, ~free when on" telemetry contract. The *off* path costs nothing
 //! by construction (the kernel runs its plain dispatch loop when no registry
@@ -250,18 +251,23 @@ fn git_short_sha() -> Option<String> {
     (!sha.is_empty()).then_some(sha)
 }
 
+/// Off/on pairs the `--overhead-check` gate times per cell.
+const OVERHEAD_PAIRS: usize = 9;
+
 /// The `--overhead-check` gate: time representative cells with telemetry off
-/// and with the dispatch registry enabled, interleaved off/on/off/on, and
-/// return the geomean enabled/disabled events-per-second ratio (best-of-reps
-/// per arm, so scheduler noise cannot fail the gate spuriously).
+/// and with the dispatch registry enabled in [`OVERHEAD_PAIRS`] adjacent
+/// pairs, alternating which side of a pair runs first, and return the
+/// geomean over cells of each cell's median per-pair enabled/disabled
+/// events-per-second ratio. The two runs of a pair see the machine in the
+/// same state, so drift between pairs cancels, and the median discards the
+/// pairs a burst of noise hit.
 fn overhead_ratio() -> f64 {
     let cells = [
         (Protocol::Standard80211, 50usize),
         (Protocol::WTopCsma, 50),
         (Protocol::Standard80211, 500),
     ];
-    const REPS: usize = 3;
-    let mut ratios = Vec::new();
+    let mut medians = Vec::new();
     for (proto, n) in cells {
         let scenario = Scenario::new(proto, TopologySpec::FullyConnected, n)
             .seed(1)
@@ -277,22 +283,30 @@ fn overhead_ratio() -> f64 {
             sim.run_for(SimDuration::from_secs(2));
             (sim.events_processed() - events_before) as f64 / start.elapsed().as_secs_f64()
         };
-        let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
-        for _ in 0..REPS {
-            best_off = best_off.max(time_one(false));
-            best_on = best_on.max(time_one(true));
-        }
-        ratios.push(best_on / best_off);
+        let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS)
+            .map(|pair| {
+                let (off, on) = if pair % 2 == 0 {
+                    let off = time_one(false);
+                    (off, time_one(true))
+                } else {
+                    let on = time_one(true);
+                    (time_one(false), on)
+                };
+                on / off
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios[OVERHEAD_PAIRS / 2];
+        medians.push(median);
         println!(
-            "  overhead {:<22} n={:<4} off {:>6.2} Mev/s  on {:>6.2} Mev/s  ratio x{:.3}",
+            "  overhead {:<22} n={:<4} pair ratios x{:.3}..x{:.3}  median x{median:.3}",
             proto.label(),
             n,
-            best_off / 1e6,
-            best_on / 1e6,
-            best_on / best_off
+            ratios[0],
+            ratios[OVERHEAD_PAIRS - 1],
         );
     }
-    geomean(ratios.into_iter())
+    geomean(medians.into_iter())
 }
 
 /// The cell grid for a mode: `(protocol, topology label, topology, n,
@@ -683,7 +697,9 @@ fn main() {
     }
 
     if overhead_check {
-        println!("\nbench_engine: telemetry overhead check (interleaved off/on, best of 3)");
+        println!(
+            "\nbench_engine: telemetry overhead check ({OVERHEAD_PAIRS} off/on pairs per cell)"
+        );
         let ratio = overhead_ratio();
         println!("  geomean enabled/disabled events-per-sec ratio x{ratio:.3} (floor x0.97)");
         if ratio < 0.97 {

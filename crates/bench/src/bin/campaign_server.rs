@@ -81,7 +81,10 @@
 //! {"job": 1, "error": "invalid scenario: ..."}
 //! ```
 //!
-//! each on one line with `result` last, followed by a summary line
+//! each on one line with `result` last; `wall_secs` and `events_per_sec`
+//! cover every claim this run made of the job, a requeued job's earlier
+//! slices included.
+//! A summary line follows:
 //! `{"jobs": N, "completed": X, "errors": E, "drained": D, "cache_hits": H,
 //! "cache_misses": M, "wall_secs": S}`.
 //! Drained jobs (in-flight or never claimed when a signal arrived) emit no
@@ -101,6 +104,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wlan_bench::harness::{open_cache, threads_flag, Knobs};
 use wlan_core::campaign::{Attempt, Slot};
@@ -135,6 +139,21 @@ fn install_signal_handlers() {
 struct Job {
     scenario: Scenario,
     key: String,
+    /// Kernel events processed and wall-clock spent by the job's ended
+    /// claims.
+    spent: Mutex<(u64, Duration)>,
+}
+
+impl Job {
+    /// Add one ended claim's work to the job's, returning the totals.
+    fn spend(&self, events: u64, wall: Duration) -> (u64, Duration) {
+        // Each field is a tally updated in one step, so a poisoned lock
+        // still guards valid totals.
+        let mut spent = self.spent.lock().unwrap_or_else(PoisonError::into_inner);
+        spent.0 += events;
+        spent.1 += wall;
+        *spent
+    }
 }
 
 /// What happened to one job that produced a result.
@@ -142,9 +161,10 @@ struct Outcome {
     result: ScenarioResult,
     cached: bool,
     resumed: bool,
-    /// Kernel events processed by the final claim (0 for a cache hit).
+    /// Kernel events processed by all of the job's claims (0 for a cache
+    /// hit).
     events: u64,
-    /// Wall-clock the final claim spent computing (zero for a cache hit).
+    /// Wall-clock all of its claims spent computing (zero for a cache hit).
     wall: Duration,
 }
 
@@ -298,7 +318,8 @@ fn write_snapshot(sim: &Simulator, path: &Path, key: &str, faults: &FaultPlan, o
 /// requeues, and the periodic checkpoint cadence (if any) snapshots and
 /// continues. The result of a completed job is bit-identical however many
 /// slices, snapshots, resumes or requeues it took (the `advance_until`
-/// contract).
+/// contract). Every claim's events and wall-clock are counted when it
+/// ends, whether it requeues or completes the job.
 fn advance_job(
     index: usize,
     job: &Job,
@@ -337,30 +358,31 @@ fn advance_job(
         if sim.now() >= end {
             break;
         }
-        if DRAINING.load(Ordering::SeqCst) {
+        let draining = DRAINING.load(Ordering::SeqCst);
+        // The slice above made simulated-time progress, so requeueing still
+        // terminates: every claim moves the job forward.
+        let timed_out = !draining && ckpt.timeout.is_some_and(|t| claimed.elapsed() >= t);
+        if draining || timed_out {
             write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
-            return Attempt::Requeue;
-        }
-        if let Some(timeout) = ckpt.timeout {
-            // The slice above made simulated-time progress, so requeueing
-            // still terminates: every claim moves the job forward.
-            if claimed.elapsed() >= timeout {
-                write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
+            if timed_out {
                 eprintln!(
                     "campaign_server: job {index} hit its wall-clock timeout — snapshotted and \
                      requeued (claim {})",
                     claim + 1
                 );
-                return Attempt::Requeue;
             }
+            let (events, wall) = (sim.events_processed() - events_at_claim, claimed.elapsed());
+            ctx.metrics.record_claim(events, wall);
+            job.spend(events, wall);
+            return Attempt::Requeue;
         }
         if ckpt.every.is_some() {
             write_snapshot(&sim, &path, &job.key, &ctx.faults, &mut writes);
         }
     }
-    let wall = claimed.elapsed();
-    let events = sim.events_processed() - events_at_claim;
+    let (events, wall) = (sim.events_processed() - events_at_claim, claimed.elapsed());
     ctx.metrics.record_job(events, wall);
+    let (events, wall) = job.spend(events, wall);
     let result = ctx.collect(scenario, &sim);
     ctx.store(&job.key, &result);
     let _ = std::fs::remove_file(&path);
@@ -491,6 +513,7 @@ fn main() {
             Ok(scenario) => Ok(Job {
                 key: job_key(&scenario),
                 scenario,
+                spent: Mutex::default(),
             }),
             Err(e) => Err(JobError::InvalidSpec(e)),
         })

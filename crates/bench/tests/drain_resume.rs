@@ -344,27 +344,44 @@ fn injected_job_panics_are_retried_or_quarantined_and_counted() {
 
 /// A job requeued by its wall-clock timeout reads the cache once, not once
 /// per claim: five 0.2 sim-s slices under a 1 µs timeout are five claims.
+/// `metrics.json` counts the events of every claim, so it reads what a
+/// straight-through run of the same job reads.
 #[test]
 fn a_requeued_job_reads_the_cache_once() {
-    let (cache, ckpt) = (temp_dir("requeue_cache"), temp_dir("requeue_ckpt"));
-    let input = format!(
-        concat!(
-            "{{\"threads\":1,\"checkpoint_sim_secs\":0.2,\"job_timeout_secs\":1e-6,",
-            "\"cache_dir\":{:?},\"checkpoint_dir\":{:?},\"jobs\":[{{\"protocol\":",
-            "\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":50,\"seed\":4,",
-            "\"warmup\":200000000,\"measure\":800000000}}]}}"
-        ),
-        cache.display().to_string(),
-        ckpt.display().to_string(),
-    );
-    let run = run_server(&input, &[], &[], None);
+    let run_job = |tag: &str, timeout: &str| {
+        let out = temp_dir(tag);
+        let input = format!(
+            concat!(
+                "{{\"threads\":1,\"checkpoint_sim_secs\":0.2{},",
+                "\"cache_dir\":{:?},\"checkpoint_dir\":{:?},\"jobs\":[{{\"protocol\":",
+                "\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":50,\"seed\":4,",
+                "\"warmup\":200000000,\"measure\":800000000}}]}}"
+            ),
+            timeout,
+            out.join("cache").display().to_string(),
+            out.join("ckpt").display().to_string(),
+        );
+        let out_text = out.display().to_string();
+        let run = run_server(&input, &[], &[("WLAN_REPRO_OUT", out_text.as_str())], None);
+        let metrics = std::fs::read_to_string(out.join("metrics.json")).expect("metrics.json");
+        let _ = std::fs::remove_dir_all(&out);
+        let metrics: Value = serde_json::from_str(&metrics).expect("metrics.json is JSON");
+        (run, metrics)
+    };
+    let (run, metrics) = run_job("requeue_out", ",\"job_timeout_secs\":1e-6");
     assert_eq!(get_u64(&run.summary, "completed"), 1);
     let requeues = run.stderr.matches("hit its wall-clock timeout").count();
     assert_eq!(requeues, 4, "{}", run.stderr);
     assert_eq!(get_u64(&run.summary, "cache_misses"), 1);
-    for d in [cache, ckpt] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
+
+    let (straight, straight_metrics) = run_job("requeue_ref_out", "");
+    assert_eq!(results_by_job(&run.lines), results_by_job(&straight.lines));
+    assert_eq!(get_u64(&metrics, "jobs_completed"), 1);
+    assert_eq!(
+        get_u64(&metrics, "events_processed"),
+        get_u64(&straight_metrics, "events_processed"),
+        "every claim's events count"
+    );
 }
 
 /// Invalid jobs yield `{"job":i,"error":...}` lines in input order; healthy

@@ -96,10 +96,17 @@ impl MetricsRegistry {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A job finished: engine events it processed and the wall-clock time it
-    /// occupied a worker.
+    /// A job finished: engine events its last claim processed and the
+    /// wall-clock time that claim occupied a worker. A claim that requeued
+    /// the job before it was counted by [`record_claim`](Self::record_claim).
     pub fn record_job(&self, events: u64, wall: Duration) {
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.record_claim(events, wall);
+    }
+
+    /// A claim ended by requeueing its job: engine events it processed and
+    /// the wall-clock time it occupied a worker.
+    pub fn record_claim(&self, events: u64, wall: Duration) {
         self.events_processed.fetch_add(events, Ordering::Relaxed);
         self.busy_nanos
             .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
@@ -180,10 +187,11 @@ pub struct MetricsSnapshot {
     pub jobs_completed: u64,
     /// Jobs that failed terminally.
     pub jobs_failed: u64,
-    /// Engine events processed across all completed jobs.
+    /// Engine events processed by every job claim that completed or
+    /// requeued its job.
     pub events_processed: u64,
-    /// Total worker wall-clock seconds spent inside jobs (sums across
-    /// threads, so it can exceed elapsed time).
+    /// Total worker wall-clock seconds those claims spent inside jobs (sums
+    /// across threads, so it can exceed elapsed time).
     pub busy_secs: f64,
     /// `events_processed / busy_secs` — the fleet-wide engine rate.
     pub events_per_busy_sec: f64,
@@ -220,8 +228,9 @@ mod tests {
         let reg = MetricsRegistry::default();
         reg.record_retry();
         reg.record_quarantine();
-        reg.record_job(1000, Duration::from_millis(500));
-        reg.record_job(3000, Duration::from_millis(500));
+        reg.record_claim(1000, Duration::from_millis(250));
+        reg.record_job(1000, Duration::from_millis(250));
+        reg.record_job(2000, Duration::from_millis(500));
         reg.record_job_failure();
         let snap = reg.snapshot(None);
         assert_eq!(

@@ -120,7 +120,6 @@ impl Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlan_sim::BackoffPolicy;
 
     #[test]
     fn labels_are_distinct() {

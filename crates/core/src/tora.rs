@@ -251,7 +251,6 @@ impl ApAlgorithm for ToraController {
 mod tests {
     use super::*;
     use wlan_sim::snapshot::{State, StateReader, StateWriter};
-    use wlan_sim::BackoffPolicy;
 
     fn controller() -> ToraController {
         ToraController::for_phy(&PhyParams::table1())

@@ -305,7 +305,6 @@ impl ApAlgorithm for WtopController {
 mod tests {
     use super::*;
     use wlan_sim::snapshot::{State, StateReader, StateWriter};
-    use wlan_sim::BackoffPolicy;
 
     fn controller() -> WtopController {
         WtopController::for_phy(&PhyParams::table1())

@@ -18,8 +18,8 @@
 //!   events, keeping memory bounded by concurrency instead of run length.
 //! * A checkpoint codec ([`snapshot`]): one positional [`State`] trait,
 //!   implemented by the [`state!`] macro from a type's list of mutable
-//!   fields, saves the kernel (clock, `(time, seq)` counter, pending events,
-//!   RNG stream positions) and model state into a checksummed
+//!   fields, saves the kernel (clock, `(time, seq)` counter, pending events)
+//!   and model state, RNG streams included, into a checksummed
 //!   [`StateWriter`] blob and loads it back in place, so a resumed run is
 //!   bit-identical to a straight-through run and a corrupt snapshot is an
 //!   error.
@@ -78,10 +78,11 @@
 //! ```
 //!
 //! Real models hang richer machinery off the same skeleton: typed
-//! [`Handle`]s for synchronous peer calls, alarms
+//! [`Handle`]s for synchronous peer calls, and alarms
 //! ([`Simulation::add_alarm`]) that hold the earliest of the timers a model
-//! keeps itself, and per-component RNG streams
-//! ([`Simulation::set_component_rng`]) the model derives from its seed.
+//! keeps itself. The kernel draws no randomness: each component owns the
+//! RNG streams it draws from, derived by the model from its seed, and
+//! checkpoints them with the rest of its state.
 //!
 //! # Observability
 //!
@@ -89,8 +90,8 @@
 //! per-component/per-event-kind dispatch counters
 //! ([`Simulation::enable_metrics`] → [`Simulation::metrics_report`]),
 //! always-available queue tallies ([`EventQueue::counters`],
-//! [`EventQueue::scheduler_stats`]), derived RNG draw accounting, and a
-//! sampled wall-clock self-profiler ([`Simulation::set_profiler`]). No
+//! [`EventQueue::scheduler_stats`]), an event-stream digest, and a sampled
+//! wall-clock self-profiler ([`Simulation::set_profiler`]). No
 //! telemetry path draws RNG or perturbs the `(time, seq)` order, so traces
 //! stay byte-identical at any verbosity.
 

@@ -1,5 +1,5 @@
-//! Kernel observability: dispatch counters, queue tallies, RNG draw
-//! accounting, and a sampled self-profiler.
+//! Kernel observability: dispatch counters, queue tallies, an event-stream
+//! digest, and a sampled self-profiler.
 //!
 //! # The zero-cost-when-off contract
 //!
@@ -8,7 +8,7 @@
 //! contract in two ways, by instrumentation class:
 //!
 //! * **Structural tallies** (queue push/pop/cancel counts, general-heap
-//!   growths, slab high-water, RNG stream positions) are *free
+//!   growths, slab high-water) are *free
 //!   introspection*: either a single integer add or compare on an operation
 //!   that already sifts a heap or writes an alarm (immeasurable next to
 //!   the memory traffic it rides on), or derived on demand from state the
@@ -23,10 +23,10 @@
 //!
 //! Both classes share one hard rule: **no telemetry path ever draws from an
 //! RNG stream, schedules an event, or consumes a sequence number.** Pop
-//! order is a pure function of the `(time, seq)` entry multiset and RNG
-//! streams advance only on component draws, so a run with telemetry at full
-//! verbosity is byte-identical to one with telemetry off. The golden-trace
-//! suite pins this.
+//! order is a pure function of the `(time, seq)` entry multiset and the
+//! kernel holds no RNG stream (components own theirs), so a run with
+//! telemetry at full verbosity is byte-identical to one with telemetry off.
+//! The golden-trace suite pins this.
 //!
 //! # Event-stream digest
 //!
@@ -42,13 +42,6 @@
 //! dispatched the same event stream; a reorder, a missing or an extra
 //! event, or a shifted timestamp changes it. A registry enabled after a
 //! checkpoint resume covers the events dispatched since.
-//!
-//! # RNG draw accounting
-//!
-//! Per-stream draw counts are *derived*, not counted: a ChaCha8 stream
-//! knows its keystream position (the checkpoint layer saves it), so
-//! `ChaCha8Rng::get_word_pos` reports words consumed without wrapping the
-//! generator or touching the draw path.
 
 use serde::Serialize;
 
@@ -241,10 +234,6 @@ pub struct MetricsReport {
     pub queue: QueueCounters,
     /// General-tier size and heap growths.
     pub scheduler: SchedulerStats,
-    /// Keystream words consumed per component RNG stream (`None` where no
-    /// stream is attached). Derived from stream positions — see the module
-    /// docs.
-    pub rng_words: Vec<Option<u64>>,
 }
 
 /// One wall-clock timing sample emitted by the profiler.

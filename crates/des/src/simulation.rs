@@ -1,9 +1,8 @@
 //! The component registry and event loop.
 //!
-//! A [`Simulation`] owns four things: a user-defined *world* (shared state
+//! A [`Simulation`] owns three things: a user-defined *world* (shared state
 //! every component can read and write), a registry of boxed [`Component`]s,
-//! an optional per-component RNG stream, and the [`EventQueue`] with its
-//! alarms. The event loop pops events in
+//! and the [`EventQueue`] with its alarms. The event loop pops events in
 //! `(time, seq)` order and dispatches each to the component it is addressed
 //! to, handing the handler:
 //!
@@ -11,8 +10,11 @@
 //! * [`Peers`] — mutable access to *other* components by typed [`Handle`]
 //!   (split-borrowed around the running component, so cross-component calls
 //!   need no interior mutability and the registry stays [`Send`]),
-//! * [`SimulationContext`] — the clock, the queue (schedule general events,
-//!   set and clear alarms), and the component's own RNG stream.
+//! * [`SimulationContext`] — the clock and the queue (schedule general
+//!   events, set and clear alarms).
+//!
+//! The kernel draws no randomness: a component that needs some owns its
+//! RNG streams and checkpoints them with the rest of its state.
 //!
 //! Components are plain structs; there is no message-passing runtime. A
 //! handler that wants to poke a peer calls a method on it directly through
@@ -23,11 +25,9 @@
 use std::any::Any;
 use std::marker::PhantomData;
 
-use rand_chacha::ChaCha8Rng;
-
 use crate::metrics::{ComponentDispatch, Metrics, MetricsReport, ProfileSample, Profiler};
 use crate::queue::{AlarmId, EventQueue};
-use crate::snapshot::{SnapshotError, State, StateReader, StateWriter};
+use crate::snapshot::{SnapshotError, State};
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a component in the registry, in registration order.
@@ -64,7 +64,7 @@ pub trait Component<W, E>: AsAny + Send {
     /// Handle one event addressed to this component.
     ///
     /// `peers` grants mutable access to every *other* component;
-    /// `ctx` carries the clock, event queue, and this component's RNG.
+    /// `ctx` carries the clock and the event queue.
     fn handle(
         &mut self,
         world: &mut W,
@@ -182,12 +182,11 @@ impl<W: 'static, E: 'static> Peers<'_, W, E> {
     }
 }
 
-/// The clock, queue, and RNG view handed to a component while it handles an
+/// The clock and queue view handed to a component while it handles an
 /// event (or to an [`access`](Simulation::access) closure).
 pub struct SimulationContext<'a, E> {
     queue: &'a mut EventQueue<E>,
     now: SimTime,
-    rng: Option<&'a mut ChaCha8Rng>,
 }
 
 impl<E> SimulationContext<'_, E> {
@@ -235,47 +234,18 @@ impl<E> SimulationContext<'_, E> {
     pub fn alarm(&self, alarm: AlarmId) -> Option<(SimTime, u64, &E)> {
         self.queue.alarm(alarm)
     }
-
-    /// This component's private RNG stream.
-    ///
-    /// Panics if no stream was attached via
-    /// [`Simulation::set_component_rng`] (components that keep their own
-    /// per-entity streams internally never call this).
-    #[inline]
-    pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        self.rng
-            .as_deref_mut()
-            .expect("component has no RNG stream attached")
-    }
-}
-
-/// The RNG streams attached to components, indexed by component id. Which
-/// components have one is fixed when the model is built, so a checkpoint
-/// carries only the attached streams' positions.
-#[derive(Default)]
-struct Streams(Vec<Option<Box<ChaCha8Rng>>>);
-
-impl State for Streams {
-    fn save(&self, w: &mut StateWriter) {
-        self.0.iter().flatten().for_each(|rng| rng.save(w));
-    }
-
-    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.0.iter_mut().flatten().try_for_each(|rng| rng.load(r))
-    }
 }
 
 /// A discrete-event simulation: world + component registry + clock + queue.
 ///
 /// Its checkpoint state is the kernel's own: the clock, the dispatch
-/// counter, every pending event and the attached RNG streams. The world and
-/// the components belong to the model, which checkpoints their mutable
-/// state beside this block and loads it all into a simulation freshly built
-/// from the same scenario.
+/// counter and every pending event. The world and the components belong
+/// to the model, which checkpoints their mutable state, RNG streams
+/// included, beside this block and loads it all into a simulation freshly
+/// built from the same scenario.
 pub struct Simulation<W, E> {
     world: W,
     components: Vec<Box<dyn Component<W, E>>>,
-    rngs: Streams,
     queue: EventQueue<E>,
     now: SimTime,
     events_processed: u64,
@@ -288,7 +258,7 @@ pub struct Simulation<W, E> {
 }
 
 crate::state!(impl[W: 'static, E: State + Default + 'static] struct Simulation<W, E> {
-    now, events_processed, queue, rngs
+    now, events_processed, queue
 } then Self::check_targets);
 
 impl<W: 'static, E: 'static> Simulation<W, E> {
@@ -297,7 +267,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         Simulation {
             world,
             components: Vec::new(),
-            rngs: Streams::default(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events_processed: 0,
@@ -310,14 +279,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     pub fn add_component<C: Component<W, E> + 'static>(&mut self, component: C) -> Handle<C> {
         let id = self.components.len();
         self.components.push(Box::new(component));
-        self.rngs.0.push(None);
         Handle::from_raw(id)
-    }
-
-    /// Attach a private RNG stream to a component. The stream is handed to
-    /// the component through [`SimulationContext::rng`] on every dispatch.
-    pub fn set_component_rng(&mut self, id: ComponentId, rng: ChaCha8Rng) {
-        self.rngs.0[id] = Some(Box::new(rng));
     }
 
     /// Register an empty alarm (see [`EventQueue::add_alarm`]).
@@ -333,11 +295,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Shared access to the RNG stream attached to component `id`, if any.
-    pub fn component_rng(&self, id: ComponentId) -> Option<&ChaCha8Rng> {
-        self.rngs.0.get(id).and_then(|r| r.as_deref())
     }
 
     /// Every pending event (general and alarm) with the component it is
@@ -411,9 +368,9 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     }
 
     /// Assemble the kernel's full telemetry report, or `None` when the
-    /// registry was never enabled. Queue, scheduler and RNG sections
-    /// are derived from state the kernel keeps anyway; only the dispatch
-    /// rows depend on the registry having been on.
+    /// registry was never enabled. The queue and scheduler sections are
+    /// derived from state the kernel keeps anyway; only the dispatch rows
+    /// and the digest depend on the registry having been on.
     pub fn metrics_report(&self) -> Option<MetricsReport> {
         let metrics = self.metrics.as_deref()?;
         let kinds: Vec<String> = metrics.kinds().iter().map(|k| k.to_string()).collect();
@@ -435,12 +392,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
             event_digest: metrics.digest(),
             queue: self.queue.counters(),
             scheduler: self.queue.scheduler_stats(),
-            rng_words: self
-                .rngs
-                .0
-                .iter()
-                .map(|r| r.as_deref().map(|rng| rng.get_word_pos() as u64))
-                .collect(),
         })
     }
 
@@ -468,7 +419,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     /// for scheduling — without consuming an event. This is how facades
     /// implement setup and mid-run control paths (seeding initial events,
     /// activating entities) on top of the kernel with the very same
-    /// component methods the event loop uses. The context carries no RNG.
+    /// component methods the event loop uses.
     pub fn access<R>(
         &mut self,
         f: impl FnOnce(&mut W, &mut Peers<'_, W, E>, &mut SimulationContext<'_, E>) -> R,
@@ -481,7 +432,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         let mut ctx = SimulationContext {
             queue: &mut self.queue,
             now: self.now,
-            rng: None,
         };
         f(&mut self.world, &mut peers, &mut ctx)
     }
@@ -568,7 +518,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         let mut ctx = SimulationContext {
             queue: &mut self.queue,
             now: self.now,
-            rng: self.rngs.0[target].as_deref_mut(),
         };
         component.handle(&mut self.world, &mut peers, &mut ctx, event);
     }
@@ -578,6 +527,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Ev {
@@ -668,10 +618,11 @@ mod tests {
         );
     }
 
-    /// Logs every timer fire along with a draw from its RNG stream. Timer
-    /// `index` lives in alarm `alarms[index]`.
+    /// Logs every timer fire along with a draw from its own RNG stream.
+    /// Timer `index` lives in alarm `alarms[index]`.
     struct TimerLog {
         alarms: [AlarmId; 2],
+        rng: ChaCha8Rng,
         fired: Vec<(usize, u64, u64)>,
     }
 
@@ -698,7 +649,7 @@ mod tests {
             let Ev::Timer { index, gen } = event else {
                 panic!("unexpected event {event:?}");
             };
-            let draw = ctx.rng().gen::<u64>();
+            let draw = self.rng.gen::<u64>();
             self.fired.push((index, gen, draw));
             if gen < 3 {
                 // Re-arm: fires again one slot later with a bumped gen.
@@ -721,8 +672,8 @@ mod tests {
             vec![(1, 1), (0, 1), (1, 2), (0, 2), (1, 3), (0, 3)],
             "FIFO ties and re-arms in deterministic order"
         );
-        // The RNG stream is the one we attached, drawn in dispatch order.
-        let mut expect = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        // The RNG stream is the component's own, drawn in dispatch order.
+        let mut expect = ChaCha8Rng::seed_from_u64(1);
         for &(_, _, draw) in fired {
             assert_eq!(draw, expect.gen::<u64>());
         }
@@ -736,9 +687,9 @@ mod tests {
         let alarms = [sim.add_alarm(), sim.add_alarm()];
         let log = sim.add_component(TimerLog {
             alarms,
+            rng: ChaCha8Rng::seed_from_u64(1),
             fired: Vec::new(),
         });
-        sim.set_component_rng(log.id(), rand_chacha::ChaCha8Rng::seed_from_u64(1));
         sim.access(|_, _, ctx| {
             arm(ctx, &alarms, 1, 1, SimTime::from_micros(9));
             arm(ctx, &alarms, 0, 1, SimTime::from_micros(9)); // ties FIFO
@@ -772,16 +723,14 @@ mod tests {
         );
         assert_eq!(full.events_processed(), plain.events_processed());
         assert_eq!(full.now(), plain.now());
-        let plain_pos = plain.component_rng(plain_log.id()).unwrap().get_word_pos();
-        let full_pos = full.component_rng(full_log.id()).unwrap().get_word_pos();
+        let plain_pos = plain.component(plain_log).rng.get_word_pos();
+        let full_pos = full.component(full_log).rng.get_word_pos();
         assert_eq!(
             full_pos, plain_pos,
             "telemetry must not draw from any RNG stream"
         );
-        // The report sees exactly the draws the component made: 6 fires x
-        // one u64 (two words) each.
+        assert_eq!(full_pos, 12, "6 fires x one u64 (two words) each");
         let report = full.metrics_report().expect("metrics enabled");
-        assert_eq!(report.rng_words, vec![Some(12)]);
         assert_eq!(report.events_processed, 6);
         assert_eq!(report.kinds, vec!["timer".to_string()]);
         assert_eq!(report.dispatch[0].total, 6);

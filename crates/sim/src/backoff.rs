@@ -16,103 +16,30 @@
 //! A fourth, [`FixedWindow`], keeps a constant contention window and is used as a
 //! building block for baselines (IdleSense adapts such a window) and in tests.
 //!
-//! All policies implement [`BackoffPolicy`], the interface the simulator's
-//! station state machine drives.
+//! Every station stores its policy as the closed [`Policy`] enum, the
+//! interface the simulator's station state machine drives.
 
 use crate::control::{ChannelObservation, ControlPayload};
 use crate::idlesense::IdleSensePolicy;
 use crate::phy::PhyParams;
 use rand::Rng;
-use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 
-/// Station-side contention resolution: decides how many idle slots to wait
-/// before each transmission attempt and how to react to successes, failures,
-/// control updates and channel observations.
-pub trait BackoffPolicy: Send {
-    /// Draw the number of idle backoff slots to wait before the next attempt.
-    ///
-    /// Called once per transmission attempt, after the outcome of the previous
-    /// attempt (if any) has been reported via [`on_success`](Self::on_success) or
-    /// [`on_failure`](Self::on_failure).
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64;
-
-    /// The station's transmission was acknowledged by the AP.
-    fn on_success(&mut self, rng: &mut dyn RngCore);
-
-    /// The station's transmission was not acknowledged (collision).
-    fn on_failure(&mut self, rng: &mut dyn RngCore);
-
-    /// Whether the policy's backoff is memoryless per slot, so a frozen counter
-    /// must be *redrawn* — not resumed — when the medium goes idle again.
-    ///
-    /// Slotted p-persistent CSMA attempts transmission independently with
-    /// probability `p` in every idle slot; carrying a partially elapsed counter
-    /// across a busy period would condition the next attempt on "did not expire
-    /// during the previous contention round" and bias it away from the first
-    /// new slot (the paper's eq. 2-3 and the idle-slot counts of Table III
-    /// assume no such memory). Counter-freezing policies such as IEEE 802.11
-    /// exponential backoff keep the default `false`.
-    ///
-    /// The answer must be **constant for the lifetime of the policy**: like
-    /// [`wants_observations`](Self::wants_observations), the engine samples
-    /// it once per station at build time and caches it on the resume hot
-    /// path, so a policy that changed its answer mid-run would keep its
-    /// build-time behaviour. Every built-in policy is constant here.
-    fn redraw_on_resume(&self) -> bool {
-        false
-    }
-
-    /// A control payload was overheard on an ACK from the AP.
-    fn on_control(&mut self, payload: &ControlPayload) {
-        let _ = payload;
-    }
-
-    /// A busy period the station sensed has ended.
-    fn on_observation(&mut self, observation: &ChannelObservation) {
-        let _ = observation;
-    }
-
-    /// Whether the policy consumes [`on_observation`](Self::on_observation)
-    /// calls. The engine checks this once per station at build time and skips
-    /// the per-busy-period idle-slot accounting (a division on the hot path)
-    /// for policies that ignore observations. The default is `true` — safe for
-    /// any external policy; built-in policies that ignore observations
-    /// override it to `false`.
-    fn wants_observations(&self) -> bool {
-        true
-    }
-
-    /// The per-slot attempt probability currently targeted by the policy, if it has
-    /// a meaningful notion of one (used for traces and analysis, never for control).
-    fn attempt_probability(&self) -> Option<f64> {
-        None
-    }
-
-    /// Current backoff stage, for policies that have stages.
-    fn backoff_stage(&self) -> Option<u8> {
-        None
-    }
-
-    /// Short human-readable policy name.
-    fn name(&self) -> &'static str;
-}
-
-/// The closed set of station policies, dispatched statically on the
-/// simulator's hot path.
+/// The station's contention resolution: decides how many idle slots to wait
+/// before each transmission attempt and how to react to successes,
+/// failures, control updates and channel observations.
 ///
-/// Every station used to own a `Box<dyn BackoffPolicy>`, which put a virtual
-/// call (and a pointer chase to a separate allocation) on every backoff draw,
-/// outcome notification and control update. This enum stores the concrete
-/// policy inline in the station state and dispatches with a jump table the
-/// optimiser can see through.
+/// The set is closed (the paper's three classes plus the IdleSense baseline
+/// and a fixed window), so the policy is stored inline in the station state
+/// and every call dispatches statically. Every draw comes from the
+/// station's own ChaCha8 stream.
 ///
 /// Construct it with `From`/`Into` from any concrete policy — the
 /// [`SimulatorBuilder`](crate::SimulatorBuilder) accepts `impl Into<Policy>`:
 ///
 /// ```
-/// use wlan_sim::backoff::{BackoffPolicy, PPersistent, Policy};
+/// use wlan_sim::backoff::{PPersistent, Policy};
 /// let policy: Policy = PPersistent::new(0.05).into();
 /// assert_eq!(policy.name(), "p-persistent");
 /// ```
@@ -129,20 +56,120 @@ pub enum Policy {
     IdleSense(IdleSensePolicy),
 }
 
+/// Call a method every concrete policy has on the variant `self` holds.
+macro_rules! dispatch {
+    ($self:ident, $p:pat => $body:expr) => {
+        match $self {
+            Policy::Dcf($p) => $body,
+            Policy::PPersistent($p) => $body,
+            Policy::RandomReset($p) => $body,
+            Policy::FixedWindow($p) => $body,
+            Policy::IdleSense($p) => $body,
+        }
+    };
+}
+
 impl Policy {
-    /// [`next_backoff`](BackoffPolicy::next_backoff) from a station's own
-    /// stream: the same draw, with the p-persistent one (made for every
-    /// contending station at every resume) calling the generator directly
-    /// instead of through `dyn RngCore`.
-    #[inline]
-    pub(crate) fn draw_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+    /// Draw the number of idle backoff slots to wait before the next
+    /// attempt: once per attempt, after the outcome of the previous one (if
+    /// any) was reported.
+    // Always inlined, with the window draws out of line in `uniform_cw`:
+    // the p-persistent draw, made for every contending station at every
+    // resume, then runs inline in the resume walks.
+    #[inline(always)]
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        dispatch!(self, p => p.next_backoff(rng))
+    }
+
+    /// The station's transmission was acknowledged by the AP.
+    pub fn on_success(&mut self, rng: &mut ChaCha8Rng) {
         match self {
-            Policy::PPersistent(p) => geometric_slots(p.p, p.ln_q, rng),
-            other => other.next_backoff(rng),
+            Policy::Dcf(p) => p.on_success(),
+            Policy::RandomReset(p) => p.on_success(rng),
+            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
         }
     }
 
-    /// Whether [`draw_backoff`](Self::draw_backoff) would return zero, with
+    /// The station's transmission was not acknowledged (collision).
+    pub fn on_failure(&mut self) {
+        match self {
+            Policy::Dcf(p) => p.on_failure(),
+            Policy::RandomReset(p) => p.on_failure(),
+            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
+        }
+    }
+
+    /// A control payload was overheard on an ACK from the AP.
+    pub fn on_control(&mut self, payload: &ControlPayload) {
+        match self {
+            Policy::PPersistent(p) => p.on_control(payload),
+            Policy::RandomReset(p) => p.on_control(payload),
+            Policy::Dcf(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
+        }
+    }
+
+    /// A busy period the station sensed has ended.
+    pub fn on_observation(&mut self, observation: &ChannelObservation) {
+        if let Policy::IdleSense(p) = self {
+            p.on_observation(observation);
+        }
+    }
+
+    /// Whether [`on_observation`](Self::on_observation) does anything: only
+    /// IdleSense counts idle slots, so the engine skips the per-busy-period
+    /// idle-slot accounting (a division on the hot path) for every other
+    /// policy.
+    pub fn wants_observations(&self) -> bool {
+        matches!(self, Policy::IdleSense(_))
+    }
+
+    /// Whether the backoff is memoryless per slot, so a frozen counter must
+    /// be *redrawn*, not resumed, when the medium goes idle again.
+    ///
+    /// Slotted p-persistent CSMA attempts transmission independently with
+    /// probability `p` in every idle slot; carrying a partially elapsed
+    /// counter across a busy period would condition the next attempt on
+    /// "did not expire during the previous contention round" and bias it
+    /// away from the first new slot (the paper's eq. 2-3 and the idle-slot
+    /// counts of Table III assume no such memory). The counter-freezing
+    /// policies, such as IEEE 802.11 exponential backoff, resume.
+    pub fn redraw_on_resume(&self) -> bool {
+        matches!(self, Policy::PPersistent(_))
+    }
+
+    /// The per-slot attempt probability the policy currently targets (used
+    /// for traces and analysis, never for control).
+    pub fn attempt_probability(&self) -> Option<f64> {
+        Some(match self {
+            Policy::Dcf(p) => p.attempt_probability(),
+            Policy::PPersistent(p) => p.p(),
+            Policy::RandomReset(p) => p.attempt_probability(),
+            Policy::FixedWindow(p) => p.attempt_probability(),
+            Policy::IdleSense(p) => p.attempt_probability(),
+        })
+    }
+
+    /// Current backoff stage, for the policies that have stages.
+    pub fn backoff_stage(&self) -> Option<u8> {
+        match self {
+            Policy::Dcf(p) => Some(p.backoff_stage()),
+            Policy::RandomReset(p) => Some(p.backoff_stage()),
+            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => None,
+        }
+    }
+
+    /// Short human-readable policy name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Dcf(_) => "802.11-DCF",
+            Policy::PPersistent(_) => "p-persistent",
+            Policy::RandomReset(_) => "random-reset",
+            Policy::FixedWindow(_) => "fixed-window",
+            Policy::IdleSense(_) => "idle-sense",
+        }
+    }
+
+    /// Whether [`next_backoff`](Self::next_backoff) would return zero, with
     /// the same effect on the policy and the stream. For a caller that will
     /// redraw before the value is read, only a zero-slot draw matters: it
     /// arms a timer at once. The p-persistent case skips the `ln` for
@@ -155,7 +182,7 @@ impl Policy {
         }
     }
 
-    /// `Some(ln_q)` when [`draw_backoff`](Self::draw_backoff) is
+    /// `Some(ln_q)` when [`next_backoff`](Self::next_backoff) is
     /// `geometric_from_uniform(geometric_uniform(rng), ln_q)` and nothing
     /// else: a p-persistent policy with `0 < 1 - p < 1`. A caller may then
     /// draw the uniform now and evaluate the geometric later, or never.
@@ -175,63 +202,6 @@ impl Policy {
             Policy::FixedWindow(_) => 3,
             Policy::IdleSense(_) => 4,
         }
-    }
-}
-
-/// Forward every [`BackoffPolicy`] method to the concrete variant. The match
-/// is resolved per call site; the callee is a direct (inlinable) call rather
-/// than a vtable lookup.
-macro_rules! dispatch {
-    ($self:ident, $p:pat => $body:expr) => {
-        match $self {
-            Policy::Dcf($p) => $body,
-            Policy::PPersistent($p) => $body,
-            Policy::RandomReset($p) => $body,
-            Policy::FixedWindow($p) => $body,
-            Policy::IdleSense($p) => $body,
-        }
-    };
-}
-
-impl BackoffPolicy for Policy {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
-        dispatch!(self, p => p.next_backoff(rng))
-    }
-
-    fn on_success(&mut self, rng: &mut dyn RngCore) {
-        dispatch!(self, p => p.on_success(rng))
-    }
-
-    fn on_failure(&mut self, rng: &mut dyn RngCore) {
-        dispatch!(self, p => p.on_failure(rng))
-    }
-
-    fn redraw_on_resume(&self) -> bool {
-        dispatch!(self, p => p.redraw_on_resume())
-    }
-
-    fn on_control(&mut self, payload: &ControlPayload) {
-        dispatch!(self, p => p.on_control(payload))
-    }
-
-    fn on_observation(&mut self, observation: &ChannelObservation) {
-        dispatch!(self, p => p.on_observation(observation))
-    }
-
-    fn wants_observations(&self) -> bool {
-        dispatch!(self, p => p.wants_observations())
-    }
-
-    fn attempt_probability(&self) -> Option<f64> {
-        dispatch!(self, p => p.attempt_probability())
-    }
-
-    fn backoff_stage(&self) -> Option<u8> {
-        dispatch!(self, p => p.backoff_stage())
-    }
-
-    fn name(&self) -> &'static str {
-        dispatch!(self, p => p.name())
     }
 }
 
@@ -286,11 +256,12 @@ impl From<IdleSensePolicy> for Policy {
 }
 
 /// Draw a sample uniformly from `[0, cw - 1]`.
-fn uniform_cw(cw: u32, rng: &mut dyn RngCore) -> u64 {
+#[inline(never)]
+pub(crate) fn uniform_cw(cw: u64, rng: &mut ChaCha8Rng) -> u64 {
     if cw <= 1 {
         0
     } else {
-        rng.gen_range(0..cw as u64)
+        rng.gen_range(0..cw)
     }
 }
 
@@ -305,7 +276,7 @@ pub(crate) const NEVER: u64 = u64::MAX / 2;
 /// `ln_q` must be `(1.0 - p).ln()`; [`PPersistent`] caches it so the hot path
 /// pays one `ln` per draw instead of two. It is a divisor (not a reciprocal
 /// factor) so the result stays bit-identical to computing it inline.
-fn geometric_slots<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> u64 {
+fn geometric_slots(p: f64, ln_q: f64, rng: &mut ChaCha8Rng) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
     debug_assert!(p >= 1.0 || p <= 0.0 || ln_q == (1.0 - p).ln());
     if p >= 1.0 {
@@ -320,7 +291,7 @@ fn geometric_slots<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> u64 {
 
 /// The uniform sample behind one geometric draw.
 #[inline]
-pub(crate) fn geometric_uniform<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn geometric_uniform(rng: &mut ChaCha8Rng) -> f64 {
     rng.gen_range(f64::MIN_POSITIVE..1.0)
 }
 
@@ -343,7 +314,7 @@ pub(crate) fn geometric_from_uniform(u: f64, ln_q: f64) -> u64 {
 /// iff `u > 1 - p`; the `ln` is evaluated only for a sample within a
 /// relative 1e-9 of that threshold, far wider than the rounding of `ln`
 /// and of the division, so the answer always equals the full draw's.
-fn geometric_is_zero<R: RngCore + ?Sized>(p: f64, ln_q: f64, rng: &mut R) -> bool {
+fn geometric_is_zero(p: f64, ln_q: f64, rng: &mut ChaCha8Rng) -> bool {
     if p >= 1.0 {
         return true;
     }
@@ -419,19 +390,21 @@ impl ExponentialBackoff {
     fn current_cw(&self) -> u32 {
         ((self.cw_min as u64) << self.stage).min(self.cw_max as u64) as u32
     }
-}
 
-impl BackoffPolicy for ExponentialBackoff {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
-        uniform_cw(self.current_cw(), rng)
+    /// Draw the backoff uniformly from the current window.
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        uniform_cw(self.current_cw().into(), rng)
     }
 
-    fn on_success(&mut self, _rng: &mut dyn RngCore) {
+    /// A success resets the stage and the retry count.
+    pub fn on_success(&mut self) {
         self.stage = 0;
         self.retries = 0;
     }
 
-    fn on_failure(&mut self, _rng: &mut dyn RngCore) {
+    /// A failure doubles the window, or abandons the frame at the retry
+    /// limit.
+    pub fn on_failure(&mut self) {
         self.retries += 1;
         if let Some(limit) = self.retry_limit {
             if self.retries >= limit {
@@ -445,21 +418,14 @@ impl BackoffPolicy for ExponentialBackoff {
         self.stage = (self.stage + 1).min(self.max_stage);
     }
 
-    fn wants_observations(&self) -> bool {
-        false
+    /// Mean attempt rate in the current stage: 2 / (CW + 1) per slot.
+    pub fn attempt_probability(&self) -> f64 {
+        2.0 / (self.current_cw() as f64 + 1.0)
     }
 
-    fn attempt_probability(&self) -> Option<f64> {
-        // Mean attempt rate in the current stage: 2 / (CW + 1) per slot.
-        Some(2.0 / (self.current_cw() as f64 + 1.0))
-    }
-
-    fn backoff_stage(&self) -> Option<u8> {
-        Some(self.stage)
-    }
-
-    fn name(&self) -> &'static str {
-        "802.11-DCF"
+    /// Current backoff stage.
+    pub fn backoff_stage(&self) -> u8 {
+        self.stage
     }
 }
 
@@ -538,26 +504,15 @@ impl PPersistent {
         let p = global_p.clamp(0.0, 1.0);
         (weight * p / (1.0 + (weight - 1.0) * p)).clamp(0.0, 1.0)
     }
-}
 
-impl BackoffPolicy for PPersistent {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
+    /// Draw the geometric backoff of attempt probability `p`.
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
         geometric_slots(self.p, self.ln_q, rng)
     }
 
-    fn on_success(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn on_failure(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn redraw_on_resume(&self) -> bool {
-        true
-    }
-
-    fn wants_observations(&self) -> bool {
-        false
-    }
-
-    fn on_control(&mut self, payload: &ControlPayload) {
+    /// Apply an overheard global attempt probability through the Lemma-1
+    /// mapping (see [`with_weight`](Self::with_weight)).
+    pub fn on_control(&mut self, payload: &ControlPayload) {
         if let ControlPayload::AttemptProbability(p) = payload {
             // Re-applying the value already in effect would recompute the
             // identical `p`/`ln_q` state; skip it (bit-for-bit equivalent).
@@ -567,14 +522,6 @@ impl BackoffPolicy for PPersistent {
             self.set_p(Self::weighted_probability(*p, self.weight));
             self.last_control_p = Some(*p);
         }
-    }
-
-    fn attempt_probability(&self) -> Option<f64> {
-        Some(self.p)
-    }
-
-    fn name(&self) -> &'static str {
-        "p-persistent"
     }
 }
 
@@ -642,14 +589,15 @@ impl RandomReset {
     fn current_cw(&self) -> u32 {
         ((self.cw_min as u64) << self.stage).min(self.cw_max as u64) as u32
     }
-}
 
-impl BackoffPolicy for RandomReset {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
-        uniform_cw(self.current_cw(), rng)
+    /// Draw the backoff uniformly from the current window.
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        uniform_cw(self.current_cw().into(), rng)
     }
 
-    fn on_success(&mut self, rng: &mut dyn RngCore) {
+    /// A success resets to stage `j` with probability `p0`, else to a
+    /// uniformly drawn higher stage.
+    pub fn on_success(&mut self, rng: &mut ChaCha8Rng) {
         if rng.gen::<f64>() < self.p0 || self.reset_stage >= self.max_stage {
             self.stage = self.reset_stage;
         } else {
@@ -658,30 +606,26 @@ impl BackoffPolicy for RandomReset {
         }
     }
 
-    fn on_failure(&mut self, _rng: &mut dyn RngCore) {
+    /// A failure doubles the window, as in DCF.
+    pub fn on_failure(&mut self) {
         self.stage = (self.stage + 1).min(self.max_stage);
     }
 
-    fn wants_observations(&self) -> bool {
-        false
-    }
-
-    fn on_control(&mut self, payload: &ControlPayload) {
+    /// Apply overheard reset parameters (TORA-CSMA's control updates).
+    pub fn on_control(&mut self, payload: &ControlPayload) {
         if let ControlPayload::RandomReset { p0, stage } = payload {
             self.set_reset(*stage, *p0);
         }
     }
 
-    fn attempt_probability(&self) -> Option<f64> {
-        Some(2.0 / (self.current_cw() as f64 + 1.0))
+    /// Mean attempt rate in the current stage: 2 / (CW + 1) per slot.
+    pub fn attempt_probability(&self) -> f64 {
+        2.0 / (self.current_cw() as f64 + 1.0)
     }
 
-    fn backoff_stage(&self) -> Option<u8> {
-        Some(self.stage)
-    }
-
-    fn name(&self) -> &'static str {
-        "random-reset"
+    /// Current backoff stage.
+    pub fn backoff_stage(&self) -> u8 {
+        self.stage
     }
 }
 
@@ -715,27 +659,15 @@ impl FixedWindow {
     pub fn set_cw(&mut self, cw: u32) {
         self.cw = cw.max(1);
     }
-}
 
-impl BackoffPolicy for FixedWindow {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
-        uniform_cw(self.cw, rng)
+    /// Draw the backoff uniformly from the window.
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        uniform_cw(self.cw.into(), rng)
     }
 
-    fn on_success(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn on_failure(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn wants_observations(&self) -> bool {
-        false
-    }
-
-    fn attempt_probability(&self) -> Option<f64> {
-        Some(2.0 / (self.cw as f64 + 1.0))
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-window"
+    /// Mean attempt rate: 2 / (CW + 1) per slot.
+    pub fn attempt_probability(&self) -> f64 {
+        2.0 / (self.cw as f64 + 1.0)
     }
 }
 
@@ -771,8 +703,8 @@ mod tests {
                 assert_eq!(geometric_slots(p, ln_q, &mut full) == 0, zero, "p = {p}");
             }
             assert_eq!(
-                full.next_u64(),
-                lazy.next_u64(),
+                full.gen::<u64>(),
+                lazy.gen::<u64>(),
                 "p = {p}: streams diverged"
             );
         }
@@ -862,8 +794,8 @@ mod tests {
             ),
         ];
         for (original, twin) in &mut policies {
-            original.on_failure(&mut r);
-            original.on_failure(&mut r);
+            original.on_failure();
+            original.on_failure();
             original.on_success(&mut r);
             original.on_control(&ControlPayload::AttemptProbability(0.07));
             original.on_observation(&ChannelObservation {
@@ -898,15 +830,14 @@ mod tests {
     fn exponential_backoff_window_progression() {
         let phy = PhyParams::table1();
         let mut eb = ExponentialBackoff::with_retry_limit(&phy, None);
-        let mut r = rng();
         assert_eq!(eb.current_cw(), 8);
         for expected in [16, 32, 64, 128, 256, 512, 1024, 1024, 1024] {
-            eb.on_failure(&mut r);
+            eb.on_failure();
             assert_eq!(eb.current_cw(), expected);
         }
-        eb.on_success(&mut r);
+        eb.on_success();
         assert_eq!(eb.current_cw(), 8);
-        assert_eq!(eb.backoff_stage(), Some(0));
+        assert_eq!(eb.backoff_stage(), 0);
         assert_eq!(eb.dropped_frames(), 0);
     }
 
@@ -914,25 +845,24 @@ mod tests {
     fn exponential_backoff_retry_limit_abandons_the_frame() {
         let phy = PhyParams::table1();
         let mut eb = ExponentialBackoff::new(&phy);
-        let mut r = rng();
         // Six failures climb the stages normally...
         for expected in [16, 32, 64, 128, 256, 512] {
-            eb.on_failure(&mut r);
+            eb.on_failure();
             assert_eq!(eb.current_cw(), expected);
         }
         // ...the seventh hits the retry limit: the frame is dropped and the window
         // resets to CWmin for the next frame.
-        eb.on_failure(&mut r);
+        eb.on_failure();
         assert_eq!(eb.current_cw(), 8);
         assert_eq!(eb.dropped_frames(), 1);
         // A success also clears the retry counter.
         for _ in 0..3 {
-            eb.on_failure(&mut r);
+            eb.on_failure();
         }
-        eb.on_success(&mut r);
+        eb.on_success();
         assert_eq!(eb.current_cw(), 8);
         for _ in 0..6 {
-            eb.on_failure(&mut r);
+            eb.on_failure();
         }
         assert_eq!(
             eb.dropped_frames(),
@@ -947,7 +877,7 @@ mod tests {
         let mut eb = ExponentialBackoff::new(&phy);
         let mut r = rng();
         for _ in 0..3 {
-            eb.on_failure(&mut r);
+            eb.on_failure();
         }
         let cw = eb.current_cw() as u64;
         for _ in 0..1000 {
@@ -1008,14 +938,14 @@ mod tests {
         let mut r = rng();
         // Drive it to a high stage first.
         for _ in 0..5 {
-            rr.on_failure(&mut r);
+            rr.on_failure();
         }
         let mut at_reset = 0usize;
         let mut above_reset = 0usize;
         let trials = 100_000;
         for _ in 0..trials {
             rr.on_success(&mut r);
-            let s = rr.backoff_stage().unwrap();
+            let s = rr.backoff_stage();
             assert!(s >= 2 && s <= rr.max_stage());
             if s == 2 {
                 at_reset += 1;
@@ -1032,11 +962,10 @@ mod tests {
     fn random_reset_failure_is_exponential() {
         let phy = PhyParams::table1();
         let mut rr = RandomReset::new(&phy, 0, 1.0);
-        let mut r = rng();
-        assert_eq!(rr.backoff_stage(), Some(0));
-        for i in 1..=9 {
-            rr.on_failure(&mut r);
-            assert_eq!(rr.backoff_stage(), Some((i).min(7) as u8));
+        assert_eq!(rr.backoff_stage(), 0);
+        for i in 1..=9u8 {
+            rr.on_failure();
+            assert_eq!(rr.backoff_stage(), i.min(7));
         }
     }
 
@@ -1046,11 +975,11 @@ mod tests {
         let mut rr = RandomReset::new(&phy, 3, 1.0);
         let mut r = rng();
         for _ in 0..4 {
-            rr.on_failure(&mut r);
+            rr.on_failure();
         }
         for _ in 0..100 {
             rr.on_success(&mut r);
-            assert_eq!(rr.backoff_stage(), Some(3));
+            assert_eq!(rr.backoff_stage(), 3);
         }
     }
 
@@ -1097,15 +1026,15 @@ mod tests {
     #[test]
     fn policy_enum_forwards_to_concrete_variants() {
         let phy = PhyParams::table1();
-        let mut r = rng();
         let mut dcf: Policy = ExponentialBackoff::new(&phy).into();
         assert_eq!(dcf.name(), "802.11-DCF");
-        assert!(!dcf.redraw_on_resume());
-        dcf.on_failure(&mut r);
+        assert!(!dcf.redraw_on_resume() && !dcf.wants_observations());
+        dcf.on_failure();
         assert_eq!(dcf.backoff_stage(), Some(1));
 
         let mut pp: Policy = PPersistent::new(0.25).into();
-        assert!(pp.redraw_on_resume());
+        assert!(pp.redraw_on_resume() && !pp.wants_observations());
+        assert_eq!(pp.backoff_stage(), None);
         assert_eq!(pp.attempt_probability(), Some(0.25));
         pp.on_control(&ControlPayload::AttemptProbability(0.5));
         assert_eq!(pp.attempt_probability(), Some(0.5));
@@ -1116,6 +1045,7 @@ mod tests {
         assert_eq!(fw.attempt_probability(), Some(2.0 / 17.0));
         let is: Policy = IdleSensePolicy::for_phy(&phy).into();
         assert_eq!(is.name(), "idle-sense");
+        assert!(is.wants_observations() && !is.redraw_on_resume());
     }
 
     #[test]
@@ -1129,16 +1059,17 @@ mod tests {
         let mut r2 = rng();
         for _ in 0..100 {
             assert_eq!(bare.next_backoff(&mut r1), wrapped.next_backoff(&mut r2));
-            bare.on_failure(&mut r1);
-            wrapped.on_failure(&mut r2);
+            bare.on_failure();
+            wrapped.on_failure();
         }
     }
 
     #[test]
     fn attempt_probability_reporting() {
         let phy = PhyParams::table1();
-        assert!(ExponentialBackoff::new(&phy).attempt_probability().unwrap() > 0.0);
-        assert_eq!(PPersistent::new(0.25).attempt_probability(), Some(0.25));
-        assert_eq!(FixedWindow::new(15).attempt_probability(), Some(0.125));
+        assert!(ExponentialBackoff::new(&phy).attempt_probability() > 0.0);
+        let pp: Policy = PPersistent::new(0.25).into();
+        assert_eq!(pp.attempt_probability(), Some(0.25));
+        assert_eq!(FixedWindow::new(15).attempt_probability(), 0.125);
     }
 }

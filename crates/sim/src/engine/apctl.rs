@@ -15,7 +15,6 @@ use super::event::Event;
 use super::station::{StationMac, Stations};
 use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
 use crate::ap::ApAlgorithm;
-use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};

@@ -5,21 +5,17 @@
 //! In-flight transmissions live in a generational slab ([`wlan_des::Slab`]):
 //! entries are reclaimed eagerly at the end of each lifecycle and the
 //! generation check makes any stale [`TxId`] a loud panic instead of silent
-//! aliasing. This component also owns the engine's private RNG stream
-//! (registered via `Simulation::set_component_rng`), used only for the
-//! uniform frame-error draw — stations never share it, so error injection
-//! cannot perturb any station's contention stream.
+//! aliasing. The channel draws nothing: a frame is received iff it is
+//! decodable.
 
 use super::apctl::{ApControl, PendingAck};
 use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
 use super::station::{Phase, StationMac, Stations};
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
-use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
 use crate::topology::{ones, NodeId};
-use rand::{Rng, RngCore};
 use wlan_des::time::SimTime;
 use wlan_des::{Component, Handle, Slab};
 
@@ -107,25 +103,15 @@ impl Channel {
         };
         world.stats.nodes[source].airtime += now.duration_since(started);
 
-        // Decide reception before notifying sensors so the sensing loop knows
-        // whether an AckStart will follow at now + SIFS. (The frame-error draw
-        // comes from this component's own RNG stream, which no station shares,
-        // so drawing it before the stations' redraws does not perturb any
-        // station stream.)
-        let mut reception_failed = !decodable;
-        if !reception_failed && world.frame_error_rate > 0.0 {
-            reception_failed = ctx.rng().gen::<f64>() < world.frame_error_rate;
-        }
-        let ack_follows = !reception_failed;
-
-        // Sensing stations see the medium go (possibly) idle again. When an ACK
-        // follows, the AP is guaranteed to re-freeze every one of them at
-        // now + SIFS — strictly before any countdown expiring at or after
-        // now + DIFS — so their TxStart events would be invalidated unread;
-        // `Stations::busy_end` elides those arms entirely (see its doc comment).
+        // Sensing stations see the medium go (possibly) idle again. A
+        // decodable frame is ACKed: the AP is then guaranteed to re-freeze
+        // every one of them at now + SIFS — strictly before any countdown
+        // expiring at or after now + DIFS — so their TxStart events would be
+        // invalidated unread; `Stations::busy_end` elides those arms entirely
+        // (see its doc comment).
         {
             let mac = peers.get_mut(self.mac);
-            mac.medium_idle(world, ctx, now, source, true, ack_follows);
+            mac.medium_idle(world, ctx, now, source, true, decodable);
 
             // The transmitter itself starts listening for the ACK, unless it
             // abandoned the frame.
@@ -151,7 +137,7 @@ impl Channel {
                 // overwrites `pending_ack`, and the first sender's ACK is never
                 // delivered — its timeout must stay scheduled or the station
                 // would be stranded in `AwaitingAck` forever.
-                if reception_failed || world.ack_can_be_lost {
+                if !decodable || world.ack_can_be_lost {
                     ctx.schedule(
                         now + timeout,
                         MAC_ID,
@@ -166,7 +152,7 @@ impl Channel {
         }
 
         let ap = peers.get_mut(self.ap);
-        if !reception_failed {
+        if decodable {
             // The AP decoded the frame; ACK after SIFS. The slab entry stays
             // alive until AckEnd closes the lifecycle.
             ap.busy_has_success = true;
@@ -261,8 +247,7 @@ impl Channel {
                 world.bin_bits += payload_bits;
                 let st = &mut mac.stations;
                 st.hot[dest].ack_gen += 1; // cancel the pending timeout
-                let rng: &mut dyn RngCore = &mut st.rng[dest];
-                st.policy[dest].on_success(rng);
+                st.policy[dest].on_success(&mut st.rng[dest]);
                 if !st.sensed.is_busy(dest) {
                     st.hot[dest].idle_since = now;
                 }

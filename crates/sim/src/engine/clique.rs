@@ -66,7 +66,7 @@
 
 use super::station::{Phase, Stations};
 use super::timers::{Armed, Timers};
-use crate::backoff::{geometric_from_uniform, geometric_uniform, BackoffPolicy};
+use crate::backoff::{geometric_from_uniform, geometric_uniform};
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
 use crate::topology::NodeId;
@@ -722,7 +722,7 @@ impl Clique {
                     continue;
                 }
                 // Memoryless policies redraw instead of resuming (see
-                // `BackoffPolicy::redraw_on_resume`).
+                // `Policy::redraw_on_resume`).
                 let (policy, rng) = (&mut policy[node], &mut rng[node]);
                 let drawn = if ack_follows {
                     // The ACK freezes this countdown SIFS from now, and the
@@ -735,7 +735,7 @@ impl Clique {
                     self.targets.redraw(node, self.epoch, ln_q, u);
                     continue;
                 } else {
-                    policy.draw_backoff(rng)
+                    policy.next_backoff(rng)
                 };
                 self.targets.set_bulk(node, self.epoch + drawn);
             }

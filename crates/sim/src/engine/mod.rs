@@ -10,9 +10,8 @@
 //!   its earliest timer is set in, and — in a fully connected cell — the
 //!   shared medium view of [`clique::Clique`]; handles `TxStart` and
 //!   `AckTimeout`.
-//! * [`channel::Channel`] — the in-flight transmission slab, interference
-//!   bookkeeping, and the engine's private frame-error RNG stream; handles
-//!   `TxEnd`, `AckStart`, `AckEnd`.
+//! * [`channel::Channel`] — the in-flight transmission slab and the
+//!   interference bookkeeping; handles `TxEnd`, `AckStart`, `AckEnd`.
 //! * [`apctl::ApControl`] — the AP-side controller, the pending-ACK latch,
 //!   and the AP's busy-period/idle-slot observables; handles `StatsTick`.
 //! * [`arrivals::TrafficSources`] — finite-load arrival samplers and frame
@@ -88,7 +87,7 @@ mod timers;
 pub use telemetry::{EngineMetrics, COMPONENT_NAMES};
 
 use crate::ap::{ApAlgorithm, NullController};
-use crate::backoff::{BackoffPolicy, Policy};
+use crate::backoff::Policy;
 use crate::capture::CaptureModel;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
@@ -123,13 +122,12 @@ pub(crate) const AP_ID: ComponentId = 2;
 pub(crate) const TRAFFIC_ID: ComponentId = 3;
 
 /// Shared simulation state every component reads: the immutable scenario
-/// (PHY timing, topology, capture model, error rate) and the cross-cutting
+/// (PHY timing, topology, capture model) and the cross-cutting
 /// measurement state (statistics, throughput-series binning).
 pub(crate) struct World {
     pub(crate) phy: PhyParams,
     pub(crate) topology: Topology,
     pub(crate) capture: Option<CaptureModel>,
-    pub(crate) frame_error_rate: f64,
     /// Whether a successfully received frame's ACK can still fail to reach
     /// its sender. True only for capture models with `sir_threshold <= 1`,
     /// where two mutually overlapping frames can both decode and the second
@@ -179,8 +177,6 @@ pub struct SimulatorBuilder {
     ap: Box<dyn ApAlgorithm>,
     throughput_bin: SimDuration,
     throughput_series_cap: usize,
-    frame_error_rate: f64,
-    initially_active: Option<usize>,
     capture: Option<CaptureModel>,
     traffic: TrafficSpec,
     arrival_overrides: Vec<Option<ArrivalProcess>>,
@@ -203,8 +199,6 @@ impl SimulatorBuilder {
             ap: Box::new(NullController::new()),
             throughput_bin: SimDuration::from_secs(1),
             throughput_series_cap: 4096,
-            frame_error_rate: 0.0,
-            initially_active: None,
             capture: None,
             traffic: TrafficSpec::default(),
             arrival_overrides: (0..n).map(|_| None).collect(),
@@ -276,27 +270,11 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Independent and identically distributed frame-error probability applied to
-    /// otherwise-successful receptions (default 0; the paper's footnote-1 extension).
-    pub fn frame_error_rate(mut self, fer: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fer));
-        self.frame_error_rate = fer;
-        self
-    }
-
     /// Enable physical-layer capture at the AP (SIR-threshold reception). With
     /// `None` (the default) every overlap destroys all frames involved, exactly as
     /// in the paper's analytical model.
     pub fn capture_model(mut self, capture: Option<CaptureModel>) -> Self {
         self.capture = capture;
-        self
-    }
-
-    /// Only the first `n` stations start active; the rest can be activated later
-    /// (dynamic-membership scenarios, Figs. 8–11).
-    pub fn initially_active(mut self, n: usize) -> Self {
-        assert!(n <= self.topology.num_nodes());
-        self.initially_active = Some(n);
         self
     }
 
@@ -351,7 +329,10 @@ impl SimulatorBuilder {
             rngs.push(ChaCha8Rng::seed_from_u64(master.gen()));
         }
         let stations = Stations::new(policies, rngs, self.weights);
-        let engine_rng = ChaCha8Rng::seed_from_u64(master.gen());
+        // Drawn and discarded: this word seeded the removed frame-error
+        // stream, and the traffic master below is the word after it, so
+        // dropping the draw would change every finite-load run.
+        let _: u64 = master.gen();
         // The sensing path is a property of the sensing graph: a clique
         // shares one medium view, anything else adds sensing rows.
         let is_clique = self.topology.is_fully_connected();
@@ -359,8 +340,8 @@ impl SimulatorBuilder {
         let is_clique = is_clique && !self.per_station;
         let clique = is_clique.then(|| Box::new(Clique::new(&stations)));
         // Traffic RNG streams are derived from the master strictly *after*
-        // every pre-existing draw (station contention streams, engine
-        // stream), and only when some station actually has a finite-load
+        // every pre-existing draw (station contention streams, the discarded
+        // word), and only when some station actually has a finite-load
         // source: a saturated build draws exactly the historical sequence,
         // so its RNG streams — and with them the golden traces — are
         // bit-identical to the pre-traffic engine.
@@ -388,7 +369,6 @@ impl SimulatorBuilder {
         let world = World {
             phy: self.phy,
             topology: self.topology,
-            frame_error_rate: self.frame_error_rate,
             // `<=` is load-bearing: `decodable` compares with `>=`, so at a
             // threshold of exactly 1.0 two equal-power overlapping frames
             // BOTH decode and the second success overwrites the first
@@ -445,9 +425,6 @@ impl SimulatorBuilder {
             mac,
         });
         debug_assert_eq!(traffic.id(), TRAFFIC_ID);
-        // The frame-error stream (historically `engine_rng`) belongs to the
-        // channel component, the only drawer.
-        sim.set_component_rng(CHANNEL_ID, engine_rng);
 
         let mut simulator = Simulator {
             sim,
@@ -456,8 +433,7 @@ impl SimulatorBuilder {
             ap,
             traffic,
         };
-        let active = self.initially_active.unwrap_or(n);
-        simulator.activate_stations(0..active);
+        simulator.activate_stations(0..n);
         simulator.sim.access(|world, _, ctx| {
             ctx.schedule(
                 SimTime::ZERO + world.throughput_bin,

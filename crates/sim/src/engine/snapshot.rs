@@ -2,10 +2,12 @@
 //! [`Simulator::resume`].
 //!
 //! A checkpoint is a header, the scenario's shape, the kernel block (clock,
-//! dispatch counter, every pending event — general and in the two alarms —
-//! and the channel's RNG stream) and then each component's mutable state in
-//! a fixed order, all through the kernel's positional [`State`] codec and
-//! closed by its checksum. Build-time configuration (PHY, topology, policy
+//! dispatch counter and every pending event, general and in the two alarms)
+//! and then each component's mutable state in a fixed order, all through
+//! the kernel's positional [`State`] codec and closed by its checksum. Every
+//! RNG stream belongs to a component, which checkpoints it: the stations'
+//! contention streams with the MAC, the finite-load sources' streams with
+//! the traffic sources. Build-time configuration (PHY, topology, policy
 //! parameters) is *not* captured: a checkpoint only resumes into a simulator
 //! freshly built from the identical scenario.
 
@@ -21,7 +23,7 @@ const MAGIC: [u8; 16] = *b"\x08\0\0\0\0\0\0\0WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 6;
+const CHECKPOINT_VERSION: u32 = 7;
 
 impl Simulator {
     /// The station count and sensing path the scenario built: a checkpoint
@@ -39,12 +41,12 @@ impl Simulator {
     /// heap and both alarms), the statistics and throughput-binning state,
     /// per-station MAC/policy/RNG state, the armed backoff timers, the
     /// clique's medium view, the transmission slab (with generations and
-    /// free-list structure), the AP controller, the traffic sources and
-    /// their armed arrival timers, and the channel's frame-error RNG
-    /// stream. Build-time configuration (PHY, topology, policies'
-    /// parameters) is *not* captured: [`resume`](Self::resume) must be
-    /// called on a simulator freshly built from the identical scenario, and
-    /// the resumed run is then bit-identical to one that never checkpointed.
+    /// free-list structure), the AP controller, and the traffic sources
+    /// with their RNG streams and armed arrival timers. Build-time
+    /// configuration (PHY, topology, policies' parameters) is *not*
+    /// captured: [`resume`](Self::resume) must be called on a simulator
+    /// freshly built from the identical scenario, and the resumed run is
+    /// then bit-identical to one that never checkpointed.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         (MAGIC, CHECKPOINT_VERSION).save(&mut w);

@@ -38,11 +38,10 @@ use super::clique::Clique;
 use super::event::Event;
 use super::timers::Timers;
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
-use crate::backoff::{BackoffPolicy, Policy};
+use crate::backoff::Policy;
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
 use crate::topology::NodeId;
-use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use wlan_des::time::SimTime;
 use wlan_des::{AlarmId, Component, Handle};
@@ -82,12 +81,9 @@ wlan_des::state!(
 const COUNTDOWN_NONE: SimTime = SimTime::from_nanos(u64::MAX);
 
 /// Flag bit: the station's policy consumes channel observations (cached
-/// [`BackoffPolicy::wants_observations`] — see that method's docs).
+/// [`Policy::wants_observations`]).
 const FLAG_WANTS_OBS: u8 = 1 << 0;
-/// Flag bit: cached [`BackoffPolicy::redraw_on_resume`]. Like
-/// `wants_observations`, this is sampled once at build time: every built-in
-/// policy answers it constantly, and custom policies are documented to do the
-/// same.
+/// Flag bit: cached [`Policy::redraw_on_resume`].
 const FLAG_REDRAW_ON_RESUME: u8 = 1 << 1;
 
 /// The per-station fields the sensing rules read and write, packed into
@@ -96,7 +92,7 @@ const FLAG_REDRAW_ON_RESUME: u8 = 1 << 1;
 pub(crate) struct HotState {
     /// The per-station state machine.
     pub phase: Phase,
-    /// Cached policy capabilities.
+    /// Cached policy capabilities, a function of the policy's variant.
     flags: u8,
     /// Backoff slots still to be counted down.
     pub remaining_slots: u64,
@@ -116,11 +112,11 @@ pub(crate) struct HotState {
     pub pending_idle_slots: u64,
 }
 
-// The flags byte and the countdown sentinel are checkpointed as they are:
-// both are plain state here, even though the flag capabilities are derived
-// from the policy at build time.
+// The flags follow from the policy's variant, which the build fixes and the
+// checkpoint's policy block verifies; the countdown sentinel is written as
+// it is.
 wlan_des::state!(struct HotState {
-    phase, flags, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
+    phase, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
     pending_idle_slots
 });
 
@@ -498,8 +494,8 @@ impl Stations {
         if redraw {
             // Memoryless (p-persistent) policies attempt independently in
             // every idle slot; resuming the frozen counter would bias the
-            // first post-busy slot (see `BackoffPolicy::redraw_on_resume`).
-            self.hot[node].remaining_slots = self.policy[node].draw_backoff(&mut self.rng[node]);
+            // first post-busy slot (see `Policy::redraw_on_resume`).
+            self.hot[node].remaining_slots = self.policy[node].next_backoff(&mut self.rng[node]);
         }
         if contending {
             self.hot[node].resume_countdown(phy, timers, walk, now, node, ack_follows);
@@ -530,7 +526,7 @@ impl Stations {
             h.clear_countdown();
             return;
         }
-        let drawn = self.policy[node].draw_backoff(&mut self.rng[node]);
+        let drawn = self.policy[node].next_backoff(&mut self.rng[node]);
         let idle = !self.sensed.is_busy(node);
         let h = &mut self.hot[node];
         h.phase = Phase::Contending;
@@ -790,11 +786,7 @@ impl StationMac {
             }
         }
         world.stats.nodes[node].failures += 1;
-        {
-            let st = &mut self.stations;
-            let rng: &mut dyn RngCore = &mut st.rng[node];
-            st.policy[node].on_failure(rng);
-        }
+        self.stations.policy[node].on_failure();
         let has_frame = peers.get(self.traffic).has_frame(node);
         self.begin_contention(&world.phy, ctx, node, has_frame);
     }

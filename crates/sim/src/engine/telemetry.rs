@@ -29,8 +29,8 @@ pub struct EngineMetrics {
     pub tx_slab_high_water: usize,
     /// Transmission-slab slots currently allocated (live + free).
     pub tx_slab_capacity: usize,
-    /// The kernel-level report: dispatch counters, queue and scheduler
-    /// tallies, RNG draw positions.
+    /// The kernel-level report: dispatch counters, the event-stream digest,
+    /// and queue and scheduler tallies.
     pub kernel: MetricsReport,
 }
 

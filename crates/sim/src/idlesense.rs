@@ -14,11 +14,10 @@
 //! and the optimal attempt rate. The implementation here follows the published
 //! algorithm so that exactly this effect can be reproduced.
 
-use crate::backoff::BackoffPolicy;
-use crate::control::{ChannelObservation, ControlPayload};
+use crate::backoff::uniform_cw;
+use crate::control::ChannelObservation;
 use crate::phy::PhyParams;
-use rand::Rng;
-use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 /// Configuration of the IdleSense station policy.
 #[derive(Debug, Clone)]
@@ -125,25 +124,15 @@ impl IdleSensePolicy {
         self.idle_slot_sum = 0;
         self.observed_transmissions = 0;
     }
-}
 
-impl BackoffPolicy for IdleSensePolicy {
-    fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
-        let cw = self.cw.round().max(1.0) as u64;
-        if cw <= 1 {
-            0
-        } else {
-            rng.gen_range(0..cw)
-        }
+    /// Draw the backoff uniformly from the rounded current window.
+    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
+        uniform_cw(self.cw.round().max(1.0) as u64, rng)
     }
 
-    fn on_success(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn on_failure(&mut self, _rng: &mut dyn RngCore) {}
-
-    fn on_control(&mut self, _payload: &ControlPayload) {}
-
-    fn on_observation(&mut self, observation: &ChannelObservation) {
+    /// Count the idle slots before a sensed busy period, adapting the window
+    /// every `transmissions_per_update` observations.
+    pub fn on_observation(&mut self, observation: &ChannelObservation) {
         self.idle_slot_sum += observation.idle_slots;
         self.observed_transmissions += 1;
         if self.observed_transmissions >= self.config.transmissions_per_update {
@@ -151,21 +140,18 @@ impl BackoffPolicy for IdleSensePolicy {
         }
     }
 
-    fn attempt_probability(&self) -> Option<f64> {
-        Some(2.0 / (self.cw + 1.0))
-    }
-
-    fn name(&self) -> &'static str {
-        "idle-sense"
+    /// Mean attempt rate: 2 / (CW + 1) per slot.
+    pub fn attempt_probability(&self) -> f64 {
+        2.0 / (self.cw + 1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::BusyOutcome;
+    use crate::backoff::Policy;
+    use crate::control::{BusyOutcome, ControlPayload};
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn obs(idle_slots: u64) -> ChannelObservation {
         ChannelObservation {
@@ -254,9 +240,9 @@ mod tests {
 
     #[test]
     fn ignores_control_payloads() {
-        let mut p = IdleSensePolicy::new(IdleSenseConfig::default());
-        let before = p.cw();
+        let mut p: Policy = IdleSensePolicy::new(IdleSenseConfig::default()).into();
+        let before = p.attempt_probability();
         p.on_control(&ControlPayload::AttemptProbability(0.9));
-        assert_eq!(p.cw(), before);
+        assert_eq!(p.attempt_probability(), before);
     }
 }

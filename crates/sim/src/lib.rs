@@ -18,11 +18,10 @@
 //! * a frame is received iff no other transmission overlaps it in time and the
 //!   AP is not itself transmitting; successful receptions are acknowledged after
 //!   SIFS;
-//! * the contention-resolution policy of every station is pluggable
-//!   ([`backoff::BackoffPolicy`]): standard exponential backoff, p-persistent
-//!   CSMA, the paper's RandomReset(j; p0) scheme, IdleSense, or a fixed
-//!   window. The engine stores policies in the closed [`backoff::Policy`]
-//!   enum and dispatches them statically;
+//! * every station runs one contention-resolution policy, a variant of the
+//!   closed [`backoff::Policy`] enum: standard exponential backoff,
+//!   p-persistent CSMA, the paper's RandomReset(j; p0) scheme, IdleSense,
+//!   or a fixed window, dispatched statically;
 //! * the AP may run a controller ([`ap::ApAlgorithm`], held as a
 //!   `Box<dyn ApAlgorithm>`) that observes successful receptions and
 //!   piggy-backs control variables on every ACK — the hook used by wTOP-CSMA
@@ -90,7 +89,7 @@ pub use wlan_des::{snapshot, state};
 pub use wlan_des::{MetricsReport, ProfileSample};
 
 pub use ap::{ApAlgorithm, ControlEpoch, NullController};
-pub use backoff::{BackoffPolicy, Policy};
+pub use backoff::Policy;
 pub use capture::CaptureModel;
 pub use control::{BusyOutcome, ChannelObservation, ControlPayload};
 pub use engine::{EngineMetrics, Simulator, SimulatorBuilder, COMPONENT_NAMES};

@@ -33,7 +33,8 @@
 //! (`queued_at_start + arrivals == delivered + drops + queued_now`) an exact
 //! invariant, not an approximation.
 
-use rand::{Rng, RngCore};
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use wlan_des::time::SimDuration;
 
@@ -215,7 +216,7 @@ pub struct ArrivalSampler {
 wlan_des::state!(struct ArrivalSampler { started, burst });
 
 /// Draw an exponential duration with the given mean.
-fn exp_duration(mean: f64, rng: &mut dyn RngCore) -> SimDuration {
+fn exp_duration(mean: f64, rng: &mut ChaCha8Rng) -> SimDuration {
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     SimDuration::from_secs_f64(-u.ln() * mean)
 }
@@ -241,7 +242,7 @@ impl ArrivalSampler {
     /// phase in `[0, interval)`, the on/off source draws its initial
     /// ON/OFF state from the stationary distribution, and Poisson needs no
     /// special casing (exponential gaps are memoryless).
-    pub fn next_delay(&mut self, rng: &mut dyn RngCore) -> SimDuration {
+    pub fn next_delay(&mut self, rng: &mut ChaCha8Rng) -> SimDuration {
         let first = !self.started;
         self.started = true;
         match self.process {
@@ -310,7 +311,6 @@ impl ArrivalSampler {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(99)

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use wlan_sa::analytic::{self, BackoffChain, SlotModel};
 use wlan_sa::core::{Protocol, Scenario, TopologySpec};
 use wlan_sa::sa::{KieferWolfowitz, PowerLawGains};
-use wlan_sa::sim::backoff::{BackoffPolicy, ExponentialBackoff, PPersistent, RandomReset};
+use wlan_sa::sim::backoff::{ExponentialBackoff, PPersistent, RandomReset};
 use wlan_sa::sim::{
     ArrivalProcess, PhyParams, SimDuration, SimulatorBuilder, Topology, TrafficSpec,
 };
@@ -124,18 +124,18 @@ proptest! {
         let mut rr = RandomReset::new(&phy, 2, 0.4);
         for &ok in &history {
             if ok {
-                dcf.on_success(&mut rng);
+                dcf.on_success();
                 rr.on_success(&mut rng);
             } else {
-                dcf.on_failure(&mut rng);
-                rr.on_failure(&mut rng);
+                dcf.on_failure();
+                rr.on_failure();
             }
         }
         for _ in 0..32 {
             prop_assert!(dcf.next_backoff(&mut rng) < phy.cw_max as u64);
             prop_assert!(rr.next_backoff(&mut rng) < phy.cw_max as u64);
-            prop_assert!(dcf.backoff_stage().unwrap() <= phy.max_backoff_stage());
-            prop_assert!(rr.backoff_stage().unwrap() <= phy.max_backoff_stage());
+            prop_assert!(dcf.backoff_stage() <= phy.max_backoff_stage());
+            prop_assert!(rr.backoff_stage() <= phy.max_backoff_stage());
         }
     }
 
