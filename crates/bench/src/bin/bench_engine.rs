@@ -24,7 +24,8 @@
 //! ```text
 //! bench_engine [--quick|--extended|--full] [--out PATH] [--check PATH]
 //!              [--history PATH] [--only SUBSTR] [--profile]
-//!              [--profile-out PATH] [--overhead-check]
+//!              [--profile-out PATH]
+//! bench_engine --overhead-check
 //! ```
 //!
 //! An unknown flag, or a value flag without its value, is an error: the
@@ -47,14 +48,16 @@
 //! quantiles from a [`wlan_sim::DelayHistogram`]. The table is also written
 //! as JSON (`--profile-out`, default `BENCH_profile.json`).
 //!
-//! `--overhead-check` times a few representative cells with telemetry off and
-//! with the full dispatch registry on, in adjacent off/on pairs, and exits
-//! with status 3 if the geomean over cells of each cell's median per-pair
+//! `--overhead-check` runs only the telemetry gate and writes no file: it
+//! times a few representative cells with telemetry off and with the full
+//! dispatch registry on, in adjacent off/on pairs, and exits with status 3
+//! if the geomean over cells of each cell's median per-pair
 //! enabled/disabled events-per-second ratio drops below 0.97 (the ~2%
 //! contract plus ~1% timing-noise allowance) — the CI gate on the "zero-cost
 //! when off, ~free when on" telemetry contract. The *off* path costs nothing
 //! by construction (the kernel runs its plain dispatch loop when no registry
-//! is installed), so bounding the *on* cost bounds both.
+//! is installed), so bounding the *on* cost bounds both. It runs no grid, so
+//! a grid flag beside it would be ignored; that is a usage error (status 1).
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -457,8 +460,8 @@ fn cell_key(c: &Cell) -> String {
 }
 
 const USAGE: &str = "usage: bench_engine [--quick|--extended|--full] [--out PATH] [--check PATH] \
-                     [--history PATH] [--only SUBSTR] [--profile] [--profile-out PATH] \
-                     [--overhead-check]";
+                     [--history PATH] [--only SUBSTR] [--profile] [--profile-out PATH]\n       \
+                     bench_engine --overhead-check";
 
 /// Report a bad command line and exit 1, before anything has run.
 fn usage_error(message: String) -> ! {
@@ -469,11 +472,13 @@ fn usage_error(message: String) -> ! {
 fn main() {
     // Every flag must be known and every value flag must have a value (a
     // following flag does not count). --full wins over --extended, which
-    // wins over --quick.
+    // wins over --quick. Every flag but --overhead-check configures the grid
+    // run, which --overhead-check skips.
     let mut mode = Mode::Quick;
     let (mut out, mut history, mut check_path, mut only, mut profile_out) =
         (None, None, None, None, None);
     let (mut profile, mut overhead_check) = (false, false);
+    let mut grid_flag = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || match args.next() {
@@ -497,6 +502,28 @@ fn main() {
             "--overhead-check" => overhead_check = true,
             other => usage_error(format!("unknown flag `{other}`")),
         }
+        if flag != "--overhead-check" {
+            grid_flag.get_or_insert(flag);
+        }
+    }
+    if overhead_check {
+        if let Some(flag) = grid_flag {
+            usage_error(format!(
+                "`--overhead-check` runs only its gate, so `{flag}` would be ignored"
+            ));
+        }
+        println!("bench_engine: telemetry overhead check ({OVERHEAD_PAIRS} off/on pairs per cell)");
+        let ratio = overhead_ratio();
+        println!("  geomean enabled/disabled events-per-sec ratio x{ratio:.3} (floor x0.97)");
+        if ratio < 0.97 {
+            eprintln!(
+                "TELEMETRY OVERHEAD: enabling the dispatch registry costs more than the \
+                 ~2% contract (plus ~1% timing-noise allowance) permits"
+            );
+            std::process::exit(3);
+        }
+        println!("  overhead check passed");
+        return;
     }
     let out_explicit = out.is_some();
     let out_path = out.unwrap_or_else(|| "BENCH_engine.json".to_string());
@@ -694,21 +721,5 @@ fn main() {
         )
         .expect("write profile");
         println!("  wrote {profile_out}");
-    }
-
-    if overhead_check {
-        println!(
-            "\nbench_engine: telemetry overhead check ({OVERHEAD_PAIRS} off/on pairs per cell)"
-        );
-        let ratio = overhead_ratio();
-        println!("  geomean enabled/disabled events-per-sec ratio x{ratio:.3} (floor x0.97)");
-        if ratio < 0.97 {
-            eprintln!(
-                "TELEMETRY OVERHEAD: enabling the dispatch registry costs more than the \
-                 ~2% contract (plus ~1% timing-noise allowance) permits"
-            );
-            std::process::exit(3);
-        }
-        println!("  overhead check passed");
     }
 }

@@ -54,3 +54,35 @@ fn a_value_flag_without_its_value_is_an_error() {
         assert!(stderr.contains(flag), "{flag}: stderr names it: {stderr}");
     }
 }
+
+#[test]
+fn overhead_check_rejects_the_grid_flags_it_would_ignore() {
+    // The gate runs no grid, so a flag that configures one would be
+    // silently ignored; the gate must not start.
+    let cases: [&[&str]; 9] = [
+        &["--check", "BENCH_engine.json"],
+        &["--out", "report.json"],
+        &["--history", "history.jsonl"],
+        &["--profile"],
+        &["--profile-out", "profile.json"],
+        &["--only", "Standard 802.11:fully_connected:5"],
+        &["--quick"],
+        &["--extended"],
+        &["--full"],
+    ];
+    for (k, case) in cases.into_iter().enumerate() {
+        let mut args = case.to_vec();
+        // Either side of the gate flag.
+        if k % 2 == 0 {
+            args.insert(0, "--overhead-check");
+        } else {
+            args.push("--overhead-check");
+        }
+        let (status, stderr) = run("overhead", &args);
+        assert_eq!(status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(case[0]),
+            "{args:?}: stderr names it: {stderr}"
+        );
+    }
+}

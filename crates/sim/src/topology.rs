@@ -16,12 +16,18 @@
 //! transmitter's row to every station's busy count in one word-parallel
 //! pass ([`Topology::sensing_row`]) and then visits only the stations whose
 //! medium went from idle to busy or back.
+//!
+//! The rows are built a word at a time. [`Topology::fully_connected`] sets
+//! every bit below N but the station's own. A geometric layout
+//! ([`Topology::from_positions`]) evaluates `distance <= sensing_range`
+//! once per pair `i < j`, without a branch, and packs 64 outcomes into a
+//! word of row `i`; the lower triangle is then the upper one's mirror
+//! image, filled by transposing 64 × 64 bit blocks.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A point in the 2-D plane, in metres. The AP sits at the origin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Position {
     /// X coordinate in metres.
     pub x: f64,
@@ -44,6 +50,25 @@ impl Position {
     }
 }
 
+/// Transpose a 64 × 64 bit matrix in place (bit `c` of `m[r]` is entry
+/// `(r, c)`): swap the off-diagonal quadrants, then the quadrants of each
+/// quadrant, down to single bits.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_ffff_ffffu64;
+    while width != 0 {
+        let mut r = 0;
+        while r < 64 {
+            let swap = ((m[r] >> width) ^ m[r + width]) & mask;
+            m[r] ^= swap << width;
+            m[r + width] ^= swap;
+            r = (r + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 /// Identifier of a station. Stations are numbered `0..n`.
 pub type NodeId = usize;
 
@@ -63,7 +88,7 @@ pub const DEFAULT_TX_RANGE: f64 = 16.0;
 pub const DEFAULT_SENSING_RANGE: f64 = 24.0;
 
 /// The physical layout of the WLAN and the derived sensing relation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Position>,
     ap: Position,
@@ -108,28 +133,35 @@ impl Topology {
             tx_range > 0.0 && sensing_range > 0.0,
             "ranges must be positive"
         );
-        Self::with_relation(positions, ap, tx_range, sensing_range, |a, b| {
-            a.distance(b) <= sensing_range
-        })
-    }
-
-    /// The stations at `positions`, each pair sensing each other iff
-    /// `senses` says so for their positions (asked once per pair, `i < j`).
-    fn with_relation(
-        positions: Vec<Position>,
-        ap: Position,
-        tx_range: f64,
-        sensing_range: f64,
-        senses: impl Fn(&Position, &Position) -> bool,
-    ) -> Self {
         let n = positions.len();
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
-        for i in 0..n {
-            for j in i + 1..n {
-                if senses(&positions[i], &positions[j]) {
-                    rows[i * words + j / 64] |= 1 << (j % 64);
-                    rows[j * words + i / 64] |= 1 << (i % 64);
+        // The upper triangle: bits j > i of row i, a word at a time.
+        for (i, a) in positions.iter().enumerate() {
+            for w in (i + 1) / 64..words {
+                let (lo, hi) = ((64 * w).max(i + 1), (64 * w + 64).min(n));
+                let mut word = 0;
+                for (j, b) in (lo..hi).zip(&positions[lo..hi]) {
+                    word |= u64::from(a.distance(b) <= sensing_range) << (j % 64);
+                }
+                rows[i * words + w] = word;
+            }
+        }
+        // The lower triangle. Block (b, c), word c of rows 64b..64b + 63,
+        // relates stations 64b..64b + 63 to stations 64c..64c + 63; for
+        // c > b, block (c, b) is its transpose. A diagonal block holds only
+        // its upper triangle so far, so it is OR-ed with its own transpose.
+        let block_rows = |b: usize| 64 * b..(64 * b + 64).min(n);
+        let mut block = [0u64; 64];
+        for b in 0..words {
+            for c in b..words {
+                block.fill(0);
+                for (k, i) in block_rows(b).enumerate() {
+                    block[k] = rows[i * words + c];
+                }
+                transpose64(&mut block);
+                for (k, i) in block_rows(c).enumerate() {
+                    rows[i * words + b] |= block[k];
                 }
             }
         }
@@ -147,13 +179,21 @@ impl Topology {
     /// every other station regardless of geometry. Stations are placed on a ring
     /// of radius 8 m for reporting purposes.
     pub fn fully_connected(n: usize) -> Self {
-        Self::with_relation(
-            ring_positions(n, 8.0),
-            Position::ORIGIN,
-            DEFAULT_TX_RANGE,
-            DEFAULT_SENSING_RANGE,
-            |_, _| true,
-        )
+        let words = n.div_ceil(64);
+        let mut rows = vec![u64::MAX; n * words];
+        for i in 0..n {
+            let row = &mut rows[i * words..][..words];
+            row[words - 1] = u64::MAX >> (64 * words - n);
+            row[i / 64] &= !(1 << (i % 64));
+        }
+        Topology {
+            positions: ring_positions(n, 8.0),
+            ap: Position::ORIGIN,
+            tx_range: DEFAULT_TX_RANGE,
+            sensing_range: DEFAULT_SENSING_RANGE,
+            words,
+            rows,
+        }
     }
 
     /// Stations placed uniformly on a ring of the given radius centred on the AP.
@@ -469,46 +509,87 @@ mod tests {
         }
     }
 
+    /// Sizes around the word boundaries, and one at the benchmark's N.
+    const SIZES: [usize; 10] = [0, 1, 2, 63, 64, 65, 127, 128, 129, 1000];
+
+    /// The sensing rows by their definition, one pair at a time: the
+    /// reference the word-parallel build must equal bit for bit, own bits
+    /// and padding included.
+    fn reference_rows(t: &Topology) -> Vec<u64> {
+        let (pos, n) = (t.positions(), t.num_nodes());
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && pos[i].distance(&pos[j]) <= t.sensing_range() {
+                    rows[i * words + j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        rows
+    }
+
     #[test]
     fn neighbors_match_sense_matrix_in_ascending_order() {
-        // 30 stations fit one word per row; 130 take three, the last one
-        // partly filled.
-        for (n, seed) in [(30, 23), (130, 24)] {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let t = Topology::uniform_disc(n, 20.0, &mut rng);
-            let pos = t.positions();
-            for src in 0..n {
-                let expected: Vec<NodeId> = (0..n)
-                    .filter(|&i| i != src && pos[i].distance(&pos[src]) <= DEFAULT_SENSING_RANGE)
-                    .collect();
-                assert_eq!(t.sensors_of(src), expected, "n={n} src={src}");
-                // Ascending order is load-bearing for the determinism contract.
-                assert!(t
-                    .neighbors(src)
-                    .zip(t.neighbors(src).skip(1))
-                    .all(|(a, b)| a < b));
-                for i in 0..n {
-                    assert_eq!(t.senses(i, src), i == src || expected.contains(&i));
+        let layouts = |n: usize| {
+            let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+            let cols = (n as f64).sqrt().ceil().max(1.0);
+            let ring8 = Topology::ring(n, 8.0);
+            let disc20 = Topology::uniform_disc(n, 20.0, &mut rng);
+            let custom = |t: &Topology, range: f64| {
+                Topology::from_positions(t.positions().to_vec(), Position::ORIGIN, 16.0, range)
+            };
+            [
+                ("disc 16 m", Topology::uniform_disc(n, 16.0, &mut rng)),
+                // A 4 m grid puts pairs at exactly 24 m.
+                ("grid 4 m", Topology::grid(n, 4.0)),
+                ("grid 32 m side", Topology::grid(n, 32.0 / cols)),
+                ("clustered", Topology::clustered(n, 4, 18.0, 3.0, &mut rng)),
+                // The 12 m ring puts diametric pairs at 24 m.
+                ("ring 12 m", Topology::ring(n, 12.0)),
+                ("ring 8 m, range 16", custom(&ring8, 16.0)),
+                ("disc 20 m, range 16", custom(&disc20, 16.0)),
+                ("disc 20 m, range 1/3", custom(&disc20, 1.0 / 3.0)),
+                ("ring 8 m", ring8),
+                ("disc 20 m", disc20),
+            ]
+        };
+        for n in SIZES {
+            for (name, t) in layouts(n) {
+                let words = n.div_ceil(64);
+                let expected = reference_rows(&t);
+                assert!(t.rows == expected, "{name}, n={n}: rows differ");
+                for src in 0..n {
+                    let row = &expected[src * words..][..words];
+                    assert_eq!(t.sensors_of(src), ones(row).collect::<Vec<_>>());
+                    // Ascending order is load-bearing for the determinism
+                    // contract.
+                    assert!(t
+                        .neighbors(src)
+                        .zip(t.neighbors(src).skip(1))
+                        .all(|(a, b)| a < b));
+                    for i in 0..n {
+                        let bit = (row[i / 64] >> (i % 64)) & 1 == 1;
+                        assert_eq!(t.senses(i, src), i == src || bit, "{name}, n={n}");
+                    }
                 }
-                // The padding bits past the last station stay clear.
-                assert_eq!(t.sensing_row(src).len(), n.div_ceil(64));
-                assert!(ones(t.sensing_row(src)).all(|i| i < n));
+                if name.starts_with("disc 20 m") && n >= 30 {
+                    assert!(!t.is_fully_connected(), "{name}, n={n}");
+                }
+                assert_eq!(t.num_hidden_pairs(), t.hidden_pairs().len());
             }
-            assert!(!t.is_fully_connected());
-            assert_eq!(t.num_hidden_pairs(), t.hidden_pairs().len());
         }
     }
 
     #[test]
     fn fully_connected_rows_cover_every_other_station() {
-        for n in [1, 63, 64, 65, 130] {
+        for n in SIZES {
             let t = Topology::fully_connected(n);
             assert!(t.is_fully_connected(), "n={n}");
             assert_eq!(t.num_hidden_pairs(), 0, "n={n}");
-            for src in 0..n {
-                let expected: Vec<NodeId> = (0..n).filter(|&i| i != src).collect();
-                assert_eq!(t.sensors_of(src), expected, "n={n} src={src}");
-            }
+            // The relation the 8 m ring's distances give (checked against
+            // the definition above), own bits and padding clear.
+            assert!(t.rows == Topology::ring(n, 8.0).rows, "n={n}");
         }
     }
 
