@@ -8,6 +8,9 @@
 //! from its last snapshot, bit-identical to a straight-through run. Completed
 //! jobs land in the content-addressed result cache (see `wlan_core::cache`),
 //! so re-submitting a spec recomputes only the jobs whose inputs changed.
+//! A job's result is encoded to JSON once, when it completes; that text is
+//! stored in the cache and emitted, and a cache hit emits the stored text
+//! as it is, after the entry has passed the cache's checks.
 //!
 //! ## Supervision
 //!
@@ -83,7 +86,8 @@
 //!
 //! each on one line with `result` last; `wall_secs` and `events_per_sec`
 //! cover every claim this run made of the job, a requeued job's earlier
-//! slices included.
+//! slices included. A hit's line (`"cached": true`) carries the cache
+//! entry's stored result bytes, which are the bytes the cold line carried.
 //! A summary line follows:
 //! `{"jobs": N, "completed": X, "errors": E, "drained": D, "cache_hits": H,
 //! "cache_misses": M, "wall_secs": S}`.
@@ -108,7 +112,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wlan_bench::harness::{open_cache, threads_flag, Knobs};
 use wlan_core::campaign::{Attempt, Slot};
-use wlan_core::{job_key, FaultPlan, FaultSite, JobError, RunContext, Scenario, ScenarioResult};
+use wlan_core::{job_key, FaultPlan, FaultSite, JobError, RunContext, Scenario};
 use wlan_sim::{SimDuration, Simulator};
 
 /// Set by the SIGTERM/SIGINT handler: the pool stops claiming, and in-flight
@@ -158,7 +162,9 @@ impl Job {
 
 /// What happened to one job that produced a result.
 struct Outcome {
-    result: ScenarioResult,
+    /// The result's JSON text ([`wlan_core::ScenarioResult::to_json`]): the
+    /// bytes the job's cache entry holds, emitted as they are.
+    json: String,
     cached: bool,
     resumed: bool,
     /// Kernel events processed by all of the job's claims (0 for a cache
@@ -383,11 +389,11 @@ fn advance_job(
     let (events, wall) = (sim.events_processed() - events_at_claim, claimed.elapsed());
     ctx.metrics.record_job(events, wall);
     let (events, wall) = job.spend(events, wall);
-    let result = ctx.collect(scenario, &sim);
-    ctx.store(&job.key, &result);
+    let json = ctx.collect(scenario, &sim).to_json();
+    ctx.store(&job.key, &json);
     let _ = std::fs::remove_file(&path);
     Attempt::Done(Outcome {
-        result,
+        json,
         cached: false,
         resumed,
         events,
@@ -435,23 +441,24 @@ fn emit_outcome(
     } else {
         0.0
     };
-    // `result` goes last: a reader can split the line on `,"result":`.
-    let line = Value::Map(vec![
+    let head = Value::Map(vec![
         ("job".to_string(), Value::U64(index as u64)),
         ("key".to_string(), Value::Str(job.key.clone())),
         ("cached".to_string(), Value::Bool(outcome.cached)),
         ("resumed".to_string(), Value::Bool(outcome.resumed)),
         ("wall_secs".to_string(), Value::F64(wall_secs)),
         ("events_per_sec".to_string(), Value::F64(events_per_sec)),
-        ("result".to_string(), outcome.result.to_value()),
     ]);
-    match serde_json::to_string(&line) {
-        Ok(text) => {
-            println!("{text}");
+    match serde_json::to_string(&head) {
+        Ok(mut line) => {
+            // `result` goes last, as its JSON text: a reader can split the
+            // line on `,"result":`.
+            line.pop(); // the head's closing `}`
+            println!("{line},\"result\":{}}}", outcome.json);
             *completed += 1;
         }
         Err(e) => {
-            emit_error_line(index, &format!("cannot serialise result: {e}"));
+            emit_error_line(index, &format!("cannot serialise the job line: {e}"));
             *errors += 1;
         }
     }
@@ -569,8 +576,8 @@ fn main() {
     let slots = jobs.iter().map(|job| match job {
         Err(e) => Slot::Settled(Err(e.clone())),
         Ok(job) => match ctx.lookup(&job.key) {
-            Some(result) => Slot::Settled(Ok(Outcome {
-                result,
+            Some((_, json)) => Slot::Settled(Ok(Outcome {
+                json,
                 cached: true,
                 resumed: false,
                 events: 0,

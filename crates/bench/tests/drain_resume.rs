@@ -2,13 +2,15 @@
 //! SIGTERM drain → `--resume` completion with byte-identical results, a
 //! corrupt snapshot discarded on resume, wall-clock timeout requeue,
 //! injected panics retried or quarantined (and counted in `metrics.json`),
-//! per-job error lines for invalid specs, and compute-only degradation when
-//! the cache directory is unusable.
+//! per-job error lines for invalid specs, compute-only degradation when
+//! the cache directory is unusable, and a warm pass emitting the cold
+//! pass's result bytes.
 
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::process::{Command, Stdio};
+use wlan_core::ScenarioResult;
 
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
@@ -131,6 +133,15 @@ fn results_by_job(lines: &[Value]) -> BTreeMap<u64, String> {
             (job, result)
         })
         .collect()
+}
+
+/// The exact bytes of a job line's `result`: the line's tail after
+/// `,"result":`, without the closing brace. This is how the benchmark's
+/// reader takes a result's bytes.
+fn result_text(raw: &str) -> &str {
+    let (_, tail) = raw.split_once(",\"result\":").expect("a result line");
+    tail.strip_suffix('}')
+        .expect("the line closes after `result`")
 }
 
 /// SIGTERM mid-campaign: exit 0, a resumable summary, no corrupt output —
@@ -320,11 +331,7 @@ fn injected_job_panics_are_retried_or_quarantined_and_counted() {
         results_by_job(&reference.lines)
     );
     for (raw, line) in retried.stdout.lines().zip(&retried.lines) {
-        let (_, tail) = raw.split_once(",\"result\":").expect("a result line");
-        let text = tail
-            .strip_suffix('}')
-            .expect("the line closes after `result`");
-        let result: Value = serde_json::from_str(text).expect("the tail is the result");
+        let result: Value = serde_json::from_str(result_text(raw)).expect("the tail is the result");
         assert_eq!(&result, get(line, "result"));
     }
 
@@ -340,6 +347,37 @@ fn injected_job_panics_are_retried_or_quarantined_and_counted() {
     }
     assert_eq!(get_u64(&metrics, "quarantined"), 3);
     assert_eq!(get_u64(&metrics, "jobs_failed"), 3);
+}
+
+/// A warm resubmission is served from the cache and emits the cold pass's
+/// result bytes: a hit's line carries the entry's stored text as it is,
+/// which is what the result's own encoding writes.
+#[test]
+fn a_warm_pass_emits_the_cold_result_bytes() {
+    let out = temp_dir("warm_out");
+    let input = spec(&out.join("cache"), &out.join("ckpt"), "");
+    let out_text = out.display().to_string();
+    let envs = [("WLAN_REPRO_OUT", out_text.as_str())];
+    let cold = run_server(&input, &[], &envs, None);
+    let warm = run_server(&input, &[], &envs, None);
+    let metrics = std::fs::read_to_string(out.join("metrics.json")).expect("metrics.json");
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(cold.status.success() && warm.status.success());
+    assert_eq!(get_u64(&cold.summary, "cache_misses"), 3);
+    let metrics: Value = serde_json::from_str(&metrics).expect("metrics.json is JSON");
+    assert_eq!(get_u64(&metrics, "cache_hits"), 3);
+    assert_eq!(get_u64(&metrics, "cache_misses"), 0);
+
+    assert_eq!(warm.lines.len(), 3);
+    let pairs = cold.stdout.lines().zip(warm.stdout.lines());
+    for (job, ((cold_raw, warm_raw), line)) in pairs.zip(&warm.lines).enumerate() {
+        assert_eq!(get(line, "cached"), &Value::Bool(true), "job {job}");
+        assert_eq!(get(line, "resumed"), &Value::Bool(false), "job {job}");
+        let text = result_text(warm_raw);
+        assert_eq!(text, result_text(cold_raw), "job {job}: warm bytes differ");
+        let decoded: ScenarioResult = serde_json::from_str(text).expect("the tail is a result");
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), text, "job {job}");
+    }
 }
 
 /// A job requeued by its wall-clock timeout reads the cache once, not once

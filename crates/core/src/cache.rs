@@ -25,10 +25,25 @@
 //!
 //! ## Integrity
 //!
-//! Each entry file records the key, the fingerprint it was computed under and
-//! a checksum of the canonical encoding of the result payload. A lookup
-//! verifies all three; a corrupted, truncated or fingerprint-stale entry is
-//! treated as a miss and silently recomputed (the store overwrites it).
+//! Each entry file is one JSON object,
+//! `{"key":…,"fingerprint":…,"checksum":…,"result":…}`, with `result` last:
+//! the key echo, the fingerprint it was computed under, and the 128-bit
+//! FNV-1a checksum of the exact bytes of the `result` text the store wrote
+//! ([`ScenarioResult::to_json`]). A lookup is a hit only if
+//!
+//! * the file starts with exactly the header a store writes for this key
+//!   under the current [`ENGINE_FINGERPRINT`] (key echo and fingerprint),
+//! * the checksum matches the result bytes, and
+//! * those bytes decode to a [`ScenarioResult`].
+//!
+//! Anything else is a miss, and the recompute's store overwrites the entry:
+//! a corrupted, truncated or fingerprint-stale entry, and also one rewritten
+//! with the same values in other bytes (whitespace, `8e-2` for `0.08`),
+//! since the checksum covers bytes, not values. An entry written while the
+//! checksum covered the result's canonical encoding fails it, so it misses
+//! once and is then rewritten. A hit hands back the verified bytes beside
+//! the decoded result ([`ResultCache::lookup_json`]), so a caller that emits
+//! the result writes them as they are instead of encoding it again.
 //! Writes go through a temp file + atomic rename, so a crashed or concurrent
 //! writer can never leave a half-written entry behind under the final name.
 //!
@@ -115,19 +130,26 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Fetch the cached result for `key`, verifying the entry's key echo,
-    /// engine fingerprint and payload checksum. Any mismatch — including a
-    /// truncated or hand-edited file — counts as a miss and leaves the entry
-    /// to be overwritten by the recompute's [`store`](Self::store).
+    /// Fetch the cached result for `key`: [`lookup_json`](Self::lookup_json)
+    /// without the stored text.
     pub fn lookup(&self, key: &str) -> Option<ScenarioResult> {
-        let result = self.read_verified(key);
-        let counter = if result.is_some() {
+        self.lookup_json(key).map(|(result, _)| result)
+    }
+
+    /// Fetch the cached result for `key` and the exact JSON text it was
+    /// stored as. The entry must pass every check of the module's
+    /// *Integrity* section; anything else — a truncated or hand-edited file
+    /// included — counts as a miss and leaves the entry to be overwritten by
+    /// the recompute's [`store_json`](Self::store_json).
+    pub fn lookup_json(&self, key: &str) -> Option<(ScenarioResult, String)> {
+        let hit = self.read_verified(key);
+        let counter = if hit.is_some() {
             &self.hits
         } else {
             &self.misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        result
+        hit
     }
 
     /// Count a lookup that failed before reaching the disk (an injected
@@ -136,56 +158,42 @@ impl ResultCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn read_verified(&self, key: &str) -> Option<ScenarioResult> {
+    fn read_verified(&self, key: &str) -> Option<(ScenarioResult, String)> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let value: Value = serde_json::from_str(&text).ok()?;
-        let Value::Map(entries) = &value else {
-            return None;
-        };
-        let fingerprint = serde::map_get(entries, "fingerprint").ok()?;
-        if *fingerprint != Value::Str(ENGINE_FINGERPRINT.to_string()) {
-            return None;
-        }
-        let stored_key = serde::map_get(entries, "key").ok()?;
-        if *stored_key != Value::Str(key.to_string()) {
+        let (checksum, tail) = text
+            .strip_prefix(&entry_header(key))?
+            .split_at_checked(32)?;
+        let json = tail.strip_prefix(RESULT_FIELD)?.strip_suffix('}')?;
+        if checksum != format!("{:032x}", fnv1a128(FNV_OFFSET, json.as_bytes())) {
             return None;
         }
-        let checksum = serde::map_get(entries, "checksum").ok()?;
-        let result = serde::map_get(entries, "result").ok()?;
-        if *checksum != Value::Str(payload_checksum(result)) {
-            return None;
-        }
-        ScenarioResult::from_value(result).ok()
+        let result = serde_json::from_str(json).ok()?;
+        Some((result, json.to_owned()))
     }
 
-    /// Store `result` under `key` (atomic temp-file + rename; an existing
-    /// entry — e.g. a corrupt one that just missed — is replaced).
+    /// Store `result` under `key`: [`store_json`](Self::store_json) of its
+    /// [`ScenarioResult::to_json`] text.
     pub fn store(&self, key: &str, result: &ScenarioResult) -> std::io::Result<()> {
-        let result_value = result.to_value();
-        let entry = Value::Map(vec![
-            ("key".to_string(), Value::Str(key.to_string())),
-            (
-                "fingerprint".to_string(),
-                Value::Str(ENGINE_FINGERPRINT.to_string()),
-            ),
-            (
-                "checksum".to_string(),
-                Value::Str(payload_checksum(&result_value)),
-            ),
-            ("result".to_string(), result_value),
-        ]);
-        let text = serde_json::to_string(&entry)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        self.store_json(key, &result.to_json())
+    }
+
+    /// Store `json`, a result's [`ScenarioResult::to_json`] text, under `key`
+    /// (atomic temp-file + rename; an existing entry — e.g. a corrupt one
+    /// that just missed — is replaced). The entry holds `json` byte for byte,
+    /// so a hit hands back exactly these bytes.
+    pub fn store_json(&self, key: &str, json: &str) -> std::io::Result<()> {
+        let checksum = fnv1a128(FNV_OFFSET, json.as_bytes());
+        let entry = format!("{}{checksum:032x}{RESULT_FIELD}{json}}}", entry_header(key));
         let tmp = self.dir.join(format!("{key}.json.tmp"));
-        std::fs::write(&tmp, text)?;
+        std::fs::write(&tmp, entry)?;
         std::fs::rename(&tmp, self.entry_path(key))
     }
 
-    /// Record a failed [`store`](Self::store): the first failure per handle
-    /// logs one warning on stderr (read-only directory, disk full, injected
-    /// `cache_write` fault — all look the same here); later failures are
-    /// counted silently. [`crate::RunContext::store`] calls this instead of
-    /// aborting, so a broken cache degrades to compute-only.
+    /// Record a failed [`store_json`](Self::store_json): the first failure
+    /// per handle logs one warning on stderr (read-only directory, disk
+    /// full, injected `cache_write` fault — all look the same here); later
+    /// failures are counted silently. [`crate::RunContext::store`] calls this
+    /// instead of aborting, so a broken cache degrades to compute-only.
     pub(crate) fn note_degraded(&self, key: &str, err: &std::io::Error) {
         if self.store_failures.fetch_add(1, Ordering::Relaxed) == 0 {
             crate::metrics::warn(&format!(
@@ -225,12 +233,15 @@ pub fn job_key_with_fingerprint(scenario: &Scenario, fingerprint: &str) -> Strin
     format!("{h:032x}")
 }
 
-/// Checksum recorded next to (and verified against) a stored result payload.
-fn payload_checksum(value: &Value) -> String {
-    let mut enc = String::new();
-    canonical(value, &mut enc);
-    format!("{:032x}", fnv1a128(FNV_OFFSET, enc.as_bytes()))
+/// The bytes every entry for `key` starts with: the key echo, the
+/// fingerprint and the opening quote of the checksum. `key` is a
+/// [`job_key`], whose hex digits need no escaping.
+fn entry_header(key: &str) -> String {
+    format!("{{\"key\":\"{key}\",\"fingerprint\":\"{ENGINE_FINGERPRINT}\",\"checksum\":\"")
 }
+
+/// What separates an entry's checksum from its result text.
+const RESULT_FIELD: &str = "\",\"result\":";
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
@@ -347,6 +358,40 @@ mod tests {
         );
     }
 
+    /// An entry written while the checksum covered the result's canonical
+    /// encoding misses once, and the recompute's store heals it.
+    #[test]
+    fn an_entry_checksummed_over_the_canonical_encoding_misses_once() {
+        let dir = crate::scratch_path("wlan_cache_canonical");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ctx = crate::RunContext::new(1);
+        ctx.cache = Some(ResultCache::open(&dir).unwrap());
+        let s = scenario();
+        let key = job_key(&s);
+        let result = s.run();
+        let mut canonical_text = String::new();
+        canonical(&result.to_value(), &mut canonical_text);
+        let old_checksum = fnv1a128(FNV_OFFSET, canonical_text.as_bytes());
+        let json = result.to_json();
+        std::fs::write(
+            dir.join(format!("{key}.json")),
+            format!(
+                "{}{old_checksum:032x}{RESULT_FIELD}{json}}}",
+                entry_header(&key)
+            ),
+        )
+        .unwrap();
+
+        let stats = || ctx.cache.as_ref().unwrap().stats();
+        let healed = ctx.run(std::slice::from_ref(&s));
+        assert_eq!((stats().hits, stats().misses), (0, 1));
+        assert_eq!(healed[0].to_json(), json);
+        let (hit, text) = ctx.lookup(&key).expect("the store healed the entry");
+        assert_eq!((hit.to_json(), text), (json.clone(), json));
+        assert_eq!((stats().hits, stats().misses), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn open_on_a_regular_file_path_is_an_error() {
         let path = crate::scratch_path("wlan_cache_file");
@@ -368,8 +413,9 @@ mod tests {
         ctx.faults = FaultPlan::builder(3)
             .site(FaultSite::CacheWrite, 1.0, None)
             .build();
-        ctx.store(&key, &result);
-        ctx.store(&key, &result);
+        let json = result.to_json();
+        ctx.store(&key, &json);
+        ctx.store(&key, &json);
         let cache = ctx.cache.as_ref().unwrap();
         assert!(
             cache.degraded(),
@@ -380,7 +426,7 @@ mod tests {
 
         // Fault cleared: the store lands and a read fault then hides it.
         ctx.faults = FaultPlan::default();
-        ctx.store(&key, &result);
+        ctx.store(&key, &json);
         assert!(ctx.lookup(&key).is_some());
         ctx.faults = FaultPlan::builder(3)
             .site(FaultSite::CacheRead, 1.0, None)

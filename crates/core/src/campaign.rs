@@ -194,7 +194,7 @@ impl RunContext {
             .map(|(scenario, key)| match scenario.validate() {
                 Err(e) => Slot::Settled(Err(e.into())),
                 Ok(()) => match self.lookup(key) {
-                    Some(hit) => Slot::Settled(Ok(hit)),
+                    Some((hit, _)) => Slot::Settled(Ok(hit)),
                     None => Slot::Run(key.clone()),
                 },
             });
@@ -210,7 +210,9 @@ impl RunContext {
                 let result = self.collect(scenario, &sim);
                 self.metrics
                     .record_job(sim.events_processed(), started.elapsed());
-                self.store(&keys[index], &result);
+                if self.cache.is_some() {
+                    self.store(&keys[index], &result.to_json());
+                }
                 Attempt::Done(result)
             },
             |_, outcome| out.push(outcome),
@@ -218,23 +220,25 @@ impl RunContext {
         out
     }
 
-    /// The cached result for `key` (`None` without a cache). An injected
-    /// `cache_read` fault models a read I/O error, which — like every other
-    /// read failure — is a miss, counted on the handle.
-    pub fn lookup(&self, key: &str) -> Option<ScenarioResult> {
+    /// The cached result for `key` and the exact JSON text it was stored as
+    /// (`None` without a cache; see [`ResultCache::lookup_json`]). An
+    /// injected `cache_read` fault models a read I/O error, which — like
+    /// every other read failure — is a miss, counted on the handle.
+    pub fn lookup(&self, key: &str) -> Option<(ScenarioResult, String)> {
         let cache = self.cache.as_ref()?;
         if self.faults.should_fault(FaultSite::CacheRead, key, 0) {
             cache.note_miss();
             return None;
         }
-        cache.lookup(key)
+        cache.lookup_json(key)
     }
 
-    /// Store `result` under `key` in the cache, if there is one. A failed
-    /// store — read-only directory, disk full, or an injected `cache_write`
-    /// fault — only loses the entry: the handle degrades (one warning, later
-    /// failures counted silently) and the run continues compute-only.
-    pub fn store(&self, key: &str, result: &ScenarioResult) {
+    /// Store `json`, a result's [`ScenarioResult::to_json`] text, under
+    /// `key` in the cache, if there is one. A failed store — read-only
+    /// directory, disk full, or an injected `cache_write` fault — only loses
+    /// the entry: the handle degrades (one warning, later failures counted
+    /// silently) and the run continues compute-only.
+    pub fn store(&self, key: &str, json: &str) {
         let Some(cache) = &self.cache else {
             return;
         };
@@ -243,7 +247,7 @@ impl RunContext {
                 "injected fault: cache_write (key {key})"
             )))
         } else {
-            cache.store(key, result)
+            cache.store_json(key, json)
         };
         if let Err(e) = stored {
             cache.note_degraded(key, &e);

@@ -655,6 +655,13 @@ impl Deserialize for ScenarioResult {
 }
 
 impl ScenarioResult {
+    /// The result's compact JSON text: the bytes the result cache stores
+    /// and `campaign_server` emits.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self)
+            .unwrap_or_else(|e| unreachable!("the JSON writer cannot fail on a result: {e}"))
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn from_stats(
         protocol: String,

@@ -131,7 +131,9 @@ fn engine_fingerprint_changes_the_key() {
 
 /// A truncated (crash mid-write without the atomic rename) or hand-corrupted
 /// entry must be detected, treated as a miss, recomputed and healed — never
-/// deserialised into a wrong result.
+/// deserialised into a wrong result, and never a panic. The checksum covers
+/// the stored bytes, so every single-byte change misses, and so does a
+/// rewrite that keeps the values (inserted whitespace).
 #[test]
 fn corrupted_and_truncated_entries_are_recomputed() {
     let dir = std::env::temp_dir().join(format!("wlan_cache_keys_{}", std::process::id()));
@@ -145,15 +147,45 @@ fn corrupted_and_truncated_entries_are_recomputed() {
 
     let mut ctx = RunContext::new(1);
     ctx.cache = Some(ResultCache::open(&dir).expect("open cache"));
-    let stats = || ctx.cache.as_ref().expect("cache").stats();
+    let cache = || ctx.cache.as_ref().expect("cache");
+    let stats = || cache().stats();
     let cold = ctx.run(&jobs);
     let reference = serde_json::to_string(&cold).unwrap();
     assert_eq!(stats().misses, 1);
 
     let entry = dir.join(format!("{key}.json"));
-    for corruption in ["", "{\"key\": tru", "{}"] {
+    let healthy = std::fs::read(&entry).unwrap();
+    // Each byte in turn, flipped in its lowest bit and in its ASCII case bit.
+    for (at, flip) in (0..healthy.len()).flat_map(|at| [(at, 0x01), (at, 0x20)]) {
+        let mut mutated = healthy.clone();
+        mutated[at] ^= flip;
+        std::fs::write(&entry, &mutated).unwrap();
+        assert!(
+            cache().lookup(&key).is_none(),
+            "byte {at} of {} flipped by {flip:#04x} and the entry still hit",
+            healthy.len()
+        );
+    }
+    assert_eq!(stats().misses, 1 + 2 * healthy.len() as u64);
+
+    let text = String::from_utf8(healthy).unwrap();
+    let json = cold[0].to_json();
+    assert!(text.ends_with(&format!(",\"result\":{json}}}")), "{text}");
+    let spaced = text.replacen("{\"protocol\"", "{ \"protocol\"", 1);
+    assert_ne!(spaced, text);
+    let undecodable = json.replacen("\"n\":4", "\"n\":\"four\"", 1);
+    assert_ne!(undecodable, json);
+    cache().store_json(&key, &undecodable).unwrap();
+    assert!(
+        cache().lookup(&key).is_none(),
+        "re-checksummed bad result hit"
+    );
+
+    for corruption in ["", "{\"key\": tru", "{}", spaced.as_str()] {
         std::fs::write(&entry, corruption).unwrap();
+        let misses = stats().misses;
         let healed = ctx.run(&jobs);
+        assert_eq!(stats().misses, misses + 1, "{corruption:?} hit");
         assert_eq!(
             serde_json::to_string(&healed).unwrap(),
             reference,
