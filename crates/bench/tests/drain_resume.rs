@@ -380,6 +380,71 @@ fn a_warm_pass_emits_the_cold_result_bytes() {
     }
 }
 
+/// A hit is what the run would compute: a warm pass with telemetry on gets
+/// the controller-telemetry section a run without the cache gets, and a
+/// warm pass with it off gets none, whichever pass filled the cache.
+#[test]
+fn a_hit_is_what_the_run_computes_with_or_without_telemetry() {
+    let result_of =
+        |run: &Run| result_text(run.stdout.lines().next().expect("a job line")).to_owned();
+    let input = |out: &std::path::Path| {
+        format!(
+            concat!(
+                "{{\"threads\":1,\"cache_dir\":{:?},\"checkpoint_dir\":{:?},\"jobs\":[",
+                "{{\"protocol\":\"WTopCsma\",\"topology\":\"FullyConnected\",\"n\":5,",
+                "\"seed\":2,\"warmup\":50000000,\"measure\":200000000,",
+                "\"update_period\":20000000}}]}}"
+            ),
+            out.join("cache").display().to_string(),
+            out.join("ckpt").display().to_string(),
+        )
+    };
+    let reference = |metrics: &str| {
+        let out = temp_dir(&format!("telemetry_ref_{metrics}"));
+        let out_text = out.display().to_string();
+        let envs = [
+            ("WLAN_REPRO_OUT", out_text.as_str()),
+            ("WLAN_METRICS", metrics),
+        ];
+        let run = run_server(&input(&out), &["--no-cache"], &envs, None);
+        let _ = std::fs::remove_dir_all(&out);
+        result_of(&run)
+    };
+    let (plain, telemetered) = (reference("0"), reference("1"));
+    assert!(!plain.contains("controller_telemetry"));
+    assert!(telemetered.contains("\"controller_telemetry\""));
+
+    for (first, second) in [("0", "1"), ("1", "0")] {
+        let out = temp_dir(&format!("telemetry_{first}{second}"));
+        let out_text = out.display().to_string();
+        let run = |metrics: &str| {
+            let envs = [
+                ("WLAN_REPRO_OUT", out_text.as_str()),
+                ("WLAN_METRICS", metrics),
+            ];
+            run_server(&input(&out), &[], &envs, None)
+        };
+        let expected = |metrics: &str| if metrics == "1" { &telemetered } else { &plain };
+        let cold = run(first);
+        let other = run(second);
+        let warm = run(second);
+        let _ = std::fs::remove_dir_all(&out);
+        for (pass, metrics, misses) in [(&cold, first, 1), (&other, second, 1), (&warm, second, 0)]
+        {
+            assert_eq!(
+                &result_of(pass),
+                expected(metrics),
+                "WLAN_METRICS={metrics}"
+            );
+            assert_eq!(
+                get_u64(&pass.summary, "cache_misses"),
+                misses,
+                "WLAN_METRICS={metrics}"
+            );
+        }
+    }
+}
+
 /// A job requeued by its wall-clock timeout reads the cache once, not once
 /// per claim: five 0.2 sim-s slices under a 1 µs timeout are five claims.
 /// `metrics.json` counts the events of every claim, so it reads what a
@@ -576,6 +641,16 @@ fn unknown_flag_exits_nonzero_before_any_job() {
     let stderr = rejected_run(&["--bogus"], &spec(&cache, &ckpt, ""));
     assert!(stderr.contains("--bogus"));
     assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
+}
+
+/// A job spec nested far deeper than the JSON parser's depth limit is a
+/// spec that is not valid JSON: exit 1, not a stack overflow.
+#[test]
+fn a_deeply_nested_spec_exits_nonzero_before_any_job() {
+    let input = format!("{{\"jobs\":{}", "[".repeat(200_000));
+    let stderr = rejected_run(&[], &input);
+    assert!(stderr.contains("job spec is not valid JSON"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
 
 /// A top-level spec value of the wrong type or range, or an unknown

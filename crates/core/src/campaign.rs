@@ -55,7 +55,7 @@
 //! ```
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::cache::{job_key, ResultCache};
+use crate::cache::{job_key, ResultCache, TELEMETRY_SUFFIX};
 use crate::error::{CampaignError, JobError};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::MetricsRegistry;
@@ -179,7 +179,8 @@ impl RunContext {
     /// any worker starts. With a cache, each job's entry is read once: hits
     /// are settled from disk, and only the misses run (healthy fresh results
     /// are stored). The results are bit-identical either way, because the
-    /// cache stores exactly what the engine produced.
+    /// cache stores exactly what the engine produced, and a context with
+    /// `telemetry` on keeps entries of its own (see [`lookup`](Self::lookup)).
     pub fn run_checked(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
         // The key scopes the fault sites and names the cache entry; without
         // either there is nothing to key.
@@ -220,21 +221,33 @@ impl RunContext {
         out
     }
 
-    /// The cached result for `key` and the exact JSON text it was stored as
-    /// (`None` without a cache; see [`ResultCache::lookup_json`]). An
-    /// injected `cache_read` fault models a read I/O error, which — like
-    /// every other read failure — is a miss, counted on the handle.
+    /// The cached result for job `key` and the exact JSON text it was
+    /// stored as (`None` without a cache; see [`ResultCache::lookup_json`]).
+    /// A hit is what this context computes: with `telemetry` on, the job's
+    /// entry is named by its key and a `.telemetry` suffix, since telemetry
+    /// adds the controller-telemetry section, so runs with and without it
+    /// never serve each other. An injected `cache_read` fault (keyed by the
+    /// job key) models a read I/O error, which — like every other read
+    /// failure — is a miss, counted on the handle.
     pub fn lookup(&self, key: &str) -> Option<(ScenarioResult, String)> {
         let cache = self.cache.as_ref()?;
         if self.faults.should_fault(FaultSite::CacheRead, key, 0) {
             cache.note_miss();
             return None;
         }
-        cache.lookup_json(key)
+        cache.lookup_json(&self.entry(key))
     }
 
-    /// Store `json`, a result's [`ScenarioResult::to_json`] text, under
-    /// `key` in the cache, if there is one. A failed store — read-only
+    /// The name job `key`'s entry has in this context (see
+    /// [`lookup`](Self::lookup)).
+    fn entry(&self, key: &str) -> String {
+        let suffix = if self.telemetry { TELEMETRY_SUFFIX } else { "" };
+        format!("{key}{suffix}")
+    }
+
+    /// Store `json`, a result's [`ScenarioResult::to_json`] text, as job
+    /// `key`'s entry in this context (see [`lookup`](Self::lookup)) in the
+    /// cache, if there is one. A failed store — read-only
     /// directory, disk full, or an injected `cache_write` fault — only loses
     /// the entry: the handle degrades (one warning, later failures counted
     /// silently) and the run continues compute-only.
@@ -247,7 +260,7 @@ impl RunContext {
                 "injected fault: cache_write (key {key})"
             )))
         } else {
-            cache.store_json(key, json)
+            cache.store_json(&self.entry(key), json)
         };
         if let Err(e) = stored {
             cache.note_degraded(key, &e);
@@ -1053,6 +1066,47 @@ mod tests {
             serde_json::to_string(&again).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hit is what the context computes: with telemetry on it carries the
+    /// controller-telemetry section, with it off it does not, whichever
+    /// setting filled the cache; the job key stays the same.
+    #[test]
+    fn a_hit_is_what_the_context_computes_with_or_without_telemetry() {
+        let job = [
+            Scenario::new(Protocol::WTopCsma, TopologySpec::FullyConnected, 5)
+                .durations(SimDuration::from_millis(50), SimDuration::from_millis(200))
+                .update_period(SimDuration::from_millis(20))
+                .seed(2),
+        ];
+        let context = |telemetry: bool, dir: Option<&std::path::Path>| {
+            let mut ctx = RunContext::new(1);
+            ctx.telemetry = telemetry;
+            ctx.cache = dir.map(|dir| ResultCache::open(dir).unwrap());
+            ctx
+        };
+        let computed = |telemetry| context(telemetry, None).run(&job)[0].to_json();
+        let (plain, telemetered) = (computed(false), computed(true));
+        assert!(!plain.contains("controller_telemetry"));
+        assert!(telemetered.contains("\"controller_telemetry\""));
+
+        for (first, second) in [(false, true), (true, false)] {
+            let dir = crate::scratch_path(&format!("wlan_campaign_telemetry_{first}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let expected = |telemetry| if telemetry { &telemetered } else { &plain };
+            for (telemetry, misses) in [(first, 1), (second, 1), (second, 0), (first, 0)] {
+                let ctx = context(telemetry, Some(&dir));
+                let result = ctx.run_checked(&job).remove(0).unwrap();
+                assert_eq!(
+                    &result.to_json(),
+                    expected(telemetry),
+                    "telemetry {telemetry}"
+                );
+                let stats = ctx.cache.as_ref().unwrap().stats();
+                assert_eq!(stats.misses, misses, "telemetry {telemetry} after {first}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -482,11 +482,14 @@ impl TrafficSummary {
 
 /// Summary of one scenario run — every quantity the paper's tables and figures use.
 ///
-/// Serialisation is hand-written rather than derived for one reason: the
-/// `traffic` field must be **omitted entirely** when absent (the vendored
-/// serde has no `skip_serializing_if`), so saturated runs serialise
-/// byte-identically to the pre-traffic-layer engine and the golden-trace
-/// fixtures stay valid unmodified.
+/// Serialisation is generated from one field list (`result_codec!`) rather
+/// than derived, for two reasons: the `traffic` and `controller_telemetry`
+/// fields must be **omitted entirely** when absent (the vendored serde has
+/// no `skip_serializing_if`), so saturated runs serialise byte-identically
+/// to the pre-traffic-layer engine and the golden-trace fixtures stay valid
+/// unmodified; and a cache hit decodes the result straight from its text,
+/// without the [`serde::Value`] tree of one node per number a derived
+/// decode would build first.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Protocol label.
@@ -577,81 +580,70 @@ impl SaEpochRecord {
     }
 }
 
-impl Serialize for ScenarioResult {
-    fn to_value(&self) -> serde::Value {
-        let mut m: Vec<(String, serde::Value)> = vec![
-            ("protocol".into(), self.protocol.to_value()),
-            ("n".into(), self.n.to_value()),
-            ("hidden_pairs".into(), self.hidden_pairs.to_value()),
-            ("throughput_mbps".into(), self.throughput_mbps.to_value()),
-            ("per_node_mbps".into(), self.per_node_mbps.to_value()),
-            ("normalized_mbps".into(), self.normalized_mbps.to_value()),
-            ("avg_idle_slots".into(), self.avg_idle_slots.to_value()),
-            (
-                "collision_fraction".into(),
-                self.collision_fraction.to_value(),
-            ),
-            ("jain_index".into(), self.jain_index.to_value()),
-            (
-                "weighted_jain_index".into(),
-                self.weighted_jain_index.to_value(),
-            ),
-            (
-                "throughput_series".into(),
-                self.throughput_series.to_value(),
-            ),
-            ("control_trace".into(), self.control_trace.to_value()),
-            (
-                "station_attempt_probabilities".into(),
-                self.station_attempt_probabilities.to_value(),
-            ),
-        ];
-        if let Some(traffic) = &self.traffic {
-            m.push(("traffic".into(), traffic.to_value()));
+/// Emits [`ScenarioResult`]'s serialisation from one list of its fields, in
+/// serialised order: `to_value`, `from_value` for callers that hold a
+/// [`serde::Value`] tree, and `read`, which [`serde_json::from_str`] runs
+/// and which decodes straight from the text. The `optional` fields are
+/// omitted when `None` and are `None` when absent. Both decoders take a
+/// key's first occurrence, as [`serde::map_get`] does; `read` parses the
+/// value of a repeated or unknown key and drops it, so the text must still
+/// be valid JSON.
+macro_rules! result_codec {
+    (required: $($req:ident),+; optional: $($opt:ident),+) => {
+        impl Serialize for ScenarioResult {
+            fn to_value(&self) -> serde::Value {
+                let mut m = vec![$((stringify!($req).to_string(), self.$req.to_value()),)+];
+                $(if let Some(v) = &self.$opt {
+                    m.push((stringify!($opt).to_string(), v.to_value()));
+                })+
+                serde::Value::Map(m)
+            }
         }
-        if let Some(telemetry) = &self.controller_telemetry {
-            m.push(("controller_telemetry".into(), telemetry.to_value()));
+
+        impl Deserialize for ScenarioResult {
+            fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+                let serde::Value::Map(m) = value else {
+                    return Err(serde::Error::custom(format!(
+                        "expected map for struct ScenarioResult, got {value:?}"
+                    )));
+                };
+                Ok(ScenarioResult {
+                    $($req: Deserialize::from_value(serde::map_get(m, stringify!($req))?)?,)+
+                    $($opt: match serde::map_get(m, stringify!($opt)) {
+                        Ok(v) => Deserialize::from_value(v)?,
+                        Err(_) => None,
+                    },)+
+                })
+            }
+
+            fn read<R: serde::Read>(r: &mut R) -> Result<Self, serde::Error> {
+                $(let mut $req = None;)+
+                $(let mut $opt = None;)+
+                r.begin_map()?;
+                while let Some(key) = r.next_key()? {
+                    match key.as_str() {
+                        $(stringify!($req) if $req.is_none() => $req = Some(Deserialize::read(r)?),)+
+                        $(stringify!($opt) if $opt.is_none() => $opt = Some(Deserialize::read(r)?),)+
+                        _ => drop(r.value()?),
+                    }
+                }
+                Ok(ScenarioResult {
+                    $($req: $req.ok_or_else(|| serde::Error::custom(
+                        concat!("missing field `", stringify!($req), "`"),
+                    ))?,)+
+                    $($opt: Option::flatten($opt),)+
+                })
+            }
         }
-        serde::Value::Map(m)
-    }
+    };
 }
 
-impl Deserialize for ScenarioResult {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Map(m) = value else {
-            return Err(serde::Error::custom(format!(
-                "expected map for struct ScenarioResult, got {value:?}"
-            )));
-        };
-        let field = |name: &str| serde::map_get(m, name);
-        Ok(ScenarioResult {
-            protocol: Deserialize::from_value(field("protocol")?)?,
-            n: Deserialize::from_value(field("n")?)?,
-            hidden_pairs: Deserialize::from_value(field("hidden_pairs")?)?,
-            throughput_mbps: Deserialize::from_value(field("throughput_mbps")?)?,
-            per_node_mbps: Deserialize::from_value(field("per_node_mbps")?)?,
-            normalized_mbps: Deserialize::from_value(field("normalized_mbps")?)?,
-            avg_idle_slots: Deserialize::from_value(field("avg_idle_slots")?)?,
-            collision_fraction: Deserialize::from_value(field("collision_fraction")?)?,
-            jain_index: Deserialize::from_value(field("jain_index")?)?,
-            weighted_jain_index: Deserialize::from_value(field("weighted_jain_index")?)?,
-            throughput_series: Deserialize::from_value(field("throughput_series")?)?,
-            control_trace: Deserialize::from_value(field("control_trace")?)?,
-            station_attempt_probabilities: Deserialize::from_value(field(
-                "station_attempt_probabilities",
-            )?)?,
-            // Absent key (pre-traffic dumps, saturated runs) => None.
-            traffic: match field("traffic") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-            // Absent key (untelemetered runs, older dumps) => None.
-            controller_telemetry: match field("controller_telemetry") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-        })
-    }
+result_codec! {
+    required: protocol, n, hidden_pairs, throughput_mbps, per_node_mbps, normalized_mbps,
+        avg_idle_slots, collision_fraction, jain_index, weighted_jain_index, throughput_series,
+        control_trace, station_attempt_probabilities;
+    // Absent in saturated runs and in runs without telemetry.
+    optional: traffic, controller_telemetry
 }
 
 impl ScenarioResult {
