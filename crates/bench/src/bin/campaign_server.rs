@@ -67,8 +67,8 @@
 //! the corresponding [`Scenario`] default (same names and encodings as the
 //! scenario's own JSON serialisation — durations are nanosecond integers;
 //! unknown keys are rejected). All top-level keys except `jobs` are
-//! optional: `threads` is a positive integer, `checkpoint_sim_secs` a
-//! positive number, `job_timeout_secs` a non-negative number (0: no
+//! optional: `threads` is a positive integer, `checkpoint_sim_secs` at
+//! least one nanosecond, `job_timeout_secs` a non-negative number (0: no
 //! timeout), and the two directories are strings. A top-level value outside
 //! that, or an unknown top-level key, exits 1 before any job runs. A job
 //! that fails to parse or validate yields a per-job error line; it never
@@ -232,12 +232,15 @@ impl SpecOptions {
                     Value::U64(t) if *t >= 1 => options.threads = Some(*t as usize),
                     _ => return Err(bad("a positive integer")),
                 },
-                "checkpoint_sim_secs" => match secs {
-                    Some(s) if s > 0.0 => {
-                        options.checkpoint_every = Some(SimDuration::from_secs_f64(s))
-                    }
-                    _ => return Err(bad("a positive number of seconds")),
-                },
+                // A cadence that rounds to 0 ns would never advance a job.
+                "checkpoint_sim_secs" => {
+                    let every = secs
+                        .filter(|&s| s >= 0.0)
+                        .map(SimDuration::from_secs_f64)
+                        .filter(|every| !every.is_zero())
+                        .ok_or_else(|| bad("a number of seconds of at least one nanosecond"))?;
+                    options.checkpoint_every = Some(every);
+                }
                 "job_timeout_secs" => {
                     let s = secs.filter(|&s| s >= 0.0);
                     let d = s.and_then(|s| Duration::try_from_secs_f64(s).ok());
@@ -359,7 +362,7 @@ fn advance_job(
     let events_at_claim = sim.events_processed();
     let mut writes = 0u32;
     while sim.now() < end {
-        let next = (sim.now() + slice).min(end);
+        let next = sim.now().checked_add(slice).map_or(end, |t| t.min(end));
         scenario.advance_until(&mut sim, next);
         if sim.now() >= end {
             break;

@@ -35,7 +35,8 @@ pub struct Knobs {
     pub job_timeout: Option<Duration>,
     /// `WLAN_FAULT_PLAN`: injected faults (unset: none).
     pub faults: FaultPlan,
-    /// `WLAN_METRICS`: `1` or `true` turns the telemetry layer on.
+    /// `WLAN_METRICS`: `1` or `true` turns the telemetry layer on, `0` or
+    /// `false` (or unset) leaves it off; case does not matter.
     pub telemetry: bool,
     /// `WLAN_CACHE_DIR`: the result-cache directory (default `.cache/` in
     /// the output directory).
@@ -76,8 +77,7 @@ impl Knobs {
                 .filter(|&secs| secs > 0.0)
                 .map(Duration::from_secs_f64),
             faults: knob(&var, "WLAN_FAULT_PLAN", FaultPlan::from_spec)?.unwrap_or_default(),
-            telemetry: var("WLAN_METRICS")
-                .is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
+            telemetry: knob(&var, "WLAN_METRICS", switch)?.unwrap_or(false),
             cache_dir: var("WLAN_CACHE_DIR").map_or_else(|| out_dir.join(".cache"), PathBuf::from),
             no_cache: var("WLAN_NO_CACHE").is_some_and(|v| v != "0"),
             quick: var("WLAN_REPRO_QUICK").is_none_or(|v| v != "0"),
@@ -115,6 +115,14 @@ fn count<T: std::str::FromStr>(value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| "expected a non-negative integer".to_string())
+}
+
+fn switch(value: &str) -> Result<bool, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err("expected 0, 1, true or false".to_string()),
+    }
 }
 
 fn positive(value: &str) -> Result<usize, String> {
@@ -476,6 +484,7 @@ mod tests {
             ("WLAN_JOB_TIMEOUT_SECS", "-3"),
             ("WLAN_JOB_TIMEOUT_SECS", "NaN"),
             ("WLAN_FAULT_PLAN", "teleport=1"),
+            ("WLAN_METRICS", "yes"),
         ] {
             let err = knobs(&[(name, bad)]).unwrap_err();
             assert!(err.starts_with(&format!("{name}=")), "{err}");
@@ -493,6 +502,22 @@ mod tests {
         assert!(k.telemetry);
         let ctx = k.context(2, None);
         assert!(ctx.telemetry && ctx.faults == k.faults && ctx.threads == 2);
+    }
+
+    #[test]
+    fn metrics_knob_is_a_boolean_in_any_case() {
+        let telemetry = |v| knobs(&[("WLAN_METRICS", v)]).map(|k| k.telemetry);
+        for on in ["1", "true", "True", " TRUE "] {
+            assert_eq!(telemetry(on), Ok(true), "{on:?}");
+        }
+        for off in ["0", "false", "FALSE"] {
+            assert_eq!(telemetry(off), Ok(false), "{off:?}");
+        }
+        assert!(!knobs(&[]).unwrap().telemetry, "off when unset");
+        for bad in ["yes", "on", "2", "", "truee"] {
+            let err = telemetry(bad).unwrap_err();
+            assert!(err.starts_with("WLAN_METRICS="), "{err}");
+        }
     }
 
     #[test]

@@ -263,6 +263,59 @@ fn corrupt_snapshot_is_discarded_on_resume() {
     }
 }
 
+/// A checkpoint cadence past the end of every job ends each slice at the
+/// job's end, also on a claim resumed from a snapshot taken past 0, where
+/// the clock plus the cadence overflows: the job still completes.
+#[test]
+fn a_cadence_past_every_end_finishes_a_resumed_job() {
+    let cache = temp_dir("far_cache");
+    let ckpt = temp_dir("far_ckpt");
+    let input = spec(&cache, &ckpt, "");
+    // As in the corrupt-snapshot test, the drain leaves a snapshot past 0.
+    let pass1 = run_server(
+        &input,
+        &[],
+        &[("WLAN_FAULT_PLAN", "seed=1;worker_stall=1;stall_ms=1000")],
+        Some(300),
+    );
+    assert!(pass1.status.success() && get_u64(&pass1.summary, "drained") >= 1);
+
+    let far = input.replace(
+        "\"checkpoint_sim_secs\":0.2",
+        "\"checkpoint_sim_secs\":1e300",
+    );
+    let mut child = server()
+        .arg("--resume")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn campaign_server");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(far.as_bytes())
+        .expect("write job spec");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("poll campaign_server").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the resumed job did not finish within 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("collect server output");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    let summary: Value = serde_json::from_str(stdout.lines().last().expect("a summary line"))
+        .expect("the summary is JSON");
+    assert_eq!(get_u64(&summary, "completed"), 3, "{stdout}");
+    for d in [cache, ckpt] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 /// A tiny wall-clock timeout forces snapshot-and-requeue cycles; the job
 /// still terminates (every claim advances simulated time) and the result is
 /// byte-identical to an untimed run.
@@ -655,7 +708,8 @@ fn a_deeply_nested_spec_exits_nonzero_before_any_job() {
 
 /// A top-level spec value of the wrong type or range, or an unknown
 /// top-level key, is a configuration error naming the key: the server
-/// exits 1 before any job runs.
+/// exits 1 before any job runs. A checkpoint cadence that rounds to 0 ns is
+/// out of range: its slices would never advance a job.
 #[test]
 fn bad_top_level_spec_values_exit_nonzero_before_any_job() {
     let (cache, ckpt) = (temp_dir("badspec_cache"), temp_dir("badspec_ckpt"));
@@ -667,6 +721,8 @@ fn bad_top_level_spec_values_exit_nonzero_before_any_job() {
         ("checkpoint_sim_secs", "0"),
         ("checkpoint_sim_secs", "-0.5"),
         ("checkpoint_sim_secs", "1e999"),
+        ("checkpoint_sim_secs", "1e-12"),
+        ("checkpoint_sim_secs", "4e-10"),
         ("checkpoint_sim_secs", "\"30\""),
         ("job_timeout_secs", "-1"),
         ("job_timeout_secs", "1e999"),

@@ -15,7 +15,8 @@
 //! definition. This module implements it for the primitives (`f64` as its
 //! raw bits, so floats round-trip exactly, NaN payloads and all),
 //! [`SimTime`]/[`SimDuration`], `Option`, tuples, arrays, slices, the
-//! growable collections and [`ChaCha8Rng`] (a seed plus a word position);
+//! growable collections and [`ChaCha8Rng`] (its word position: the key is
+//! configuration);
 //! [`Slab`](crate::Slab), [`EventQueue`](crate::EventQueue) and the
 //! [`Simulation`](crate::Simulation) kernel block implement it beside their
 //! definitions.
@@ -35,7 +36,6 @@
 //! belongs to the model that defines a concrete snapshot format.
 
 use crate::time::{SimDuration, SimTime};
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -378,20 +378,18 @@ impl State for SimDuration {
     }
 }
 
-/// A generator is its seed plus its position in the keystream; loading
-/// seeks a generator rebuilt from the seed to that word.
+/// A generator's mutable state is its position in the keystream. Its key is
+/// build-time configuration, derived from the seed the value was built
+/// with, so loading seeks the generator in place to that word.
 impl State for ChaCha8Rng {
     fn save(&self, w: &mut StateWriter) {
-        self.get_seed().save(w);
         u64::try_from(self.get_word_pos())
             .expect("a ChaCha8 stream past 2^64 words")
             .save(w);
     }
 
     fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let seed: [u8; 32] = r.read()?;
         let word_pos: u64 = r.read()?;
-        *self = ChaCha8Rng::from_seed(seed);
         self.set_word_pos(u128::from(word_pos));
         Ok(())
     }
@@ -629,15 +627,16 @@ mod tests {
         for _ in 0..77 {
             rng.gen::<u32>();
         }
-        let mut restored = ChaCha8Rng::seed_from_u64(0);
+        // Loaded in place into a generator built from the same seed.
+        let mut restored = ChaCha8Rng::seed_from_u64(99);
         round_trip(&rng, &mut restored);
         for _ in 0..300 {
             assert_eq!(rng.gen::<u64>(), restored.gen::<u64>());
         }
-        // Seed plus position: 40 bytes and the checksum.
+        // The position alone: 8 bytes.
         let mut w = StateWriter::new();
         rng.save(&mut w);
-        assert_eq!(w.len(), 40);
+        assert_eq!(w.len(), 8);
     }
 
     #[derive(Debug, Default, PartialEq)]

@@ -428,6 +428,7 @@ impl SimulatorBuilder {
 
         let mut simulator = Simulator {
             sim,
+            seed: self.seed,
             mac,
             channel,
             ap,
@@ -449,6 +450,8 @@ impl SimulatorBuilder {
 /// `wlan-des` kernel with the WLAN mechanics registered as components.
 pub struct Simulator {
     sim: Simulation<World, Event>,
+    /// The master seed every RNG stream's key was derived from.
+    seed: u64,
     mac: Handle<StationMac>,
     channel: Handle<Channel>,
     ap: Handle<ApControl>,

@@ -1,15 +1,17 @@
 //! Engine checkpoints: the byte format behind [`Simulator::checkpoint`] and
 //! [`Simulator::resume`].
 //!
-//! A checkpoint is a header, the scenario's shape, the kernel block (clock,
-//! dispatch counter and every pending event, general and in the two alarms)
-//! and then each component's mutable state in a fixed order, all through
-//! the kernel's positional [`State`] codec and closed by its checksum. Every
-//! RNG stream belongs to a component, which checkpoints it: the stations'
-//! contention streams with the MAC, the finite-load sources' streams with
-//! the traffic sources. Build-time configuration (PHY, topology, policy
-//! parameters) is *not* captured: a checkpoint only resumes into a simulator
-//! freshly built from the identical scenario.
+//! A checkpoint is a header, the scenario's shape and seed, the kernel block
+//! (clock, dispatch counter and every pending event, general and in the two
+//! alarms) and then each component's mutable state in a fixed order, all
+//! through the kernel's positional [`State`] codec and closed by its
+//! checksum. Every RNG stream belongs to a component, which checkpoints its
+//! position: the stations' contention streams with the MAC, the finite-load
+//! sources' streams with the traffic sources. A stream's key, like the rest
+//! of the build-time configuration (PHY, topology, policy parameters), is
+//! *not* captured: a checkpoint only resumes into a simulator freshly built
+//! from the identical scenario, and the seed in the header rejects a build
+//! whose streams were keyed from another seed.
 
 use super::arrivals::StationTraffic;
 use super::event::Event;
@@ -23,14 +25,15 @@ const MAGIC: [u8; 16] = *b"\x08\0\0\0\0\0\0\0WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 7;
+const CHECKPOINT_VERSION: u32 = 8;
 
 impl Simulator {
-    /// The station count and sensing path the scenario built: a checkpoint
-    /// loads only into a simulator of the same shape.
-    fn shape(&self) -> (usize, bool) {
+    /// The station count and sensing path the scenario built, and the seed
+    /// its streams were keyed from: a checkpoint loads only into a simulator
+    /// of the same shape.
+    fn shape(&self) -> ((usize, bool), u64) {
         let mac = self.sim.component(self.mac);
-        (mac.stations.len(), mac.clique.is_some())
+        ((mac.stations.len(), mac.clique.is_some()), self.seed)
     }
 
     /// Serialize the complete mutable simulation state into a byte
@@ -39,14 +42,15 @@ impl Simulator {
     /// The checkpoint captures everything that evolves during a run — the
     /// kernel clock and `(time, seq)` counter, every pending event (general
     /// heap and both alarms), the statistics and throughput-binning state,
-    /// per-station MAC/policy/RNG state, the armed backoff timers, the
-    /// clique's medium view, the transmission slab (with generations and
-    /// free-list structure), the AP controller, and the traffic sources
-    /// with their RNG streams and armed arrival timers. Build-time
-    /// configuration (PHY, topology, policies' parameters) is *not*
-    /// captured: [`resume`](Self::resume) must be called on a simulator
-    /// freshly built from the identical scenario, and the resumed run is
-    /// then bit-identical to one that never checkpointed.
+    /// per-station MAC/policy state and RNG stream positions, the armed
+    /// backoff timers, the clique's medium view, the transmission slab
+    /// (with generations and free-list structure), the AP controller, and
+    /// the traffic sources with their RNG stream positions and armed
+    /// arrival timers. Build-time configuration (PHY, topology, policies'
+    /// parameters, the streams' keys) is *not* captured:
+    /// [`resume`](Self::resume) must be called on a simulator freshly built
+    /// from the identical scenario, and the resumed run is then
+    /// bit-identical to one that never checkpointed.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         (MAGIC, CHECKPOINT_VERSION).save(&mut w);
@@ -71,10 +75,10 @@ impl Simulator {
     /// On success the simulator continues bit-identically to the run that
     /// produced the checkpoint. A checkpoint of another format version, a
     /// corrupt or truncated one (its checksum is verified before any state
-    /// is touched), one of a differently shaped scenario and one with a
-    /// pending event that could not be dispatched (addressed to the wrong
-    /// component, or naming a station or transmission the loaded state
-    /// does not have) are errors. On
+    /// is touched), one of a differently shaped scenario or of another
+    /// seed, and one with a pending event that could not be dispatched
+    /// (addressed to the wrong component, or naming a station or
+    /// transmission the loaded state does not have) are errors. On
     /// error the simulator may have been partially overwritten and must be
     /// discarded (rebuild and recompute — the campaign layer treats a failed
     /// resume as a cache miss).
@@ -91,14 +95,19 @@ impl Simulator {
         }
         let mut r = StateReader::new(bytes)?;
         r.read::<([u8; 16], u32)>()?; // the header, checked above
-        let (n, clique) = r.read::<(usize, bool)>()?;
-        let (built, built_clique) = self.shape();
+        let ((n, clique), seed) = r.read::<((usize, bool), u64)>()?;
+        let ((built, built_clique), built_seed) = self.shape();
         if (n, clique) != (built, built_clique) {
             let path = |clique| if clique { "clique" } else { "per-station" };
             return Err(SnapshotError::custom(format!(
                 "checkpoint of {n} stations on the {} sensing path, scenario built {built} on the {}",
                 path(clique),
                 path(built_clique)
+            )));
+        }
+        if seed != built_seed {
+            return Err(SnapshotError::custom(format!(
+                "checkpoint of a seed-{seed} run, scenario built with seed {built_seed}"
             )));
         }
         self.sim.load(&mut r)?;

@@ -932,21 +932,27 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
 
 #[test]
 fn resume_names_the_version_of_an_older_checkpoint() {
-    // A format-v4 header: the length-prefixed magic, then the version.
-    let mut v4 = 8u64.to_le_bytes().to_vec();
-    v4.extend_from_slice(b"WLANCKPT");
-    v4.extend_from_slice(&4u32.to_le_bytes());
-    v4.extend_from_slice(&[0; 64]);
-    let err = dcf_cell(4).resume(&v4).unwrap_err().to_string();
-    assert!(err.contains("v4") && err.contains("v7"), "{err}");
+    // Format-v4 and v7 headers: the length-prefixed magic, then the version.
+    for version in [4u32, 7] {
+        let mut old = 8u64.to_le_bytes().to_vec();
+        old.extend_from_slice(b"WLANCKPT");
+        old.extend_from_slice(&version.to_le_bytes());
+        old.extend_from_slice(&[0; 64]);
+        let err = dcf_cell(4).resume(&old).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("format v{version},")) && err.contains("reads v8"),
+            "{err}"
+        );
+    }
 }
 
 #[test]
-fn n1000_checkpoint_stays_under_300_kb() {
+fn n1000_checkpoint_stays_under_240_kb() {
+    // 227,800 bytes, each station's stream saved as its 8-byte position.
     let mut sim = dcf_cell(1000);
     sim.run_until(SimTime::from_millis(100));
     let size = sim.checkpoint().len();
-    assert!(size < 300_000, "N = 1000 checkpoint is {size} B");
+    assert!(size < 240_000, "N = 1000 checkpoint is {size} B");
 }
 
 // ---------------------------------------------------------------------------

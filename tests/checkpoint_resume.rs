@@ -247,3 +247,32 @@ fn clique_checkpoints_mid_collision_and_mid_ack_are_byte_identical() {
         );
     }
 }
+
+/// A checkpoint holds its streams' positions, not their keys: it continues
+/// only in a build whose streams were keyed from the same seed. A seed-1
+/// checkpoint resumed into a seed-2 build of the same scenario is an error
+/// naming both seeds, on a clique and on the 20 m disc, where the seed also
+/// placed the stations.
+#[test]
+fn resume_rejects_a_checkpoint_of_another_seed() {
+    for topology in [
+        TopologySpec::FullyConnected,
+        TopologySpec::UniformDisc { radius: 20.0 },
+    ] {
+        let build = |seed| {
+            Scenario::new(Protocol::Standard80211, topology.clone(), 50)
+                .durations(SimDuration::from_millis(10), SimDuration::from_millis(30))
+                .seed(seed)
+                .build_simulator()
+        };
+        let mut source = build(1);
+        source.run_until(SimTime::from_millis(20));
+        let ckpt = source.checkpoint();
+        let err = build(2).resume(&ckpt).unwrap_err().to_string();
+        assert!(
+            err.contains("seed-1") && err.contains("seed 2"),
+            "{topology:?}: {err}"
+        );
+        build(1).resume(&ckpt).unwrap();
+    }
+}

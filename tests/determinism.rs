@@ -2,31 +2,51 @@
 //! deterministic for a given seed, which everything else relies on — averaged
 //! figure sweeps, the property tests' reproducibility, and regression
 //! comparisons between PRs.
+//!
+//! Every run has the kernel's metrics registry on, so beside the result bits
+//! the tests compare the digest of the dispatched event stream: equal results
+//! could still hide events run in another order.
 
 use wlan_sa::core::{Protocol, Scenario, TopologySpec};
 use wlan_sa::sim::SimDuration;
 
-fn run_once(protocol: Protocol, topology: TopologySpec, seed: u64) -> wlan_sa::ScenarioResult {
-    Scenario::new(protocol, topology, 8)
+/// Run the scenario to its end with kernel metrics on; return the result and
+/// the digest of every event dispatched.
+fn run_once(
+    protocol: Protocol,
+    topology: TopologySpec,
+    seed: u64,
+) -> (wlan_sa::ScenarioResult, u64) {
+    let scenario = Scenario::new(protocol, topology, 8)
         .durations(SimDuration::from_millis(200), SimDuration::from_millis(400))
-        .seed(seed)
-        .run()
+        .seed(seed);
+    let mut sim = scenario.build_simulator();
+    sim.enable_metrics();
+    scenario.advance_until(&mut sim, scenario.end_time());
+    let report = sim.metrics_report().expect("metrics were enabled");
+    (scenario.collect(&sim), report.kernel.event_digest)
 }
 
-/// Two runs with the same seed must agree bit-for-bit on every metric,
-/// including the full per-station and time-series vectors.
-#[test]
-fn same_seed_is_bit_identical() {
-    for (protocol, topology) in [
+fn cases() -> [(Protocol, TopologySpec); 3] {
+    [
         (Protocol::Standard80211, TopologySpec::FullyConnected),
         (Protocol::WTopCsma, TopologySpec::FullyConnected),
         (
             Protocol::ToraCsma,
             TopologySpec::UniformDisc { radius: 16.0 },
         ),
-    ] {
-        let a = run_once(protocol, topology.clone(), 12345);
-        let b = run_once(protocol, topology.clone(), 12345);
+    ]
+}
+
+/// Two runs with the same seed must agree bit-for-bit on every metric,
+/// including the full per-station and time-series vectors, and dispatch the
+/// same event stream.
+#[test]
+fn same_seed_is_bit_identical() {
+    for (protocol, topology) in cases() {
+        let (a, digest_a) = run_once(protocol, topology.clone(), 12345);
+        let (b, digest_b) = run_once(protocol, topology.clone(), 12345);
+        assert_eq!(digest_a, digest_b, "{protocol:?}: event streams differ");
         assert_eq!(a.throughput_mbps.to_bits(), b.throughput_mbps.to_bits());
         assert_eq!(a.per_node_mbps.len(), b.per_node_mbps.len());
         for (x, y) in a.per_node_mbps.iter().zip(&b.per_node_mbps) {
@@ -57,12 +77,19 @@ fn same_seed_is_bit_identical() {
 /// seed would be silently ignored and the averaged sweeps meaningless.
 #[test]
 fn different_seeds_differ() {
-    let a = run_once(Protocol::Standard80211, TopologySpec::FullyConnected, 1);
-    let b = run_once(Protocol::Standard80211, TopologySpec::FullyConnected, 2);
-    assert_ne!(
-        a.throughput_mbps.to_bits(),
-        b.throughput_mbps.to_bits(),
-        "seeds 1 and 2 produced identical throughput ({}); the seed is being ignored",
-        a.throughput_mbps
-    );
+    for (protocol, topology) in cases() {
+        let (a, digest_1) = run_once(protocol, topology.clone(), 1);
+        let (b, digest_2) = run_once(protocol, topology, 2);
+        assert_ne!(
+            a.throughput_mbps.to_bits(),
+            b.throughput_mbps.to_bits(),
+            "{protocol:?}: seeds 1 and 2 produced identical throughput ({}); the seed is \
+             being ignored",
+            a.throughput_mbps
+        );
+        assert_ne!(
+            digest_1, digest_2,
+            "{protocol:?}: seeds 1 and 2 dispatched one event stream"
+        );
+    }
 }
