@@ -98,7 +98,8 @@
 //! ## Flags
 //!
 //! * `--resume` — load `<key>.ckpt` snapshots left by an interrupted run.
-//! * `--no-cache` — bypass the result cache (jobs still checkpoint).
+//! * `--no-cache` — bypass the result cache (jobs still checkpoint); so
+//!   does `WLAN_NO_CACHE=1`.
 //! * `--threads N` — override the spec's worker count (a positive integer).
 //!
 //! Any other argument is an error.
@@ -470,7 +471,7 @@ fn emit_outcome(
 fn main() {
     install_signal_handlers();
     let knobs = Knobs::from_env().unwrap_or_else(|e| fail(e));
-    let (mut resume, mut no_cache, mut threads_override) = (false, false, None);
+    let (mut resume, mut no_cache, mut threads_override) = (false, knobs.no_cache, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -7,9 +7,12 @@
 //! Reruns are incremental: campaign jobs are served from the content-addressed
 //! result cache (`results/.cache/`, see `wlan_core::cache`), so a repeated
 //! invocation recomputes only the jobs whose scenario, seed or engine
-//! fingerprint actually changed — a fully warm rerun touches the engine zero
-//! times and regenerates a byte-identical `results/` tree. Pass `--no-cache`
-//! (or export `WLAN_NO_CACHE=1`) to force every job through the engine.
+//! fingerprint actually changed — a fully warm rerun serves every campaign
+//! job from disk and regenerates a byte-identical `results/` tree. The
+//! dynamic-membership figures (8-11) are the exception: their membership
+//! schedule is not part of a job key, so they run the engine on every rerun.
+//! Pass `--no-cache` (or export `WLAN_NO_CACHE=1`) to force every job through
+//! the engine.
 
 use std::time::Instant;
 use wlan_bench::experiments as ex;

@@ -515,15 +515,16 @@ pub fn table1(cfg: &RunConfig) -> String {
 pub fn table2(cfg: &RunConfig) -> String {
     println!("Table II: wTOP-CSMA weighted fairness");
     let weights = vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0];
-    let r = Scenario::new(
+    let scenario = Scenario::new(
         Protocol::WTopCsma,
         TopologySpec::FullyConnected,
         weights.len(),
     )
     .weights(weights.clone())
     .durations(cfg.adaptive_warmup(), cfg.measure() * 2)
-    .seed(3)
-    .run();
+    .seed(3);
+    // One job, run like every other figure's: cached, retried, injectable.
+    let r = cfg.ctx.run(&[scenario]).remove(0);
     let mut rows = Vec::new();
     println!("  Node  Weight  Throughput(Mbps)  Normalized");
     for (i, &weight) in weights.iter().enumerate() {

@@ -41,9 +41,11 @@ pub struct Knobs {
     /// `WLAN_CACHE_DIR`: the result-cache directory (default `.cache/` in
     /// the output directory).
     pub cache_dir: PathBuf,
-    /// `WLAN_NO_CACHE`: any value but `0` disables the result cache.
+    /// `WLAN_NO_CACHE`: `1` or `true` disables the result cache, `0` or
+    /// `false` (or unset) leaves it on; case does not matter.
     pub no_cache: bool,
-    /// `WLAN_REPRO_QUICK`: any value but `0` means quick mode (the default).
+    /// `WLAN_REPRO_QUICK`: `1` or `true` (or unset) means quick mode, `0` or
+    /// `false` full mode; case does not matter.
     pub quick: bool,
     /// `WLAN_REPRO_OUT`: the output directory (default `results`).
     pub out_dir: PathBuf,
@@ -79,8 +81,8 @@ impl Knobs {
             faults: knob(&var, "WLAN_FAULT_PLAN", FaultPlan::from_spec)?.unwrap_or_default(),
             telemetry: knob(&var, "WLAN_METRICS", switch)?.unwrap_or(false),
             cache_dir: var("WLAN_CACHE_DIR").map_or_else(|| out_dir.join(".cache"), PathBuf::from),
-            no_cache: var("WLAN_NO_CACHE").is_some_and(|v| v != "0"),
-            quick: var("WLAN_REPRO_QUICK").is_none_or(|v| v != "0"),
+            no_cache: knob(&var, "WLAN_NO_CACHE", switch)?.unwrap_or(false),
+            quick: knob(&var, "WLAN_REPRO_QUICK", switch)?.unwrap_or(true),
             out_dir,
         })
     }
@@ -485,6 +487,8 @@ mod tests {
             ("WLAN_JOB_TIMEOUT_SECS", "NaN"),
             ("WLAN_FAULT_PLAN", "teleport=1"),
             ("WLAN_METRICS", "yes"),
+            ("WLAN_NO_CACHE", "maybe"),
+            ("WLAN_REPRO_QUICK", "on"),
         ] {
             let err = knobs(&[(name, bad)]).unwrap_err();
             assert!(err.starts_with(&format!("{name}=")), "{err}");
@@ -494,8 +498,11 @@ mod tests {
             ("WLAN_JOB_TIMEOUT_SECS", "1.5"),
             ("WLAN_FAULT_PLAN", "seed=7;job_panic=1x2"),
             ("WLAN_METRICS", "TRUE"),
+            ("WLAN_NO_CACHE", "True"),
+            ("WLAN_REPRO_QUICK", "false"),
         ])
         .unwrap();
+        assert!(k.no_cache && !k.quick, "both are switches in any case");
         assert_eq!(k.heartbeat, None, "0 turns heartbeats off");
         assert_eq!(k.job_timeout, Some(Duration::from_millis(1500)));
         assert_eq!(k.faults.seed(), 7);

@@ -3,8 +3,8 @@
 //! corrupt snapshot discarded on resume, wall-clock timeout requeue,
 //! injected panics retried or quarantined (and counted in `metrics.json`),
 //! per-job error lines for invalid specs, compute-only degradation when
-//! the cache directory is unusable, and a warm pass emitting the cold
-//! pass's result bytes.
+//! the cache directory is unusable or `WLAN_NO_CACHE` is set, and a warm
+//! pass emitting the cold pass's result bytes.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -663,11 +663,37 @@ fn unusable_cache_dir_degrades_to_compute_only() {
     let _ = std::fs::remove_dir_all(&ckpt);
 }
 
-/// Run the server on `input` with `args`, expecting a configuration error:
-/// exit status 1, no job line on stdout. Returns stderr.
-fn rejected_run(args: &[&str], input: &str) -> String {
+/// `WLAN_NO_CACHE=1` acts like `--no-cache`: the job runs, nothing is read
+/// from or written to the cache, and the summary counts no hit and no miss.
+#[test]
+fn the_no_cache_knob_bypasses_the_cache() {
+    let (cache, ckpt) = (temp_dir("knob_cache"), temp_dir("knob_ckpt"));
+    let input = format!(
+        concat!(
+            "{{\"cache_dir\":{cache:?},\"checkpoint_dir\":{ckpt:?},\"jobs\":[",
+            "{{\"protocol\":\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":4,",
+            "\"seed\":9,\"warmup\":50000000,\"measure\":100000000}}",
+            "]}}"
+        ),
+        cache = cache.display().to_string(),
+        ckpt = ckpt.display().to_string(),
+    );
+    let run = run_server(&input, &[], &[("WLAN_NO_CACHE", "1")], None);
+    assert!(run.status.success(), "{}", run.stderr);
+    assert_eq!(get_u64(&run.summary, "completed"), 1);
+    assert_eq!(get_u64(&run.summary, "cache_hits"), 0);
+    assert_eq!(get_u64(&run.summary, "cache_misses"), 0);
+    assert!(!cache.exists(), "the cache was opened");
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// Run the server on `input` with `args` and `envs`, expecting a
+/// configuration error: exit status 1, no job line on stdout. Returns
+/// stderr.
+fn rejected_run(args: &[&str], envs: &[(&str, &str)], input: &str) -> String {
     let mut child = server()
         .args(args)
+        .envs(envs.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -691,8 +717,19 @@ fn rejected_run(args: &[&str], input: &str) -> String {
 #[test]
 fn unknown_flag_exits_nonzero_before_any_job() {
     let (cache, ckpt) = (temp_dir("bogus_cache"), temp_dir("bogus_ckpt"));
-    let stderr = rejected_run(&["--bogus"], &spec(&cache, &ckpt, ""));
+    let stderr = rejected_run(&["--bogus"], &[], &spec(&cache, &ckpt, ""));
     assert!(stderr.contains("--bogus"));
+    assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
+}
+
+/// A malformed knob is a configuration error naming it: `WLAN_NO_CACHE` is
+/// a switch, and `maybe` exits 1 before any job runs.
+#[test]
+fn a_malformed_no_cache_knob_exits_nonzero_before_any_job() {
+    let (cache, ckpt) = (temp_dir("maybe_cache"), temp_dir("maybe_ckpt"));
+    let input = spec(&cache, &ckpt, "");
+    let stderr = rejected_run(&[], &[("WLAN_NO_CACHE", "maybe")], &input);
+    assert!(stderr.contains("WLAN_NO_CACHE=\"maybe\""), "{stderr}");
     assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
 }
 
@@ -701,7 +738,7 @@ fn unknown_flag_exits_nonzero_before_any_job() {
 #[test]
 fn a_deeply_nested_spec_exits_nonzero_before_any_job() {
     let input = format!("{{\"jobs\":{}", "[".repeat(200_000));
-    let stderr = rejected_run(&[], &input);
+    let stderr = rejected_run(&[], &[], &input);
     assert!(stderr.contains("job spec is not valid JSON"), "{stderr}");
     assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
@@ -742,7 +779,7 @@ fn bad_top_level_spec_values_exit_nonzero_before_any_job() {
             "{{{},\"jobs\":[{{\"protocol\":\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":4}}]}}",
             entries.join(",")
         );
-        let stderr = rejected_run(&[], &input);
+        let stderr = rejected_run(&[], &[], &input);
         assert!(stderr.contains(&format!("`{key}`")), "{input}: {stderr}");
         assert!(!cache.exists() && !ckpt.exists(), "nothing was set up");
     }

@@ -155,12 +155,7 @@ pub fn run_dynamic(
             .iter()
             .map(|s| (s.time.as_secs_f64(), s.bps / 1e6, s.active_nodes))
             .collect(),
-        control_trace: sim
-            .ap_algorithm()
-            .control_trace()
-            .iter()
-            .map(|&(t, v)| (t.as_secs_f64(), v))
-            .collect(),
+        control_trace: crate::scenario::control_trace(&sim),
         mean_throughput_mbps: stats.system_throughput_mbps(),
     }
 }

@@ -343,12 +343,7 @@ impl Scenario {
             None
         };
         let weights = sim.weights();
-        let control_trace = sim
-            .ap_algorithm()
-            .control_trace()
-            .iter()
-            .map(|&(t, v)| (t.as_secs_f64(), v))
-            .collect();
+        let control_trace = control_trace(sim);
         let station_attempt_probabilities = (0..self.n)
             .map(|i| sim.station_attempt_probability(i))
             .collect();
@@ -376,6 +371,17 @@ impl Scenario {
         }
         result
     }
+}
+
+/// The AP controller's control trace in (seconds, value) pairs: the
+/// estimate of each retained SA epoch (`p` for wTOP-CSMA, `p0` for
+/// TORA-CSMA), empty for controllers without one.
+pub(crate) fn control_trace(sim: &Simulator) -> Vec<(f64, f64)> {
+    sim.ap_algorithm()
+        .telemetry()
+        .iter()
+        .map(|&(t, epoch)| (t.as_secs_f64(), epoch.estimate))
+        .collect()
 }
 
 /// Finite-load metrics of one scenario run: offered vs carried load,

@@ -38,11 +38,10 @@ pub struct ToraConfig {
     pub measurement_scale_bps: f64,
     /// Gain sequences.
     pub gains: PowerLawGains,
-    /// Upper bound on retained trace entries (default 4096). The sampled
-    /// `p0` trace is bounded by stride-doubling decimation, exactly as in
-    /// [`WtopConfig::trace_cap`](crate::wtop::WtopConfig::trace_cap); the
-    /// stage *transition* log keeps its most recent half at the cap instead
-    /// (decimation would erase transitions).
+    /// Upper bound on the number of retained [`ControlEpoch`]s (default
+    /// 4096), whose `(time, estimate)` pairs are the `p0` control trace. It
+    /// is bounded by stride-doubling decimation, exactly as in
+    /// [`WtopConfig::trace_cap`](crate::wtop::WtopConfig::trace_cap).
     pub trace_cap: usize,
 }
 
@@ -75,22 +74,16 @@ pub struct ToraController {
     bits_received: u64,
     segment_start: Option<SimTime>,
     advertised_p0: f64,
-    /// Sampled signal, bounded by `trace_cap` (see [`BoundedTrace`]).
-    p0_trace: BoundedTrace<f64>,
-    /// Event log of stage *transitions* — decimating it would erase
-    /// transitions and misreport which stage was active, so it is bounded by
-    /// discarding the oldest half at the cap instead.
-    stage_trace: Vec<(SimTime, u8)>,
-    trace_cap: usize,
-    /// Per-segment SA telemetry ([`ControlEpoch`]), bounded like `p0_trace`.
+    /// Per-segment SA telemetry ([`ControlEpoch`]), bounded by `trace_cap`
+    /// (see [`BoundedTrace`]).
     sa_epochs: BoundedTrace<ControlEpoch>,
 }
 
-// The configuration (update period, scale, thresholds, caps) is rebuilt from
-// the scenario; the iterate, the stage, the open segment and the traces are
+// The configuration (update period, scale, thresholds, cap) is rebuilt from
+// the scenario; the iterate, the stage, the open segment and the trace are
 // checkpointed.
 wlan_sim::state!(struct ToraController {
-    kw, stage, bits_received, segment_start, advertised_p0, p0_trace, stage_trace, sa_epochs
+    kw, stage, bits_received, segment_start, advertised_p0, sa_epochs
 });
 
 impl ToraController {
@@ -115,9 +108,6 @@ impl ToraController {
             bits_received: 0,
             segment_start: None,
             advertised_p0,
-            p0_trace: BoundedTrace::new(config.trace_cap),
-            stage_trace: Vec::new(),
-            trace_cap: config.trace_cap,
             sa_epochs: BoundedTrace::new(config.trace_cap),
         }
     }
@@ -144,11 +134,6 @@ impl ToraController {
         self.stage
     }
 
-    /// The `(time, stage)` history of stage switches.
-    pub fn stage_trace(&self) -> &[(SimTime, u8)] {
-        &self.stage_trace
-    }
-
     fn finish_segment(&mut self, now: SimTime, segment_start: SimTime) {
         let elapsed = now.duration_since(segment_start).as_secs_f64();
         if elapsed <= 0.0 {
@@ -170,15 +155,12 @@ impl ToraController {
             if pval <= self.delta_low && self.stage + 1 < self.max_stage {
                 self.stage += 1;
                 self.kw.reset_estimate(0.5);
-                self.push_stage(now);
             } else if pval >= self.delta_high && self.stage > 0 {
                 self.stage -= 1;
                 self.kw.reset_estimate(0.5);
-                self.push_stage(now);
             }
         }
         self.advertised_p0 = self.kw.probe();
-        self.p0_trace.push(now, self.kw.estimate());
         self.sa_epochs.push(
             now,
             ControlEpoch {
@@ -191,18 +173,6 @@ impl ToraController {
                 delta,
             },
         );
-    }
-
-    fn push_stage(&mut self, now: SimTime) {
-        self.stage_trace.push((now, self.stage));
-        // Stage switches are rare, but bound the log anyway (a controller
-        // oscillating at a threshold for a very long run must not grow it
-        // without limit). This is a step-change event log: dropping interior
-        // entries would erase transitions, so keep the most recent half.
-        if self.stage_trace.len() >= self.trace_cap {
-            let drop = self.stage_trace.len() / 2;
-            self.stage_trace.drain(..drop);
-        }
     }
 }
 
@@ -236,10 +206,6 @@ impl ApAlgorithm for ToraController {
 
     fn name(&self) -> &'static str {
         "TORA-CSMA"
-    }
-
-    fn control_trace(&self) -> &[(SimTime, f64)] {
-        self.p0_trace.as_slice()
     }
 
     fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
@@ -383,9 +349,8 @@ mod tests {
             let bits = if i % 2 == 0 { HIGH } else { LOW };
             feed_measurement(&mut c, &mut ms, bits);
         }
-        assert!(c.control_trace().len() < 8, "{}", c.control_trace().len());
-        assert!(!c.control_trace().is_empty());
-        assert!(c.stage_trace().len() < 8);
+        assert!(c.telemetry().len() < 8, "{}", c.telemetry().len());
+        assert!(!c.telemetry().is_empty());
     }
 
     #[test]
@@ -410,8 +375,7 @@ mod tests {
 
         assert_eq!(c.estimate_p0().to_bits(), twin.estimate_p0().to_bits());
         assert_eq!(c.stage(), twin.stage());
-        assert_eq!(c.stage_trace(), twin.stage_trace());
-        assert_eq!(c.control_trace(), twin.control_trace());
+        assert_eq!(c.telemetry(), twin.telemetry());
         // Identical continuations stay identical.
         let (mut ma, mut mb) = (ms, ms);
         for i in 0..6 {
@@ -430,6 +394,9 @@ mod tests {
         feed_measurement(&mut c, &mut ms, HIGH);
         feed_measurement(&mut c, &mut ms, HIGH / 2);
         feed_measurement(&mut c, &mut ms, HIGH / 4);
-        assert!(!c.control_trace().is_empty());
+        // One epoch per closed segment, each holding the estimate of p0.
+        assert_eq!(c.telemetry().len(), 3);
+        let (_, last) = c.telemetry()[2];
+        assert_eq!(last.estimate.to_bits(), c.estimate_p0().to_bits());
     }
 }

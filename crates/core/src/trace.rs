@@ -9,11 +9,10 @@
 //! doubles, so the trace keeps spanning the whole run at uniform resolution
 //! in O(cap) memory. Runs shorter than `cap` segments are recorded exactly.
 //!
-//! This is only sound for *sampled signals* (the wTOP probe/estimate, the
-//! TORA `p0` estimate): dropping a sample coarsens the curve. It is **not**
-//! used for event logs such as the TORA stage trace, where dropping an entry
-//! would erase a transition — those bound memory by discarding the oldest
-//! half instead.
+//! This is only sound for *sampled signals*, such as the SA controllers'
+//! epochs (the wTOP estimate and probe, the TORA `p0` estimate): dropping a
+//! sample coarsens the curve. An event log, where dropping an entry would
+//! erase a transition, must bound its memory another way.
 
 use wlan_sim::snapshot::State;
 use wlan_sim::SimTime;

@@ -54,14 +54,15 @@ pub struct WtopConfig {
     /// mean the attempt probability is far too high, so stepping down is always
     /// the correct direction. Set to 0 to disable.
     pub collapse_threshold: f64,
-    /// Upper bound on the number of retained probe/estimate trace entries
-    /// (default 4096). The traces are recorded once per measurement segment,
-    /// which is O(simulated time / update period) — unbounded over long runs.
-    /// At the cap the traces are decimated (every second entry dropped) and
-    /// the recording stride doubles, so memory stays O(cap) while the trace
-    /// still spans the whole run at uniform resolution. Figure-length runs
-    /// (≤ `cap` segments) are recorded exactly as before. Set via
-    /// [`WtopConfig::trace_cap`]; must be at least 2.
+    /// Upper bound on the number of retained [`ControlEpoch`]s (default
+    /// 4096), the controller's one trace: the control trace is their
+    /// `(time, estimate)` pairs. An epoch is recorded once per measurement
+    /// segment, which is O(simulated time / update period) — unbounded over
+    /// long runs. At the cap the trace is decimated (every second entry
+    /// dropped) and the recording stride doubles, so memory stays O(cap)
+    /// while the trace still spans the whole run at uniform resolution.
+    /// Figure-length runs (≤ `cap` segments) are recorded exactly. Must be
+    /// at least 2.
     pub trace_cap: usize,
     /// Run the Kiefer–Wolfowitz iteration on `ln p` instead of `p` directly.
     ///
@@ -110,22 +111,16 @@ pub struct WtopController {
     bits_received: u64,
     segment_start: Option<SimTime>,
     advertised_p: f64,
-    /// `(time, advertised probe p)` and `(time, pval estimate)` histories,
-    /// bounded by `trace_cap` (see [`BoundedTrace`]). Both receive identical
-    /// push sequences, so their stride gates stay in lockstep.
-    probe_trace: BoundedTrace<f64>,
-    estimate_trace: BoundedTrace<f64>,
-    /// Per-segment SA telemetry ([`ControlEpoch`]), bounded like the probe/
-    /// estimate traces and recorded by the same push sequence.
+    /// Per-segment SA telemetry ([`ControlEpoch`]: the estimate, the probe
+    /// and what drove them), bounded by `trace_cap` (see [`BoundedTrace`]).
     sa_epochs: BoundedTrace<ControlEpoch>,
 }
 
 // The configuration (update period, scale, clamps, gains) is rebuilt from
-// the scenario; the iterate, the open segment's accumulator and the traces
+// the scenario; the iterate, the open segment's accumulator and the trace
 // are checkpointed.
 wlan_sim::state!(struct WtopController {
-    kw, last_plus_measurement, bits_received, segment_start, advertised_p, probe_trace,
-    estimate_trace, sa_epochs
+    kw, last_plus_measurement, bits_received, segment_start, advertised_p, sa_epochs
 });
 
 impl WtopController {
@@ -156,8 +151,6 @@ impl WtopController {
             bits_received: 0,
             segment_start: None,
             advertised_p: 0.0,
-            probe_trace: BoundedTrace::new(config.trace_cap),
-            estimate_trace: BoundedTrace::new(config.trace_cap),
             sa_epochs: BoundedTrace::new(config.trace_cap),
         };
         controller.advertised_p = controller.domain_to_p(controller.kw.probe());
@@ -199,16 +192,6 @@ impl WtopController {
         self.kw.iteration().saturating_sub(2)
     }
 
-    /// History of the estimate `pval` over time.
-    pub fn estimate_trace(&self) -> &[(SimTime, f64)] {
-        self.estimate_trace.as_slice()
-    }
-
-    /// History of the advertised probe value over time.
-    pub fn probe_trace(&self) -> &[(SimTime, f64)] {
-        self.probe_trace.as_slice()
-    }
-
     fn finish_segment(&mut self, now: SimTime, segment_start: SimTime) {
         let elapsed = now.duration_since(segment_start).as_secs_f64();
         if elapsed <= 0.0 {
@@ -245,8 +228,6 @@ impl WtopController {
         self.bits_received = 0;
         self.segment_start = Some(now);
         self.advertised_p = self.domain_to_p(self.kw.probe());
-        self.probe_trace.push(now, self.advertised_p);
-        self.estimate_trace.push(now, self.estimate());
         self.sa_epochs.push(
             now,
             ControlEpoch {
@@ -290,10 +271,6 @@ impl ApAlgorithm for WtopController {
 
     fn name(&self) -> &'static str {
         "wTOP-CSMA"
-    }
-
-    fn control_trace(&self) -> &[(SimTime, f64)] {
-        self.estimate_trace.as_slice()
     }
 
     fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
@@ -342,7 +319,7 @@ mod tests {
         assert_eq!(c.iterations(), 0, "only the plus side has been measured");
         feed_measurement(&mut c, &mut cursor, 4_000_000);
         assert!(c.iterations() >= 1, "iterations {}", c.iterations());
-        assert!(!c.control_trace().is_empty());
+        assert!(!c.telemetry().is_empty());
     }
 
     #[test]
@@ -389,15 +366,14 @@ mod tests {
         }
         assert!(c.iterations() >= 90, "iterations {}", c.iterations());
         assert!(
-            c.estimate_trace().len() < 8 && c.probe_trace().len() < 8,
-            "trace lengths {} / {}",
-            c.estimate_trace().len(),
-            c.probe_trace().len()
+            c.telemetry().len() < 8,
+            "trace length {}",
+            c.telemetry().len()
         );
-        assert!(!c.estimate_trace().is_empty());
+        assert!(!c.telemetry().is_empty());
         // The retained points still span (roughly) the whole run: the last
         // retained timestamp is in the final quarter of the feed.
-        let last = c.estimate_trace().last().unwrap().0;
+        let last = c.telemetry().last().unwrap().0;
         assert!(
             last >= SimTime::from_millis(cursor * 3 / 4),
             "last retained point {last} vs cursor {cursor} ms"
@@ -413,8 +389,11 @@ mod tests {
         for _ in 0..20 {
             feed_measurement(&mut c, &mut cursor, 2_000_000);
         }
-        assert_eq!(c.estimate_trace().len(), 20);
-        assert_eq!(c.probe_trace().len(), 20);
+        assert_eq!(c.telemetry().len(), 20);
+        // Each epoch holds the estimate and the probe advertised after it.
+        let (_, last) = c.telemetry()[19];
+        assert_eq!(last.estimate.to_bits(), c.estimate().to_bits());
+        assert_eq!(last.probe.to_bits(), c.advertised().to_bits());
     }
 
     #[test]
@@ -438,7 +417,7 @@ mod tests {
 
         assert_eq!(c.estimate().to_bits(), twin.estimate().to_bits());
         assert_eq!(c.advertised().to_bits(), twin.advertised().to_bits());
-        assert_eq!(c.control_trace(), twin.control_trace());
+        assert_eq!(c.telemetry(), twin.telemetry());
         // Identical continuations stay identical.
         let mut ca = cursor;
         let mut cb = cursor;
@@ -449,7 +428,7 @@ mod tests {
         }
         assert_eq!(c.estimate().to_bits(), twin.estimate().to_bits());
         assert_eq!(c.iterations(), twin.iterations());
-        assert_eq!(c.probe_trace(), twin.probe_trace());
+        assert_eq!(c.telemetry(), twin.telemetry());
     }
 
     #[test]

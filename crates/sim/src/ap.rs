@@ -78,22 +78,14 @@ pub trait ApAlgorithm: Send + State {
     /// Short human-readable name.
     fn name(&self) -> &'static str;
 
-    /// Time series of the controller's scalar control variable (`p` for wTOP-CSMA,
-    /// `p0` for TORA-CSMA). Used to reproduce Figs. 9 and 11.
-    ///
-    /// Returns a borrowed slice: the trace is read once per scenario (after
-    /// the run) but can hold thousands of entries, and the previous
-    /// clone-per-call signature showed up as avoidable allocation in the
-    /// large-N campaign profiles.
-    fn control_trace(&self) -> &[(SimTime, f64)] {
-        &[]
-    }
-
     /// Per-update-epoch telemetry of the controller's stochastic-
     /// approximation iterate (see [`ControlEpoch`]), timestamped with the
     /// segment-close instant. Empty for controllers without one (the
-    /// default). Surfaced on scenario results only when telemetry is
-    /// requested, so the default serialised form is unchanged.
+    /// default). It is the controller's one trace: its `(time, estimate)`
+    /// pairs are the control trace of Figs. 9 and 11 (`p` for wTOP-CSMA,
+    /// `p0` for TORA-CSMA). The full epochs are surfaced on scenario
+    /// results only when telemetry is requested, so the default serialised
+    /// form is unchanged.
     fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
         &[]
     }
@@ -102,38 +94,21 @@ pub trait ApAlgorithm: Send + State {
 /// The "controller" of standard IEEE 802.11 and of all static policies: does
 /// nothing and advertises no control information.
 #[derive(Debug, Default, Clone)]
-pub struct NullController {
-    successes: u64,
-    collisions: u64,
-}
+pub struct NullController;
 
-wlan_des::state!(struct NullController { successes, collisions });
+wlan_des::state!(
+    struct NullController {}
+);
 
 impl NullController {
     /// Create a no-op controller.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of successful receptions observed.
-    pub fn successes(&self) -> u64 {
-        self.successes
-    }
-
-    /// Number of collision events observed.
-    pub fn collisions(&self) -> u64 {
-        self.collisions
+        Self
     }
 }
 
 impl ApAlgorithm for NullController {
-    fn on_success(&mut self, _now: SimTime, _source: NodeId, _payload_bits: u64) {
-        self.successes += 1;
-    }
-
-    fn on_collision(&mut self, _now: SimTime) {
-        self.collisions += 1;
-    }
+    fn on_success(&mut self, _now: SimTime, _source: NodeId, _payload_bits: u64) {}
 
     fn control_payload(&mut self, _now: SimTime) -> ControlPayload {
         ControlPayload::None
@@ -149,15 +124,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_controller_counts_and_stays_silent() {
+    fn null_controller_stays_silent() {
         let mut c = NullController::new();
         c.on_success(SimTime::from_micros(10), 3, 8000);
-        c.on_success(SimTime::from_micros(20), 4, 8000);
         c.on_collision(SimTime::from_micros(30));
-        assert_eq!(c.successes(), 2);
-        assert_eq!(c.collisions(), 1);
         assert!(c.control_payload(SimTime::from_micros(40)).is_none());
-        assert!(c.control_trace().is_empty());
+        assert!(c.telemetry().is_empty());
         assert_eq!(c.name(), "null");
     }
 }

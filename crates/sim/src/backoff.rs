@@ -352,10 +352,9 @@ pub struct ExponentialBackoff {
     max_stage: u8,
     retry_limit: Option<u32>,
     retries: u32,
-    dropped_frames: u64,
 }
 
-wlan_des::state!(struct ExponentialBackoff { stage, retries, dropped_frames });
+wlan_des::state!(struct ExponentialBackoff { stage, retries });
 
 /// The default long-retry limit of IEEE 802.11 (dot11LongRetryLimit is 4, the
 /// short limit is 7; ns-3 uses 7 for data frames in basic access mode).
@@ -378,13 +377,7 @@ impl ExponentialBackoff {
             max_stage: phy.max_backoff_stage(),
             retry_limit,
             retries: 0,
-            dropped_frames: 0,
         }
-    }
-
-    /// Number of frames abandoned because the retry limit was reached.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped_frames
     }
 
     fn current_cw(&self) -> u32 {
@@ -409,7 +402,6 @@ impl ExponentialBackoff {
         if let Some(limit) = self.retry_limit {
             if self.retries >= limit {
                 // Abandon the frame; contention restarts fresh for the next one.
-                self.dropped_frames += 1;
                 self.retries = 0;
                 self.stage = 0;
                 return;
@@ -838,7 +830,6 @@ mod tests {
         eb.on_success();
         assert_eq!(eb.current_cw(), 8);
         assert_eq!(eb.backoff_stage(), 0);
-        assert_eq!(eb.dropped_frames(), 0);
     }
 
     #[test]
@@ -854,7 +845,6 @@ mod tests {
         // resets to CWmin for the next frame.
         eb.on_failure();
         assert_eq!(eb.current_cw(), 8);
-        assert_eq!(eb.dropped_frames(), 1);
         // A success also clears the retry counter.
         for _ in 0..3 {
             eb.on_failure();
@@ -865,10 +855,12 @@ mod tests {
             eb.on_failure();
         }
         assert_eq!(
-            eb.dropped_frames(),
-            1,
-            "only six failures since the last success"
+            eb.current_cw(),
+            512,
+            "only six failures since the last success: the frame is kept"
         );
+        eb.on_failure();
+        assert_eq!(eb.current_cw(), 8, "the seventh abandons it");
     }
 
     #[test]

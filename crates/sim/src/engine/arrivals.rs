@@ -128,7 +128,7 @@ impl TrafficSources {
     pub(crate) fn start_arrivals(&mut self, ctx: &mut Ctx<'_>, now: SimTime, node: NodeId) {
         if let Some(StationTraffic::Finite(src)) = self.stations.get_mut(node) {
             let delay = src.sampler.next_delay(&mut src.rng);
-            self.timers.arm(node, 0, now + delay, ctx.reserve_seqs(1));
+            self.timers.arm(node, now + delay, ctx.reserve_seqs(1));
         }
     }
 
@@ -193,7 +193,7 @@ impl TrafficSources {
             // property of the source alone, independent of queue state. It
             // replaces the timer that fired.
             let delay = src.sampler.next_delay(&mut src.rng);
-            self.timers.arm(node, 0, now + delay, ctx.reserve_seqs(1));
+            self.timers.arm(node, now + delay, ctx.reserve_seqs(1));
             let ts = &mut world.stats.nodes[node].traffic;
             ts.arrivals += 1;
             if src.queue.len() >= src.cap {

@@ -501,12 +501,11 @@ impl Clique {
     }
 
     /// The implicit timer of due station `node`.
-    fn due_timer(&self, st: &Stations, phy: &PhyParams, node: NodeId) -> Armed {
+    fn due_timer(&self, phy: &PhyParams, node: NodeId) -> Armed {
         Armed {
             time: phy.backoff_end(self.due_anchor, self.targets.get(node) - self.due_epoch),
             seq: self.due_walk + node as u64,
             node,
-            gen: st.hot[node].timer_gen,
         }
     }
 
@@ -548,14 +547,14 @@ impl Clique {
                 h.set_countdown(anchor);
                 if !self.elided || remaining == 0 {
                     let time = phy.backoff_end(anchor, remaining);
-                    timers.arm(node, h.timer_gen, time, self.walk + node as u64);
+                    timers.arm(node, time, self.walk + node as u64);
                 }
             } else if self.is_due[node] {
-                let timer = self.due_timer(st, phy, node);
+                let timer = self.due_timer(phy, node);
                 let h = &mut st.hot[node];
                 h.remaining_slots = target - self.due_epoch;
                 h.set_countdown(self.due_anchor);
-                timers.arm(node, timer.gen, timer.time, timer.seq);
+                timers.arm(node, timer.time, timer.seq);
                 self.is_due[node] = false;
                 if let Some(i) = self.due.iter().rposition(|&d| d == node) {
                     self.due.remove(i);
@@ -782,7 +781,6 @@ impl Clique {
             time: phy.backoff_end(anchor, remaining),
             seq: self.walk + node as u64,
             node,
-            gen: h.timer_gen,
         });
         (timer == implicit).then(|| self.epoch + remaining)
     }
@@ -838,7 +836,7 @@ impl Clique {
         self.transition = false;
 
         if self.busy > 0 {
-            self.due.last().map(|&node| self.due_timer(st, phy, node))
+            self.due.last().map(|&node| self.due_timer(phy, node))
         } else {
             self.targets.min().and_then(|(target, node)| {
                 let remaining = target - self.epoch;
@@ -846,7 +844,6 @@ impl Clique {
                     time: phy.backoff_end(self.idle_since + phy.difs, remaining),
                     seq: self.walk + node as u64,
                     node,
-                    gen: st.hot[node].timer_gen,
                 })
             })
         }

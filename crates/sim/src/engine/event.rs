@@ -25,9 +25,10 @@ pub(crate) type TxId = wlan_des::SlotId;
 /// Kinds of events processed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Event {
-    /// A station's backoff counter is due to reach zero and the station transmits.
-    /// `gen` lazily invalidates timers that were frozen by carrier sensing.
-    TxStart { station: NodeId, gen: u64 },
+    /// A station's backoff counter is due to reach zero and the station
+    /// transmits. Live only while the MAC's timer table holds the timer: a
+    /// freeze cancels it there, so no generation is needed.
+    TxStart { station: NodeId },
     /// A data transmission ends.
     TxEnd { tx: TxId },
     /// The AP starts transmitting the ACK for transmission `tx`.
@@ -48,7 +49,7 @@ pub(crate) enum Event {
 
 // Pending events are checkpointed with the kernel, general and alarm alike.
 wlan_des::state!(enum Event {
-    TxStart { station, gen },
+    TxStart { station },
     TxEnd { tx },
     AckStart { tx },
     AckEnd { tx },
@@ -80,7 +81,7 @@ impl Event {
     /// kind, such as the `TxEnd`s of one collision.
     pub(crate) fn identity(&self) -> u64 {
         match *self {
-            Event::TxStart { station, .. }
+            Event::TxStart { station }
             | Event::AckTimeout { station, .. }
             | Event::FrameArrival { station } => station as u64,
             Event::TxEnd { tx } | Event::AckStart { tx } | Event::AckEnd { tx } => {

@@ -67,7 +67,7 @@
 //!   ([`wlan_des::EventQueue`]). Backoff timers are numbered from ranges
 //!   reserved per resume walk on both sensing paths.
 //! * **Hot/cold station state** — the per-station fields the sensing
-//!   rules read and write are packed into one 56-byte record per station
+//!   rules read and write are packed into one 48-byte record per station
 //!   ([`station::Stations`]), separate from the fat policy/RNG arrays and
 //!   from the busy-count bit planes.
 

@@ -25,7 +25,7 @@ const MAGIC: [u8; 16] = *b"\x08\0\0\0\0\0\0\0WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 8;
+const CHECKPOINT_VERSION: u32 = 9;
 
 impl Simulator {
     /// The station count and sensing path the scenario built, and the seed
@@ -134,7 +134,7 @@ impl Simulator {
         let traffic = &self.sim.component(self.traffic).stations;
         for (target, event) in self.sim.pending_events() {
             let valid = match *event {
-                Event::TxStart { station, .. } | Event::AckTimeout { station, .. } => {
+                Event::TxStart { station } | Event::AckTimeout { station, .. } => {
                     target == MAC_ID && station < n
                 }
                 Event::TxEnd { tx } | Event::AckStart { tx } | Event::AckEnd { tx } => {

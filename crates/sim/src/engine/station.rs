@@ -18,7 +18,7 @@
 //! cell's shared view.
 //!
 //! The rules read and write one packed [`HotState`] record per station
-//! (countdown, generations, idle bookkeeping), kept apart from the large
+//! (countdown, ACK generation, idle bookkeeping), kept apart from the large
 //! cold fields — the [`Policy`] enum and the per-station ChaCha RNG, which
 //! only backoff draws and outcome notifications touch.
 //!
@@ -28,7 +28,10 @@
 //! the walk's reserved range. At the end of every handler
 //! [`StationMac::settle`] sets the kernel's backoff alarm
 //! ([`StationMac::alarm`]) to the earliest timer — of the table, or on a
-//! clique of the table and the cell's synced countdowns.
+//! clique of the table and the cell's synced countdowns. A backoff timer is
+//! therefore live exactly while the table holds it, and a `TxStart` the
+//! table does not hold is stale; only the `AckTimeout`s of the general heap
+//! need a generation ([`HotState::ack_gen`]).
 
 use super::apctl::ApControl;
 use super::arrivals::TrafficSources;
@@ -103,8 +106,6 @@ pub(crate) struct HotState {
     /// possibly in the future. [`COUNTDOWN_NONE`] while the medium is sensed
     /// busy or the station is not contending.
     countdown_start: SimTime,
-    /// Generation counter lazily invalidating scheduled `TxStart` events.
-    pub timer_gen: u64,
     /// Generation counter lazily invalidating scheduled `AckTimeout` events.
     pub ack_gen: u64,
     /// Idle slots counted immediately before the busy period currently being
@@ -116,8 +117,7 @@ pub(crate) struct HotState {
 // checkpoint's policy block verifies; the countdown sentinel is written as
 // it is.
 wlan_des::state!(struct HotState {
-    phase, remaining_slots, idle_since, countdown_start, timer_gen, ack_gen,
-    pending_idle_slots
+    phase, remaining_slots, idle_since, countdown_start, ack_gen, pending_idle_slots
 });
 
 impl HotState {
@@ -136,7 +136,6 @@ impl HotState {
             remaining_slots: 0,
             idle_since: SimTime::ZERO,
             countdown_start: COUNTDOWN_NONE,
-            timer_gen: 0,
             ack_gen: 0,
             pending_idle_slots: 0,
         }
@@ -218,7 +217,6 @@ impl HotState {
                 } else {
                     self.remaining_slots -= elapsed;
                     self.clear_countdown();
-                    self.timer_gen += 1;
                     timers.cancel(node);
                 }
             }
@@ -247,13 +245,12 @@ impl HotState {
             // re-freezes it, exactly as it would have invalidated the
             // scheduled event.
         } else {
-            self.timer_gen += 1;
             let fire = phy.backoff_end(start, self.remaining_slots);
             // The station can still be armed here: a zero-slot timer left
             // valid by the same-instant rule whose busy period ended
             // before it fired (e.g. an ACK shorter than DIFS). Arming
-            // replaces it, as the `timer_gen` bump above invalidates it.
-            timers.arm(node, self.timer_gen, fire, walk + node as u64);
+            // replaces it.
+            timers.arm(node, fire, walk + node as u64);
         }
     }
 }
@@ -344,14 +341,13 @@ impl Stations {
         h.clear_countdown();
     }
 
-    /// Take active `node` out of the network, invalidating its pending
-    /// backoff timer and ACK timeout.
+    /// Take active `node` out of the network, invalidating its pending ACK
+    /// timeout (the caller cancels its backoff timer).
     pub(crate) fn deactivate(&mut self, node: NodeId) {
         self.active[node / 64] &= !(1 << (node % 64));
         let h = &mut self.hot[node];
         h.phase = Phase::Inactive;
         h.clear_countdown();
-        h.timer_gen += 1;
         h.ack_gen += 1;
     }
 
@@ -539,9 +535,8 @@ impl Stations {
                 now
             };
             h.set_countdown(start);
-            h.timer_gen += 1;
             let fire = phy.backoff_end(start, h.remaining_slots);
-            timers.arm(node, h.timer_gen, fire, ctx.reserve_seqs(1));
+            timers.arm(node, fire, ctx.reserve_seqs(1));
         }
     }
 }
@@ -685,7 +680,6 @@ impl StationMac {
         self.timers
             .settle(ctx, self.alarm, MAC_ID, implicit, |t| Event::TxStart {
                 station: t.node,
-                gen: t.gen,
             });
     }
 
@@ -697,22 +691,22 @@ impl StationMac {
         peers: &mut EnginePeers<'_>,
         ctx: &mut Ctx<'_>,
         node: NodeId,
-        gen: u64,
     ) {
         // A synced station's timer was implicit: materialise it, then
         // consume it.
         self.detach(&world.phy, node);
-        self.timers.fired(node, ctx.now(), gen);
+        let held = self.timers.fired(node, ctx.now());
         {
             let h = &self.stations.hot[node];
-            // A timer is valid iff it is the most recently scheduled one and the
-            // station is still counting down. Note that its busy count may be non-zero
-            // here: if another station started transmitting at exactly this instant,
-            // this station's counter still legitimately reached zero in the same slot
-            // and both transmit (that is precisely how same-slot collisions happen).
-            // Timers that were frozen strictly before their expiry are invalidated by
-            // bumping `timer_gen` in `HotState::freeze`.
-            if h.phase != Phase::Contending || h.timer_gen != gen || h.countdown().is_none() {
+            // A timer is valid iff the table held it and the station is still
+            // counting down. Note that its busy count may be non-zero here: if
+            // another station started transmitting at exactly this instant, this
+            // station's counter still legitimately reached zero in the same slot
+            // and both transmit (that is precisely how same-slot collisions
+            // happen). Timers frozen strictly before their expiry were cancelled
+            // in the table by `HotState::freeze`. The phase and countdown checks
+            // guard a checkpoint's pending events, which are outside input.
+            if !held || h.phase != Phase::Contending || h.countdown().is_none() {
                 self.settle(&world.phy, ctx);
                 return; // stale timer
             }
@@ -757,7 +751,6 @@ impl StationMac {
             let h = &mut self.stations.hot[node];
             h.phase = Phase::Transmitting;
             h.clear_countdown();
-            h.timer_gen += 1;
         }
 
         ctx.schedule(end, CHANNEL_ID, Event::TxEnd { tx });
@@ -801,9 +794,7 @@ impl Component<World, Event> for StationMac {
         event: Event,
     ) {
         match event {
-            Event::TxStart { station, gen } => {
-                self.handle_tx_start(world, peers, ctx, station, gen)
-            }
+            Event::TxStart { station } => self.handle_tx_start(world, peers, ctx, station),
             Event::AckTimeout { station, gen } => {
                 self.handle_ack_timeout(world, peers, ctx, station, gen)
             }
@@ -821,8 +812,8 @@ mod tests {
         // The whole point of the hot/cold split: the sensing rules must
         // touch at most one cache line per station they visit.
         assert!(
-            std::mem::size_of::<HotState>() <= 56,
-            "HotState is {} bytes (documented budget: 56, hard ceiling: one 64-byte line)",
+            std::mem::size_of::<HotState>() <= 48,
+            "HotState is {} bytes (documented budget: 48, hard ceiling: one 64-byte line)",
             std::mem::size_of::<HotState>()
         );
     }

@@ -882,7 +882,7 @@ fn resume_rejects_pending_events_that_name_no_station_or_a_vacant_slot() {
                 gen: 0,
             },
         ),
-        (MAC_ID, Event::TxStart { station: 4, gen: 0 }),
+        (MAC_ID, Event::TxStart { station: 4 }),
         (CHANNEL_ID, Event::TxEnd { tx: vacant }),
         (CHANNEL_ID, Event::AckStart { tx: stale }),
         (CHANNEL_ID, Event::AckEnd { tx: vacant }),
@@ -902,6 +902,65 @@ fn resume_rejects_pending_events_that_name_no_station_or_a_vacant_slot() {
     let mut source = dcf_cell(4);
     source.run_until(SimTime::from_millis(10));
     dcf_cell(4).resume(&source.checkpoint()).unwrap();
+}
+
+/// A backoff timer is live exactly while the MAC's timer table holds it. A
+/// `TxStart` the table does not hold is ignored: here one for every station,
+/// pending in a checkpoint (outside input) at an instant where no timer is
+/// due, on both sensing paths.
+#[test]
+fn a_tx_start_the_timer_table_does_not_hold_is_ignored() {
+    const N: usize = 20;
+    for per_station in [false, true] {
+        let build = || {
+            let builder = SimulatorBuilder::new(PhyParams::table1(), Topology::fully_connected(N))
+                .seed(3)
+                .with_stations(|_, phy| ExponentialBackoff::new(phy));
+            if per_station {
+                builder.per_station_sensing()
+            } else {
+                builder
+            }
+            .build()
+        };
+        // Stop where nothing is on the air, so every contending station's
+        // countdown runs and a TxStart the MAC took for live would send.
+        let mut source = build();
+        let mut at = SimTime::from_millis(10);
+        loop {
+            source.run_until(at);
+            let busy = source.sim.pending_events().any(|(_, e)| {
+                matches!(
+                    e,
+                    Event::TxEnd { .. } | Event::AckStart { .. } | Event::AckEnd { .. }
+                )
+            });
+            if !busy {
+                break;
+            }
+            at += SimDuration::from_micros(7);
+        }
+        let plain = source.checkpoint();
+        let alarm = source.sim.component(source.mac).alarm;
+        source.sim.access(|_, _, ctx| {
+            let now = ctx.now();
+            assert!(
+                ctx.alarm(alarm).is_some_and(|(time, _, _)| time > now),
+                "per-station {per_station}: a backoff timer is due at {now}"
+            );
+            for station in 0..N {
+                ctx.schedule(now, MAC_ID, Event::TxStart { station });
+            }
+        });
+        let stale = source.checkpoint();
+        let run = |ckpt: &[u8]| {
+            let mut sim = build();
+            sim.resume(ckpt).unwrap();
+            sim.run_until(SimTime::from_millis(50));
+            serde_json::to_string(&sim.stats()).unwrap()
+        };
+        assert_eq!(run(&stale), run(&plain), "per-station {per_station}");
+    }
 }
 
 fn dcf_cell(n: usize) -> Simulator {
@@ -932,27 +991,28 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
 
 #[test]
 fn resume_names_the_version_of_an_older_checkpoint() {
-    // Format-v4 and v7 headers: the length-prefixed magic, then the version.
-    for version in [4u32, 7] {
+    // Format-v4, v7 and v8 headers: the length-prefixed magic, then the
+    // version.
+    for version in [4u32, 7, 8] {
         let mut old = 8u64.to_le_bytes().to_vec();
         old.extend_from_slice(b"WLANCKPT");
         old.extend_from_slice(&version.to_le_bytes());
         old.extend_from_slice(&[0; 64]);
         let err = dcf_cell(4).resume(&old).unwrap_err().to_string();
         assert!(
-            err.contains(&format!("format v{version},")) && err.contains("reads v8"),
+            err.contains(&format!("format v{version},")) && err.contains("reads v9"),
             "{err}"
         );
     }
 }
 
 #[test]
-fn n1000_checkpoint_stays_under_240_kb() {
-    // 227,800 bytes, each station's stream saved as its 8-byte position.
+fn n1000_checkpoint_stays_under_215_kb() {
+    // 211,784 bytes, each station's stream saved as its 8-byte position.
     let mut sim = dcf_cell(1000);
     sim.run_until(SimTime::from_millis(100));
     let size = sim.checkpoint().len();
-    assert!(size < 240_000, "N = 1000 checkpoint is {size} B");
+    assert!(size < 215_000, "N = 1000 checkpoint is {size} B");
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,13 +1228,8 @@ mod clique_equivalence {
                         );
                     }
                 } else {
-                    let want = earliest.map(|t| {
-                        let event = Event::TxStart {
-                            station: t.node,
-                            gen: t.gen,
-                        };
-                        (t.time, t.seq, event)
-                    });
+                    let want =
+                        earliest.map(|t| (t.time, t.seq, Event::TxStart { station: t.node }));
                     assert_eq!(held, want, "per-station: the alarm at {ms} ms");
                 }
             }

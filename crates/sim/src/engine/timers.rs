@@ -6,8 +6,9 @@
 //! busy period re-arms it, so on a busy medium nearly every timer is
 //! cancelled long before it fires. The traffic layer's holds each
 //! finite-load station's next frame arrival, cancelled when the station is
-//! deactivated. [`Timers`] keeps the timers as `(time, seq)` keys with their
-//! generations, and its owner arms and cancels them in place.
+//! deactivated. [`Timers`] keeps the timers as `(time, seq)` keys, and its
+//! owner arms and cancels them in place: a timer is live exactly while its
+//! table holds it, so a cancel is final and a timer carries no generation.
 //! [`Timers::settle`] then makes the owner's alarm hold exactly the earliest
 //! of the table or, on the clique path's backoff table, the earliest of the
 //! table and the synced countdowns the cell keeps implicitly. The
@@ -43,10 +44,9 @@ pub(crate) struct Armed {
     pub(crate) time: SimTime,
     pub(crate) seq: u64,
     pub(crate) node: NodeId,
-    pub(crate) gen: u64,
 }
 
-wlan_des::state!(struct Armed { time, seq, node, gen });
+wlan_des::state!(struct Armed { time, seq, node });
 
 impl Armed {
     /// The `(time, seq)` pop-order key, packed into one integer.
@@ -77,8 +77,6 @@ const UNKNOWN: u32 = u32::MAX;
 pub(crate) struct Timers {
     /// Per station: its timer's `(time, seq)` key, meaningful while armed.
     key: Box<[u128]>,
-    /// Per station: its timer's arming generation.
-    gen: Box<[u64]>,
     /// The stations with an armed timer, 64 to a word.
     armed: Box<[u64]>,
     /// How many stations have an armed timer.
@@ -94,7 +92,6 @@ impl Timers {
     pub(crate) fn new(n: usize) -> Self {
         Timers {
             key: vec![0; n].into(),
-            gen: vec![0; n].into(),
             armed: vec![0; n.div_ceil(64)].into(),
             len: 0,
             best: UNKNOWN,
@@ -117,18 +114,16 @@ impl Timers {
                 time: SimTime::from_nanos((key >> 64) as u64),
                 seq: key as u64,
                 node,
-                gen: self.gen[node],
             }
         })
     }
 
     /// Arm `node`'s timer, replacing the one it has, if any.
     #[inline]
-    pub(crate) fn arm(&mut self, node: NodeId, gen: u64, time: SimTime, seq: u64) {
+    pub(crate) fn arm(&mut self, node: NodeId, time: SimTime, seq: u64) {
         let (word, bit, id) = (node / 64, 1 << (node % 64), node as u32);
         let key = key(time, seq);
         self.key[node] = key;
-        self.gen[node] = gen;
         if self.len == 0 {
             // The only timer is the earliest.
             (self.best, self.best_key) = (id, key);
@@ -208,15 +203,15 @@ impl Timers {
         );
     }
 
-    /// The kernel fired `node`'s timer of generation `gen` at `now`: the
-    /// table's copy, if the table holds it, is consumed.
-    pub(crate) fn fired(&mut self, node: NodeId, now: SimTime, gen: u64) {
-        if self
-            .get(node)
-            .is_some_and(|t| (t.time, t.gen) == (now, gen))
-        {
+    /// The kernel fired a timer of `node` at `now`: whether the table held
+    /// `node`'s timer due at `now`, which is then consumed. A timer the
+    /// table does not hold is stale.
+    pub(crate) fn fired(&mut self, node: NodeId, now: SimTime) -> bool {
+        let held = self.get(node).is_some_and(|t| t.time == now);
+        if held {
             self.cancel(node);
         }
+        held
     }
 
     /// The armed timers in ascending station order.
@@ -245,7 +240,7 @@ impl State for Timers {
                     timer.node
                 )));
             }
-            self.arm(timer.node, timer.gen, timer.time, timer.seq);
+            self.arm(timer.node, timer.time, timer.seq);
         }
         Ok(())
     }
@@ -256,32 +251,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The naive model: at most one `(key, gen)` per station, the earliest
-    /// found by a full scan.
+    /// The naive model: at most one key per station, the earliest found by
+    /// a full scan.
     struct Model {
-        timer: Vec<Option<(u128, u64)>>,
+        timer: Vec<Option<u128>>,
     }
 
     impl Model {
-        fn earliest(&self) -> Option<(NodeId, u128, u64)> {
+        fn earliest(&self) -> Option<(NodeId, u128)> {
             self.timer
                 .iter()
                 .enumerate()
-                .filter_map(|(node, t)| t.map(|(key, gen)| (node, key, gen)))
-                .min_by_key(|&(_, key, _)| key)
+                .filter_map(|(node, t)| t.map(|key| (node, key)))
+                .min_by_key(|&(_, key)| key)
         }
     }
 
     fn check(timers: &mut Timers, model: &Model) {
         let want = model.earliest();
-        let got = timers.earliest().map(|a| (a.node, a.key(), a.gen));
+        let got = timers.earliest().map(|a| (a.node, a.key()));
         assert_eq!(got, want);
         for (node, t) in model.timer.iter().enumerate() {
-            assert_eq!(
-                timers.get(node).map(|a| (a.key(), a.gen)),
-                *t,
-                "station {node}"
-            );
+            assert_eq!(timers.get(node).map(|a| a.key()), *t, "station {node}");
         }
     }
 
@@ -292,7 +283,8 @@ mod tests {
     ///   stations in ascending order at `base + node`, cancelling others;
     /// * cancel one station (a freeze or a deactivation; a no-op when
     ///   nothing is armed);
-    /// * fire: the earliest timer leaves the table.
+    /// * fire: the earliest timer leaves the table, and a fire at another
+    ///   instant finds no timer held.
     ///
     /// Times are dense, so equal times tie-break on the sequence number.
     fn run(n: usize, ops: &[(u8, u16, u16, u8)]) {
@@ -302,24 +294,21 @@ mod tests {
         };
         let mut next_seq = 0u64;
         let mut now = 0u64;
-        let mut gen = 0u64;
         for &(op, a, b, slots) in ops {
             let node = a as usize % n;
             let time = now + 9_000 * u64::from(slots % 12);
             match op % 4 {
                 0 => {
-                    gen += 1;
                     let seq = next_seq;
                     next_seq += 1;
-                    timers.arm(node, gen, SimTime::from_nanos(time), seq);
-                    model.timer[node] = Some((key(SimTime::from_nanos(time), seq), gen));
+                    timers.arm(node, SimTime::from_nanos(time), seq);
+                    model.timer[node] = Some(key(SimTime::from_nanos(time), seq));
                 }
                 1 => {
                     let base = next_seq;
                     next_seq += n as u64;
                     let stride = 1 + b as usize % 7;
                     for node in (node..n).step_by(stride) {
-                        gen += 1;
                         if (node + b as usize).is_multiple_of(3) {
                             timers.cancel(node);
                             model.timer[node] = None;
@@ -329,8 +318,8 @@ mod tests {
                         let seq = base + node as u64;
                         // Cancel-and-rearm, as a resume after a freeze.
                         timers.cancel(node);
-                        timers.arm(node, gen, SimTime::from_nanos(at), seq);
-                        model.timer[node] = Some((key(SimTime::from_nanos(at), seq), gen));
+                        timers.arm(node, SimTime::from_nanos(at), seq);
+                        model.timer[node] = Some(key(SimTime::from_nanos(at), seq));
                     }
                 }
                 2 => {
@@ -339,7 +328,11 @@ mod tests {
                 }
                 _ => {
                     if let Some(first) = timers.earliest() {
-                        timers.cancel(first.node);
+                        // The table holds no timer of that station 1 ns
+                        // later; it consumes the one due at its instant.
+                        let later = SimTime::from_nanos(first.time.as_nanos() + 1);
+                        assert!(!timers.fired(first.node, later));
+                        assert!(timers.fired(first.node, first.time));
                         model.timer[first.node] = None;
                         now = first.time.as_nanos();
                     }
@@ -352,7 +345,7 @@ mod tests {
         timers.save(&mut w);
         let bytes = w.finish();
         let mut loaded = Timers::new(n);
-        loaded.arm(0, 99, SimTime::from_nanos(1), 1);
+        loaded.arm(0, SimTime::from_nanos(1), 1);
         loaded.load(&mut StateReader::new(&bytes).unwrap()).unwrap();
         check(&mut loaded, &model);
     }
