@@ -10,10 +10,11 @@
 //!   alarms, each holding at most one event that its owner sets, replaces
 //!   or clears in O(1), all merged by one `(time, seq)` total order so pop
 //!   order is deterministic and FIFO on ties.
-//! * A component registry and event loop ([`simulation`]): models are
-//!   decomposed into [`Component`]s that receive their own events and call
-//!   peers synchronously through split-borrowed [`Peers`] — no `Rc`/
-//!   `RefCell`, so a whole [`Simulation`] is [`Send`].
+//! * A model trait and event loop ([`simulation`]): a [`Simulation`] owns
+//!   one [`Model`] and hands it every event with the [`ComponentId`] the
+//!   event is addressed to; the model routes it to the component's handler,
+//!   passing it the peers it calls as plain `&mut` borrows — no `Rc`/
+//!   `RefCell`, so a simulation of a [`Send`] model is [`Send`].
 //! * A generational [`Slab`] ([`slab`]) for entities whose lifecycle spans
 //!   events, keeping memory bounded by concurrency instead of run length.
 //! * A checkpoint codec ([`snapshot`]): one positional [`State`] trait,
@@ -24,65 +25,62 @@
 //!   bit-identical to a straight-through run and a corrupt snapshot is an
 //!   error.
 //!
-//! # A minimal custom component
+//! # A minimal model
 //!
-//! A component is a plain struct implementing [`Component`]. The example
-//! below is a self-rescheduling ticker: every `Tick` it logs the current
-//! time into the shared world and schedules the next one.
+//! A model is a plain struct implementing [`Model`]. The example below has
+//! one component, a self-rescheduling ticker: every `Tick` it logs the
+//! current time and schedules the next one.
 //!
 //! ```
-//! use wlan_des::{
-//!     Component, Peers, SimDuration, SimTime, Simulation, SimulationContext,
-//! };
+//! use wlan_des::{ComponentId, Model, SimDuration, SimTime, Simulation, SimulationContext};
 //!
-//! // The event vocabulary (shared by all components in a simulation).
+//! // The event vocabulary (one enum for every component of the model).
 //! #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 //! enum Event {
 //!     Tick,
 //! }
 //!
-//! // The shared world: here, just a log of tick times.
-//! type World = Vec<SimTime>;
-//!
 //! struct Ticker {
 //!     period: SimDuration,
+//!     log: Vec<SimTime>,
 //! }
 //!
-//! impl Component<World, Event> for Ticker {
-//!     fn handle(
-//!         &mut self,
-//!         world: &mut World,
-//!         _peers: &mut Peers<'_, World, Event>,
-//!         ctx: &mut SimulationContext<'_, Event>,
-//!         event: Event,
-//!     ) {
+//! impl Model for Ticker {
+//!     type Event = Event;
+//!     // The ticker is component 0, the only one.
+//!     const COMPONENTS: usize = 1;
+//!
+//!     fn handle(&mut self, ctx: &mut SimulationContext<'_, Event>, _: ComponentId, event: Event) {
 //!         assert_eq!(event, Event::Tick);
-//!         world.push(ctx.now());
-//!         // Self-reschedule: address the next tick to our own id (0 —
-//!         // the first component registered).
+//!         self.log.push(ctx.now());
 //!         ctx.schedule(ctx.now() + self.period, 0, Event::Tick);
+//!     }
+//!
+//!     fn kind(_: &Event) -> &'static str {
+//!         "tick"
 //!     }
 //! }
 //!
-//! let mut sim: Simulation<World, Event> = Simulation::new(Vec::new());
-//! let ticker = sim.add_component(Ticker {
+//! let mut sim = Simulation::new(|_| Ticker {
 //!     period: SimDuration::from_millis(1),
+//!     log: Vec::new(),
 //! });
 //! // Seed the first tick, then run: events at t <= t_end are processed.
-//! sim.access(|_, _, ctx| ctx.schedule(SimTime::ZERO, ticker.id(), Event::Tick));
+//! sim.access(|_, ctx| ctx.schedule(SimTime::ZERO, 0, Event::Tick));
 //! sim.run_for(SimDuration::from_millis(10));
 //!
-//! assert_eq!(sim.world().len(), 11); // t = 0ms, 1ms, ..., 10ms inclusive
+//! assert_eq!(sim.model().log.len(), 11); // t = 0ms, 1ms, ..., 10ms inclusive
 //! assert_eq!(sim.events_processed(), 11);
 //! assert_eq!(sim.now(), SimTime::from_millis(10));
 //! ```
 //!
-//! Real models hang richer machinery off the same skeleton: typed
-//! [`Handle`]s for synchronous peer calls, and alarms
-//! ([`Simulation::add_alarm`]) that hold the earliest of the timers a model
-//! keeps itself. The kernel draws no randomness: each component owns the
-//! RNG streams it draws from, derived by the model from its seed, and
-//! checkpoints them with the rest of its state.
+//! Real models hang richer machinery off the same skeleton: several
+//! components behind one `match` on the [`ComponentId`], and alarms
+//! ([`EventQueue::add_alarm`], added while [`Simulation::new`] builds the
+//! model) that hold the earliest of the timers a component keeps itself.
+//! The kernel draws no randomness: each component owns the RNG streams it
+//! draws from, derived by the model from its seed, and checkpoints them
+//! with the rest of its state.
 //!
 //! # Observability
 //!
@@ -108,7 +106,7 @@ pub mod time;
 
 pub use metrics::{ComponentDispatch, MetricsReport, ProfileSample, QueueCounters, SchedulerStats};
 pub use queue::{AlarmId, EventQueue};
-pub use simulation::{AsAny, Component, ComponentId, Handle, Peers, Simulation, SimulationContext};
+pub use simulation::{ComponentId, Model, Simulation, SimulationContext};
 pub use slab::{Slab, SlotId};
 pub use snapshot::{SnapshotError, State, StateReader, StateWriter};
 pub use time::{SimDuration, SimTime};

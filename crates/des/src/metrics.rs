@@ -96,36 +96,30 @@ pub struct SchedulerStats {
 /// Per-component, per-event-kind dispatch counters: the enable-gated half of
 /// the kernel registry (see the module docs for the cost model).
 ///
-/// Event kinds are the `&'static str` labels produced by the classifier
-/// function handed to [`Simulation::enable_metrics`](crate::Simulation::enable_metrics)
-/// (crate::Simulation::enable_metrics); the registry interns them in first-
-/// seen order. Recording never allocates after the first sighting of a
-/// (component, kind) pair and never draws RNG.
+/// Event kinds are the `&'static str` labels of
+/// [`Model::kind`](crate::Model::kind); the registry interns them in
+/// first-seen order. Recording never allocates after the first sighting of
+/// a (component, kind) pair and never draws RNG.
 #[derive(Debug)]
-pub struct Metrics<E> {
-    classify: fn(&E) -> &'static str,
-    /// The payload identity folded into the digest.
-    identify: fn(&E) -> u64,
+pub struct Metrics {
     kinds: Vec<&'static str>,
     /// A hash of each interned label, index-aligned with `kinds`.
     kind_hashes: Vec<u64>,
     /// The event-stream digest so far (see the module docs).
     digest: u64,
-    /// The last kind resolved, memoised by fat-pointer identity: classifiers
-    /// return `&'static str` literals, so consecutive events of the same kind
-    /// (the common case — the event stream runs in bursts) skip the intern
-    /// scan entirely. A content-equal label at a different address merely
+    /// The last kind resolved, memoised by fat-pointer identity: models
+    /// label kinds with `&'static str` literals, so consecutive events of
+    /// the same kind (the common case — the event stream runs in bursts)
+    /// skip the intern scan entirely. A content-equal label at a different address merely
     /// misses the memo; the scan below still dedupes by content.
     last: Option<(&'static str, usize)>,
     /// `counts[component][kind index]`.
     counts: Vec<Vec<u64>>,
 }
 
-impl<E> Metrics<E> {
-    pub(crate) fn new(classify: fn(&E) -> &'static str, identify: fn(&E) -> u64) -> Self {
+impl Default for Metrics {
+    fn default() -> Self {
         Metrics {
-            classify,
-            identify,
             kinds: Vec::new(),
             kind_hashes: Vec::new(),
             digest: DIGEST_SEED,
@@ -133,12 +127,19 @@ impl<E> Metrics<E> {
             counts: Vec::new(),
         }
     }
+}
 
-    /// Count one dispatch of `event` to `target` at `time`, and fold it
-    /// into the digest.
+impl Metrics {
+    /// Count one dispatch of an event of `kind` to `target` at `time`, and
+    /// fold it with its payload `identity` into the digest.
     #[inline]
-    pub(crate) fn record(&mut self, time: SimTime, target: ComponentId, event: &E) {
-        let kind = (self.classify)(event);
+    pub(crate) fn record(
+        &mut self,
+        time: SimTime,
+        target: ComponentId,
+        kind: &'static str,
+        identity: u64,
+    ) {
         let k = match self.last {
             Some((memo, k)) if std::ptr::eq(memo, kind) => k,
             _ => {
@@ -156,10 +157,7 @@ impl<E> Metrics<E> {
         }
         row[k] += 1;
         let tag = self.kind_hashes[k] ^ (target as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.digest = fold(
-            fold(fold(self.digest, time.as_nanos()), tag),
-            (self.identify)(event),
-        );
+        self.digest = fold(fold(fold(self.digest, time.as_nanos()), tag), identity);
     }
 
     /// Resolve `kind` to its interned index (pointer identity first — the
@@ -209,7 +207,7 @@ fn fold(digest: u64, word: u64) -> u64 {
 /// (rows are padded so `by_kind.len() == kinds.len()`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ComponentDispatch {
-    /// The component's registry id.
+    /// The component id events to it are addressed to.
     pub component: usize,
     /// Total events dispatched to this component.
     pub total: u64,
@@ -225,7 +223,7 @@ pub struct MetricsReport {
     pub events_processed: u64,
     /// Interned event-kind labels, in first-seen order.
     pub kinds: Vec<String>,
-    /// Per-component dispatch counts (one row per registered component).
+    /// Per-component dispatch counts (one row per component of the model).
     pub dispatch: Vec<ComponentDispatch>,
     /// Digest of the time, target component, kind and payload identity of
     /// every dispatched event, in dispatch order (see the module docs).
@@ -242,8 +240,8 @@ pub struct ProfileSample {
     /// The component whose handler was timed, or `None` for a kernel
     /// scheduler operation.
     pub component: Option<ComponentId>,
-    /// Event-kind label (classifier output), or a `"sched.*"` label for
-    /// kernel operations.
+    /// Event-kind label ([`Model::kind`](crate::Model::kind)), or a
+    /// `"sched.*"` label for kernel operations.
     pub kind: &'static str,
     /// Elapsed wall-clock nanoseconds.
     pub nanos: u64,
@@ -257,14 +255,13 @@ pub struct ProfileSample {
 /// dispatch without reordering it, so a profiled run still produces
 /// byte-identical results. The sink typically feeds per-(component, kind)
 /// histograms owned by the caller.
-pub struct Profiler<E> {
-    pub(crate) classify: fn(&E) -> &'static str,
+pub struct Profiler {
     sample_every: u32,
     countdown: u32,
     pub(crate) sink: Box<dyn FnMut(ProfileSample) + Send>,
 }
 
-impl<E> std::fmt::Debug for Profiler<E> {
+impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profiler")
             .field("sample_every", &self.sample_every)
@@ -273,15 +270,10 @@ impl<E> std::fmt::Debug for Profiler<E> {
     }
 }
 
-impl<E> Profiler<E> {
-    pub(crate) fn new(
-        sample_every: u32,
-        classify: fn(&E) -> &'static str,
-        sink: Box<dyn FnMut(ProfileSample) + Send>,
-    ) -> Self {
+impl Profiler {
+    pub(crate) fn new(sample_every: u32, sink: Box<dyn FnMut(ProfileSample) + Send>) -> Self {
         let sample_every = sample_every.max(1);
         Profiler {
-            classify,
             sample_every,
             countdown: sample_every,
             sink,
@@ -307,18 +299,12 @@ mod tests {
 
     #[test]
     fn metrics_interns_kinds_and_counts_per_component() {
-        fn classify(e: &u8) -> &'static str {
-            match e {
-                0 => "zero",
-                _ => "other",
-            }
-        }
-        let mut m: Metrics<u8> = Metrics::new(classify, |_| 0);
+        let mut m = Metrics::default();
         let t = SimTime::from_micros(3);
-        m.record(t, 1, &0);
-        m.record(t, 1, &5);
-        m.record(t, 1, &9);
-        m.record(t, 0, &0);
+        m.record(t, 1, "zero", 0);
+        m.record(t, 1, "other", 0);
+        m.record(t, 1, "other", 0);
+        m.record(t, 0, "zero", 0);
         assert_eq!(m.kinds(), &["zero", "other"]);
         assert_eq!(m.counts()[1], vec![1, 2]);
         assert_eq!(m.counts()[0], vec![1]);
@@ -335,9 +321,9 @@ mod tests {
             }
         }
         let digest = |events: &[(u64, ComponentId, u8)]| {
-            let mut m: Metrics<u8> = Metrics::new(classify, |&e| u64::from(e));
+            let mut m = Metrics::default();
             for &(t, target, e) in events {
-                m.record(SimTime::from_nanos(t), target, &e);
+                m.record(SimTime::from_nanos(t), target, classify(&e), u64::from(e));
             }
             m.digest()
         };
@@ -364,14 +350,14 @@ mod tests {
 
     #[test]
     fn profiler_samples_every_nth_tick() {
-        let mut p: Profiler<u8> = Profiler::new(3, |_| "e", Box::new(|_| {}));
+        let mut p = Profiler::new(3, Box::new(|_| {}));
         let pattern: Vec<bool> = (0..9).map(|_| p.tick()).collect();
         assert_eq!(
             pattern,
             vec![false, false, true, false, false, true, false, false, true]
         );
         // sample_every 0 clamps to 1: every event sampled.
-        let mut every: Profiler<u8> = Profiler::new(0, |_| "e", Box::new(|_| {}));
+        let mut every = Profiler::new(0, Box::new(|_| {}));
         assert!(every.tick() && every.tick());
     }
 }

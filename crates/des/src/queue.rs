@@ -239,13 +239,13 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Every pending event with the component it is addressed to, in no
-    /// particular order.
-    pub fn pending(&self) -> impl Iterator<Item = (ComponentId, &E)> + '_ {
+    /// Every pending event with its time and the component it is addressed
+    /// to, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = (SimTime, ComponentId, &E)> + '_ {
         self.general
             .iter()
             .chain(self.alarms.iter().flatten())
-            .map(|e| (e.target, &e.event))
+            .map(|e| (e.time, e.target, &e.event))
     }
 
     /// A loaded queue's history restarts at its contents: every pending

@@ -1,189 +1,64 @@
-//! The component registry and event loop.
+//! The model and the event loop.
 //!
-//! A [`Simulation`] owns three things: a user-defined *world* (shared state
-//! every component can read and write), a registry of boxed [`Component`]s,
-//! and the [`EventQueue`] with its alarms. The event loop pops events in
-//! `(time, seq)` order and dispatches each to the component it is addressed
-//! to, handing the handler:
+//! A [`Simulation`] owns one [`Model`] value (the whole simulated system,
+//! whatever components it is made of), the clock and the [`EventQueue`]
+//! with its alarms. The event loop pops events in `(time, seq)` order and
+//! hands each to [`Model::handle`] with the [`ComponentId`] it is
+//! addressed to and a [`SimulationContext`]: the clock and the queue
+//! (schedule general events, set and clear alarms).
 //!
-//! * `&mut W` — the shared world,
-//! * [`Peers`] — mutable access to *other* components by typed [`Handle`]
-//!   (split-borrowed around the running component, so cross-component calls
-//!   need no interior mutability and the registry stays [`Send`]),
-//! * [`SimulationContext`] — the clock and the queue (schedule general
-//!   events, set and clear alarms).
+//! The model routes the event itself, typically with a `match` on the id
+//! that borrows its fields one by one and passes each component's handler
+//! exactly the peers it calls. A cross-component call is then a plain
+//! method call that the borrow checker verifies: no registry, no downcast
+//! and no interior mutability, so a simulation of a [`Send`] model is
+//! [`Send`].
 //!
 //! The kernel draws no randomness: a component that needs some owns its
 //! RNG streams and checkpoints them with the rest of its state.
-//!
-//! Components are plain structs; there is no message-passing runtime. A
-//! handler that wants to poke a peer calls a method on it directly through
-//! `Peers::get_mut`, which keeps intra-event control flow synchronous and
-//! easy to reason about — exactly like the monolithic `match` it replaces,
-//! but with each mechanism's state and logic in its own type.
-
-use std::any::Any;
-use std::marker::PhantomData;
 
 use crate::metrics::{ComponentDispatch, Metrics, MetricsReport, ProfileSample, Profiler};
 use crate::queue::{AlarmId, EventQueue};
 use crate::snapshot::{SnapshotError, State};
 use crate::time::{SimDuration, SimTime};
 
-/// Index of a component in the registry, in registration order.
+/// The address an event carries: which of the model's components it is
+/// for, in `0..M::COMPONENTS`.
 pub type ComponentId = usize;
 
-/// Object-safe downcasting support, blanket-implemented for every sized
-/// `'static` type. This is what lets [`Peers`] and
-/// [`Simulation::component`] recover a concrete component type from a boxed
-/// trait object without nightly trait-upcasting.
-pub trait AsAny {
-    /// The value as `&dyn Any` for downcasting.
-    fn as_any(&self) -> &dyn Any;
-    /// The value as `&mut dyn Any` for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
+/// A simulation model: the simulated system's state and the handler the
+/// event loop hands every event to.
+pub trait Model {
+    /// The event vocabulary (typically one enum covering every component).
+    type Event;
 
-impl<T: Any> AsAny for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+    /// How many components events can be addressed to: ids
+    /// `0..COMPONENTS`. A checkpoint holding an event for any other id is
+    /// rejected.
+    const COMPONENTS: usize;
 
-/// A simulation component: one mechanism's state plus its event handler.
-///
-/// `W` is the shared world type, `E` the simulation's event vocabulary
-/// (typically one enum covering all components; a component simply ignores
-/// — or panics on — variants it never registered for). Components must be
-/// [`Send`] so a whole [`Simulation`] can move across threads (parallel
-/// replication campaigns).
-pub trait Component<W, E>: AsAny + Send {
-    /// Handle one event addressed to this component.
-    ///
-    /// `peers` grants mutable access to every *other* component;
-    /// `ctx` carries the clock and the event queue.
+    /// Handle one event addressed to component `target`; `ctx` carries the
+    /// clock and the event queue.
     fn handle(
         &mut self,
-        world: &mut W,
-        peers: &mut Peers<'_, W, E>,
-        ctx: &mut SimulationContext<'_, E>,
-        event: E,
+        ctx: &mut SimulationContext<'_, Self::Event>,
+        target: ComponentId,
+        event: Self::Event,
     );
-}
 
-/// A typed reference to a registered component.
-///
-/// Handles are plain `Copy` indices carrying the component type as a
-/// phantom; they are cheap to store in other components for cross-component
-/// calls via [`Peers::get_mut`]. The type is checked (by downcast) at every
-/// lookup, so a handle forged with the wrong type panics loudly rather than
-/// aliasing.
-pub struct Handle<C> {
-    id: ComponentId,
-    _marker: PhantomData<fn() -> C>,
-}
+    /// The event's kind label for the dispatch counters and the profiler
+    /// (typically a match over the event enum returning literals).
+    fn kind(event: &Self::Event) -> &'static str;
 
-impl<C> std::fmt::Debug for Handle<C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Handle#{}", self.id)
+    /// The payload identity the event digest folds in beside the kind (say,
+    /// the entity the event concerns); 0 unless the model says otherwise.
+    fn identity(_event: &Self::Event) -> u64 {
+        0
     }
 }
 
-impl<C> Clone for Handle<C> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<C> Copy for Handle<C> {}
-
-impl<C> Handle<C> {
-    /// Construct a handle from a raw component id.
-    ///
-    /// This exists for circular wiring: component A, built before component
-    /// B, can hold `Handle::from_raw(B_ID)` as long as registration order is
-    /// fixed. The type is still verified at every lookup.
-    pub const fn from_raw(id: ComponentId) -> Self {
-        Handle {
-            id,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The raw component id, e.g. for addressing events via
-    /// [`SimulationContext::schedule`].
-    pub const fn id(&self) -> ComponentId {
-        self.id
-    }
-}
-
-/// Mutable access to the *other* components during dispatch.
-///
-/// The registry is split-borrowed around the component currently handling
-/// an event, so a handler can call methods on any peer without interior
-/// mutability. Looking up the running component's own handle panics —
-/// `&mut self` already is that access.
-pub struct Peers<'a, W, E> {
-    before: &'a mut [Box<dyn Component<W, E>>],
-    after: &'a mut [Box<dyn Component<W, E>>],
-    /// Registry index of the component being dispatched to, or `usize::MAX`
-    /// when no component is running (whole-registry access).
-    split: usize,
-}
-
-impl<W: 'static, E: 'static> Peers<'_, W, E> {
-    /// Shared access to the component behind `handle`.
-    ///
-    /// Panics if the handle names the running component or a component of a
-    /// different concrete type.
-    #[inline]
-    pub fn get<C: Component<W, E> + 'static>(&self, handle: Handle<C>) -> &C {
-        self.slot(handle.id)
-            .as_any()
-            .downcast_ref::<C>()
-            .expect("component handle names a different concrete type")
-    }
-
-    /// Mutable access to the component behind `handle`.
-    ///
-    /// Panics if the handle names the running component or a component of a
-    /// different concrete type.
-    #[inline]
-    pub fn get_mut<C: Component<W, E> + 'static>(&mut self, handle: Handle<C>) -> &mut C {
-        self.slot_mut(handle.id)
-            .as_any_mut()
-            .downcast_mut::<C>()
-            .expect("component handle names a different concrete type")
-    }
-
-    #[inline]
-    fn slot(&self, id: ComponentId) -> &dyn Component<W, E> {
-        if id < self.split {
-            &*self.before[id]
-        } else if id == self.split {
-            panic!("component {id} accessed itself through Peers; use &mut self")
-        } else {
-            &*self.after[id - self.split - 1]
-        }
-    }
-
-    #[inline]
-    fn slot_mut(&mut self, id: ComponentId) -> &mut dyn Component<W, E> {
-        if id < self.split {
-            &mut *self.before[id]
-        } else if id == self.split {
-            panic!("component {id} accessed itself through Peers; use &mut self")
-        } else {
-            &mut *self.after[id - self.split - 1]
-        }
-    }
-}
-
-/// The clock and queue view handed to a component while it handles an
-/// event (or to an [`access`](Simulation::access) closure).
+/// The clock and queue view handed to the model while it handles an event
+/// (or to an [`access`](Simulation::access) closure).
 pub struct SimulationContext<'a, E> {
     queue: &'a mut EventQueue<E>,
     now: SimTime,
@@ -236,55 +111,44 @@ impl<E> SimulationContext<'_, E> {
     }
 }
 
-/// A discrete-event simulation: world + component registry + clock + queue.
+/// A discrete-event simulation: one model, the clock and the event queue.
 ///
 /// Its checkpoint state is the kernel's own: the clock, the dispatch
-/// counter and every pending event. The world and the components belong
-/// to the model, which checkpoints their mutable state, RNG streams
-/// included, beside this block and loads it all into a simulation freshly
-/// built from the same scenario.
-pub struct Simulation<W, E> {
-    world: W,
-    components: Vec<Box<dyn Component<W, E>>>,
-    queue: EventQueue<E>,
+/// counter and every pending event. The model checkpoints its mutable
+/// state, RNG streams included, beside this block and loads it all into a
+/// simulation freshly built from the same scenario.
+pub struct Simulation<M: Model> {
+    model: M,
+    queue: EventQueue<M::Event>,
     now: SimTime,
     events_processed: u64,
     /// Per-component/per-kind dispatch counters; `None` (the default) keeps
     /// the dispatch loop at a single never-taken branch.
-    metrics: Option<Box<Metrics<E>>>,
+    metrics: Option<Box<Metrics>>,
     /// Sampled wall-clock profiler; `None` (the default) keeps the run loop
     /// untouched (checked once per `run_until`, not per event).
-    profiler: Option<Profiler<E>>,
+    profiler: Option<Profiler>,
 }
 
-crate::state!(impl[W: 'static, E: State + Default + 'static] struct Simulation<W, E> {
+crate::state!(impl[M: Model<Event = E>, E: State + Default] struct Simulation<M> {
     now, events_processed, queue
-} then Self::check_targets);
+} then Self::check_pending);
 
-impl<W: 'static, E: 'static> Simulation<W, E> {
-    /// Create a simulation at time zero around `world`.
-    pub fn new(world: W) -> Self {
+impl<M: Model> Simulation<M> {
+    /// Create a simulation at time zero around the model `build` returns.
+    /// `build` gets the empty queue, so a component can add the alarms it
+    /// holds ([`EventQueue::add_alarm`]) while the model is built.
+    pub fn new(build: impl FnOnce(&mut EventQueue<M::Event>) -> M) -> Self {
+        let mut queue = EventQueue::new();
+        let model = build(&mut queue);
         Simulation {
-            world,
-            components: Vec::new(),
-            queue: EventQueue::new(),
+            model,
+            queue,
             now: SimTime::ZERO,
             events_processed: 0,
             metrics: None,
             profiler: None,
         }
-    }
-
-    /// Register a component; its [`Handle`] embeds the registration index.
-    pub fn add_component<C: Component<W, E> + 'static>(&mut self, component: C) -> Handle<C> {
-        let id = self.components.len();
-        self.components.push(Box::new(component));
-        Handle::from_raw(id)
-    }
-
-    /// Register an empty alarm (see [`EventQueue::add_alarm`]).
-    pub fn add_alarm(&mut self) -> AlarmId {
-        self.queue.add_alarm()
     }
 
     /// The current simulation time.
@@ -297,69 +161,55 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         self.events_processed
     }
 
-    /// Every pending event (general and alarm) with the component it is
-    /// addressed to, in no particular order.
-    pub fn pending_events(&self) -> impl Iterator<Item = (ComponentId, &E)> + '_ {
+    /// Every pending event (general and alarm) with its time and the
+    /// component it is addressed to, in no particular order.
+    pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, ComponentId, &M::Event)> + '_ {
         self.queue.pending()
     }
 
-    /// Reject loaded events addressed to no registered component, which
-    /// would panic at dispatch.
-    fn check_targets(&mut self) -> Result<(), SnapshotError> {
-        match self
-            .queue
-            .pending()
-            .map(|(target, _)| target)
-            .find(|&t| t >= self.components.len())
-        {
-            Some(target) => Err(SnapshotError::custom(format!(
-                "pending event addressed to component {target} of {}",
-                self.components.len()
-            ))),
-            None => Ok(()),
+    /// Reject a loaded pending event the run loop could not dispatch: one
+    /// addressed to no component of the model, or one due before the loaded
+    /// clock, which would step time back.
+    fn check_pending(&mut self) -> Result<(), SnapshotError> {
+        for (time, target, _) in self.queue.pending() {
+            if target >= M::COMPONENTS {
+                return Err(SnapshotError::custom(format!(
+                    "pending event addressed to component {target} of {}",
+                    M::COMPONENTS
+                )));
+            }
+            if time < self.now {
+                return Err(SnapshotError::custom(format!(
+                    "pending event at {} ns is before the checkpoint's clock at {} ns",
+                    time.as_nanos(),
+                    self.now.as_nanos()
+                )));
+            }
         }
+        Ok(())
     }
 
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
+    /// Shared access to the model.
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
-    /// Mutable access to the world (between runs; handlers receive it
-    /// directly).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Shared access to a component by handle.
-    pub fn component<C: Component<W, E> + 'static>(&self, handle: Handle<C>) -> &C {
-        // Deref the box first: the blanket AsAny impl would otherwise match
-        // the Box itself and the downcast would always fail.
-        (*self.components[handle.id])
-            .as_any()
-            .downcast_ref::<C>()
-            .expect("component handle names a different concrete type")
-    }
-
-    /// Mutable access to a component by handle.
-    pub fn component_mut<C: Component<W, E> + 'static>(&mut self, handle: Handle<C>) -> &mut C {
-        (*self.components[handle.id])
-            .as_any_mut()
-            .downcast_mut::<C>()
-            .expect("component handle names a different concrete type")
+    /// Mutable access to the model (between runs; the event loop hands it
+    /// to [`Model::handle`]).
+    pub fn model_mut(&mut self) -> &mut M {
+        &mut self.model
     }
 
     /// Turn on the per-component/per-event-kind dispatch registry.
     ///
-    /// `classify` maps an event to a `&'static str` kind label (typically a
-    /// match over the model's event enum); the registry interns labels in
-    /// first-seen order. `identify` maps it to the payload identity the
-    /// event digest folds in (say, the entity it concerns). Recording draws
-    /// no RNG, schedules nothing, and consumes no sequence numbers, so
-    /// results stay byte-identical — see the [metrics module
-    /// docs](crate::metrics) for the digest and the full cost contract.
-    pub fn enable_metrics(&mut self, classify: fn(&E) -> &'static str, identify: fn(&E) -> u64) {
-        self.metrics = Some(Box::new(Metrics::new(classify, identify)));
+    /// Every dispatched event is counted under its [`Model::kind`] label
+    /// (interned in first-seen order) and folded, with its
+    /// [`Model::identity`], into the event digest. Recording draws no RNG,
+    /// schedules nothing, and consumes no sequence numbers, so results stay
+    /// byte-identical — see the [metrics module docs](crate::metrics) for
+    /// the digest and the full cost contract.
+    pub fn enable_metrics(&mut self) {
+        self.metrics = Some(Box::default());
     }
 
     /// Whether the dispatch registry is enabled.
@@ -374,7 +224,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     pub fn metrics_report(&self) -> Option<MetricsReport> {
         let metrics = self.metrics.as_deref()?;
         let kinds: Vec<String> = metrics.kinds().iter().map(|k| k.to_string()).collect();
-        let dispatch = (0..self.components.len())
+        let dispatch = (0..M::COMPONENTS)
             .map(|id| {
                 let mut by_kind = metrics.counts().get(id).cloned().unwrap_or_default();
                 by_kind.resize(kinds.len(), 0);
@@ -396,17 +246,12 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     }
 
     /// Install the sampled self-profiler: every `sample_every`-th event, the
-    /// run loop times the scheduler pop and the component handler separately
+    /// run loop times the scheduler pop and the model's handler separately
     /// and feeds both to `sink` (see [`ProfileSample`]). Sampling is a
     /// deterministic countdown and timing never reorders dispatch, so a
     /// profiled run still produces byte-identical results.
-    pub fn set_profiler(
-        &mut self,
-        sample_every: u32,
-        classify: fn(&E) -> &'static str,
-        sink: Box<dyn FnMut(ProfileSample) + Send>,
-    ) {
-        self.profiler = Some(Profiler::new(sample_every, classify, sink));
+    pub fn set_profiler(&mut self, sample_every: u32, sink: Box<dyn FnMut(ProfileSample) + Send>) {
+        self.profiler = Some(Profiler::new(sample_every, sink));
     }
 
     /// Remove the profiler, restoring the untimed run loop.
@@ -414,26 +259,20 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
         self.profiler = None;
     }
 
-    /// Run a closure with the same view a dispatched component gets — world,
-    /// all components (as [`Peers`] with no self excluded), and a context
-    /// for scheduling — without consuming an event. This is how facades
-    /// implement setup and mid-run control paths (seeding initial events,
-    /// activating entities) on top of the kernel with the very same
-    /// component methods the event loop uses.
+    /// Run a closure with the same view the model gets when it handles an
+    /// event — the model and a context for scheduling — without consuming
+    /// an event. This is how facades implement setup and mid-run control
+    /// paths (seeding initial events, activating entities) with the very
+    /// same component methods the event loop uses.
     pub fn access<R>(
         &mut self,
-        f: impl FnOnce(&mut W, &mut Peers<'_, W, E>, &mut SimulationContext<'_, E>) -> R,
+        f: impl FnOnce(&mut M, &mut SimulationContext<'_, M::Event>) -> R,
     ) -> R {
-        let mut peers = Peers {
-            before: &mut self.components,
-            after: &mut [],
-            split: usize::MAX,
-        };
         let mut ctx = SimulationContext {
             queue: &mut self.queue,
             now: self.now,
         };
-        f(&mut self.world, &mut peers, &mut ctx)
+        f(&mut self.model, &mut ctx)
     }
 
     /// Process every event with timestamp `<= t_end` in `(time, seq)`
@@ -462,7 +301,6 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
                 .profiler
                 .as_mut()
                 .expect("profiled loop without profiler");
-            let classify = profiler.classify;
             let pop_start = profiler.tick().then(std::time::Instant::now);
             let Some((time, target, event)) = self.queue.pop_until(t_end) else {
                 break;
@@ -474,7 +312,7 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
                 continue;
             };
             let pop_nanos = pop_start.elapsed().as_nanos() as u64;
-            let kind = classify(&event);
+            let kind = M::kind(&event);
             let handle_start = std::time::Instant::now();
             self.dispatch(target, event);
             let handle_nanos = handle_start.elapsed().as_nanos() as u64;
@@ -502,68 +340,50 @@ impl<W: 'static, E: 'static> Simulation<W, E> {
     }
 
     #[inline]
-    fn dispatch(&mut self, target: ComponentId, event: E) {
+    fn dispatch(&mut self, target: ComponentId, event: M::Event) {
         if let Some(metrics) = self.metrics.as_deref_mut() {
-            metrics.record(self.now, target, &event);
+            metrics.record(self.now, target, M::kind(&event), M::identity(&event));
         }
-        let (before, rest) = self.components.split_at_mut(target);
-        let (component, after) = rest
-            .split_first_mut()
-            .expect("event addressed to an unregistered component");
-        let mut peers = Peers {
-            before,
-            after,
-            split: target,
-        };
         let mut ctx = SimulationContext {
             queue: &mut self.queue,
             now: self.now,
         };
-        component.handle(&mut self.world, &mut peers, &mut ctx, event);
+        self.model.handle(&mut ctx, target, event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{StateReader, StateWriter};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     enum Ev {
+        #[default]
         Ping,
         Pong,
-        Timer { index: usize, gen: u64 },
+        Timer {
+            index: usize,
+            gen: u64,
+        },
     }
 
-    type World = Vec<(SimTime, &'static str)>;
+    crate::state!(enum Ev { Ping, Pong, Timer { index, gen } });
 
-    /// Sends `Pong` to a peer on every `Ping` and logs to the world.
-    struct Pinger {
-        peer: Handle<Ponger>,
-        sent: u32,
-    }
-
-    impl Component<World, Ev> for Pinger {
-        fn handle(
-            &mut self,
-            world: &mut World,
-            peers: &mut Peers<'_, World, Ev>,
-            ctx: &mut SimulationContext<'_, Ev>,
-            event: Ev,
-        ) {
-            assert_eq!(event, Ev::Ping);
-            world.push((ctx.now(), "ping"));
-            self.sent += 1;
-            // Synchronous cross-component call...
-            peers.get_mut(self.peer).nudged += 1;
-            // ...and an asynchronous event to the same peer.
-            ctx.schedule(
-                ctx.now() + SimDuration::from_micros(10),
-                self.peer.id(),
-                Ev::Pong,
-            );
+    fn kind(e: &Ev) -> &'static str {
+        match e {
+            Ev::Ping => "ping",
+            Ev::Pong => "pong",
+            Ev::Timer { .. } => "timer",
         }
+    }
+
+    /// Sends `Pong` to its peer on every `Ping` and logs to the shared log.
+    #[derive(Default)]
+    struct Pinger {
+        sent: u32,
     }
 
     #[derive(Default)]
@@ -572,43 +392,74 @@ mod tests {
         ponged: u32,
     }
 
-    impl Component<World, Ev> for Ponger {
+    /// Two components, `Pinger` at id 0 and `Ponger` at id 1, beside a log
+    /// both write.
+    #[derive(Default)]
+    struct PingPong {
+        log: Vec<(SimTime, &'static str)>,
+        pinger: Pinger,
+        ponger: Ponger,
+    }
+
+    impl Pinger {
         fn handle(
             &mut self,
-            world: &mut World,
-            _peers: &mut Peers<'_, World, Ev>,
+            log: &mut Vec<(SimTime, &'static str)>,
+            ponger: &mut Ponger,
             ctx: &mut SimulationContext<'_, Ev>,
             event: Ev,
         ) {
-            assert_eq!(event, Ev::Pong);
-            world.push((ctx.now(), "pong"));
-            self.ponged += 1;
+            assert_eq!(event, Ev::Ping);
+            log.push((ctx.now(), "ping"));
+            self.sent += 1;
+            // Synchronous cross-component call...
+            ponger.nudged += 1;
+            // ...and an asynchronous event to the same peer.
+            ctx.schedule(ctx.now() + SimDuration::from_micros(10), 1, Ev::Pong);
+        }
+    }
+
+    impl Model for PingPong {
+        type Event = Ev;
+        const COMPONENTS: usize = 2;
+
+        fn handle(&mut self, ctx: &mut SimulationContext<'_, Ev>, target: ComponentId, event: Ev) {
+            let PingPong {
+                log,
+                pinger,
+                ponger,
+            } = self;
+            match target {
+                0 => pinger.handle(log, ponger, ctx, event),
+                _ => {
+                    assert_eq!(event, Ev::Pong);
+                    log.push((ctx.now(), "pong"));
+                    ponger.ponged += 1;
+                }
+            }
+        }
+
+        fn kind(event: &Ev) -> &'static str {
+            kind(event)
         }
     }
 
     #[test]
-    fn dispatch_routes_by_component_and_peers_split_borrow_works() {
-        let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-        // Circular wiring: Pinger is registered first and refers to the
-        // Ponger that will be registered second.
-        let pinger = sim.add_component(Pinger {
-            peer: Handle::from_raw(1),
-            sent: 0,
-        });
-        let ponger = sim.add_component(Ponger::default());
-        assert_eq!(ponger.id(), 1);
-        sim.access(|_, _, ctx| {
-            ctx.schedule(SimTime::from_micros(5), pinger.id(), Ev::Ping);
-            ctx.schedule(SimTime::from_micros(25), pinger.id(), Ev::Ping);
+    fn dispatch_routes_by_component_id() {
+        let mut sim: Simulation<PingPong> = Simulation::new(|_| PingPong::default());
+        sim.access(|_, ctx| {
+            ctx.schedule(SimTime::from_micros(5), 0, Ev::Ping);
+            ctx.schedule(SimTime::from_micros(25), 0, Ev::Ping);
         });
         sim.run_until(SimTime::from_micros(100));
-        assert_eq!(sim.component(pinger).sent, 2);
-        assert_eq!(sim.component(ponger).nudged, 2);
-        assert_eq!(sim.component(ponger).ponged, 2);
+        let model = sim.model();
+        assert_eq!(model.pinger.sent, 2);
+        assert_eq!(model.ponger.nudged, 2);
+        assert_eq!(model.ponger.ponged, 2);
         assert_eq!(sim.events_processed(), 4);
         assert_eq!(sim.now(), SimTime::from_micros(100));
         assert_eq!(
-            *sim.world(),
+            model.log,
             vec![
                 (SimTime::from_micros(5), "ping"),
                 (SimTime::from_micros(15), "pong"),
@@ -638,14 +489,11 @@ mod tests {
         ctx.set_alarm(alarms[index], time, seq, 0, Ev::Timer { index, gen });
     }
 
-    impl Component<World, Ev> for TimerLog {
-        fn handle(
-            &mut self,
-            _world: &mut World,
-            _peers: &mut Peers<'_, World, Ev>,
-            ctx: &mut SimulationContext<'_, Ev>,
-            event: Ev,
-        ) {
+    impl Model for TimerLog {
+        type Event = Ev;
+        const COMPONENTS: usize = 1;
+
+        fn handle(&mut self, ctx: &mut SimulationContext<'_, Ev>, _target: ComponentId, event: Ev) {
             let Ev::Timer { index, gen } = event else {
                 panic!("unexpected event {event:?}");
             };
@@ -657,15 +505,19 @@ mod tests {
                 arm(ctx, &self.alarms, index, gen + 1, next);
             }
         }
+
+        fn kind(event: &Ev) -> &'static str {
+            kind(event)
+        }
     }
 
     /// Alarm events reach the component they name, which draws from its
     /// own RNG stream and sets its alarms again.
     #[test]
     fn timer_tiers_route_to_owner_with_rng_stream() {
-        let (mut sim, log) = rng_timer_sim();
+        let mut sim = rng_timer_sim();
         sim.run_for(SimDuration::from_millis(1));
-        let fired = &sim.component(log).fired;
+        let fired = &sim.model().fired;
         let order: Vec<(usize, u64)> = fired.iter().map(|&(i, g, _)| (i, g)).collect();
         assert_eq!(
             order,
@@ -682,27 +534,17 @@ mod tests {
     /// Build the alarm + RNG simulation used by the routing and
     /// telemetry-purity tests: two interleaved self-re-arming timers drawing
     /// from a private ChaCha8 stream on every fire, armed in FIFO-tied order.
-    fn rng_timer_sim() -> (Simulation<World, Ev>, Handle<TimerLog>) {
-        let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-        let alarms = [sim.add_alarm(), sim.add_alarm()];
-        let log = sim.add_component(TimerLog {
-            alarms,
+    fn rng_timer_sim() -> Simulation<TimerLog> {
+        let mut sim = Simulation::new(|queue| TimerLog {
+            alarms: [queue.add_alarm(), queue.add_alarm()],
             rng: ChaCha8Rng::seed_from_u64(1),
             fired: Vec::new(),
         });
-        sim.access(|_, _, ctx| {
-            arm(ctx, &alarms, 1, 1, SimTime::from_micros(9));
-            arm(ctx, &alarms, 0, 1, SimTime::from_micros(9)); // ties FIFO
+        sim.access(|log, ctx| {
+            arm(ctx, &log.alarms, 1, 1, SimTime::from_micros(9));
+            arm(ctx, &log.alarms, 0, 1, SimTime::from_micros(9)); // ties FIFO
         });
-        (sim, log)
-    }
-
-    fn classify(e: &Ev) -> &'static str {
-        match e {
-            Ev::Ping => "ping",
-            Ev::Pong => "pong",
-            Ev::Timer { .. } => "timer",
-        }
+        sim
     }
 
     #[test]
@@ -710,21 +552,21 @@ mod tests {
         // Twin runs: telemetry off vs metrics + profiler both on. The
         // instrumented run must visit the identical event sequence and leave
         // every RNG stream at the identical position.
-        let (mut plain, plain_log) = rng_timer_sim();
-        let (mut full, full_log) = rng_timer_sim();
-        full.enable_metrics(classify, |_| 0);
-        full.set_profiler(1, classify, Box::new(|_| {}));
+        let mut plain = rng_timer_sim();
+        let mut full = rng_timer_sim();
+        full.enable_metrics();
+        full.set_profiler(1, Box::new(|_| {}));
         plain.run_for(SimDuration::from_millis(1));
         full.run_for(SimDuration::from_millis(1));
         assert_eq!(
-            full.component(full_log).fired,
-            plain.component(plain_log).fired,
+            full.model().fired,
+            plain.model().fired,
             "instrumented run must fire the identical (index, gen, draw) sequence"
         );
         assert_eq!(full.events_processed(), plain.events_processed());
         assert_eq!(full.now(), plain.now());
-        let plain_pos = plain.component(plain_log).rng.get_word_pos();
-        let full_pos = full.component(full_log).rng.get_word_pos();
+        let plain_pos = plain.model().rng.get_word_pos();
+        let full_pos = full.model().rng.get_word_pos();
         assert_eq!(
             full_pos, plain_pos,
             "telemetry must not draw from any RNG stream"
@@ -746,10 +588,9 @@ mod tests {
         type Sampled = Vec<(Option<ComponentId>, &'static str)>;
         let samples: Arc<Mutex<Sampled>> = Arc::new(Mutex::new(Vec::new()));
         let sink_samples = Arc::clone(&samples);
-        let (mut sim, _) = rng_timer_sim();
+        let mut sim = rng_timer_sim();
         sim.set_profiler(
             2,
-            classify,
             Box::new(move |s| sink_samples.lock().unwrap().push((s.component, s.kind))),
         );
         sim.run_for(SimDuration::from_millis(1));
@@ -765,31 +606,45 @@ mod tests {
         assert!(sim.metrics_report().is_none(), "metrics never enabled");
     }
 
+    /// A checkpoint whose pending event is addressed to no component of the
+    /// model, or is due before the checkpoint's clock, is rejected at load,
+    /// naming the component or both times; the run loop would panic on the
+    /// first and step the clock back on the second.
     #[test]
-    #[should_panic(expected = "accessed itself")]
-    fn self_access_through_peers_panics() {
-        struct Selfish;
-        impl Component<World, Ev> for Selfish {
-            fn handle(
-                &mut self,
-                _world: &mut World,
-                peers: &mut Peers<'_, World, Ev>,
-                _ctx: &mut SimulationContext<'_, Ev>,
-                _event: Ev,
-            ) {
-                let me: Handle<Selfish> = Handle::from_raw(0);
-                let _ = peers.get_mut(me);
-            }
-        }
-        let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-        let h = sim.add_component(Selfish);
-        sim.access(|_, _, ctx| ctx.schedule(SimTime::ZERO, h.id(), Ev::Ping));
-        sim.run_until(SimTime::ZERO);
+    fn load_rejects_pending_events_for_no_component_or_before_the_clock() {
+        let checkpoint = |time: SimTime, target: ComponentId| {
+            let mut sim: Simulation<PingPong> = Simulation::new(|_| PingPong::default());
+            sim.run_until(SimTime::from_micros(10));
+            sim.access(|_, ctx| ctx.schedule(time, target, Ev::Pong));
+            let mut w = StateWriter::new();
+            sim.save(&mut w);
+            w.finish()
+        };
+        let load = |bytes: &[u8]| {
+            let mut sim: Simulation<PingPong> = Simulation::new(|_| PingPong::default());
+            let mut r = StateReader::new(bytes)?;
+            sim.load(&mut r)?;
+            r.expect_end()?;
+            Ok::<_, SnapshotError>(sim)
+        };
+        let mut fine = load(&checkpoint(SimTime::from_micros(10), 1)).unwrap();
+        fine.run_until(SimTime::from_micros(20));
+        assert_eq!(fine.model().ponger.ponged, 1);
+        let err = load(&checkpoint(SimTime::from_micros(15), 2))
+            .err()
+            .expect("an event for component 2 of 2 loaded")
+            .to_string();
+        assert!(err.contains("component 2 of 2"), "{err}");
+        let err = load(&checkpoint(SimTime::from_micros(5), 1))
+            .err()
+            .expect("an event before the clock loaded")
+            .to_string();
+        assert!(err.contains("5000 ns") && err.contains("10000 ns"), "{err}");
     }
 
     #[test]
     fn simulation_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<Simulation<World, Ev>>();
+        assert_send::<Simulation<PingPong>>();
     }
 }

@@ -14,7 +14,7 @@
 //!    one-slot-per-alarm model predicts, including FIFO tie-breaks.
 
 use proptest::prelude::*;
-use wlan_des::{AlarmId, Component, Peers, SimDuration, SimTime, Simulation, SimulationContext};
+use wlan_des::{AlarmId, ComponentId, Model, SimDuration, SimTime, Simulation, SimulationContext};
 
 /// Fired-timer log: `(fire time, index, arming generation)`.
 type World = Vec<(SimTime, usize, u64)>;
@@ -24,24 +24,28 @@ enum Ev {
     Timer { index: usize, gen: u64 },
 }
 
-struct Recorder;
+/// Records every fire; component 0, the only one.
+struct Recorder {
+    fired: World,
+}
 
-impl Component<World, Ev> for Recorder {
-    fn handle(
-        &mut self,
-        world: &mut World,
-        _peers: &mut Peers<'_, World, Ev>,
-        ctx: &mut SimulationContext<'_, Ev>,
-        event: Ev,
-    ) {
+impl Model for Recorder {
+    type Event = Ev;
+    const COMPONENTS: usize = 1;
+
+    fn handle(&mut self, ctx: &mut SimulationContext<'_, Ev>, _: ComponentId, event: Ev) {
         let Ev::Timer { index, gen } = event;
-        world.push((ctx.now(), index, gen));
+        self.fired.push((ctx.now(), index, gen));
+    }
+
+    fn kind(_: &Ev) -> &'static str {
+        "timer"
     }
 }
 
 /// The naive model: one optional `(time, seq, gen)` slot per alarm, fired
 /// by scanning for the `(time, seq)` minimum.
-struct Model {
+struct Naive {
     slots: Vec<Option<(SimTime, u64, u64)>>,
     /// Mirror of the kernel's sequence counter. Only `arm` consumes
     /// sequence numbers in this test, so counting arms reproduces it.
@@ -49,9 +53,9 @@ struct Model {
     fired: World,
 }
 
-impl Model {
+impl Naive {
     fn new(indices: usize) -> Self {
-        Model {
+        Naive {
             slots: vec![None; indices],
             next_seq: 0,
             fired: Vec::new(),
@@ -88,10 +92,12 @@ impl Model {
 
 /// A simulation whose one component records every fire, with `indices`
 /// alarms.
-fn setup(indices: usize) -> (Simulation<World, Ev>, Vec<AlarmId>) {
-    let mut sim: Simulation<World, Ev> = Simulation::new(Vec::new());
-    sim.add_component(Recorder);
-    let alarms = (0..indices).map(|_| sim.add_alarm()).collect();
+fn setup(indices: usize) -> (Simulation<Recorder>, Vec<AlarmId>) {
+    let mut alarms = Vec::new();
+    let sim = Simulation::new(|queue| {
+        alarms = (0..indices).map(|_| queue.add_alarm()).collect();
+        Recorder { fired: Vec::new() }
+    });
     (sim, alarms)
 }
 
@@ -122,7 +128,7 @@ proptest! {
     ) {
         const INDICES: usize = 6;
         let (mut sim, alarms) = setup(INDICES);
-        let mut model = Model::new(INDICES);
+        let mut model = Naive::new(INDICES);
         let mut gen = 0u64;
         let mut cancelled: Vec<u64> = Vec::new();
         // Generations currently armed, so displaced/cancelled ones are known.
@@ -139,7 +145,7 @@ proptest! {
                     if let Some(old) = live[index].replace(gen) {
                         cancelled.push(old);
                     }
-                    sim.access(|_, _, ctx| arm(ctx, &alarms, index, gen, time));
+                    sim.access(|_, ctx| arm(ctx, &alarms, index, gen, time));
                     model.arm(index, gen, time);
                 }
                 // Clear.
@@ -147,7 +153,7 @@ proptest! {
                     if let Some(old) = live[index].take() {
                         cancelled.push(old);
                     }
-                    sim.access(|_, _, ctx| ctx.clear_alarm(alarms[index]));
+                    sim.access(|_, ctx| ctx.clear_alarm(alarms[index]));
                     model.cancel(index);
                 }
                 // Advance the clock, firing due timers.
@@ -170,16 +176,17 @@ proptest! {
         model.run_until(horizon);
 
         // Property 2: exact match with the naive model (order, times, gens).
-        prop_assert_eq!(sim.world().clone(), model.fired.clone());
+        let fired = &sim.model().fired;
+        prop_assert_eq!(fired, &model.fired);
 
         // Property 1: no cancelled generation ever fired.
-        for &(_, _, g) in sim.world() {
+        for &(_, _, g) in fired {
             prop_assert!(
                 !cancelled.contains(&g),
                 "cancelled generation {} fired", g
             );
         }
-        prop_assert_eq!(sim.events_processed() as usize, sim.world().len());
+        prop_assert_eq!(sim.events_processed() as usize, fired.len());
     }
 }
 
@@ -189,12 +196,12 @@ proptest! {
 #[test]
 fn cancel_after_due_time_still_suppresses_fire() {
     let (mut sim, alarms) = setup(2);
-    sim.access(|_, _, ctx| {
+    sim.access(|_, ctx| {
         arm(ctx, &alarms, 0, 1, SimTime::from_micros(10));
         arm(ctx, &alarms, 1, 2, SimTime::from_micros(20));
     });
     // Clear alarm 0 before running past both deadlines.
-    sim.access(|_, _, ctx| ctx.clear_alarm(alarms[0]));
+    sim.access(|_, ctx| ctx.clear_alarm(alarms[0]));
     sim.run_until(SimTime::from_millis(1));
-    assert_eq!(*sim.world(), vec![(SimTime::from_micros(20), 1, 2)]);
+    assert_eq!(sim.model().fired, vec![(SimTime::from_micros(20), 1, 2)]);
 }

@@ -13,9 +13,6 @@
 //!    higher stage otherwise ([`RandomReset`]). This is the mechanism tuned by
 //!    TORA-CSMA.
 //!
-//! A fourth, [`FixedWindow`], keeps a constant contention window and is used as a
-//! building block for baselines (IdleSense adapts such a window) and in tests.
-//!
 //! Every station stores its policy as the closed [`Policy`] enum, the
 //! interface the simulator's station state machine drives.
 
@@ -30,8 +27,8 @@ use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 /// before each transmission attempt and how to react to successes,
 /// failures, control updates and channel observations.
 ///
-/// The set is closed (the paper's three classes plus the IdleSense baseline
-/// and a fixed window), so the policy is stored inline in the station state
+/// The set is closed (the paper's three classes plus the IdleSense
+/// baseline), so the policy is stored inline in the station state
 /// and every call dispatches statically. Every draw comes from the
 /// station's own ChaCha8 stream.
 ///
@@ -50,8 +47,6 @@ pub enum Policy {
     PPersistent(PPersistent),
     /// RandomReset(j; p0) ([`RandomReset`]), the mechanism tuned by TORA-CSMA.
     RandomReset(RandomReset),
-    /// Constant contention window ([`FixedWindow`]).
-    FixedWindow(FixedWindow),
     /// The IdleSense adaptive contention window ([`IdleSensePolicy`]).
     IdleSense(IdleSensePolicy),
 }
@@ -63,7 +58,6 @@ macro_rules! dispatch {
             Policy::Dcf($p) => $body,
             Policy::PPersistent($p) => $body,
             Policy::RandomReset($p) => $body,
-            Policy::FixedWindow($p) => $body,
             Policy::IdleSense($p) => $body,
         }
     };
@@ -86,7 +80,7 @@ impl Policy {
         match self {
             Policy::Dcf(p) => p.on_success(),
             Policy::RandomReset(p) => p.on_success(rng),
-            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
+            Policy::PPersistent(_) | Policy::IdleSense(_) => {}
         }
     }
 
@@ -95,7 +89,7 @@ impl Policy {
         match self {
             Policy::Dcf(p) => p.on_failure(),
             Policy::RandomReset(p) => p.on_failure(),
-            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
+            Policy::PPersistent(_) | Policy::IdleSense(_) => {}
         }
     }
 
@@ -104,7 +98,7 @@ impl Policy {
         match self {
             Policy::PPersistent(p) => p.on_control(payload),
             Policy::RandomReset(p) => p.on_control(payload),
-            Policy::Dcf(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => {}
+            Policy::Dcf(_) | Policy::IdleSense(_) => {}
         }
     }
 
@@ -144,7 +138,6 @@ impl Policy {
             Policy::Dcf(p) => p.attempt_probability(),
             Policy::PPersistent(p) => p.p(),
             Policy::RandomReset(p) => p.attempt_probability(),
-            Policy::FixedWindow(p) => p.attempt_probability(),
             Policy::IdleSense(p) => p.attempt_probability(),
         })
     }
@@ -154,7 +147,7 @@ impl Policy {
         match self {
             Policy::Dcf(p) => Some(p.backoff_stage()),
             Policy::RandomReset(p) => Some(p.backoff_stage()),
-            Policy::PPersistent(_) | Policy::FixedWindow(_) | Policy::IdleSense(_) => None,
+            Policy::PPersistent(_) | Policy::IdleSense(_) => None,
         }
     }
 
@@ -164,7 +157,6 @@ impl Policy {
             Policy::Dcf(_) => "802.11-DCF",
             Policy::PPersistent(_) => "p-persistent",
             Policy::RandomReset(_) => "random-reset",
-            Policy::FixedWindow(_) => "fixed-window",
             Policy::IdleSense(_) => "idle-sense",
         }
     }
@@ -194,12 +186,14 @@ impl Policy {
         }
     }
 
+    /// The checkpoint tag of the variant. Tag 3 belonged to a removed
+    /// fixed-window policy; IdleSense keeps 4, so checkpoints keep their
+    /// bytes.
     fn variant(&self) -> u8 {
         match self {
             Policy::Dcf(_) => 0,
             Policy::PPersistent(_) => 1,
             Policy::RandomReset(_) => 2,
-            Policy::FixedWindow(_) => 3,
             Policy::IdleSense(_) => 4,
         }
     }
@@ -240,12 +234,6 @@ impl From<PPersistent> for Policy {
 impl From<RandomReset> for Policy {
     fn from(p: RandomReset) -> Self {
         Policy::RandomReset(p)
-    }
-}
-
-impl From<FixedWindow> for Policy {
-    fn from(p: FixedWindow) -> Self {
-        Policy::FixedWindow(p)
     }
 }
 
@@ -621,48 +609,6 @@ impl RandomReset {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fixed contention window
-// ---------------------------------------------------------------------------
-
-/// A constant contention window: every backoff is drawn uniformly from
-/// `[0, cw - 1]` regardless of history. IdleSense adapts such a window; the
-/// policy is also useful as a deterministic-ish baseline in tests.
-#[derive(Debug, Clone)]
-pub struct FixedWindow {
-    cw: u32,
-}
-
-wlan_des::state!(struct FixedWindow { cw });
-
-impl FixedWindow {
-    /// Create a fixed-window policy.
-    pub fn new(cw: u32) -> Self {
-        assert!(cw >= 1, "contention window must be at least 1");
-        FixedWindow { cw }
-    }
-
-    /// Current window.
-    pub fn cw(&self) -> u32 {
-        self.cw
-    }
-
-    /// Replace the window (used by adaptive schemes layered on top).
-    pub fn set_cw(&mut self, cw: u32) {
-        self.cw = cw.max(1);
-    }
-
-    /// Draw the backoff uniformly from the window.
-    pub fn next_backoff(&mut self, rng: &mut ChaCha8Rng) -> u64 {
-        uniform_cw(self.cw.into(), rng)
-    }
-
-    /// Mean attempt rate: 2 / (CW + 1) per slot.
-    pub fn attempt_probability(&self) -> f64 {
-        2.0 / (self.cw as f64 + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,7 +725,6 @@ mod tests {
                 RandomReset::new(&phy, 2, 0.3).into(),
                 RandomReset::new(&phy, 2, 0.3).into(),
             ),
-            (FixedWindow::new(32).into(), FixedWindow::new(32).into()),
             (
                 IdleSensePolicy::for_phy(&phy).into(),
                 IdleSensePolicy::for_phy(&phy).into(),
@@ -999,23 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_window_samples_and_updates() {
-        let mut fw = FixedWindow::new(16);
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(fw.next_backoff(&mut r) < 16);
-        }
-        fw.set_cw(4);
-        assert_eq!(fw.cw(), 4);
-        for _ in 0..1000 {
-            assert!(fw.next_backoff(&mut r) < 4);
-        }
-        fw.set_cw(0);
-        assert_eq!(fw.cw(), 1);
-        assert_eq!(fw.next_backoff(&mut r), 0);
-    }
-
-    #[test]
     fn policy_enum_forwards_to_concrete_variants() {
         let phy = PhyParams::table1();
         let mut dcf: Policy = ExponentialBackoff::new(&phy).into();
@@ -1033,8 +961,6 @@ mod tests {
 
         let rr: Policy = RandomReset::new(&phy, 1, 0.5).into();
         assert_eq!(rr.name(), "random-reset");
-        let fw: Policy = FixedWindow::new(16).into();
-        assert_eq!(fw.attempt_probability(), Some(2.0 / 17.0));
         let is: Policy = IdleSensePolicy::for_phy(&phy).into();
         assert_eq!(is.name(), "idle-sense");
         assert!(is.wants_observations() && !is.redraw_on_resume());
@@ -1062,6 +988,5 @@ mod tests {
         assert!(ExponentialBackoff::new(&phy).attempt_probability() > 0.0);
         let pp: Policy = PPersistent::new(0.25).into();
         assert_eq!(pp.attempt_probability(), Some(0.25));
-        assert_eq!(FixedWindow::new(15).attempt_probability(), 0.125);
     }
 }

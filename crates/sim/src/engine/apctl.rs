@@ -13,14 +13,13 @@
 use super::arrivals::TrafficSources;
 use super::event::Event;
 use super::station::{StationMac, Stations};
-use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
+use super::{decimate_series, Ctx, World, AP_ID};
 use crate::ap::ApAlgorithm;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
 use crate::topology::{ones, NodeId};
 use wlan_des::time::SimTime;
-use wlan_des::{Component, Handle};
 
 /// A pending ACK the AP is about to transmit / is transmitting.
 #[derive(Debug, Clone, Default)]
@@ -58,8 +57,6 @@ pub(crate) struct ApControl {
     busy_has_data: bool,
     /// Whether the AP decoded at least one frame in the current busy period.
     pub(crate) busy_has_success: bool,
-    pub(crate) mac: Handle<StationMac>,
-    pub(crate) traffic: Handle<TrafficSources>,
 }
 
 wlan_des::state!(struct ApControl {
@@ -67,11 +64,7 @@ wlan_des::state!(struct ApControl {
 });
 
 impl ApControl {
-    pub(crate) fn new(
-        controller: Box<dyn ApAlgorithm>,
-        mac: Handle<StationMac>,
-        traffic: Handle<TrafficSources>,
-    ) -> Self {
+    pub(crate) fn new(controller: Box<dyn ApAlgorithm>) -> Self {
         ApControl {
             controller,
             pending_ack: None,
@@ -80,8 +73,6 @@ impl ApControl {
             busy_start: SimTime::ZERO,
             busy_has_data: false,
             busy_has_success: false,
-            mac,
-            traffic,
         }
     }
 
@@ -132,10 +123,26 @@ impl ApControl {
         self.busy_has_success = false;
     }
 
+    /// Handle an event addressed to the AP.
+    pub(crate) fn handle(
+        &mut self,
+        world: &mut World,
+        mac: &mut StationMac,
+        traffic: &TrafficSources,
+        ctx: &mut Ctx<'_>,
+        event: Event,
+    ) {
+        match event {
+            Event::StatsTick => self.handle_stats_tick(world, mac, traffic, ctx),
+            other => unreachable!("AP controller received {other:?}"),
+        }
+    }
+
     fn handle_stats_tick(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        mac: &mut StationMac,
+        traffic: &TrafficSources,
         ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now();
@@ -151,16 +158,12 @@ impl ApControl {
                 // Active *and backlogged* stations. Saturated runs take the
                 // historical fast path: every active station is permanently
                 // backlogged, so the count is just the size of the active set.
-                let active_nodes = {
-                    let mac = peers.get(self.mac);
-                    let traffic = peers.get(self.traffic);
-                    if traffic.stations.is_empty() {
-                        mac.stations.active_count()
-                    } else {
-                        ones(&mac.stations.active)
-                            .filter(|&node| traffic.stations[node].has_frame())
-                            .count()
-                    }
+                let active_nodes = if traffic.stations.is_empty() {
+                    mac.stations.active_count()
+                } else {
+                    ones(&mac.stations.active)
+                        .filter(|&node| traffic.stations[node].has_frame())
+                        .count()
                 };
                 world.stats.throughput_series.push(ThroughputSample {
                     time: now,
@@ -182,27 +185,12 @@ impl ApControl {
         self.controller.on_beacon(now);
         let payload = self.controller.control_payload(now);
         if !payload.is_none() {
-            let Stations { active, policy, .. } = &mut peers.get_mut(self.mac).stations;
+            let Stations { active, policy, .. } = &mut mac.stations;
             for node in ones(active) {
                 policy[node].on_control(&payload);
             }
         }
 
         ctx.schedule(now + world.throughput_bin, AP_ID, Event::StatsTick);
-    }
-}
-
-impl Component<World, Event> for ApControl {
-    fn handle(
-        &mut self,
-        world: &mut World,
-        peers: &mut EnginePeers<'_>,
-        ctx: &mut Ctx<'_>,
-        event: Event,
-    ) {
-        match event {
-            Event::StatsTick => self.handle_stats_tick(world, peers, ctx),
-            other => unreachable!("AP controller received {other:?}"),
-        }
     }
 }

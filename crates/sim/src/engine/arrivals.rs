@@ -14,7 +14,7 @@
 use super::event::Event;
 use super::station::{Phase, StationMac};
 use super::timers::Timers;
-use super::{Ctx, EnginePeers, World, TRAFFIC_ID};
+use super::{Ctx, World, TRAFFIC_ID};
 use crate::stats::SimStats;
 use crate::topology::NodeId;
 use crate::traffic::ArrivalSampler;
@@ -22,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use wlan_des::snapshot::{SnapshotError, State, StateReader, StateWriter};
 use wlan_des::time::{SimDuration, SimTime};
-use wlan_des::{AlarmId, Component, Handle};
+use wlan_des::AlarmId;
 
 /// Runtime traffic state of one finite-load station: its arrival sampler,
 /// the dedicated traffic RNG stream, and the bounded FIFO frame queue.
@@ -106,7 +106,6 @@ pub(crate) struct TrafficSources {
     pub(crate) timers: Timers,
     /// The arrival alarm: it holds the earliest timer of `timers`.
     pub(crate) alarm: AlarmId,
-    pub(crate) mac: Handle<StationMac>,
 }
 
 wlan_des::state!(struct TrafficSources { stations, timers });
@@ -176,13 +175,27 @@ impl TrafficSources {
         }
     }
 
+    /// Handle an event addressed to the traffic sources.
+    pub(crate) fn handle(
+        &mut self,
+        world: &mut World,
+        mac: &mut StationMac,
+        ctx: &mut Ctx<'_>,
+        event: Event,
+    ) {
+        match event {
+            Event::FrameArrival { station } => self.handle_frame_arrival(world, mac, ctx, station),
+            other => unreachable!("traffic component received {other:?}"),
+        }
+    }
+
     /// A station's arrival process generated a frame: enqueue it (or drop it
     /// at a full queue), schedule the next arrival, and wake the station if
     /// it was parked in `QueueEmpty`.
     fn handle_frame_arrival(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        mac: &mut StationMac,
         ctx: &mut Ctx<'_>,
         node: NodeId,
     ) {
@@ -207,28 +220,8 @@ impl TrafficSources {
             }
         }
         self.settle(ctx);
-        if enqueued {
-            let mac = peers.get_mut(self.mac);
-            if mac.stations.hot[node].phase == Phase::QueueEmpty {
-                mac.begin_contention(&world.phy, ctx, node, true);
-            }
-        }
-    }
-}
-
-impl Component<World, Event> for TrafficSources {
-    fn handle(
-        &mut self,
-        world: &mut World,
-        peers: &mut EnginePeers<'_>,
-        ctx: &mut Ctx<'_>,
-        event: Event,
-    ) {
-        match event {
-            Event::FrameArrival { station } => {
-                self.handle_frame_arrival(world, peers, ctx, station)
-            }
-            other => unreachable!("traffic component received {other:?}"),
+        if enqueued && mac.stations.hot[node].phase == Phase::QueueEmpty {
+            mac.begin_contention(&world.phy, ctx, node, true);
         }
     }
 }

@@ -12,12 +12,12 @@ use super::apctl::{ApControl, PendingAck};
 use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
 use super::station::{Phase, StationMac, Stations};
-use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
+use super::{Ctx, World, CHANNEL_ID, MAC_ID};
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
 use crate::topology::{ones, NodeId};
 use wlan_des::time::SimTime;
-use wlan_des::{Component, Handle, Slab};
+use wlan_des::Slab;
 
 /// An in-flight data transmission (slab-resident from `TxStart` until the end
 /// of its lifecycle: `TxEnd` when no ACK follows, `AckEnd` otherwise).
@@ -72,9 +72,6 @@ pub(crate) struct Channel {
     /// decodes two frames that end at the same instant and both are ACKed
     /// at once.
     pub(crate) acks: Vec<NodeId>,
-    pub(crate) mac: Handle<StationMac>,
-    pub(crate) ap: Handle<ApControl>,
-    pub(crate) traffic: Handle<TrafficSources>,
 }
 
 // The whole slab (every slot with its generation and the free-list links)
@@ -82,10 +79,29 @@ pub(crate) struct Channel {
 wlan_des::state!(struct Channel { txs, active_tx, acks });
 
 impl Channel {
+    /// Handle an event addressed to the channel.
+    pub(crate) fn handle(
+        &mut self,
+        world: &mut World,
+        mac: &mut StationMac,
+        ap: &mut ApControl,
+        traffic: &mut TrafficSources,
+        ctx: &mut Ctx<'_>,
+        event: Event,
+    ) {
+        match event {
+            Event::TxEnd { tx } => self.handle_tx_end(world, mac, ap, ctx, tx),
+            Event::AckStart { tx } => self.handle_ack_start(world, mac, ap, ctx, tx),
+            Event::AckEnd { tx } => self.handle_ack_end(world, mac, ap, traffic, ctx, tx),
+            other => unreachable!("channel received {other:?}"),
+        }
+    }
+
     fn handle_tx_end(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        mac: &mut StationMac,
+        ap: &mut ApControl,
         ctx: &mut Ctx<'_>,
         tx: TxId,
     ) {
@@ -109,49 +125,45 @@ impl Channel {
         // expiring at or after now + DIFS — so their TxStart events would be
         // invalidated unread; `Stations::busy_end` elides those arms entirely
         // (see its doc comment).
-        {
-            let mac = peers.get_mut(self.mac);
-            mac.medium_idle(world, ctx, now, source, true, decodable);
+        mac.medium_idle(world, ctx, now, source, true, decodable);
 
-            // The transmitter itself starts listening for the ACK, unless it
-            // abandoned the frame.
-            if mac.stations.hot[source].ack_gen == ack_gen {
-                let timeout = world.phy.ack_timeout();
-                let idle = !mac.stations.sensed.is_busy(source);
-                let h = &mut mac.stations.hot[source];
-                h.phase = Phase::AwaitingAck;
-                if idle {
-                    h.idle_since = now;
-                }
-                h.ack_gen += 1;
-                let gen = h.ack_gen;
-                ack_gen = gen;
-                // On the success path the timeout (usually) could never take
-                // effect: the AckEnd (at now + SIFS + ACK airtime) either
-                // delivers the ACK and bumps `ack_gen`, or the station left
-                // `AwaitingAck` through deactivation — both of which already make
-                // the timeout a stale no-op before its fire time. Only schedule
-                // it when it can fire. The exception is a capture model with a
-                // sub-unity SIR threshold (`ack_can_be_lost`): there two
-                // overlapping frames can *both* decode, the second success
-                // overwrites `pending_ack`, and the first sender's ACK is never
-                // delivered — its timeout must stay scheduled or the station
-                // would be stranded in `AwaitingAck` forever.
-                if !decodable || world.ack_can_be_lost {
-                    ctx.schedule(
-                        now + timeout,
-                        MAC_ID,
-                        Event::AckTimeout {
-                            station: source,
-                            gen,
-                        },
-                    );
-                }
+        // The transmitter itself starts listening for the ACK, unless it
+        // abandoned the frame.
+        if mac.stations.hot[source].ack_gen == ack_gen {
+            let timeout = world.phy.ack_timeout();
+            let idle = !mac.stations.sensed.is_busy(source);
+            let h = &mut mac.stations.hot[source];
+            h.phase = Phase::AwaitingAck;
+            if idle {
+                h.idle_since = now;
             }
-            mac.settle(&world.phy, ctx);
+            h.ack_gen += 1;
+            let gen = h.ack_gen;
+            ack_gen = gen;
+            // On the success path the timeout (usually) could never take
+            // effect: the AckEnd (at now + SIFS + ACK airtime) either
+            // delivers the ACK and bumps `ack_gen`, or the station left
+            // `AwaitingAck` through deactivation — both of which already make
+            // the timeout a stale no-op before its fire time. Only schedule
+            // it when it can fire. The exception is a capture model with a
+            // sub-unity SIR threshold (`ack_can_be_lost`): there two
+            // overlapping frames can *both* decode, the second success
+            // overwrites `pending_ack`, and the first sender's ACK is never
+            // delivered — its timeout must stay scheduled or the station
+            // would be stranded in `AwaitingAck` forever.
+            if !decodable || world.ack_can_be_lost {
+                ctx.schedule(
+                    now + timeout,
+                    MAC_ID,
+                    Event::AckTimeout {
+                        station: source,
+                        gen,
+                    },
+                );
+            }
         }
+        mac.settle(&world.phy, ctx);
 
-        let ap = peers.get_mut(self.ap);
         if decodable {
             // The AP decoded the frame; ACK after SIFS. The slab entry stays
             // alive until AckEnd closes the lifecycle.
@@ -175,7 +187,8 @@ impl Channel {
     fn handle_ack_start(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        mac: &mut StationMac,
+        ap: &mut ApControl,
         ctx: &mut Ctx<'_>,
         tx: TxId,
     ) {
@@ -186,29 +199,24 @@ impl Channel {
         }
         let tx_source = self.txs.get(tx).source;
         self.acks.push(tx_source);
-        {
-            let ap = peers.get_mut(self.ap);
-            let payload = ap.controller.control_payload(now);
-            if let Some(ack) = ap.pending_ack.as_mut() {
-                ack.payload = payload;
-            }
+        let payload = ap.controller.control_payload(now);
+        if let Some(ack) = ap.pending_ack.as_mut() {
+            ack.payload = payload;
         }
         let end = now + world.phy.ack_airtime();
         ctx.schedule(end, CHANNEL_ID, Event::AckEnd { tx });
 
         // Every active station but the addressee senses the AP.
-        peers
-            .get_mut(self.mac)
-            .medium_busy(world, ctx, now, tx_source, false);
-        peers
-            .get_mut(self.ap)
-            .channel_busy_start(&world.phy, &mut world.stats, now, false);
+        mac.medium_busy(world, ctx, now, tx_source, false);
+        ap.channel_busy_start(&world.phy, &mut world.stats, now, false);
     }
 
     fn handle_ack_end(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        mac: &mut StationMac,
+        ap: &mut ApControl,
+        traffic: &mut TrafficSources,
         ctx: &mut Ctx<'_>,
         tx: TxId,
     ) {
@@ -218,14 +226,12 @@ impl Channel {
         if let Some(i) = self.acks.iter().position(|&s| s == ended.source) {
             self.acks.swap_remove(i);
         }
-        let ack = peers.get_mut(self.ap).pending_ack.take();
-        let (dest, payload, ack_gen) = match ack {
+        let (dest, payload, ack_gen) = match ap.pending_ack.take() {
             Some(a) => (a.dest, a.payload, a.ack_gen),
             None => (ended.source, ControlPayload::None, ended.ack_gen),
         };
 
         let delivered = {
-            let mac = peers.get_mut(self.mac);
             mac.medium_idle(world, ctx, now, ended.source, false, false);
 
             // Every station overhears the control payload carried by the ACK,
@@ -260,34 +266,11 @@ impl Channel {
             // Finite load: the delivered frame leaves the queue here (the
             // head stays queued across retries), closing its delay clock —
             // queueing + access + transmission + ACK.
-            let has_frame = peers
-                .get_mut(self.traffic)
-                .on_delivery(&mut world.stats, now, dest);
-            peers
-                .get_mut(self.mac)
-                .begin_contention(&world.phy, ctx, dest, has_frame);
+            let has_frame = traffic.on_delivery(&mut world.stats, now, dest);
+            mac.begin_contention(&world.phy, ctx, dest, has_frame);
         }
-        peers.get_mut(self.mac).settle(&world.phy, ctx);
+        mac.settle(&world.phy, ctx);
 
-        peers
-            .get_mut(self.ap)
-            .channel_busy_end(&mut world.stats, now);
-    }
-}
-
-impl Component<World, Event> for Channel {
-    fn handle(
-        &mut self,
-        world: &mut World,
-        peers: &mut EnginePeers<'_>,
-        ctx: &mut Ctx<'_>,
-        event: Event,
-    ) {
-        match event {
-            Event::TxEnd { tx } => self.handle_tx_end(world, peers, ctx, tx),
-            Event::AckStart { tx } => self.handle_ack_start(world, peers, ctx, tx),
-            Event::AckEnd { tx } => self.handle_ack_end(world, peers, ctx, tx),
-            other => unreachable!("channel received {other:?}"),
-        }
+        ap.channel_busy_end(&mut world.stats, now);
     }
 }

@@ -1,9 +1,10 @@
 //! The discrete-event simulation engine.
 //!
 //! [`Simulator`] is a facade over the generic `wlan-des` kernel
-//! ([`wlan_des::Simulation`]): the WLAN mechanics live in four plug-in
-//! components registered on the kernel at build time, each owning one
-//! mechanism's state and the handlers for the events addressed to it:
+//! ([`wlan_des::Simulation`]) running one model, [`Engine`]: the shared
+//! [`World`] and the four components the WLAN mechanics live in, each
+//! owning one mechanism's state and the handler for the events addressed
+//! to it:
 //!
 //! * [`station::StationMac`] — per-station DCF state (hot/cold SoA layout),
 //!   the active-station set, the backoff timer table and the kernel alarm
@@ -16,14 +17,17 @@
 //!   and the AP's busy-period/idle-slot observables; handles `StatsTick`.
 //! * [`arrivals::TrafficSources`] — finite-load arrival samplers and frame
 //!   queues, plus the arrival timer table and its alarm; handles
-//!   `FrameArrival`. Saturated builds register it empty and it never
+//!   `FrameArrival`. Saturated builds hold it empty and it never
 //!   executes.
 //!
-//! Cross-component calls go through the kernel's split-borrowed
-//! [`Peers`](wlan_des::Peers) view — synchronous direct method calls, no
-//! message passing — so the intra-event control flow (and with it the event
-//! order, the RNG draw order, and every golden trace) is statement-for-
-//! statement identical to the monolithic engine this module used to be.
+//! The kernel hands every event to [`Engine`]'s `Model::handle` with the
+//! component it is addressed to; a four-arm `match` borrows the model's
+//! fields one by one and passes that component's handler exactly the peers
+//! it calls. Cross-component calls are therefore synchronous direct method
+//! calls, no message passing, and a handler's signature names every
+//! component it touches. The intra-event control flow (and with it the
+//! event order, the RNG draw order, and every golden trace) is statement-
+//! for-statement identical to the monolithic engine this module used to be.
 //!
 //! The simulated model is unchanged: the saturated uplink of the paper's
 //! Section II by default (every station always has a frame for the AP, a
@@ -104,18 +108,13 @@ use station::{StationMac, Stations};
 use std::collections::VecDeque;
 use timers::Timers;
 use wlan_des::time::{SimDuration, SimTime};
-use wlan_des::{ComponentId, Handle, Simulation};
+use wlan_des::{ComponentId, Model, Simulation};
 
 /// The context type handed to the WLAN components (kernel context
 /// specialised to the engine's event vocabulary).
 pub(crate) type Ctx<'a> = wlan_des::SimulationContext<'a, Event>;
 
-/// The peer-registry view handed to the WLAN components.
-pub(crate) type EnginePeers<'a> = wlan_des::Peers<'a, World, Event>;
-
-// Component registry layout. Registration order in `build()` must match
-// these constants — `Handle::from_raw` wiring and event addressing rely on
-// them.
+// The component ids events are addressed to.
 pub(crate) const MAC_ID: ComponentId = 0;
 pub(crate) const CHANNEL_ID: ComponentId = 1;
 pub(crate) const AP_ID: ComponentId = 2;
@@ -152,6 +151,46 @@ pub(crate) struct World {
 wlan_des::state!(struct World {
     stats, measure_start, bin_start, bin_bits, series_stride, stride_ticks
 });
+
+/// The engine's model: the world and the four components.
+pub(crate) struct Engine {
+    pub(crate) world: World,
+    pub(crate) mac: StationMac,
+    pub(crate) channel: Channel,
+    pub(crate) ap: ApControl,
+    pub(crate) traffic: TrafficSources,
+}
+
+impl Model for Engine {
+    type Event = Event;
+    const COMPONENTS: usize = COMPONENT_NAMES.len();
+
+    #[inline]
+    fn handle(&mut self, ctx: &mut Ctx<'_>, target: ComponentId, event: Event) {
+        let Engine {
+            world,
+            mac,
+            channel,
+            ap,
+            traffic,
+        } = self;
+        match target {
+            MAC_ID => mac.handle(world, channel, ap, traffic, ctx, event),
+            CHANNEL_ID => channel.handle(world, mac, ap, traffic, ctx, event),
+            AP_ID => ap.handle(world, mac, traffic, ctx, event),
+            TRAFFIC_ID => traffic.handle(world, mac, ctx, event),
+            _ => unreachable!("{event:?} addressed to component {target}"),
+        }
+    }
+
+    fn kind(event: &Event) -> &'static str {
+        event.kind()
+    }
+
+    fn identity(event: &Event) -> u64 {
+        event.identity()
+    }
+}
 
 /// Builder for [`Simulator`].
 ///
@@ -388,56 +427,39 @@ impl SimulatorBuilder {
             stride_ticks: 0,
         };
 
-        // Assemble the kernel: the two alarms (backoff, then arrivals: the
-        // order a checkpoint lists them in), then the components in the
-        // fixed *_ID registry order. Components are wired to each other
-        // with `Handle::from_raw` because the registry is circular.
-        let mut sim: Simulation<World, Event> = Simulation::new(world);
-        let backoff_alarm = sim.add_alarm();
-        let arrival_alarm = sim.add_alarm();
-        let mac = sim.add_component(StationMac {
-            stations,
-            timers: Timers::new(n),
-            alarm: backoff_alarm,
-            clique,
-            channel: Handle::from_raw(CHANNEL_ID),
-            ap: Handle::from_raw(AP_ID),
-            traffic: Handle::from_raw(TRAFFIC_ID),
-        });
-        debug_assert_eq!(mac.id(), MAC_ID);
-        let channel = sim.add_component(Channel {
-            txs: wlan_des::Slab::new(),
-            active_tx: Vec::new(),
-            acks: Vec::new(),
-            mac,
-            ap: Handle::from_raw(AP_ID),
-            traffic: Handle::from_raw(TRAFFIC_ID),
-        });
-        debug_assert_eq!(channel.id(), CHANNEL_ID);
-        let ap = sim.add_component(ApControl::new(self.ap, mac, Handle::from_raw(TRAFFIC_ID)));
-        debug_assert_eq!(ap.id(), AP_ID);
         // Saturated builds allocate no arrival table.
         let arrival_timers = Timers::new(if traffic_stations.is_empty() { 0 } else { n });
-        let traffic = sim.add_component(TrafficSources {
-            stations: traffic_stations.into(),
-            timers: arrival_timers,
-            alarm: arrival_alarm,
-            mac,
+        // The MAC's backoff alarm is added before the arrival alarm: the
+        // order a checkpoint lists them in.
+        let sim = Simulation::new(|queue| Engine {
+            world,
+            mac: StationMac {
+                stations,
+                timers: Timers::new(n),
+                alarm: queue.add_alarm(),
+                clique,
+            },
+            channel: Channel {
+                txs: wlan_des::Slab::new(),
+                active_tx: Vec::new(),
+                acks: Vec::new(),
+            },
+            ap: ApControl::new(self.ap),
+            traffic: TrafficSources {
+                stations: traffic_stations.into(),
+                timers: arrival_timers,
+                alarm: queue.add_alarm(),
+            },
         });
-        debug_assert_eq!(traffic.id(), TRAFFIC_ID);
 
         let mut simulator = Simulator {
             sim,
             seed: self.seed,
-            mac,
-            channel,
-            ap,
-            traffic,
         };
         simulator.activate_stations(0..n);
-        simulator.sim.access(|world, _, ctx| {
+        simulator.sim.access(|engine, ctx| {
             ctx.schedule(
-                SimTime::ZERO + world.throughput_bin,
+                SimTime::ZERO + engine.world.throughput_bin,
                 AP_ID,
                 Event::StatsTick,
             );
@@ -447,15 +469,11 @@ impl SimulatorBuilder {
 }
 
 /// The discrete-event IEEE 802.11 DCF simulator: a facade over the
-/// `wlan-des` kernel with the WLAN mechanics registered as components.
+/// `wlan-des` kernel running the WLAN `Engine` model.
 pub struct Simulator {
-    sim: Simulation<World, Event>,
+    sim: Simulation<Engine>,
     /// The master seed every RNG stream's key was derived from.
     seed: u64,
-    mac: Handle<StationMac>,
-    channel: Handle<Channel>,
-    ap: Handle<ApControl>,
-    traffic: Handle<TrafficSources>,
 }
 
 impl Simulator {
@@ -466,17 +484,17 @@ impl Simulator {
 
     /// The PHY parameters in use.
     pub fn phy(&self) -> &PhyParams {
-        &self.sim.world().phy
+        &self.sim.model().world.phy
     }
 
     /// The topology in use.
     pub fn topology(&self) -> &Topology {
-        &self.sim.world().topology
+        &self.sim.model().world.topology
     }
 
     /// Number of stations currently active.
     pub fn active_stations(&self) -> usize {
-        self.sim.component(self.mac).stations.active_count()
+        self.sim.model().mac.stations.active_count()
     }
 
     /// Total number of events the engine has processed so far (all event
@@ -491,27 +509,27 @@ impl Simulator {
     /// at most one outstanding transmission), regardless of run length — the
     /// memory-boundedness regression tests assert exactly that.
     pub fn tx_slab_high_water(&self) -> usize {
-        self.sim.component(self.channel).txs.high_water()
+        self.sim.model().channel.txs.high_water()
     }
 
     /// Number of transmission-slab slots currently allocated (live + free).
     pub fn tx_slab_capacity(&self) -> usize {
-        self.sim.component(self.channel).txs.capacity()
+        self.sim.model().channel.txs.capacity()
     }
 
     /// Number of data frames on the air right now.
     pub fn frames_on_air(&self) -> usize {
-        self.sim.component(self.channel).active_tx.len()
+        self.sim.model().channel.active_tx.len()
     }
 
     /// Whether the AP's ACK is on the air right now.
     pub fn ack_on_air(&self) -> bool {
-        !self.sim.component(self.channel).acks.is_empty()
+        !self.sim.model().channel.acks.is_empty()
     }
 
     /// Immutable access to the collected statistics.
     pub fn stats(&self) -> SimStats {
-        let world = self.sim.world();
+        let world = &self.sim.model().world;
         let mut stats = world.stats.clone();
         stats.measured_time = self.sim.now().duration_since(world.measure_start);
         stats
@@ -519,30 +537,30 @@ impl Simulator {
 
     /// The AP-side controller (for reading its trace after a run).
     pub fn ap_algorithm(&self) -> &dyn ApAlgorithm {
-        &*self.sim.component(self.ap).controller
+        &*self.sim.model().ap.controller
     }
 
     /// The attempt probability currently reported by a station's policy, if any.
     pub fn station_attempt_probability(&self, node: NodeId) -> Option<f64> {
-        self.sim.component(self.mac).stations.policy[node].attempt_probability()
+        self.sim.model().mac.stations.policy[node].attempt_probability()
     }
 
     /// Per-station weights.
     pub fn weights(&self) -> Vec<f64> {
-        self.sim.component(self.mac).stations.weight.clone()
+        self.sim.model().mac.stations.weight.clone()
     }
 
     /// Whether this simulator carries a finite-load traffic layer (at least
     /// one station has a non-saturated arrival process).
     pub fn has_finite_load(&self) -> bool {
-        !self.sim.component(self.traffic).stations.is_empty()
+        !self.sim.model().traffic.stations.is_empty()
     }
 
     /// Number of frames currently queued at `node`, including the
     /// head-of-line frame in service. Always 0 for saturated stations (they
     /// have no queue — the notional backlog is infinite).
     pub fn queued_frames(&self, node: NodeId) -> usize {
-        let traffic = self.sim.component(self.traffic);
+        let traffic = &self.sim.model().traffic;
         if traffic.stations.is_empty() {
             0
         } else {
@@ -553,7 +571,8 @@ impl Simulator {
     /// Total frames queued across all stations (0 in saturated runs).
     pub fn total_queued_frames(&self) -> usize {
         self.sim
-            .component(self.traffic)
+            .model()
+            .traffic
             .stations
             .iter()
             .map(StationTraffic::queue_len)
@@ -563,28 +582,24 @@ impl Simulator {
     /// Discard all measurements collected so far and start measuring from the
     /// current simulation time (used to skip a warm-up interval).
     pub fn reset_measurements(&mut self) {
-        let n = self.sim.component(self.mac).stations.len();
         let now = self.sim.now();
+        let Engine {
+            world,
+            mac,
+            traffic,
+            ..
+        } = self.sim.model_mut();
+        world.stats = SimStats::new(mac.stations.len());
         // Re-seed the queue bookkeeping from the live occupancy so the
         // conservation invariant (queued_at_start + arrivals == delivered +
         // drops + queued_now) holds exactly over the measured interval.
-        let queue_lens: Vec<(usize, u64)> = self
-            .sim
-            .component(self.traffic)
-            .stations
-            .iter()
-            .enumerate()
-            .filter_map(|(i, st)| match st {
-                StationTraffic::Finite(src) => Some((i, src.queue.len() as u64)),
-                StationTraffic::Saturated => None,
-            })
-            .collect();
-        let world = self.sim.world_mut();
-        world.stats = SimStats::new(n);
-        for (i, len) in queue_lens {
-            let t = &mut world.stats.nodes[i].traffic;
-            t.queued_at_start = len;
-            t.queue_high_water = len;
+        for (i, st) in traffic.stations.iter().enumerate() {
+            if let StationTraffic::Finite(src) = st {
+                let len = src.queue.len() as u64;
+                let t = &mut world.stats.nodes[i].traffic;
+                t.queued_at_start = len;
+                t.queue_high_water = len;
+            }
         }
         world.measure_start = now;
         world.bin_start = now;
@@ -601,11 +616,16 @@ impl Simulator {
     /// Activate `nodes` in order, as consecutive `activate_station` calls
     /// would, settling the backoff and arrival alarms once at the end.
     fn activate_stations(&mut self, nodes: std::ops::Range<NodeId>) {
-        let (mac_h, channel_h, traffic_h) = (self.mac, self.channel, self.traffic);
-        self.sim.access(|world, peers, ctx| {
+        self.sim.access(|engine, ctx| {
+            let Engine {
+                world,
+                mac,
+                channel,
+                traffic,
+                ..
+            } = engine;
             let now = ctx.now();
             for node in nodes {
-                let mac = peers.get_mut(mac_h);
                 if mac.stations.is_active(node) {
                     continue;
                 }
@@ -615,30 +635,21 @@ impl Simulator {
                 }
                 // Recount what the station senses: the frames on the air
                 // from stations in range, and the ACKs addressed to others.
-                let sensed = {
-                    let channel = peers.get(channel_h);
-                    let frames = channel.active_tx.iter().filter(|&&id| {
-                        let src = channel.txs.get(id).source;
-                        src != node && world.topology.senses(node, src)
-                    });
-                    let acks = channel.acks.iter().filter(|&&src| src != node);
-                    (frames.count() + acks.count()) as u32
-                };
-                peers.get_mut(mac_h).stations.sensed.set(node, sensed);
+                let frames = channel.active_tx.iter().filter(|&&id| {
+                    let src = channel.txs.get(id).source;
+                    src != node && world.topology.senses(node, src)
+                });
+                let acks = channel.acks.iter().filter(|&&src| src != node);
+                let sensed = (frames.count() + acks.count()) as u32;
+                mac.stations.sensed.set(node, sensed);
                 // Start (or restart) the station's arrival process. Frames
                 // queued while the station was inactive are preserved;
                 // generation resumes from now.
-                let has_frame = {
-                    let traffic = peers.get_mut(traffic_h);
-                    traffic.start_arrivals(ctx, now, node);
-                    traffic.has_frame(node)
-                };
-                peers
-                    .get_mut(mac_h)
-                    .contend(&world.phy, ctx, node, has_frame);
+                traffic.start_arrivals(ctx, now, node);
+                mac.contend(&world.phy, ctx, node, traffic.has_frame(node));
             }
-            peers.get_mut(mac_h).settle(&world.phy, ctx);
-            peers.get_mut(traffic_h).settle(ctx);
+            mac.settle(&world.phy, ctx);
+            traffic.settle(ctx);
         });
     }
 
@@ -648,9 +659,13 @@ impl Simulator {
     /// pending frame arrival is cancelled (an inactive station generates no
     /// traffic), and any queued frames stay queued until it is reactivated.
     pub fn deactivate_station(&mut self, node: NodeId) {
-        let (mac_h, traffic_h) = (self.mac, self.traffic);
-        self.sim.access(|world, peers, ctx| {
-            let mac = peers.get_mut(mac_h);
+        self.sim.access(|engine, ctx| {
+            let Engine {
+                world,
+                mac,
+                traffic,
+                ..
+            } = engine;
             if !mac.stations.is_active(node) {
                 return;
             }
@@ -663,7 +678,7 @@ impl Simulator {
                 clique.forget(node);
             }
             mac.settle(&world.phy, ctx);
-            peers.get_mut(traffic_h).stop_arrivals(ctx, node);
+            traffic.stop_arrivals(ctx, node);
         });
     }
 
@@ -682,7 +697,7 @@ impl Simulator {
     /// Lets a campaign resuming from a checkpoint decide whether the warm-up
     /// reset has already happened.
     pub fn measurement_started_at(&self) -> SimTime {
-        self.sim.world().measure_start
+        self.sim.model().world.measure_start
     }
 }
 

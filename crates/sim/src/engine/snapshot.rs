@@ -32,7 +32,7 @@ impl Simulator {
     /// its streams were keyed from: a checkpoint loads only into a simulator
     /// of the same shape.
     fn shape(&self) -> ((usize, bool), u64) {
-        let mac = self.sim.component(self.mac);
+        let mac = &self.sim.model().mac;
         ((mac.stations.len(), mac.clique.is_some()), self.seed)
     }
 
@@ -56,15 +56,15 @@ impl Simulator {
         (MAGIC, CHECKPOINT_VERSION).save(&mut w);
         self.shape().save(&mut w);
         self.sim.save(&mut w);
-        self.sim.world().save(&mut w);
-        let mac = self.sim.component(self.mac);
-        mac.save(&mut w);
-        if let Some(clique) = &mac.clique {
+        let engine = self.sim.model();
+        engine.world.save(&mut w);
+        engine.mac.save(&mut w);
+        if let Some(clique) = &engine.mac.clique {
             clique.save(&mut w);
         }
-        self.sim.component(self.channel).save(&mut w);
-        self.sim.component(self.ap).save(&mut w);
-        self.sim.component(self.traffic).save(&mut w);
+        engine.channel.save(&mut w);
+        engine.ap.save(&mut w);
+        engine.traffic.save(&mut w);
         w.finish()
     }
 
@@ -77,8 +77,9 @@ impl Simulator {
     /// corrupt or truncated one (its checksum is verified before any state
     /// is touched), one of a differently shaped scenario or of another
     /// seed, and one with a pending event that could not be dispatched
-    /// (addressed to the wrong component, or naming a station or
-    /// transmission the loaded state does not have) are errors. On
+    /// (addressed to the wrong component, due before the checkpoint's
+    /// clock, or naming a station or transmission the loaded state does not
+    /// have) are errors. On
     /// error the simulator may have been partially overwritten and must be
     /// discarded (rebuild and recompute — the campaign layer treats a failed
     /// resume as a cache miss).
@@ -111,15 +112,15 @@ impl Simulator {
             )));
         }
         self.sim.load(&mut r)?;
-        self.sim.world_mut().load(&mut r)?;
-        let mac = self.sim.component_mut(self.mac);
-        mac.load(&mut r)?;
-        if let Some(clique) = mac.clique.as_deref_mut() {
+        let engine = self.sim.model_mut();
+        engine.world.load(&mut r)?;
+        engine.mac.load(&mut r)?;
+        if let Some(clique) = engine.mac.clique.as_deref_mut() {
             clique.load(&mut r)?;
         }
-        self.sim.component_mut(self.channel).load(&mut r)?;
-        self.sim.component_mut(self.ap).load(&mut r)?;
-        self.sim.component_mut(self.traffic).load(&mut r)?;
+        engine.channel.load(&mut r)?;
+        engine.ap.load(&mut r)?;
+        engine.traffic.load(&mut r)?;
         r.expect_end()?;
         self.check_pending()
     }
@@ -128,11 +129,14 @@ impl Simulator {
     /// when dispatched: one addressed to a component that does not handle
     /// its kind, one naming no station (or, for an arrival, no finite-load
     /// source), or one naming a transmission the loaded slab does not hold.
+    /// (The kernel's load has already rejected events addressed to no
+    /// component or due before the loaded clock.)
     fn check_pending(&self) -> Result<(), SnapshotError> {
-        let n = self.sim.component(self.mac).stations.len();
-        let txs = &self.sim.component(self.channel).txs;
-        let traffic = &self.sim.component(self.traffic).stations;
-        for (target, event) in self.sim.pending_events() {
+        let engine = self.sim.model();
+        let n = engine.mac.stations.len();
+        let txs = &engine.channel.txs;
+        let traffic = &engine.traffic.stations;
+        for (_, target, event) in self.sim.pending_events() {
             let valid = match *event {
                 Event::TxStart { station } | Event::AckTimeout { station, .. } => {
                     target == MAC_ID && station < n

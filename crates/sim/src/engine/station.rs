@@ -1,6 +1,6 @@
 //! The station-MAC component: per-station DCF state in a hot/cold
-//! struct-of-arrays layout, plus the component handlers for the two
-//! station-addressed events (`TxStart`, `AckTimeout`).
+//! struct-of-arrays layout, plus the handler for the two station-addressed
+//! events (`TxStart`, `AckTimeout`).
 //!
 //! Carrier sensing is word-parallel. Every station's count of the
 //! transmissions it senses lives in [`BusyCounts`], 64 stations to a word,
@@ -40,14 +40,14 @@ use super::channel::{Channel, Transmission};
 use super::clique::Clique;
 use super::event::Event;
 use super::timers::Timers;
-use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
+use super::{Ctx, World, CHANNEL_ID, MAC_ID};
 use crate::backoff::Policy;
 use crate::control::{BusyOutcome, ChannelObservation};
 use crate::phy::PhyParams;
 use crate::topology::NodeId;
 use rand_chacha::ChaCha8Rng;
 use wlan_des::time::SimTime;
-use wlan_des::{AlarmId, Component, Handle};
+use wlan_des::AlarmId;
 
 /// What a station is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,9 +555,6 @@ pub(crate) struct StationMac {
     /// (`None` when some pair of stations is hidden: every transition then
     /// adds or subtracts its sensing row from every station's count).
     pub(crate) clique: Option<Box<Clique>>,
-    pub(crate) channel: Handle<Channel>,
-    pub(crate) ap: Handle<ApControl>,
-    pub(crate) traffic: Handle<TrafficSources>,
 }
 
 // The clique's presence is fixed by the topology; the engine checkpoints it
@@ -570,7 +567,7 @@ impl StationMac {
     /// `has_frame` is the caller-supplied answer to "does `node` have a frame
     /// to send?" (always true without a traffic layer; queried from the
     /// traffic component otherwise) — passed in because the traffic state
-    /// lives in a peer component.
+    /// lives in another component.
     pub(crate) fn begin_contention(
         &mut self,
         phy: &PhyParams,
@@ -683,12 +680,32 @@ impl StationMac {
             });
     }
 
+    /// Handle an event addressed to the MAC.
+    pub(crate) fn handle(
+        &mut self,
+        world: &mut World,
+        channel: &mut Channel,
+        ap: &mut ApControl,
+        traffic: &TrafficSources,
+        ctx: &mut Ctx<'_>,
+        event: Event,
+    ) {
+        match event {
+            Event::TxStart { station } => self.handle_tx_start(world, channel, ap, ctx, station),
+            Event::AckTimeout { station, gen } => {
+                self.handle_ack_timeout(world, traffic, ctx, station, gen)
+            }
+            other => unreachable!("station MAC received {other:?}"),
+        }
+    }
+
     /// A station's backoff timer fired: start transmitting (unless the timer
     /// is stale).
     fn handle_tx_start(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        channel: &mut Channel,
+        ap: &mut ApControl,
         ctx: &mut Ctx<'_>,
         node: NodeId,
     ) {
@@ -725,7 +742,6 @@ impl StationMac {
             None => 1.0,
         };
         let tx = {
-            let channel = peers.get_mut(self.channel);
             let collided = !channel.acks.is_empty();
             let mut interference = 0.0;
             for &id in &channel.active_tx {
@@ -758,16 +774,14 @@ impl StationMac {
         // Stations within sensing range of the transmitter see the medium go busy
         // (ascending id order — the RNG-stream-stability rule).
         self.medium_busy(world, ctx, now, node, true);
-        peers
-            .get_mut(self.ap)
-            .channel_busy_start(&world.phy, &mut world.stats, now, true);
+        ap.channel_busy_start(&world.phy, &mut world.stats, now, true);
     }
 
     /// A station gave up waiting for its ACK (unless the timeout is stale).
     fn handle_ack_timeout(
         &mut self,
         world: &mut World,
-        peers: &mut EnginePeers<'_>,
+        traffic: &TrafficSources,
         ctx: &mut Ctx<'_>,
         node: NodeId,
         gen: u64,
@@ -780,26 +794,8 @@ impl StationMac {
         }
         world.stats.nodes[node].failures += 1;
         self.stations.policy[node].on_failure();
-        let has_frame = peers.get(self.traffic).has_frame(node);
+        let has_frame = traffic.has_frame(node);
         self.begin_contention(&world.phy, ctx, node, has_frame);
-    }
-}
-
-impl Component<World, Event> for StationMac {
-    fn handle(
-        &mut self,
-        world: &mut World,
-        peers: &mut EnginePeers<'_>,
-        ctx: &mut Ctx<'_>,
-        event: Event,
-    ) {
-        match event {
-            Event::TxStart { station } => self.handle_tx_start(world, peers, ctx, station),
-            Event::AckTimeout { station, gen } => {
-                self.handle_ack_timeout(world, peers, ctx, station, gen)
-            }
-            other => unreachable!("station MAC received {other:?}"),
-        }
     }
 }
 

@@ -8,10 +8,10 @@
 use serde::Serialize;
 use wlan_des::{MetricsReport, ProfileSample};
 
-use super::{Event, Simulator};
+use super::Simulator;
 
 /// Display names of the engine's kernel components, index-aligned with the
-/// `*_ID` registry constants (and therefore with the `dispatch` rows of a
+/// `*_ID` component ids (and therefore with the `dispatch` rows of a
 /// kernel [`MetricsReport`]).
 pub const COMPONENT_NAMES: [&str; 4] = ["mac", "channel", "ap", "traffic"];
 
@@ -34,12 +34,6 @@ pub struct EngineMetrics {
     pub kernel: MetricsReport,
 }
 
-/// The kernel's event-kind classifier for the engine vocabulary (a plain fn
-/// so it can be handed to the kernel as a `fn` pointer).
-fn classify_event(event: &Event) -> &'static str {
-    event.kind()
-}
-
 impl Simulator {
     /// Turn on the kernel's per-component / per-event-kind dispatch
     /// counters. Purely observational: counting happens after the pop and
@@ -47,7 +41,7 @@ impl Simulator {
     /// instrumented run is byte-identical to an uninstrumented one. When
     /// never called, the dispatch path pays one never-taken branch per event.
     pub fn enable_metrics(&mut self) {
-        self.sim.enable_metrics(classify_event, Event::identity);
+        self.sim.enable_metrics();
     }
 
     /// Whether [`enable_metrics`](Self::enable_metrics) has been called.
@@ -74,7 +68,7 @@ impl Simulator {
     /// their ordinal, never on the clock — so the simulated trajectory is
     /// unchanged. See [`wlan_des::Simulation::set_profiler`].
     pub fn set_profiler(&mut self, sample_every: u32, sink: Box<dyn FnMut(ProfileSample) + Send>) {
-        self.sim.set_profiler(sample_every, classify_event, sink);
+        self.sim.set_profiler(sample_every, sink);
     }
 
     /// Remove the profiler installed by [`set_profiler`](Self::set_profiler).

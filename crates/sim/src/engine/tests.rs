@@ -3,7 +3,19 @@
 //! they are deliberately agnostic to the component decomposition).
 
 use super::*;
-use crate::backoff::{ExponentialBackoff, FixedWindow, PPersistent};
+use crate::backoff::{ExponentialBackoff, PPersistent};
+
+/// 802.11 backoff with the constant window `w`: `cw_min == cw_max == w` and
+/// no retry limit, so every backoff is the same uniform draw from
+/// `[0, w - 1]`.
+fn constant_window(w: u32) -> ExponentialBackoff {
+    let phy = PhyParams {
+        cw_min: w,
+        cw_max: w,
+        ..PhyParams::table1()
+    };
+    ExponentialBackoff::with_retry_limit(&phy, None)
+}
 
 fn quick_sim(n: usize, topo: Topology, p: f64, seed: u64) -> Simulator {
     let phy = PhyParams::table1();
@@ -20,7 +32,7 @@ fn single_station_gets_near_saturation_throughput() {
     let phy = PhyParams::table1();
     let mut sim = SimulatorBuilder::new(phy.clone(), topo)
         .seed(1)
-        .with_stations(|_, _| FixedWindow::new(1))
+        .with_stations(|_, _| constant_window(1))
         .build();
     sim.run_for(SimDuration::from_secs(1));
     let stats = sim.stats();
@@ -566,7 +578,7 @@ fn queue_empty_stations_do_not_contend() {
     let phy = PhyParams::table1();
     let mut sim = SimulatorBuilder::new(phy, topo)
         .seed(2)
-        .with_stations(|_, _| FixedWindow::new(8))
+        .with_stations(|_, _| constant_window(8))
         .traffic(TrafficSpec {
             arrival: ArrivalProcess::Cbr { rate_fps: 20.0 },
             queue_frames: Some(4),
@@ -700,7 +712,7 @@ fn deactivation_pauses_arrivals_and_preserves_the_queue() {
         let pending = sim
             .sim
             .pending_events()
-            .any(|(_, event)| *event == Event::FrameArrival { station: 1 });
+            .any(|(_, _, event)| *event == Event::FrameArrival { station: 1 });
         assert!(!pending, "an inactive station's arrival is pending");
         let queued = sim.queued_frames(1);
         let arrivals = sim.stats().nodes[1].traffic.arrivals;
@@ -868,32 +880,37 @@ fn resume_rejects_checkpoints_from_a_different_policy() {
 
 /// A checkpoint whose pending events name a station the cell does not have,
 /// a transmission its slab does not hold, an arrival without a finite-load
-/// source or a component that does not handle the event would panic when
-/// the event is dispatched: resume rejects it instead.
+/// source, a component that does not handle the event or no component at
+/// all would panic when the event is dispatched, and one due before the
+/// checkpoint's clock would step time back: resume rejects it instead.
 #[test]
 fn resume_rejects_pending_events_that_name_no_station_or_a_vacant_slot() {
     let vacant = wlan_des::SlotId::from_parts(1000, 0);
     let stale = wlan_des::SlotId::from_parts(0, u32::MAX);
     let bad = [
         (
+            11,
             MAC_ID,
             Event::AckTimeout {
                 station: 99,
                 gen: 0,
             },
         ),
-        (MAC_ID, Event::TxStart { station: 4 }),
-        (CHANNEL_ID, Event::TxEnd { tx: vacant }),
-        (CHANNEL_ID, Event::AckStart { tx: stale }),
-        (CHANNEL_ID, Event::AckEnd { tx: vacant }),
-        (TRAFFIC_ID, Event::FrameArrival { station: 0 }),
-        (MAC_ID, Event::StatsTick),
+        (11, MAC_ID, Event::TxStart { station: 4 }),
+        (11, CHANNEL_ID, Event::TxEnd { tx: vacant }),
+        (11, CHANNEL_ID, Event::AckStart { tx: stale }),
+        (11, CHANNEL_ID, Event::AckEnd { tx: vacant }),
+        (11, TRAFFIC_ID, Event::FrameArrival { station: 0 }),
+        (11, MAC_ID, Event::StatsTick),
+        (11, 4, Event::StatsTick),
+        // Before the checkpoint's clock of 10 ms.
+        (5, AP_ID, Event::StatsTick),
     ];
-    for (target, event) in bad {
+    for (ms, target, event) in bad {
         let mut source = dcf_cell(4);
         source.run_until(SimTime::from_millis(10));
-        source.sim.access(|_, _, ctx| {
-            ctx.schedule(SimTime::from_millis(11), target, event);
+        source.sim.access(|_, ctx| {
+            ctx.schedule(SimTime::from_millis(ms), target, event);
         });
         let err = dcf_cell(4).resume(&source.checkpoint()).unwrap_err();
         assert!(err.to_string().contains("pending"), "{event:?}: {err}");
@@ -929,7 +946,7 @@ fn a_tx_start_the_timer_table_does_not_hold_is_ignored() {
         let mut at = SimTime::from_millis(10);
         loop {
             source.run_until(at);
-            let busy = source.sim.pending_events().any(|(_, e)| {
+            let busy = source.sim.pending_events().any(|(_, _, e)| {
                 matches!(
                     e,
                     Event::TxEnd { .. } | Event::AckStart { .. } | Event::AckEnd { .. }
@@ -941,8 +958,8 @@ fn a_tx_start_the_timer_table_does_not_hold_is_ignored() {
             at += SimDuration::from_micros(7);
         }
         let plain = source.checkpoint();
-        let alarm = source.sim.component(source.mac).alarm;
-        source.sim.access(|_, _, ctx| {
+        let alarm = source.sim.model().mac.alarm;
+        source.sim.access(|_, ctx| {
             let now = ctx.now();
             assert!(
                 ctx.alarm(alarm).is_some_and(|(time, _, _)| time > now),
@@ -1035,7 +1052,7 @@ mod clique_equivalence {
             0 => ExponentialBackoff::new(phy).into(),
             1 => PPersistent::new(0.08).into(),
             2 => RandomReset::new(phy, 1, 0.6).into(),
-            3 => FixedWindow::new(6).into(),
+            3 => constant_window(6).into(),
             4 => IdleSensePolicy::new(IdleSenseConfig::for_phy(phy)).into(),
             // Weighted static p-persistent: Lemma 1 gives each weight its
             // own attempt probability, so a resume redraws several `ln q`
@@ -1092,7 +1109,7 @@ mod clique_equivalence {
         }
         let sim = builder.build();
         assert_eq!(
-            sim.sim.component(sim.mac).clique.is_some(),
+            sim.sim.model().mac.clique.is_some(),
             !per_station,
             "a fully connected cell builds the clique path unless forced off"
         );
@@ -1122,7 +1139,7 @@ mod clique_equivalence {
                 match op % 4 {
                     0 => sim.run_for(SimDuration::from_micros(u64::from(arg) % 97 + 1)),
                     1 => sim.run_for(SimDuration::from_micros(u64::from(arg) * 7)),
-                    2 if sim.sim.component(sim.mac).stations.is_active(node) => {
+                    2 if sim.sim.model().mac.stations.is_active(node) => {
                         sim.deactivate_station(node)
                     }
                     2 => sim.activate_station(node),
@@ -1210,15 +1227,15 @@ mod clique_equivalence {
                 .seed(5)
                 .with_stations(|_, phy| ExponentialBackoff::new(phy))
                 .build();
-            assert_eq!(sim.sim.component(sim.mac).clique.is_some(), clique);
-            let alarm = sim.sim.component(sim.mac).alarm;
+            assert_eq!(sim.sim.model().mac.clique.is_some(), clique);
+            let alarm = sim.sim.model().mac.alarm;
             sim.enable_metrics();
             for ms in 1..=200 {
                 sim.run_for(SimDuration::from_millis(1));
                 let held = sim
                     .sim
-                    .access(|_, _, ctx| ctx.alarm(alarm).map(|(t, seq, &e)| (t, seq, e)));
-                let earliest = sim.sim.component_mut(sim.mac).timers.earliest();
+                    .access(|_, ctx| ctx.alarm(alarm).map(|(t, seq, &e)| (t, seq, e)));
+                let earliest = sim.sim.model_mut().mac.timers.earliest();
                 if clique {
                     // The cell's synced countdowns may be earlier still.
                     if let Some(t) = earliest {
@@ -1253,7 +1270,7 @@ mod clique_equivalence {
         let mut topo = Topology::fully_connected(4);
         topo.set_senses(0, 3, false);
         let sim = quick_sim(4, topo, 0.05, 1);
-        assert!(sim.sim.component(sim.mac).clique.is_none());
+        assert!(sim.sim.model().mac.clique.is_none());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   SIFS;
 //! * every station runs one contention-resolution policy, a variant of the
 //!   closed [`backoff::Policy`] enum: standard exponential backoff,
-//!   p-persistent CSMA, the paper's RandomReset(j; p0) scheme, IdleSense,
-//!   or a fixed window, dispatched statically;
+//!   p-persistent CSMA, the paper's RandomReset(j; p0) scheme or IdleSense,
+//!   dispatched statically;
 //! * the AP may run a controller ([`ap::ApAlgorithm`], held as a
 //!   `Box<dyn ApAlgorithm>`) that observes successful receptions and
 //!   piggy-backs control variables on every ACK — the hook used by wTOP-CSMA

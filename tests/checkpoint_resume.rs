@@ -276,3 +276,61 @@ fn resume_rejects_a_checkpoint_of_another_seed() {
         build(1).resume(&ckpt).unwrap();
     }
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bytes of three small checkpoints taken at a fixed instant, pinned
+/// beside the format version in their header: 802.11 on a clique, wTOP-CSMA
+/// on the 20 m disc and a Poisson finite-load TORA-CSMA cell on the 8 m
+/// ring. `checkpoint_resume`'s other tests round-trip within one build, so
+/// only this one notices a layout change that kept the version: such a
+/// change must bump `CHECKPOINT_VERSION` in `crates/sim/src/engine/snapshot.rs`,
+/// and a bump re-records these pins.
+#[test]
+fn checkpoint_bytes_are_pinned_beside_their_format_version() {
+    // (version, length, FNV-1a) of each checkpoint.
+    let pins: [(&str, Scenario, (u32, usize, u64)); 3] = [
+        (
+            "802.11 on a clique",
+            Scenario::new(Protocol::Standard80211, TopologySpec::FullyConnected, 10),
+            (9, 2_710, 0x8dd0_f213_6713_836b),
+        ),
+        (
+            "wTOP-CSMA on the 20 m disc",
+            Scenario::new(
+                Protocol::WTopCsma,
+                TopologySpec::UniformDisc { radius: 20.0 },
+                20,
+            ),
+            (9, 5_279, 0xf789_e120_c37f_be62),
+        ),
+        (
+            "Poisson TORA-CSMA on the 8 m ring",
+            Scenario::new(Protocol::ToraCsma, TopologySpec::Ring { radius: 8.0 }, 8)
+                .traffic(TrafficSpec::poisson(300.0).with_queue_frames(16)),
+            (9, 8_915, 0xc1c0_4271_4a5f_9620),
+        ),
+    ];
+    for (name, scenario, pin) in pins {
+        let s = scenario
+            .durations(SimDuration::from_millis(20), SimDuration::from_millis(60))
+            .update_period(SimDuration::from_millis(10))
+            .seed(3);
+        let mut sim = s.build_simulator();
+        s.advance_until(&mut sim, SimTime::from_millis(50));
+        let bytes = sim.checkpoint();
+        let version = u32::from_le_bytes(bytes[16..20].try_into().expect("a header"));
+        assert_eq!(
+            (version, bytes.len(), fnv1a64(&bytes)),
+            pin,
+            "{name}: the checkpoint's (version, length, FNV-1a) changed. A change to \
+             the byte layout must bump CHECKPOINT_VERSION in \
+             crates/sim/src/engine/snapshot.rs; then re-record these pins"
+        );
+    }
+}
